@@ -32,22 +32,6 @@ fn bench_timestamp_oracles(c: &mut Criterion) {
         let mut gtm = GtmServer::new();
         b.iter(|| black_box(gtm.commit_dual(Timestamp(1_000_000))));
     });
-    group.bench_function("hlc_tick", |b| {
-        let mut hlc = gdb_simclock::Hlc::new();
-        let mut us = 1_000_000u64;
-        b.iter(|| {
-            us += 1; // physical time advances between events
-            black_box(hlc.tick(SimTime::from_micros(us)))
-        });
-    });
-    group.bench_function("hlc_update", |b| {
-        let mut hlc = gdb_simclock::Hlc::new();
-        let mut us = 1_000_000u64;
-        b.iter(|| {
-            us += 1;
-            black_box(hlc.update(SimTime::from_micros(us), Timestamp(us << 16)))
-        });
-    });
     group.finish();
 }
 
@@ -129,7 +113,7 @@ fn bench_mvcc(c: &mut Criterion) {
         for v in 0..8u64 {
             table
                 .install_version(
-                    RowKey::single(key),
+                    &RowKey::single(key),
                     Some(Row(vec![Datum::Int(key), Datum::Int(v as i64)])),
                     Timestamp(10 + v * 10),
                     SimTime::ZERO,
@@ -205,12 +189,10 @@ fn bench_sql(c: &mut Criterion) {
 }
 
 /// The event-engine hot path: schedule-and-drain mixes on the timing
-/// wheel vs the frozen heap engine (`gdb_simnet::reference::HeapSim`),
-/// closure and typed-event flavors. Delays are short (bucket-ring hits)
+/// wheel, closure and typed-event flavors. Delays are short (bucket-ring hits)
 /// with a sprinkle of sub-slot and far-future inserts, matching the
 /// cluster's flush/deliver/RCP cadence.
 fn bench_scheduler(c: &mut Criterion) {
-    use gdb_simnet::reference::HeapSim;
     use gdb_simnet::{Sim, TypedEvent};
 
     const N: u64 = 64;
@@ -246,17 +228,6 @@ fn bench_scheduler(c: &mut Criterion) {
     });
     group.bench_function("wheel_closure_push_pop_64", |b| {
         let mut sim: Sim<u64> = Sim::new();
-        let mut w = 0u64;
-        b.iter(|| {
-            for i in 0..N {
-                sim.schedule_after(delay(i), |w, _| *w += 1);
-            }
-            while sim.step(&mut w) {}
-            black_box(w)
-        });
-    });
-    group.bench_function("heap_closure_push_pop_64", |b| {
-        let mut sim: HeapSim<u64> = HeapSim::new();
         let mut w = 0u64;
         b.iter(|| {
             for i in 0..N {

@@ -9,7 +9,9 @@
 //! `merge` bundles several `gdb-bench/v1` artifacts into one
 //! `gdb-bench/bundle/v1` document. `check` compares current throughput
 //! against a committed baseline and exits non-zero if any series
-//! regressed beyond the tolerance (default 20%) or disappeared.
+//! regressed beyond the tolerance (default 20%) or disappeared; either
+//! document failing `validate` (e.g. a stale artifact of a retired
+//! wall-clock bench) is an error, never compared.
 //! `validate` parses every given artifact file and fails on schema
 //! drift (bad gate config, broken quantile ordering, duplicate or
 //! missing series) — the lint stage runs it over all committed
@@ -62,6 +64,17 @@ fn merge(out: &str, inputs: &[String]) -> ExitCode {
 fn check(baseline: &str, current: &str, tolerance: f64) -> ExitCode {
     let base = read_artifacts(baseline);
     let cur = read_artifacts(current);
+    let mut invalid = 0;
+    for (path, arts) in [(baseline, &base), (current, &cur)] {
+        for msg in validate_artifacts(arts) {
+            eprintln!("benchcmp: {path}: {msg}");
+            invalid += 1;
+        }
+    }
+    if invalid > 0 {
+        eprintln!("benchcmp: refusing to compare invalid artifacts");
+        return ExitCode::from(2);
+    }
     let comparisons = compare_artifacts(&base, &cur, tolerance);
     if comparisons.is_empty() {
         eprintln!("benchcmp: baseline {baseline} has no series to compare");

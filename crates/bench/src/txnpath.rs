@@ -1,24 +1,25 @@
-//! The transaction hot path, measured end to end in real wall-clock time.
+//! The storage commit path as a standalone primary→replica pipeline.
 //!
-//! `txn_bench` drives a deterministic single-shard write workload through
-//! two complete primary→replica pipelines:
+//! One deterministic single-shard write script runs through two complete
+//! pipelines:
 //!
-//! * **fast** — the live path after the hot-path pass: no-clone lock
+//! * **fast** ([`run_fast`]) — the live structures: no-clone lock
 //!   acquires ([`gdb_storage::LockTable`]), arena version chains with
 //!   pooled row buffers ([`gdb_storage::Table`]), encode-once group
 //!   commit ([`GroupCommitWal`]), zero-copy shipping (the durable segment
 //!   suffix is compressed in place, never re-encoded), and borrowed
 //!   replay decode ([`ReplayDecoder`] + `get_key_into`/`get_row_into`).
-//! * **reference** — the frozen pre-pass path from
+//! * **reference** ([`run_reference`]) — the frozen pre-pass path from
 //!   [`gdb_storage::reference`]: per-acquire key clones, `Vec`-chain
 //!   tables, owned `RedoRecord`s re-encoded per batch, per-transaction
 //!   fsync, the double compression of the old shipping channel, and the
 //!   `String`-per-text legacy decode.
 //!
-//! Both pipelines run the *same* generated script and must produce
-//! byte-identical durable segments and identical committed state (the
-//! digests in [`TxnPathResult`]); only then is the wall-clock ratio
-//! meaningful. The CI gate compares the ratio, never absolutes.
+//! Both must produce byte-identical durable segments and identical
+//! committed state (the digests in [`TxnPathResult`]); the tests here and
+//! in `tests/txn_path.rs` pin that. The root `tests/budgets.rs` holds
+//! `run_fast` to absolute allocation and fsync budgets, and `benchmark/`
+//! times it (`storage.txnpath_us_per_txn`).
 
 use gdb_compress::{Codec, MatchTable};
 use gdb_model::{Datum, Row, RowKey, TableId, Timestamp, TxnId};
@@ -103,7 +104,7 @@ pub fn generate_script(seed: u64, txns: usize) -> Script {
 }
 
 /// What one pipeline run produced. `digest`/`segment_digest` pin the two
-/// paths to each other; the counters feed the bench artifact.
+/// paths to each other; the counters feed the budget tests.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TxnPathResult {
     pub wall: Duration,
@@ -237,7 +238,7 @@ pub fn run_fast(script: &Script, window: usize) -> TxnPathResult {
             lsn += 1;
             records += 1;
             primary[t]
-                .install_version_at(&key, Some(row), ts, vt)
+                .install_version(&key, Some(row), ts, vt)
                 .expect("fast install");
         }
         wal.append_parts(Lsn(lsn), txn, RedoPayloadRef::Commit { commit_ts: ts });
@@ -261,12 +262,7 @@ pub fn run_fast(script: &Script, window: usize) -> TxnPathResult {
                         let mut owned = replica[t].recycled_row();
                         std::mem::swap(&mut owned, &mut rrow);
                         replica[t]
-                            .install_version_at(
-                                &rkey,
-                                Some(owned),
-                                commit_ts(txn),
-                                commit_vtime(txn),
-                            )
+                            .install_version(&rkey, Some(owned), commit_ts(txn), commit_vtime(txn))
                             .expect("fast replica install");
                     }
                 }

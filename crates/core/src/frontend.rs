@@ -144,15 +144,19 @@ impl Cluster {
                 gdb_model::DistributionKind::Replicated => (0..self.db.shards.len()).collect(),
                 _ => vec![schema.shard_of_pk(&key, shard_count).0 as usize],
             };
+            // Every installed copy is a clone, the last one included: a
+            // clone is trimmed to its length, while the loader's own row
+            // can carry string capacity it grew into and would pin it
+            // for the life of the version.
             for s in targets {
                 let shard = &mut self.db.shards[s];
                 shard
                     .storage
-                    .apply_put(table, key.clone(), row.clone(), ts, SimTime::ZERO)?;
+                    .apply_put(table, &key, row.clone(), ts, SimTime::ZERO)?;
                 for replica in &mut shard.replicas {
                     replica.applier.storage.apply_put(
                         table,
-                        key.clone(),
+                        &key,
                         row.clone(),
                         ts,
                         SimTime::ZERO,

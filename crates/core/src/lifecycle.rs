@@ -190,7 +190,6 @@ impl GlobalDb {
         let codec = self.config.codec;
         let shard = &mut self.shards[shard_idx];
         let promoted = shard.replicas.remove(replica_idx);
-        let old_primary = shard.primary;
         shard.primary = promoted.node;
         shard.region = promoted.region;
         // The old primary's row locks outlive it: commits already on the
@@ -216,7 +215,6 @@ impl GlobalDb {
             replica.last_arrival = now;
             replica.epoch += 1;
         }
-        let _ = old_primary;
 
         // Replica membership changed: rebuild the per-region RCP groups.
         self.rebuild_rcp_groups();

@@ -67,19 +67,13 @@ impl GlobalDb {
         shard_idx: usize,
         now: SimTime,
     ) -> Vec<(NetNodeId, u64, SimTime, Vec<RedoRecord>)> {
-        let codec = self.config.codec;
         let shard_region = self.shards[shard_idx].region;
         let shard = &mut self.shards[shard_idx];
         shard.log.seal_upto(now);
         let mut deliveries = Vec::new();
         let mut shipped: Vec<(NetNodeId, u64, u64, u64, SimTime)> = Vec::new();
         for replica in shard.replicas.iter_mut() {
-            loop {
-                // Refresh the channel's codec if the config changed.
-                let _ = codec;
-                let Some(wire) = replica.channel.drain(shard.log.sealed()) else {
-                    break;
-                };
+            while let Some(wire) = replica.channel.drain(shard.log.sealed()) {
                 // Propagation (latency + jitter + injected delay) with a
                 // minimal payload; transmission is modelled separately so
                 // a saturated stream queues batches behind each other.

@@ -341,25 +341,13 @@ impl<'a> TxnHandle<'a> {
             out.ack = out.ack.max(acked);
             out.branches.push(BranchAck { shard: s, acked });
 
-            // Install the versions on the primary at the apply instant.
-            for w in &self.write_log {
-                if w.shard != s {
-                    continue;
-                }
-                match &w.row {
-                    Some(r) => self.db.shards[s].storage.apply_put(
-                        w.table,
-                        w.key.clone(),
-                        r.clone(),
-                        commit_ts,
-                        visible_at,
-                    )?,
-                    None => self.db.shards[s].storage.apply_delete(
-                        w.table,
-                        w.key.clone(),
-                        commit_ts,
-                        visible_at,
-                    )?,
+            // Install the versions on the primary at the apply instant
+            // (each staged row moves into storage: one entry per shard).
+            for w in self.write_log.iter_mut().filter(|w| w.shard == s) {
+                let storage = &mut self.db.shards[s].storage;
+                match w.row.take() {
+                    Some(r) => storage.apply_put(w.table, &w.key, r, commit_ts, visible_at)?,
+                    None => storage.apply_delete(w.table, &w.key, commit_ts, visible_at)?,
                 }
             }
             // Pin the locks to the visibility instant.

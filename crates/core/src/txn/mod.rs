@@ -18,7 +18,7 @@ use crate::cluster::GlobalDb;
 use crate::config::RoutingPolicy;
 use crate::net::RpcKind;
 use crate::stats::TxnOutcome;
-use gdb_model::{Datum, GdbError, GdbResult, Row, RowKey, TableId, Timestamp, TxnId};
+use gdb_model::{Datum, GdbError, GdbResult, Row, RowKey, RowMap, TableId, Timestamp, TxnId};
 use gdb_simnet::{SimDuration, SimTime};
 use gdb_sqlengine::{execute, ExecOutput, Prepared};
 use gdb_txnmgr::BeginPlan;
@@ -62,7 +62,9 @@ pub struct TxnHandle<'a> {
     ror: bool,
     freshness_bound: Option<SimDuration>,
     single_shard_hint: bool,
-    overlay: HashMap<(TableId, RowKey), Option<Row>>,
+    /// This transaction's own uncommitted writes (`None` = deleted),
+    /// consulted before committed state by every read.
+    overlay: RowMap<Option<Row>>,
     write_log: Vec<WriteOp>,
     first_write: HashMap<usize, SimTime>,
     locked: Vec<(usize, TableId, RowKey)>,
@@ -73,6 +75,32 @@ pub struct TxnHandle<'a> {
     /// shard's redo log: past this point a failure must not emit ABORT
     /// records (the replicas may already have replayed the commit).
     commit_appended: bool,
+}
+
+/// Acquire a primary-read snapshot for CN `cn` at `now`: a GTM round
+/// trip in centralized mode, else the local clock's snapshot after its
+/// invocation wait. Returns the snapshot and the time it was obtained.
+fn acquire_snapshot(
+    db: &mut GlobalDb,
+    cn: usize,
+    now: SimTime,
+    single_shard: bool,
+) -> GdbResult<(Timestamp, SimTime)> {
+    match db.cns[cn].tm.plan_begin(now, single_shard) {
+        BeginPlan::ViaGtm => {
+            let cn_node = db.cns[cn].node;
+            let gtm_node = db.gtm_node;
+            let rtt = db
+                .plane
+                .rtt(&mut db.topo, RpcKind::GtmBeginTs, cn_node, gtm_node)
+                .ok_or_else(|| GdbError::NodeUnavailable("GTM unreachable".into()))?;
+            Ok((db.gtm.begin_snapshot(), now + rtt))
+        }
+        BeginPlan::Local {
+            snapshot,
+            invocation_wait,
+        } => Ok((snapshot, now + invocation_wait)),
+    }
 }
 
 impl<'a> TxnHandle<'a> {
@@ -107,25 +135,7 @@ impl<'a> TxnHandle<'a> {
             }
         }
         if !ror {
-            match db.cns[cn].tm.plan_begin(now, single_shard) {
-                BeginPlan::ViaGtm => {
-                    let cn_node = db.cns[cn].node;
-                    let gtm_node = db.gtm_node;
-                    let rtt = db
-                        .plane
-                        .rtt(&mut db.topo, RpcKind::GtmBeginTs, cn_node, gtm_node)
-                        .ok_or_else(|| GdbError::NodeUnavailable("GTM unreachable".into()))?;
-                    now += rtt;
-                    snapshot = db.gtm.begin_snapshot();
-                }
-                BeginPlan::Local {
-                    snapshot: s,
-                    invocation_wait,
-                } => {
-                    now += invocation_wait;
-                    snapshot = s;
-                }
-            }
+            (snapshot, now) = acquire_snapshot(db, cn, now, single_shard)?;
         }
 
         let txn = db.next_txn_id(cn);
@@ -141,7 +151,7 @@ impl<'a> TxnHandle<'a> {
             ror,
             freshness_bound,
             single_shard_hint: single_shard,
-            overlay: HashMap::new(),
+            overlay: RowMap::new(),
             write_log: Vec::new(),
             first_write: HashMap::new(),
             locked: Vec::new(),
@@ -193,29 +203,8 @@ impl<'a> TxnHandle<'a> {
     /// persistent replica blockage): acquire a normal snapshot.
     fn fallback_to_primary(&mut self) -> GdbResult<()> {
         self.ror = false;
-        let db = &mut *self.db;
-        match db.cns[self.cn]
-            .tm
-            .plan_begin(self.now, self.single_shard_hint)
-        {
-            BeginPlan::ViaGtm => {
-                let cn_node = db.cns[self.cn].node;
-                let gtm_node = db.gtm_node;
-                let rtt = db
-                    .plane
-                    .rtt(&mut db.topo, RpcKind::GtmBeginTs, cn_node, gtm_node)
-                    .ok_or_else(|| GdbError::NodeUnavailable("GTM unreachable".into()))?;
-                self.now += rtt;
-                self.snapshot = db.gtm.begin_snapshot();
-            }
-            BeginPlan::Local {
-                snapshot,
-                invocation_wait,
-            } => {
-                self.now += invocation_wait;
-                self.snapshot = snapshot;
-            }
-        }
+        (self.snapshot, self.now) =
+            acquire_snapshot(self.db, self.cn, self.now, self.single_shard_hint)?;
         Ok(())
     }
 

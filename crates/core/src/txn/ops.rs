@@ -237,10 +237,7 @@ impl<'a> TxnHandle<'a> {
         rows: &mut Vec<(RowKey, Row)>,
     ) {
         let mut changed = false;
-        for ((t, key), row) in &self.overlay {
-            if *t != table {
-                continue;
-            }
+        for (key, row) in self.overlay.in_table(table) {
             if lo.is_some_and(|l| key < l) || hi.is_some_and(|h| key > h) {
                 continue;
             }
@@ -271,7 +268,7 @@ impl<'a> DataAccess for TxnHandle<'a> {
     }
 
     fn point_read(&mut self, table: TableId, key: &RowKey) -> GdbResult<Option<Row>> {
-        if let Some(hit) = self.overlay.get(&(table, key.clone())) {
+        if let Some(hit) = self.overlay.get(table, key) {
             return Ok(hit.clone());
         }
         let schema = self.schema(table)?;
@@ -353,7 +350,7 @@ impl<'a> DataAccess for TxnHandle<'a> {
         let mut out = Vec::with_capacity(keys.len());
         let mut max_wait = self.now;
         for (key, &s) in keys.iter().zip(&shard_of_key) {
-            if let Some(hit) = self.overlay.get(&(table, key.clone())) {
+            if let Some(hit) = self.overlay.get(table, key) {
                 out.push(hit.clone());
                 continue;
             }
@@ -514,14 +511,8 @@ impl<'a> DataAccess for TxnHandle<'a> {
         }
         out.sort_by(|a, b| a.0.cmp(&b.0));
         // Overlay merge: recheck added/updated rows against the prefix.
-        let overlay_keys: Vec<(RowKey, Option<Row>)> = self
-            .overlay
-            .iter()
-            .filter(|((t, _), _)| *t == def.table)
-            .map(|((_, k), r)| (k.clone(), r.clone()))
-            .collect();
-        for (key, row) in overlay_keys {
-            out.retain(|(k, _)| *k != key);
+        for (key, row) in self.overlay.in_table(def.table) {
+            out.retain(|(k, _)| k != key);
             if let Some(r) = row {
                 let matches = def
                     .columns
@@ -529,7 +520,7 @@ impl<'a> DataAccess for TxnHandle<'a> {
                     .zip(prefix)
                     .all(|(&c, p)| r.0[c].key_cmp(p) == std::cmp::Ordering::Equal);
                 if matches {
-                    out.push((key, r));
+                    out.push((key.clone(), r.clone()));
                 }
             }
         }
@@ -560,7 +551,7 @@ impl<'a> DataAccess for TxnHandle<'a> {
         for &s in &shards {
             self.lock_key(s, table, key)?;
         }
-        if let Some(hit) = self.overlay.get(&(table, key.clone())) {
+        if let Some(hit) = self.overlay.get(table, key) {
             return Ok(hit.clone());
         }
         let s0 = shards[0];
@@ -597,7 +588,7 @@ impl<'a> DataAccess for TxnHandle<'a> {
             self.route_to_shard(s, OP_MSG_BYTES)?;
         }
         // Duplicate check: overlay first, then committed state.
-        match self.overlay.get(&(table, key.clone())) {
+        match self.overlay.get(table, &key) {
             Some(Some(_)) => return Err(GdbError::DuplicateKey(format!("{table} {key}"))),
             Some(None) => {} // deleted in this txn; reinsert ok
             None => {
@@ -615,7 +606,7 @@ impl<'a> DataAccess for TxnHandle<'a> {
             self.lock_key(s, table, &key)?;
             self.stage_write(s, table, key.clone(), Some(row.clone()), true);
         }
-        self.overlay.insert((table, key), Some(row));
+        self.overlay.insert(table, &key, Some(row));
         Ok(())
     }
 
@@ -643,7 +634,7 @@ impl<'a> DataAccess for TxnHandle<'a> {
             self.lock_key(s, table, key)?;
             self.stage_write(s, table, key.clone(), Some(new_row.clone()), false);
         }
-        self.overlay.insert((table, key.clone()), Some(new_row));
+        self.overlay.insert(table, key, Some(new_row));
         Ok(())
     }
 
@@ -668,7 +659,7 @@ impl<'a> DataAccess for TxnHandle<'a> {
             self.lock_key(s, table, key)?;
             self.stage_write(s, table, key.clone(), None, false);
         }
-        self.overlay.insert((table, key.clone()), None);
+        self.overlay.insert(table, key, None);
         Ok(())
     }
 

@@ -11,6 +11,7 @@ pub mod fxhash;
 pub mod ids;
 pub mod intern;
 pub mod row;
+pub mod rowmap;
 pub mod schema;
 pub mod timestamp;
 
@@ -20,5 +21,6 @@ pub use fxhash::{FxBuildHasher, FxHashMap, FxHashSet, FxHasher};
 pub use ids::{IndexId, ShardId, TableId, TxnId};
 pub use intern::{Interner, Sym};
 pub use row::{Row, RowKey};
+pub use rowmap::RowMap;
 pub use schema::{ColumnDef, DistributionKind, SchemaBuilder, TableSchema};
 pub use timestamp::{Timestamp, TimestampBound};

@@ -29,8 +29,9 @@ impl Json {
         Json::Num(n.into())
     }
 
-    /// u64 → Json number. Precision-safe for every value the artifacts
-    /// produce (counts and microsecond sums far below 2^53).
+    /// u64 → Json number. JSON numbers are `f64`: values above 2^53 are
+    /// rounded here and refused by [`Json::as_u64`], so encode
+    /// full-width identifiers (hashes, digests) as strings instead.
     pub fn u64(n: u64) -> Json {
         Json::Num(n as f64)
     }
@@ -54,8 +55,14 @@ impl Json {
         }
     }
 
+    /// The number as a `u64`, or `None` unless it is a finite,
+    /// non-negative integer no larger than 2^53 (the largest range `f64`
+    /// holds exactly). A bare `as` cast would turn `-1` into `0`, `1.5`
+    /// into `1` and saturate `1e30`.
     pub fn as_u64(&self) -> Option<u64> {
-        self.as_f64().map(|n| n as u64)
+        const MAX_EXACT: f64 = (1u64 << 53) as f64;
+        let n = self.as_f64()?;
+        ((0.0..=MAX_EXACT).contains(&n) && n == n.trunc()).then_some(n as u64)
     }
 
     pub fn as_str(&self) -> Option<&str> {
@@ -452,5 +459,35 @@ mod tests {
         assert_eq!(v.get("k").and_then(Json::as_u64), Some(7));
         assert!(v.get("missing").is_none());
         assert!(Json::Null.get("k").is_none());
+    }
+
+    #[test]
+    fn as_u64_accepts_exact_integers_only() {
+        assert_eq!(Json::Num(0.0).as_u64(), Some(0));
+        assert_eq!(Json::u64(1 << 53).as_u64(), Some(1 << 53));
+        assert_eq!(Json::parse("12").unwrap().as_u64(), Some(12));
+    }
+
+    #[test]
+    fn as_u64_rejects_negative() {
+        assert_eq!(Json::parse("-1").unwrap().as_u64(), None);
+    }
+
+    #[test]
+    fn as_u64_rejects_fraction() {
+        assert_eq!(Json::parse("1.5").unwrap().as_u64(), None);
+    }
+
+    #[test]
+    fn as_u64_rejects_beyond_exact_range() {
+        assert_eq!(Json::parse("1e30").unwrap().as_u64(), None);
+        assert_eq!(Json::Num((1u64 << 53) as f64 + 2.0).as_u64(), None);
+    }
+
+    #[test]
+    fn as_u64_rejects_non_finite_and_non_numbers() {
+        assert_eq!(Json::Num(f64::NAN).as_u64(), None);
+        assert_eq!(Json::Num(f64::INFINITY).as_u64(), None);
+        assert_eq!(Json::str("7").as_u64(), None);
     }
 }

@@ -36,8 +36,7 @@ pub use metrics::{
 pub use report::{
     bundle, compare_artifacts, load_artifacts, to_chrome_trace, validate_artifacts, BenchArtifact,
     BenchSeries, Comparison, NetStats, COUNTER_GATE_MAX_KEY, COUNTER_GATE_METRIC_KEY,
-    COUNTER_GATE_SERIES_KEY, WALL_ALLOC_FLOOR_KEY, WALL_ALLOC_METRIC_KEY, WALL_BASELINE_KEY,
-    WALL_BASELINE_LABEL, WALL_CLOCK_KEY, WALL_FLOOR_KEY,
+    COUNTER_GATE_SERIES_KEY,
 };
 pub use span::{Span, SpanId, SpanKind, Tracer};
 

@@ -275,7 +275,7 @@ impl HistSummary {
         let f = |k: &str| -> Result<u64, String> {
             v.get(k)
                 .and_then(Json::as_u64)
-                .ok_or_else(|| format!("{ctx}: missing {k}"))
+                .ok_or_else(|| format!("{ctx}: {k} missing or not a count"))
         };
         Ok(HistSummary {
             count: f("count")?,

@@ -52,7 +52,7 @@ impl NetStats {
         let f = |k: &str| -> Result<u64, String> {
             v.get(k)
                 .and_then(Json::as_u64)
-                .ok_or_else(|| format!("{ctx}: missing {k}"))
+                .ok_or_else(|| format!("{ctx}: {k} missing or not a count"))
         };
         Ok(NetStats {
             wire_bytes: f("wire_bytes")?,
@@ -138,8 +138,13 @@ impl BenchSeries {
         };
         let throughput_txn_s = num("throughput_txn_s")?;
         let tpmc = num("tpmc")?;
-        let commits = num("commits")? as u64;
-        let aborts = num("aborts")? as u64;
+        let count = |k: &str| -> Result<u64, String> {
+            v.get(k)
+                .and_then(Json::as_u64)
+                .ok_or_else(|| format!("{ctx}[{label}]: {k} missing or not a count"))
+        };
+        let commits = count("commits")?;
+        let aborts = count("aborts")?;
         Ok(BenchSeries {
             label,
             throughput_txn_s,
@@ -178,44 +183,12 @@ impl BenchArtifact {
         self.config.push((key.into(), value.to_string()));
     }
 
-    /// Whether this artifact holds machine-local wall-clock measurements
-    /// (see [`WALL_CLOCK_KEY`]): the gate then compares speedup ratios
-    /// only, never absolute numbers.
-    pub fn is_wall_clock(&self) -> bool {
-        self.config
-            .iter()
-            .any(|(k, v)| k == WALL_CLOCK_KEY && v == "true")
-    }
-
     /// The value of a config key, if present.
     pub fn config_value(&self, key: &str) -> Option<&str> {
         self.config
             .iter()
             .find(|(k, _)| k == key)
             .map(|(_, v)| v.as_str())
-    }
-
-    /// The label of this wall-clock artifact's in-run baseline series
-    /// ([`WALL_BASELINE_KEY`] override, else [`WALL_BASELINE_LABEL`]).
-    pub fn wall_baseline_label(&self) -> &str {
-        self.config_value(WALL_BASELINE_KEY)
-            .unwrap_or(WALL_BASELINE_LABEL)
-    }
-
-    /// This wall-clock artifact's absolute ratio floor
-    /// ([`WALL_FLOOR_KEY`] override, else [`WALL_SPEEDUP_FLOOR`]).
-    pub fn wall_floor(&self) -> f64 {
-        self.config_value(WALL_FLOOR_KEY)
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(WALL_SPEEDUP_FLOOR)
-    }
-
-    /// This wall-clock artifact's `alloc_improvement` floor
-    /// ([`WALL_ALLOC_FLOOR_KEY`] override, else 1.0).
-    pub fn wall_alloc_floor(&self) -> f64 {
-        self.config_value(WALL_ALLOC_FLOOR_KEY)
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(1.0)
     }
 
     /// The absolute ceiling of this artifact's counter-gate leg
@@ -370,51 +343,6 @@ pub fn to_chrome_trace(tracer: &Tracer) -> String {
 /// wait, synchronous replication acknowledgement).
 pub const GATED_PHASES: &[&str] = &["commit_wait", "replication_ack"];
 
-/// Config key (`"wall_clock" = "true"`) marking an artifact as measured
-/// in *wall-clock* time. Wall-clock numbers are machine-local: the same
-/// commit produces wildly different events/sec on a laptop vs a CI
-/// runner, so the gate must never compare their absolute values across
-/// machines. Instead, a wall-clock artifact carries its own in-run
-/// baseline — a series labelled [`WALL_BASELINE_LABEL`] re-measured on
-/// the same machine in the same process — and only the *speedup ratio*
-/// of every other series over it is gated.
-pub const WALL_CLOCK_KEY: &str = "wall_clock";
-
-/// The in-run baseline series of a wall-clock artifact (the frozen
-/// pre-optimization engine, re-run on the current machine), unless the
-/// artifact names a different one via [`WALL_BASELINE_KEY`].
-pub const WALL_BASELINE_LABEL: &str = "legacy";
-
-/// Config key naming the in-run baseline series of a wall-clock
-/// artifact. The engine benches baseline against a frozen `legacy`
-/// implementation; the realnet smoke instead baselines its loopback-TCP
-/// backend against the in-process thread backend (`wall_baseline` =
-/// `"thread"`), measured in the same run on the same machine.
-pub const WALL_BASELINE_KEY: &str = "wall_baseline";
-
-/// Config key overriding [`WALL_SPEEDUP_FLOOR`] for one artifact. The
-/// ratio being gated need not be a speed*up*: the realnet smoke gates
-/// `tcp / thread` throughput, which is legitimately below 1 (real
-/// sockets cost more than channels), so its floor is a small fraction
-/// guarding against collapse rather than a 1.2× win.
-pub const WALL_FLOOR_KEY: &str = "wall_floor";
-
-/// Config key naming a *lower-is-better* gauge (e.g.
-/// `"txn.allocs_per_txn"`) carried in each series' metrics snapshot of a
-/// wall-clock artifact. When set, the gate adds an `alloc_improvement`
-/// comparison per non-baseline series: the ratio `baseline gauge /
-/// series gauge` (how many times fewer allocations the optimized path
-/// makes) must hold up against the blessed ratio within [`WALL_SLACK`]
-/// and never drop below the artifact's [`WALL_ALLOC_FLOOR_KEY`] floor.
-/// Allocation counts are deterministic per build (unlike wall time), so
-/// this leg is far less noisy than the speedup leg it mirrors.
-pub const WALL_ALLOC_METRIC_KEY: &str = "wall_alloc_metric";
-
-/// Config key for the absolute `alloc_improvement` floor (default 1.0:
-/// the optimized path must at least not allocate *more* than its
-/// baseline).
-pub const WALL_ALLOC_FLOOR_KEY: &str = "wall_alloc_floor";
-
 /// Config key naming a *lower-is-better* counter (e.g.
 /// `"rebalance.migrations_started"`) carried in a series' metrics
 /// snapshot. When set, the gate adds a `counter:<name>` comparison for
@@ -441,13 +369,11 @@ pub const COUNTER_GATE_SERIES_KEY: &str = "counter_gate_series";
 /// gate the way a relative check alone would.
 pub const COUNTER_SLACK: f64 = 1.0;
 
-/// Relative slack on speedup ratios: wall-clock runs are noisy (CPU
-/// contention, thermal state), so the gate only fails on a large move.
-const WALL_SLACK: f64 = 0.35;
-
-/// Absolute floor: whatever the blessed speedup was, the optimized
-/// engine must stay at least this much faster than the frozen baseline.
-const WALL_SPEEDUP_FLOOR: f64 = 1.2;
+/// Config keys with this prefix configured the retired wall-clock ratio
+/// gate. An artifact still carrying one is stale: comparing it would
+/// treat machine-local wall-clock numbers as virtual-time absolutes, so
+/// [`validate_artifacts`] rejects it.
+const RETIRED_WALL_PREFIX: &str = "wall_";
 
 /// Absolute slack for phase-mean comparisons: sub-50 µs phases are
 /// dominated by quantization and scheduling noise, not regressions.
@@ -474,8 +400,6 @@ impl Comparison {
     pub fn render(&self) -> String {
         let unit = match self.metric.as_str() {
             "throughput" => "txn/s",
-            "speedup" => "x over in-run baseline",
-            "alloc_improvement" => "x fewer allocs than in-run baseline",
             m if m.starts_with("counter:") => "(lower is better)",
             _ => "us mean",
         };
@@ -498,13 +422,6 @@ impl Comparison {
 /// `tolerance` relative phase-mean growth (plus a small absolute slack).
 /// Series only in `current` are ignored (adding figures never fails the
 /// gate).
-///
-/// Artifacts whose config carries [`WALL_CLOCK_KEY`]` = "true"` are
-/// machine-local and take a different path: only the speedup of each
-/// series over the artifact's [`WALL_BASELINE_LABEL`] series is gated
-/// (generous slack, absolute floor), never throughput, latency, or any
-/// absolute wall-clock number. A wall-clock artifact with no baseline
-/// series is informational and produces no comparisons.
 pub fn compare_artifacts(
     baseline: &[BenchArtifact],
     current: &[BenchArtifact],
@@ -513,10 +430,6 @@ pub fn compare_artifacts(
     let mut out = Vec::new();
     for base in baseline {
         let cur_art = current.iter().find(|a| a.figure == base.figure);
-        if base.is_wall_clock() {
-            compare_wall_clock(base, cur_art, &mut out);
-            continue;
-        }
         for bs in &base.series {
             let cur = cur_art.and_then(|a| a.series.iter().find(|s| s.label == bs.label));
             match cur {
@@ -596,91 +509,6 @@ pub fn compare_artifacts(
     out
 }
 
-/// The wall-clock leg of the gate: for every non-baseline series of a
-/// wall-clock artifact, the current run's speedup over its own in-run
-/// baseline series (the blessed artifact's [`BenchArtifact::wall_baseline_label`])
-/// must hold up against the blessed speedup — within [`WALL_SLACK`]
-/// relative and never below the artifact's [`BenchArtifact::wall_floor`].
-fn compare_wall_clock(
-    base: &BenchArtifact,
-    cur_art: Option<&BenchArtifact>,
-    out: &mut Vec<Comparison>,
-) {
-    let baseline_label = base.wall_baseline_label();
-    let speedup_in = |a: &BenchArtifact, label: &str| -> Option<f64> {
-        let denom = a
-            .series
-            .iter()
-            .find(|s| s.label == baseline_label)?
-            .throughput_txn_s;
-        let num = a.series.iter().find(|s| s.label == label)?.throughput_txn_s;
-        (denom > 0.0).then(|| num / denom)
-    };
-    // Improvement of a lower-is-better gauge over the in-run baseline:
-    // `baseline gauge / series gauge` (10.0 = ten times fewer).
-    let alloc_metric = base.config_value(WALL_ALLOC_METRIC_KEY);
-    let improvement_in = |a: &BenchArtifact, label: &str| -> Option<f64> {
-        let metric = alloc_metric?;
-        let denom = a
-            .series
-            .iter()
-            .find(|s| s.label == label)?
-            .metrics
-            .gauge(metric)?;
-        let num = a
-            .series
-            .iter()
-            .find(|s| s.label == baseline_label)?
-            .metrics
-            .gauge(metric)?;
-        (denom > 0.0).then(|| num / denom)
-    };
-    for bs in &base.series {
-        if bs.label == baseline_label {
-            continue;
-        }
-        // No in-run baseline series in the blessed artifact: the series
-        // is informational (nothing machine-portable to gate).
-        let Some(base_speedup) = speedup_in(base, &bs.label) else {
-            continue;
-        };
-        let cur_speedup = cur_art.and_then(|a| speedup_in(a, &bs.label));
-        let cur = cur_speedup.unwrap_or(0.0);
-        let threshold = (base_speedup * (1.0 - WALL_SLACK)).max(base.wall_floor());
-        out.push(Comparison {
-            figure: base.figure.clone(),
-            label: bs.label.clone(),
-            metric: "speedup".into(),
-            baseline: base_speedup,
-            current: cur,
-            ratio: if base_speedup > 0.0 {
-                cur / base_speedup
-            } else {
-                1.0
-            },
-            ok: cur_speedup.is_some_and(|c| c >= threshold),
-        });
-        if let Some(base_improvement) = improvement_in(base, &bs.label) {
-            let cur_improvement = cur_art.and_then(|a| improvement_in(a, &bs.label));
-            let cur = cur_improvement.unwrap_or(0.0);
-            let threshold = (base_improvement * (1.0 - WALL_SLACK)).max(base.wall_alloc_floor());
-            out.push(Comparison {
-                figure: base.figure.clone(),
-                label: bs.label.clone(),
-                metric: "alloc_improvement".into(),
-                baseline: base_improvement,
-                current: cur,
-                ratio: if base_improvement > 0.0 {
-                    cur / base_improvement
-                } else {
-                    1.0
-                },
-                ok: cur_improvement.is_some_and(|c| c >= threshold),
-            });
-        }
-    }
-}
-
 /// Schema-sanity validation of committed artifacts: every oddity a
 /// hand-edited or drifted `BENCH_*.json` could carry that the gate
 /// would otherwise silently mis-compare. Returns one message per
@@ -705,39 +533,11 @@ pub fn validate_artifacts(artifacts: &[BenchArtifact]) -> Vec<String> {
             if key.is_empty() {
                 errs.push(format!("{fig}: empty config key"));
             }
-        }
-        if a.is_wall_clock() {
-            if let Some(v) = a.config_value(WALL_FLOOR_KEY) {
-                if v.parse::<f64>()
-                    .map_or(true, |f| !f.is_finite() || f <= 0.0)
-                {
-                    errs.push(format!("{fig}: bad {WALL_FLOOR_KEY} {v:?}"));
-                }
-            }
-            if let Some(v) = a.config_value(WALL_ALLOC_FLOOR_KEY) {
-                if v.parse::<f64>()
-                    .map_or(true, |f| !f.is_finite() || f <= 0.0)
-                {
-                    errs.push(format!("{fig}: bad {WALL_ALLOC_FLOOR_KEY} {v:?}"));
-                }
-            }
-            let baseline = a.wall_baseline_label().to_string();
-            if a.config_value(WALL_BASELINE_KEY).is_some()
-                && !a.series.iter().any(|s| s.label == baseline)
-            {
+            if key.starts_with(RETIRED_WALL_PREFIX) {
                 errs.push(format!(
-                    "{fig}: {WALL_BASELINE_KEY} names absent series {baseline:?}"
+                    "{fig}: retired wall-clock gate key {key:?} (stale artifact; \
+                     wall time is measured by benchmark/ only)"
                 ));
-            }
-            if let Some(metric) = a.config_value(WALL_ALLOC_METRIC_KEY) {
-                for s in &a.series {
-                    if s.metrics.gauge(metric).is_none() {
-                        errs.push(format!(
-                            "{fig}/{}: {WALL_ALLOC_METRIC_KEY} {metric:?} missing from metrics",
-                            s.label
-                        ));
-                    }
-                }
             }
         }
         if a.config_value(COUNTER_GATE_METRIC_KEY).is_some() {
@@ -853,6 +653,21 @@ mod tests {
     }
 
     #[test]
+    fn from_json_names_the_field_holding_a_bad_count() {
+        let doc = artifact("fig6a", "gclock", 1.0).to_pretty();
+        for (field, good, bad) in [
+            ("commits", "\"commits\": 1000", "\"commits\": -1"),
+            ("aborts", "\"aborts\": 3", "\"aborts\": 2.5"),
+            ("batches", "\"batches\": 64", "\"batches\": 1e30"),
+        ] {
+            assert!(doc.contains(good), "{doc}");
+            let edited = Json::parse(&doc.replace(good, bad)).unwrap();
+            let err = BenchArtifact::from_json(&edited).unwrap_err();
+            assert!(err.contains(field) && err.contains("gclock"), "{err}");
+        }
+    }
+
+    #[test]
     fn bundle_round_trip_and_single_load() {
         let arts = vec![
             artifact("fig1a", "tpcc", 50.0),
@@ -935,141 +750,32 @@ mod tests {
         assert!(faster.iter().all(|c| c.ok));
     }
 
-    /// A wall-clock artifact: in-run `legacy` baseline plus a `fast`
-    /// series, absolute numbers machine-local by construction.
-    fn wall_artifact(fast_eps: f64, legacy_eps: f64) -> BenchArtifact {
-        let mut a = artifact("engine", "fast", fast_eps);
-        a.config_kv(WALL_CLOCK_KEY, "true");
-        a.series[0].phases.clear();
-        let mut legacy = a.series[0].clone();
-        legacy.label = WALL_BASELINE_LABEL.into();
-        legacy.throughput_txn_s = legacy_eps;
-        a.series.push(legacy);
-        a
-    }
-
     #[test]
-    fn wall_clock_gate_compares_speedup_only() {
-        // Blessed: 3x speedup at 6M events/s.
-        let base = vec![wall_artifact(6_000_000.0, 2_000_000.0)];
-        // A machine 10x slower in absolute terms but with the same
-        // speedup passes — wall-clock absolutes are never gated.
-        let out = compare_artifacts(&base, &[wall_artifact(600_000.0, 200_000.0)], 0.20);
-        assert_eq!(out.len(), 1, "{out:?}");
-        assert_eq!(out[0].metric, "speedup");
-        assert!(out[0].ok, "{out:?}");
-        assert!(out[0].render().contains("x over in-run baseline"));
-        // Speedup held within slack (3.0 -> 2.2 with 35% slack) passes.
-        let out = compare_artifacts(&base, &[wall_artifact(4_400_000.0, 2_000_000.0)], 0.20);
-        assert!(out[0].ok, "{out:?}");
-        // Speedup collapsed to 1.1x: below both the relative slack and
-        // the absolute floor — fails.
-        let out = compare_artifacts(&base, &[wall_artifact(2_200_000.0, 2_000_000.0)], 0.20);
-        assert!(!out[0].ok, "{out:?}");
-        // Series missing from the current run fails.
-        let mut gone = wall_artifact(1.0, 1.0);
-        gone.series.retain(|s| s.label == WALL_BASELINE_LABEL);
-        let out = compare_artifacts(&base, &[gone], 0.20);
-        assert!(!out[0].ok, "{out:?}");
-        // An informational wall-clock artifact (no legacy series) is
-        // never gated.
-        let mut info = wall_artifact(5.0, 5.0);
-        info.figure = "engine_cluster".into();
-        info.series.retain(|s| s.label == "fast");
-        let out = compare_artifacts(&[info], &[], 0.20);
-        assert!(out.is_empty(), "{out:?}");
-    }
-
-    #[test]
-    fn wall_clock_floor_binds_even_when_baseline_was_modest() {
-        // Blessed speedup 1.5x: the 35% slack alone would allow 0.98x,
-        // but the absolute floor keeps the gate at 1.2x.
-        let base = vec![wall_artifact(1_500_000.0, 1_000_000.0)];
-        let out = compare_artifacts(&base, &[wall_artifact(1_190_000.0, 1_000_000.0)], 0.20);
-        assert!(!out[0].ok, "below floor must fail: {out:?}");
-        let out = compare_artifacts(&base, &[wall_artifact(1_250_000.0, 1_000_000.0)], 0.20);
-        assert!(out[0].ok, "above floor within slack must pass: {out:?}");
-    }
-
-    /// A realnet-shaped wall-clock artifact: the in-run baseline is the
-    /// `thread` backend and the gated ratio (`tcp / thread`) sits below
-    /// 1, so the artifact overrides both the baseline label and the
-    /// floor via config.
-    fn realnet_artifact(tcp_eps: f64, thread_eps: f64) -> BenchArtifact {
-        let mut a = artifact("realnet_smoke", "tcp", tcp_eps);
-        a.config_kv(WALL_CLOCK_KEY, "true");
-        a.config_kv(WALL_BASELINE_KEY, "thread");
-        a.config_kv(WALL_FLOOR_KEY, "0.02");
-        a.series[0].phases.clear();
-        let mut thread = a.series[0].clone();
-        thread.label = "thread".into();
-        thread.throughput_txn_s = thread_eps;
-        a.series.push(thread);
-        a
-    }
-
-    #[test]
-    fn wall_clock_gate_honors_config_baseline_and_floor() {
-        assert_eq!(realnet_artifact(1.0, 1.0).wall_baseline_label(), "thread");
-        assert_eq!(realnet_artifact(1.0, 1.0).wall_floor(), 0.02);
-        // Blessed ratio 0.5 (tcp at half the thread throughput): a
-        // sub-1.2 ratio must be gateable, so the default floor cannot
-        // apply.
-        let base = vec![realnet_artifact(500.0, 1_000.0)];
-        let out = compare_artifacts(&base, &[realnet_artifact(40.0, 100.0)], 0.20);
-        assert_eq!(out.len(), 1, "{out:?}");
-        assert!(out[0].ok, "ratio 0.4 vs blessed 0.5 within slack: {out:?}");
-        // Collapse below the relative slack fails even above the floor.
-        let out = compare_artifacts(&base, &[realnet_artifact(10.0, 100.0)], 0.20);
-        assert!(!out[0].ok, "ratio 0.1 vs blessed 0.5 must fail: {out:?}");
-        // The custom floor still binds: a blessed ratio so small that
-        // slack would allow near-zero is caught at 0.02.
-        let tiny = vec![realnet_artifact(25.0, 1_000.0)];
-        let out = compare_artifacts(&tiny, &[realnet_artifact(10.0, 1_000.0)], 0.20);
-        assert!(!out[0].ok, "ratio 0.01 under floor 0.02 must fail: {out:?}");
-    }
-
-    /// A txn-bench-shaped wall-clock artifact: fast + legacy series with
-    /// an allocations-per-transaction gauge, gated via
-    /// [`WALL_ALLOC_METRIC_KEY`] with a 10x floor.
-    fn alloc_artifact(fast_eps: f64, fast_allocs: f64, legacy_allocs: f64) -> BenchArtifact {
-        let mut a = wall_artifact(fast_eps, 1_000_000.0);
-        a.config_kv(WALL_ALLOC_METRIC_KEY, "txn.allocs_per_txn");
-        a.config_kv(WALL_ALLOC_FLOOR_KEY, "10");
-        for (i, allocs) in [fast_allocs, legacy_allocs].into_iter().enumerate() {
-            let mut m = crate::metrics::MetricsRegistry::default();
-            m.gauge("txn.allocs_per_txn", allocs);
-            a.series[i].metrics = m.snapshot();
+    fn validate_rejects_stale_wall_clock_artifacts() {
+        // An artifact blessed by one of the retired wall-clock benches
+        // would otherwise be compared as virtual-time absolutes.
+        for (key, value) in [
+            ("wall_clock", "true"),
+            ("wall_clock", "false"),
+            ("wall_baseline", "thread"),
+            ("wall_floor", "1.5"),
+            ("wall_alloc_metric", "txn.allocs_per_txn"),
+            ("wall_alloc_floor", "10"),
+        ] {
+            let mut a = artifact("engine", "fast", 6_000_000.0);
+            a.config_kv(key, value);
+            let errs = validate_artifacts(&[a]);
+            assert_eq!(errs.len(), 1, "{key}: {errs:?}");
+            assert!(
+                errs[0].contains("retired") && errs[0].contains(key),
+                "{errs:?}"
+            );
         }
-        a
-    }
-
-    #[test]
-    fn wall_clock_gate_checks_alloc_improvement() {
-        // Blessed: 3x speedup, 30x fewer allocations (0.9 vs 27).
-        let base = vec![alloc_artifact(3_000_000.0, 0.9, 27.0)];
-        let rows = |cur: &BenchArtifact| compare_artifacts(&base, std::slice::from_ref(cur), 0.20);
-        // Same shape passes and yields speedup + alloc rows.
-        let out = rows(&alloc_artifact(3_000_000.0, 0.9, 27.0));
-        assert_eq!(out.len(), 2, "{out:?}");
-        assert_eq!(out[1].metric, "alloc_improvement");
-        assert!(out.iter().all(|c| c.ok), "{out:?}");
-        assert!(out[1].render().contains("x fewer allocs"));
-        // Improvement held within slack (30x -> 21x with 35% slack).
-        let out = rows(&alloc_artifact(3_000_000.0, 1.25, 27.0));
-        assert!(out[1].ok, "{out:?}");
-        // Fast path regressed to only 3x fewer allocations: below the
-        // 10x floor — fails even though slack alone would be generous.
-        let out = rows(&alloc_artifact(3_000_000.0, 9.0, 27.0));
-        assert!(!out[1].ok, "{out:?}");
-        // Gauge missing from the current run fails the alloc row.
-        let mut gone = alloc_artifact(3_000_000.0, 0.9, 27.0);
-        gone.series[0].metrics = MetricsReport::default();
-        let out = rows(&gone);
-        assert!(!out[1].ok, "{out:?}");
-        // The speedup leg is unaffected by the alloc config.
-        assert_eq!(out[0].metric, "speedup");
-        assert!(out[0].ok, "{out:?}");
+        // Survives the JSON round trip `benchcmp` takes.
+        let mut a = artifact("txn", "fast", 1.0);
+        a.config_kv("wall_clock", "true");
+        let loaded = load_artifacts(&Json::parse(&a.to_pretty()).unwrap()).unwrap();
+        assert_eq!(validate_artifacts(&loaded).len(), 1);
     }
 
     /// A rebalance-ablation-shaped artifact: a static control plus a
@@ -1155,7 +861,7 @@ mod tests {
         // A healthy document validates clean.
         let good = vec![
             artifact("fig1a", "tpcc", 50.0),
-            alloc_artifact(3_000_000.0, 0.9, 27.0),
+            artifact("fig6a", "gclock", 40.0),
         ];
         assert!(
             validate_artifacts(&good).is_empty(),
@@ -1177,18 +883,6 @@ mod tests {
         let mut a = artifact("fig1a", "x", 1.0);
         a.series[0].throughput_txn_s = f64::NAN;
         assert!(errs(&[a]).iter().any(|e| e.contains("throughput_txn_s")));
-        // Unparseable wall floor.
-        let mut a = wall_artifact(2.0, 1.0);
-        a.config_kv(WALL_FLOOR_KEY, "fast");
-        assert!(errs(&[a]).iter().any(|e| e.contains(WALL_FLOOR_KEY)));
-        // Alloc metric configured but absent from a series' metrics.
-        let mut a = alloc_artifact(3_000_000.0, 0.9, 27.0);
-        a.series[1].metrics = MetricsReport::default();
-        assert!(errs(&[a]).iter().any(|e| e.contains("txn.allocs_per_txn")));
-        // wall_baseline naming a series that does not exist.
-        let mut a = wall_artifact(2.0, 1.0);
-        a.config_kv(WALL_BASELINE_KEY, "thread");
-        assert!(errs(&[a]).iter().any(|e| e.contains("absent series")));
         // Quantile ordering violated.
         let mut a = artifact("fig1a", "x", 1.0);
         a.series[0].latency.p95_us = a.series[0].latency.p99_us + 1_000_000;

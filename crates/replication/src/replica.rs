@@ -9,7 +9,7 @@
 //! transactions likewise block visibility until `COMMIT_PREPARED` /
 //! `ABORT_PREPARED` replays.
 
-use gdb_model::{GdbError, GdbResult, Row, RowKey, TableId, Timestamp, TxnId};
+use gdb_model::{GdbError, GdbResult, Row, RowKey, RowMap, TableId, Timestamp, TxnId};
 use gdb_simnet::SimTime;
 use gdb_storage::DataNodeStorage;
 use gdb_wal::{DdlKind, Lsn, RedoPayload, RedoRecord};
@@ -41,7 +41,7 @@ pub struct ReplicaApplier {
     pub storage: DataNodeStorage,
     pending: HashMap<TxnId, PendingTxn>,
     /// Tuple locks held by pending transactions.
-    locked: HashMap<(TableId, RowKey), TxnId>,
+    locked: RowMap<TxnId>,
     /// Next LSN expected (records must arrive in order; duplicates from
     /// recovery rewinds are skipped idempotently).
     next_lsn: Lsn,
@@ -56,7 +56,7 @@ impl ReplicaApplier {
         ReplicaApplier {
             storage,
             pending: HashMap::new(),
-            locked: HashMap::new(),
+            locked: RowMap::new(),
             next_lsn: Lsn(0),
             max_commit_ts: Timestamp::ZERO,
             records_applied: 0,
@@ -70,7 +70,7 @@ impl ReplicaApplier {
         ReplicaApplier {
             storage,
             pending: HashMap::new(),
-            locked: HashMap::new(),
+            locked: RowMap::new(),
             next_lsn: from,
             max_commit_ts,
             records_applied: 0,
@@ -165,7 +165,7 @@ impl ReplicaApplier {
     }
 
     fn buffer_write(&mut self, txn: TxnId, table: TableId, key: RowKey, row: Option<Row>) {
-        self.locked.insert((table, key.clone()), txn);
+        self.locked.insert(table, &key, txn);
         self.pending
             .entry(txn)
             .or_default()
@@ -181,13 +181,13 @@ impl ReplicaApplier {
     ) -> GdbResult<()> {
         let state = self.pending.remove(&txn).unwrap_or_default();
         for (table, key, row) in state.writes {
-            if self.locked.get(&(table, key.clone())) == Some(&txn) {
-                self.locked.remove(&(table, key.clone()));
+            if self.locked.get(table, &key) == Some(&txn) {
+                self.locked.remove(table, &key);
             }
             if let Some(ts) = commit_ts {
                 match row {
-                    Some(r) => self.storage.apply_put(table, key, r, ts, vtime)?,
-                    None => self.storage.apply_delete(table, key, ts, vtime)?,
+                    Some(r) => self.storage.apply_put(table, &key, r, ts, vtime)?,
+                    None => self.storage.apply_delete(table, &key, ts, vtime)?,
                 }
             }
         }
@@ -224,7 +224,7 @@ impl ReplicaApplier {
         key: &RowKey,
         snapshot: Timestamp,
     ) -> GdbResult<ReplicaReadResult> {
-        if let Some(&by) = self.locked.get(&(table, key.clone())) {
+        if let Some(&by) = self.locked.get(table, key) {
             return Ok(ReplicaReadResult::Blocked { by });
         }
         let vis = self.storage.read(table, key, snapshot)?;
@@ -242,18 +242,18 @@ impl ReplicaApplier {
         hi: Option<&RowKey>,
     ) -> bool {
         self.locked
-            .keys()
-            .any(|(t, k)| *t == table && lo.is_none_or(|l| k >= l) && hi.is_none_or(|h| k <= h))
+            .in_table(table)
+            .any(|(k, _)| lo.is_none_or(|l| k >= l) && hi.is_none_or(|h| k <= h))
     }
 
     /// Keys currently locked (testing / diagnostics).
     pub fn locked_keys(&self) -> HashSet<(TableId, RowKey)> {
-        self.locked.keys().cloned().collect()
+        self.locked.iter().map(|(t, k, _)| (t, k.clone())).collect()
     }
 
     /// True if an in-progress transaction holds this exact tuple.
     pub fn is_key_locked(&self, table: TableId, key: &RowKey) -> bool {
-        self.locked.contains_key(&(table, key.clone()))
+        self.locked.contains_key(table, key)
     }
 
     /// Consume the applier and take its storage — failover promotion: the

@@ -15,4 +15,4 @@ pub mod table;
 
 pub use skyline::{NodeMetrics, Skyline};
 pub use staleness::{estimate_staleness_gclock, estimate_staleness_gtm};
-pub use table::{MapRouteTable, RouteEntry, RouteTable};
+pub use table::{RouteEntry, RouteTable};

@@ -17,13 +17,11 @@
 //! *moves* — exactly the rebuild trigger. Ties break to the lowest
 //! shard id, matching `Iterator::min_by_key` (first minimal element).
 //!
-//! [`MapRouteTable`] freezes the pre-table behavior (map walk + per-call
-//! RTT scan) as a differential reference: `scale_bench` drives both over
-//! the same routing script and the test suite asserts identical
-//! decisions.
+//! The pre-table behavior (map walk + per-call RTT scan) is frozen as
+//! the test-only `MapRouteTable`; the test suite asserts both make
+//! identical decisions.
 
 use gdb_simnet::{NetNodeId, SimDuration};
-use std::collections::HashMap;
 
 /// One shard's routing facts: where its primary lives and the epoch at
 /// which it last moved.
@@ -133,78 +131,77 @@ impl RouteTable {
     }
 }
 
-/// Frozen pre-table routing path: `HashMap` per-route lookups plus an
-/// O(shards) RTT scan per nearest-shard call. Kept as the differential
-/// reference (`scale_bench` legacy series, decision-equality tests) —
-/// never used on the live path.
-#[derive(Debug, Clone, Default)]
-pub struct MapRouteTable {
-    version: u64,
-    entries: HashMap<usize, RouteEntry>,
-    cns: Vec<NetNodeId>,
-}
-
-impl MapRouteTable {
-    pub fn build(version: u64, shards: &[(NetNodeId, u64)], cns: &[NetNodeId]) -> Self {
-        let entries = shards
-            .iter()
-            .enumerate()
-            .map(|(s, &(primary, owner_epoch))| {
-                (
-                    s,
-                    RouteEntry {
-                        primary,
-                        owner_epoch,
-                    },
-                )
-            })
-            .collect();
-        Self {
-            version,
-            entries,
-            cns: cns.to_vec(),
-        }
-    }
-
-    pub fn version(&self) -> u64 {
-        self.version
-    }
-
-    pub fn primary(&self, shard: usize) -> NetNodeId {
-        self.entries[&shard].primary
-    }
-
-    pub fn owner_epoch(&self, shard: usize) -> u64 {
-        self.entries[&shard].owner_epoch
-    }
-
-    /// The legacy nearest-shard walk: recompute the argmin over every
-    /// shard's primary RTT on every call, exactly as
-    /// `GlobalDb::nearest_shard` did before the flat table.
-    pub fn nearest(
-        &self,
-        cn: usize,
-        mut rtt: impl FnMut(NetNodeId, NetNodeId) -> SimDuration,
-    ) -> usize {
-        let cn_node = self.cns[cn];
-        (0..self.entries.len())
-            .min_by_key(|&s| rtt(cn_node, self.entries[&s].primary))
-            .unwrap_or(0)
-    }
-
-    pub fn check_epoch(&self, shard: usize, route_epoch: u64) -> Result<NetNodeId, u64> {
-        let e = &self.entries[&shard];
-        if route_epoch < e.owner_epoch {
-            Err(e.owner_epoch)
-        } else {
-            Ok(e.primary)
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::HashMap;
+
+    /// Frozen pre-table routing path: `HashMap` per-route lookups plus an
+    /// O(shards) RTT scan per nearest-shard call. Kept as the differential
+    /// reference of the decision-equality tests below.
+    struct MapRouteTable {
+        version: u64,
+        entries: HashMap<usize, RouteEntry>,
+        cns: Vec<NetNodeId>,
+    }
+
+    impl MapRouteTable {
+        fn build(version: u64, shards: &[(NetNodeId, u64)], cns: &[NetNodeId]) -> Self {
+            let entries = shards
+                .iter()
+                .enumerate()
+                .map(|(s, &(primary, owner_epoch))| {
+                    (
+                        s,
+                        RouteEntry {
+                            primary,
+                            owner_epoch,
+                        },
+                    )
+                })
+                .collect();
+            Self {
+                version,
+                entries,
+                cns: cns.to_vec(),
+            }
+        }
+
+        fn version(&self) -> u64 {
+            self.version
+        }
+
+        fn primary(&self, shard: usize) -> NetNodeId {
+            self.entries[&shard].primary
+        }
+
+        fn owner_epoch(&self, shard: usize) -> u64 {
+            self.entries[&shard].owner_epoch
+        }
+
+        /// The legacy nearest-shard walk: recompute the argmin over every
+        /// shard's primary RTT on every call, exactly as
+        /// `GlobalDb::nearest_shard` did before the flat table.
+        fn nearest(
+            &self,
+            cn: usize,
+            mut rtt: impl FnMut(NetNodeId, NetNodeId) -> SimDuration,
+        ) -> usize {
+            let cn_node = self.cns[cn];
+            (0..self.entries.len())
+                .min_by_key(|&s| rtt(cn_node, self.entries[&s].primary))
+                .unwrap_or(0)
+        }
+
+        fn check_epoch(&self, shard: usize, route_epoch: u64) -> Result<NetNodeId, u64> {
+            let e = &self.entries[&shard];
+            if route_epoch < e.owner_epoch {
+                Err(e.owner_epoch)
+            } else {
+                Ok(e.primary)
+            }
+        }
+    }
 
     fn rtt_fn(seed: u64) -> impl FnMut(NetNodeId, NetNodeId) -> SimDuration {
         // Deterministic pseudo-RTT: pure function of the node pair, so

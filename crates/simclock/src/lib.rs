@@ -14,15 +14,11 @@
 //! * [`GClock`] — the per-node time source returning
 //!   [`gdb_model::TimestampBound`] uncertainty intervals, plus the commit /
 //!   invocation wait rules.
-//! * [`Hlc`] — a Hybrid Logical Clock, the approach CockroachDB/Yugabyte
-//!   take (related work §II-C), used as a comparison baseline.
 
 pub mod drift;
 pub mod gclock;
-pub mod hlc;
 pub mod wall;
 
 pub use drift::DriftClock;
 pub use gclock::{GClock, GClockConfig};
-pub use hlc::Hlc;
 pub use wall::{TimeSource, WallClock};

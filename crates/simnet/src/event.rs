@@ -28,7 +28,7 @@
 //! Ordering is decided only by `(at, seq)`, never by which level an event
 //! lives in, so the structure is invisible to users: the engine fires the
 //! exact same sequence as a plain binary heap (property-tested against the
-//! frozen [`crate::reference::HeapSim`]).
+//! frozen, test-only `reference::HeapSim`).
 //!
 //! # Typed events
 //!

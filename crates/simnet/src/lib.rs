@@ -19,7 +19,8 @@
 
 pub mod event;
 pub mod metrics;
-pub mod reference;
+#[cfg(test)]
+mod reference;
 pub mod stats;
 pub mod time;
 pub mod topology;

@@ -1,20 +1,14 @@
 //! The frozen pre-wheel event engine: one `BinaryHeap` of boxed closures.
 //!
-//! This is the original [`crate::Sim`] implementation, kept verbatim for
-//! two jobs:
-//!
-//! * **differential oracle** — the wheel engine's property tests assert it
-//!   fires the identical `(time, seq)` sequence as this heap across
-//!   randomized schedules (see `event::proptests`);
-//! * **legacy baseline** — `engine_bench` runs the same fixed-seed event
-//!   storm through both engines and reports the wall-clock speedup, so the
-//!   "fast vs. pre-PR" ratio is re-measured on every machine instead of
-//!   trusting a stale absolute number.
+//! This is the original [`crate::Sim`] implementation, kept verbatim as a
+//! test-only differential oracle: the wheel engine's property tests
+//! assert it fires the identical `(time, seq)` sequence as this heap
+//! across randomized schedules (see `event::proptests`).
 //!
 //! Do not optimize this module; its value is staying what the engine used
 //! to be.
 
-use crate::time::{SimDuration, SimTime};
+use crate::time::SimTime;
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
@@ -97,15 +91,6 @@ impl<W> HeapSim<W> {
             seq,
             f: Box::new(f),
         });
-    }
-
-    /// Schedule `f` to run `after` from now.
-    pub fn schedule_after(
-        &mut self,
-        after: SimDuration,
-        f: impl FnOnce(&mut W, &mut HeapSim<W>) + 'static,
-    ) {
-        self.schedule_at(self.now + after, f);
     }
 
     /// Run the single earliest event. Returns `false` if the queue is empty.

@@ -138,7 +138,7 @@ impl DataAccess for MemAccess {
         schema.check_row(&row)?;
         let key = schema.primary_key_of(&row);
         let ts = self.tick();
-        self.storage.insert(table, key, row, ts, SimTime::ZERO)
+        self.storage.insert(table, &key, row, ts, SimTime::ZERO)
     }
 
     fn update(&mut self, table: TableId, key: &RowKey, new_row: Row) -> GdbResult<()> {
@@ -147,13 +147,12 @@ impl DataAccess for MemAccess {
         schema.coerce_row(&mut new_row);
         schema.check_row(&new_row)?;
         let ts = self.tick();
-        self.storage
-            .update(table, key.clone(), new_row, ts, SimTime::ZERO)
+        self.storage.update(table, key, new_row, ts, SimTime::ZERO)
     }
 
     fn delete(&mut self, table: TableId, key: &RowKey) -> GdbResult<()> {
         let ts = self.tick();
-        self.storage.delete(table, key.clone(), ts, SimTime::ZERO)
+        self.storage.delete(table, key, ts, SimTime::ZERO)
     }
 
     fn apply_ddl(&mut self, ddl: &BoundDdl) -> GdbResult<()> {

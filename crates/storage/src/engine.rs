@@ -121,93 +121,12 @@ impl DataNodeStorage {
             .ok_or_else(|| GdbError::Schema(format!("no storage for table {id}")))
     }
 
-    /// Insert a new row version. Fails on a live duplicate key.
-    pub fn insert(
-        &mut self,
-        table: TableId,
-        key: RowKey,
-        row: Row,
-        commit_ts: Timestamp,
-        commit_vtime: SimTime,
-    ) -> GdbResult<()> {
-        self.writes += 1;
-        let index_updates = self.index_updates(table, &key, &row);
-        let tbl = self.table_mut(table)?;
-        if tbl.exists_newest(&key) {
-            return Err(GdbError::DuplicateKey(format!("{table} {key}")));
-        }
-        if index_updates.is_empty() {
-            return tbl.install_version(key, Some(row), commit_ts, commit_vtime);
-        }
-        tbl.install_version(key.clone(), Some(row), commit_ts, commit_vtime)?;
-        for (ix, entry) in index_updates {
-            self.indexes
-                .get_mut(&ix)
-                .expect("index storage consistent")
-                .insert(entry, key.clone());
-        }
-        Ok(())
-    }
-
-    /// Overwrite an existing row (read-committed update: the caller already
-    /// holds the row lock and read the newest version).
-    pub fn update(
-        &mut self,
-        table: TableId,
-        key: RowKey,
-        new_row: Row,
-        commit_ts: Timestamp,
-        commit_vtime: SimTime,
-    ) -> GdbResult<()> {
-        self.writes += 1;
-        let index_updates = self.index_updates(table, &key, &new_row);
-        let tbl = self.table_mut(table)?;
-        if !tbl.exists_newest(&key) {
-            return Err(GdbError::NotFound(format!("{table} {key}")));
-        }
-        if index_updates.is_empty() {
-            return tbl.install_version(key, Some(new_row), commit_ts, commit_vtime);
-        }
-        tbl.install_version(key.clone(), Some(new_row), commit_ts, commit_vtime)?;
-        for (ix, entry) in index_updates {
-            self.indexes
-                .get_mut(&ix)
-                .expect("index storage consistent")
-                .insert(entry, key.clone());
-        }
-        Ok(())
-    }
-
-    /// Install an insert-or-update version without existence checks
-    /// (replica replay path — the primary already validated).
-    pub fn apply_put(
-        &mut self,
-        table: TableId,
-        key: RowKey,
-        row: Row,
-        commit_ts: Timestamp,
-        commit_vtime: SimTime,
-    ) -> GdbResult<()> {
-        self.writes += 1;
-        let index_updates = self.index_updates(table, &key, &row);
-        let tbl = self.table_mut(table)?;
-        if index_updates.is_empty() {
-            return tbl.install_version(key, Some(row), commit_ts, commit_vtime);
-        }
-        tbl.install_version(key.clone(), Some(row), commit_ts, commit_vtime)?;
-        for (ix, entry) in index_updates {
-            self.indexes
-                .get_mut(&ix)
-                .expect("index storage consistent")
-                .insert(entry, key.clone());
-        }
-        Ok(())
-    }
-
-    /// [`DataNodeStorage::apply_put`] borrowing the key: the replay hot
-    /// path clones it only when the key is new to the table or feeds a
+    /// Install an insert-or-update version without existence checks: the
+    /// one write core behind commit, replica replay, bulk load and the
+    /// validated [`insert`](Self::insert) / [`update`](Self::update). The
+    /// key is cloned only when it is new to the table or feeds a
     /// secondary index.
-    pub fn apply_put_at(
+    pub fn apply_put(
         &mut self,
         table: TableId,
         key: &RowKey,
@@ -217,8 +136,8 @@ impl DataNodeStorage {
     ) -> GdbResult<()> {
         self.writes += 1;
         let index_updates = self.index_updates(table, key, &row);
-        let tbl = self.table_mut(table)?;
-        tbl.install_version_at(key, Some(row), commit_ts, commit_vtime)?;
+        self.table_mut(table)?
+            .install_version(key, Some(row), commit_ts, commit_vtime)?;
         for (ix, entry) in index_updates {
             self.indexes
                 .get_mut(&ix)
@@ -228,37 +147,8 @@ impl DataNodeStorage {
         Ok(())
     }
 
-    /// Delete a row (tombstone).
-    pub fn delete(
-        &mut self,
-        table: TableId,
-        key: RowKey,
-        commit_ts: Timestamp,
-        commit_vtime: SimTime,
-    ) -> GdbResult<()> {
-        self.writes += 1;
-        let tbl = self.table_mut(table)?;
-        if !tbl.exists_newest(&key) {
-            return Err(GdbError::NotFound(format!("{table} {key}")));
-        }
-        tbl.install_version(key, None, commit_ts, commit_vtime)
-    }
-
-    /// Tombstone without existence check (replica replay path).
+    /// Tombstone without existence check (see [`apply_put`](Self::apply_put)).
     pub fn apply_delete(
-        &mut self,
-        table: TableId,
-        key: RowKey,
-        commit_ts: Timestamp,
-        commit_vtime: SimTime,
-    ) -> GdbResult<()> {
-        self.writes += 1;
-        let tbl = self.table_mut(table)?;
-        tbl.install_version(key, None, commit_ts, commit_vtime)
-    }
-
-    /// [`DataNodeStorage::apply_delete`] borrowing the key.
-    pub fn apply_delete_at(
         &mut self,
         table: TableId,
         key: &RowKey,
@@ -266,17 +156,53 @@ impl DataNodeStorage {
         commit_vtime: SimTime,
     ) -> GdbResult<()> {
         self.writes += 1;
-        let tbl = self.table_mut(table)?;
-        tbl.install_version_at(key, None, commit_ts, commit_vtime)
+        self.table_mut(table)?
+            .install_version(key, None, commit_ts, commit_vtime)
     }
 
-    /// A cleared recycled row buffer from the table's vacuum pool (see
-    /// [`Table::recycled_row`]); a fresh `Row` if the table is unknown.
-    pub fn recycled_row(&mut self, table: TableId) -> Row {
-        self.tables
-            .get_mut(&table)
-            .map(|t| t.recycled_row())
-            .unwrap_or_default()
+    /// Insert a new row version. Fails on a live duplicate key.
+    pub fn insert(
+        &mut self,
+        table: TableId,
+        key: &RowKey,
+        row: Row,
+        commit_ts: Timestamp,
+        commit_vtime: SimTime,
+    ) -> GdbResult<()> {
+        if self.table(table)?.exists_newest(key) {
+            return Err(GdbError::DuplicateKey(format!("{table} {key}")));
+        }
+        self.apply_put(table, key, row, commit_ts, commit_vtime)
+    }
+
+    /// Overwrite an existing row (read-committed update: the caller already
+    /// holds the row lock and read the newest version).
+    pub fn update(
+        &mut self,
+        table: TableId,
+        key: &RowKey,
+        new_row: Row,
+        commit_ts: Timestamp,
+        commit_vtime: SimTime,
+    ) -> GdbResult<()> {
+        if !self.table(table)?.exists_newest(key) {
+            return Err(GdbError::NotFound(format!("{table} {key}")));
+        }
+        self.apply_put(table, key, new_row, commit_ts, commit_vtime)
+    }
+
+    /// Delete a row (tombstone). Fails if the row is not live.
+    pub fn delete(
+        &mut self,
+        table: TableId,
+        key: &RowKey,
+        commit_ts: Timestamp,
+        commit_vtime: SimTime,
+    ) -> GdbResult<()> {
+        if !self.table(table)?.exists_newest(key) {
+            return Err(GdbError::NotFound(format!("{table} {key}")));
+        }
+        self.apply_delete(table, key, commit_ts, commit_vtime)
     }
 
     // ---- Reads -------------------------------------------------------
@@ -423,21 +349,20 @@ mod tests {
         let mut s = setup();
         let t = TableId(0);
         let k = RowKey::single(1i64);
-        s.insert(t, k.clone(), row(1, "a", 10), Timestamp(10), SimTime::ZERO)
+        s.insert(t, &k, row(1, "a", 10), Timestamp(10), SimTime::ZERO)
             .unwrap();
         assert_eq!(
             s.read(t, &k, Timestamp(10)).unwrap().unwrap().row,
             &row(1, "a", 10)
         );
-        s.update(t, k.clone(), row(1, "b", 20), Timestamp(20), SimTime::ZERO)
+        s.update(t, &k, row(1, "b", 20), Timestamp(20), SimTime::ZERO)
             .unwrap();
         // Old snapshot still sees the old version.
         assert_eq!(
             s.read(t, &k, Timestamp(15)).unwrap().unwrap().row,
             &row(1, "a", 10)
         );
-        s.delete(t, k.clone(), Timestamp(30), SimTime::ZERO)
-            .unwrap();
+        s.delete(t, &k, Timestamp(30), SimTime::ZERO).unwrap();
         assert!(s.read(t, &k, Timestamp(30)).unwrap().is_none());
         assert!(s.read(t, &k, Timestamp(25)).unwrap().is_some());
     }
@@ -447,15 +372,14 @@ mod tests {
         let mut s = setup();
         let t = TableId(0);
         let k = RowKey::single(1i64);
-        s.insert(t, k.clone(), row(1, "a", 1), Timestamp(10), SimTime::ZERO)
+        s.insert(t, &k, row(1, "a", 1), Timestamp(10), SimTime::ZERO)
             .unwrap();
         assert!(matches!(
-            s.insert(t, k.clone(), row(1, "b", 2), Timestamp(20), SimTime::ZERO),
+            s.insert(t, &k, row(1, "b", 2), Timestamp(20), SimTime::ZERO),
             Err(GdbError::DuplicateKey(_))
         ));
-        s.delete(t, k.clone(), Timestamp(30), SimTime::ZERO)
-            .unwrap();
-        s.insert(t, k.clone(), row(1, "c", 3), Timestamp(40), SimTime::ZERO)
+        s.delete(t, &k, Timestamp(30), SimTime::ZERO).unwrap();
+        s.insert(t, &k, row(1, "c", 3), Timestamp(40), SimTime::ZERO)
             .unwrap();
         assert_eq!(
             s.read(t, &k, Timestamp(40)).unwrap().unwrap().row,
@@ -469,7 +393,7 @@ mod tests {
         assert!(matches!(
             s.update(
                 TableId(0),
-                RowKey::single(9i64),
+                &RowKey::single(9i64),
                 row(9, "x", 0),
                 Timestamp(5),
                 SimTime::ZERO
@@ -479,7 +403,7 @@ mod tests {
         assert!(matches!(
             s.delete(
                 TableId(0),
-                RowKey::single(9i64),
+                &RowKey::single(9i64),
                 Timestamp(5),
                 SimTime::ZERO
             ),
@@ -495,7 +419,7 @@ mod tests {
         for i in 0..5i64 {
             s.insert(
                 t,
-                RowKey::single(i),
+                &RowKey::single(i),
                 row(i, if i % 2 == 0 { "even" } else { "odd" }, i),
                 Timestamp(10),
                 SimTime::ZERO,
@@ -510,7 +434,7 @@ mod tests {
         // snapshots but the old snapshot still finds it.
         s.update(
             t,
-            RowKey::single(0i64),
+            &RowKey::single(0i64),
             row(0, "odd", 0),
             Timestamp(20),
             SimTime::ZERO,
@@ -537,7 +461,7 @@ mod tests {
         for i in 0..4i64 {
             s.insert(
                 t,
-                RowKey::single(i),
+                &RowKey::single(i),
                 row(i, "n", i),
                 Timestamp(10),
                 SimTime::ZERO,
@@ -558,13 +482,13 @@ mod tests {
         let ix = s.create_index(t, "by_name", vec![1]).unwrap();
         s.insert(
             t,
-            RowKey::single(1i64),
+            &RowKey::single(1i64),
             row(1, "gone", 0),
             Timestamp(10),
             SimTime::ZERO,
         )
         .unwrap();
-        s.delete(t, RowKey::single(1i64), Timestamp(20), SimTime::ZERO)
+        s.delete(t, &RowKey::single(1i64), Timestamp(20), SimTime::ZERO)
             .unwrap();
         assert!(s
             .index_lookup(ix, &[Datum::Text("gone".into())], Timestamp(20))
@@ -588,9 +512,9 @@ mod tests {
         let t = TableId(0);
         let k = RowKey::single(1i64);
         // Replay can put the same key twice (update without prior insert).
-        s.apply_put(t, k.clone(), row(1, "a", 1), Timestamp(10), SimTime::ZERO)
+        s.apply_put(t, &k, row(1, "a", 1), Timestamp(10), SimTime::ZERO)
             .unwrap();
-        s.apply_put(t, k.clone(), row(1, "b", 2), Timestamp(20), SimTime::ZERO)
+        s.apply_put(t, &k, row(1, "b", 2), Timestamp(20), SimTime::ZERO)
             .unwrap();
         assert_eq!(
             s.read(t, &k, Timestamp(20)).unwrap().unwrap().row,
@@ -605,7 +529,7 @@ mod tests {
         for i in 0..10i64 {
             s.insert(
                 t,
-                RowKey::single(i),
+                &RowKey::single(i),
                 row(i, "r", i),
                 Timestamp(10),
                 SimTime::ZERO,

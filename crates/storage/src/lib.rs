@@ -41,7 +41,7 @@ pub mod metrics {
 
 #[cfg(test)]
 mod tests {
-    /// Dashboards and the scale bench key on these names.
+    /// Dashboards key on these names.
     #[test]
     fn metric_names_are_frozen() {
         assert_eq!(

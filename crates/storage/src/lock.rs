@@ -7,7 +7,7 @@
 //! observes the release time and adds the wait to its own latency — exactly
 //! the blocking a real lock manager would produce.
 
-use gdb_model::{FxHashMap, RowKey, TableId, TxnId};
+use gdb_model::{RowKey, RowMap, TableId, TxnId};
 use gdb_simnet::SimTime;
 
 /// Result of a lock attempt.
@@ -28,15 +28,14 @@ struct LockState {
 
 /// The per-data-node lock table.
 ///
-/// Keyed as a two-level map (table, then row key) with a fast
-/// non-cryptographic hasher: the hot acquire path probes the inner map
-/// through a borrowed `&RowKey` and clones the key only when inserting
-/// a lock on a row it has never seen. The frozen flat-map
-/// implementation lives in [`crate::reference`] with differential tests
-/// pinning the two to identical outcomes.
+/// Keyed by a [`RowMap`]: the hot acquire path probes through a
+/// borrowed `&RowKey` and clones the key only when inserting a lock on
+/// a row it has never seen. The frozen flat-map implementation lives in
+/// [`crate::reference`] with differential tests pinning the two to
+/// identical outcomes.
 #[derive(Debug, Default, Clone)]
 pub struct LockTable {
-    locks: FxHashMap<TableId, FxHashMap<RowKey, LockState>>,
+    locks: RowMap<LockState>,
     /// Total lock-wait events (contention metric).
     pub waits: u64,
 }
@@ -59,8 +58,7 @@ impl LockTable {
         now: SimTime,
         release_at: SimTime,
     ) -> LockOutcome {
-        let shard = self.locks.entry(table).or_default();
-        if let Some(state) = shard.get_mut(key) {
+        if let Some(state) = self.locks.get_mut(table, key) {
             if state.holder == txn {
                 state.release_at = state.release_at.max(release_at);
                 return LockOutcome::Acquired;
@@ -74,27 +72,25 @@ impl LockTable {
                 return LockOutcome::Acquired;
             }
             self.waits += 1;
-            LockOutcome::WaitUntil(state.release_at)
-        } else {
-            shard.insert(
-                key.clone(),
-                LockState {
-                    holder: txn,
-                    release_at,
-                },
-            );
-            LockOutcome::Acquired
+            return LockOutcome::WaitUntil(state.release_at);
         }
+        self.locks.insert(
+            table,
+            key,
+            LockState {
+                holder: txn,
+                release_at,
+            },
+        );
+        LockOutcome::Acquired
     }
 
     /// Extend the release time of all locks held by `txn` (its commit time
     /// moved later, e.g. a 2PC round lengthened the transaction).
     pub fn extend(&mut self, txn: TxnId, release_at: SimTime) {
-        for shard in self.locks.values_mut() {
-            for state in shard.values_mut() {
-                if state.holder == txn {
-                    state.release_at = state.release_at.max(release_at);
-                }
+        for state in self.locks.values_mut() {
+            if state.holder == txn {
+                state.release_at = state.release_at.max(release_at);
             }
         }
     }
@@ -102,16 +98,14 @@ impl LockTable {
     /// Release all locks held by `txn` (abort path — commit releases
     /// implicitly by letting release times expire).
     pub fn release_all(&mut self, txn: TxnId) {
-        for shard in self.locks.values_mut() {
-            shard.retain(|_, s| s.holder != txn);
-        }
+        self.locks.retain(|s| s.holder != txn);
     }
 
     /// Set the exact release time of one lock held by `txn` (the commit
     /// path pins each lock to the transaction's per-shard commit-apply
     /// instant).
     pub fn set_release(&mut self, table: TableId, key: &RowKey, txn: TxnId, at: SimTime) {
-        if let Some(s) = self.locks.get_mut(&table).and_then(|m| m.get_mut(key)) {
+        if let Some(s) = self.locks.get_mut(table, key) {
             if s.holder == txn {
                 s.release_at = at;
             }
@@ -120,22 +114,19 @@ impl LockTable {
 
     /// Drop expired entries (housekeeping so the map doesn't grow forever).
     pub fn sweep(&mut self, now: SimTime) {
-        for shard in self.locks.values_mut() {
-            shard.retain(|_, s| s.release_at > now);
-        }
+        self.locks.retain(|s| s.release_at > now);
     }
 
     /// Current holder of a lock, if unexpired.
     pub fn holder(&self, table: TableId, key: &RowKey, now: SimTime) -> Option<TxnId> {
         self.locks
-            .get(&table)
-            .and_then(|m| m.get(key))
+            .get(table, key)
             .filter(|s| s.release_at > now)
             .map(|s| s.holder)
     }
 
     pub fn len(&self) -> usize {
-        self.locks.values().map(|m| m.len()).sum()
+        self.locks.len()
     }
 
     pub fn is_empty(&self) -> bool {

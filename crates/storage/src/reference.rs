@@ -1,10 +1,9 @@
 //! Frozen pre-optimization storage path, kept as the differential
-//! reference and wall-clock comparator.
+//! reference the tests compare against.
 //!
 //! Everything here is a verbatim copy of the storage hot path **before**
 //! the transaction hot-path pass (arena version chains, no-clone lock
-//! acquire, zero-copy encode/ship), in the same spirit as
-//! `simnet::reference::HeapSim`:
+//! acquire, zero-copy encode/ship):
 //!
 //! * [`ReferenceTable`] — `Vec`-backed version chains in a
 //!   `BTreeMap<RowKey, chain>`, with `entry(key.clone())` per install.
@@ -14,11 +13,11 @@
 //! * [`legacy_decode_batch`] — the old replay decode: a fresh `String`
 //!   (copy + re-validate) per text field, fresh `Vec`s per row and key.
 //!
-//! `txn_bench` drives the identical workload through this path and the
-//! live one; the differential tests assert identical committed state,
-//! and the CI gate checks the wall-clock *ratio* between them — never a
-//! machine-local absolute. Do not "fix" or optimize this module: its
-//! value is that it does not change.
+//! `gdb_bench::txnpath` drives the identical workload through this path
+//! and the live one, and the differential tests (here and in
+//! `crates/bench/tests/txn_path.rs`) assert identical durable bytes and
+//! committed state. Nothing is timed against it. Do not "fix" or
+//! optimize this module: its value is that it does not change.
 
 use crate::table::{Version, VisibleRow};
 use gdb_model::{Datum, GdbError, GdbResult, Row, RowKey, TableId, Timestamp, TxnId};
@@ -456,7 +455,7 @@ mod difftests {
                     Some(Row(vec![Datum::Int(*key), Datum::Int(*ts as i64)]))
                 };
                 live.install_version(
-                    RowKey::single(*key), row.clone(), Timestamp(*ts), SimTime::ZERO,
+                    &RowKey::single(*key), row.clone(), Timestamp(*ts), SimTime::ZERO,
                 ).unwrap();
                 frozen.install_version(
                     RowKey::single(*key), row, Timestamp(*ts), SimTime::ZERO,

@@ -157,50 +157,10 @@ impl Table {
     /// `row = None` is a delete. Chains must stay ordered by commit
     /// timestamp — guaranteed by the lock table (a writer waits out the
     /// previous holder whose commit wait, in turn, guarantees a larger
-    /// timestamp).
+    /// timestamp). The key is cloned only when it is new to the table,
+    /// so the steady state (existing keys, recycled row buffers)
+    /// installs with zero allocations.
     pub fn install_version(
-        &mut self,
-        key: RowKey,
-        row: Option<Row>,
-        commit_ts: Timestamp,
-        commit_vtime: SimTime,
-    ) -> GdbResult<()> {
-        use std::collections::btree_map::Entry;
-        self.versions_installed += 1;
-        let v = Version {
-            commit_ts,
-            commit_vtime,
-            row,
-        };
-        match self.rows.entry(key) {
-            Entry::Occupied(mut o) => {
-                let head = *o.get();
-                let last = &self.arena.nodes[head as usize].version;
-                if v.commit_ts < last.commit_ts {
-                    return Err(GdbError::Internal(format!(
-                        "version chain order violation at {}: {} (vtime {}) after {} (vtime {})",
-                        o.key(),
-                        v.commit_ts,
-                        v.commit_vtime,
-                        last.commit_ts,
-                        last.commit_vtime
-                    )));
-                }
-                *o.get_mut() = self.arena.alloc(v, head);
-            }
-            Entry::Vacant(va) => {
-                let idx = self.arena.alloc(v, NIL);
-                va.insert(idx);
-            }
-        }
-        Ok(())
-    }
-
-    /// [`Table::install_version`] borrowing the key: clones it only when
-    /// the key is new to the table, so the steady-state replay path
-    /// (existing keys, recycled row buffers) installs with zero
-    /// allocations.
-    pub fn install_version_at(
         &mut self,
         key: &RowKey,
         row: Option<Row>,
@@ -213,7 +173,14 @@ impl Table {
             commit_vtime,
             row,
         };
-        if let Some(head_slot) = self.rows.get_mut(key) {
+        // A key above the current maximum is new: skip the lookup, so an
+        // ascending load pays one tree descent per row (the insert), not
+        // two. `last_key_value` walks the right edge without comparing.
+        let existing = match self.rows.last_key_value() {
+            Some((max, _)) if key <= max => self.rows.get_mut(key),
+            _ => None,
+        };
+        if let Some(head_slot) = existing {
             let head = *head_slot;
             let last = &self.arena.nodes[head as usize].version;
             if v.commit_ts < last.commit_ts {
@@ -379,9 +346,9 @@ mod tests {
     #[test]
     fn snapshot_reads_see_correct_version() {
         let mut tbl = Table::new();
-        tbl.install_version(k(1), Some(r(1, "v1")), t(10), SimTime::from_millis(10))
+        tbl.install_version(&k(1), Some(r(1, "v1")), t(10), SimTime::from_millis(10))
             .unwrap();
-        tbl.install_version(k(1), Some(r(1, "v2")), t(20), SimTime::from_millis(20))
+        tbl.install_version(&k(1), Some(r(1, "v2")), t(20), SimTime::from_millis(20))
             .unwrap();
 
         assert!(tbl.read(&k(1), t(5)).is_none(), "before first commit");
@@ -394,9 +361,9 @@ mod tests {
     #[test]
     fn tombstones_hide_rows() {
         let mut tbl = Table::new();
-        tbl.install_version(k(1), Some(r(1, "x")), t(10), SimTime::ZERO)
+        tbl.install_version(&k(1), Some(r(1, "x")), t(10), SimTime::ZERO)
             .unwrap();
-        tbl.install_version(k(1), None, t(20), SimTime::ZERO)
+        tbl.install_version(&k(1), None, t(20), SimTime::ZERO)
             .unwrap();
         assert!(tbl.read(&k(1), t(15)).is_some());
         assert!(tbl.read(&k(1), t(20)).is_none());
@@ -408,10 +375,10 @@ mod tests {
     #[test]
     fn out_of_order_install_rejected() {
         let mut tbl = Table::new();
-        tbl.install_version(k(1), Some(r(1, "a")), t(20), SimTime::ZERO)
+        tbl.install_version(&k(1), Some(r(1, "a")), t(20), SimTime::ZERO)
             .unwrap();
         let err = tbl
-            .install_version(k(1), Some(r(1, "b")), t(10), SimTime::ZERO)
+            .install_version(&k(1), Some(r(1, "b")), t(10), SimTime::ZERO)
             .unwrap_err();
         assert!(matches!(err, GdbError::Internal(_)));
     }
@@ -420,9 +387,9 @@ mod tests {
     fn equal_timestamps_allowed() {
         // Replays of idempotent records may install at the same ts.
         let mut tbl = Table::new();
-        tbl.install_version(k(1), Some(r(1, "a")), t(10), SimTime::ZERO)
+        tbl.install_version(&k(1), Some(r(1, "a")), t(10), SimTime::ZERO)
             .unwrap();
-        tbl.install_version(k(1), Some(r(1, "b")), t(10), SimTime::ZERO)
+        tbl.install_version(&k(1), Some(r(1, "b")), t(10), SimTime::ZERO)
             .unwrap();
         assert_eq!(tbl.read(&k(1), t(10)).unwrap().row, &r(1, "b"));
     }
@@ -431,10 +398,10 @@ mod tests {
     fn range_scan_is_key_ordered_and_snapshot_filtered() {
         let mut tbl = Table::new();
         for i in [5i64, 1, 3, 2, 4] {
-            tbl.install_version(k(i), Some(r(i, "x")), t(10), SimTime::ZERO)
+            tbl.install_version(&k(i), Some(r(i, "x")), t(10), SimTime::ZERO)
                 .unwrap();
         }
-        tbl.install_version(k(6), Some(r(6, "late")), t(50), SimTime::ZERO)
+        tbl.install_version(&k(6), Some(r(6, "late")), t(50), SimTime::ZERO)
             .unwrap();
         let rows = tbl.range(Some(&k(2)), Some(&k(5)), t(20));
         let keys: Vec<i64> = rows.iter().map(|v| v.key.0[0].as_int().unwrap()).collect();
@@ -447,9 +414,9 @@ mod tests {
     #[test]
     fn read_newest_ignores_snapshot() {
         let mut tbl = Table::new();
-        tbl.install_version(k(1), Some(r(1, "old")), t(10), SimTime::ZERO)
+        tbl.install_version(&k(1), Some(r(1, "old")), t(10), SimTime::ZERO)
             .unwrap();
-        tbl.install_version(k(1), Some(r(1, "new")), t(90), SimTime::ZERO)
+        tbl.install_version(&k(1), Some(r(1, "new")), t(90), SimTime::ZERO)
             .unwrap();
         assert_eq!(tbl.read_newest(&k(1)).unwrap().row, &r(1, "new"));
     }
@@ -458,7 +425,7 @@ mod tests {
     fn vacuum_prunes_dead_versions() {
         let mut tbl = Table::new();
         for ts in [10u64, 20, 30, 40] {
-            tbl.install_version(k(1), Some(r(1, "v")), t(ts), SimTime::ZERO)
+            tbl.install_version(&k(1), Some(r(1, "v")), t(ts), SimTime::ZERO)
                 .unwrap();
         }
         let removed = tbl.vacuum(t(30));
@@ -470,9 +437,9 @@ mod tests {
     #[test]
     fn vacuum_drops_old_tombstoned_keys() {
         let mut tbl = Table::new();
-        tbl.install_version(k(1), Some(r(1, "x")), t(10), SimTime::ZERO)
+        tbl.install_version(&k(1), Some(r(1, "x")), t(10), SimTime::ZERO)
             .unwrap();
-        tbl.install_version(k(1), None, t(20), SimTime::ZERO)
+        tbl.install_version(&k(1), None, t(20), SimTime::ZERO)
             .unwrap();
         tbl.vacuum(t(50));
         assert_eq!(tbl.key_count(), 0);
@@ -482,9 +449,9 @@ mod tests {
     fn compact_reclaims_bytes_without_changing_reads() {
         let mut tbl = Table::new();
         for i in 0..200i64 {
-            tbl.install_version(k(i), Some(r(i, "payload")), t(10), SimTime::ZERO)
+            tbl.install_version(&k(i), Some(r(i, "payload")), t(10), SimTime::ZERO)
                 .unwrap();
-            tbl.install_version(k(i), Some(r(i, "payload2")), t(20), SimTime::ZERO)
+            tbl.install_version(&k(i), Some(r(i, "payload2")), t(20), SimTime::ZERO)
                 .unwrap();
         }
         // Vacuum frees half the versions into the pool/freelist.
@@ -502,7 +469,7 @@ mod tests {
         assert_eq!(visible, after);
         // The arena still works (freelist intact): install more versions.
         for i in 0..200i64 {
-            tbl.install_version(k(i), Some(r(i, "v3")), t(30), SimTime::ZERO)
+            tbl.install_version(&k(i), Some(r(i, "v3")), t(30), SimTime::ZERO)
                 .unwrap();
         }
         assert_eq!(tbl.read(&k(5), t(30)).unwrap().row, &r(5, "v3"));
@@ -511,7 +478,7 @@ mod tests {
     #[test]
     fn commit_vtime_propagates_to_reads() {
         let mut tbl = Table::new();
-        tbl.install_version(k(1), Some(r(1, "x")), t(10), SimTime::from_millis(77))
+        tbl.install_version(&k(1), Some(r(1, "x")), t(10), SimTime::from_millis(77))
             .unwrap();
         assert_eq!(
             tbl.read(&k(1), t(10)).unwrap().commit_vtime,
@@ -543,7 +510,7 @@ mod proptests {
                     Some(Row(vec![Datum::Int(*key), Datum::Int(*ts as i64)]))
                 };
                 tbl.install_version(
-                    RowKey::single(*key),
+                    &RowKey::single(*key),
                     row,
                     Timestamp(*ts),
                     SimTime::ZERO,
@@ -574,7 +541,7 @@ mod proptests {
             let mut tbl = Table::new();
             for (key, ts) in &sorted {
                 tbl.install_version(
-                    RowKey::single(*key),
+                    &RowKey::single(*key),
                     Some(Row(vec![Datum::Int(*ts as i64)])),
                     Timestamp(*ts),
                     SimTime::ZERO,

@@ -22,19 +22,3 @@ pub mod tpcc;
 
 pub use driver::{run_workload, KeyDistribution, KeySampler, RunConfig, Workload};
 pub use report::WorkloadReport;
-
-/// Metric names exported by the workload layer.
-pub mod metrics {
-    /// Gauge: allocator bytes attributable to one terminal's state
-    /// (scale-tier footprint leg; lower is better).
-    pub const TERMINAL_BYTES: &str = "workload.terminal_bytes";
-}
-
-#[cfg(test)]
-mod tests {
-    /// Dashboards and the scale-bench alloc gate key on this name.
-    #[test]
-    fn metric_names_are_frozen() {
-        assert_eq!(super::metrics::TERMINAL_BYTES, "workload.terminal_bytes");
-    }
-}

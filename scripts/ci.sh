@@ -1,25 +1,25 @@
 #!/usr/bin/env bash
 # Full CI gate: formatting, lints, release build, tests, a 5-seed smoke
-# run of the chaos nemesis binary, and the bench perf-regression gate.
+# run of the chaos nemesis binary, the virtual-time bench regression
+# gate, and a quick run of the full-stack wall-clock benchmark.
 # Everything runs offline against the vendored dependency set.
 #
 # Usage: scripts/ci.sh [STAGE]
 #   all            every stage below (default; what local runs use)
-#   main           lint + build + test + bench-smoke (the CI "ci" job)
+#   main           lint + build + test + bench-smoke + benchmark (the CI
+#                  "ci" job)
 #   lint           cargo fmt --check && cargo clippy -D warnings, plus
 #                  benchcmp validate over every committed BENCH_*.json
 #   build          cargo build --release
-#   test           cargo test -q
+#   test           cargo test -q (includes the deterministic hot-path
+#                  budgets in tests/budgets.rs)
 #   nemesis-smoke  nemesis seeds 1..5 (the CI "nemesis" job)
 #   shell          gdb-shell tests + committed scenario replays (the CI
 #                  "shell" job)
 #   bench-smoke    tiny-scale figure runs gated against BENCH_smoke.json
-#   txn            transaction hot-path wall-clock + allocation gate
-#                  against BENCH_txn.json (the CI "txn" job)
-#   scale          scale-out routing + terminal-state gate at a reduced
-#                  shape against BENCH_scale.json (the CI "scale" job)
-#   realnet        real-backend tests + loopback smoke gated against
-#                  BENCH_realnet.json (the CI "realnet" job)
+#   benchmark      benchmark/ builds against the current crates, its
+#                  tests pass, and `all --quick` exits 0
+#   realnet        real-backend tests (the CI "realnet" job)
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -116,77 +116,27 @@ stage_bench_smoke() {
         "$out"/nemesis.json
     cargo run --release -q -p gdb-bench --bin benchcmp -- check \
         BENCH_smoke.json "$out/BENCH_smoke.json" --tolerance 0.20
-
-    # Wall-clock engine gate: re-measures the timing-wheel engine against
-    # the frozen heap engine on *this* machine and checks only the
-    # speedup ratio (absolute events/sec are machine-local by design).
-    echo "==> engine wall-clock gate"
-    GDB_ENGINE_EVENTS=1000000 \
-        cargo run --release -q -p gdb-bench --bin engine_bench -- \
-        --json "$out/engine.json" >/dev/null
-    cargo run --release -q -p gdb-bench --bin benchcmp -- check \
-        BENCH_engine.json "$out/engine.json" --tolerance 0.20
 }
 
-# Transaction hot-path gate: drives the fixed-seed write script through
-# the optimized pipeline and the frozen pre-pass reference, asserts
-# byte-identical durable segments, then checks two *ratios* against
-# BENCH_txn.json: wall-clock speedup (floor 1.5x) and allocations per
-# committed transaction (floor 10x fewer). Absolutes are machine-local
-# and never compared. The timeout guards against a wedged run — the
-# whole stage normally finishes in well under a minute.
-stage_txn() {
-    echo "==> txn hot-path wall-clock + allocation gate"
-    local out=target/txn-bench
-    rm -rf "$out"
-    mkdir -p "$out"
-    GDB_TXN_TXNS=60000 GDB_TXN_WINDOW=64 \
-        timeout 600 cargo run --release -q -p gdb-bench --bin txn_bench -- \
-        --json "$out/txn.json"
-    cargo run --release -q -p gdb-bench --bin benchcmp -- check \
-        BENCH_txn.json "$out/txn.json" --tolerance 0.20
-}
-
-# Scale-out gate: scale_bench at a reduced parameterization (CI machines
-# cannot afford the full 256-shard/10⁵-terminal default, which is a
-# manual/nightly run). The "scale" artifact is wall_clock=true, so only
-# the routing-speedup and bytes-per-terminal *ratios* are compared
-# (floors 2x / 4x); the in-bench FNV digest assert already proved the
-# fast and legacy routers made identical decisions. The parameters here
-# must match scripts/regen_bench.sh, which blesses the baseline.
-stage_scale() {
-    echo "==> scale-out routing + terminal-state gate"
-    local out=target/scale-bench
-    rm -rf "$out"
-    mkdir -p "$out"
-    GDB_SCALE_SHARDS=64 GDB_SCALE_REGIONS=5 GDB_SCALE_TERMINALS=5000 \
-        GDB_SCALE_KEYS=1024 GDB_SCALE_EPOCHS=4 GDB_SCALE_OPS=8 GDB_SCALE_MOVES=8 \
-        GDB_SCALE_CLUSTER_MS=500 GDB_SCALE_THINK_MS=100 \
-        timeout 600 cargo run --release -q -p gdb-bench --bin scale_bench -- \
-        --json "$out/scale.json"
-    cargo run --release -q -p gdb-bench --bin benchcmp -- check \
-        BENCH_scale.json "$out/scale.json" --tolerance 0.20
+# The full-stack wall-clock benchmark is its own workspace under
+# benchmark/ and calls deep into the crates' public API; building it,
+# running its tests and a quick pass over all four workloads (~20 s)
+# fails CI when a change breaks that surface. Timings are not gated
+# here — BENCHMARK.json's driver compares them against the parent commit.
+stage_benchmark() {
+    echo "==> benchmark/ (build, tests, all --quick)"
+    cargo test --release --offline --manifest-path benchmark/Cargo.toml
+    timeout 600 cargo run --release --offline --quiet \
+        --manifest-path benchmark/Cargo.toml -- all --quick
 }
 
 # Real-backend gate: the realnet crate's tests (unit + sim/real
-# divergence + seam scans), then the 3-node loopback TPC-C smoke gated
-# against BENCH_realnet.json. The artifact is wall_clock=true, so only
-# the tcp/thread throughput *ratio* is compared — never the
-# machine-local absolute numbers. Real threads and sockets can wedge in
-# ways virtual time cannot, hence the hard timeouts.
+# divergence + seam scans). Real threads and sockets can wedge in ways
+# virtual time cannot, hence the hard timeout. (Wall-clock cost of the
+# backends is benchmark/'s `tpcc_tcp` workload and `realnet.*` probes.)
 stage_realnet() {
     echo "==> realnet tests (thread + tcp backends)"
     timeout 600 cargo test --release -q -p gdb-realnet
-
-    echo "==> realnet loopback smoke + wall-clock gate"
-    local out=target/realnet-smoke
-    rm -rf "$out"
-    mkdir -p "$out"
-    GDB_BENCH_SCALE=tiny GDB_BENCH_SECS=2 GDB_BENCH_TERMINALS=8 \
-        timeout 600 cargo run --release -q -p gdb-realnet --bin realnet_smoke -- \
-        --json "$out/realnet.json"
-    cargo run --release -q -p gdb-bench --bin benchcmp -- check \
-        BENCH_realnet.json "$out/realnet.json" --tolerance 0.20
 }
 
 case "${1:-all}" in
@@ -196,14 +146,14 @@ test) stage_test ;;
 nemesis-smoke) stage_nemesis_smoke ;;
 shell) stage_shell ;;
 bench-smoke) stage_bench_smoke ;;
-txn) stage_txn ;;
-scale) stage_scale ;;
+benchmark) stage_benchmark ;;
 realnet) stage_realnet ;;
 main)
     stage_lint
     stage_build
     stage_test
     stage_bench_smoke
+    stage_benchmark
     echo "CI OK"
     ;;
 all)
@@ -213,8 +163,7 @@ all)
     stage_nemesis_smoke
     stage_shell
     stage_bench_smoke
-    stage_txn
-    stage_scale
+    stage_benchmark
     stage_realnet
     echo "CI OK"
     ;;

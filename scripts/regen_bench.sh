@@ -1,31 +1,16 @@
 #!/usr/bin/env bash
 # Regenerate and bless the committed bench baselines:
 #
-#   BENCH_smoke.json  - tiny-scale bundle of all five figures + one
-#                       nemesis run; the CI perf gate compares every
-#                       push against it (scripts/ci.sh bench-smoke).
+#   BENCH_smoke.json  - tiny-scale bundle of all five figures, the
+#                       rebalance ablation and one nemesis run; the CI
+#                       perf gate compares every push against it
+#                       (scripts/ci.sh bench-smoke).
 #   BENCH_fig6a.json  - the small-scale Fig. 6a artifact, with the
 #                       per-phase commit-wait vs execute breakdown.
-#   BENCH_engine.json - wall-clock engine benchmark (timing wheel vs the
-#                       frozen heap engine). Absolute events/sec are
-#                       machine-local; the CI gate only checks the
-#                       fast-over-legacy speedup ratio, so regenerating
-#                       on a different machine is safe.
-#   BENCH_realnet.json - 3-node loopback TPC-C smoke on the real
-#                       backends. Also wall_clock=true: the gate checks
-#                       only the tcp-over-thread throughput ratio.
-#   BENCH_scale.json  - scale-out routing + terminal-state benchmark at
-#                       the reduced CI shape (the full 256-shard /
-#                       10^5-terminal default is a manual run). Also
-#                       wall_clock=true: the gate checks the fast-over-
-#                       legacy routing speedup and the bytes-per-terminal
-#                       reduction, both in-run ratios. The parameters
-#                       here must match stage_scale in scripts/ci.sh.
-#   BENCH_txn.json    - transaction hot-path benchmark (live pipeline vs
-#                       the frozen pre-pass reference). wall_clock=true:
-#                       the gate checks the fast-over-legacy speedup and
-#                       the allocations-per-txn reduction, both in-run
-#                       ratios, so cross-machine re-blessing is safe.
+#
+# Both are virtual-time artifacts: the same commit reproduces them
+# bit-for-bit on any machine. Wall-clock time is measured by benchmark/
+# (see BENCHMARK.json) and never blessed into the repo.
 #
 # Run this after an intended performance change, eyeball the diff
 # (throughput should move the way you expect, nothing else), and commit
@@ -53,21 +38,5 @@ cargo run --release -q -p gdb-bench --bin benchcmp -- merge \
 echo "==> small-scale Fig. 6a -> BENCH_fig6a.json"
 GDB_BENCH_SCALE=small GDB_BENCH_SECS=10 GDB_BENCH_TERMINALS=24 \
     cargo run --release -q -p gdb-bench --bin fig6a -- --json BENCH_fig6a.json
-
-echo "==> wall-clock engine benchmark -> BENCH_engine.json"
-cargo run --release -q -p gdb-bench --bin engine_bench -- --json BENCH_engine.json
-
-echo "==> wall-clock txn hot-path benchmark -> BENCH_txn.json"
-cargo run --release -q -p gdb-bench --bin txn_bench -- --json BENCH_txn.json
-
-echo "==> scale-out reduced-shape benchmark -> BENCH_scale.json"
-GDB_SCALE_SHARDS=64 GDB_SCALE_REGIONS=5 GDB_SCALE_TERMINALS=5000 \
-    GDB_SCALE_KEYS=1024 GDB_SCALE_EPOCHS=4 GDB_SCALE_OPS=8 GDB_SCALE_MOVES=8 \
-    GDB_SCALE_CLUSTER_MS=500 GDB_SCALE_THINK_MS=100 \
-    cargo run --release -q -p gdb-bench --bin scale_bench -- --json BENCH_scale.json
-
-echo "==> realnet loopback smoke -> BENCH_realnet.json"
-GDB_BENCH_SCALE=tiny GDB_BENCH_SECS=2 GDB_BENCH_TERMINALS=8 \
-    cargo run --release -q -p gdb-realnet --bin realnet_smoke -- --json BENCH_realnet.json
 
 echo "baselines regenerated; review the diff and commit"
