@@ -11,9 +11,10 @@
 //! catch-up, cutover barrier, one routing-epoch bump per batch — without
 //! any window dropping to zero commits.
 //!
-//! The old policy chain thrashed here: with every client in one region,
-//! its affinity and load-spread policies optimized conflicting
-//! objectives and oscillated (16 ping-pong migrations in a 10 s run).
+//! The PR 4 policy chain (since removed; EXPERIMENTS.md keeps the dated
+//! result) thrashed here: with every client in one region, its affinity
+//! and load-spread policies optimized conflicting objectives and
+//! oscillated (16 ping-pong migrations in a 10 s run).
 //! The cost model's single objective plus the decaying per-shard
 //! hysteresis penalty converges instead, so the artifact pins the
 //! migration count with a lower-is-better counter gate: the
@@ -34,8 +35,8 @@ use gdb_workloads::WorkloadReport;
 use globaldb::{Cluster, ClusterConfig};
 
 /// The convergence budget the counter gate enforces: one-sided traffic
-/// must localize in at most this many migrations (the legacy chain
-/// needed 16 and kept going).
+/// must localize in at most this many migrations (the removed policy
+/// chain needed 16 and kept going).
 const MAX_MIGRATIONS: u64 = 4;
 
 fn window() -> SimDuration {
@@ -195,7 +196,7 @@ fn main() {
     }
 
     // The convergence claim the artifact gates: a bounded number of
-    // migrations (the legacy chain ping-ponged 16 times here) ...
+    // migrations (the removed policy chain ping-ponged 16 times here) ...
     let started = c("rebalance.migrations_started");
     assert!(
         started <= MAX_MIGRATIONS,

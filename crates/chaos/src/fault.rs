@@ -118,6 +118,9 @@ impl Fault {
         state: &mut ChaosState,
         now: SimTime,
     ) -> String {
+        if let Some(skip) = self.out_of_range(db) {
+            return skip;
+        }
         match *self {
             Fault::CrashPrimary { shard } => {
                 let node = db.crash_primary(shard);
@@ -292,6 +295,29 @@ impl Fault {
                 }
             }
         }
+    }
+
+    /// Faults arrive from shell lines and scenario files: one naming a
+    /// shard, CN or region the cluster does not have is skipped
+    /// (trace-visibly) rather than indexed.
+    fn out_of_range(&self, db: &GlobalDb) -> Option<String> {
+        let (shards, cns, regions) = (db.shards().len(), db.cns().len(), db.regions().len());
+        let (kind, what, index, len) = match *self {
+            Fault::CrashPrimary { shard } => ("crash-primary", "shard", shard, shards),
+            Fault::RestartPrimary { shard } => ("restart-primary", "shard", shard, shards),
+            Fault::PromoteReplica { shard, .. } => ("promote-replica", "shard", shard, shards),
+            Fault::RejoinOldPrimary { shard } => ("rejoin-old-primary", "shard", shard, shards),
+            Fault::CrashReplica { shard, .. } => ("crash-replica", "shard", shard, shards),
+            Fault::RestartReplica { shard, .. } => ("restart-replica", "shard", shard, shards),
+            Fault::CrashCn { cn } => ("crash-cn", "cn", cn, cns),
+            Fault::RestartCn { cn } => ("restart-cn", "cn", cn, cns),
+            Fault::ClockSyncOutage { cn } => ("clock-sync-outage", "cn", cn, cns),
+            Fault::ClockSyncResume { cn } => ("clock-sync-resume", "cn", cn, cns),
+            Fault::PartitionRegions { a, b } => ("partition-regions", "region", a.max(b), regions),
+            Fault::HealRegions { a, b } => ("heal-regions", "region", a.max(b), regions),
+            _ => return None,
+        };
+        (index >= len).then(|| format!("skip {kind}: no {what} {index}"))
     }
 
     /// True for faults that break something (as opposed to recoveries).

@@ -652,6 +652,32 @@ shard = 0
         );
     }
 
+    /// `[[fault]]` entries naming a shard, CN or region the cluster does
+    /// not have are skipped in the trace (they used to index out of
+    /// bounds inside the scheduled fault event) and the run stays green.
+    #[test]
+    fn out_of_range_fault_targets_are_skipped() {
+        let faults = [
+            ("crash-primary", "shard = 99", "no shard 99"),
+            ("crash-cn", "cn = 99", "no cn 99"),
+            ("partition-regions", "a = 0\nb = 9", "no region 9"),
+        ];
+        let mut text = GOOD.to_string();
+        for (kind, args, _) in faults {
+            text += &format!("\n[[fault]]\nat = \"200ms\"\nkind = \"{kind}\"\n{args}\n");
+        }
+        let report = run_text(&text).unwrap();
+        assert!(report.ok(), "{}", report.render());
+        for (kind, _, missing) in faults {
+            let line = format!("skip {kind}: {missing}");
+            assert!(
+                report.trace.iter().any(|l| l.contains(&line)),
+                "missing {line:?}:\n{}",
+                report.render()
+            );
+        }
+    }
+
     #[test]
     fn tiny_inline_scenario_runs_oracle_green() {
         let report = run_text(GOOD).unwrap();

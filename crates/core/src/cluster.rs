@@ -28,7 +28,7 @@ use crate::stats::{ClusterStats, TxnOutcome};
 use crate::transition::TransitionTrace;
 use crate::txn::TxnHandle;
 use gdb_consistency::{CollectorElection, DdlTracker, RcpCalculator};
-use gdb_model::{GdbResult, TableId, TableSchema, Timestamp, TxnId};
+use gdb_model::{GdbResult, TableId, Timestamp, TxnId};
 use gdb_obs::{MetricsReport, Obs};
 use gdb_replication::{ReplicaApplier, ShippingChannel};
 use gdb_simclock::GClock;
@@ -288,11 +288,6 @@ impl GlobalDb {
         if g.clock().last_sync() < aligned {
             g.sync(aligned);
         }
-    }
-
-    /// The shard index owning `key` of `table`.
-    pub(crate) fn shard_of(&self, schema: &TableSchema, key: &gdb_model::RowKey) -> usize {
-        schema.shard_of_pk(key, self.shards.len() as u16).0 as usize
     }
 
     /// Index of a CN's region in [`GlobalDb::regions`].

@@ -35,28 +35,26 @@ impl<'a> RorService<'a> {
         snapshot: Timestamp,
         now: SimTime,
     ) -> Skyline {
-        let (sky, _) = self.db.shard_candidates(cn, shard, snapshot, now);
-        sky
+        self.db.shard_candidates(cn, shard, snapshot, now)
     }
 }
 
 impl GlobalDb {
-    /// Candidate metrics for a shard: the primary plus every replica that
-    /// has applied at least up to `snapshot`.
+    /// The skyline over a shard's read candidates: the primary plus every
+    /// replica that has applied at least up to `snapshot`.
     pub(crate) fn shard_candidates(
         &mut self,
         cn: usize,
         shard: usize,
         snapshot: Timestamp,
         now: SimTime,
-    ) -> (Skyline, Vec<ReadTarget>) {
+    ) -> Skyline {
         let cn_node = self.cns[cn].node;
         let cn_region = self.cns[cn].region;
         let mode = self.cns[cn].tm.mode;
         let gtm_head = self.gtm.current();
         let gtm_rate = self.gtm_rate.per_sec;
         let mut metrics = Vec::new();
-        let mut targets = Vec::new();
 
         let shard_ref = &self.shards[shard];
         // Primary: staleness zero by definition.
@@ -71,7 +69,6 @@ impl GlobalDb {
             load: 0.0,
             healthy: primary_ok,
         });
-        targets.push(ReadTarget::Primary);
         // Probing a candidate's freshness/health is piggybacked state in
         // this model (no extra latency), but the probe traffic is real.
         self.plane.account(
@@ -81,7 +78,7 @@ impl GlobalDb {
             16,
         );
 
-        for (ri, replica) in shard_ref.replicas.iter().enumerate() {
+        for replica in &shard_ref.replicas {
             let caught_up = replica.applier.max_commit_ts() >= snapshot;
             let up = !self.topo.is_node_down(replica.node)
                 && !self.topo.is_partitioned(cn_region, replica.region);
@@ -100,12 +97,11 @@ impl GlobalDb {
                 load: backlog * 100.0,
                 healthy: up && caught_up,
             });
-            targets.push(ReadTarget::Replica(ri));
             self.plane
                 .account(RpcKind::SkylineProbe, cn_region, replica.region, 16);
         }
 
-        (Skyline::compute(&metrics), targets)
+        Skyline::compute(&metrics)
     }
 
     /// Pick the read target for one shard access (skyline + bounded
@@ -118,27 +114,23 @@ impl GlobalDb {
         now: SimTime,
         freshness_bound: Option<SimDuration>,
     ) -> ReadTarget {
-        let (sky, targets) = self.shard_candidates(cn, shard, snapshot, now);
-        let target = 'pick: {
-            let Some(pick) = sky.select(freshness_bound) else {
-                // Nothing on the skyline satisfies the bound (the primary
-                // is normally a zero-staleness candidate, so this means it
-                // is down too): fall back to the primary path and count it.
-                self.stats.ror_rejected_freshness += 1;
-                break 'pick ReadTarget::Primary;
-            };
+        let sky = self.shard_candidates(cn, shard, snapshot, now);
+        let target = match sky.select(freshness_bound) {
             // Map the picked node id back to its target.
-            let shard_ref = &self.shards[shard];
-            if pick.node == shard_ref.primary {
-                break 'pick ReadTarget::Primary;
-            }
-            for (ri, replica) in shard_ref.replicas.iter().enumerate() {
-                if replica.node == pick.node {
-                    let _ = &targets;
-                    break 'pick ReadTarget::Replica(ri);
+            Some(pick) => {
+                let replicas = &self.shards[shard].replicas;
+                match replicas.iter().position(|r| r.node == pick.node) {
+                    Some(ri) => ReadTarget::Replica(ri),
+                    None => ReadTarget::Primary,
                 }
             }
-            ReadTarget::Primary
+            // Nothing on the skyline satisfies the bound (the primary is
+            // normally a zero-staleness candidate, so this means it is
+            // down too): fall back to the primary path and count it.
+            None => {
+                self.stats.ror_rejected_freshness += 1;
+                ReadTarget::Primary
+            }
         };
         self.note_skyline_pick(cn, shard, target, now);
         target

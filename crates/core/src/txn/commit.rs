@@ -401,7 +401,7 @@ impl<'a> TxnHandle<'a> {
             });
         }
 
-        let write_shards: Vec<usize> = self.shards_written.iter().copied().collect();
+        let write_shards = self.shards_written.clone();
         let multi_shard = write_shards.len() > 1;
 
         let prepare = self.prepare_phase(&write_shards, multi_shard)?;

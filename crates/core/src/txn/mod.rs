@@ -23,7 +23,6 @@ use gdb_simnet::{SimDuration, SimTime};
 use gdb_sqlengine::{execute, ExecOutput, Prepared};
 use gdb_txnmgr::BeginPlan;
 use gdb_wal::RedoPayload;
-use std::collections::{BTreeSet, HashMap};
 
 /// Nominal request/response payload size for point operations.
 const OP_MSG_BYTES: u64 = 256;
@@ -66,9 +65,10 @@ pub struct TxnHandle<'a> {
     /// consulted before committed state by every read.
     overlay: RowMap<Option<Row>>,
     write_log: Vec<WriteOp>,
-    first_write: HashMap<usize, SimTime>,
     locked: Vec<(usize, TableId, RowKey)>,
-    shards_written: BTreeSet<usize>,
+    /// Shards holding staged writes (and so a `PENDING_COMMIT` record),
+    /// ascending: the 2PC participant set.
+    shards_written: Vec<usize>,
     used_replica: bool,
     finished: bool,
     /// Set once a COMMIT / COMMIT_PREPARED record has been appended to any
@@ -153,9 +153,8 @@ impl<'a> TxnHandle<'a> {
             single_shard_hint: single_shard,
             overlay: RowMap::new(),
             write_log: Vec::new(),
-            first_write: HashMap::new(),
             locked: Vec::new(),
-            shards_written: BTreeSet::new(),
+            shards_written: Vec::new(),
             used_replica: false,
             finished: false,
             commit_appended: false,
@@ -215,7 +214,7 @@ impl<'a> TxnHandle<'a> {
                 .locks
                 .set_release(table, &key, self.txn, self.now);
         }
-        for &s in &self.shards_written.clone() {
+        for &s in &self.shards_written {
             self.db.shards[s]
                 .log
                 .append(self.now, self.txn, RedoPayload::Abort);

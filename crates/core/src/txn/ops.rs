@@ -1,26 +1,84 @@
-//! Statement operations inside an open transaction: shard routing, the
-//! primary and Read-On-Replica read paths, lock acquisition, and write
-//! staging. All data-node round trips are charged through the message
-//! plane as [`RpcKind::DnRead`] / [`RpcKind::DnWrite`].
+//! Statement operations inside an open transaction. Every statement
+//! becomes data-node accesses the same way: [`TxnHandle::shards_for`]
+//! names the shards, [`TxnHandle::route_to_shard`] validates the routing
+//! epoch, [`TxnHandle::read_target`] + [`TxnHandle::unblocked`] make the
+//! Read-On-Replica decision (paper §IV-B, Fig. 5), and
+//! [`TxnHandle::charge_scatter`] charges the round trips through the
+//! message plane as [`RpcKind::DnRead`] / [`RpcKind::DnWrite`]. Writes
+//! share [`TxnHandle::lock_row`] and [`TxnHandle::write_row`].
 
 use super::{TxnHandle, WriteOp, LOCK_LEASE, OP_MSG_BYTES};
 use crate::net::RpcKind;
 use crate::ror::ReadTarget;
 use gdb_model::{
     Datum, DistributionKind, GdbError, GdbResult, IndexId, Row, RowKey, TableId, TableSchema,
+    Timestamp,
 };
-use gdb_replication::ReplicaReadResult;
-use gdb_simnet::SimDuration;
+use gdb_simnet::{SimDuration, SimTime};
 use gdb_sqlengine::plan::BoundDdl;
 use gdb_sqlengine::DataAccess;
-use gdb_storage::{Catalog, LockOutcome};
+use gdb_storage::{Catalog, DataNodeStorage, LockOutcome};
 use gdb_wal::RedoPayload;
+use std::cmp::Ordering;
+use std::ops::Range;
+
+/// What a statement touches in one table.
+#[derive(Clone, Copy)]
+enum Touch<'k> {
+    /// One tuple, by full primary key.
+    Key(&'k RowKey),
+    /// The inclusive primary-key range `[lo, hi]` (`None` = unbounded).
+    Range(Option<&'k RowKey>, Option<&'k RowKey>),
+    /// The tuples whose leading index columns equal the prefix values.
+    IndexPrefix(IndexId, &'k [Datum]),
+}
+
+#[derive(Clone, Copy)]
+enum Access {
+    Read,
+    Write,
+}
+
+type Rows = Vec<(RowKey, Row)>;
 
 impl<'a> TxnHandle<'a> {
-    // ---- Shard routing helpers ---------------------------------------
+    // ---- Shard resolution, routing, message charging -------------------
 
-    pub(super) fn schema(&self, table: TableId) -> GdbResult<TableSchema> {
-        self.db.catalog.table(table).cloned()
+    /// The shards an access must reach: a table replicated to every shard
+    /// is read at the nearest one and written on all; otherwise the one
+    /// shard owning the distribution-key value, provided `touch` fixes
+    /// every distribution-key column — else all of them.
+    fn shards_for(&self, table: TableId, touch: Touch, access: Access) -> GdbResult<Range<usize>> {
+        let schema = self.db.catalog.table(table)?;
+        let all = 0..self.db.shards.len();
+        if matches!(schema.distribution, DistributionKind::Replicated) {
+            return Ok(match access {
+                Access::Read => one(self.db.nearest_shard(self.cn)),
+                Access::Write => all,
+            });
+        }
+        // The leading values `touch` fixes, and the columns they belong to.
+        let (cols, vals): (&[usize], &[Datum]) = match touch {
+            Touch::Key(key) => (&schema.primary_key, &key.0),
+            Touch::Range(Some(lo), Some(hi)) => {
+                let same = |(l, h): &(&Datum, &Datum)| l.key_cmp(h) == Ordering::Equal;
+                let common = lo.0.iter().zip(&hi.0).take_while(same).count();
+                (&schema.primary_key, &lo.0[..common])
+            }
+            Touch::Range(..) => return Ok(all),
+            Touch::IndexPrefix(index, prefix) => (&self.db.catalog.index(index)?.columns, prefix),
+        };
+        let mut dist_vals = Vec::with_capacity(schema.distribution_key.len());
+        for dc in &schema.distribution_key {
+            match cols.iter().position(|c| c == dc) {
+                Some(pos) if pos < vals.len() => dist_vals.push(vals[pos].clone()),
+                _ => return Ok(all),
+            }
+        }
+        let shard_count = self.db.shards.len() as u16;
+        Ok(one(
+            schema.shard_of_key(&RowKey(dist_vals), shard_count).0 as usize
+        ))
     }
 
     /// Validate this handle's cached routing epoch against `shard`'s
@@ -53,180 +111,162 @@ impl<'a> TxnHandle<'a> {
         Ok(())
     }
 
-    /// Charge one CN↔node round trip of kind `kind`.
-    fn charge_rtt_to(
+    /// Charge one parallel scatter from the CN to the given node of each
+    /// `(shard, target)`: request out, `bytes` back, the slowest round
+    /// trip plus the per-operation CPU cost. A single pair is a plain
+    /// round trip.
+    fn charge_scatter(
         &mut self,
         kind: RpcKind,
-        node: gdb_simnet::NetNodeId,
+        to: impl IntoIterator<Item = (usize, ReadTarget)>,
         bytes: u64,
     ) -> GdbResult<()> {
         let db = &mut *self.db;
         let cn_node = db.cns[self.cn].node;
-        let there = db
-            .plane
-            .send(&mut db.topo, kind, cn_node, node, OP_MSG_BYTES)
-            .ok_or_else(|| GdbError::NodeUnavailable("data node unreachable".into()))?;
-        let back = db
-            .plane
-            .send(&mut db.topo, kind, node, cn_node, bytes.max(OP_MSG_BYTES))
-            .ok_or_else(|| GdbError::NodeUnavailable("data node unreachable".into()))?;
-        self.now += there + back + db.config.op_cpu_cost;
-        Ok(())
-    }
-
-    /// Charge a parallel scatter to several shards (max of the RTTs).
-    fn charge_scatter(&mut self, kind: RpcKind, shards: &[usize], bytes: u64) -> GdbResult<()> {
-        let db = &mut *self.db;
-        let cn_node = db.cns[self.cn].node;
+        let unreachable = || GdbError::NodeUnavailable("data node unreachable".into());
         let mut max = SimDuration::ZERO;
-        for &s in shards {
-            let primary = db.shards[s].primary;
+        for (shard, target) in to {
+            let node = match target {
+                ReadTarget::Primary => db.shards[shard].primary,
+                ReadTarget::Replica(ri) => db.shards[shard].replicas[ri].node,
+            };
             let there = db
                 .plane
-                .send(&mut db.topo, kind, cn_node, primary, OP_MSG_BYTES)
-                .ok_or_else(|| GdbError::NodeUnavailable("shard unreachable".into()))?;
+                .send(&mut db.topo, kind, cn_node, node, OP_MSG_BYTES)
+                .ok_or_else(unreachable)?;
             let back = db
                 .plane
-                .send(
-                    &mut db.topo,
-                    kind,
-                    primary,
-                    cn_node,
-                    bytes.max(OP_MSG_BYTES),
-                )
-                .ok_or_else(|| GdbError::NodeUnavailable("shard unreachable".into()))?;
+                .send(&mut db.topo, kind, node, cn_node, bytes.max(OP_MSG_BYTES))
+                .ok_or_else(unreachable)?;
             max = max.max(there + back);
         }
         self.now += max + db.config.op_cpu_cost;
         Ok(())
     }
 
-    /// Which shards a range over `[lo, hi]` must touch.
-    fn shards_for_range(
-        &self,
-        schema: &TableSchema,
-        lo: Option<&RowKey>,
-        hi: Option<&RowKey>,
-    ) -> Vec<usize> {
-        let all: Vec<usize> = (0..self.db.shards.len()).collect();
-        if matches!(schema.distribution, DistributionKind::Replicated) {
-            return vec![self.db.nearest_shard(self.cn)];
-        }
-        let (Some(lo), Some(hi)) = (lo, hi) else {
-            return all;
-        };
-        // Length of the common prefix of lo and hi.
-        let mut common = 0;
-        while common < lo.0.len()
-            && common < hi.0.len()
-            && lo.0[common].key_cmp(&hi.0[common]) == std::cmp::Ordering::Equal
-        {
-            common += 1;
-        }
-        // Every distribution-key column must sit inside that common prefix
-        // (positions are relative to the primary key ordering).
-        let mut dist_vals = Vec::new();
-        for dc in &schema.distribution_key {
-            match schema.primary_key.iter().position(|pk| pk == dc) {
-                Some(pos) if pos < common => dist_vals.push(lo.0[pos].clone()),
-                _ => return all,
-            }
-        }
-        vec![
-            schema
-                .shard_of_key(&RowKey(dist_vals), self.db.shards.len() as u16)
-                .0 as usize,
-        ]
-    }
+    // ---- The Read-On-Replica decision -----------------------------------
 
-    /// Shard(s) an index prefix read must touch.
-    fn shards_for_index_prefix(
-        &self,
-        schema: &TableSchema,
-        index_cols: &[usize],
-        prefix: &[Datum],
-    ) -> Vec<usize> {
-        if matches!(schema.distribution, DistributionKind::Replicated) {
-            return vec![self.db.nearest_shard(self.cn)];
+    /// Where reads of `shard` go: off the skyline at the RCP snapshot
+    /// under ROR, else the primary.
+    fn read_target(&mut self, shard: usize) -> ReadTarget {
+        if !self.ror {
+            return ReadTarget::Primary;
         }
-        let mut dist_vals = Vec::new();
-        for dc in &schema.distribution_key {
-            match index_cols.iter().position(|c| c == dc) {
-                Some(pos) if pos < prefix.len() => dist_vals.push(prefix[pos].clone()),
-                _ => return (0..self.db.shards.len()).collect(),
-            }
-        }
-        vec![
-            schema
-                .shard_of_key(&RowKey(dist_vals), self.db.shards.len() as u16)
-                .0 as usize,
-        ]
-    }
-
-    // ---- Read paths ----------------------------------------------------
-
-    /// Primary point read with in-flight-commit wait.
-    fn primary_point_read(
-        &mut self,
-        shard: usize,
-        table: TableId,
-        key: &RowKey,
-    ) -> GdbResult<Option<Row>> {
-        let primary = self.db.shards[shard].primary;
-        self.charge_rtt_to(RpcKind::DnRead, primary, OP_MSG_BYTES)?;
-        self.db.stats.reads_on_primary += 1;
-        let snapshot = self.snapshot;
-        let vis = self.db.shards[shard].storage.read(table, key, snapshot)?;
-        Ok(match vis {
-            Some(v) => {
-                if v.commit_vtime > self.now {
-                    // The writing transaction's commit is still in flight
-                    // at our virtual time: wait for it (in-doubt wait).
-                    self.now = v.commit_vtime;
-                }
-                Some(v.row.clone())
-            }
-            None => None,
-        })
-    }
-
-    /// ROR point read: pick a node off the skyline; blocked tuples fall
-    /// back to the primary.
-    fn ror_point_read(
-        &mut self,
-        shard: usize,
-        table: TableId,
-        key: &RowKey,
-    ) -> GdbResult<Option<Row>> {
-        let target = self.db.select_read_node(
+        self.db.select_read_node(
             self.cn,
             shard,
             self.snapshot,
             self.now,
             self.freshness_bound,
-        );
-        match target {
-            ReadTarget::Primary => self.primary_point_read(shard, table, key),
-            ReadTarget::Replica(ri) => {
-                let node = self.db.shards[shard].replicas[ri].node;
-                self.charge_rtt_to(RpcKind::DnRead, node, OP_MSG_BYTES)?;
-                let snapshot = self.snapshot;
-                let res = self.db.shards[shard].replicas[ri]
-                    .applier
-                    .read(table, key, snapshot)?;
-                match res {
-                    ReplicaReadResult::Row(r) => {
-                        self.used_replica = true;
-                        self.db.stats.reads_on_replica += 1;
-                        Ok(r.map(|(row, _)| row))
-                    }
-                    ReplicaReadResult::Blocked { .. } => {
-                        self.db.stats.replica_blocked_fallbacks += 1;
-                        self.primary_point_read(shard, table, key)
-                    }
-                }
+        )
+    }
+
+    /// `target`, unless it is a replica on which `touch` is held by a
+    /// replayed `PENDING_COMMIT` whose outcome has not replayed yet: the
+    /// reader must not miss that commit, so it falls back to the primary.
+    fn unblocked(
+        &mut self,
+        shard: usize,
+        target: ReadTarget,
+        table: TableId,
+        touch: Touch,
+    ) -> ReadTarget {
+        if let ReadTarget::Replica(ri) = target {
+            let applier = &self.db.shards[shard].replicas[ri].applier;
+            let blocked = match touch {
+                Touch::Key(key) => applier.is_key_locked(table, key),
+                Touch::Range(lo, hi) => applier.is_range_blocked(table, lo, hi),
+                // Conservative: any pending write to the table blocks.
+                Touch::IndexPrefix(..) => applier.is_range_blocked(table, None, None),
+            };
+            if blocked {
+                self.db.stats.replica_blocked_fallbacks += 1;
+                return ReadTarget::Primary;
             }
         }
+        target
+    }
+
+    // ---- Read paths -------------------------------------------------------
+
+    /// Fetch one tuple from `target`, whose round trip is already paid. A
+    /// tuple blocked on the replica pays an extra primary round trip; a
+    /// primary version whose commit is still in flight raises `wait` to
+    /// its completion instant (in-doubt wait).
+    fn fetch_key(
+        &mut self,
+        shard: usize,
+        target: ReadTarget,
+        table: TableId,
+        key: &RowKey,
+        wait: &mut SimTime,
+    ) -> GdbResult<Option<Row>> {
+        let snapshot = self.snapshot;
+        if let ReadTarget::Replica(ri) = self.unblocked(shard, target, table, Touch::Key(key)) {
+            let storage = &mut self.db.shards[shard].replicas[ri].applier.storage;
+            let row = storage.read(table, key, snapshot)?.map(|v| v.row.clone());
+            self.used_replica = true;
+            self.db.stats.reads_on_replica += 1;
+            return Ok(row);
+        }
+        if target != ReadTarget::Primary {
+            self.charge_scatter(
+                RpcKind::DnRead,
+                [(shard, ReadTarget::Primary)],
+                OP_MSG_BYTES,
+            )?;
+        }
+        self.db.stats.reads_on_primary += 1;
+        let vis = self.db.shards[shard].storage.read(table, key, snapshot)?;
+        Ok(vis.map(|v| {
+            *wait = (*wait).max(v.commit_vtime);
+            v.row.clone()
+        }))
+    }
+
+    /// Range and index reads: per touched shard, an unblocked replica is
+    /// read with one round trip of its own; the shards left to their
+    /// primaries are read in one parallel scatter, counted as one primary
+    /// read. `fetch` appends one storage instance's rows and returns the
+    /// latest commit instant among them (primary readers wait for it).
+    fn read_rows(
+        &mut self,
+        table: TableId,
+        touch: Touch,
+        bytes: u64,
+        fetch: impl Fn(&mut DataNodeStorage, Timestamp, &mut Rows) -> GdbResult<SimTime>,
+    ) -> GdbResult<Rows> {
+        let shards = self.shards_for(table, touch, Access::Read)?;
+        for s in shards.clone() {
+            self.route_to_shard(s, bytes)?;
+        }
+        let snapshot = self.snapshot;
+        let mut out = Rows::new();
+        let mut primaries = Vec::new();
+        for s in shards {
+            let target = self.read_target(s);
+            match self.unblocked(s, target, table, touch) {
+                ReadTarget::Replica(ri) => {
+                    self.charge_scatter(RpcKind::DnRead, [(s, target)], bytes)?;
+                    self.used_replica = true;
+                    self.db.stats.reads_on_replica += 1;
+                    let storage = &mut self.db.shards[s].replicas[ri].applier.storage;
+                    fetch(storage, snapshot, &mut out)?;
+                }
+                ReadTarget::Primary => primaries.push(s),
+            }
+        }
+        if !primaries.is_empty() {
+            let to = primaries.iter().map(|&s| (s, ReadTarget::Primary));
+            self.charge_scatter(RpcKind::DnRead, to, bytes)?;
+            self.db.stats.reads_on_primary += 1;
+            for &s in &primaries {
+                let wait = fetch(&mut self.db.shards[s].storage, snapshot, &mut out)?;
+                self.now = self.now.max(wait);
+            }
+        }
+        out.sort_by(|a, b| a.0.cmp(&b.0));
+        Ok(out)
     }
 
     fn merge_overlay_into_range(
@@ -234,7 +274,7 @@ impl<'a> TxnHandle<'a> {
         table: TableId,
         lo: Option<&RowKey>,
         hi: Option<&RowKey>,
-        rows: &mut Vec<(RowKey, Row)>,
+        rows: &mut Rows,
     ) {
         let mut changed = false;
         for (key, row) in self.overlay.in_table(table) {
@@ -260,417 +300,68 @@ impl<'a> TxnHandle<'a> {
             rows.sort_by(|a, b| a.0.cmp(&b.0));
         }
     }
-}
 
-impl<'a> DataAccess for TxnHandle<'a> {
-    fn catalog(&self) -> &Catalog {
-        &self.db.catalog
+    // ---- Write path ---------------------------------------------------------
+
+    /// Coerce and validate `row` against the catalog's schema of `table`.
+    fn conform(&self, table: TableId, row: &mut Row) -> GdbResult<&TableSchema> {
+        let schema = self.db.catalog.table(table)?;
+        schema.coerce_row(row);
+        schema.check_row(row)?;
+        Ok(schema)
     }
 
-    fn point_read(&mut self, table: TableId, key: &RowKey) -> GdbResult<Option<Row>> {
-        if let Some(hit) = self.overlay.get(table, key) {
-            return Ok(hit.clone());
-        }
-        let schema = self.schema(table)?;
-        let shard = if matches!(schema.distribution, DistributionKind::Replicated) {
-            self.db.nearest_shard(self.cn)
-        } else {
-            self.db.shard_of(&schema, key)
-        };
-        self.route_to_shard(shard, OP_MSG_BYTES)?;
-        if self.ror {
-            self.ror_point_read(shard, table, key)
-        } else {
-            self.primary_point_read(shard, table, key)
-        }
-    }
-
-    fn multi_point_read(&mut self, table: TableId, keys: &[RowKey]) -> GdbResult<Vec<Option<Row>>> {
-        if keys.is_empty() {
-            return Ok(Vec::new());
-        }
-        let schema = self.schema(table)?;
-        let replicated = matches!(schema.distribution, DistributionKind::Replicated);
-        // Group keys by shard; one parallel scatter round trip total.
-        let mut shard_of_key: Vec<usize> = Vec::with_capacity(keys.len());
-        let mut shards: Vec<usize> = Vec::new();
-        for key in keys {
-            let s = if replicated {
-                self.db.nearest_shard(self.cn)
-            } else {
-                self.db.shard_of(&schema, key)
-            };
-            shard_of_key.push(s);
-            if !shards.contains(&s) {
-                shards.push(s);
-            }
-        }
-        for &s in &shards {
-            self.route_to_shard(s, OP_MSG_BYTES)?;
-        }
-        let snapshot = self.snapshot;
-        // Pick the read target per shard (skyline under ROR, else the
-        // primary) and charge ONE parallel scatter over the chosen nodes.
-        // `targets` parallels the deduped `shards` list — the touched
-        // shard count per statement is small, so a position scan beats
-        // hashing on this per-op path.
-        let mut targets: Vec<ReadTarget> = Vec::with_capacity(shards.len());
-        let mut nodes: Vec<gdb_simnet::NetNodeId> = Vec::new();
-        for &s in &shards {
-            let t = if self.ror {
-                self.db
-                    .select_read_node(self.cn, s, snapshot, self.now, self.freshness_bound)
-            } else {
-                ReadTarget::Primary
-            };
-            let node = match t {
-                ReadTarget::Primary => self.db.shards[s].primary,
-                ReadTarget::Replica(ri) => self.db.shards[s].replicas[ri].node,
-            };
-            targets.push(t);
-            nodes.push(node);
-        }
-        let bytes = OP_MSG_BYTES * (keys.len() as u64 / 4).max(1);
-        let db = &mut *self.db;
-        let cn_node = db.cns[self.cn].node;
-        let mut max_rtt = SimDuration::ZERO;
-        for &node in &nodes {
-            let there = db
-                .plane
-                .send(&mut db.topo, RpcKind::DnRead, cn_node, node, OP_MSG_BYTES)
-                .ok_or_else(|| GdbError::NodeUnavailable("read target unreachable".into()))?;
-            let back = db
-                .plane
-                .send(&mut db.topo, RpcKind::DnRead, node, cn_node, bytes)
-                .ok_or_else(|| GdbError::NodeUnavailable("read target unreachable".into()))?;
-            max_rtt = max_rtt.max(there + back);
-        }
-        self.now += max_rtt + db.config.op_cpu_cost;
-
-        let mut out = Vec::with_capacity(keys.len());
-        let mut max_wait = self.now;
-        for (key, &s) in keys.iter().zip(&shard_of_key) {
-            if let Some(hit) = self.overlay.get(table, key) {
-                out.push(hit.clone());
-                continue;
-            }
-            let target = shards.iter().position(|&u| u == s).map(|i| targets[i]);
-            if let Some(ReadTarget::Replica(ri)) = target.as_ref() {
-                let res = self.db.shards[s].replicas[*ri]
-                    .applier
-                    .read(table, key, snapshot)?;
-                match res {
-                    ReplicaReadResult::Row(r) => {
-                        self.used_replica = true;
-                        self.db.stats.reads_on_replica += 1;
-                        out.push(r.map(|(row, _)| row));
-                        continue;
-                    }
-                    ReplicaReadResult::Blocked { .. } => {
-                        // Blocked tuple: pay an extra primary round trip.
-                        self.db.stats.replica_blocked_fallbacks += 1;
-                        let primary = self.db.shards[s].primary;
-                        self.charge_rtt_to(RpcKind::DnRead, primary, OP_MSG_BYTES)?;
-                    }
-                }
-            }
-            self.db.stats.reads_on_primary += 1;
-            let vis = self.db.shards[s].storage.read(table, key, snapshot)?;
-            out.push(match vis {
-                Some(v) => {
-                    if v.commit_vtime > max_wait {
-                        max_wait = v.commit_vtime;
-                    }
-                    Some(v.row.clone())
-                }
-                None => None,
-            });
-        }
-        self.now = self.now.max(max_wait);
-        Ok(out)
-    }
-
-    fn range_read(
-        &mut self,
-        table: TableId,
-        lo: Option<&RowKey>,
-        hi: Option<&RowKey>,
-    ) -> GdbResult<Vec<(RowKey, Row)>> {
-        let schema = self.schema(table)?;
-        let shards = self.shards_for_range(&schema, lo, hi);
-        for &s in &shards {
-            self.route_to_shard(s, OP_MSG_BYTES * 4)?;
-        }
-        let snapshot = self.snapshot;
-        let mut out: Vec<(RowKey, Row)> = Vec::new();
-        // Decide per shard: replica or primary.
-        let mut primary_shards = Vec::new();
-        if self.ror {
-            for &s in &shards {
-                let target =
-                    self.db
-                        .select_read_node(self.cn, s, snapshot, self.now, self.freshness_bound);
-                match target {
-                    ReadTarget::Replica(ri) => {
-                        let blocked = self.db.shards[s].replicas[ri]
-                            .applier
-                            .is_range_blocked(table, lo, hi);
-                        if blocked {
-                            self.db.stats.replica_blocked_fallbacks += 1;
-                            primary_shards.push(s);
-                            continue;
-                        }
-                        let node = self.db.shards[s].replicas[ri].node;
-                        self.charge_rtt_to(RpcKind::DnRead, node, OP_MSG_BYTES * 4)?;
-                        self.used_replica = true;
-                        self.db.stats.reads_on_replica += 1;
-                        let rows = self.db.shards[s].replicas[ri]
-                            .applier
-                            .storage
-                            .range(table, lo, hi, snapshot)?;
-                        out.extend(rows.into_iter().map(|v| (v.key.clone(), v.row.clone())));
-                    }
-                    ReadTarget::Primary => primary_shards.push(s),
-                }
-            }
-        } else {
-            primary_shards = shards;
-        }
-        if !primary_shards.is_empty() {
-            self.charge_scatter(RpcKind::DnRead, &primary_shards, OP_MSG_BYTES * 4)?;
-            self.db.stats.reads_on_primary += 1;
-            let mut max_wait = self.now;
-            for &s in &primary_shards {
-                let rows = self.db.shards[s].storage.range(table, lo, hi, snapshot)?;
-                for v in rows {
-                    if v.commit_vtime > max_wait {
-                        max_wait = v.commit_vtime;
-                    }
-                    out.push((v.key.clone(), v.row.clone()));
-                }
-            }
-            self.now = max_wait;
-        }
-        out.sort_by(|a, b| a.0.cmp(&b.0));
-        self.merge_overlay_into_range(table, lo, hi, &mut out);
-        Ok(out)
-    }
-
-    fn index_read(&mut self, index: IndexId, prefix: &[Datum]) -> GdbResult<Vec<(RowKey, Row)>> {
-        let def = self.db.catalog.index(index)?.clone();
-        let schema = self.schema(def.table)?;
-        let shards = self.shards_for_index_prefix(&schema, &def.columns, prefix);
-        for &s in &shards {
-            self.route_to_shard(s, OP_MSG_BYTES * 2)?;
-        }
-        let snapshot = self.snapshot;
-        let mut out: Vec<(RowKey, Row)> = Vec::new();
-        let mut primary_shards = Vec::new();
-        if self.ror {
-            for &s in &shards {
-                let target =
-                    self.db
-                        .select_read_node(self.cn, s, snapshot, self.now, self.freshness_bound);
-                match target {
-                    ReadTarget::Replica(ri) => {
-                        // Conservative: any pending write to this table on
-                        // the replica forces a primary fallback.
-                        let blocked = self.db.shards[s].replicas[ri]
-                            .applier
-                            .is_range_blocked(def.table, None, None);
-                        if blocked {
-                            self.db.stats.replica_blocked_fallbacks += 1;
-                            primary_shards.push(s);
-                            continue;
-                        }
-                        let node = self.db.shards[s].replicas[ri].node;
-                        self.charge_rtt_to(RpcKind::DnRead, node, OP_MSG_BYTES * 2)?;
-                        self.used_replica = true;
-                        self.db.stats.reads_on_replica += 1;
-                        let rows = self.db.shards[s].replicas[ri]
-                            .applier
-                            .storage
-                            .index_lookup(index, prefix, snapshot)?;
-                        out.extend(rows);
-                    }
-                    ReadTarget::Primary => primary_shards.push(s),
-                }
-            }
-        } else {
-            primary_shards = shards;
-        }
-        if !primary_shards.is_empty() {
-            self.charge_scatter(RpcKind::DnRead, &primary_shards, OP_MSG_BYTES * 2)?;
-            self.db.stats.reads_on_primary += 1;
-            for &s in &primary_shards {
-                let rows = self.db.shards[s]
-                    .storage
-                    .index_lookup(index, prefix, snapshot)?;
-                out.extend(rows);
-            }
-        }
-        out.sort_by(|a, b| a.0.cmp(&b.0));
-        // Overlay merge: recheck added/updated rows against the prefix.
-        for (key, row) in self.overlay.in_table(def.table) {
-            out.retain(|(k, _)| k != key);
-            if let Some(r) = row {
-                let matches = def
-                    .columns
-                    .iter()
-                    .zip(prefix)
-                    .all(|(&c, p)| r.0[c].key_cmp(p) == std::cmp::Ordering::Equal);
-                if matches {
-                    out.push((key.clone(), r.clone()));
-                }
-            }
-        }
-        out.sort_by(|a, b| a.0.cmp(&b.0));
-        Ok(out)
-    }
-
-    fn full_scan(&mut self, table: TableId) -> GdbResult<Vec<(RowKey, Row)>> {
-        self.range_read(table, None, None)
-    }
-
-    fn read_for_update(&mut self, table: TableId, key: &RowKey) -> GdbResult<Option<Row>> {
+    /// The shared front of every write: route to the owning shard(s),
+    /// charge one scatter, take the row lock on each. With `fresh`, the
+    /// key must not exist yet (checked before any message is charged).
+    fn lock_row(&mut self, table: TableId, key: &RowKey, fresh: bool) -> GdbResult<Range<usize>> {
         if self.ror {
             return Err(GdbError::Execution(
-                "FOR UPDATE in a read-only (ROR) transaction".into(),
+                "lock or write in a read-only (ROR) transaction".into(),
             ));
         }
-        let schema = self.schema(table)?;
-        let shards: Vec<usize> = if matches!(schema.distribution, DistributionKind::Replicated) {
-            (0..self.db.shards.len()).collect()
-        } else {
-            vec![self.db.shard_of(&schema, key)]
-        };
-        for &s in &shards {
+        let shards = self.shards_for(table, Touch::Key(key), Access::Write)?;
+        for s in shards.clone() {
             self.route_to_shard(s, OP_MSG_BYTES)?;
         }
-        self.charge_scatter(RpcKind::DnWrite, &shards, OP_MSG_BYTES)?;
-        for &s in &shards {
-            self.lock_key(s, table, key)?;
-        }
-        if let Some(hit) = self.overlay.get(table, key) {
-            return Ok(hit.clone());
-        }
-        let s0 = shards[0];
-        let vis = self.db.shards[s0].storage.read_newest(table, key)?;
-        Ok(match vis {
-            Some(v) => {
-                if v.commit_vtime > self.now {
-                    self.now = v.commit_vtime;
-                }
-                Some(v.row.clone())
-            }
-            None => None,
-        })
-    }
-
-    fn insert(&mut self, table: TableId, row: Row) -> GdbResult<()> {
-        if self.ror {
-            return Err(GdbError::Execution(
-                "INSERT in a read-only (ROR) transaction".into(),
-            ));
-        }
-        let schema = self.schema(table)?;
-        let mut row = row;
-        schema.coerce_row(&mut row);
-        schema.check_row(&row)?;
-        let key = schema.primary_key_of(&row);
-        let replicated = matches!(schema.distribution, DistributionKind::Replicated);
-        let shards: Vec<usize> = if replicated {
-            (0..self.db.shards.len()).collect()
-        } else {
-            vec![self.db.shard_of(&schema, &key)]
-        };
-        for &s in &shards {
-            self.route_to_shard(s, OP_MSG_BYTES)?;
-        }
-        // Duplicate check: overlay first, then committed state.
-        match self.overlay.get(table, &key) {
-            Some(Some(_)) => return Err(GdbError::DuplicateKey(format!("{table} {key}"))),
-            Some(None) => {} // deleted in this txn; reinsert ok
-            None => {
-                if self.db.shards[shards[0]]
+        if fresh {
+            // Overlay first (a row this transaction deleted may be
+            // reinserted), then committed state.
+            let exists = match self.overlay.get(table, key) {
+                Some(own) => own.is_some(),
+                None => self.db.shards[shards.start]
                     .storage
                     .table(table)?
-                    .exists_newest(&key)
-                {
-                    return Err(GdbError::DuplicateKey(format!("{table} {key}")));
-                }
+                    .exists_newest(key),
+            };
+            if exists {
+                return Err(GdbError::DuplicateKey(format!("{table} {key}")));
             }
         }
-        self.charge_scatter(RpcKind::DnWrite, &shards, OP_MSG_BYTES)?;
-        for &s in &shards {
-            self.lock_key(s, table, &key)?;
-            self.stage_write(s, table, key.clone(), Some(row.clone()), true);
-        }
-        self.overlay.insert(table, &key, Some(row));
-        Ok(())
-    }
-
-    fn update(&mut self, table: TableId, key: &RowKey, new_row: Row) -> GdbResult<()> {
-        if self.ror {
-            return Err(GdbError::Execution(
-                "UPDATE in a read-only (ROR) transaction".into(),
-            ));
-        }
-        let schema = self.schema(table)?;
-        let mut new_row = new_row;
-        schema.coerce_row(&mut new_row);
-        schema.check_row(&new_row)?;
-        let replicated = matches!(schema.distribution, DistributionKind::Replicated);
-        let shards: Vec<usize> = if replicated {
-            (0..self.db.shards.len()).collect()
-        } else {
-            vec![self.db.shard_of(&schema, key)]
-        };
-        for &s in &shards {
-            self.route_to_shard(s, OP_MSG_BYTES)?;
-        }
-        self.charge_scatter(RpcKind::DnWrite, &shards, OP_MSG_BYTES)?;
-        for &s in &shards {
+        let to = shards.clone().map(|s| (s, ReadTarget::Primary));
+        self.charge_scatter(RpcKind::DnWrite, to, OP_MSG_BYTES)?;
+        for s in shards.clone() {
             self.lock_key(s, table, key)?;
-            self.stage_write(s, table, key.clone(), Some(new_row.clone()), false);
         }
-        self.overlay.insert(table, key, Some(new_row));
+        Ok(shards)
+    }
+
+    /// Lock `key` and stage its new image (`None` = delete) on every
+    /// owning shard; the transaction's own reads see it from here on.
+    fn write_row(
+        &mut self,
+        table: TableId,
+        key: &RowKey,
+        row: Option<Row>,
+        is_insert: bool,
+    ) -> GdbResult<()> {
+        for s in self.lock_row(table, key, is_insert)? {
+            self.stage_write(s, table, key, &row, is_insert);
+        }
+        self.overlay.insert(table, key, row);
         Ok(())
     }
 
-    fn delete(&mut self, table: TableId, key: &RowKey) -> GdbResult<()> {
-        if self.ror {
-            return Err(GdbError::Execution(
-                "DELETE in a read-only (ROR) transaction".into(),
-            ));
-        }
-        let schema = self.schema(table)?;
-        let replicated = matches!(schema.distribution, DistributionKind::Replicated);
-        let shards: Vec<usize> = if replicated {
-            (0..self.db.shards.len()).collect()
-        } else {
-            vec![self.db.shard_of(&schema, key)]
-        };
-        for &s in &shards {
-            self.route_to_shard(s, OP_MSG_BYTES)?;
-        }
-        self.charge_scatter(RpcKind::DnWrite, &shards, OP_MSG_BYTES)?;
-        for &s in &shards {
-            self.lock_key(s, table, key)?;
-            self.stage_write(s, table, key.clone(), None, false);
-        }
-        self.overlay.insert(table, key, None);
-        Ok(())
-    }
-
-    fn apply_ddl(&mut self, _ddl: &BoundDdl) -> GdbResult<()> {
-        Err(GdbError::Plan(
-            "DDL cannot run inside a transaction; use Cluster::ddl".into(),
-        ))
-    }
-}
-
-impl<'a> TxnHandle<'a> {
     fn lock_key(&mut self, shard: usize, table: TableId, key: &RowKey) -> GdbResult<()> {
         loop {
             let outcome = self.db.shards[shard].storage.locks.acquire(
@@ -696,48 +387,189 @@ impl<'a> TxnHandle<'a> {
         &mut self,
         shard: usize,
         table: TableId,
-        key: RowKey,
-        row: Option<Row>,
+        key: &RowKey,
+        row: &Option<Row>,
         is_insert: bool,
     ) {
         // PENDING_COMMIT is written before the transaction obtains its
         // invocation timestamp / first write lands (paper §IV-A).
-        if !self.first_write.contains_key(&shard) {
-            self.first_write.insert(shard, self.now);
+        if let Err(at) = self.shards_written.binary_search(&shard) {
+            self.shards_written.insert(at, shard);
             self.db.shards[shard]
                 .log
                 .append(self.now, self.txn, RedoPayload::PendingCommit);
         }
-        let payload = match &row {
-            Some(r) => {
-                if is_insert {
-                    RedoPayload::Insert {
-                        table,
-                        key: key.clone(),
-                        row: r.clone(),
-                    }
-                } else {
-                    RedoPayload::Update {
-                        table,
-                        key: key.clone(),
-                        new_row: r.clone(),
-                    }
-                }
-            }
-            None => RedoPayload::Delete {
+        // One copy of the key and image for the redo record, one for the
+        // write set the commit installs from.
+        let op = WriteOp {
+            shard,
+            table,
+            key: key.clone(),
+            row: row.clone(),
+        };
+        let (key, image) = (key.clone(), row.clone());
+        let payload = match image {
+            Some(row) if is_insert => RedoPayload::Insert { table, key, row },
+            Some(new_row) => RedoPayload::Update {
                 table,
-                key: key.clone(),
+                key,
+                new_row,
             },
+            None => RedoPayload::Delete { table, key },
         };
         self.db.shards[shard]
             .log
             .append(self.now, self.txn, payload);
-        self.write_log.push(WriteOp {
-            shard,
-            table,
-            key,
-            row,
-        });
-        self.shards_written.insert(shard);
+        self.write_log.push(op);
+    }
+}
+
+/// The single-shard set.
+fn one(shard: usize) -> Range<usize> {
+    shard..shard + 1
+}
+
+impl<'a> DataAccess for TxnHandle<'a> {
+    fn catalog(&self) -> &Catalog {
+        &self.db.catalog
+    }
+
+    fn point_read(&mut self, table: TableId, key: &RowKey) -> GdbResult<Option<Row>> {
+        if let Some(hit) = self.overlay.get(table, key) {
+            return Ok(hit.clone());
+        }
+        let shard = self.shards_for(table, Touch::Key(key), Access::Read)?.start;
+        self.route_to_shard(shard, OP_MSG_BYTES)?;
+        let target = self.read_target(shard);
+        self.charge_scatter(RpcKind::DnRead, [(shard, target)], OP_MSG_BYTES)?;
+        let mut wait = self.now;
+        let row = self.fetch_key(shard, target, table, key, &mut wait)?;
+        self.now = self.now.max(wait);
+        Ok(row)
+    }
+
+    fn multi_point_read(&mut self, table: TableId, keys: &[RowKey]) -> GdbResult<Vec<Option<Row>>> {
+        if keys.is_empty() {
+            return Ok(Vec::new());
+        }
+        // Group keys by shard: `reads` holds each touched shard once, in
+        // first-use order (few per statement, so a position scan beats
+        // hashing), paired below with its read target.
+        let mut slot_of_key: Vec<usize> = Vec::with_capacity(keys.len());
+        let mut reads: Vec<(usize, ReadTarget)> = Vec::new();
+        for key in keys {
+            let s = self.shards_for(table, Touch::Key(key), Access::Read)?.start;
+            let slot = reads.iter().position(|&(u, _)| u == s).unwrap_or_else(|| {
+                reads.push((s, ReadTarget::Primary));
+                reads.len() - 1
+            });
+            slot_of_key.push(slot);
+        }
+        for &(s, _) in &reads {
+            self.route_to_shard(s, OP_MSG_BYTES)?;
+        }
+        for read in &mut reads {
+            read.1 = self.read_target(read.0);
+        }
+        // One parallel scatter over the chosen nodes for the whole batch.
+        let bytes = OP_MSG_BYTES * (keys.len() as u64 / 4).max(1);
+        self.charge_scatter(RpcKind::DnRead, reads.iter().copied(), bytes)?;
+
+        let mut out = Vec::with_capacity(keys.len());
+        let mut wait = self.now;
+        for (key, &slot) in keys.iter().zip(&slot_of_key) {
+            if let Some(hit) = self.overlay.get(table, key) {
+                out.push(hit.clone());
+                continue;
+            }
+            let (s, target) = reads[slot];
+            out.push(self.fetch_key(s, target, table, key, &mut wait)?);
+        }
+        self.now = self.now.max(wait);
+        Ok(out)
+    }
+
+    fn range_read(
+        &mut self,
+        table: TableId,
+        lo: Option<&RowKey>,
+        hi: Option<&RowKey>,
+    ) -> GdbResult<Rows> {
+        let fetch = |storage: &mut DataNodeStorage, snapshot, out: &mut Rows| {
+            let mut wait = SimTime::ZERO;
+            for v in storage.range(table, lo, hi, snapshot)? {
+                wait = wait.max(v.commit_vtime);
+                out.push((v.key.clone(), v.row.clone()));
+            }
+            Ok(wait)
+        };
+        let mut out = self.read_rows(table, Touch::Range(lo, hi), OP_MSG_BYTES * 4, fetch)?;
+        self.merge_overlay_into_range(table, lo, hi, &mut out);
+        Ok(out)
+    }
+
+    fn index_read(&mut self, index: IndexId, prefix: &[Datum]) -> GdbResult<Rows> {
+        let table = self.db.catalog.index(index)?.table;
+        // Index entries carry no commit instant: no in-doubt wait.
+        let fetch = |storage: &mut DataNodeStorage, snapshot, out: &mut Rows| {
+            out.extend(storage.index_lookup(index, prefix, snapshot)?);
+            Ok(SimTime::ZERO)
+        };
+        let touch = Touch::IndexPrefix(index, prefix);
+        let mut out = self.read_rows(table, touch, OP_MSG_BYTES * 2, fetch)?;
+        // Overlay merge: recheck added/updated rows against the prefix.
+        let columns = &self.db.catalog.index(index)?.columns;
+        for (key, row) in self.overlay.in_table(table) {
+            out.retain(|(k, _)| k != key);
+            if let Some(r) = row {
+                let matches = columns
+                    .iter()
+                    .zip(prefix)
+                    .all(|(&c, p)| r.0[c].key_cmp(p) == Ordering::Equal);
+                if matches {
+                    out.push((key.clone(), r.clone()));
+                }
+            }
+        }
+        out.sort_by(|a, b| a.0.cmp(&b.0));
+        Ok(out)
+    }
+
+    fn full_scan(&mut self, table: TableId) -> GdbResult<Rows> {
+        self.range_read(table, None, None)
+    }
+
+    fn read_for_update(&mut self, table: TableId, key: &RowKey) -> GdbResult<Option<Row>> {
+        let shards = self.lock_row(table, key, false)?;
+        if let Some(hit) = self.overlay.get(table, key) {
+            return Ok(hit.clone());
+        }
+        let vis = self.db.shards[shards.start]
+            .storage
+            .read_newest(table, key)?;
+        Ok(vis.map(|v| {
+            self.now = self.now.max(v.commit_vtime);
+            v.row.clone()
+        }))
+    }
+
+    fn insert(&mut self, table: TableId, mut row: Row) -> GdbResult<()> {
+        let key = self.conform(table, &mut row)?.primary_key_of(&row);
+        self.write_row(table, &key, Some(row), true)
+    }
+
+    fn update(&mut self, table: TableId, key: &RowKey, mut new_row: Row) -> GdbResult<()> {
+        self.conform(table, &mut new_row)?;
+        self.write_row(table, key, Some(new_row), false)
+    }
+
+    fn delete(&mut self, table: TableId, key: &RowKey) -> GdbResult<()> {
+        self.write_row(table, key, None, false)
+    }
+
+    fn apply_ddl(&mut self, _ddl: &BoundDdl) -> GdbResult<()> {
+        Err(GdbError::Plan(
+            "DDL cannot run inside a transaction; use Cluster::ddl".into(),
+        ))
     }
 }

@@ -90,7 +90,7 @@ impl ConfTable {
     pub fn duration_of(&self, key: &str) -> Option<SimDuration> {
         match self.get(key)? {
             ConfValue::Str(s) => parse_duration(s),
-            ConfValue::Int(v) if *v >= 0 => Some(SimDuration::from_secs(*v as u64)),
+            ConfValue::Int(v) => duration_from(u64::try_from(*v).ok()?, NANOS_PER_SEC),
             _ => None,
         }
     }
@@ -222,16 +222,25 @@ fn parse_value(v: &str, lineno: usize) -> Result<ConfValue, String> {
         .map_err(|_| format!("line {lineno}: unrecognized value {v:?}"))
 }
 
+const NANOS_PER_MILLI: u64 = 1_000_000;
+const NANOS_PER_SEC: u64 = 1_000_000_000;
+
+/// `count` units of `unit_nanos` each; `None` when that overflows the
+/// 64-bit nanosecond clock (a typed-in value must not wrap to a short
+/// duration).
+fn duration_from(count: u64, unit_nanos: u64) -> Option<SimDuration> {
+    count.checked_mul(unit_nanos).map(SimDuration::from_nanos)
+}
+
 /// Parse a human duration: `"250ms"`, `"3s"`, or a bare integer in
 /// seconds. (Shared by the nemesis CLI, the shell, and scenario files.)
 pub fn parse_duration(s: &str) -> Option<SimDuration> {
-    if let Some(ms) = s.strip_suffix("ms") {
-        return ms.parse::<u64>().ok().map(SimDuration::from_millis);
-    }
-    if let Some(secs) = s.strip_suffix('s') {
-        return secs.parse::<u64>().ok().map(SimDuration::from_secs);
-    }
-    s.parse::<u64>().ok().map(SimDuration::from_secs)
+    let (count, unit_nanos) = match (s.strip_suffix("ms"), s.strip_suffix('s')) {
+        (Some(ms), _) => (ms, NANOS_PER_MILLI),
+        (None, Some(secs)) => (secs, NANOS_PER_SEC),
+        (None, None) => (s, NANOS_PER_SEC),
+    };
+    duration_from(count.parse().ok()?, unit_nanos)
 }
 
 /// The value following `flag` in `args`, if present.
@@ -323,6 +332,27 @@ shard = 0
         assert_eq!(parse_duration("3s"), Some(SimDuration::from_secs(3)));
         assert_eq!(parse_duration("4"), Some(SimDuration::from_secs(4)));
         assert_eq!(parse_duration("fast"), None);
+        // 2^64 ns is ~18 446 744 073.7 s: the largest whole value of each
+        // form parses, one more is rejected instead of wrapping.
+        assert_eq!(
+            parse_duration("18446744073s"),
+            Some(SimDuration::from_secs(18_446_744_073))
+        );
+        assert_eq!(parse_duration("18446744074s"), None);
+        assert_eq!(parse_duration("18446744074"), None);
+        assert_eq!(
+            parse_duration("18446744073709ms"),
+            Some(SimDuration::from_millis(18_446_744_073_709))
+        );
+        assert_eq!(parse_duration("18446744073710ms"), None);
+        let doc = ConfDoc::parse("[w]\nok = 18446744073\nbig = 18446744074\nneg = -1").unwrap();
+        let w = doc.table("w").unwrap();
+        assert_eq!(
+            w.duration_of("ok"),
+            Some(SimDuration::from_secs(18_446_744_073))
+        );
+        assert_eq!(w.duration_of("big"), None);
+        assert_eq!(w.duration_of("neg"), None);
         let args: Vec<String> = ["x", "--json", "out.json"]
             .iter()
             .map(|s| s.to_string())

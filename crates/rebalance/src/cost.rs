@@ -3,13 +3,14 @@
 //! One scalar [`PlacementCost::cost`] scores a [`ClusterView`]; the
 //! greedy [`PlacementCost::propose_batch`] search emits a batch of
 //! strictly-cost-reducing moves. Replacing the PR 4 first-match policy
-//! chain (frozen in [`crate::legacy`]) with a single objective removes
-//! the chain's oscillation mode by construction: on a static view every
-//! accepted move strictly lowers the same scalar, so no sequence of
-//! accepted moves can revisit a configuration — in particular A→B→A
-//! ping-pong is impossible. Under fluctuating traffic, [`Hysteresis`]
-//! adds a decaying per-shard penalty to the acceptance margin of
-//! recently moved shards, damping window-to-window jitter.
+//! chain (load spread, then region affinity; its code is gone, its
+//! 16-migration result is dated in EXPERIMENTS.md) with a single
+//! objective removes the chain's oscillation mode by construction: on a
+//! static view every accepted move strictly lowers the same scalar, so
+//! no sequence of accepted moves can revisit a configuration — in
+//! particular A→B→A ping-pong is impossible. Under fluctuating traffic,
+//! [`Hysteresis`] adds a decaying per-shard penalty to the acceptance
+//! margin of recently moved shards, damping window-to-window jitter.
 //!
 //! Everything here is a pure, deterministic function of the view — no
 //! RNG, no cluster access — so the proptests in

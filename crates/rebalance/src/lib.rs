@@ -22,20 +22,13 @@
 //! * [`drain_host`] — the imperative scale-in entry point: mark a host
 //!   draining and launch the plan that empties it.
 //!
-//! The pre-cost-model policy chain ([`LoadSpread`] → [`RegionAffinity`]
-//! first-match) is frozen in [`legacy`] as a differential reference.
-//!
 //! Everything here is deterministic: observation order, host
 //! enumeration, and tie-breaks are all fixed, so a seeded run proposes
 //! the same migrations every time.
 
 pub mod cost;
-pub mod legacy;
 
 pub use cost::{apply_move, CostPolicy, CostProposal, Hysteresis, PlacementCost};
-pub use legacy::{
-    LegacyController, LoadSpread, MigrationProposal, PlacementPolicy, RegionAffinity,
-};
 
 use gdb_simnet::{NetNodeId, RegionId};
 use globaldb::migrate::metrics as mig_metrics;

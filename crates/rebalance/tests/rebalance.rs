@@ -4,7 +4,7 @@
 //! path: a target crash mid-migration leaves routing and ownership
 //! exactly at the source.
 
-use gdb_rebalance::{drain_host, HotShardDetector, LegacyController, RebalanceController};
+use gdb_rebalance::{drain_host, HotShardDetector, RebalanceController};
 use gdb_simnet::RegionId;
 use globaldb::{Cluster, ClusterConfig, Datum, SimTime};
 
@@ -241,24 +241,6 @@ fn balanced_load_keeps_the_controller_idle() {
     assert!(controller.tick(&mut c).is_empty());
     assert_eq!(c.db.stats().migrations_started, 0);
     assert_eq!(c.db.routing_epoch(), 0);
-}
-
-/// The frozen PR 4 chain still drives a migration end-to-end on the
-/// same skewed window the cost model acts on — the differential
-/// reference stays executable, not just compilable.
-#[test]
-fn legacy_chain_still_drives_migration() {
-    let (mut c, by_shard) = setup();
-    let mut legacy = LegacyController::new();
-    legacy.detector.observe(&mut c.db); // discard startup traffic
-    let at = read_window(&mut c, &by_shard[0].clone(), 200, t(310));
-    read_window(&mut c, &by_shard[3].clone(), 80, at);
-    let proposal = legacy.tick(&mut c).expect("legacy chain must propose");
-    assert_eq!(proposal.shard, 0);
-    assert!(c.migration_in_flight().is_some());
-    c.run_until(c.now() + gdb_simnet::SimDuration::from_secs(2));
-    assert_eq!(c.db.last_migration_completed(), Some(0));
-    assert_eq!(legacy.history.len(), 1);
 }
 
 /// Elastic scale-in: drain a host onto the rest of the cluster (plus a

@@ -91,6 +91,59 @@ fn thread_backend_agrees_with_sim() {
     assert_eq!(sim, thread, "committed results must agree across backends");
 }
 
+/// A fault naming a shard, CN or region the cluster does not have is
+/// skipped with a trace line; each of these used to index out of bounds.
+#[test]
+fn out_of_range_fault_targets_are_skipped() {
+    let mut shell = Shell::launch(7, Backend::Sim);
+    for (command, skipped) in [
+        ("fault crash-primary shard=99", "crash-primary: no shard 99"),
+        (
+            "fault restart-primary shard=99",
+            "restart-primary: no shard 99",
+        ),
+        (
+            "fault promote-replica shard=99 replica=0",
+            "promote-replica: no shard 99",
+        ),
+        (
+            "fault rejoin-old-primary shard=99",
+            "rejoin-old-primary: no shard 99",
+        ),
+        (
+            "fault crash-replica shard=99 replica=0",
+            "crash-replica: no shard 99",
+        ),
+        (
+            "fault restart-replica shard=99 replica=0",
+            "restart-replica: no shard 99",
+        ),
+        ("fault crash-cn cn=99", "crash-cn: no cn 99"),
+        ("fault restart-cn cn=99", "restart-cn: no cn 99"),
+        (
+            "fault clock-sync-outage cn=99",
+            "clock-sync-outage: no cn 99",
+        ),
+        (
+            "fault clock-sync-resume cn=99",
+            "clock-sync-resume: no cn 99",
+        ),
+        (
+            "fault partition-regions a=0 b=9",
+            "partition-regions: no region 9",
+        ),
+        ("fault heal-regions a=9 b=0", "heal-regions: no region 9"),
+    ] {
+        let out = shell.exec(command);
+        assert_eq!(out, format!("skip {skipped}"), "{command}");
+    }
+    // The cluster is untouched: in-range faults and SQL still work.
+    assert!(shell
+        .exec("fault crash-cn cn=2")
+        .starts_with("fault crash-cn"));
+    assert!(shell.exec("status").contains("cn"));
+}
+
 #[test]
 fn committed_scenarios_lint_clean() {
     for text in [

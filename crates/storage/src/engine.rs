@@ -252,7 +252,7 @@ impl DataNodeStorage {
         snapshot: Timestamp,
     ) -> GdbResult<Vec<(RowKey, Row)>> {
         self.reads += 1;
-        let def = self.catalog.index(index)?.clone();
+        let def = self.catalog.index(index)?;
         let map = self
             .indexes
             .get(&index)
@@ -263,8 +263,7 @@ impl DataNodeStorage {
             .ok_or_else(|| GdbError::Schema(format!("no storage for table {}", def.table)))?;
 
         let mut out = Vec::new();
-        let lo = RowKey(prefix.to_vec());
-        for (entry, pk) in map.range(lo.clone()..) {
+        for (entry, pk) in map.range(RowKey(prefix.to_vec())..) {
             // Stop once the entry no longer starts with the prefix.
             if entry.0.len() < prefix.len()
                 || entry.0[..prefix.len()]

@@ -11,8 +11,12 @@
 #   lint           cargo fmt --check && cargo clippy -D warnings, plus
 #                  benchcmp validate over every committed BENCH_*.json
 #   build          cargo build --release
-#   test           cargo test -q (includes the deterministic hot-path
-#                  budgets in tests/budgets.rs)
+#   test           cargo test -q: the workspace's default-members — the
+#                  root package (incl. the deterministic hot-path budgets
+#                  in tests/budgets.rs) and the nine paper-component
+#                  crates, model .. core (the shell and realnet suites
+#                  have their own stages; `cargo test --workspace` runs
+#                  every crate)
 #   nemesis-smoke  nemesis seeds 1..5 (the CI "nemesis" job)
 #   shell          gdb-shell tests + committed scenario replays (the CI
 #                  "shell" job)
