@@ -118,15 +118,54 @@ pub fn compress(data: &[u8]) -> Vec<u8> {
     out
 }
 
-/// Reusable hash table for [`compress_into`]. Each call re-clears it
-/// (a 256 KiB memset, far cheaper than the allocation-plus-zeroing a
-/// fresh `vec!` per block costs on the per-batch ship path).
+/// Reusable hash table for [`compress_into`], never cleared between
+/// blocks: a slot holds `base + position + 1` of the block that wrote it
+/// and `base` moves past every finished block, so whatever earlier blocks
+/// left behind is `<= base` and reads as empty. A block touches one slot
+/// per byte it hashes, not all 65 536 — what a three-record ship batch
+/// needs. The slots are zeroed only when `base` would overflow `u32`.
 #[derive(Debug)]
-pub struct MatchTable(Vec<u32>);
+pub struct MatchTable {
+    slots: Vec<u32>,
+    base: u32,
+    slots_cleared: u64,
+}
 
 impl Default for MatchTable {
     fn default() -> Self {
-        MatchTable(vec![0u32; 1 << HASH_LOG])
+        MatchTable {
+            slots: vec![0u32; 1 << HASH_LOG],
+            base: 0,
+            slots_cleared: 0,
+        }
+    }
+}
+
+impl MatchTable {
+    /// Slots zeroed so far (work counter: 0 until `base` wraps).
+    pub fn slots_cleared(&self) -> u64 {
+        self.slots_cleared
+    }
+
+    /// A table whose next block starts `headroom` positions below the
+    /// `u32` wrap, so tests reach the clear branch with small inputs.
+    #[cfg(test)]
+    fn near_wrap(headroom: u32) -> Self {
+        MatchTable {
+            base: u32::MAX - headroom,
+            ..Self::default()
+        }
+    }
+
+    /// The base for a block of `n` bytes: the running one if every
+    /// `base + position + 1` still fits, else 0 over zeroed slots.
+    fn begin_block(&mut self, n: usize) -> u32 {
+        if self.base as u64 + n as u64 > u32::MAX as u64 {
+            self.slots.fill(0);
+            self.slots_cleared += self.slots.len() as u64;
+            self.base = 0;
+        }
+        self.base
     }
 }
 
@@ -142,18 +181,18 @@ pub fn compress_into(data: &[u8], table: &mut MatchTable, out: &mut Vec<u8>) {
         return;
     }
 
-    table.0.iter_mut().for_each(|s| *s = 0);
-    let table = &mut table.0; // stores position + 1
+    let base = table.begin_block(n);
+    let slots = &mut table.slots; // base + position + 1
     let match_limit = n - TAIL_LITERALS;
     let mut i = 0usize;
     let mut anchor = 0usize;
 
     while i < match_limit {
         let h = hash4(read_u32(data, i));
-        let cand = table[h] as usize;
-        table[h] = (i + 1) as u32;
-        if cand > 0 {
-            let pos = cand - 1;
+        let cand = slots[h];
+        slots[h] = base.wrapping_add((i + 1) as u32);
+        if cand > base {
+            let pos = (cand - base) as usize - 1;
             if i - pos <= MAX_OFFSET && read_u32(data, pos) == read_u32(data, i) {
                 // Extend the match forward.
                 let mut ml = MIN_MATCH;
@@ -169,6 +208,7 @@ pub fn compress_into(data: &[u8], table: &mut MatchTable, out: &mut Vec<u8>) {
         i += 1;
     }
     emit_sequence(out, &data[anchor..], None);
+    table.base = base.wrapping_add(n as u32);
 }
 
 /// Decompress a block produced by [`compress`].
@@ -385,6 +425,15 @@ mod proptests {
     use super::*;
     use proptest::prelude::*;
 
+    /// A block of 0…4 KiB: random bytes, or a short chunk repeated.
+    fn arb_block() -> impl Strategy<Value = Vec<u8>> {
+        prop_oneof![
+            proptest::collection::vec(any::<u8>(), 0..4097),
+            (proptest::collection::vec(any::<u8>(), 1..48), 0usize..4097)
+                .prop_map(|(chunk, len)| chunk.iter().cycle().take(len).copied().collect()),
+        ]
+    }
+
     proptest! {
         #[test]
         fn roundtrip_arbitrary(data in proptest::collection::vec(any::<u8>(), 0..4096)) {
@@ -405,6 +454,32 @@ mod proptests {
             }
             let c = compress(&data);
             prop_assert_eq!(decompress(&c).unwrap(), data);
+        }
+
+        /// Blocks through one reused table are byte-identical to a fresh
+        /// table per block — from a new table, and from one whose base
+        /// starts a few KiB below `u32::MAX`, so the stream crosses the
+        /// clear-and-restart branch with live entries in the slots.
+        #[test]
+        fn reused_table_matches_fresh_table_per_block(
+            blocks in proptest::collection::vec(arb_block(), 1..12),
+            headroom in proptest::option::of(0u32..12_288),
+        ) {
+            let wraps = headroom.is_some();
+            let mut table = headroom.map_or_else(MatchTable::default, MatchTable::near_wrap);
+            let total: usize = blocks.iter().map(Vec::len).sum();
+            let mut out = Vec::new();
+            for block in &blocks {
+                out.clear();
+                compress_into(block, &mut table, &mut out);
+                prop_assert_eq!(&out, &compress(block), "block of {} bytes", block.len());
+                prop_assert_eq!(&decompress(&out).unwrap(), block);
+            }
+            if !wraps {
+                prop_assert_eq!(table.slots_cleared(), 0);
+            } else if total > 2 * 12_288 {
+                prop_assert!(table.slots_cleared() > 0, "the base never wrapped");
+            }
         }
 
         #[test]

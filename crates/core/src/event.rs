@@ -84,7 +84,7 @@ impl TypedEvent<GlobalDb> for CoreEvent {
                 epoch,
                 records,
             } => {
-                w.apply_batch(shard, node, epoch, &records, sim.now());
+                w.apply_batch(shard, node, epoch, records, sim.now());
             }
             CoreEvent::RcpRound { region } => crate::rcp_driver::rcp_event(w, sim, region),
             CoreEvent::RcpFinish {

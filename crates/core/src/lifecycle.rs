@@ -183,7 +183,7 @@ impl GlobalDb {
                         None => break,
                     }
                 };
-                self.apply_batch(shard_idx, node, epoch, &batch, now);
+                self.apply_batch(shard_idx, node, epoch, batch, now);
             }
         }
 

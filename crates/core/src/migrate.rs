@@ -437,7 +437,7 @@ fn catchup_round(db: &mut GlobalDb, sim: &mut CoreSim, idx: usize, seq: u64, now
             // The target applies the batch at its arrival instant; the
             // records carry their own commit timestamps, so applying
             // "in the future" is the same contract as replica replay.
-            if let Err(e) = m.applier.apply_batch(&wire.batch.records, arrive) {
+            if let Err(e) = m.applier.apply_batch_owned(wire.batch.records, arrive) {
                 panic!("migration catch-up replay failed (shard {}): {e}", m.shard);
             }
             m.rounds += 1;
@@ -547,7 +547,7 @@ fn cutover_plan(db: &mut GlobalDb, sim: &mut CoreSim, plan: u64, now: SimTime) {
                 m.target,
                 wire.wire_bytes as u64,
             );
-            if let Err(e) = m.applier.apply_batch(&wire.batch.records, now) {
+            if let Err(e) = m.applier.apply_batch_owned(wire.batch.records, now) {
                 panic!("migration cutover replay failed (shard {}): {e}", m.shard);
             }
         }

@@ -73,10 +73,12 @@ impl GlobalDb {
         let mut deliveries = Vec::new();
         let mut shipped: Vec<(NetNodeId, u64, u64, u64, SimTime)> = Vec::new();
         for replica in shard.replicas.iter_mut() {
-            while let Some(wire) = replica.channel.drain(shard.log.sealed()) {
+            while replica.channel.backlog(shard.log.sealed()) > 0 {
                 // Propagation (latency + jitter + injected delay) with a
                 // minimal payload; transmission is modelled separately so
                 // a saturated stream queues batches behind each other.
+                // Probed before the drain: an unreachable replica costs no
+                // encode and leaves the channel's cursor and stats alone.
                 let Some(propagation) = self.plane.send(
                     &mut self.topo,
                     RpcKind::LogShipBatch,
@@ -84,8 +86,9 @@ impl GlobalDb {
                     replica.node,
                     1,
                 ) else {
-                    // Replica unreachable: rewind so we retry later.
-                    replica.channel.rewind(wire.batch.first_lsn);
+                    break; // retried at the next flush
+                };
+                let Some(wire) = replica.channel.drain(shard.log.sealed()) else {
                     break;
                 };
                 let link = self
@@ -171,13 +174,13 @@ impl GlobalDb {
         shard_idx: usize,
         node: NetNodeId,
         epoch: u64,
-        records: &[RedoRecord],
+        records: Vec<RedoRecord>,
         at: SimTime,
     ) {
         let Some(replica) = self.replica_mut(shard_idx, node, epoch) else {
             return; // stale incarnation: the replica was rebuilt/promoted
         };
-        if let Err(e) = replica.applier.apply_batch(records, at) {
+        if let Err(e) = replica.applier.apply_batch_owned(records, at) {
             panic!("replica replay failed (shard {shard_idx}, node {node:?}): {e}");
         }
     }
@@ -192,7 +195,7 @@ impl Cluster {
             self.db.shards[s].log.seal_upto(now);
             let deliveries = self.db.flush_shard(s, now);
             for (node, epoch, _at, records) in deliveries {
-                self.db.apply_batch(s, node, epoch, &records, now);
+                self.db.apply_batch(s, node, epoch, records, now);
             }
         }
     }

@@ -9,11 +9,11 @@
 //! transactions likewise block visibility until `COMMIT_PREPARED` /
 //! `ABORT_PREPARED` replays.
 
-use gdb_model::{GdbError, GdbResult, Row, RowKey, RowMap, TableId, Timestamp, TxnId};
+use gdb_model::{FxHashMap, GdbError, GdbResult, Row, RowKey, RowMap, TableId, Timestamp, TxnId};
 use gdb_simnet::SimTime;
 use gdb_storage::DataNodeStorage;
 use gdb_wal::{DdlKind, Lsn, RedoPayload, RedoRecord};
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
 
 /// Result of a replica point read.
 #[derive(Debug, Clone, PartialEq)]
@@ -39,7 +39,7 @@ struct PendingTxn {
 #[derive(Debug)]
 pub struct ReplicaApplier {
     pub storage: DataNodeStorage,
-    pending: HashMap<TxnId, PendingTxn>,
+    pending: FxHashMap<TxnId, PendingTxn>,
     /// Tuple locks held by pending transactions.
     locked: RowMap<TxnId>,
     /// Next LSN expected (records must arrive in order; duplicates from
@@ -55,7 +55,7 @@ impl ReplicaApplier {
     pub fn new(storage: DataNodeStorage) -> Self {
         ReplicaApplier {
             storage,
-            pending: HashMap::new(),
+            pending: FxHashMap::default(),
             locked: RowMap::new(),
             next_lsn: Lsn(0),
             max_commit_ts: Timestamp::ZERO,
@@ -69,7 +69,7 @@ impl ReplicaApplier {
     pub fn resumed(storage: DataNodeStorage, from: Lsn, max_commit_ts: Timestamp) -> Self {
         ReplicaApplier {
             storage,
-            pending: HashMap::new(),
+            pending: FxHashMap::default(),
             locked: RowMap::new(),
             next_lsn: from,
             max_commit_ts,
@@ -104,8 +104,11 @@ impl ReplicaApplier {
         self.next_lsn
     }
 
-    /// Apply one record at virtual time `vtime`.
-    pub fn apply(&mut self, rec: &RedoRecord, vtime: SimTime) -> GdbResult<()> {
+    /// Apply one record at virtual time `vtime`. The record is consumed:
+    /// a write's key and row move into the pending buffer and, at commit,
+    /// on into storage, so the copy the shipping channel drained for this
+    /// replica is the only one made.
+    pub fn apply(&mut self, rec: RedoRecord, vtime: SimTime) -> GdbResult<()> {
         if rec.lsn < self.next_lsn {
             return Ok(()); // duplicate from a recovery rewind — idempotent
         }
@@ -118,48 +121,58 @@ impl ReplicaApplier {
         self.next_lsn = rec.lsn.next();
         self.records_applied += 1;
 
-        match &rec.payload {
+        match rec.payload {
             RedoPayload::PendingCommit => {
                 self.pending.entry(rec.txn).or_default().has_marker = true;
             }
             RedoPayload::Insert { table, key, row } => {
-                self.buffer_write(rec.txn, *table, key.clone(), Some(row.clone()));
+                self.buffer_write(rec.txn, table, key, Some(row));
             }
             RedoPayload::Update {
                 table,
                 key,
                 new_row,
             } => {
-                self.buffer_write(rec.txn, *table, key.clone(), Some(new_row.clone()));
+                self.buffer_write(rec.txn, table, key, Some(new_row));
             }
             RedoPayload::Delete { table, key } => {
-                self.buffer_write(rec.txn, *table, key.clone(), None);
+                self.buffer_write(rec.txn, table, key, None);
             }
             RedoPayload::Prepare => {
                 self.pending.entry(rec.txn).or_default().prepared = true;
             }
             RedoPayload::Commit { commit_ts } | RedoPayload::CommitPrepared { commit_ts } => {
-                self.finish(rec.txn, Some(*commit_ts), vtime)?;
+                self.finish(rec.txn, Some(commit_ts), vtime)?;
             }
             RedoPayload::Abort | RedoPayload::AbortPrepared => {
                 self.finish(rec.txn, None, vtime)?;
             }
             RedoPayload::Ddl { commit_ts, kind } => {
                 self.apply_ddl(kind)?;
-                self.advance_ts(*commit_ts);
+                self.advance_ts(commit_ts);
             }
             RedoPayload::Heartbeat { commit_ts } => {
-                self.advance_ts(*commit_ts);
+                self.advance_ts(commit_ts);
             }
             RedoPayload::Checkpoint { .. } => {}
         }
         Ok(())
     }
 
-    /// Apply a whole batch in order.
-    pub fn apply_batch(&mut self, records: &[RedoRecord], vtime: SimTime) -> GdbResult<()> {
+    /// Apply a whole batch in order, consuming it (what every shipping
+    /// path holds: the batch drained for this replica).
+    pub fn apply_batch_owned(&mut self, records: Vec<RedoRecord>, vtime: SimTime) -> GdbResult<()> {
         for rec in records {
             self.apply(rec, vtime)?;
+        }
+        Ok(())
+    }
+
+    /// [`Self::apply_batch_owned`] for a caller that keeps its records:
+    /// clones each one and delegates.
+    pub fn apply_batch(&mut self, records: &[RedoRecord], vtime: SimTime) -> GdbResult<()> {
+        for rec in records {
+            self.apply(rec.clone(), vtime)?;
         }
         Ok(())
     }
@@ -201,19 +214,19 @@ impl ReplicaApplier {
         self.max_commit_ts = self.max_commit_ts.max(ts);
     }
 
-    fn apply_ddl(&mut self, kind: &DdlKind) -> GdbResult<()> {
+    fn apply_ddl(&mut self, kind: DdlKind) -> GdbResult<()> {
         match kind {
-            DdlKind::CreateTable(schema) => self.storage.create_table(schema.clone()),
-            DdlKind::DropTable(id) => self.storage.drop_table(*id),
+            DdlKind::CreateTable(schema) => self.storage.create_table(schema),
+            DdlKind::DropTable(id) => self.storage.drop_table(id),
             DdlKind::CreateIndex {
                 table,
                 index_name,
                 columns,
             } => self
                 .storage
-                .create_index(*table, index_name.clone(), columns.clone())
+                .create_index(table, index_name, columns)
                 .map(|_| ()),
-            DdlKind::DropIndex { index_name, .. } => self.storage.drop_index(index_name),
+            DdlKind::DropIndex { index_name, .. } => self.storage.drop_index(&index_name),
         }
     }
 
@@ -522,7 +535,7 @@ mod tests {
             txn: TxnId(3),
             payload: RedoPayload::Abort,
         };
-        assert!(a.apply(&gap, SimTime::ZERO).is_err());
+        assert!(a.apply(gap, SimTime::ZERO).is_err());
     }
 
     #[test]

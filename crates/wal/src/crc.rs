@@ -34,8 +34,14 @@ fn table() -> &'static [u32; 256] {
 
 /// CRC-32 of `data`.
 pub fn crc32(data: &[u8]) -> u32 {
+    crc32_extend(0, data)
+}
+
+/// CRC-32 of `prefix ‖ data`, given `crc = crc32(prefix)` — a running
+/// checksum continued over appended bytes without re-reading the prefix.
+pub fn crc32_extend(crc: u32, data: &[u8]) -> u32 {
     let t = table();
-    let mut crc = 0xFFFF_FFFFu32;
+    let mut crc = !crc;
     for &b in data {
         crc = (crc >> 8) ^ t[((crc ^ b as u32) & 0xFF) as usize];
     }
@@ -52,6 +58,15 @@ mod tests {
         assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
         assert_eq!(crc32(b""), 0);
         assert_eq!(crc32(b"a"), 0xE8B7_BE43);
+    }
+
+    #[test]
+    fn extend_equals_one_pass_at_every_split() {
+        let data = b"group commit tail page".to_vec();
+        for cut in 0..=data.len() {
+            let (a, b) = data.split_at(cut);
+            assert_eq!(crc32_extend(crc32(a), b), crc32(&data), "split at {cut}");
+        }
     }
 
     #[test]

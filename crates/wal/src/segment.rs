@@ -6,12 +6,11 @@
 //! the network). The buffer retains all records so a newly attached or
 //! recovering replica can be caught up from any LSN. Durability is modelled
 //! by [`GroupCommitWal`]: framed records accumulate in a segment, and a
-//! *sync* (the fsync-equivalent) re-checksums the partial tail page plus
-//! everything not yet durable — so syncing per transaction pays the
-//! page-rewrite cost per transaction, while a group-commit window
-//! amortizes one sync across the whole batch.
+//! *sync* (the fsync-equivalent) extends the open tail page's checksum
+//! over everything not yet durable — work proportional to the new bytes,
+//! so a one-record seal costs one record.
 
-use crate::crc::crc32;
+use crate::crc::crc32_extend;
 use crate::record::{
     encode_record_into, encode_record_parts, EncodeScratch, Lsn, RedoPayload, RedoPayloadRef,
     RedoRecord,
@@ -174,16 +173,17 @@ pub const SYNC_PAGE: usize = 4096;
 /// an in-memory segment standing in for the WAL file. [`Self::commit`]
 /// marks a transaction boundary; once `window` transactions are pending
 /// — or [`Self::sync`] is called explicitly — the fsync-equivalent runs:
-/// every byte since the last durable page boundary is re-checksummed and
-/// the durable watermark advances to the segment head.
+/// the tail checksum is brought up to the segment head and the durable
+/// watermark advances to it.
 ///
-/// The cost model is deliberately honest about *why* group commit wins:
-/// a sync's work is `segment_head - page_floor(durable)` bytes, so N
-/// transactions synced individually each re-walk the partial tail page
-/// (up to [`SYNC_PAGE`] bytes), while one window-of-N sync walks the
-/// batch once. The durable bytes are exactly the concatenation of the
-/// single-record frames — batching changes *when* the sync happens,
-/// never the bytes — which is what the framing property tests pin down.
+/// The tail checksum covers the segment from the start of the 4 KiB page
+/// the previous watermark sat in (the torn-page unit recovery would
+/// verify) to the head. Its running state is carried across syncs, so a
+/// sync walks only the bytes appended since the last one; it restarts
+/// from the page floor once per page the watermark crosses. The durable
+/// bytes are exactly the concatenation of the single-record frames —
+/// batching changes *when* the sync happens, never the bytes — which is
+/// what the framing property tests pin down.
 #[derive(Debug)]
 pub struct GroupCommitWal {
     segment: Vec<u8>,
@@ -191,11 +191,15 @@ pub struct GroupCommitWal {
     scratch: EncodeScratch,
     window: usize,
     pending_txns: usize,
+    /// `crc32(segment[tail_floor..synced_len])`.
     tail_crc: u32,
+    tail_floor: usize,
     /// Fsync-equivalents performed.
     pub fsyncs: u64,
     /// Transaction boundaries made durable.
     pub synced_txns: u64,
+    /// Bytes the syncs have walked for the tail checksum (work counter).
+    pub checksummed_bytes: u64,
 }
 
 impl GroupCommitWal {
@@ -215,8 +219,10 @@ impl GroupCommitWal {
             window: window.max(1),
             pending_txns: 0,
             tail_crc: 0,
+            tail_floor: 0,
             fsyncs: 0,
             synced_txns: 0,
+            checksummed_bytes: 0,
         }
     }
 
@@ -242,7 +248,7 @@ impl GroupCommitWal {
         }
     }
 
-    /// The fsync-equivalent: re-checksum from the last durable page
+    /// The fsync-equivalent: checksum from the last durable page
     /// boundary through the segment head and advance the watermark.
     pub fn sync(&mut self) {
         if self.pending_txns == 0 && self.synced_len == self.segment.len() {
@@ -252,7 +258,17 @@ impl GroupCommitWal {
         self.synced_txns += self.pending_txns as u64;
         self.pending_txns = 0;
         let page_floor = self.synced_len - (self.synced_len % SYNC_PAGE);
-        self.tail_crc = crc32(&self.segment[page_floor..]);
+        // Still in the page the running checksum started in: extend it
+        // over the new bytes. The watermark moved to a later page since:
+        // start over from that page's floor.
+        let (from, crc) = if page_floor == self.tail_floor {
+            (self.synced_len, self.tail_crc)
+        } else {
+            (page_floor, 0)
+        };
+        self.tail_crc = crc32_extend(crc, &self.segment[from..]);
+        self.tail_floor = page_floor;
+        self.checksummed_bytes += (self.segment.len() - from) as u64;
         self.synced_len = self.segment.len();
     }
 
@@ -565,6 +581,66 @@ mod proptests {
             prop_assert_eq!(decode_all(wal.segment()).unwrap(), recs);
             // Every boundary became durable exactly once.
             prop_assert_eq!(wal.synced_txns, recs.len() as u64);
+        }
+
+        /// The carried tail checksum is the from-scratch one: after any
+        /// interleaving of appends (frames from a few bytes to several
+        /// pages, so watermarks land before, on and past 4 KiB
+        /// boundaries), commits and syncs, `tail_crc()` is the CRC of the
+        /// segment from the previous watermark's page floor to the head,
+        /// and the durable bytes are the plain concatenation of frames.
+        #[test]
+        fn carried_tail_crc_matches_from_scratch(
+            ops in proptest::collection::vec(
+                prop_oneof![
+                    (0usize..6000).prop_map(Some), // append a frame with this much text
+                    Just(None),                    // commit (syncs when the window fills)
+                ],
+                1..60,
+            ),
+            syncs in proptest::collection::vec(any::<bool>(), 60),
+            window in 1usize..6,
+        ) {
+            let mut wal = GroupCommitWal::with_window(window);
+            let mut concat = Vec::new();
+            let mut walked = 0u64;
+            for (i, op) in ops.iter().enumerate() {
+                let prev = wal.durable().len();
+                let fsyncs = wal.fsyncs;
+                match op {
+                    Some(len) => {
+                        let rec = RedoRecord {
+                            lsn: Lsn(i as u64),
+                            txn: TxnId(i as u64),
+                            payload: RedoPayload::Delete {
+                                table: TableId(1),
+                                key: RowKey(vec![Datum::Text("k".repeat(*len))]),
+                            },
+                        };
+                        wal.append(&rec);
+                        encode_record(&mut concat, &rec);
+                    }
+                    None => {
+                        wal.commit();
+                    }
+                }
+                if syncs[i] {
+                    wal.sync();
+                }
+                prop_assert!(wal.fsyncs <= fsyncs + 1);
+                if wal.fsyncs == fsyncs + 1 {
+                    let floor = prev - prev % SYNC_PAGE;
+                    prop_assert_eq!(wal.tail_crc(), crate::crc::crc32(&concat[floor..]));
+                    prop_assert_eq!(wal.durable(), &concat[..]);
+                    walked += (concat.len() - prev) as u64;
+                }
+                prop_assert_eq!(wal.segment(), &concat[..]);
+            }
+            // Work: the new bytes, plus at most one page re-walk per page.
+            prop_assert!(wal.checksummed_bytes >= walked);
+            prop_assert!(
+                wal.checksummed_bytes <= walked + (concat.len() / SYNC_PAGE * SYNC_PAGE) as u64
+            );
         }
 
         /// A torn batch tail (truncation inside the last frame) never

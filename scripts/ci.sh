@@ -13,10 +13,10 @@
 #   build          cargo build --release
 #   test           cargo test -q: the workspace's default-members — the
 #                  root package (incl. the deterministic hot-path budgets
-#                  in tests/budgets.rs) and the nine paper-component
-#                  crates, model .. core (the shell and realnet suites
-#                  have their own stages; `cargo test --workspace` runs
-#                  every crate)
+#                  in tests/budgets.rs) and the ten paper-component
+#                  crates, model .. core, incl. compress since PR 14
+#                  (the shell and realnet suites have their own stages;
+#                  `cargo test --workspace` runs every crate)
 #   nemesis-smoke  nemesis seeds 1..5 (the CI "nemesis" job)
 #   shell          gdb-shell tests + committed scenario replays (the CI
 #                  "shell" job)
