@@ -219,7 +219,7 @@ impl Fault {
                     Err(e) => format!("skip start-migration shard={shard}: {e}"),
                 }
             }
-            Fault::CrashMigrationTarget => match db.migration().map(|m| m.target) {
+            Fault::CrashMigrationTarget => match db.migration().map(|m| m.target.node) {
                 Some(node) => {
                     db.topo_mut().set_node_down(node, true);
                     state.crashed_migration_target = Some(node);

@@ -678,6 +678,31 @@ shard = 0
         }
     }
 
+    /// A crashed primary nobody replaced still is the shard's primary:
+    /// rejoining it as a replica is skipped (it used to be admitted — the
+    /// primary then shipped to, and served replica reads as, itself).
+    #[test]
+    fn rejoin_of_an_unreplaced_primary_is_skipped() {
+        // Between GOOD's crash-primary (100ms) and restart-primary (300ms).
+        let text = format!(
+            "{GOOD}\n[[fault]]\nat = \"200ms\"\nkind = \"rejoin-old-primary\"\nshard = 0\n"
+        );
+        let report = run_text(&text).unwrap();
+        assert!(report.ok(), "{}", report.render());
+        let rejoins: Vec<&String> = report
+            .trace
+            .iter()
+            .filter(|l| l.contains("rejoin"))
+            .collect();
+        assert_eq!(rejoins.len(), 1, "{}", report.render());
+        assert!(
+            rejoins[0].contains("skip rejoin shard=0: ")
+                && rejoins[0].contains("already hosts shard 0"),
+            "{}",
+            rejoins[0]
+        );
+    }
+
     #[test]
     fn tiny_inline_scenario_runs_oracle_green() {
         let report = run_text(GOOD).unwrap();

@@ -7,7 +7,8 @@
 //!
 //! * [`crate::txn`] — the transaction pipeline (begin → execute →
 //!   prepare → commit-point → commit-wait → replicate-ack);
-//! * [`crate::repl_driver`] — redo log shipping and replica replay;
+//! * [`crate::repl_driver`] — followers of a shard's redo stream: build,
+//!   ship, take over, replay;
 //! * [`crate::rcp_driver`] — RCP rounds, heartbeats, vacuum;
 //! * [`crate::lifecycle`] — crash/restore/promote/rejoin fault surface;
 //! * [`crate::frontend`] — SQL/DDL/bulk-load entry points;
@@ -21,7 +22,7 @@ use crate::config::{ClusterConfig, Placement, RoutingPolicy};
 use crate::event::{CoreEvent, CoreSim};
 use crate::net::MessagePlane;
 use crate::rcp_driver::GtmRate;
-use crate::repl_driver::{Replica, Shard};
+use crate::repl_driver::Shard;
 use crate::ror::RorService;
 use crate::shardlog::ShardLog;
 use crate::stats::{ClusterStats, TxnOutcome};
@@ -30,7 +31,6 @@ use crate::txn::TxnHandle;
 use gdb_consistency::{CollectorElection, DdlTracker, RcpCalculator};
 use gdb_model::{GdbResult, TableId, Timestamp, TxnId};
 use gdb_obs::{MetricsReport, Obs};
-use gdb_replication::{ReplicaApplier, ShippingChannel};
 use gdb_simclock::GClock;
 use gdb_simnet::{NetNodeId, RegionId, Sim, SimTime, Topology};
 use gdb_storage::{Catalog, DataNodeStorage};
@@ -545,26 +545,20 @@ impl Cluster {
 
         let shards: Vec<Shard> = shard_placement
             .into_iter()
-            .map(|sp| Shard {
-                primary: sp.primary,
-                region: sp.primary_region,
-                storage: DataNodeStorage::new(),
-                log: ShardLog::new(),
-                replicas: sp
-                    .replicas
-                    .into_iter()
-                    .map(|(node, region)| Replica {
-                        node,
-                        region,
-                        applier: ReplicaApplier::new(DataNodeStorage::new()),
-                        channel: ShippingChannel::new(config.codec),
-                        busy_until: SimTime::ZERO,
-                        stream_free: SimTime::ZERO,
-                        last_arrival: SimTime::ZERO,
-                        epoch: 0,
-                    })
-                    .collect(),
-                owner_epoch: 0,
+            .map(|sp| {
+                let mut shard = Shard {
+                    primary: sp.primary,
+                    region: sp.primary_region,
+                    storage: DataNodeStorage::new(),
+                    log: ShardLog::new(),
+                    replicas: Vec::new(),
+                    owner_epoch: 0,
+                };
+                for (node, region) in sp.replicas {
+                    let replica = shard.new_follower(node, region, config.codec, SimTime::ZERO);
+                    shard.replicas.push(replica);
+                }
+                shard
             })
             .collect();
 

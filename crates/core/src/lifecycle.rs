@@ -4,15 +4,14 @@
 //! can fire from *inside* scheduled simulation events, exactly like the
 //! background activities they disturb. This module centralizes the
 //! interleaved crash/heal ordering rules — what survives a crash (durable
-//! WAL, applier state), what an incarnation bump orphans (in-flight
-//! deliveries), and which failovers force a resync — so overlapping fault
-//! plans compose without bespoke per-test recovery code.
+//! WAL, applier state), when an incarnation bump orphans in-flight
+//! deliveries, and which node may (re)join which shard — so overlapping
+//! fault plans compose without bespoke per-test recovery code. How a
+//! follower is rebuilt, drained or promoted is [`crate::repl_driver`]'s
+//! business; the transitions here only decide *that* it happens.
 
 use crate::cluster::GlobalDb;
-use crate::repl_driver::Replica;
-use crate::shardlog::ShardLog;
-use gdb_model::{GdbError, GdbResult, Timestamp};
-use gdb_replication::{ReplicaApplier, ShippingChannel};
+use gdb_model::{GdbError, GdbResult};
 use gdb_simnet::{NetNodeId, NodeKind, RegionId, SimDuration, SimTime};
 
 impl GlobalDb {
@@ -63,11 +62,7 @@ impl GlobalDb {
         let Some(replica) = self.shards[shard_idx].replicas.get_mut(replica_idx) else {
             return;
         };
-        let resume = replica.applier.resume_from();
-        replica.channel.rewind(resume);
-        replica.busy_until = now;
-        replica.stream_free = now;
-        replica.last_arrival = now;
+        replica.restart_stream(now);
         let node = replica.node;
         self.restore_node(node);
     }
@@ -169,52 +164,13 @@ impl GlobalDb {
             // the replica leaves the list below), so restart the stream
             // from the applier's durable resume point — otherwise the
             // drain would skip the in-flight tail and leave a replay gap.
-            {
-                let replica = &mut self.shards[shard_idx].replicas[replica_idx];
-                let resume = replica.applier.resume_from();
-                replica.channel.rewind(resume);
-            }
-            loop {
-                let (node, epoch, batch) = {
-                    let shard = &mut self.shards[shard_idx];
-                    let replica = &mut shard.replicas[replica_idx];
-                    match replica.channel.drain(shard.log.sealed()) {
-                        Some(wire) => (replica.node, replica.epoch, wire.batch.records),
-                        None => break,
-                    }
-                };
-                self.apply_batch(shard_idx, node, epoch, batch, now);
-            }
+            let replica = &mut self.shards[shard_idx].replicas[replica_idx];
+            replica.restart_stream(now);
+            let node = replica.node;
+            self.drain_now(shard_idx, node, None, now);
         }
-
-        let codec = self.config.codec;
-        let shard = &mut self.shards[shard_idx];
-        let promoted = shard.replicas.remove(replica_idx);
-        shard.primary = promoted.node;
-        shard.region = promoted.region;
-        // The old primary's row locks outlive it: commits already on the
-        // durable log can carry apply instants — and commit timestamps —
-        // *later* than the promotion instant (the cursor execution stages
-        // them in the virtual future), and only the lock release times
-        // make the next writer of such a key wait them out. Dropping the
-        // lock table here would let a post-failover writer commit the same
-        // key with a smaller timestamp than a drained record's.
-        let old_locks = std::mem::take(&mut shard.storage.locks);
-        // Pending (uncommitted) transactions die with their coordinators.
-        shard.storage = promoted.applier.into_storage();
-        shard.storage.locks = old_locks;
-        shard.log = ShardLog::new();
-        // Remaining replicas full-resync from the new primary: fresh
-        // applier over a snapshot of the promoted state, fresh channel on
-        // the new (empty) redo stream, new incarnation.
-        for replica in &mut shard.replicas {
-            replica.applier = ReplicaApplier::new(shard.storage.clone());
-            replica.channel = ShippingChannel::new(codec);
-            replica.busy_until = now;
-            replica.stream_free = now;
-            replica.last_arrival = now;
-            replica.epoch += 1;
-        }
+        let promoted = self.shards[shard_idx].replicas.remove(replica_idx);
+        self.take_over(shard_idx, promoted, now);
 
         // Replica membership changed: rebuild the per-region RCP groups.
         self.rebuild_rcp_groups();
@@ -227,45 +183,31 @@ impl GlobalDb {
     }
 
     /// Re-admit a recovered node as a replica of `shard` at `now` (see
-    /// [`crate::Cluster::rejoin_as_replica`]).
+    /// [`crate::Cluster::rejoin_as_replica`]). Fails, changing nothing,
+    /// when the node already hosts the shard — a crashed primary nobody
+    /// replaced is restarted, not rejoined: as its own replica it would
+    /// ship to, and serve replica reads as, itself — or was retired.
     pub fn rejoin_as_replica_at(
         &mut self,
         shard_idx: usize,
         node: NetNodeId,
         now: SimTime,
     ) -> GdbResult<()> {
+        let shard = &self.shards[shard_idx];
+        if node == shard.primary || shard.replicas.iter().any(|r| r.node == node) {
+            return Err(GdbError::Execution(format!(
+                "node {} already hosts shard {shard_idx}",
+                node.0
+            )));
+        }
+        if self.topo.is_node_retired(node) {
+            return Err(GdbError::Execution(format!("node {} was retired", node.0)));
+        }
         self.topo.set_node_down(node, false);
-        let region = self.topo.node_region(node);
-        let codec = self.config.codec;
-        // Seal the *entire* staged log so the stream cut aligns with the
-        // snapshot: `storage` already holds versions whose records are
-        // staged with future apply instants (commit processing installs
-        // both synchronously), and re-shipping those after the rejoin
-        // would replay writes the snapshot contains — out of timestamp
-        // order. The channel resumes at the post-cut head.
-        self.shards[shard_idx].log.seal_all(now);
-        let head = self.shards[shard_idx].log.sealed_head();
+        let (region, codec) = (self.topo.node_region(node), self.config.codec);
         let shard = &mut self.shards[shard_idx];
-        // The snapshot's high-water mark: nothing above the primary's
-        // installed state is claimed.
-        let max_ts = shard
-            .replicas
-            .iter()
-            .map(|r| r.applier.max_commit_ts())
-            .max()
-            .unwrap_or(Timestamp::ZERO);
-        let mut channel = ShippingChannel::new(codec);
-        channel.rewind(head);
-        shard.replicas.push(Replica {
-            node,
-            region,
-            applier: ReplicaApplier::resumed(shard.storage.clone(), head, max_ts),
-            channel,
-            busy_until: now,
-            stream_free: now,
-            last_arrival: now,
-            epoch: 0,
-        });
+        let replica = shard.new_follower(node, region, codec, now);
+        shard.replicas.push(replica);
         self.rebuild_rcp_groups();
         Ok(())
     }
@@ -327,7 +269,7 @@ impl GlobalDb {
             let (region, host) = self.draining[i];
             let (primaries, replicas) = self.host_placements(region, host);
             let busy = self.migrations.iter().any(|m| {
-                [m.source, m.target]
+                [m.source, m.target.node]
                     .iter()
                     .any(|&n| self.topo.node_region(n) == region && self.topo.node_host(n) == host)
             });

@@ -31,14 +31,20 @@
 //! [`RpcKind::MigrateSnapshot`] for the storage image,
 //! [`RpcKind::MigrateCatchup`] for redo batches,
 //! [`RpcKind::MigrateCutover`] for the barrier round trip and the
-//! routing-epoch announcement fan-out to the CNs. A crash of the source
+//! routing-epoch announcement fan-out to the CNs. The target is a
+//! follower of the source's redo stream like any replica
+//! ([`Migration::target`]): [`crate::repl_driver`] builds it, ships it
+//! the storage image and the catch-up batches, drains it at the cutover
+//! and — for a primary move — lets it take over; this module only runs
+//! the state machine and decides who is replaced. A crash of the source
 //! or target (or a concurrent promotion replacing the source) at any
 //! point aborts that member and leaves its routing/ownership exactly at
-//! the source — the target applier is private state until cutover, so
-//! abort is a pure drop; surviving plan members continue and cut over
-//! together. After every plan completion or abort the cluster checks
-//! whether a draining host has emptied and can be retired
-//! ([`GlobalDb::maybe_retire_drained`] — elastic scale-in).
+//! the source — the target is private state until cutover, so abort
+//! drops it and retires its node; surviving plan members continue and
+//! cut over together. A cutover retires the node it replaced (the old
+//! primary or the moved replica). After every plan completion or abort
+//! the cluster checks whether a draining host has emptied and can be
+//! retired ([`GlobalDb::maybe_retire_drained`] — elastic scale-in).
 //!
 //! The whole run is spanned: a `Migration` root whose
 //! `MigrationSnapshot` / `MigrationCatchup` / `MigrationCutover`
@@ -47,11 +53,10 @@
 use crate::cluster::GlobalDb;
 use crate::event::CoreSim;
 use crate::net::RpcKind;
-use crate::shardlog::ShardLog;
-use gdb_model::{GdbError, GdbResult, Timestamp};
+use crate::repl_driver::{Replica, Ship};
+use gdb_model::{GdbError, GdbResult};
 use gdb_obs::SpanKind;
-use gdb_replication::{ReplicaApplier, ShippingChannel};
-use gdb_simnet::{NetNodeId, NodeKind, RegionId, SimDuration, SimTime};
+use gdb_simnet::{NetNodeId, NodeKind, RegionId, SimTime};
 
 /// Metric names owned by the migration executor (consumed by
 /// `gdb-rebalance`'s hot-shard detector via the metrics registry).
@@ -128,8 +133,9 @@ pub struct Migration {
     pub shard: usize,
     /// The data stream's source: the shard's primary for both kinds.
     pub source: NetNodeId,
-    pub target: NetNodeId,
-    pub target_region: RegionId,
+    /// The freshly provisioned node, following the source's redo stream
+    /// from the snapshot cut on — private to the migration until cutover.
+    pub target: Replica,
     pub kind: MigrationKind,
     /// The batched plan this member belongs to.
     pub plan: u64,
@@ -144,13 +150,6 @@ pub struct Migration {
     /// Guard for scheduled events: ticks for a finished/aborted
     /// migration carry a stale sequence number and are dropped.
     pub(crate) seq: u64,
-    /// The target's building state: a resumed applier over the source
-    /// snapshot, following the source redo stream via its own channel.
-    pub(crate) applier: ReplicaApplier,
-    pub(crate) channel: ShippingChannel,
-    /// FIFO stream cursor for catch-up transmission (a saturated link
-    /// queues batches, exactly like replica shipping).
-    pub(crate) stream_free: SimTime,
 }
 
 /// Start migrating `shard_idx`'s primary to a freshly provisioned data
@@ -259,55 +258,12 @@ fn start_member(db: &mut GlobalDb, sim: &mut CoreSim, plan: u64, spec: Migration
         MigrationKind::Primary => NodeKind::DataNodePrimary,
         MigrationKind::Replica { .. } => NodeKind::DataNodeReplica,
     };
-    let target = db.topo.add_node(spec.to_region, spec.to_host, node_kind);
-
-    // Snapshot cut: seal the *entire* staged log so the stream cut
-    // aligns with the storage snapshot (same rule as promote/rejoin —
-    // the storage already holds effects of records staged with future
-    // apply instants).
-    db.shards[shard_idx].log.seal_all(now);
-    let head = db.shards[shard_idx].log.sealed_head();
-    let shard = &db.shards[shard_idx];
-    let max_ts = shard
-        .replicas
-        .iter()
-        .map(|r| r.applier.max_commit_ts())
-        .max()
-        .unwrap_or(Timestamp::ZERO);
-    let applier = ReplicaApplier::resumed(shard.storage.clone(), head, max_ts);
-    let mut channel = ShippingChannel::new(db.config.codec);
-    channel.rewind(head);
-
-    // Ship the storage image: a 1-byte propagation probe plus explicit
-    // transmission time, remaining bytes accounted without a second
-    // latency draw (the log-shipping cost model).
+    let node = db.topo.add_node(spec.to_region, spec.to_host, node_kind);
+    // Snapshot cut: the target follows the source from here.
+    let codec = db.config.codec;
+    let target = db.shards[shard_idx].new_follower(node, spec.to_region, codec, now);
     let snapshot_bytes =
         (db.shards[shard_idx].storage.total_keys() as u64).max(1) * SNAPSHOT_ROW_BYTES;
-    let Some(propagation) =
-        db.plane
-            .send(&mut db.topo, RpcKind::MigrateSnapshot, source, target, 1)
-    else {
-        // Validated reachable above; a racing fault still loses the
-        // member without ever admitting it to the plan.
-        db.stats.migrations_started += 1;
-        db.stats.migrations_aborted += 1;
-        db.last_migration_aborted = Some((shard_idx, "target unreachable".to_string()));
-        return;
-    };
-    let link = db
-        .topo
-        .link(db.topo.node_region(source), db.topo.node_region(target));
-    let tx = SimDuration::from_secs_f64(
-        snapshot_bytes as f64 / link.effective_bandwidth().max(1) as f64,
-    );
-    db.plane.charge_bytes(
-        &mut db.topo,
-        RpcKind::MigrateSnapshot,
-        source,
-        target,
-        snapshot_bytes.saturating_sub(1),
-    );
-    let arrive = now + tx + propagation;
 
     db.migration_seq += 1;
     let seq = db.migration_seq;
@@ -315,7 +271,6 @@ fn start_member(db: &mut GlobalDb, sim: &mut CoreSim, plan: u64, spec: Migration
         shard: shard_idx,
         source,
         target,
-        target_region: spec.to_region,
         kind: spec.kind,
         plan,
         phase: MigrationPhase::Snapshot,
@@ -324,11 +279,23 @@ fn start_member(db: &mut GlobalDb, sim: &mut CoreSim, plan: u64, spec: Migration
         catchup_end: None,
         rounds: 0,
         seq,
-        applier,
-        channel,
-        stream_free: arrive,
     });
     db.stats.migrations_started += 1;
+    // Ship the storage image down the target's stream.
+    let image = db.ship_next(
+        shard_idx,
+        node,
+        Some(RpcKind::MigrateSnapshot),
+        now,
+        Some(snapshot_bytes),
+    );
+    let Ship::Sent { arrive, .. } = image else {
+        // Validated reachable above; a racing fault still loses the
+        // member.
+        let m = db.migrations.pop().expect("pushed above");
+        abort_member(db, sim, m, now, "target unreachable");
+        return;
+    };
     sim.schedule_at(arrive, move |w: &mut GlobalDb, sim| {
         migration_tick(w, sim, seq);
     });
@@ -341,7 +308,7 @@ fn guard_failure(db: &GlobalDb, m: &Migration) -> Option<&'static str> {
     if db.topo.is_node_down(m.source) {
         return Some("source down");
     }
-    if db.topo.is_node_down(m.target) {
+    if db.topo.is_node_down(m.target.node) {
         return Some("target down");
     }
     if db.shards[m.shard].primary != m.source {
@@ -399,49 +366,26 @@ pub(crate) fn migration_tick(db: &mut GlobalDb, sim: &mut CoreSim, seq: u64) {
 /// heartbeat tail forever. The residue is handled by the cutover's
 /// synchronous final drain either way.
 fn catchup_round(db: &mut GlobalDb, sim: &mut CoreSim, idx: usize, seq: u64, now: SimTime) {
-    // Take the migration out so the shard log and the migration channel
-    // can be borrowed together.
-    let mut m = db.migrations.remove(idx);
-    db.shards[m.shard].log.seal_upto(now);
-    let wire = m.channel.drain(db.shards[m.shard].log.sealed());
-    match wire {
-        Some(wire) => {
-            let Some(propagation) =
-                db.plane
-                    .send(&mut db.topo, RpcKind::MigrateCatchup, m.source, m.target, 1)
-            else {
-                abort_member(db, sim, m, now, "target unreachable during catch-up");
-                return;
-            };
-            let link = db
-                .topo
-                .link(db.topo.node_region(m.source), db.topo.node_region(m.target));
-            let tx = SimDuration::from_secs_f64(
-                wire.wire_bytes as f64 / link.effective_bandwidth().max(1) as f64,
-            );
-            db.plane.charge_bytes(
-                &mut db.topo,
-                RpcKind::MigrateCatchup,
-                m.source,
-                m.target,
-                (wire.wire_bytes as u64).saturating_sub(1),
-            );
-            let start = now.max(m.stream_free);
-            m.stream_free = start + tx;
-            let arrive = m.stream_free + propagation;
-            let caught_up = wire
-                .batch
-                .records
+    let m = &db.migrations[idx];
+    let (shard, node, epoch) = (m.shard, m.target.node, m.target.epoch);
+    db.shards[shard].log.seal_upto(now);
+    match db.ship_next(shard, node, Some(RpcKind::MigrateCatchup), now, None) {
+        Ship::Idle => begin_barrier(db, sim, idx, seq, now, now),
+        Ship::Unreachable => {
+            let m = db.migrations.remove(idx);
+            abort_member(db, sim, m, now, "target unreachable during catch-up");
+        }
+        Ship::Sent {
+            arrive, records, ..
+        } => {
+            let caught_up = records
                 .iter()
                 .all(|r| matches!(r.payload, gdb_wal::RedoPayload::Heartbeat { .. }));
             // The target applies the batch at its arrival instant; the
             // records carry their own commit timestamps, so applying
             // "in the future" is the same contract as replica replay.
-            if let Err(e) = m.applier.apply_batch_owned(wire.batch.records, arrive) {
-                panic!("migration catch-up replay failed (shard {}): {e}", m.shard);
-            }
-            m.rounds += 1;
-            db.migrations.insert(idx, m);
+            db.apply_batch(shard, node, epoch, records, arrive);
+            db.migrations[idx].rounds += 1;
             if caught_up {
                 // Run the barrier after this last batch lands.
                 begin_barrier(db, sim, idx, seq, now, arrive);
@@ -452,10 +396,6 @@ fn catchup_round(db: &mut GlobalDb, sim: &mut CoreSim, idx: usize, seq: u64, now
                     migration_tick(w, sim, seq);
                 });
             }
-        }
-        None => {
-            db.migrations.insert(idx, m);
-            begin_barrier(db, sim, idx, seq, now, now);
         }
     }
 }
@@ -472,8 +412,8 @@ fn begin_barrier(
     now: SimTime,
     from: SimTime,
 ) {
-    let m = &mut db.migrations[idx];
-    let (source, target) = (m.source, m.target);
+    let m = &db.migrations[idx];
+    let (source, target) = (m.source, m.target.node);
     let Some(rtt) = db
         .plane
         .rtt(&mut db.topo, RpcKind::MigrateCutover, source, target)
@@ -512,112 +452,68 @@ fn maybe_cutover_plan(db: &mut GlobalDb, sim: &mut CoreSim, plan: u64, now: SimT
 /// routing epoch **once** (iff a primary moved), rebuild the RCP groups
 /// once, and announce the new route table to the CNs once.
 fn cutover_plan(db: &mut GlobalDb, sim: &mut CoreSim, plan: u64, now: SimTime) {
-    // Pull every plan member out, preserving start order.
-    let mut members = Vec::new();
-    let mut i = 0;
-    while i < db.migrations.len() {
-        if db.migrations[i].plan == plan {
-            members.push(db.migrations.remove(i));
-        } else {
-            i += 1;
-        }
-    }
     let mut primary_moved: Vec<usize> = Vec::new();
     let mut announce_from = None;
     let mut completed_any = false;
-    let codec = db.config.codec;
-    for mut m in members {
+    // Every plan member, in start order; each leaves the list below.
+    while let Some(idx) = db.migrations.iter().position(|m| m.plan == plan) {
         // Guard re-check at the cutover instant: a Ready member has no
         // scheduled tick, so a source/target crash while it waited for
         // its plan-mates surfaces here.
-        if let Some(reason) = guard_failure(db, &m) {
+        if let Some(reason) = guard_failure(db, &db.migrations[idx]) {
+            let m = db.migrations.remove(idx);
             record_abort(db, &m, now, reason);
             continue;
         }
         // Final drain: everything the source accepted before this
         // instant — including records staged with future apply instants
         // (their commit processing already ran synchronously) — moves to
-        // the target.
-        db.shards[m.shard].log.seal_all(now);
-        while let Some(wire) = m.channel.drain(db.shards[m.shard].log.sealed()) {
+        // the target under the barrier.
+        let m = &db.migrations[idx];
+        let (shard_idx, source, target) = (m.shard, m.source, m.target.node);
+        db.shards[shard_idx].log.seal_all(now);
+        let residue = db.drain_now(shard_idx, target, None, now);
+        if residue > 0 {
             db.plane.charge_bytes(
                 &mut db.topo,
                 RpcKind::MigrateCutover,
-                m.source,
-                m.target,
-                wire.wire_bytes as u64,
+                source,
+                target,
+                residue,
             );
-            if let Err(e) = m.applier.apply_batch_owned(wire.batch.records, now) {
-                panic!("migration cutover replay failed (shard {}): {e}", m.shard);
-            }
         }
 
+        let mut m = db.migrations.remove(idx);
         db.stats.migrations_completed += 1;
-        db.last_migration_completed = Some(m.shard);
+        db.last_migration_completed = Some(shard_idx);
         record_migration_spans(db, &m, now);
         completed_any = true;
 
-        let Migration {
-            shard: shard_idx,
-            target,
-            target_region,
-            kind,
-            applier,
-            channel,
-            ..
-        } = m;
-        match kind {
+        let replaced = match m.kind {
             MigrationKind::Primary => {
-                let shard = &mut db.shards[shard_idx];
-                // The source's row locks outlive the cutover for the same
-                // reason they outlive a promotion: drained records can
-                // carry apply instants (and commit timestamps) later than
-                // the cutover instant, and only the lock release times
-                // make the next writer of such a key wait them out.
-                let old_locks = std::mem::take(&mut shard.storage.locks);
-                shard.primary = target;
-                shard.region = target_region;
-                shard.storage = applier.into_storage();
-                shard.storage.locks = old_locks;
-                shard.log = ShardLog::new();
-                // Replicas full-resync from the new primary: fresh applier
-                // over a snapshot of its state, fresh channel on the new
-                // (empty) redo stream, new incarnation (orphans in-flight
-                // deliveries).
-                for replica in &mut shard.replicas {
-                    replica.applier = ReplicaApplier::new(shard.storage.clone());
-                    replica.channel = ShippingChannel::new(codec);
-                    replica.busy_until = now;
-                    replica.stream_free = now;
-                    replica.last_arrival = now;
-                    replica.epoch += 1;
-                }
+                db.take_over(shard_idx, m.target, now);
                 primary_moved.push(shard_idx);
                 announce_from = Some(target);
+                source
             }
             MigrationKind::Replica { node: old } => {
-                let shard = &mut db.shards[shard_idx];
-                let replica = shard
+                let replica = db.shards[shard_idx]
                     .replicas
                     .iter_mut()
                     .find(|r| r.node == old)
                     .expect("guard checked the replaced replica is present");
-                // Swap replica identity in place: the built applier takes
-                // over, the migration channel continues from the sealed
-                // head it drained to, and the incarnation bump orphans
-                // deliveries still in flight to the old node.
-                replica.node = target;
-                replica.region = target_region;
-                replica.applier = applier;
-                replica.channel = channel;
-                replica.busy_until = now;
-                replica.stream_free = now;
-                replica.last_arrival = now;
-                replica.epoch += 1;
-                // The replaced node leaves the cluster for good.
-                db.topo.retire_node(old);
+                // Swap replica identity in place: the built follower
+                // continues from the sealed head it drained to, and the
+                // incarnation bump orphans deliveries still in flight to
+                // the old node.
+                m.target.epoch = replica.epoch + 1;
+                m.target.restart_stream(now);
+                *replica = m.target;
+                old
             }
-        }
+        };
+        // The replaced node leaves the cluster for good.
+        db.topo.retire_node(replaced);
     }
 
     if !primary_moved.is_empty() {
@@ -657,12 +553,13 @@ fn cutover_plan(db: &mut GlobalDb, sim: &mut CoreSim, plan: u64, now: SimTime) {
     db.maybe_retire_drained();
 }
 
-/// Record one member's abort (stats + spans). Ownership never moved, so
-/// no shard/routing state changes.
+/// Record one member's abort (stats + spans) and retire the target it
+/// provisioned. Ownership never moved, so no shard/routing state changes.
 fn record_abort(db: &mut GlobalDb, m: &Migration, now: SimTime, reason: &str) {
     db.stats.migrations_aborted += 1;
     db.last_migration_aborted = Some((m.shard, reason.to_string()));
     record_migration_spans(db, m, now);
+    db.topo.retire_node(m.target.node);
 }
 
 /// Abort one member (already removed from [`GlobalDb::migrations`]):

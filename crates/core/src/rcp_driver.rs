@@ -12,11 +12,12 @@
 use crate::cluster::GlobalDb;
 use crate::event::{CoreEvent, CoreSim};
 use crate::net::RpcKind;
+use crate::repl_driver::followers;
 use gdb_model::Timestamp;
 use gdb_obs::{SpanId, SpanKind};
 use gdb_simnet::{SimDuration, SimTime};
 use gdb_txnmgr::TmMode;
-use gdb_wal::RedoPayload;
+use gdb_wal::{Lsn, RedoPayload};
 
 /// Tracks the GTM timestamp issue rate (used for GTM-mode staleness
 /// estimation, paper §IV-B).
@@ -235,20 +236,15 @@ impl GlobalDb {
         }
 
         // Shard-log trimming: every record below the minimum resume
-        // point over the shard's replicas *and* its in-flight migration
-        // catch-ups is durably consumed and can never be re-requested
-        // (crash rewinds go to the applier resume point, and in-flight
-        // delivery events carry their records by value).
+        // point over the shard's followers (replicas and in-flight
+        // migration targets) is durably consumed and can never be
+        // re-requested (a restarted stream rewinds to the applier's
+        // resume point, and in-flight delivery events carry their
+        // records by value).
         for (si, s) in self.shards.iter_mut().enumerate() {
-            let mut floor = s.log.sealed_head();
-            for replica in &s.replicas {
-                floor = floor.min(replica.applier.resume_from());
-            }
-            for m in &self.migrations {
-                if m.shard == si {
-                    floor = floor.min(m.applier.resume_from());
-                }
-            }
+            let floor = followers(&mut s.replicas, &mut self.migrations, si)
+                .map(|f| f.applier.resume_from())
+                .fold(s.log.sealed_head(), Lsn::min);
             self.stats.redo_records_trimmed += s.log.trim_shipped(floor) as u64;
         }
 

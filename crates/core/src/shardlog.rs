@@ -68,23 +68,7 @@ impl ShardLog {
     /// shipping buffer (assigning final LSNs in virtual-time order).
     /// Returns the number of records sealed.
     pub fn seal_upto(&mut self, upto: SimTime) -> usize {
-        let mut sealed = 0;
-        while let Some(entry) = self.staging.first_entry() {
-            if entry.key().0 > upto {
-                break;
-            }
-            let ((_, _), (txn, payload)) = entry.remove_entry();
-            let lsn = self.sealed.head_lsn();
-            self.durable.append_parts(lsn, txn, payload.as_view());
-            self.durable.commit();
-            self.sealed.append(txn, payload);
-            sealed += 1;
-        }
-        if sealed > 0 {
-            self.durable.sync();
-        }
-        self.sealed_upto = self.sealed_upto.max(upto);
-        sealed
+        self.seal(Some(upto), upto)
     }
 
     /// Seal every staged record regardless of apply instant, advancing the
@@ -97,8 +81,18 @@ impl ShardLog {
     /// per-key ordering stays intact because row locks serialize same-key
     /// commits in event order.
     pub fn seal_all(&mut self, now: SimTime) -> usize {
+        self.seal(None, now)
+    }
+
+    /// Move staged records — those at or before `upto`, or all of them —
+    /// into the shipping buffer and the durable segment (one sync for the
+    /// whole window), then advance the boundary to `boundary`.
+    fn seal(&mut self, upto: Option<SimTime>, boundary: SimTime) -> usize {
         let mut sealed = 0;
         while let Some(entry) = self.staging.first_entry() {
+            if upto.is_some_and(|upto| entry.key().0 > upto) {
+                break;
+            }
             let ((_, _), (txn, payload)) = entry.remove_entry();
             let lsn = self.sealed.head_lsn();
             self.durable.append_parts(lsn, txn, payload.as_view());
@@ -109,7 +103,7 @@ impl ShardLog {
         if sealed > 0 {
             self.durable.sync();
         }
-        self.sealed_upto = self.sealed_upto.max(now);
+        self.sealed_upto = self.sealed_upto.max(boundary);
         sealed
     }
 

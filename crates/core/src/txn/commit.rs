@@ -17,6 +17,7 @@
 
 use super::{TxnHandle, OP_MSG_BYTES};
 use crate::net::RpcKind;
+use crate::repl_driver::{Replica, Shard};
 use crate::stats::TxnOutcome;
 use gdb_model::{Datum, GdbError, GdbResult, Timestamp};
 use gdb_obs::SpanKind;
@@ -115,46 +116,35 @@ impl<'a> TxnHandle<'a> {
     fn sync_quorum_wait(&mut self, shard: usize, bytes: u64) -> GdbResult<SimDuration> {
         let mode = self.shard_replication_mode(shard);
         let db = &mut *self.db;
-        let primary = db.shards[shard].primary;
-        let primary_region = db.shards[shard].region;
+        let Shard {
+            primary,
+            region,
+            replicas,
+            ..
+        } = &db.shards[shard];
+        // Ship to each chosen replica, in replica-vector order, and
+        // collect the acknowledgment delays (`None` = unreachable).
+        let mut acks = |chosen: &dyn Fn(&Replica) -> bool| -> Vec<Option<SimDuration>> {
+            let ship = |r: &Replica| {
+                db.plane.ship_rtt(
+                    &mut db.topo,
+                    RpcKind::SyncQuorumShip,
+                    *primary,
+                    r.node,
+                    bytes,
+                )
+            };
+            replicas.iter().filter(|r| chosen(r)).map(ship).collect()
+        };
         match mode {
             ReplicationMode::Async => Ok(SimDuration::ZERO),
             ReplicationMode::SyncLocalQuorum => {
                 // All same-region replicas; if none exist (geo placement),
                 // the nearest replica stands in.
-                let nodes: Vec<gdb_simnet::NetNodeId> = db.shards[shard]
-                    .replicas
-                    .iter()
-                    .filter(|r| r.region == primary_region)
-                    .map(|r| r.node)
-                    .collect();
-                let delays: Vec<Option<SimDuration>> = if nodes.is_empty() {
-                    let all: Vec<gdb_simnet::NetNodeId> =
-                        db.shards[shard].replicas.iter().map(|r| r.node).collect();
-                    let mut ds: Vec<Option<SimDuration>> = Vec::new();
-                    for node in all {
-                        ds.push(db.plane.ship_rtt(
-                            &mut db.topo,
-                            RpcKind::SyncQuorumShip,
-                            primary,
-                            node,
-                            bytes,
-                        ));
-                    }
-                    let min = ds.iter().flatten().min().copied();
-                    vec![min]
+                let delays = if replicas.iter().any(|r| r.region == *region) {
+                    acks(&|r| r.region == *region)
                 } else {
-                    let mut ds: Vec<Option<SimDuration>> = Vec::new();
-                    for n in nodes {
-                        ds.push(db.plane.ship_rtt(
-                            &mut db.topo,
-                            RpcKind::SyncQuorumShip,
-                            primary,
-                            n,
-                            bytes,
-                        ));
-                    }
-                    ds
+                    vec![acks(&|_| true).into_iter().flatten().min()]
                 };
                 let q = delays.iter().flatten().count();
                 quorum_wait(&delays, q.max(1)).ok_or_else(|| {
@@ -163,22 +153,7 @@ impl<'a> TxnHandle<'a> {
             }
             ReplicationMode::SyncRemoteQuorum { quorum } => {
                 let single_region = db.regions.len() == 1;
-                let targets: Vec<gdb_simnet::NetNodeId> = db.shards[shard]
-                    .replicas
-                    .iter()
-                    .filter(|r| r.region != primary_region || single_region)
-                    .map(|r| r.node)
-                    .collect();
-                let mut delays: Vec<Option<SimDuration>> = Vec::new();
-                for n in targets {
-                    delays.push(db.plane.ship_rtt(
-                        &mut db.topo,
-                        RpcKind::SyncQuorumShip,
-                        primary,
-                        n,
-                        bytes,
-                    ));
-                }
+                let delays = acks(&|r| r.region != *region || single_region);
                 quorum_wait(&delays, quorum).ok_or_else(|| {
                     GdbError::NodeUnavailable("sync remote quorum unreachable".into())
                 })

@@ -3,7 +3,10 @@
 //! out a replica node for a different one if its response time goes up"),
 //! and routing-epoch semantics across an online shard migration.
 
-use globaldb::{Cluster, ClusterConfig, Datum, GdbError, SimDuration, SimTime};
+use gdb_simnet::{NetNodeId, NodeKind};
+use globaldb::{
+    Cluster, ClusterConfig, Datum, GdbError, MigrationKind, MigrationSpec, SimDuration, SimTime,
+};
 
 fn t(ms: u64) -> SimTime {
     SimTime::from_millis(ms)
@@ -341,4 +344,98 @@ fn migrated_shard_serves_prior_writes_from_every_cn() {
             Ok(())
         })
         .unwrap();
+}
+
+/// Data nodes that are still part of the cluster but host no primary
+/// and no replica of any shard — a leak, unless the node is a spare
+/// someone provisioned on purpose.
+fn orphaned_data_nodes(c: &Cluster) -> Vec<NetNodeId> {
+    let topo = c.db.topo();
+    (0..topo.node_count() as u32)
+        .map(NetNodeId)
+        .filter(|&n| {
+            matches!(
+                topo.node_kind(n),
+                NodeKind::DataNodePrimary | NodeKind::DataNodeReplica
+            ) && !topo.is_node_retired(n)
+                && !c
+                    .db
+                    .shards()
+                    .iter()
+                    .any(|s| s.primary == n || s.replicas.iter().any(|r| r.node == n))
+        })
+        .collect()
+}
+
+#[test]
+fn completed_primary_move_retires_the_old_primary() {
+    let (mut c, _) = migration_fixture();
+    let old_primary = c.db.shards()[0].primary;
+    migrate_shard0(&mut c);
+    assert_ne!(c.db.shards()[0].primary, old_primary);
+    assert!(
+        c.db.topo().is_node_retired(old_primary),
+        "the replaced primary left the cluster for good"
+    );
+    assert_eq!(orphaned_data_nodes(&c), vec![]);
+}
+
+#[test]
+fn aborted_move_retires_the_target_it_provisioned() {
+    let (mut c, _) = migration_fixture();
+    let primary = c.db.shards()[0].primary;
+    let source_host = c.db.topo().node_host(primary);
+    c.start_migration(0, c.db.regions()[0], (source_host + 1) % 3)
+        .unwrap();
+    let target = NetNodeId(c.db.topo().node_count() as u32 - 1);
+    // The target dies mid-flight: the member aborts at its next tick.
+    c.db.crash_node(target);
+    c.run_until(c.now() + SimDuration::from_secs(2));
+    assert_eq!(c.db.last_migration_aborted().unwrap().0, 0);
+    assert_eq!(c.db.shards()[0].primary, primary, "ownership never moved");
+    assert!(c.db.topo().is_node_retired(target));
+    // A chaos heal sweep cannot bring it back as an empty `up` node.
+    assert_eq!(c.db.topo().down_nodes(), vec![]);
+    c.db.restore_node(target);
+    assert!(c.db.topo().is_node_down(target));
+    assert_eq!(orphaned_data_nodes(&c), vec![]);
+}
+
+#[test]
+fn drain_leaves_no_data_node_behind() {
+    let (mut c, _) = migration_fixture();
+    let region = c.db.regions()[0];
+    let host = c.db.topo().node_host(c.db.shards()[0].primary);
+    let to_host = (host + 1) % 3;
+    c.db.mark_host_draining(region, host);
+    let (primaries, replicas) = c.db.host_placements(region, host);
+    assert!(!primaries.is_empty() && !replicas.is_empty());
+    let mut moved_off = Vec::new();
+    for shard in primaries {
+        moved_off.push(c.db.shards()[shard].primary);
+        c.start_migration(shard, region, to_host).unwrap();
+        c.run_until(c.now() + SimDuration::from_secs(2));
+        // Each replaced node is gone the moment its move lands, not
+        // only once the whole host has emptied.
+        assert!(c.db.topo().is_node_retired(*moved_off.last().unwrap()));
+        assert_eq!(orphaned_data_nodes(&c), vec![]);
+    }
+    assert_eq!(c.db.last_host_retired(), None, "replicas still on the host");
+    for (shard, node) in replicas {
+        moved_off.push(node);
+        c.start_plan(vec![MigrationSpec {
+            shard,
+            kind: MigrationKind::Replica { node },
+            to_region: region,
+            to_host,
+        }])
+        .unwrap();
+        c.run_until(c.now() + SimDuration::from_secs(2));
+    }
+    assert_eq!(c.db.last_host_retired(), Some((region, host)));
+    assert!(c.db.draining_hosts().is_empty());
+    for node in moved_off {
+        assert!(c.db.topo().is_node_retired(node), "n{}", node.0);
+    }
+    assert_eq!(orphaned_data_nodes(&c), vec![]);
 }

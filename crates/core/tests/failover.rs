@@ -291,3 +291,44 @@ fn failed_primary_rejoins_as_replica_and_catches_up() {
         .clone();
     assert_eq!(primary_val, replica_val);
 }
+
+#[test]
+fn a_node_already_hosting_the_shard_cannot_rejoin_it() {
+    let mut s = setup(ClusterConfig::globaldb_one_region());
+    let c = &mut s.cluster;
+    c.run_until(t(100));
+    let primary = c.db.shards()[s.shard].primary;
+    c.fail_primary(s.shard);
+    c.run_until(t(200));
+    let replicas = |c: &Cluster| -> Vec<u32> {
+        c.db.shards()[s.shard]
+            .replicas
+            .iter()
+            .map(|r| r.node.0)
+            .collect()
+    };
+    let before = replicas(c);
+
+    // Nobody was promoted: the crashed node still *is* the primary, and
+    // as its own replica it would ship to — and serve replica reads as —
+    // itself. The refusal changes nothing, including the node's health.
+    let err = c.rejoin_as_replica(s.shard, primary).unwrap_err();
+    assert!(err.to_string().contains("already hosts shard 0"), "{err}");
+    assert_eq!(replicas(c), before);
+    assert_eq!(c.db.shards()[s.shard].primary, primary);
+    assert!(c.db.topo().is_node_down(primary));
+    // Same for a node that already is a replica of the shard.
+    let replica = c.db.shards()[s.shard].replicas[0].node;
+    assert!(c.rejoin_as_replica(s.shard, replica).is_err());
+    assert_eq!(replicas(c), before);
+
+    // The way back for an unreplaced primary is a restart.
+    c.db.restart_primary(s.shard);
+    c.execute_sql(
+        s.cn,
+        t(300),
+        "UPDATE kv SET v = 5 WHERE k = ?",
+        &[Datum::Int(s.id)],
+    )
+    .unwrap();
+}

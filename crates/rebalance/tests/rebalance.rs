@@ -182,7 +182,7 @@ fn target_crash_mid_migration_aborts_and_leaves_source_owner() {
     let source_host = c.db.topo().node_host(source);
     let to_host = (source_host + 1) % 3;
     c.start_migration(0, RegionId(0), to_host).unwrap();
-    let target = c.db.migration().unwrap().target;
+    let target = c.db.migration().unwrap().target.node;
 
     // Keep writing the shard so catch-up always has sealed redo to
     // drain (the migration can't reach the barrier), then kill the

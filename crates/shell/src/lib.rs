@@ -201,11 +201,17 @@ impl Shell {
                 NodeKind::TimeDevice => "time-device",
                 NodeKind::Client => "client",
             };
+            let health = if topo.is_node_retired(n) {
+                "retired"
+            } else if topo.is_node_down(n) {
+                "DOWN"
+            } else {
+                "up"
+            };
             rows.push(format!(
-                "n{i:<3} {kind:<11} r{} h{} {}",
+                "n{i:<3} {kind:<11} r{} h{} {health}",
                 topo.node_region(n).0,
                 topo.node_host(n),
-                if topo.is_node_down(n) { "DOWN" } else { "up" },
             ));
         }
         rows.join("\n")
@@ -675,7 +681,7 @@ fn help() -> String {
     "\
 commands:
   status                          backend, time, routing epoch, txn counters
-  nodes                           every node: kind, region, host, up/down
+  nodes                           every node: kind, region, host, up/DOWN/retired
   shards                          placement, owner epochs, drain/retire state
   lag                             per-replica RCP lag + log-ship backlog
   sql <stmt>                      run one statement (shows replica/primary,

@@ -33,6 +33,11 @@ shards
 run 2s
 shards
 sql SELECT v FROM kv WHERE k = 2
+fault crash-primary shard=1
+fault rejoin-old-primary shard=1
+shards
+fault restart-primary shard=1
+nodes
 ";
 
 const SQL_SCRIPT: &str = "
@@ -60,6 +65,11 @@ fn golden_transcript_is_byte_identical() {
     for needle in ["-- via ", "lag_ms", "MIGRATING", "replication.ship.batches"] {
         assert!(first.contains(needle), "missing {needle:?}:\n{first}");
     }
+    // An unreplaced primary is not admitted as its own replica, and the
+    // primary the migration replaced has left the cluster.
+    assert!(first.contains("skip rejoin shard=1: "), "{first}");
+    assert!(!first.contains("recover rejoin"), "{first}");
+    assert!(first.contains("n7   dn-primary  r0 h0 retired"), "{first}");
 }
 
 /// The statement-visible results (rows, counts) of every SQL command,

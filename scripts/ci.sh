@@ -24,6 +24,10 @@
 #   benchmark      benchmark/ builds against the current crates, its
 #                  tests pass, and `all --quick` exits 0
 #   realnet        real-backend tests (the CI "realnet" job)
+#   vt-diff REV    on demand, not part of `main`/`all`: build REV beside
+#                  the working tree and diff every deterministic output
+#                  (scripts/vt_diff.sh) — run it for any change that
+#                  claims virtual time is untouched
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -152,6 +156,7 @@ shell) stage_shell ;;
 bench-smoke) stage_bench_smoke ;;
 benchmark) stage_benchmark ;;
 realnet) stage_realnet ;;
+vt-diff) scripts/vt_diff.sh "${2:?usage: scripts/ci.sh vt-diff <rev>}" ;;
 main)
     stage_lint
     stage_build
