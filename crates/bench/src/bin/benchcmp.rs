@@ -7,7 +7,10 @@
 //! ```
 //!
 //! `merge` bundles several `gdb-bench/v1` artifacts into one
-//! `gdb-bench/bundle/v1` document. `check` compares current throughput
+//! `gdb-bench/bundle/v1` document holding what `check` reads: of each
+//! series' metrics snapshot only the artifact's `counter_gate_metric`
+//! counter is kept (`scripts/vt_diff.sh` diffs the full registries of
+//! the per-figure `--json` outputs). `check` compares current throughput
 //! against a committed baseline and exits non-zero if any series
 //! regressed beyond the tolerance (default 20%) or disappeared; either
 //! document failing `validate` (e.g. a stale artifact of a retired
@@ -20,7 +23,10 @@
 //! tables/keys, dangling plan or fault names), so the same stage covers
 //! the committed `scenarios/*.toml`.
 
-use gdb_obs::{bundle, compare_artifacts, load_artifacts, validate_artifacts, BenchArtifact, Json};
+use gdb_obs::{
+    bundle, compare_artifacts, load_artifacts, validate_artifacts, BenchArtifact, Json,
+    COUNTER_GATE_METRIC_KEY,
+};
 use std::process::ExitCode;
 
 fn usage() -> ! {
@@ -51,6 +57,15 @@ fn merge(out: &str, inputs: &[String]) -> ExitCode {
     let mut all = Vec::new();
     for path in inputs {
         all.extend(read_artifacts(path));
+    }
+    for art in &mut all {
+        let gated = art
+            .config_value(COUNTER_GATE_METRIC_KEY)
+            .map(str::to_string);
+        for series in &mut art.series {
+            let metrics = &mut series.metrics.metrics;
+            metrics.retain(|name, _| Some(name) == gated.as_ref());
+        }
     }
     let doc = bundle(&all).to_pretty();
     if let Err(e) = std::fs::write(out, doc) {

@@ -1,35 +1,23 @@
 //! The storage commit path as a standalone primary→replica pipeline.
 //!
-//! One deterministic single-shard write script runs through two complete
-//! pipelines:
+//! [`run_fast`] drives one deterministic single-shard write script
+//! through the live structures: no-clone lock acquires
+//! ([`gdb_storage::LockTable`]), arena version chains with pooled row
+//! buffers ([`gdb_storage::Table`]), encode-once group commit
+//! ([`GroupCommitWal`]), zero-copy shipping (the durable segment suffix
+//! is compressed in place, never re-encoded), and borrowed replay decode
+//! ([`ReplayDecoder`] + `get_key_into`/`get_row_into`).
 //!
-//! * **fast** ([`run_fast`]) — the live structures: no-clone lock
-//!   acquires ([`gdb_storage::LockTable`]), arena version chains with
-//!   pooled row buffers ([`gdb_storage::Table`]), encode-once group
-//!   commit ([`GroupCommitWal`]), zero-copy shipping (the durable segment
-//!   suffix is compressed in place, never re-encoded), and borrowed
-//!   replay decode ([`ReplayDecoder`] + `get_key_into`/`get_row_into`).
-//! * **reference** ([`run_reference`]) — the frozen pre-pass path from
-//!   [`gdb_storage::reference`]: per-acquire key clones, `Vec`-chain
-//!   tables, owned `RedoRecord`s re-encoded per batch, per-transaction
-//!   fsync, the double compression of the old shipping channel, and the
-//!   `String`-per-text legacy decode.
-//!
-//! Both must produce byte-identical durable segments and identical
-//! committed state (the digests in [`TxnPathResult`]); the tests here and
-//! in `tests/txn_path.rs` pin that. The root `tests/budgets.rs` holds
-//! `run_fast` to absolute allocation and fsync budgets, and `benchmark/`
-//! times it (`storage.txnpath_us_per_txn`).
+//! This crate's `tests/txn_path.rs` derives the durable segment and the
+//! committed state the script implies and holds the run to them; the
+//! root `tests/budgets.rs` holds it to absolute allocation and fsync
+//! budgets, and `benchmark/` times it (`storage.txnpath_us_per_txn`).
 
 use gdb_compress::{Codec, MatchTable};
 use gdb_model::{Datum, Row, RowKey, TableId, Timestamp, TxnId};
 use gdb_simnet::SimTime;
-use gdb_storage::reference::{legacy_decode_batch, ReferenceLockTable, ReferenceTable};
 use gdb_storage::{LockOutcome, LockTable, Table, VisibleRow};
-use gdb_wal::record::encode_record;
-use gdb_wal::{
-    GroupCommitWal, Lsn, RedoPayload, RedoPayloadRef, RedoRecord, ReplayDecoder, ReplayStep,
-};
+use gdb_wal::{GroupCommitWal, Lsn, RedoPayloadRef, ReplayDecoder, ReplayStep};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use std::time::{Duration, Instant};
@@ -63,9 +51,18 @@ pub struct WriteOp {
     pub text: Option<u8>,
 }
 
-/// A deterministic workload: one inner vec of writes per transaction.
-/// Generated outside the timed region so both pipelines replay the
-/// identical sequence.
+impl WriteOp {
+    /// Append the columns this write installs to `row`.
+    pub fn fill_row(&self, row: &mut Row) {
+        row.0.push(Datum::Int(self.value));
+        if let Some(tx) = self.text {
+            row.0.push(Datum::Text(TEXTS[tx as usize].into()));
+        }
+    }
+}
+
+/// A deterministic workload: one inner vec of writes per transaction,
+/// generated outside the timed region.
 #[derive(Debug, Clone)]
 pub struct Script(pub Vec<Vec<WriteOp>>);
 
@@ -103,16 +100,20 @@ pub fn generate_script(seed: u64, txns: usize) -> Script {
     Script(script)
 }
 
-/// What one pipeline run produced. `digest`/`segment_digest` pin the two
-/// paths to each other; the counters feed the budget tests.
+/// What one pipeline run produced. `digest`/`segment_digest` are what
+/// `tests/txn_path.rs` recomputes from the script; the counters feed the
+/// budget tests.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TxnPathResult {
     pub wall: Duration,
     pub committed: u64,
     pub records: u64,
-    /// FNV over the final committed state of primary + replica.
+    /// FNV-1a over the final committed state: the primary's tables, then
+    /// the replica's, each scanned in key order; per row the key datums,
+    /// the row datums (a tag byte — 1 int, 3 text — then the value's
+    /// little-endian / UTF-8 bytes) and the commit timestamp (LE).
     pub digest: u64,
-    /// FNV over the durable WAL segment bytes.
+    /// FNV-1a over the durable WAL segment bytes.
     pub segment_digest: u64,
     pub segment_len: usize,
     pub fsyncs: u64,
@@ -162,8 +163,7 @@ fn fnv_datum(mut h: u64, d: &Datum) -> u64 {
     }
 }
 
-/// Digest a table scan (both table types yield [`VisibleRow`]s in key
-/// order, so this is comparable across the live and reference paths).
+/// Digest a table scan (rows arrive in key order).
 fn fnv_scan(mut h: u64, rows: &[VisibleRow<'_>]) -> u64 {
     for vr in rows {
         for d in &vr.key.0 {
@@ -177,7 +177,7 @@ fn fnv_scan(mut h: u64, rows: &[VisibleRow<'_>]) -> u64 {
     h
 }
 
-/// Run the script through the live (post-pass) pipeline.
+/// Run the script through the pipeline.
 ///
 /// Per transaction: lock each key (scratch key, no clone), install the
 /// version into the arena table from a pooled row buffer, frame the redo
@@ -222,10 +222,7 @@ pub fn run_fast(script: &Script, window: usize) -> TxnPathResult {
             }
             let t = w.table as usize;
             let mut row = primary[t].recycled_row();
-            row.0.push(Datum::Int(w.value));
-            if let Some(tx) = w.text {
-                row.0.push(Datum::Text(TEXTS[tx as usize].into()));
-            }
+            w.fill_row(&mut row);
             wal.append_parts(
                 Lsn(lsn),
                 txn,
@@ -296,141 +293,6 @@ pub fn run_fast(script: &Script, window: usize) -> TxnPathResult {
     }
 }
 
-/// Run the script through the frozen pre-pass pipeline: cloning lock
-/// table, `Vec`-chain tables, owned records encoded into fresh vecs,
-/// per-transaction fsync, double compression per shipped batch, legacy
-/// owned-decode replay. Same script, same convention, same final state.
-pub fn run_reference(script: &Script, window: usize) -> TxnPathResult {
-    let window = window.max(1);
-    let codec = Codec::Lz4;
-    let mut locks = ReferenceLockTable::new();
-    let mut primary = [ReferenceTable::new(), ReferenceTable::new()];
-    let mut replica = [ReferenceTable::new(), ReferenceTable::new()];
-    let mut wal = GroupCommitWal::per_txn();
-    let mut window_records: Vec<RedoRecord> = Vec::new();
-    let mut lsn = 0u64;
-    let mut records = 0u64;
-    let mut raw_bytes = 0u64;
-    let mut wire_bytes = 0u64;
-
-    let start = Instant::now();
-    for (i, writes) in script.0.iter().enumerate() {
-        let txn = TxnId(i as u64);
-        let ts = commit_ts(txn);
-        let vt = commit_vtime(txn);
-        let now = SimTime::from_micros(i as u64);
-        for w in writes {
-            let table = TABLES[w.table as usize];
-            let key = RowKey::new(vec![Datum::Int(w.key as i64)]);
-            match locks.acquire(table, &key, txn, now, vt) {
-                LockOutcome::Acquired => {}
-                LockOutcome::WaitUntil(at) => panic!("unexpected lock wait until {at}"),
-            }
-            let mut vals = vec![Datum::Int(w.value)];
-            if let Some(tx) = w.text {
-                vals.push(Datum::Text(TEXTS[tx as usize].into()));
-            }
-            let row = Row(vals);
-            // The pre-pass writer built an owned payload (cloning the
-            // live key and row) and framed it through the owned encoder.
-            let rec = RedoRecord {
-                lsn: Lsn(lsn),
-                txn,
-                payload: RedoPayload::Insert {
-                    table,
-                    key: key.clone(),
-                    row: row.clone(),
-                },
-            };
-            wal.append(&rec);
-            window_records.push(rec);
-            lsn += 1;
-            records += 1;
-            let t = w.table as usize;
-            primary[t]
-                .install_version(key, Some(row), ts, vt)
-                .expect("reference install");
-        }
-        let rec = RedoRecord {
-            lsn: Lsn(lsn),
-            txn,
-            payload: RedoPayload::Commit { commit_ts: ts },
-        };
-        wal.append(&rec);
-        window_records.push(rec);
-        lsn += 1;
-        records += 1;
-        // Per-transaction durability: this commit() syncs (window = 1).
-        wal.commit();
-
-        let at_window = (i + 1) % window == 0 || i + 1 == script.0.len();
-        if at_window && !window_records.is_empty() {
-            // The pre-pass shipping drain: re-encode the owned
-            // records into a fresh buffer, compress once for the
-            // wire and a second time for the stats counter.
-            let mut raw = Vec::new();
-            for rec in &window_records {
-                encode_record(&mut raw, rec);
-            }
-            let wire = codec.encode(&raw);
-            raw_bytes += raw.len() as u64;
-            wire_bytes += codec.wire_size(&raw) as u64;
-            let plain = codec.decode(&wire).expect("reference decode");
-            for rec in legacy_decode_batch(&plain).expect("reference replay") {
-                if let RedoPayload::Insert { table, key, row } = rec.payload {
-                    let t = (table.0 - 1) as usize;
-                    replica[t]
-                        .install_version(key, Some(row), commit_ts(rec.txn), commit_vtime(rec.txn))
-                        .expect("reference replica install");
-                }
-            }
-            window_records.clear();
-        }
-        if (i + 1) % VACUUM_EVERY == 0 {
-            for tbl in primary.iter_mut().chain(replica.iter_mut()) {
-                tbl.vacuum(ts);
-            }
-        }
-    }
-    let wall = start.elapsed();
-
-    let snapshot = Timestamp(script.0.len() as u64 + 1);
-    let mut digest = FNV_OFFSET;
-    for tbl in primary.iter().chain(replica.iter()) {
-        digest = fnv_scan(digest, &tbl.scan(snapshot));
-    }
-    TxnPathResult {
-        wall,
-        committed: script.0.len() as u64,
-        records,
-        digest,
-        segment_digest: fnv_bytes(FNV_OFFSET, wal.segment()),
-        segment_len: wal.segment().len(),
-        fsyncs: wal.fsyncs,
-        synced_txns: wal.synced_txns,
-        raw_bytes,
-        wire_bytes,
-    }
-}
-
-/// Assert the two results describe the same committed history: identical
-/// durable segment bytes (group-commit framing is record-for-record the
-/// framing of singles) and identical final state on primary and replica.
-pub fn assert_equivalent(fast: &TxnPathResult, reference: &TxnPathResult) {
-    assert_eq!(
-        fast.segment_len, reference.segment_len,
-        "durable segment lengths diverge"
-    );
-    assert_eq!(
-        fast.segment_digest, reference.segment_digest,
-        "durable segment bytes diverge"
-    );
-    assert_eq!(fast.digest, reference.digest, "committed state diverges");
-    assert_eq!(fast.committed, reference.committed);
-    assert_eq!(fast.records, reference.records);
-    assert_eq!(fast.raw_bytes, reference.raw_bytes, "shipped bytes diverge");
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -455,18 +317,6 @@ mod tests {
             run_fast(&c, 64).segment_digest,
             "different seeds must produce different histories"
         );
-    }
-
-    #[test]
-    fn fast_and_reference_agree() {
-        let script = generate_script(42, 3000);
-        let fast = run_fast(&script, 64);
-        let reference = run_reference(&script, 64);
-        assert_equivalent(&fast, &reference);
-        // Group commit: far fewer fsyncs than the per-txn reference.
-        assert_eq!(reference.fsyncs, 3000);
-        assert!(fast.fsyncs <= 3000 / 64 + 1, "fsyncs {}", fast.fsyncs);
-        assert_eq!(fast.synced_txns, reference.synced_txns);
     }
 
     #[test]

@@ -72,15 +72,6 @@ impl Codec {
             Codec::Lz4 => decompress_into(wire, out),
         }
     }
-
-    /// The on-wire size of `data` under this codec (for network cost
-    /// modelling without materializing the encoding twice).
-    pub fn wire_size(&self, data: &[u8]) -> usize {
-        match self {
-            Codec::None => data.len(),
-            Codec::Lz4 => compress(data).len(),
-        }
-    }
 }
 
 #[cfg(test)]
@@ -106,7 +97,6 @@ mod tests {
             data.len()
         );
         assert_eq!(Codec::Lz4.decode(&wire).unwrap(), data);
-        assert_eq!(Codec::Lz4.wire_size(&data), wire.len());
     }
 
     #[test]

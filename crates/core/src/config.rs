@@ -68,11 +68,6 @@ pub struct ClusterConfig {
     /// Cadence of the background vacuum that prunes MVCC versions below
     /// the cluster-wide RCP horizon (`None` disables it).
     pub vacuum_interval: Option<SimDuration>,
-    /// Per-storage-instance arena soft limit: when a shard primary's (or
-    /// replica's) version arenas pin more than this many bytes at a
-    /// vacuum tick, the storage is compacted (pooled row buffers dropped,
-    /// slab slack returned). `None` disables pressure compaction.
-    pub arena_soft_limit_bytes: Option<usize>,
     pub seed: u64,
 }
 
@@ -162,7 +157,6 @@ impl ClusterConfig {
             replay: ReplayCostModel::default(),
             op_cpu_cost: SimDuration::from_micros(30),
             vacuum_interval: Some(SimDuration::from_secs(5)),
-            arena_soft_limit_bytes: None,
             seed: 42,
         }
     }

@@ -196,6 +196,12 @@ pub fn start_plan(
         if spec.shard >= db.shards.len() {
             return Err(GdbError::Internal(format!("no shard {}", spec.shard)));
         }
+        if spec.to_region.0 as usize >= db.topo.region_count() {
+            return Err(GdbError::Internal(format!(
+                "no region {}",
+                spec.to_region.0
+            )));
+        }
         if !seen.insert(spec.shard) {
             return Err(GdbError::Execution(format!(
                 "plan moves shard {} twice",

@@ -213,28 +213,9 @@ impl GlobalDb {
     }
 
     /// Vacuum primaries up to the cluster-wide minimum RCP (safe horizon:
-    /// every replica and every client snapshot is at or above it), trim
-    /// shard shipping logs past the durable-consumer floor, and compact
-    /// arenas under memory pressure.
+    /// every replica and every client snapshot is at or above it) and
+    /// trim shard shipping logs past the durable-consumer floor.
     pub(crate) fn vacuum(&mut self) -> usize {
-        // Memory-pressure compaction runs even before the first RCP
-        // advance (bulk load can blow the soft limit long before any
-        // vacuum horizon exists).
-        if let Some(limit) = self.config.arena_soft_limit_bytes {
-            for s in &mut self.shards {
-                if s.storage.resident_bytes() > limit {
-                    s.storage.compact();
-                    self.stats.pressure_compactions += 1;
-                }
-                for replica in &mut s.replicas {
-                    if replica.applier.storage.resident_bytes() > limit {
-                        replica.applier.storage.compact();
-                        self.stats.pressure_compactions += 1;
-                    }
-                }
-            }
-        }
-
         // Shard-log trimming: every record below the minimum resume
         // point over the shard's followers (replicas and in-flight
         // migration targets) is durably consumed and can never be

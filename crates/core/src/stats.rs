@@ -49,9 +49,6 @@ pub struct ClusterStats {
     /// durable consumer (replica appliers, in-flight migrations) had
     /// advanced past them.
     pub redo_records_trimmed: u64,
-    /// Shard storages compacted under arena memory pressure
-    /// (`arena_soft_limit_bytes` exceeded at a vacuum tick).
-    pub pressure_compactions: u64,
     /// Requests rejected because they carried a stale routing epoch
     /// (shard ownership moved under the submitting CN's route table).
     pub stale_route_rejects: u64,
@@ -80,7 +77,6 @@ impl Default for ClusterStats {
             collector_failovers: 0,
             versions_vacuumed: 0,
             redo_records_trimmed: 0,
-            pressure_compactions: 0,
             stale_route_rejects: 0,
             migrations_started: 0,
             migrations_completed: 0,

@@ -3,7 +3,7 @@
 //! out a replica node for a different one if its response time goes up"),
 //! and routing-epoch semantics across an online shard migration.
 
-use gdb_simnet::{NetNodeId, NodeKind};
+use gdb_simnet::{NetNodeId, NodeKind, RegionId};
 use globaldb::{
     Cluster, ClusterConfig, Datum, GdbError, MigrationKind, MigrationSpec, SimDuration, SimTime,
 };
@@ -399,6 +399,30 @@ fn aborted_move_retires_the_target_it_provisioned() {
     c.db.restore_node(target);
     assert!(c.db.topo().is_node_down(target));
     assert_eq!(orphaned_data_nodes(&c), vec![]);
+}
+
+/// An unknown target region is refused up front, for both member kinds:
+/// nothing is provisioned and no plan id is spent.
+#[test]
+fn migration_to_an_unknown_region_is_refused_without_side_effects() {
+    let (mut c, _) = migration_fixture();
+    let nodes = c.db.topo().node_count();
+    let nowhere = RegionId(9);
+    assert!(c.start_migration(0, nowhere, 1).is_err());
+    let spec = MigrationSpec {
+        shard: 1,
+        kind: MigrationKind::Replica {
+            node: c.db.shards()[1].replicas[0].node,
+        },
+        to_region: nowhere,
+        to_host: 1,
+    };
+    assert!(c.start_plan(vec![spec]).is_err());
+    assert_eq!(c.db.topo().node_count(), nodes);
+    assert!(c.db.migrations().is_empty());
+    let to_region = c.db.regions()[0];
+    let first = c.start_plan(vec![MigrationSpec { to_region, ..spec }]);
+    assert_eq!(first.unwrap(), 1, "the refused plans took no plan id");
 }
 
 #[test]

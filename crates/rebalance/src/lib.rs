@@ -283,11 +283,6 @@ impl RebalanceController {
         }
     }
 
-    /// Shards whose controller-started moves have not finished yet.
-    pub fn in_flight_shards(&self) -> Vec<usize> {
-        self.in_flight.keys().copied().collect()
-    }
-
     /// Observe the window, reconcile the in-flight batch, and — when the
     /// cluster is quiescent — start the batched plan the cost model
     /// proposes. Returns the proposals that started (empty when the

@@ -154,6 +154,18 @@ fn out_of_range_fault_targets_are_skipped() {
     assert!(shell.exec("status").contains("cn"));
 }
 
+/// `migrate` to a region the cluster does not have is an error line; it
+/// used to panic in `Topology::add_node`.
+#[test]
+fn migrate_to_an_unknown_region_is_an_error() {
+    let mut shell = Shell::launch(7, Backend::Sim);
+    let out = shell.exec("migrate 0 9 1");
+    assert!(out.starts_with("error: migrate:"), "{out}");
+    assert!(out.contains("no region 9"), "{out}");
+    // Nothing was started: the same shard can still move.
+    assert!(shell.exec("migrate 0 0 1").contains("started"));
+}
+
 #[test]
 fn committed_scenarios_lint_clean() {
     for text in [

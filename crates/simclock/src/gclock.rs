@@ -129,11 +129,6 @@ impl GClock {
         self.healthy = healthy;
     }
 
-    /// Inject a step fault into the underlying clock (testing hook).
-    pub fn inject_fault_ns(&mut self, offset: i64) {
-        self.clock.force_offset(offset);
-    }
-
     /// Direct access to the underlying clock model (testing hook).
     pub fn clock(&self) -> &DriftClock {
         &self.clock

@@ -462,21 +462,6 @@ impl Topology {
         }
         t
     }
-
-    pub fn reset_stats(&mut self) {
-        self.cross_region_stats.clear();
-        self.total_stats = LinkStats::default();
-    }
-
-    /// All nodes of a given kind in a region.
-    pub fn nodes_in_region(&self, r: RegionId, kind: NodeKind) -> Vec<NetNodeId> {
-        self.nodes
-            .iter()
-            .enumerate()
-            .filter(|(_, n)| n.region == r && n.kind == kind)
-            .map(|(i, _)| NetNodeId(i as u32))
-            .collect()
-    }
 }
 
 /// Convenience builder for the two cluster geometries used in the paper.

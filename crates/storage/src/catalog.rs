@@ -100,13 +100,6 @@ impl Catalog {
         self.table(*id)
     }
 
-    pub fn table_names(&self) -> Vec<&str> {
-        self.by_name
-            .keys()
-            .map(|&sym| self.names.resolve(sym))
-            .collect()
-    }
-
     pub fn tables(&self) -> impl Iterator<Item = &TableSchema> {
         self.tables.values()
     }

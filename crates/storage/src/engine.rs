@@ -304,14 +304,6 @@ impl DataNodeStorage {
     pub fn resident_bytes(&self) -> usize {
         self.tables.values().map(|t| t.resident_bytes()).sum()
     }
-
-    /// Release reusable memory across all tables (memory-pressure
-    /// response; visible state untouched).
-    pub fn compact(&mut self) {
-        for t in self.tables.values_mut() {
-            t.compact();
-        }
-    }
 }
 
 #[cfg(test)]

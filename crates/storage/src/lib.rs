@@ -19,7 +19,6 @@
 pub mod catalog;
 pub mod engine;
 pub mod lock;
-pub mod reference;
 pub mod table;
 
 pub use catalog::Catalog;

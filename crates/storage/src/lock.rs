@@ -30,9 +30,7 @@ struct LockState {
 ///
 /// Keyed by a [`RowMap`]: the hot acquire path probes through a
 /// borrowed `&RowKey` and clones the key only when inserting a lock on
-/// a row it has never seen. The frozen flat-map implementation lives in
-/// [`crate::reference`] with differential tests pinning the two to
-/// identical outcomes.
+/// a row it has never seen.
 #[derive(Debug, Default, Clone)]
 pub struct LockTable {
     locks: RowMap<LockState>,
@@ -340,5 +338,69 @@ mod tests {
             ),
             LockOutcome::Acquired
         );
+    }
+}
+
+#[cfg(test)]
+mod proptests {
+    use super::*;
+    use proptest::prelude::*;
+    use std::collections::HashMap;
+
+    proptest! {
+        /// The nested fast-hash lock table obeys the lock rule written as
+        /// a spec — one flat map from row to `(holder, release time)`, a
+        /// lock whose release time has passed is free: identical outcomes,
+        /// wait counts, sizes and holders.
+        #[test]
+        fn lock_table_matches_spec(
+            ops in proptest::collection::vec(
+                (0u8..5, 0u8..3, 0i64..5, 1u64..6, 0u64..100, 0u64..140), 1..60),
+        ) {
+            let mut live = LockTable::new();
+            let mut spec: HashMap<(TableId, RowKey), (TxnId, SimTime)> = HashMap::new();
+            let mut waits = 0u64;
+            for (op, table, key, txn, now_ms, rel_ms) in ops {
+                let row = (TableId(table as u32), RowKey::single(key));
+                let txn = TxnId(txn);
+                let now = SimTime::from_millis(now_ms);
+                let rel = SimTime::from_millis(rel_ms);
+                match op {
+                    0 | 1 => {
+                        // An expired lock of another transaction is free.
+                        let held = spec.get(&row).copied().filter(|l| l.0 == txn || l.1 > now);
+                        let expected = match held {
+                            Some((holder, until)) if holder != txn => {
+                                waits += 1;
+                                LockOutcome::WaitUntil(until)
+                            }
+                            own => {
+                                let until = own.map_or(rel, |l| l.1.max(rel));
+                                spec.insert(row.clone(), (txn, until));
+                                LockOutcome::Acquired
+                            }
+                        };
+                        prop_assert_eq!(live.acquire(row.0, &row.1, txn, now, rel), expected);
+                    }
+                    2 => {
+                        live.extend(txn, rel);
+                        let held = spec.values_mut().filter(|l| l.0 == txn);
+                        held.for_each(|l| l.1 = l.1.max(rel));
+                    }
+                    3 => {
+                        live.release_all(txn);
+                        spec.retain(|_, l| l.0 != txn);
+                    }
+                    _ => {
+                        live.sweep(now);
+                        spec.retain(|_, l| l.1 > now);
+                    }
+                }
+                prop_assert_eq!(live.waits, waits);
+                prop_assert_eq!(live.len(), spec.len());
+                let holder = spec.get(&row).filter(|l| l.1 > now).map(|l| l.0);
+                prop_assert_eq!(live.holder(row.0, &row.1, now), holder);
+            }
+        }
     }
 }

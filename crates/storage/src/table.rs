@@ -9,10 +9,7 @@
 //! the previous head down into a fresh slot), so the table can list the
 //! chains that hold garbage by head slot and vacuum visits only those:
 //! a pass costs what was written since the last one, not the table's
-//! size. The frozen
-//! pre-arena implementation is kept verbatim in [`crate::reference`]
-//! and the differential property tests there pin the two to identical
-//! behavior.
+//! size.
 
 use gdb_model::{FxHashMap, GdbError, GdbResult, Row, RowKey, Timestamp};
 use gdb_simnet::SimTime;
@@ -116,18 +113,6 @@ impl VersionArena {
             + self.row_pool.capacity() * std::mem::size_of::<Row>()
             + node_rows
             + pooled
-    }
-
-    /// Release memory held for reuse: drop the pooled row buffers and
-    /// return slack slab/freelist capacity to the allocator. The
-    /// freelist *entries* are kept — they index live slab slots and
-    /// dropping them would leak arena nodes. Steady-state allocation
-    /// freedom resumes as vacuum refills the pool.
-    fn compact(&mut self) {
-        self.row_pool.clear();
-        self.row_pool.shrink_to_fit();
-        self.nodes.shrink_to_fit();
-        self.free.shrink_to_fit();
     }
 
     /// Newest version at or below `snapshot` walking from `head`.
@@ -316,12 +301,6 @@ impl Table {
     /// [`VersionArena::resident_bytes`]); key B-tree overhead excluded.
     pub fn resident_bytes(&self) -> usize {
         self.arena.resident_bytes()
-    }
-
-    /// Release reusable memory under pressure (pooled row buffers and
-    /// slab slack); visible state is untouched.
-    pub fn compact(&mut self) {
-        self.arena.compact();
     }
 
     /// Vacuum up to `horizon`; returns versions removed. Keeps, per
@@ -531,36 +510,6 @@ mod tests {
     }
 
     #[test]
-    fn compact_reclaims_bytes_without_changing_reads() {
-        let mut tbl = Table::new();
-        for i in 0..200i64 {
-            tbl.install_version(&k(i), Some(r(i, "payload")), t(10), SimTime::ZERO)
-                .unwrap();
-            tbl.install_version(&k(i), Some(r(i, "payload2")), t(20), SimTime::ZERO)
-                .unwrap();
-        }
-        // Vacuum frees half the versions into the pool/freelist.
-        tbl.vacuum(t(20));
-        let before = tbl.resident_bytes();
-        let visible: Vec<_> = tbl.scan(t(20)).iter().map(|v| v.row.clone()).collect();
-        tbl.compact();
-        assert!(
-            tbl.resident_bytes() < before,
-            "compact did not shrink: {} -> {}",
-            before,
-            tbl.resident_bytes()
-        );
-        let after: Vec<_> = tbl.scan(t(20)).iter().map(|v| v.row.clone()).collect();
-        assert_eq!(visible, after);
-        // The arena still works (freelist intact): install more versions.
-        for i in 0..200i64 {
-            tbl.install_version(&k(i), Some(r(i, "v3")), t(30), SimTime::ZERO)
-                .unwrap();
-        }
-        assert_eq!(tbl.read(&k(5), t(30)).unwrap().row, &r(5, "v3"));
-    }
-
-    #[test]
     fn commit_vtime_propagates_to_reads() {
         let mut tbl = Table::new();
         tbl.install_version(&k(1), Some(r(1, "x")), t(10), SimTime::from_millis(77))
@@ -577,41 +526,122 @@ mod proptests {
     use super::*;
     use gdb_model::Datum;
     use proptest::prelude::*;
+    use std::collections::BTreeSet;
+
+    /// The storage rule as a spec, independent of the arena: every
+    /// committed version keyed `(key, commit_ts, install order)`; a read
+    /// is the last entry of its key at or below the snapshot.
+    #[derive(Default)]
+    struct Spec(BTreeMap<(RowKey, Timestamp, usize), Option<Row>>);
+
+    impl Spec {
+        fn keys(&self) -> BTreeSet<RowKey> {
+            self.0.keys().map(|e| e.0.clone()).collect()
+        }
+
+        fn newest(&self, key: &RowKey, at: Timestamp) -> Option<(RowKey, Timestamp, usize)> {
+            let upto = (key.clone(), at, usize::MAX);
+            let entry = self.0.range(..=upto).next_back()?.0;
+            (entry.0 == *key).then(|| entry.clone())
+        }
+
+        fn scan(&self, snapshot: Timestamp) -> Vec<(RowKey, Row, Timestamp)> {
+            let visible = |key| {
+                let entry = self.newest(&key, snapshot)?;
+                Some((key, self.0[&entry].clone()?, entry.1))
+            };
+            self.keys().into_iter().filter_map(visible).collect()
+        }
+
+        /// Drops what no snapshot at or above `horizon` can see and counts
+        /// it; a key left with only a tombstone goes too, uncounted.
+        fn vacuum(&mut self, horizon: Timestamp) -> usize {
+            let mut removed = 0;
+            for key in self.keys() {
+                let Some(keeper) = self.newest(&key, horizon) else {
+                    continue;
+                };
+                let before = self.0.len();
+                self.0.retain(|e, _| e.0 != key || *e >= keeper);
+                removed += before - self.0.len();
+                let lone = self.0.keys().filter(|e| e.0 == key).count() == 1;
+                if lone && self.0[&keeper].is_none() {
+                    self.0.remove(&keeper);
+                }
+            }
+            removed
+        }
+    }
 
     proptest! {
-        /// Visibility is the newest version with commit_ts <= snapshot —
-        /// checked against a naive reference model.
+        /// The arena-chained `Table` (vacuuming only its listed chains)
+        /// obeys the spec while installs — updates, tombstones,
+        /// re-inserts — interleave with vacuums at rising horizons and
+        /// the table is swapped for its clone mid-stream: same removed
+        /// counts, same key counts, and after every install the same
+        /// reads, scans and ranges at every snapshot from the last horizon.
         #[test]
-        fn visibility_matches_reference(
-            writes in proptest::collection::vec((0i64..5, 1u64..100, any::<bool>()), 1..40),
-            snapshot in 0u64..120,
+        fn table_matches_spec(
+            writes in proptest::collection::vec(
+                (0i64..6, 1u64..80, any::<bool>()), 1..50),
+            // After the i-th install: vacuum this far below its timestamp.
+            vacuums in proptest::collection::vec(proptest::option::of(0u64..20), 50),
+            clone_at in 0usize..50,
         ) {
             let mut sorted = writes.clone();
-            // Install in ts order per key to respect chain ordering.
             sorted.sort_by_key(|(_, ts, _)| *ts);
-            let mut tbl = Table::new();
-            for (key, ts, delete) in &sorted {
+            let rows = |rows: Vec<VisibleRow<'_>>| -> Vec<(RowKey, Row, Timestamp)> {
+                rows.iter().map(|v| (v.key.clone(), v.row.clone(), v.commit_ts)).collect()
+            };
+            let (lo, hi) = (RowKey::single(1i64), RowKey::single(4i64));
+            let same_reads = |live: &Table, spec: &Spec, snapshot: u64| -> TestCaseResult {
+                let at = Timestamp(snapshot);
+                let mut expected = spec.scan(at);
+                prop_assert_eq!(rows(live.scan(at)), expected.clone(), "scan at {}", snapshot);
+                for key in (0i64..6).map(RowKey::single) {
+                    let read = live.read(&key, at).map(|v| (v.row.clone(), v.commit_ts));
+                    let visible = expected.iter().find(|r| r.0 == key);
+                    prop_assert_eq!(read, visible.map(|r| (r.1.clone(), r.2)), "read at {}", snapshot);
+                }
+                expected.retain(|r| lo <= r.0 && r.0 <= hi);
+                prop_assert_eq!(
+                    rows(live.range(Some(&lo), Some(&hi), at)), expected, "range at {}", snapshot
+                );
+                Ok(())
+            };
+            let mut live = Table::new();
+            let mut spec = Spec::default();
+            let mut horizon = 0u64;
+            for (i, (key, ts, delete)) in sorted.iter().enumerate() {
+                let key = RowKey::single(*key);
                 let row = if *delete { None } else {
-                    Some(Row(vec![Datum::Int(*key), Datum::Int(*ts as i64)]))
+                    Some(Row(vec![key.0[0].clone(), Datum::Int(*ts as i64)]))
                 };
-                tbl.install_version(
-                    &RowKey::single(*key),
-                    row,
-                    Timestamp(*ts),
-                    SimTime::ZERO,
-                ).unwrap();
+                live.install_version(&key, row.clone(), Timestamp(*ts), SimTime::ZERO).unwrap();
+                spec.0.insert((key.clone(), Timestamp(*ts), i), row);
+                if i == clone_at {
+                    live = live.clone();
+                }
+                if let Some(lag) = vacuums[i] {
+                    horizon = horizon.max(ts.saturating_sub(lag));
+                    prop_assert_eq!(
+                        live.vacuum(Timestamp(horizon)),
+                        spec.vacuum(Timestamp(horizon)),
+                        "vacuum({}) removed different counts", horizon
+                    );
+                }
+                prop_assert_eq!(live.key_count(), spec.keys().len());
+                for snapshot in horizon..90 {
+                    same_reads(&live, &spec, snapshot)?;
+                }
             }
-            // Reference: for each key, last write with ts <= snapshot.
-            for key in 0i64..5 {
-                let expected = sorted
-                    .iter().rfind(|(k, ts, _)| *k == key && *ts <= snapshot)
-                    .and_then(|(_, ts, delete)| {
-                        if *delete { None } else { Some(*ts as i64) }
-                    });
-                let got = tbl
-                    .read(&RowKey::single(key), Timestamp(snapshot))
-                    .map(|v| v.row.0[1].as_int().unwrap());
-                prop_assert_eq!(got, expected, "key {}", key);
+            prop_assert_eq!(live.versions_installed, sorted.len() as u64);
+            // A final pass above every timestamp leaves one version per
+            // live key on both sides.
+            prop_assert_eq!(live.vacuum(Timestamp(90)), spec.vacuum(Timestamp(90)));
+            prop_assert_eq!(live.key_count(), spec.keys().len());
+            for snapshot in 0u64..95 {
+                same_reads(&live, &spec, snapshot)?;
             }
         }
 

@@ -203,12 +203,6 @@ pub struct GroupCommitWal {
 }
 
 impl GroupCommitWal {
-    /// A writer that syncs after every transaction boundary — the
-    /// frozen pre-group-commit behavior.
-    pub fn per_txn() -> Self {
-        Self::with_window(1)
-    }
-
     /// A writer that syncs once per `window` transaction boundaries
     /// (`usize::MAX` = only explicit [`Self::sync`] calls).
     pub fn with_window(window: usize) -> Self {
@@ -410,7 +404,7 @@ mod tests {
         // sync, never the data.
         let recs = sample_records(30);
         let mut grouped = GroupCommitWal::with_window(10);
-        let mut singles = GroupCommitWal::per_txn();
+        let mut singles = GroupCommitWal::with_window(1);
         let mut concat = Vec::new();
         for r in &recs {
             grouped.append(r);

@@ -13,10 +13,13 @@
 #   build          cargo build --release
 #   test           cargo test -q: the workspace's default-members — the
 #                  root package (incl. the deterministic hot-path budgets
-#                  in tests/budgets.rs) and the ten paper-component
-#                  crates, model .. core, incl. compress since PR 14
-#                  (the shell and realnet suites have their own stages;
-#                  `cargo test --workspace` runs every crate)
+#                  in tests/budgets.rs), the ten paper-component crates,
+#                  model .. core, and the seven deterministic tooling
+#                  crates (simnet, simclock, obs, workloads, rebalance,
+#                  chaos, bench). The shell and realnet suites join real
+#                  threads and sockets and keep their own
+#                  timeout-bounded stages; `cargo test --workspace` runs
+#                  every crate
 #   nemesis-smoke  nemesis seeds 1..5 (the CI "nemesis" job)
 #   shell          gdb-shell tests + committed scenario replays (the CI
 #                  "shell" job)
