@@ -73,10 +73,10 @@ fn redo_batch() -> Vec<u8> {
             TxnId(i),
             RedoPayload::Insert {
                 table: TableId(3),
-                key: RowKey(vec![Datum::Int(i as i64 % 32), Datum::Int(i as i64)]),
+                key: RowKey::new(vec![Datum::Int(i as i64 % 32), Datum::Int(i as i64)]),
                 row: Row(vec![
                     Datum::Int(i as i64),
-                    Datum::Text(format!("warehouse-{} payload item", i % 600)),
+                    Datum::from(format!("warehouse-{} payload item", i % 600)),
                     Datum::Decimal(i as i64 * 100),
                 ]),
             },

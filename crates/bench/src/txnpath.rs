@@ -20,6 +20,7 @@ use gdb_storage::{LockOutcome, LockTable, Table, VisibleRow};
 use gdb_wal::{GroupCommitWal, Lsn, RedoPayloadRef, ReplayDecoder, ReplayStep};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// The two tables the script writes to.
@@ -166,7 +167,7 @@ fn fnv_datum(mut h: u64, d: &Datum) -> u64 {
 /// Digest a table scan (rows arrive in key order).
 fn fnv_scan(mut h: u64, rows: &[VisibleRow<'_>]) -> u64 {
     for vr in rows {
-        for d in &vr.key.0 {
+        for d in vr.key.0.iter() {
             h = fnv_datum(h, d);
         }
         for d in &vr.row.0 {
@@ -179,7 +180,7 @@ fn fnv_scan(mut h: u64, rows: &[VisibleRow<'_>]) -> u64 {
 
 /// Run the script through the pipeline.
 ///
-/// Per transaction: lock each key (scratch key, no clone), install the
+/// Per transaction: lock each key (scratch key, no copy), install the
 /// version into the arena table from a pooled row buffer, frame the redo
 /// record straight off the borrowed key/row into the group-commit WAL.
 /// Every `window` transactions the window syncs once and the new durable
@@ -196,8 +197,8 @@ pub fn run_fast(script: &Script, window: usize) -> TxnPathResult {
     let mut match_table = MatchTable::default();
     let mut wire = Vec::new();
     let mut replay = Vec::new();
-    let mut key = RowKey::new(vec![Datum::Int(0)]);
-    let mut rkey = RowKey::new(Vec::new());
+    let mut key = RowKey::single(0i64);
+    let mut rkey = RowKey::single(0i64);
     let mut rrow = Row::default();
     let mut shipped = 0usize;
     let mut lsn = 0u64;
@@ -213,7 +214,12 @@ pub fn run_fast(script: &Script, window: usize) -> TxnPathResult {
         let now = SimTime::from_micros(i as u64);
         for w in writes {
             let table = TABLES[w.table as usize];
-            key.0[0] = Datum::Int(w.key as i64);
+            // Overwrite the scratch key in place unless the lock table or
+            // a version chain took a share of it (a key new to either).
+            match Arc::get_mut(&mut key.0) {
+                Some([slot]) => *slot = Datum::Int(w.key as i64),
+                _ => key = RowKey::single(w.key as i64),
+            }
             // Sequential txns: the previous holder's lock has always
             // expired by `now`, so this never waits.
             match locks.acquire(table, &key, txn, now, vt) {

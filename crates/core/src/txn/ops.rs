@@ -62,22 +62,28 @@ impl<'a> TxnHandle<'a> {
             Touch::Key(key) => (&schema.primary_key, &key.0),
             Touch::Range(Some(lo), Some(hi)) => {
                 let same = |(l, h): &(&Datum, &Datum)| l.key_cmp(h) == Ordering::Equal;
-                let common = lo.0.iter().zip(&hi.0).take_while(same).count();
+                let common = lo.0.iter().zip(hi.0.iter()).take_while(same).count();
                 (&schema.primary_key, &lo.0[..common])
             }
             Touch::Range(..) => return Ok(all),
             Touch::IndexPrefix(index, prefix) => (&self.db.catalog.index(index)?.columns, prefix),
         };
-        let mut dist_vals = Vec::with_capacity(schema.distribution_key.len());
-        for dc in &schema.distribution_key {
-            match cols.iter().position(|c| c == dc) {
-                Some(pos) if pos < vals.len() => dist_vals.push(vals[pos].clone()),
-                _ => return Ok(all),
-            }
+        // Where each distribution-key column sits among the fixed values.
+        let pos = |dc: &usize| {
+            cols.iter()
+                .position(|c| c == dc)
+                .filter(|&p| p < vals.len())
+        };
+        if !schema.distribution_key.iter().all(|dc| pos(dc).is_some()) {
+            return Ok(all);
         }
+        let dist_vals = schema
+            .distribution_key
+            .iter()
+            .filter_map(|dc| pos(dc).map(|p| &vals[p]));
         let shard_count = self.db.shards.len() as u16;
         Ok(one(
-            schema.shard_of_key(&RowKey(dist_vals), shard_count).0 as usize
+            schema.shard_of_values(dist_vals, shard_count).0 as usize
         ))
     }
 

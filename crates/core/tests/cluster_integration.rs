@@ -152,6 +152,70 @@ fn replication_reaches_replicas_and_rcp_advances() {
     }
 }
 
+/// A row image is shared, not copied: after a single-row UPDATE of a
+/// numeric column commits and replays, each text datum of the new primary
+/// version is the very string the previous version held, and so is that
+/// datum in every replica's replayed version.
+#[test]
+fn update_shares_unchanged_text_with_old_version_and_replicas() {
+    let mut c = Cluster::new(ClusterConfig::globaldb_three_city().with_seed(42));
+    c.ddl(
+        "CREATE TABLE sb (id INT NOT NULL, k INT, c TEXT, pad TEXT, \
+         PRIMARY KEY (id)) DISTRIBUTE BY HASH(id)",
+    )
+    .unwrap();
+    c.execute_sql(0, t(10), "INSERT INTO sb VALUES (7, 0, 'c-7', 'pad')", &[])
+        .unwrap();
+    c.run_until(t(500));
+    let table = c.db.catalog().table_by_name("sb").unwrap().id;
+    let key = gdb_model::RowKey::single(7i64);
+    let shards = c.db.shards().len() as u16;
+    let shard =
+        c.db.catalog()
+            .table(table)
+            .unwrap()
+            .shard_of_pk(&key, shards)
+            .0 as usize;
+    let texts = |row: &gdb_model::Row| -> Vec<std::sync::Arc<str>> {
+        let text = |d: &Datum| match d {
+            Datum::Text(s) => Some(s.clone()),
+            _ => None,
+        };
+        row.0.iter().filter_map(text).collect()
+    };
+    let old = c.db.shards()[shard]
+        .storage
+        .table(table)
+        .unwrap()
+        .read_newest(&key);
+    let old = texts(old.unwrap().row);
+    assert_eq!(old.len(), 2);
+
+    let (_, outcome) = c
+        .execute_sql(0, t(600), "UPDATE sb SET k = k + 1 WHERE id = 7", &[])
+        .unwrap();
+    let commit_ts = outcome.commit_ts.unwrap();
+    c.run_until(t(1_500));
+    let owner = &c.db.shards()[shard];
+    let copies: Vec<_> = std::iter::once(&owner.storage)
+        .chain(owner.replicas.iter().map(|r| &r.applier.storage))
+        .collect();
+    assert_eq!(copies.len(), 3, "a primary and two replicas");
+    for (i, storage) in copies.into_iter().enumerate() {
+        let new = storage.table(table).unwrap().read(&key, commit_ts).unwrap();
+        assert_eq!(new.commit_ts, commit_ts, "copy {i} holds the update");
+        assert_eq!(new.row.0[1], Datum::Int(1));
+        let shared = texts(new.row)
+            .iter()
+            .zip(&old)
+            .all(|(n, o)| std::sync::Arc::ptr_eq(n, o));
+        assert!(
+            shared,
+            "copy {i} holds its own text, not the previous version's"
+        );
+    }
+}
+
 #[test]
 fn ror_reads_hit_replicas_with_rcp_snapshot() {
     let mut c = cluster_with_accounts(ClusterConfig::globaldb_one_region(), 20);

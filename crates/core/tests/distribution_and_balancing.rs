@@ -26,7 +26,7 @@ fn range_distributed_table_routes_and_prunes() {
             0,
             t(10),
             "INSERT INTO events VALUES (?, ?)",
-            &[Datum::Int(seq), Datum::Text(format!("e{seq}"))],
+            &[Datum::Int(seq), Datum::from(format!("e{seq}"))],
         )
         .unwrap();
     }

@@ -67,7 +67,7 @@ fn fixture() -> Fixture {
     let shards = c.db.shards().len();
     let shard_of = |w: i64| {
         items
-            .shard_of_pk(&RowKey(vec![int(w), int(1)]), shards as u16)
+            .shard_of_pk(&RowKey::new(vec![int(w), int(1)]), shards as u16)
             .0 as usize
     };
     let pick = |m: usize| (0..64).find(|&w| shard_of(w) % 3 == m).unwrap();
@@ -322,7 +322,7 @@ fn blocked_replica_falls_back_per_shape() {
     assert_eq!(
         rows,
         project(&items_at, &|r| col(r, 0) == remote_w
-            && r.0[3] == Datum::Text(other_name.clone()))
+            && r.0[3] == Datum::from(other_name.as_str()))
     );
     assert_eq!(rows.len(), 2);
     assert_eq!((d.fallbacks, d.on_replica, d.on_primary), (1, 0, 1));

@@ -3,6 +3,7 @@
 use serde::{Deserialize, Serialize};
 use std::cmp::Ordering;
 use std::fmt;
+use std::sync::Arc;
 
 /// The SQL data types supported by the engine — the set needed by the TPC-C
 /// and Sysbench schemas (integers, decimals-as-scaled-integers, text,
@@ -25,12 +26,18 @@ pub enum DataType {
 /// `Decimal` carries its scaled integer representation; arithmetic on
 /// decimals is the caller's responsibility (the executor keeps track of
 /// scales via the schema).
+///
+/// `Text` is a shared, immutable string: cloning a datum (and so a row
+/// image) bumps a reference count instead of copying the bytes, so the
+/// versions, write sets, redo records and replica copies of one value
+/// all point at one allocation. Hashing, ordering and `Display` see only
+/// the string, exactly as they would a `String`.
 #[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub enum Datum {
     Null,
     Int(i64),
     Decimal(i64),
-    Text(String),
+    Text(Arc<str>),
     Bool(bool),
 }
 
@@ -71,7 +78,7 @@ impl Datum {
     /// Extract a string slice, if this is text.
     pub fn as_text(&self) -> Option<&str> {
         match self {
-            Datum::Text(s) => Some(s),
+            Datum::Text(s) => Some(s.as_ref()),
             _ => None,
         }
     }
@@ -166,13 +173,13 @@ impl From<i64> for Datum {
 
 impl From<&str> for Datum {
     fn from(v: &str) -> Self {
-        Datum::Text(v.to_owned())
+        Datum::Text(v.into())
     }
 }
 
 impl From<String> for Datum {
     fn from(v: String) -> Self {
-        Datum::Text(v)
+        Datum::Text(v.into())
     }
 }
 
@@ -226,6 +233,17 @@ mod tests {
             Datum::Text("hello".into()).stable_hash(),
             Datum::Text("hello".into()).stable_hash()
         );
+    }
+
+    #[test]
+    fn text_clones_share_one_string() {
+        assert_eq!(std::mem::size_of::<Datum>(), 24);
+        let a = Datum::from("shared");
+        let b = a.clone();
+        match (&a, &b) {
+            (Datum::Text(x), Datum::Text(y)) => assert!(Arc::ptr_eq(x, y)),
+            _ => unreachable!(),
+        }
     }
 
     #[test]

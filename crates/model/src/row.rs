@@ -4,6 +4,7 @@ use crate::datum::Datum;
 use serde::{Deserialize, Serialize};
 use std::cmp::Ordering;
 use std::fmt;
+use std::sync::Arc;
 
 /// A row: a vector of datums in schema column order.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize, Default)]
@@ -55,27 +56,70 @@ impl From<Vec<Datum>> for Row {
 ///
 /// Ordered with [`Datum::key_cmp`] so it can index a B-tree; hashed with
 /// [`Datum::stable_hash`] so shard placement is deterministic.
+///
+/// The datums sit in one shared, immutable slice: the lock table, the
+/// transaction's lock list and overlay, the write set, the redo record,
+/// every replica's copy and the version B-tree all hold the same
+/// allocation, and cloning a key bumps a reference count. Hot paths
+/// build keys with [`FromIterator`] over an iterator of known length
+/// (one allocation) or [`RowKey::try_from_fn`], never a `Vec` first.
 #[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
-pub struct RowKey(pub Vec<Datum>);
+pub struct RowKey(pub Arc<[Datum]>);
 
 impl RowKey {
+    /// A key from an owned vector (a second allocation; off the hot path).
     pub fn new(values: Vec<Datum>) -> Self {
-        RowKey(values)
+        RowKey(values.into())
     }
 
     /// Single-column key helper.
     pub fn single(d: impl Into<Datum>) -> Self {
-        RowKey(vec![d.into()])
+        std::iter::once(d.into()).collect()
+    }
+
+    /// A `len`-column key whose `i`-th datum is `value(i)`, in one
+    /// allocation; the first error stops further calls and is returned.
+    pub fn try_from_fn<E>(
+        len: usize,
+        mut value: impl FnMut(usize) -> Result<Datum, E>,
+    ) -> Result<RowKey, E> {
+        let mut failed = None;
+        // `Range` mapped is an exact-length iterator, so the shared slice
+        // is allocated once at its final size.
+        let key = (0..len)
+            .map(|i| {
+                if failed.is_none() {
+                    match value(i) {
+                        Ok(d) => return d,
+                        Err(e) => failed = Some(e),
+                    }
+                }
+                Datum::Null
+            })
+            .collect();
+        failed.map_or(Ok(key), Err)
     }
 
     /// Combined stable hash of all key columns (for hash distribution).
     pub fn stable_hash(&self) -> u64 {
+        Self::stable_hash_of(self.0.iter())
+    }
+
+    /// [`RowKey::stable_hash`] of the key `values` would form, without
+    /// building it.
+    pub fn stable_hash_of<'d>(values: impl IntoIterator<Item = &'d Datum>) -> u64 {
         let mut h: u64 = 0x9e3779b97f4a7c15;
-        for d in &self.0 {
+        for d in values {
             h = h.rotate_left(13) ^ d.stable_hash();
             h = h.wrapping_mul(0xff51afd7ed558ccd);
         }
         h
+    }
+}
+
+impl FromIterator<Datum> for RowKey {
+    fn from_iter<I: IntoIterator<Item = Datum>>(values: I) -> Self {
+        RowKey(values.into_iter().collect())
     }
 }
 
@@ -136,6 +180,26 @@ mod tests {
     }
 
     #[test]
+    fn try_from_fn_builds_or_stops_at_the_first_error() {
+        let key = RowKey::try_from_fn(3, |i| Ok::<_, ()>(Datum::Int(i as i64))).unwrap();
+        assert_eq!(
+            key,
+            RowKey::new(vec![Datum::Int(0), Datum::Int(1), Datum::Int(2)])
+        );
+        let mut calls = 0;
+        let err = RowKey::try_from_fn(5, |i| {
+            calls += 1;
+            if i == 1 {
+                Err(i)
+            } else {
+                Ok(Datum::Null)
+            }
+        });
+        assert_eq!(err, Err(1));
+        assert_eq!(calls, 2, "no value is computed after the first error");
+    }
+
+    #[test]
     fn key_hash_order_independent_of_process() {
         let k = RowKey::new(vec![Datum::Int(42), Datum::Text("w".into())]);
         assert_eq!(k.stable_hash(), k.clone().stable_hash());
@@ -156,13 +220,13 @@ mod proptests {
             Just(Datum::Null),
             any::<i64>().prop_map(Datum::Int),
             any::<i64>().prop_map(Datum::Decimal),
-            "[a-z]{0,8}".prop_map(Datum::Text),
+            "[a-z]{0,8}".prop_map(Datum::from),
             any::<bool>().prop_map(Datum::Bool),
         ]
     }
 
     fn arb_key() -> impl Strategy<Value = RowKey> {
-        proptest::collection::vec(arb_datum(), 1..4).prop_map(RowKey)
+        proptest::collection::vec(arb_datum(), 1..4).prop_map(RowKey::new)
     }
 
     proptest! {

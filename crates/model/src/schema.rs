@@ -69,24 +69,16 @@ impl TableSchema {
         self.columns.iter().position(|c| c.name == name)
     }
 
-    /// Extract the primary-key value from a full row.
+    /// Extract the primary-key value from a full row (one allocation; the
+    /// key shares the row's text).
     pub fn primary_key_of(&self, row: &Row) -> RowKey {
-        RowKey(self.primary_key.iter().map(|&i| row.0[i].clone()).collect())
-    }
-
-    /// Extract the distribution-key value from a full row.
-    pub fn distribution_key_of(&self, row: &Row) -> RowKey {
-        RowKey(
-            self.distribution_key
-                .iter()
-                .map(|&i| row.0[i].clone())
-                .collect(),
-        )
+        self.primary_key.iter().map(|&i| row.0[i].clone()).collect()
     }
 
     /// Map a row to its shard given the cluster's shard count.
     pub fn shard_of_row(&self, row: &Row, shard_count: u16) -> ShardId {
-        self.shard_of_key(&self.distribution_key_of(row), shard_count)
+        let vals = self.distribution_key.iter().map(|&i| &row.0[i]);
+        self.shard_of_values(vals, shard_count)
     }
 
     /// Map a *primary-key* value to its shard by extracting the
@@ -96,32 +88,41 @@ impl TableSchema {
         if matches!(self.distribution, DistributionKind::Replicated) {
             return ShardId(0);
         }
-        let vals: Vec<Datum> = self
-            .distribution_key
-            .iter()
-            .map(|dc| {
-                let pos = self
-                    .primary_key
-                    .iter()
-                    .position(|p| p == dc)
-                    .expect("distribution key must be a subset of the primary key");
-                pk.0[pos].clone()
-            })
-            .collect();
-        self.shard_of_key(&RowKey(vals), shard_count)
+        let vals = self.distribution_key.iter().map(|dc| {
+            let pos = self
+                .primary_key
+                .iter()
+                .position(|p| p == dc)
+                .expect("distribution key must be a subset of the primary key");
+            &pk.0[pos]
+        });
+        self.shard_of_values(vals, shard_count)
     }
 
     /// Map a distribution-key value to its shard.
+    pub fn shard_of_key(&self, key: &RowKey, shard_count: u16) -> ShardId {
+        self.shard_of_values(key.0.iter(), shard_count)
+    }
+
+    /// Map the distribution-key values, in distribution-key order, to
+    /// their shard — hashed in place, nothing is built.
     ///
     /// For `Replicated` tables any shard holds the row; we return shard 0 as
     /// the canonical *write* target (writers must fan out to all shards —
     /// the executor handles that).
-    pub fn shard_of_key(&self, key: &RowKey, shard_count: u16) -> ShardId {
+    pub fn shard_of_values<'d>(
+        &self,
+        values: impl IntoIterator<Item = &'d Datum>,
+        shard_count: u16,
+    ) -> ShardId {
         assert!(shard_count > 0);
         match &self.distribution {
-            DistributionKind::Hash => ShardId((key.stable_hash() % shard_count as u64) as u16),
+            DistributionKind::Hash => {
+                let h = RowKey::stable_hash_of(values);
+                ShardId((h % shard_count as u64) as u16)
+            }
             DistributionKind::Range { split_points } => {
-                let v = match key.0.first() {
+                let v = match values.into_iter().next() {
                     Some(Datum::Int(v)) => *v,
                     _ => 0,
                 };
@@ -287,6 +288,25 @@ mod tests {
         let b = s.shard_of_row(&row, 6);
         assert_eq!(a, b);
         assert!(a.0 < 6);
+    }
+
+    #[test]
+    fn every_shard_mapping_agrees_with_the_key_hash() {
+        let s = SchemaBuilder::new("t")
+            .column(ColumnDef::new("w", DataType::Int).not_null())
+            .column(ColumnDef::new("name", DataType::Text))
+            .column(ColumnDef::new("id", DataType::Int).not_null())
+            .primary_key(&["w", "id"])
+            .distribute_by(&["w"], DistributionKind::Hash)
+            .build(TableId(1))
+            .unwrap();
+        for w in 0..50i64 {
+            let row = Row::new(vec![Datum::Int(w), Datum::from("n"), Datum::Int(w * 7)]);
+            let by_key = s.shard_of_key(&RowKey::single(w), 7);
+            assert_eq!(s.shard_of_row(&row, 7), by_key);
+            assert_eq!(s.shard_of_pk(&s.primary_key_of(&row), 7), by_key);
+            assert_eq!(s.shard_of_values([&Datum::Int(w)], 7), by_key);
+        }
     }
 
     #[test]

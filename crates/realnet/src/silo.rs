@@ -73,9 +73,15 @@ impl SiloState {
 /// means the shutdown sentinel (or an undecodable frame) — the serving
 /// loop should exit (resp. drop the connection).
 pub fn handle_frame(silo: &SharedSilo, body: &[u8]) -> Option<Vec<u8>> {
-    let frame = decode(body)?;
-    let Frame::Rpc(req) = frame else {
-        return None;
+    let mut ack = Vec::new();
+    handle_frame_into(silo, body, &mut ack).then_some(ack)
+}
+
+/// [`handle_frame`] encoding the ack into a reused buffer; `false` where
+/// that returns `None`.
+pub fn handle_frame_into(silo: &SharedSilo, body: &[u8], ack_out: &mut Vec<u8>) -> bool {
+    let Some(Frame::Rpc(req)) = decode(body) else {
+        return false;
     };
     if req.delay_ns > 0 {
         // The fault-injected one-way delay is served *here*, at the
@@ -89,7 +95,8 @@ pub fn handle_frame(silo: &SharedSilo, body: &[u8]) -> Option<Vec<u8>> {
     s.stats.per_kind[req.kind.index()] += 1;
     s.stats.last_recv = s.clock.now();
     let ack = s.router.route(&req);
-    Some(wire::encode_ack(&ack))
+    wire::encode_ack_into(&ack, ack_out);
+    true
 }
 
 fn decode(body: &[u8]) -> Option<Frame> {

@@ -17,7 +17,7 @@
 
 use crate::fault::FaultController;
 use crate::membership::StaticMembership;
-use crate::silo::{handle_frame, SharedSilo, SiloState};
+use crate::silo::{handle_frame, handle_frame_into, SharedSilo, SiloState};
 use crate::wire::{self, Request};
 use gdb_simclock::WallClock;
 use gdb_simnet::{SimDuration, Topology};
@@ -240,6 +240,10 @@ pub struct TcpTransport {
     listeners: Vec<TcpSilo>,
     /// Lazily-connected client stream per destination silo.
     streams: Vec<Option<TcpStream>>,
+    /// The request frame and the ack body of the round trip in flight,
+    /// reused so a delivery allocates nothing.
+    frame: Vec<u8>,
+    ack: Vec<u8>,
     seq: u64,
     down: bool,
 }
@@ -248,18 +252,17 @@ const IO_TIMEOUT: Duration = Duration::from_secs(10);
 
 fn serve_connection(silo: SharedSilo, mut stream: TcpStream) {
     let _ = stream.set_nodelay(true);
+    // One request body and one ack frame per connection, reused.
+    let (mut body, mut ack) = (Vec::new(), Vec::new());
     loop {
-        let body = match wire::read_frame(&mut stream) {
-            Ok(b) => b,
-            Err(_) => return, // peer closed (or corrupt length): drop conn
-        };
-        match handle_frame(&silo, &body) {
-            Some(ack) => {
-                if wire::write_frame(&mut stream, &ack).is_err() {
-                    return;
-                }
-            }
-            None => return, // shutdown sentinel
+        if wire::read_frame_into(&mut stream, &mut body).is_err() {
+            return; // peer closed (or corrupt length): drop conn
+        }
+        if !handle_frame_into(&silo, &body, &mut ack) {
+            return; // shutdown sentinel
+        }
+        if wire::write_frame(&mut stream, &ack).is_err() {
+            return;
         }
     }
 }
@@ -310,6 +313,8 @@ impl TcpTransport {
             silos,
             listeners,
             streams,
+            frame: Vec::new(),
+            ack: Vec::new(),
             seq: 0,
             down: false,
         })
@@ -335,14 +340,17 @@ impl TcpTransport {
         self.streams[silo].as_mut()
     }
 
-    fn round_trip(&mut self, dst: usize, encoded: &[u8], seq: u64) -> Option<u64> {
-        let stream = self.stream_to(dst)?;
+    /// Send the encoded request in `self.frame` to silo `dst` and wait
+    /// for its ack; the measured round trip in nanoseconds.
+    fn round_trip(&mut self, dst: usize, seq: u64) -> Option<u64> {
+        self.stream_to(dst)?;
+        let (stream, frame, ack) = (self.streams[dst].as_mut()?, &self.frame, &mut self.ack);
         let start = Instant::now();
         let io = (|| -> std::io::Result<wire::Ack> {
-            stream.write_all(encoded)?;
+            stream.write_all(frame)?;
             stream.flush()?;
-            let body = wire::read_frame(stream)?;
-            wire::decode_ack(&body)
+            wire::read_frame_into(stream, ack)?;
+            wire::decode_ack(ack)
                 .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e))
         })();
         match io {
@@ -369,8 +377,8 @@ impl Transport for TcpTransport {
         let (dst, delay_ns) = plan_delivery(topo, &self.membership, &self.faults, &env)?;
         self.seq += 1;
         let req = make_request(&env, self.seq, delay_ns);
-        let encoded = wire::encode_request(&req);
-        let measured = self.round_trip(dst, &encoded, self.seq)?;
+        wire::encode_request_into(&req, &mut self.frame);
+        let measured = self.round_trip(dst, self.seq)?;
         topo.record_delivery(env.from, env.to, env.bytes);
         Some(SimDuration::from_nanos(measured))
     }

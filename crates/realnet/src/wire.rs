@@ -75,43 +75,67 @@ fn put_u64(out: &mut Vec<u8>, v: u64) {
     out.extend_from_slice(&v.to_le_bytes());
 }
 
-/// Prefix `body` with its length.
-fn frame(body: Vec<u8>) -> Vec<u8> {
-    let mut out = Vec::with_capacity(4 + body.len());
-    put_u32(&mut out, body.len() as u32);
-    out.extend_from_slice(&body);
-    out
+/// Start a frame of a `body`-byte body in `out` (cleared, grown once if
+/// need be): a length placeholder that [`end_frame`] fills in once the
+/// body is written after it.
+fn begin_frame(out: &mut Vec<u8>, body: usize) {
+    out.clear();
+    out.reserve(4 + body);
+    put_u32(out, 0);
+}
+
+fn end_frame(out: &mut [u8]) {
+    let len = (out.len() - 4) as u32;
+    out[..4].copy_from_slice(&len.to_le_bytes());
 }
 
 /// Encode a request frame (length prefix included). The filler payload
 /// is `min(declared, PAYLOAD_CAP)` zero bytes.
 pub fn encode_request(req: &Request) -> Vec<u8> {
+    let mut out = Vec::new();
+    encode_request_into(req, &mut out);
+    out
+}
+
+/// [`encode_request`] into a reused buffer (replaces its contents).
+pub fn encode_request_into(req: &Request, out: &mut Vec<u8>) {
     let filler = req.declared.min(PAYLOAD_CAP) as usize;
-    let mut body = Vec::with_capacity(38 + filler);
-    body.push(TAG_RPC);
-    body.push(req.kind.index() as u8);
-    put_u32(&mut body, req.from.0);
-    put_u32(&mut body, req.to.0);
-    put_u64(&mut body, req.seq);
-    put_u64(&mut body, req.declared);
-    put_u64(&mut body, req.delay_ns);
-    put_u32(&mut body, filler as u32);
-    body.resize(body.len() + filler, 0);
-    frame(body)
+    begin_frame(out, 38 + filler);
+    out.push(TAG_RPC);
+    out.push(req.kind.index() as u8);
+    put_u32(out, req.from.0);
+    put_u32(out, req.to.0);
+    put_u64(out, req.seq);
+    put_u64(out, req.declared);
+    put_u64(out, req.delay_ns);
+    put_u32(out, filler as u32);
+    out.resize(out.len() + filler, 0);
+    end_frame(out);
 }
 
 /// Encode the shutdown sentinel frame.
 pub fn encode_shutdown() -> Vec<u8> {
-    frame(vec![TAG_SHUTDOWN])
+    let mut out = Vec::new();
+    begin_frame(&mut out, 1);
+    out.push(TAG_SHUTDOWN);
+    end_frame(&mut out);
+    out
 }
 
 /// Encode an ack frame (length prefix included).
 pub fn encode_ack(ack: &Ack) -> Vec<u8> {
-    let mut body = Vec::with_capacity(17);
-    put_u64(&mut body, ack.seq);
-    body.push(if ack.ok { 0 } else { 1 });
-    put_u64(&mut body, ack.value);
-    frame(body)
+    let mut out = Vec::new();
+    encode_ack_into(ack, &mut out);
+    out
+}
+
+/// [`encode_ack`] into a reused buffer (replaces its contents).
+pub fn encode_ack_into(ack: &Ack, out: &mut Vec<u8>) {
+    begin_frame(out, 17);
+    put_u64(out, ack.seq);
+    out.push(if ack.ok { 0 } else { 1 });
+    put_u64(out, ack.value);
+    end_frame(out);
 }
 
 struct Cursor<'a> {
@@ -186,6 +210,13 @@ pub fn decode_ack(body: &[u8]) -> Result<Ack, String> {
 /// Read one length-prefixed frame body from a stream. Frames are small
 /// (≤ [`PAYLOAD_CAP`] + header); anything claiming more is corrupt.
 pub fn read_frame(r: &mut impl Read) -> io::Result<Vec<u8>> {
+    let mut body = Vec::new();
+    read_frame_into(r, &mut body)?;
+    Ok(body)
+}
+
+/// [`read_frame`] into a reused buffer (replaces its contents).
+pub fn read_frame_into(r: &mut impl Read, body: &mut Vec<u8>) -> io::Result<()> {
     let mut len = [0u8; 4];
     r.read_exact(&mut len)?;
     let len = u32::from_le_bytes(len) as usize;
@@ -195,9 +226,9 @@ pub fn read_frame(r: &mut impl Read) -> io::Result<Vec<u8>> {
             format!("frame length {len} exceeds protocol bound"),
         ));
     }
-    let mut body = vec![0u8; len];
-    r.read_exact(&mut body)?;
-    Ok(body)
+    body.clear();
+    body.resize(len, 0);
+    r.read_exact(body)
 }
 
 /// Write one already-encoded frame (length prefix included) to a stream.
@@ -264,6 +295,34 @@ mod tests {
         let encoded = encode_shutdown();
         let body = read_frame(&mut &encoded[..]).unwrap();
         assert_eq!(decode_frame(&body), Ok(Frame::Shutdown));
+    }
+
+    #[test]
+    fn reused_buffers_carry_the_same_bytes() {
+        let (mut frame, mut body) = (Vec::new(), Vec::new());
+        for declared in [5_000, 10, 0] {
+            let req = Request {
+                kind: RpcKind::DnWrite,
+                from: NetNodeId(1),
+                to: NetNodeId(2),
+                seq: declared,
+                declared,
+                delay_ns: 3,
+            };
+            encode_request_into(&req, &mut frame);
+            assert_eq!(frame, encode_request(&req));
+            read_frame_into(&mut &frame[..], &mut body).unwrap();
+            assert_eq!(decode_frame(&body), Ok(Frame::Rpc(req)));
+            let ack = Ack {
+                seq: declared,
+                ok: declared > 0,
+                value: 9,
+            };
+            encode_ack_into(&ack, &mut frame);
+            assert_eq!(frame, encode_ack(&ack));
+            read_frame_into(&mut &frame[..], &mut body).unwrap();
+            assert_eq!(decode_ack(&body), Ok(ack));
+        }
     }
 
     #[test]

@@ -98,11 +98,7 @@ fn fetch_outer(
 ) -> GdbResult<Vec<(RowKey, Row)>> {
     match access {
         AccessPath::PointLookup { key } => {
-            let key_vals = key
-                .iter()
-                .map(|e| eval(e, params, ctx))
-                .collect::<GdbResult<Vec<_>>>()?;
-            let rk = RowKey(key_vals);
+            let rk = eval_key(key, params, ctx)?;
             Ok(da
                 .point_read(table, &rk)?
                 .map(|row| (rk, row))
@@ -115,32 +111,22 @@ fn fetch_outer(
                 .map(|e| eval(e, params, ctx))
                 .collect::<GdbResult<Vec<_>>>()?;
             let lo = match low {
-                Some(e) => {
-                    let mut v = prefix_vals.clone();
-                    v.push(eval(e, params, ctx)?);
-                    Some(RowKey(v))
-                }
+                Some(e) => Some(prefix_then(&prefix_vals, [eval(e, params, ctx)?])),
                 None if prefix_vals.is_empty() => None,
-                None => Some(RowKey(prefix_vals.clone())),
+                None => Some(prefix_then(&prefix_vals, [])),
             };
             // Upper bound: prefix + high, or prefix + MAX sentinel. Text is
             // the highest-ranked datum type in key order, so a chain of
             // 0xFF-style text works as a practical +∞ per prefix.
             let hi = match high {
-                Some(e) => {
-                    let mut v = prefix_vals.clone();
-                    v.push(eval(e, params, ctx)?);
-                    // Extend with +∞ for any remaining PK columns so the
-                    // inclusive bound covers full keys with this prefix.
-                    v.push(max_sentinel());
-                    Some(RowKey(v))
-                }
+                // Extend with +∞ for any remaining PK columns so the
+                // inclusive bound covers full keys with this prefix.
+                Some(e) => Some(prefix_then(
+                    &prefix_vals,
+                    [eval(e, params, ctx)?, max_sentinel()],
+                )),
                 None if prefix_vals.is_empty() => None,
-                None => {
-                    let mut v = prefix_vals.clone();
-                    v.push(max_sentinel());
-                    Some(RowKey(v))
-                }
+                None => Some(prefix_then(&prefix_vals, [max_sentinel()])),
             };
             let mut rows = da.range_read(table, lo.as_ref(), hi.as_ref())?;
             // Filter exact prefix match (range bounds are necessary, not
@@ -163,6 +149,16 @@ fn fetch_outer(
         }
         AccessPath::FullScan => da.full_scan(table),
     }
+}
+
+/// Evaluate key expressions straight into a key's one allocation.
+fn eval_key(exprs: &[Expr], params: &[Datum], ctx: &RowCtx) -> GdbResult<RowKey> {
+    RowKey::try_from_fn(exprs.len(), |i| eval(&exprs[i], params, ctx))
+}
+
+/// A range bound: the key prefix followed by `tail`, in one allocation.
+fn prefix_then<const N: usize>(prefix: &[Datum], tail: [Datum; N]) -> RowKey {
+    prefix.iter().cloned().chain(tail).collect()
 }
 
 fn max_sentinel() -> Datum {
@@ -276,12 +272,7 @@ fn exec_select(
             AccessPath::PointLookup { key } => {
                 let mut keys = Vec::with_capacity(outer_only.len());
                 for (outer, _) in &outer_only {
-                    let ctx = RowCtx::outer(outer);
-                    let vals = key
-                        .iter()
-                        .map(|e| eval(e, params, &ctx))
-                        .collect::<GdbResult<Vec<_>>>()?;
-                    keys.push(RowKey(vals));
+                    keys.push(eval_key(key, params, &RowCtx::outer(outer))?);
                 }
                 let fetched = da.multi_point_read(jp.table, &keys)?;
                 for ((outer, _), inner) in outer_only.into_iter().zip(fetched) {

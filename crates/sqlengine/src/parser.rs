@@ -558,7 +558,7 @@ impl Parser {
             Token::Int(v) => Ok(PExpr::Lit(Datum::Int(v))),
             // Float literals become scale-2 decimals (TPC-C money).
             Token::Float(v) => Ok(PExpr::Lit(Datum::Decimal((v * 100.0).round() as i64))),
-            Token::Str(s) => Ok(PExpr::Lit(Datum::Text(s))),
+            Token::Str(s) => Ok(PExpr::Lit(Datum::Text(s.into()))),
             Token::Param => {
                 let idx = self.params;
                 self.params += 1;

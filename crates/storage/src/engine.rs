@@ -88,9 +88,8 @@ impl DataNodeStorage {
     }
 
     fn index_entry(columns: &[usize], row: &Row, pk: &RowKey) -> RowKey {
-        let mut vals: Vec<Datum> = columns.iter().map(|&c| row.0[c].clone()).collect();
-        vals.extend(pk.0.iter().cloned());
-        RowKey(vals)
+        let indexed = columns.iter().map(|&c| row.0[c].clone());
+        indexed.chain(pk.0.iter().cloned()).collect()
     }
 
     /// The `(index, entry)` pairs a write to `(table, key, row)` must
@@ -263,7 +262,8 @@ impl DataNodeStorage {
             .ok_or_else(|| GdbError::Schema(format!("no storage for table {}", def.table)))?;
 
         let mut out = Vec::new();
-        for (entry, pk) in map.range(RowKey(prefix.to_vec())..) {
+        let from: RowKey = prefix.iter().cloned().collect();
+        for (entry, pk) in map.range(from..) {
             // Stop once the entry no longer starts with the prefix.
             if entry.0.len() < prefix.len()
                 || entry.0[..prefix.len()]

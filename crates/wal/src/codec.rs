@@ -115,11 +115,14 @@ impl<'a> Reader<'a> {
 
     pub fn bytes(&mut self) -> DecodeResult<&'a [u8]> {
         let len = self.varint()? as usize;
-        if self.pos + len > self.data.len() {
-            return Err(DecodeError::Truncated("bytes"));
-        }
-        let s = &self.data[self.pos..self.pos + len];
-        self.pos += len;
+        // A corrupt length near `u64::MAX` must not wrap past the check.
+        let end = self
+            .pos
+            .checked_add(len)
+            .filter(|&end| end <= self.data.len())
+            .ok_or(DecodeError::Truncated("bytes"))?;
+        let s = &self.data[self.pos..end];
+        self.pos = end;
         Ok(s)
     }
 
@@ -171,7 +174,7 @@ pub fn get_datum(r: &mut Reader) -> DecodeResult<Datum> {
         T_NULL => Datum::Null,
         T_INT => Datum::Int(r.varint_i64()?),
         T_DECIMAL => Datum::Decimal(r.varint_i64()?),
-        T_TEXT => Datum::Text(r.str()?),
+        T_TEXT => Datum::Text(r.str_ref()?.into()),
         T_BOOL_F => Datum::Bool(false),
         T_BOOL_T => Datum::Bool(true),
         t => {
@@ -211,27 +214,39 @@ pub fn get_row_into(r: &mut Reader, row: &mut Row) -> DecodeResult<()> {
 
 pub fn put_key(out: &mut Vec<u8>, key: &RowKey) {
     put_varint(out, key.0.len() as u64);
-    for d in &key.0 {
+    for d in key.0.iter() {
         put_datum(out, d);
     }
 }
 
 pub fn get_key(r: &mut Reader) -> DecodeResult<RowKey> {
-    let n = r.varint()? as usize;
-    let mut vals = Vec::with_capacity(n.min(64));
-    for _ in 0..n {
-        vals.push(get_datum(r)?);
-    }
-    Ok(RowKey(vals))
+    let n = key_arity(r)?;
+    RowKey::try_from_fn(n, |_| get_datum(r))
 }
 
-/// Decode a key into a caller-owned buffer (see [`get_row_into`]).
+/// The column count that opens an encoded key. Every datum takes at
+/// least one byte, so a count beyond the remaining input is corrupt — and
+/// is rejected before anything is allocated for it.
+fn key_arity(r: &mut Reader) -> DecodeResult<usize> {
+    let n = r.varint()?;
+    if n > r.remaining() as u64 {
+        return Err(DecodeError::Truncated("key"));
+    }
+    Ok(n as usize)
+}
+
+/// Decode a key into a caller-owned buffer (see [`get_row_into`]): when
+/// the buffer's datums are not shared and the arity matches they are
+/// overwritten in place, with no allocation for a numeric key.
 pub fn get_key_into(r: &mut Reader, key: &mut RowKey) -> DecodeResult<()> {
-    key.0.clear();
-    let n = r.varint()? as usize;
-    key.0.reserve(n.min(64));
-    for _ in 0..n {
-        key.0.push(get_datum(r)?);
+    let n = key_arity(r)?;
+    match std::sync::Arc::get_mut(&mut key.0) {
+        Some(slots) if slots.len() == n => {
+            for slot in slots {
+                *slot = get_datum(r)?;
+            }
+        }
+        _ => *key = RowKey::try_from_fn(n, |_| get_datum(r))?,
     }
     Ok(())
 }
@@ -306,7 +321,7 @@ mod tests {
     #[test]
     fn row_and_key_roundtrip() {
         let row = Row(vec![Datum::Int(1), Datum::Text("x".into()), Datum::Null]);
-        let key = RowKey(vec![Datum::Int(7), Datum::Int(8)]);
+        let key = RowKey::new(vec![Datum::Int(7), Datum::Int(8)]);
         let mut out = Vec::new();
         put_row(&mut out, &row);
         put_key(&mut out, &key);
@@ -350,25 +365,53 @@ mod tests {
     #[test]
     fn decode_into_reuses_buffers() {
         let row = Row(vec![Datum::Int(1), Datum::Bool(true)]);
-        let key = RowKey(vec![Datum::Int(7)]);
+        let key = RowKey::new(vec![Datum::Int(7)]);
         let mut out = Vec::new();
         put_row(&mut out, &row);
         put_key(&mut out, &key);
 
         let mut row_buf = Row(Vec::with_capacity(8));
-        let mut key_buf = RowKey(Vec::with_capacity(8));
+        let mut key_buf = RowKey::single(0i64);
         let row_cap = row_buf.0.capacity();
+        let key_slots = key_buf.0.as_ptr();
         let mut r = Reader::new(&out);
         get_row_into(&mut r, &mut row_buf).unwrap();
         get_key_into(&mut r, &mut key_buf).unwrap();
         assert_eq!(row_buf, row);
         assert_eq!(key_buf, key);
         assert_eq!(row_buf.0.capacity(), row_cap, "no reallocation");
+        assert_eq!(key_buf.0.as_ptr(), key_slots, "key overwritten in place");
 
         // Stale contents are cleared on reuse.
         let mut r2 = Reader::new(&out);
         get_row_into(&mut r2, &mut row_buf).unwrap();
         assert_eq!(row_buf, row);
+
+        // A shared buffer is never written through: the other holder
+        // keeps its key and the buffer gets a fresh one.
+        let held = key_buf.clone();
+        let mut r3 = Reader::new(&out[out.len() - 3..]);
+        get_key_into(&mut r3, &mut key_buf).unwrap();
+        assert_eq!(held, key);
+        assert!(!std::sync::Arc::ptr_eq(&held.0, &key_buf.0));
+    }
+
+    #[test]
+    fn oversized_lengths_are_errors_not_panics() {
+        // A length varint of u64::MAX used to wrap `pos + len` past the
+        // bounds check and panic on the slice.
+        let mut data = vec![0xff; 9];
+        data.push(0x01);
+        data.extend([0; 8]);
+        assert_eq!(
+            Reader::new(&data).bytes(),
+            Err(DecodeError::Truncated("bytes"))
+        );
+        // A key claiming more columns than there are bytes left.
+        let mut key = Vec::new();
+        put_varint(&mut key, u64::MAX);
+        assert!(get_key(&mut Reader::new(&key)).is_err());
+        assert!(get_key_into(&mut Reader::new(&key), &mut RowKey::single(1i64)).is_err());
     }
 
     #[test]

@@ -566,7 +566,7 @@ pub enum ReplayStep {
 /// time, CRC-checked, decoding DML keys and rows into reusable caller
 /// buffers. This is the redo-replay hot path — with warmed scratch the
 /// decode of an all-numeric record allocates nothing (text datums cost
-/// one `String` each, validated in place via [`Reader::str_ref`]).
+/// one shared string each, validated in place via [`Reader::str_ref`]).
 #[derive(Debug)]
 pub struct ReplayDecoder<'a> {
     r: Reader<'a>,
@@ -894,6 +894,20 @@ mod tests {
         assert_eq!(RedoPayload::Prepare.commit_timestamp(), None);
     }
 
+    /// A frame length of `u64::MAX` (a ten-byte varint) once wrapped the
+    /// reader's bounds check in release builds and panicked on the slice.
+    #[test]
+    fn oversized_frame_length_is_an_error_at_both_entry_points() {
+        let mut seg = vec![0xff; 9];
+        seg.push(0x01);
+        seg.extend([0; 8]);
+        assert!(decode_all(&seg).is_err());
+        let mut dec = ReplayDecoder::new(&seg);
+        assert!(dec
+            .next_into(&mut RowKey::single(0i64), &mut Row::default())
+            .is_err());
+    }
+
     #[test]
     fn truncated_frame_is_error() {
         let rec = RedoRecord {
@@ -920,7 +934,7 @@ mod proptests {
             Just(Datum::Null),
             any::<i64>().prop_map(Datum::Int),
             any::<i64>().prop_map(Datum::Decimal),
-            "[a-zA-Z0-9 ]{0,32}".prop_map(Datum::Text),
+            "[a-zA-Z0-9 ]{0,32}".prop_map(Datum::from),
             any::<bool>().prop_map(Datum::Bool),
         ]
     }
@@ -934,7 +948,7 @@ mod proptests {
             )
                 .prop_map(|(t, k, r)| RedoPayload::Insert {
                     table: TableId(t),
-                    key: RowKey(k),
+                    key: RowKey::new(k),
                     row: Row(r),
                 }),
             any::<u64>().prop_map(|ts| RedoPayload::Commit {
@@ -948,6 +962,22 @@ mod proptests {
         ]
     }
 
+    fn varint(v: u64) -> Vec<u8> {
+        let mut out = Vec::new();
+        put_varint(&mut out, v);
+        out
+    }
+
+    /// A piece of an adversarial byte string: one byte, a varint of any
+    /// value, or a varint within 16 of `u64::MAX`.
+    fn arb_chunk() -> impl Strategy<Value = Vec<u8>> {
+        prop_oneof![
+            any::<u8>().prop_map(|b| vec![b]),
+            any::<u64>().prop_map(varint),
+            (0u64..16).prop_map(|k| varint(u64::MAX - k)),
+        ]
+    }
+
     proptest! {
         #[test]
         fn record_roundtrip(lsn in any::<u64>(), txn in any::<u64>(), payload in arb_payload()) {
@@ -957,9 +987,35 @@ mod proptests {
             prop_assert_eq!(decode_record(&mut Reader::new(&out)).unwrap(), rec);
         }
 
+        /// Both decoders answer `Ok` or `Err`, never panic, on arbitrary
+        /// bytes (spliced with varints of any size, lengths near
+        /// `u64::MAX` included) and on valid segments with one byte
+        /// flipped or cut short.
         #[test]
-        fn decoder_never_panics(junk in proptest::collection::vec(any::<u8>(), 0..256)) {
-            let _ = decode_all(&junk);
+        fn decoder_never_panics(
+            chunks in proptest::collection::vec(arb_chunk(), 0..24),
+            payloads in proptest::collection::vec(arb_payload(), 1..6),
+            at in any::<usize>(),
+            mask in 1u8..=255,
+            cut in any::<bool>(),
+        ) {
+            let mut seg = Vec::new();
+            for (i, payload) in payloads.into_iter().enumerate() {
+                let rec = RedoRecord { lsn: Lsn(i as u64), txn: TxnId(1), payload };
+                encode_record(&mut seg, &rec);
+            }
+            let i = at % seg.len();
+            if cut {
+                seg.truncate(i);
+            } else {
+                seg[i] ^= mask;
+            }
+            for input in [chunks.concat(), seg] {
+                let _ = decode_all(&input);
+                let mut dec = ReplayDecoder::new(&input);
+                let (mut key, mut row) = (RowKey::single(0i64), Row::default());
+                while let Ok(Some(_)) = dec.next_into(&mut key, &mut row) {}
+            }
         }
     }
 }

@@ -386,7 +386,7 @@ mod tests {
                     0 => RedoPayload::Insert {
                         table: TableId(1),
                         key: RowKey::single(i as i64),
-                        row: Row(vec![Datum::Int(i as i64), Datum::Text(format!("r{i}"))]),
+                        row: Row(vec![Datum::Int(i as i64), Datum::from(format!("r{i}"))]),
                     },
                     1 => RedoPayload::PendingCommit,
                     _ => RedoPayload::Commit {
@@ -525,8 +525,8 @@ mod proptests {
             )
                 .prop_map(|(t, k, s)| RedoPayload::Insert {
                     table: TableId(t as u32),
-                    key: RowKey(k),
-                    row: Row(vec![Datum::Text(s), Datum::Bool(true)]),
+                    key: RowKey::new(k),
+                    row: Row(vec![Datum::from(s), Datum::Bool(true)]),
                 }),
             (
                 any::<u16>(),
@@ -534,7 +534,7 @@ mod proptests {
             )
                 .prop_map(|(t, k)| RedoPayload::Delete {
                     table: TableId(t as u32),
-                    key: RowKey(k),
+                    key: RowKey::new(k),
                 }),
             Just(RedoPayload::PendingCommit),
             any::<u64>().prop_map(|ts| RedoPayload::Commit {
@@ -608,7 +608,7 @@ mod proptests {
                             txn: TxnId(i as u64),
                             payload: RedoPayload::Delete {
                                 table: TableId(1),
-                                key: RowKey(vec![Datum::Text("k".repeat(*len))]),
+                                key: RowKey::single("k".repeat(*len)),
                             },
                         };
                         wal.append(&rec);

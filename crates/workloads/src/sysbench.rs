@@ -100,7 +100,7 @@ impl Workload for SysbenchWorkload {
                     Row(vec![
                         Datum::Int(id),
                         Datum::Int(rng.gen_range(0..self.scale.rows_per_table)),
-                        Datum::Text(format!("c-{id:08}-{:08}", rng.gen_range(0..1_000_000))),
+                        Datum::from(format!("c-{id:08}-{:08}", rng.gen_range(0..1_000_000))),
                         Datum::Text("padpadpadpad".into()),
                     ])
                 })
@@ -128,19 +128,19 @@ impl Workload for SysbenchWorkload {
         let cn = self.pin_cn.unwrap_or(terminal % cluster.db.cns().len());
         match self.mode {
             SysbenchMode::PointSelect => {
-                let stmt = self.selects[t].clone();
+                let stmt = &self.selects[t];
                 let res = cluster
                     .run_transaction(cn, at, true, true, |txn| {
-                        txn.execute(&stmt, &[Datum::Int(id)]).map(|_| ())
+                        txn.execute(stmt, &[Datum::Int(id)]).map(|_| ())
                     })
                     .map(|(_, o)| o);
                 ("point_select", res)
             }
             SysbenchMode::UpdateIndex => {
-                let stmt = self.updates[t].clone();
+                let stmt = &self.updates[t];
                 let res = cluster
                     .run_transaction(cn, at, false, true, |txn| {
-                        txn.execute(&stmt, &[Datum::Int(id)]).map(|_| ())
+                        txn.execute(stmt, &[Datum::Int(id)]).map(|_| ())
                     })
                     .map(|(_, o)| o);
                 ("update_index", res)

@@ -8,6 +8,7 @@ use gdb_model::{Datum, Row};
 use globaldb::{Cluster, GdbResult};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
+use std::sync::Arc;
 
 fn d(v: i64) -> Datum {
     Datum::Int(v)
@@ -17,7 +18,7 @@ fn dec(v: i64) -> Datum {
     Datum::Decimal(v)
 }
 
-fn txt(s: impl Into<String>) -> Datum {
+fn txt(s: impl Into<Arc<str>>) -> Datum {
     Datum::Text(s.into())
 }
 

@@ -286,7 +286,7 @@ pub fn payment(
         (w, dist)
     };
     let by_last = rng.gen_ratio(60, 100);
-    let c_last = random_last_name(rng);
+    let c_last = Datum::from(random_last_name(rng));
     let c_id_direct = nurand(rng, 1, scale.customers_per_district);
     let single_shard = c_w == w;
     let date = at.as_millis() as i64;
@@ -295,10 +295,7 @@ pub fn payment(
         txn.execute(&st.pay_wh, &[dec(amount), d(w)])?;
         txn.execute(&st.pay_dist, &[dec(amount), d(w), d(dist)])?;
         let c_id = if by_last {
-            let matches = txn.execute(
-                &st.cust_by_last,
-                &[d(c_w), d(c_d), Datum::Text(c_last.clone())],
-            )?;
+            let matches = txn.execute(&st.cust_by_last, &[d(c_w), d(c_d), c_last.clone()])?;
             let rows = matches.rows();
             if rows.is_empty() {
                 // No customer with this name at the scaled-down
@@ -360,15 +357,12 @@ pub fn order_status(
     dist: i64,
 ) -> GdbResult<TxnOutcome> {
     let by_last = rng.gen_ratio(60, 100);
-    let c_last = random_last_name(rng);
+    let c_last = Datum::from(random_last_name(rng));
     let c_id_direct = nurand(rng, 1, scale.customers_per_district);
 
     let (_, outcome) = cluster.run_transaction(cn, at, true, true, |txn| {
         let c_id = if by_last {
-            let matches = txn.execute(
-                &st.cust_by_last,
-                &[d(w), d(dist), Datum::Text(c_last.clone())],
-            )?;
+            let matches = txn.execute(&st.cust_by_last, &[d(w), d(dist), c_last.clone()])?;
             let rows = matches.rows();
             if rows.is_empty() {
                 c_id_direct

@@ -21,7 +21,7 @@ fn main() {
         .map(|i| {
             gdb_model::Row(vec![
                 Datum::Int(i),
-                Datum::Text(format!("site-{}", i % 7)),
+                Datum::from(format!("site-{}", i % 7)),
                 Datum::Int(0),
             ])
         })

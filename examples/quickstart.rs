@@ -35,7 +35,7 @@ fn main() {
                 "INSERT INTO accounts VALUES (?, ?, ?)",
                 &[
                     Datum::Int(i as i64),
-                    Datum::Text(owner.to_string()),
+                    Datum::from(*owner),
                     Datum::Decimal(1_000_00),
                 ],
             )
