@@ -188,16 +188,16 @@ fn bench_sql(c: &mut Criterion) {
     group.finish();
 }
 
-/// The event-engine hot path: schedule-and-drain mixes on the timing
-/// wheel, closure and typed-event flavors. Delays are short (bucket-ring hits)
-/// with a sprinkle of sub-slot and far-future inserts, matching the
-/// cluster's flush/deliver/RCP cadence.
+/// The event-engine hot path: schedule-and-drain mixes, closure and
+/// typed-event flavors. Delays are mostly under 8 ms with every 16th
+/// hundreds of milliseconds out, matching the cluster's
+/// flush/deliver/RCP cadence and its background timers.
 fn bench_scheduler(c: &mut Criterion) {
     use gdb_simnet::{Sim, TypedEvent};
 
     const N: u64 = 64;
     fn delay(i: u64) -> SimDuration {
-        // 0..~8ms mix with every 16th event far-future (> wheel window).
+        // 0..~8ms mix with every 16th event 200+ ms out.
         if i % 16 == 15 {
             SimDuration::from_millis(200 + i)
         } else {
@@ -215,7 +215,7 @@ fn bench_scheduler(c: &mut Criterion) {
     }
 
     let mut group = c.benchmark_group("scheduler");
-    group.bench_function("wheel_typed_push_pop_64", |b| {
+    group.bench_function("typed_push_pop_64", |b| {
         let mut sim: Sim<u64, Tick> = Sim::new();
         let mut w = 0u64;
         b.iter(|| {
@@ -226,7 +226,7 @@ fn bench_scheduler(c: &mut Criterion) {
             black_box(w)
         });
     });
-    group.bench_function("wheel_closure_push_pop_64", |b| {
+    group.bench_function("closure_push_pop_64", |b| {
         let mut sim: Sim<u64> = Sim::new();
         let mut w = 0u64;
         b.iter(|| {

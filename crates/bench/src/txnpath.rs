@@ -1,26 +1,28 @@
-//! The storage commit path as a standalone primary→replica pipeline.
+//! The storage commit path of one shard, primary to replica.
 //!
 //! [`run_fast`] drives one deterministic single-shard write script
-//! through the live structures: no-clone lock acquires
-//! ([`gdb_storage::LockTable`]), arena version chains with pooled row
-//! buffers ([`gdb_storage::Table`]), encode-once group commit
-//! ([`GroupCommitWal`]), zero-copy shipping (the durable segment suffix
-//! is compressed in place, never re-encoded), and borrowed replay decode
-//! ([`ReplayDecoder`] + `get_key_into`/`get_row_into`).
+//! through the calls the cluster makes for it: the data node's lock table
+//! and version install ([`DataNodeStorage`]), the shard's redo log with
+//! its group-commit segment ([`ShardLog`]), the shipping drain
+//! ([`ShippingChannel`]) and the replica's replay ([`ReplicaApplier`]).
 //!
 //! This crate's `tests/txn_path.rs` derives the durable segment and the
 //! committed state the script implies and holds the run to them; the
 //! root `tests/budgets.rs` holds it to absolute allocation and fsync
 //! budgets, and `benchmark/` times it (`storage.txnpath_us_per_txn`).
 
-use gdb_compress::{Codec, MatchTable};
-use gdb_model::{Datum, Row, RowKey, TableId, Timestamp, TxnId};
+use gdb_compress::Codec;
+use gdb_model::{
+    ColumnDef, DataType, Datum, DistributionKind, Row, RowKey, TableId, TableSchema, Timestamp,
+    TxnId,
+};
+use gdb_replication::{ReplicaApplier, ShippingChannel};
 use gdb_simnet::SimTime;
-use gdb_storage::{LockOutcome, LockTable, Table, VisibleRow};
-use gdb_wal::{GroupCommitWal, Lsn, RedoPayloadRef, ReplayDecoder, ReplayStep};
+use gdb_storage::{DataNodeStorage, LockOutcome, VisibleRow};
+use gdb_wal::RedoPayload;
+use globaldb::shardlog::ShardLog;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// The two tables the script writes to.
@@ -31,7 +33,7 @@ pub const KEYSPACE: u32 = 4096;
 /// Roughly one write in this many carries a text column, keeping the
 /// string decode path honest without letting it dominate.
 pub const TEXT_RATIO: u32 = 8;
-/// Vacuum every this many transactions (refills the row pools).
+/// Vacuum every this many transactions.
 pub const VACUUM_EVERY: usize = 1024;
 
 const TEXTS: [&str; 4] = [
@@ -123,18 +125,6 @@ pub struct TxnPathResult {
     pub wire_bytes: u64,
 }
 
-/// Commit timestamp convention shared by primary and replay: transaction
-/// `i` (zero-based) commits at timestamp `i + 1`. The commit record
-/// carries it on the wire; replay re-derives it from the txn id so Puts
-/// can install without buffering the window.
-fn commit_ts(txn: TxnId) -> Timestamp {
-    Timestamp(txn.0 + 1)
-}
-
-fn commit_vtime(txn: TxnId) -> SimTime {
-    SimTime::from_micros(txn.0 + 1)
-}
-
 const FNV_OFFSET: u64 = 0xcbf29ce484222325;
 const FNV_PRIME: u64 = 0x100000001b3;
 
@@ -178,124 +168,107 @@ fn fnv_scan(mut h: u64, rows: &[VisibleRow<'_>]) -> u64 {
     h
 }
 
+/// A data node holding the script's two tables. Storage takes each key
+/// beside its row, so the schema only has to name the row's columns.
+fn storage() -> DataNodeStorage {
+    let mut storage = DataNodeStorage::new();
+    for (i, id) in TABLES.into_iter().enumerate() {
+        let schema = TableSchema {
+            id,
+            name: format!("t{i}"),
+            columns: vec![
+                ColumnDef::new("v", DataType::Int).not_null(),
+                ColumnDef::new("note", DataType::Text),
+            ],
+            primary_key: vec![0],
+            distribution_key: vec![0],
+            distribution: DistributionKind::Hash,
+        };
+        storage.create_table(schema).expect("fresh storage");
+    }
+    storage
+}
+
 /// Run the script through the pipeline.
 ///
-/// Per transaction: lock each key (scratch key, no copy), install the
-/// version into the arena table from a pooled row buffer, frame the redo
-/// record straight off the borrowed key/row into the group-commit WAL.
-/// Every `window` transactions the window syncs once and the new durable
-/// segment suffix ships: compressed in place (the bytes were already
-/// encoded at append time), decompressed into a reusable buffer, and
-/// replayed through the borrowed streaming decoder into the replica.
+/// Transaction `i` runs at virtual microsecond `i` and commits at
+/// timestamp `i + 1`. Per write: take the row lock, install the version
+/// on the primary, stage the redo record in the shard log. Every `window`
+/// transactions the log seals (one group-commit sync), the channel drains
+/// the sealed records — compressed for the wire — into batches the
+/// replica applies, and the log trims what the replica has applied.
 pub fn run_fast(script: &Script, window: usize) -> TxnPathResult {
     let window = window.max(1);
-    let codec = Codec::Lz4;
-    let mut locks = LockTable::new();
-    let mut primary = [Table::new(), Table::new()];
-    let mut replica = [Table::new(), Table::new()];
-    let mut wal = GroupCommitWal::with_window(usize::MAX);
-    let mut match_table = MatchTable::default();
-    let mut wire = Vec::new();
-    let mut replay = Vec::new();
-    let mut key = RowKey::single(0i64);
-    let mut rkey = RowKey::single(0i64);
-    let mut rrow = Row::default();
-    let mut shipped = 0usize;
-    let mut lsn = 0u64;
+    let mut primary = storage();
+    let mut replica = ReplicaApplier::new(storage());
+    let mut log = ShardLog::new();
+    let mut channel = ShippingChannel::new(Codec::Lz4);
     let mut records = 0u64;
-    let mut raw_bytes = 0u64;
-    let mut wire_bytes = 0u64;
 
     let start = Instant::now();
     for (i, writes) in script.0.iter().enumerate() {
         let txn = TxnId(i as u64);
-        let ts = commit_ts(txn);
-        let vt = commit_vtime(txn);
+        let ts = Timestamp(i as u64 + 1);
         let now = SimTime::from_micros(i as u64);
+        let release = SimTime::from_micros(i as u64 + 1);
         for w in writes {
             let table = TABLES[w.table as usize];
-            // Overwrite the scratch key in place unless the lock table or
-            // a version chain took a share of it (a key new to either).
-            match Arc::get_mut(&mut key.0) {
-                Some([slot]) => *slot = Datum::Int(w.key as i64),
-                _ => key = RowKey::single(w.key as i64),
-            }
+            let key = RowKey::single(w.key as i64);
             // Sequential txns: the previous holder's lock has always
             // expired by `now`, so this never waits.
-            match locks.acquire(table, &key, txn, now, vt) {
+            match primary.locks.acquire(table, &key, txn, now, release) {
                 LockOutcome::Acquired => {}
                 LockOutcome::WaitUntil(at) => panic!("unexpected lock wait until {at}"),
             }
-            let t = w.table as usize;
-            let mut row = primary[t].recycled_row();
+            let mut row = Row::default();
             w.fill_row(&mut row);
-            wal.append_parts(
-                Lsn(lsn),
-                txn,
-                RedoPayloadRef::Insert {
-                    table,
-                    key: &key,
-                    row: &row,
-                },
-            );
-            lsn += 1;
+            primary
+                .apply_put(table, &key, row.clone(), ts, release)
+                .expect("primary install");
+            log.append(now, txn, RedoPayload::Insert { table, key, row });
             records += 1;
-            primary[t]
-                .install_version(&key, Some(row), ts, vt)
-                .expect("fast install");
         }
-        wal.append_parts(Lsn(lsn), txn, RedoPayloadRef::Commit { commit_ts: ts });
-        lsn += 1;
+        log.append(now, txn, RedoPayload::Commit { commit_ts: ts });
         records += 1;
-        wal.commit();
 
         if (i + 1) % window == 0 || i + 1 == script.0.len() {
-            wal.sync();
-            let seg = wal.segment();
-            let batch = &seg[shipped..];
-            if !batch.is_empty() {
-                codec.encode_into(batch, &mut match_table, &mut wire);
-                raw_bytes += batch.len() as u64;
-                wire_bytes += wire.len() as u64;
-                codec.decode_into(&wire, &mut replay).expect("fast decode");
-                let mut dec = ReplayDecoder::new(&replay);
-                while let Some(step) = dec.next_into(&mut rkey, &mut rrow).expect("fast replay") {
-                    if let ReplayStep::Put { txn, table, .. } = step {
-                        let t = (table.0 - 1) as usize;
-                        let mut owned = replica[t].recycled_row();
-                        std::mem::swap(&mut owned, &mut rrow);
-                        replica[t]
-                            .install_version(&rkey, Some(owned), commit_ts(txn), commit_vtime(txn))
-                            .expect("fast replica install");
-                    }
-                }
-                shipped = seg.len();
+            log.seal_upto(now);
+            while let Some(shipped) = channel.drain(log.sealed()) {
+                replica
+                    .apply_batch_owned(shipped.batch.records, now)
+                    .expect("replica replay");
             }
+            log.trim_shipped(replica.applied_lsn());
         }
         if (i + 1) % VACUUM_EVERY == 0 {
-            for tbl in primary.iter_mut().chain(replica.iter_mut()) {
-                tbl.vacuum(ts);
-            }
+            primary.vacuum(ts);
+            replica.storage.vacuum(ts);
         }
     }
     let wall = start.elapsed();
 
     let snapshot = Timestamp(script.0.len() as u64 + 1);
     let mut digest = FNV_OFFSET;
-    for tbl in primary.iter().chain(replica.iter()) {
-        digest = fnv_scan(digest, &tbl.scan(snapshot));
+    for storage in [&mut primary, &mut replica.storage] {
+        for table in TABLES {
+            digest = fnv_scan(
+                digest,
+                &storage.scan(table, snapshot).expect("script table"),
+            );
+        }
     }
+    let durable = log.durable();
     TxnPathResult {
         wall,
         committed: script.0.len() as u64,
         records,
         digest,
-        segment_digest: fnv_bytes(FNV_OFFSET, wal.segment()),
-        segment_len: wal.segment().len(),
-        fsyncs: wal.fsyncs,
-        synced_txns: wal.synced_txns,
-        raw_bytes,
-        wire_bytes,
+        segment_digest: fnv_bytes(FNV_OFFSET, durable.segment()),
+        segment_len: durable.segment().len(),
+        fsyncs: durable.fsyncs,
+        synced_txns: durable.synced_txns,
+        raw_bytes: channel.stats.raw_bytes,
+        wire_bytes: channel.stats.wire_bytes,
     }
 }
 

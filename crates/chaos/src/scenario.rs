@@ -256,6 +256,9 @@ pub fn fault_from_pairs(kind: &str, pairs: &[(String, ConfValue)]) -> Result<Fau
     })
 }
 
+/// The most shards a scenario may deploy: the scale tier's 256.
+const MAX_SHARDS: i64 = 256;
+
 /// Accumulates all validation errors instead of stopping at the first,
 /// so a lint pass reports the whole file at once.
 struct Check {
@@ -329,6 +332,7 @@ pub fn load(text: &str) -> Result<Scenario, Vec<String>> {
     let mut cns = None;
     let mut shards = None;
     let mut replicas = None;
+    let mut quorum_line = None;
     if let Some(t) = doc.table("topology") {
         ck.known_keys(
             t,
@@ -348,9 +352,24 @@ pub fn load(text: &str) -> Result<Scenario, Vec<String>> {
                 "[topology] geometry {g:?} (known: three-city, one-region)"
             )),
         }
-        cns = t.int_of("cns").map(|v| v as usize);
-        shards = t.int_of("shards").map(|v| v as usize);
-        replicas = t.int_of("replicas").map(|v| v as usize);
+        let line_of = |key: &str| t.entries.iter().find(|e| e.0 == key).map(|e| e.2);
+        // A count the cluster can deploy, or an error naming its line.
+        let mut count = |key: &str, lo: i64, hi: Option<i64>| {
+            let v = t.int_of(key)?;
+            if v >= lo && hi.is_none_or(|hi| v <= hi) {
+                return Some(v as usize);
+            }
+            let bound = hi.map_or(format!("at least {lo}"), |hi| format!("{lo}..={hi}"));
+            let line = line_of(key).unwrap_or(t.line);
+            ck.errors.push(format!(
+                "line {line}: [topology] {key} = {v} must be {bound}"
+            ));
+            None
+        };
+        cns = count("cns", 1, None);
+        shards = count("shards", 1, Some(MAX_SHARDS));
+        replicas = count("replicas", 0, None);
+        quorum_line = line_of("quorum").or(line_of("replicas"));
         let quorum = t.int_of("quorum").unwrap_or(1).max(0) as usize;
         match t.str_of("replication") {
             Some("async") => cfg.replication = ReplicationMode::Async,
@@ -488,10 +507,7 @@ pub fn load(text: &str) -> Result<Scenario, Vec<String>> {
         }
     }
 
-    if !ck.errors.is_empty() {
-        return Err(ck.errors);
-    }
-    Ok(Scenario {
+    let scn = Scenario {
         name,
         cfg,
         geometry,
@@ -500,7 +516,27 @@ pub fn load(text: &str) -> Result<Scenario, Vec<String>> {
         replicas,
         plan,
         rebalance_every,
-    })
+    };
+    // A sync commit waits for its quorum of replica acks: with fewer
+    // replicas than that, no commit could ever succeed.
+    let acks = match cfg.replication {
+        ReplicationMode::Async => 0,
+        ReplicationMode::SyncLocalQuorum => 1,
+        ReplicationMode::SyncRemoteQuorum { quorum } => quorum,
+    };
+    let have = scn.cluster_config().replicas_per_shard;
+    if acks > have {
+        let line = quorum_line.map_or(String::new(), |l| format!("line {l}: "));
+        ck.errors.push(format!(
+            "{line}[topology] replication waits for {acks} replica ack(s) \
+             but a shard has {have} replica(s)"
+        ));
+    }
+
+    if !ck.errors.is_empty() {
+        return Err(ck.errors);
+    }
+    Ok(scn)
 }
 
 /// Lint a scenario file: every validation error, or empty when clean.
@@ -639,6 +675,41 @@ shard = 0
         let errs =
             lint("[scenario]\nname = \"x\"\n[typo]\nk = 1\n[nemesis]\nplan = \"generated\"\n");
         assert!(errs.iter().any(|e| e.contains("unknown table")), "{errs:?}");
+    }
+
+    /// Counts the cluster cannot deploy are errors at the key's line; each
+    /// used to pass the lint and then panic, or exhaust memory, on run.
+    #[test]
+    fn rejects_topologies_the_cluster_cannot_deploy() {
+        for (topology, line, needle) in [
+            ("cns = 0", 4, "cns = 0 must be at least 1"),
+            ("cns = -1", 4, "cns = -1 must be at least 1"),
+            ("shards = 0", 4, "shards = 0 must be 1..=256"),
+            ("shards = 70000", 4, "shards = 70000 must be 1..=256"),
+            ("replicas = -1", 4, "replicas = -1 must be at least 0"),
+            ("replicas = 1\nquorum = 2", 5, "waits for 2 replica ack(s)"),
+            ("replicas = 0", 4, "waits for 1 replica ack(s)"),
+            (
+                "replicas = 0\nreplication = \"sync-local-quorum\"",
+                4,
+                "but a shard has 0 replica(s)",
+            ),
+        ] {
+            let text = format!(
+                "[scenario]\nname = \"x\"\n[topology]\n{topology}\n[nemesis]\nplan = \"generated\"\n"
+            );
+            let errs = lint(&text);
+            let want = format!("line {line}: ");
+            assert!(
+                errs.iter()
+                    .any(|e| e.starts_with(&want) && e.contains(needle)),
+                "{topology:?}: {errs:?}"
+            );
+        }
+        // At the bounds, and async with no replicas, the file is fine.
+        let text = "[scenario]\nname = \"x\"\n[topology]\ncns = 1\nshards = 256\n\
+                    replicas = 0\nreplication = \"async\"\n[nemesis]\nplan = \"generated\"\n";
+        assert_eq!(lint(text), Vec::<String>::new());
     }
 
     #[test]

@@ -20,7 +20,7 @@
 
 pub mod lz;
 
-pub use lz::{compress, compress_into, decompress, decompress_into, CompressError, MatchTable};
+pub use lz::{compress, compress_into, decompress, CompressError, MatchTable};
 
 /// Which codec a replication channel uses.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -60,18 +60,6 @@ impl Codec {
             Codec::Lz4 => decompress(wire),
         }
     }
-
-    /// [`Codec::decode`] into a caller-owned buffer (cleared first).
-    pub fn decode_into(&self, wire: &[u8], out: &mut Vec<u8>) -> Result<(), CompressError> {
-        match self {
-            Codec::None => {
-                out.clear();
-                out.extend_from_slice(wire);
-                Ok(())
-            }
-            Codec::Lz4 => decompress_into(wire, out),
-        }
-    }
 }
 
 #[cfg(test)]
@@ -104,15 +92,16 @@ mod tests {
         let data: Vec<u8> = b"redo-record:".iter().cycle().take(4096).copied().collect();
         let mut table = MatchTable::default();
         let mut wire = Vec::new();
-        let mut plain = Vec::new();
         for codec in [Codec::None, Codec::Lz4] {
-            // Dirty the buffers to prove reuse clears them.
+            // Dirty the buffer to prove reuse clears it.
             wire.extend_from_slice(b"stale");
-            plain.extend_from_slice(b"stale");
             codec.encode_into(&data, &mut table, &mut wire);
             assert_eq!(wire, codec.encode(&data), "{codec:?} encode differs");
-            codec.decode_into(&wire, &mut plain).unwrap();
-            assert_eq!(plain, data, "{codec:?} decode differs");
+            assert_eq!(
+                codec.decode(&wire).unwrap(),
+                data,
+                "{codec:?} decode differs"
+            );
         }
         // Back-to-back blocks through one table stay byte-identical
         // (the match state must not leak across blocks).

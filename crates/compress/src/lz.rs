@@ -213,22 +213,13 @@ pub fn compress_into(data: &[u8], table: &mut MatchTable, out: &mut Vec<u8>) {
 
 /// Decompress a block produced by [`compress`].
 pub fn decompress(wire: &[u8]) -> Result<Vec<u8>, CompressError> {
-    let mut out = Vec::new();
-    decompress_into(wire, &mut out)?;
-    Ok(out)
-}
-
-/// [`decompress`] into a caller-owned buffer (cleared first, capacity
-/// reused across calls on the replay path).
-pub fn decompress_into(wire: &[u8], out: &mut Vec<u8>) -> Result<(), CompressError> {
-    out.clear();
     let mut pos = 0usize;
     let expected = read_varint(wire, &mut pos)?;
     // Cap the pre-allocation: a corrupt header must not abort the process.
-    out.reserve(expected.min(1 << 20));
+    let mut out = Vec::with_capacity(expected.min(1 << 20));
     if expected == 0 {
         return if pos == wire.len() {
-            Ok(())
+            Ok(out)
         } else {
             Err(CompressError::LengthMismatch {
                 expected,
@@ -303,7 +294,7 @@ pub fn decompress_into(wire: &[u8], out: &mut Vec<u8>) -> Result<(), CompressErr
             actual: out.len(),
         });
     }
-    Ok(())
+    Ok(out)
 }
 
 #[cfg(test)]

@@ -96,7 +96,9 @@ impl ShardLog {
             let ((_, _), (txn, payload)) = entry.remove_entry();
             let lsn = self.sealed.head_lsn();
             self.durable.append_parts(lsn, txn, payload.as_view());
-            self.durable.commit();
+            if ends_txn(&payload) {
+                self.durable.commit();
+            }
             self.sealed.append(txn, payload);
             sealed += 1;
         }
@@ -135,6 +137,22 @@ impl ShardLog {
     pub fn trim_shipped(&mut self, floor: Lsn) -> usize {
         self.sealed.trim_to(floor)
     }
+}
+
+/// The records that end a transaction — its commit or abort, or a
+/// heartbeat, DDL or checkpoint, each a transaction of its own: the
+/// boundaries group commit counts.
+fn ends_txn(payload: &RedoPayload) -> bool {
+    matches!(
+        payload,
+        RedoPayload::Commit { .. }
+            | RedoPayload::Abort
+            | RedoPayload::CommitPrepared { .. }
+            | RedoPayload::AbortPrepared
+            | RedoPayload::Heartbeat { .. }
+            | RedoPayload::Ddl { .. }
+            | RedoPayload::Checkpoint { .. }
+    )
 }
 
 #[cfg(test)]
@@ -232,6 +250,29 @@ mod tests {
         // An empty seal window does not sync.
         log.seal_upto(SimTime::from_millis(20));
         assert_eq!(log.durable().fsyncs, 2);
+    }
+
+    /// A transaction's pending-commit, writes and commit are one boundary,
+    /// not three; the bytes and the syncs do not depend on the count.
+    #[test]
+    fn group_commit_counts_transactions_not_records() {
+        use gdb_model::{Datum, Row, RowKey, TableId};
+        const N: u64 = 20;
+        let mut log = ShardLog::new();
+        for i in 0..N {
+            let at = SimTime::from_millis(i);
+            log.append(at, TxnId(i), RedoPayload::PendingCommit);
+            let (table, key) = (TableId(1), RowKey::single(i as i64));
+            let row = Row(vec![Datum::Int(i as i64)]);
+            log.append(at, TxnId(i), RedoPayload::Insert { table, key, row });
+            log.append(at, TxnId(i), commit(i));
+        }
+        log.seal_upto(SimTime::from_millis(N / 2));
+        log.seal_upto(SimTime::from_millis(N));
+        assert_eq!(log.durable().synced_txns, N);
+        assert_eq!(log.durable().fsyncs, 2);
+        let recs = gdb_wal::record::decode_all(log.durable().segment()).unwrap();
+        assert_eq!(recs.len() as u64, 3 * N);
     }
 
     #[test]

@@ -82,7 +82,10 @@ fn sql_results(transcript: &str) -> Vec<String> {
         .collect()
 }
 
+/// Real threads: run in the `scripts/ci.sh shell` stage, which passes
+/// `--include-ignored`, not in the workspace's default `cargo test`.
 #[test]
+#[ignore = "joins real threads; scripts/ci.sh shell runs it"]
 fn thread_backend_agrees_with_sim() {
     let run = |backend: Backend| {
         let mut shell = Shell::launch(7, backend);
@@ -175,4 +178,28 @@ fn committed_scenarios_lint_clean() {
         let errors = gdb_chaos::scenario::lint(text);
         assert!(errors.is_empty(), "{errors:?}");
     }
+}
+
+/// A topology the cluster cannot deploy is a load error: `scenario run`
+/// prints it with the key's line and exits 1 (it used to panic inside
+/// the run, or be killed for memory).
+#[test]
+fn scenario_run_rejects_an_undeployable_topology() {
+    let path = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join("zero-cns.toml");
+    std::fs::write(
+        &path,
+        "[scenario]\nname = \"x\"\n[topology]\ncns = 0\n[nemesis]\nplan = \"generated\"\n",
+    )
+    .unwrap();
+    let out = std::process::Command::new(env!("CARGO_BIN_EXE_gdb-shell"))
+        .args(["scenario", "run"])
+        .arg(&path)
+        .output()
+        .unwrap();
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert_eq!(out.status.code(), Some(1), "{stdout}");
+    assert!(
+        stdout.contains("line 4: [topology] cns = 0 must be at least 1"),
+        "{stdout}"
+    );
 }

@@ -8,27 +8,10 @@
 //!
 //! # Scheduling structure
 //!
-//! Almost every event in the system is *near-future*: message deliveries a
-//! few hundred microseconds to a few milliseconds out, replay completions,
-//! commit-wait timers, the 5–25 ms background intervals. A single binary
-//! heap pays `O(log n)` plus a comparator cascade for each of them. The
-//! engine instead keeps a three-level structure:
-//!
-//! * **current bucket** (`cur`): a small min-heap of events at or before
-//!   the cursor slot — the only level that needs fine-grained ordering;
-//! * **timing wheel** (`buckets`): a ring of [`SLOTS`] unsorted `Vec`s,
-//!   each covering a `2^GRAN_BITS` ns span (~262 µs), with an occupancy
-//!   bitmap. A near-future push is an O(1) `Vec::push`; slot vectors are
-//!   drained (not dropped) when the cursor reaches them, so their
-//!   allocations are reused wheel rotation after wheel rotation;
-//! * **far heap** (`far`): events beyond the wheel window (~134 ms) fall
-//!   back to the classic binary heap. They are rare (multi-second vacuum
-//!   timers, long fault plans), so the heap stays tiny.
-//!
-//! Ordering is decided only by `(at, seq)`, never by which level an event
-//! lives in, so the structure is invisible to users: the engine fires the
-//! exact same sequence as a plain binary heap (property-tested against the
-//! frozen, test-only `reference::HeapSim`).
+//! One `BinaryHeap` ordered by `(at, seq)`: a push and a pop cost
+//! `O(log n)` in the pending events. The order is the whole contract;
+//! the spec proptest at the end of this file holds the queue to what a
+//! script of self-scheduling events implies.
 //!
 //! # Typed events
 //!
@@ -94,38 +77,12 @@ impl<W, E> Ord for Scheduled<W, E> {
     }
 }
 
-/// Wheel geometry: 512 slots of 2^18 ns (~262 µs) each — a ~134 ms window
-/// that covers deliveries, commit waits, and every background interval.
-const SLOT_BITS: usize = 9;
-const SLOTS: usize = 1 << SLOT_BITS;
-const SLOT_MASK: u64 = SLOTS as u64 - 1;
-const GRAN_BITS: u32 = 18;
-const WORDS: usize = SLOTS / 64;
-
-#[inline]
-fn slot_of(at: SimTime) -> u64 {
-    at.as_nanos() >> GRAN_BITS
-}
-
 /// The event queue and virtual clock.
 pub struct Sim<W, E = NoEvent> {
     now: SimTime,
     seq: u64,
     executed: u64,
-    /// Absolute slot number the cursor sits on. Invariant: every wheel
-    /// bucket holds only events with slot in `(cur_slot, cur_slot+SLOTS)`;
-    /// events at or before the cursor slot live in `cur`.
-    cur_slot: u64,
-    /// Events at or before the cursor slot, fine-ordered by `(at, seq)`.
-    cur: BinaryHeap<Scheduled<W, E>>,
-    /// The wheel: ring of unsorted buckets, index = absolute slot & mask.
-    buckets: Vec<Vec<Scheduled<W, E>>>,
-    /// Occupancy bitmap over bucket indices (non-empty buckets).
-    occupied: [u64; WORDS],
-    /// Total events currently in wheel buckets.
-    near: usize,
-    /// Events beyond the wheel window.
-    far: BinaryHeap<Scheduled<W, E>>,
+    queue: BinaryHeap<Scheduled<W, E>>,
 }
 
 impl<W, E: TypedEvent<W>> Default for Sim<W, E> {
@@ -140,12 +97,7 @@ impl<W, E: TypedEvent<W>> Sim<W, E> {
             now: SimTime::ZERO,
             seq: 0,
             executed: 0,
-            cur_slot: 0,
-            cur: BinaryHeap::new(),
-            buckets: (0..SLOTS).map(|_| Vec::new()).collect(),
-            occupied: [0; WORDS],
-            near: 0,
-            far: BinaryHeap::new(),
+            queue: BinaryHeap::new(),
         }
     }
 
@@ -161,7 +113,7 @@ impl<W, E: TypedEvent<W>> Sim<W, E> {
 
     /// Number of events still pending.
     pub fn pending(&self) -> usize {
-        self.cur.len() + self.near + self.far.len()
+        self.queue.len()
     }
 
     /// Schedule `f` to run at absolute virtual time `at`. Scheduling in the
@@ -194,112 +146,16 @@ impl<W, E: TypedEvent<W>> Sim<W, E> {
         let at = at.max(self.now);
         let seq = self.seq;
         self.seq += 1;
-        self.insert(Scheduled { at, seq, payload });
-    }
-
-    /// Place an already-sequenced event in the right level. Also used to
-    /// requeue an event popped past a `run_until` bound (seq preserved, so
-    /// the global order is unchanged).
-    fn insert(&mut self, ev: Scheduled<W, E>) {
-        let slot = slot_of(ev.at);
-        if slot <= self.cur_slot {
-            self.cur.push(ev);
-        } else if slot - self.cur_slot < SLOTS as u64 {
-            let idx = (slot & SLOT_MASK) as usize;
-            self.occupied[idx >> 6] |= 1u64 << (idx & 63);
-            self.buckets[idx].push(ev);
-            self.near += 1;
-        } else {
-            self.far.push(ev);
-        }
-    }
-
-    /// Absolute slot of the nearest occupied wheel bucket. Scans the
-    /// occupancy bitmap a word at a time; caller guarantees `near > 0`.
-    fn next_occupied_slot(&self) -> u64 {
-        debug_assert!(self.near > 0);
-        let mut delta = 1u64;
-        while delta < SLOTS as u64 {
-            let idx = ((self.cur_slot + delta) & SLOT_MASK) as usize;
-            let bits = self.occupied[idx >> 6] & (!0u64 << (idx & 63));
-            if bits != 0 {
-                let hit = (idx & !63) + bits.trailing_zeros() as usize;
-                return self.cur_slot + delta + (hit - idx) as u64;
-            }
-            delta += 64 - (idx as u64 & 63);
-        }
-        unreachable!("near count positive but no occupied bucket")
-    }
-
-    /// Move an occupied bucket's events into the current heap and advance
-    /// the cursor to it. The bucket `Vec` keeps its capacity for reuse.
-    fn load_slot(&mut self, slot: u64) {
-        debug_assert!(slot > self.cur_slot && slot - self.cur_slot < SLOTS as u64);
-        let idx = (slot & SLOT_MASK) as usize;
-        self.occupied[idx >> 6] &= !(1u64 << (idx & 63));
-        let mut bucket = std::mem::take(&mut self.buckets[idx]);
-        self.near -= bucket.len();
-        self.cur.extend(bucket.drain(..));
-        self.buckets[idx] = bucket;
-        self.cur_slot = slot;
-    }
-
-    /// Pop the globally earliest event by `(at, seq)`, loading wheel slots
-    /// lazily. Returns `None` when no events remain anywhere.
-    fn pop_next(&mut self) -> Option<Scheduled<W, E>> {
-        loop {
-            let take_far = match (self.cur.peek(), self.far.peek()) {
-                // Bucketed events are always later than anything in `cur`
-                // (their slots are strictly after the cursor slot), so a
-                // cur-vs-far comparison settles the global minimum.
-                (Some(c), Some(f)) => (f.at, f.seq) < (c.at, c.seq),
-                (Some(_), None) => false,
-                (None, Some(f)) if self.near > 0 => {
-                    let next = self.next_occupied_slot();
-                    if slot_of(f.at) < next {
-                        true
-                    } else {
-                        self.load_slot(next);
-                        continue;
-                    }
-                }
-                (None, Some(_)) => true,
-                (None, None) if self.near > 0 => {
-                    let next = self.next_occupied_slot();
-                    self.load_slot(next);
-                    continue;
-                }
-                (None, None) => return None,
-            };
-            return if take_far {
-                let ev = self.far.pop();
-                if self.cur.is_empty() && self.near == 0 {
-                    // Nothing in the window: snap the window forward so the
-                    // followups this event schedules take the fast path.
-                    // (With near events pending the cursor must not move —
-                    // their slots have to stay strictly ahead of it.)
-                    if let Some(ev) = &ev {
-                        self.cur_slot = slot_of(ev.at);
-                    }
-                }
-                ev
-            } else {
-                self.cur.pop()
-            };
-        }
+        self.queue.push(Scheduled { at, seq, payload });
     }
 
     /// Pop-and-fire the earliest event if it is at or before `until`.
     /// The single place where time advances and `executed` is counted.
     fn step_bounded(&mut self, world: &mut W, until: SimTime) -> bool {
-        let Some(ev) = self.pop_next() else {
-            return false;
-        };
-        if ev.at > until {
-            // Not consumed: requeue with its original seq (order intact).
-            self.insert(ev);
+        if self.queue.peek().is_none_or(|ev| ev.at > until) {
             return false;
         }
+        let ev = self.queue.pop().expect("peeked");
         debug_assert!(ev.at >= self.now, "time must be monotone");
         self.now = ev.at;
         self.executed += 1;
@@ -425,8 +281,8 @@ mod tests {
 
     #[test]
     fn far_future_events_fall_back_to_the_heap() {
-        // Far beyond the wheel window (~134 ms): must still fire in order,
-        // interleaved with near events scheduled later.
+        // Seconds out: must still fire in order, interleaved with near
+        // events scheduled later.
         let mut sim: Sim<World> = Sim::new();
         let mut w = World::default();
         sim.schedule_at(SimTime::from_secs(5), |w, s| {
@@ -444,8 +300,8 @@ mod tests {
 
     #[test]
     fn run_until_bound_mid_slot_keeps_order() {
-        // A bound that lands inside an occupied slot: the later event in
-        // the same slot must be requeued, then fire on the next run.
+        // A bound between two events: the later one stays pending, then
+        // fires on the next run.
         let mut sim: Sim<World> = Sim::new();
         let mut w = World::default();
         sim.schedule_at(SimTime::from_nanos(100), |w, _| w.log.push((100, "a")));
@@ -498,7 +354,6 @@ mod tests {
 #[cfg(test)]
 mod proptests {
     use super::*;
-    use crate::reference::HeapSim;
     use proptest::prelude::*;
 
     proptest! {
@@ -553,13 +408,15 @@ mod proptests {
     }
 
     /// One scripted event: fires at `at` (clamped), then schedules its
-    /// children `delay` ns out. Children can themselves have children, so
-    /// events schedule events to arbitrary depth. Times span well past the
-    /// wheel window so near, current-slot, and far paths all get exercised,
-    /// and small ranges force plenty of same-instant ties.
+    /// children `delay` ns out, as a typed event or a closure. Children can
+    /// themselves have children, so events schedule events to arbitrary
+    /// depth. Times are whole milliseconds, so same-instant ties are
+    /// common, and a child's time is relative to its own `at`, so it often
+    /// lies in the past of the instant it is scheduled at.
     #[derive(Debug, Clone)]
     struct Script {
         at: u64,
+        typed: bool,
         children: Vec<(u64, Script)>,
     }
 
@@ -573,12 +430,17 @@ mod proptests {
         fn generate(&self, rng: &mut rand::rngs::SmallRng) -> Script {
             fn gen_script(rng: &mut rand::rngs::SmallRng, depth: u32) -> Script {
                 use rand::Rng;
-                let at = rng.gen_range(0u64..600_000_000);
+                const MS: u64 = 1_000_000;
+                let at = rng.gen_range(0u64..600) * MS;
                 let n = if depth == 0 { 0 } else { rng.gen_range(0..4) };
                 let children = (0..n)
-                    .map(|_| (rng.gen_range(0u64..400_000_000), gen_script(rng, depth - 1)))
+                    .map(|_| (rng.gen_range(0u64..400) * MS, gen_script(rng, depth - 1)))
                     .collect();
-                Script { at, children }
+                Script {
+                    at,
+                    typed: rng.gen_bool(0.5),
+                    children,
+                }
             }
             gen_script(rng, 3)
         }
@@ -589,93 +451,87 @@ mod proptests {
     }
 
     #[derive(Default)]
-    struct DiffWorld {
-        fired: Vec<(u64, u32)>,
-        next_id: u32,
+    struct SpecWorld {
+        /// Per scheduled event, indexed by schedule order: the instant it
+        /// must fire at.
+        due: Vec<u64>,
+        /// `(instant, schedule order)` per firing, in firing order.
+        fired: Vec<(u64, usize)>,
     }
 
-    /// Typed mirror of the closure script: fires, logs, schedules children.
     struct ScriptEvent {
-        id: u32,
+        id: usize,
         children: Vec<(u64, Script)>,
     }
 
-    impl TypedEvent<DiffWorld> for ScriptEvent {
-        fn fire(self, w: &mut DiffWorld, sim: &mut Sim<DiffWorld, ScriptEvent>) {
-            w.fired.push((sim.now().as_nanos(), self.id));
-            for (delay, child) in self.children {
-                schedule_typed(w, sim, delay, child);
-            }
+    impl TypedEvent<SpecWorld> for ScriptEvent {
+        fn fire(self, w: &mut SpecWorld, sim: &mut Sim<SpecWorld, ScriptEvent>) {
+            fire(w, sim, self.id, self.children);
         }
     }
 
-    fn schedule_typed(
-        w: &mut DiffWorld,
-        sim: &mut Sim<DiffWorld, ScriptEvent>,
+    fn fire(
+        w: &mut SpecWorld,
+        sim: &mut Sim<SpecWorld, ScriptEvent>,
+        id: usize,
+        children: Vec<(u64, Script)>,
+    ) {
+        w.fired.push((sim.now().as_nanos(), id));
+        for (delay, child) in children {
+            schedule(w, sim, delay, child);
+        }
+    }
+
+    fn schedule(
+        w: &mut SpecWorld,
+        sim: &mut Sim<SpecWorld, ScriptEvent>,
         delay: u64,
         script: Script,
     ) {
-        let id = w.next_id;
-        w.next_id += 1;
-        // Children are scheduled relative to the *script* time, which may be
-        // in the past of `sim.now()` — exercising the clamp path.
-        sim.schedule_event_at(
-            SimTime::from_nanos(script.at.saturating_add(delay)),
-            ScriptEvent {
-                id,
-                children: script.children,
-            },
-        );
-    }
-
-    fn schedule_ref(w: &mut DiffWorld, sim: &mut HeapSim<DiffWorld>, delay: u64, script: Script) {
-        let id = w.next_id;
-        w.next_id += 1;
-        let children = script.children.clone();
-        sim.schedule_at(
-            SimTime::from_nanos(script.at.saturating_add(delay)),
-            move |w: &mut DiffWorld, s| {
-                w.fired.push((s.now().as_nanos(), id));
-                for (d, c) in children {
-                    schedule_ref(w, s, d, c);
-                }
-            },
-        );
+        let id = w.due.len();
+        let at = script.at.saturating_add(delay);
+        w.due.push(at.max(sim.now().as_nanos()));
+        let (at, children) = (SimTime::from_nanos(at), script.children);
+        if script.typed {
+            sim.schedule_event_at(at, ScriptEvent { id, children });
+        } else {
+            sim.schedule_at(at, move |w, sim| fire(w, sim, id, children));
+        }
     }
 
     proptest! {
-        /// Differential: the wheel engine fires events in the identical
-        /// (time, seq) order as the frozen heap-only reference across
-        /// randomized schedules — same-instant ties, past-clamped times,
-        /// events-scheduling-events, and far-future fallbacks included.
+        /// The queue's contract, from the script alone: every event fires
+        /// exactly once, at the later of its requested instant and the
+        /// instant it was scheduled at; firings run in (instant, schedule
+        /// order); a `run_until` cut leaves pending exactly the events due
+        /// after it, with the clock on the cut.
         #[test]
-        fn wheel_matches_heap_reference(
+        fn scripts_fire_once_at_their_instant_in_schedule_order(
             scripts in proptest::collection::vec(script_strategy(), 1..12),
             cut in 0u64..700_000_000,
         ) {
-            let mut wheel: Sim<DiffWorld, ScriptEvent> = Sim::new();
-            let mut ww = DiffWorld::default();
-            for s in &scripts {
-                schedule_typed(&mut ww, &mut wheel, 0, s.clone());
+            let mut sim: Sim<SpecWorld, ScriptEvent> = Sim::new();
+            let mut w = SpecWorld::default();
+            for s in scripts {
+                schedule(&mut w, &mut sim, 0, s);
             }
+            sim.run_until(&mut w, SimTime::from_nanos(cut));
+            let later = w.due.iter().filter(|&&t| t > cut).count();
+            prop_assert_eq!(sim.pending(), later);
+            prop_assert_eq!(sim.now(), SimTime::from_nanos(cut));
+            sim.run_to_completion(&mut w, u64::MAX);
 
-            let mut heap: HeapSim<DiffWorld> = HeapSim::new();
-            let mut hw = DiffWorld::default();
-            for s in &scripts {
-                schedule_ref(&mut hw, &mut heap, 0, s.clone());
+            let mut fired = vec![false; w.due.len()];
+            for &(at, id) in &w.fired {
+                prop_assert!(!fired[id], "event {} fired twice", id);
+                fired[id] = true;
+                prop_assert_eq!(at, w.due[id], "event {} fired off its instant", id);
             }
-
-            // Split the run at an arbitrary bound so requeue-at-the-bound
-            // gets exercised, then drain both.
-            wheel.run_until(&mut ww, SimTime::from_nanos(cut));
-            heap.run_until(&mut hw, SimTime::from_nanos(cut));
-            prop_assert_eq!(wheel.pending(), heap.pending());
-            wheel.run_to_completion(&mut ww, 100_000);
-            heap.run_to_completion(&mut hw, 100_000);
-
-            prop_assert_eq!(&ww.fired, &hw.fired);
-            prop_assert_eq!(wheel.now(), heap.now());
-            prop_assert_eq!(wheel.events_executed(), heap.events_executed());
+            prop_assert!(fired.iter().all(|&f| f), "an event never fired");
+            for pair in w.fired.windows(2) {
+                prop_assert!(pair[0] < pair[1], "{:?} fired before {:?}", pair[0], pair[1]);
+            }
+            prop_assert_eq!(sim.events_executed(), w.due.len() as u64);
         }
     }
 }

@@ -19,8 +19,6 @@
 
 pub mod event;
 pub mod metrics;
-#[cfg(test)]
-mod reference;
 pub mod stats;
 pub mod time;
 pub mod topology;

@@ -3,8 +3,8 @@
 //! Version chains live in a per-table slab arena: each chain is a
 //! newest-first singly linked list of `u32` node indices, with the head
 //! stored in the key B-tree. Vacuumed nodes go on a freelist and their
-//! row buffers into a bounded pool, so the steady state — install,
-//! read, vacuum, repeat — allocates nothing per transaction. A chain's
+//! rows are dropped, so the steady state — install, read, vacuum,
+//! repeat — reuses slots rather than growing the slab. A chain's
 //! head keeps its arena slot for the life of the key (an install pushes
 //! the previous head down into a fresh slot), so the table can list the
 //! chains that hold garbage by head slot and vacuum visits only those:
@@ -42,10 +42,6 @@ pub struct VisibleRow<'a> {
 /// Chain-list terminator.
 const NIL: u32 = u32::MAX;
 
-/// Vacuumed row buffers kept for reuse, per table. Bounded so a burst
-/// of deletes cannot pin arbitrary memory.
-const ROW_POOL_CAP: usize = 4096;
-
 /// One arena slot: a version plus the index of the next-*older* version
 /// in its chain.
 #[derive(Debug, Clone)]
@@ -55,12 +51,11 @@ struct VersionNode {
 }
 
 /// Slab arena holding every version node of one table, with a freelist
-/// fed by vacuum and a bounded pool of recycled row buffers.
+/// fed by vacuum.
 #[derive(Debug, Default, Clone)]
 struct VersionArena {
     nodes: Vec<VersionNode>,
     free: Vec<u32>,
-    row_pool: Vec<Row>,
 }
 
 impl VersionArena {
@@ -77,22 +72,16 @@ impl VersionArena {
         }
     }
 
-    /// Return a node to the freelist, salvaging its row buffer.
+    /// Return a node to the freelist, dropping its row.
     fn release(&mut self, idx: u32) {
-        let node = &mut self.nodes[idx as usize];
-        if let Some(mut row) = node.version.row.take() {
-            if self.row_pool.len() < ROW_POOL_CAP {
-                row.0.clear();
-                self.row_pool.push(row);
-            }
-        }
+        self.nodes[idx as usize].version.row = None;
         self.free.push(idx);
     }
 
     /// Allocator bytes the arena currently pins, capacity-based (a pure
     /// function of the operation history, so seeded runs report
-    /// identical footprints): slab capacity, freelist capacity, pooled
-    /// row buffers, and the row buffers held live inside nodes.
+    /// identical footprints): slab capacity, freelist capacity, and the
+    /// row buffers held live inside nodes.
     fn resident_bytes(&self) -> usize {
         let node_rows: usize = self
             .nodes
@@ -103,16 +92,9 @@ impl VersionArena {
                 })
             })
             .sum();
-        let pooled: usize = self
-            .row_pool
-            .iter()
-            .map(|r| r.0.capacity() * std::mem::size_of::<gdb_model::Datum>())
-            .sum();
         self.nodes.capacity() * std::mem::size_of::<VersionNode>()
             + self.free.capacity() * std::mem::size_of::<u32>()
-            + self.row_pool.capacity() * std::mem::size_of::<Row>()
             + node_rows
-            + pooled
     }
 
     /// Newest version at or below `snapshot` walking from `head`.
@@ -161,8 +143,8 @@ impl Table {
     /// timestamp — guaranteed by the lock table (a writer waits out the
     /// previous holder whose commit wait, in turn, guarantees a larger
     /// timestamp). The key is cloned only when it is new to the table or
-    /// becomes deleted, so the steady state (existing keys, recycled row
-    /// buffers) installs with zero allocations.
+    /// becomes deleted, so installing over an existing key allocates only
+    /// when the slab has no free slot.
     pub fn install_version(
         &mut self,
         key: &RowKey,
@@ -218,13 +200,6 @@ impl Table {
             self.tombstoned.remove(&head);
         }
         Ok(())
-    }
-
-    /// A cleared row buffer recycled from vacuumed versions (or a fresh
-    /// one if the pool is empty). Pass its contents back through
-    /// [`Table::install_version`] to keep the steady state allocation-free.
-    pub fn recycled_row(&mut self) -> Row {
-        self.arena.row_pool.pop().unwrap_or_default()
     }
 
     /// Point read at a snapshot. Tombstones read as `None`.

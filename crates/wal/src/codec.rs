@@ -194,22 +194,12 @@ pub fn put_row(out: &mut Vec<u8>, row: &Row) {
 }
 
 pub fn get_row(r: &mut Reader) -> DecodeResult<Row> {
-    let mut row = Row::default();
-    get_row_into(r, &mut row)?;
-    Ok(row)
-}
-
-/// Decode a row into a caller-owned buffer, reusing its capacity. The
-/// steady-state replay path decodes millions of rows; recycling the
-/// datum `Vec` drops the per-row allocation to zero.
-pub fn get_row_into(r: &mut Reader, row: &mut Row) -> DecodeResult<()> {
-    row.0.clear();
     let n = r.varint()? as usize;
-    row.0.reserve(n.min(1024));
+    let mut row = Vec::with_capacity(n.min(1024));
     for _ in 0..n {
-        row.0.push(get_datum(r)?);
+        row.push(get_datum(r)?);
     }
-    Ok(())
+    Ok(Row(row))
 }
 
 pub fn put_key(out: &mut Vec<u8>, key: &RowKey) {
@@ -220,35 +210,14 @@ pub fn put_key(out: &mut Vec<u8>, key: &RowKey) {
 }
 
 pub fn get_key(r: &mut Reader) -> DecodeResult<RowKey> {
-    let n = key_arity(r)?;
-    RowKey::try_from_fn(n, |_| get_datum(r))
-}
-
-/// The column count that opens an encoded key. Every datum takes at
-/// least one byte, so a count beyond the remaining input is corrupt — and
-/// is rejected before anything is allocated for it.
-fn key_arity(r: &mut Reader) -> DecodeResult<usize> {
+    // Every datum takes at least one byte, so a column count beyond the
+    // remaining input is corrupt — and is rejected before anything is
+    // allocated for it.
     let n = r.varint()?;
     if n > r.remaining() as u64 {
         return Err(DecodeError::Truncated("key"));
     }
-    Ok(n as usize)
-}
-
-/// Decode a key into a caller-owned buffer (see [`get_row_into`]): when
-/// the buffer's datums are not shared and the arity matches they are
-/// overwritten in place, with no allocation for a numeric key.
-pub fn get_key_into(r: &mut Reader, key: &mut RowKey) -> DecodeResult<()> {
-    let n = key_arity(r)?;
-    match std::sync::Arc::get_mut(&mut key.0) {
-        Some(slots) if slots.len() == n => {
-            for slot in slots {
-                *slot = get_datum(r)?;
-            }
-        }
-        _ => *key = RowKey::try_from_fn(n, |_| get_datum(r))?,
-    }
-    Ok(())
+    RowKey::try_from_fn(n as usize, |_| get_datum(r))
 }
 
 pub fn put_data_type(out: &mut Vec<u8>, dt: DataType) {
@@ -363,40 +332,6 @@ mod tests {
     }
 
     #[test]
-    fn decode_into_reuses_buffers() {
-        let row = Row(vec![Datum::Int(1), Datum::Bool(true)]);
-        let key = RowKey::new(vec![Datum::Int(7)]);
-        let mut out = Vec::new();
-        put_row(&mut out, &row);
-        put_key(&mut out, &key);
-
-        let mut row_buf = Row(Vec::with_capacity(8));
-        let mut key_buf = RowKey::single(0i64);
-        let row_cap = row_buf.0.capacity();
-        let key_slots = key_buf.0.as_ptr();
-        let mut r = Reader::new(&out);
-        get_row_into(&mut r, &mut row_buf).unwrap();
-        get_key_into(&mut r, &mut key_buf).unwrap();
-        assert_eq!(row_buf, row);
-        assert_eq!(key_buf, key);
-        assert_eq!(row_buf.0.capacity(), row_cap, "no reallocation");
-        assert_eq!(key_buf.0.as_ptr(), key_slots, "key overwritten in place");
-
-        // Stale contents are cleared on reuse.
-        let mut r2 = Reader::new(&out);
-        get_row_into(&mut r2, &mut row_buf).unwrap();
-        assert_eq!(row_buf, row);
-
-        // A shared buffer is never written through: the other holder
-        // keeps its key and the buffer gets a fresh one.
-        let held = key_buf.clone();
-        let mut r3 = Reader::new(&out[out.len() - 3..]);
-        get_key_into(&mut r3, &mut key_buf).unwrap();
-        assert_eq!(held, key);
-        assert!(!std::sync::Arc::ptr_eq(&held.0, &key_buf.0));
-    }
-
-    #[test]
     fn oversized_lengths_are_errors_not_panics() {
         // A length varint of u64::MAX used to wrap `pos + len` past the
         // bounds check and panic on the slice.
@@ -411,7 +346,6 @@ mod tests {
         let mut key = Vec::new();
         put_varint(&mut key, u64::MAX);
         assert!(get_key(&mut Reader::new(&key)).is_err());
-        assert!(get_key_into(&mut Reader::new(&key), &mut RowKey::single(1i64)).is_err());
     }
 
     #[test]

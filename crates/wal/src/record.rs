@@ -1,8 +1,8 @@
 //! Redo record types and their binary encoding.
 
 use crate::codec::{
-    get_data_type, get_key, get_key_into, get_row, get_row_into, put_data_type, put_key, put_row,
-    put_str, put_varint, DecodeError, Reader,
+    get_data_type, get_key, get_row, put_data_type, put_key, put_row, put_str, put_varint,
+    DecodeError, Reader,
 };
 use crate::crc::crc32;
 use gdb_model::{ColumnDef, DistributionKind, Row, RowKey, TableId, TableSchema, Timestamp, TxnId};
@@ -535,100 +535,6 @@ pub fn decode_all(data: &[u8]) -> Result<Vec<RedoRecord>, WalError> {
     Ok(out)
 }
 
-/// One record surfaced by [`ReplayDecoder::next_into`]. Keys and rows
-/// were decoded into the caller's scratch buffers (valid until the next
-/// call); the step itself carries only fixed-size fields.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ReplayStep {
-    /// Insert or update: the scratch key and row hold the data.
-    Put {
-        lsn: Lsn,
-        txn: TxnId,
-        table: TableId,
-    },
-    /// Delete: the scratch key holds the key (row scratch untouched).
-    Delete {
-        lsn: Lsn,
-        txn: TxnId,
-        table: TableId,
-    },
-    Commit {
-        lsn: Lsn,
-        txn: TxnId,
-        commit_ts: Timestamp,
-    },
-    /// Any other payload kind (control records — pending-commit, 2PC,
-    /// DDL, heartbeats — which replay through the owned-record path).
-    Other { lsn: Lsn, txn: TxnId },
-}
-
-/// Streaming decoder over a framed segment: yields one record at a
-/// time, CRC-checked, decoding DML keys and rows into reusable caller
-/// buffers. This is the redo-replay hot path — with warmed scratch the
-/// decode of an all-numeric record allocates nothing (text datums cost
-/// one shared string each, validated in place via [`Reader::str_ref`]).
-#[derive(Debug)]
-pub struct ReplayDecoder<'a> {
-    r: Reader<'a>,
-}
-
-impl<'a> ReplayDecoder<'a> {
-    pub fn new(data: &'a [u8]) -> Self {
-        ReplayDecoder {
-            r: Reader::new(data),
-        }
-    }
-
-    /// Decode the next frame; `None` at end of segment.
-    pub fn next_into(
-        &mut self,
-        key: &mut RowKey,
-        row: &mut Row,
-    ) -> Result<Option<ReplayStep>, WalError> {
-        if self.r.is_empty() {
-            return Ok(None);
-        }
-        let body = self.r.bytes()?;
-        let mut crc_bytes = [0u8; 4];
-        for b in crc_bytes.iter_mut() {
-            *b = self.r.u8()?;
-        }
-        if crc32(body) != u32::from_le_bytes(crc_bytes) {
-            let lsn = Reader::new(body).varint().unwrap_or(0);
-            return Err(WalError::Corrupt { lsn });
-        }
-        let mut br = Reader::new(body);
-        let lsn = Lsn(br.varint()?);
-        let txn = TxnId(br.varint()?);
-        let step = match br.u8()? {
-            tag @ (P_INSERT | P_UPDATE) => {
-                let _ = tag;
-                let table = TableId(br.varint()? as u32);
-                get_key_into(&mut br, key)?;
-                get_row_into(&mut br, row)?;
-                ReplayStep::Put { lsn, txn, table }
-            }
-            P_DELETE => {
-                let table = TableId(br.varint()? as u32);
-                get_key_into(&mut br, key)?;
-                ReplayStep::Delete { lsn, txn, table }
-            }
-            P_COMMIT => ReplayStep::Commit {
-                lsn,
-                txn,
-                commit_ts: Timestamp(br.varint()?),
-            },
-            // Control payloads: skip the remainder of the (already
-            // CRC-verified) body without materializing it.
-            _ => return Ok(Some(ReplayStep::Other { lsn, txn })),
-        };
-        if !br.is_empty() {
-            return Err(WalError::Decode("trailing bytes in record body".into()));
-        }
-        Ok(Some(step))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -700,98 +606,6 @@ mod tests {
                 as_of: Timestamp(1000),
             },
         ]
-    }
-
-    #[test]
-    fn replay_decoder_matches_decode_all() {
-        let recs: Vec<RedoRecord> = all_payloads()
-            .into_iter()
-            .enumerate()
-            .map(|(i, payload)| RedoRecord {
-                lsn: Lsn(i as u64),
-                txn: TxnId(i as u64),
-                payload,
-            })
-            .collect();
-        let mut seg = Vec::new();
-        for rec in &recs {
-            encode_record(&mut seg, rec);
-        }
-        let owned = decode_all(&seg).unwrap();
-
-        let mut key = RowKey::new(Vec::new());
-        let mut row = Row::default();
-        let mut dec = ReplayDecoder::new(&seg);
-        let mut steps = Vec::new();
-        while let Some(step) = dec.next_into(&mut key, &mut row).unwrap() {
-            // DML steps must surface the same data as the owned decode.
-            match (&step, &owned[steps.len()].payload) {
-                (
-                    ReplayStep::Put { table, .. },
-                    RedoPayload::Insert {
-                        table: t,
-                        key: k,
-                        row: r,
-                    },
-                )
-                | (
-                    ReplayStep::Put { table, .. },
-                    RedoPayload::Update {
-                        table: t,
-                        key: k,
-                        new_row: r,
-                    },
-                ) => {
-                    assert_eq!(table, t);
-                    assert_eq!(&key, k);
-                    assert_eq!(&row, r);
-                }
-                (ReplayStep::Delete { table, .. }, RedoPayload::Delete { table: t, key: k }) => {
-                    assert_eq!(table, t);
-                    assert_eq!(&key, k);
-                }
-                (ReplayStep::Commit { commit_ts, .. }, RedoPayload::Commit { commit_ts: ts }) => {
-                    assert_eq!(commit_ts, ts);
-                }
-                (ReplayStep::Other { .. }, p) => assert!(!matches!(
-                    p,
-                    RedoPayload::Insert { .. }
-                        | RedoPayload::Update { .. }
-                        | RedoPayload::Delete { .. }
-                        | RedoPayload::Commit { .. }
-                )),
-                (s, p) => panic!("step {s:?} mismatches payload {p:?}"),
-            }
-            let (lsn, txn) = match step {
-                ReplayStep::Put { lsn, txn, .. }
-                | ReplayStep::Delete { lsn, txn, .. }
-                | ReplayStep::Commit { lsn, txn, .. }
-                | ReplayStep::Other { lsn, txn } => (lsn, txn),
-            };
-            assert_eq!(lsn, owned[steps.len()].lsn);
-            assert_eq!(txn, owned[steps.len()].txn);
-            steps.push(step);
-        }
-        assert_eq!(steps.len(), owned.len());
-    }
-
-    #[test]
-    fn replay_decoder_catches_corruption() {
-        let rec = RedoRecord {
-            lsn: Lsn(7),
-            txn: TxnId(1),
-            payload: RedoPayload::Commit {
-                commit_ts: Timestamp(9),
-            },
-        };
-        let mut seg = Vec::new();
-        encode_record(&mut seg, &rec);
-        let mid = seg.len() / 2;
-        seg[mid] ^= 0xFF;
-        let mut key = RowKey::new(Vec::new());
-        let mut row = Row::default();
-        let mut dec = ReplayDecoder::new(&seg);
-        assert!(dec.next_into(&mut key, &mut row).is_err());
     }
 
     #[test]
@@ -902,10 +716,7 @@ mod tests {
         seg.push(0x01);
         seg.extend([0; 8]);
         assert!(decode_all(&seg).is_err());
-        let mut dec = ReplayDecoder::new(&seg);
-        assert!(dec
-            .next_into(&mut RowKey::single(0i64), &mut Row::default())
-            .is_err());
+        assert!(decode_record(&mut Reader::new(&seg)).is_err());
     }
 
     #[test]
@@ -987,7 +798,7 @@ mod proptests {
             prop_assert_eq!(decode_record(&mut Reader::new(&out)).unwrap(), rec);
         }
 
-        /// Both decoders answer `Ok` or `Err`, never panic, on arbitrary
+        /// The decoder answers `Ok` or `Err`, never panics, on arbitrary
         /// bytes (spliced with varints of any size, lengths near
         /// `u64::MAX` included) and on valid segments with one byte
         /// flipped or cut short.
@@ -1012,9 +823,6 @@ mod proptests {
             }
             for input in [chunks.concat(), seg] {
                 let _ = decode_all(&input);
-                let mut dec = ReplayDecoder::new(&input);
-                let (mut key, mut row) = (RowKey::single(0i64), Row::default());
-                while let Ok(Some(_)) = dec.next_into(&mut key, &mut row) {}
             }
         }
     }

@@ -14,15 +14,16 @@
 #   test           cargo test -q: the workspace's default-members — the
 #                  root package (incl. the deterministic hot-path budgets
 #                  in tests/budgets.rs), the ten paper-component crates,
-#                  model .. core, and the seven deterministic tooling
-#                  crates (simnet, simclock, obs, workloads, rebalance,
-#                  chaos, bench). The shell and realnet suites join real
-#                  threads and sockets and keep their own
-#                  timeout-bounded stages; `cargo test --workspace` runs
-#                  every crate
+#                  model .. core, the seven deterministic tooling crates
+#                  (simnet, simclock, obs, workloads, rebalance, chaos,
+#                  bench) and the shell's sim-backend tests. The realnet
+#                  suite and the shell's thread-backend test join real
+#                  threads and sockets and keep their own timeout-bounded
+#                  stages; `cargo test --workspace` runs every crate
 #   nemesis-smoke  nemesis seeds 1..5 (the CI "nemesis" job)
-#   shell          gdb-shell tests + committed scenario replays (the CI
-#                  "shell" job)
+#   shell          gdb-shell tests, the ignored thread-backend one
+#                  included, + committed scenario replays (the CI "shell"
+#                  job)
 #   bench-smoke    tiny-scale figure runs gated against BENCH_smoke.json
 #   benchmark      benchmark/ builds against the current crates, its
 #                  tests pass, and `all --quick` exits 0
@@ -88,13 +89,13 @@ stage_nemesis_smoke() {
 }
 
 # Operator-console gate: the shell's unit + golden-transcript tests
-# (byte-identical replay, thread-backend agreement), then both committed
-# scenario files replayed end to end. Scenario runs are virtual-time
-# chaos runs and cannot wedge, but the thread-backend test joins real
-# threads — hence the hard timeouts.
+# (byte-identical replay, thread-backend agreement — the one test
+# `cargo test` skips), then both committed scenario files replayed end to
+# end. Scenario runs are virtual-time chaos runs and cannot wedge, but
+# the thread-backend test joins real threads — hence the hard timeouts.
 stage_shell() {
     echo "==> gdb-shell tests (golden transcript + thread backend)"
-    timeout 600 cargo test --release -q -p gdb-shell
+    timeout 600 cargo test --release -q -p gdb-shell -- --include-ignored
 
     echo "==> committed scenario replays via gdb-shell"
     for scn in scenarios/*.toml; do
