@@ -2,7 +2,9 @@
 //!
 //! Every wire interaction in the system is one of a small closed set of
 //! [`RpcKind`]s, and every latency/byte charge for those interactions
-//! funnels through a single chokepoint — [`MessagePlane::charge`] — so
+//! funnels through the plane — [`MessagePlane::charge`] for one-way
+//! messages, [`MessagePlane::scatter`] for round trips, both accounting
+//! each delivered leg the same way — so
 //! that (a) the cost model is applied uniformly, (b) per-kind message and
 //! byte counters plus delay histograms come for free, and (c) each
 //! counter also exists with a per-region-pair label
@@ -14,13 +16,14 @@
 //! Determinism: the plane is a thin wrapper over [`Topology::one_way`]
 //! and must preserve the *exact* sequence of calls into it — each
 //! `one_way` draws link jitter from the topology's seeded RNG, so a
-//! skipped or reordered call changes every timestamp downstream. The
-//! convenience methods ([`MessagePlane::rtt`], [`MessagePlane::ship_rtt`])
-//! therefore mirror the short-circuit structure of the `Topology`
-//! methods they replace: the return leg is only attempted when the
-//! outbound leg was deliverable. Accounting-only paths
-//! ([`MessagePlane::account`], [`MessagePlane::charge_bytes`]) never
-//! touch the RNG.
+//! skipped or reordered call changes every timestamp downstream. Round
+//! trips have one primitive, [`MessagePlane::scatter`] (of which
+//! [`MessagePlane::rtt`] and [`MessagePlane::ship_rtt`] are the
+//! one-target cases); on the sim transport it delivers its legs in
+//! there/back order and stops at the first undeliverable one, mirroring
+//! the short-circuit structure of the `Topology` methods it replaces.
+//! Accounting-only paths ([`MessagePlane::account`],
+//! [`MessagePlane::charge_bytes`]) never touch the RNG.
 
 use gdb_obs::MetricsRegistry;
 use gdb_simnet::stats::LatencyHistogram;
@@ -175,6 +178,38 @@ pub trait Transport: Send {
     /// topology RNG stream is part of the trace.
     fn deliver(&mut self, topo: &mut Topology, env: Envelope) -> Option<SimDuration>;
 
+    /// Deliver the legs of a scatter: each pair is a request and the
+    /// response that answers it. `delays[i]` receives pair `i`'s two leg
+    /// delays; it arrives all `None`, and on return `Some` marks exactly
+    /// the legs that were delivered. A response is only ever handled
+    /// after its request was.
+    ///
+    /// The default is sequential delivery: each leg through
+    /// [`Transport::deliver`] in order, stopping at the first
+    /// undeliverable leg — so a simulated transport draws exactly the
+    /// `one_way` sequence the legs would draw one by one. Real transports
+    /// may put many legs in flight at once, provided each response is
+    /// still handled after its request, they stop planning at the first
+    /// undeliverable leg as the default does, and they report per-leg
+    /// delays whose there+back sum is the pair's round trip. An I/O
+    /// failure there may leave a later leg delivered after an earlier one
+    /// failed.
+    fn deliver_pairs(
+        &mut self,
+        topo: &mut Topology,
+        pairs: &[[Envelope; 2]],
+        delays: &mut [[Option<SimDuration>; 2]],
+    ) {
+        for (pair, out) in pairs.iter().zip(delays) {
+            for (&env, delay) in pair.iter().zip(out) {
+                *delay = self.deliver(topo, env);
+                if delay.is_none() {
+                    return;
+                }
+            }
+        }
+    }
+
     /// Graceful teardown: join node threads, close sockets. Idempotent;
     /// the default (for purely simulated transports) does nothing.
     fn shutdown(&mut self) {}
@@ -208,6 +243,10 @@ pub struct MessagePlane {
     /// there but never rides the transport. Real backends cross-check
     /// their silo tallies against *this*.
     delivered: [u64; ALL_RPC_KINDS.len()],
+    /// Scratch of [`MessagePlane::scatter`] (its leg pairs and their
+    /// delays), reused so a scatter allocates nothing.
+    pairs: Vec<[Envelope; 2]>,
+    pair_delays: Vec<[Option<SimDuration>; 2]>,
 }
 
 impl fmt::Debug for MessagePlane {
@@ -232,6 +271,8 @@ impl MessagePlane {
             delays: vec![LatencyHistogram::bounded(); ALL_RPC_KINDS.len()],
             transport: Box::new(SimTransport),
             delivered: [0; ALL_RPC_KINDS.len()],
+            pairs: Vec::new(),
+            pair_delays: Vec::new(),
         };
         for kind in ALL_RPC_KINDS {
             plane
@@ -276,12 +317,61 @@ impl MessagePlane {
     pub fn charge(&mut self, topo: &mut Topology, env: Envelope) -> Option<SimDuration> {
         let delay = self.transport.deliver(topo, env);
         if let Some(d) = delay {
-            let (from, to) = (topo.node_region(env.from), topo.node_region(env.to));
-            self.note(env.kind, from, to, env.bytes, 1);
-            self.delays[env.kind.idx()].record(d);
-            self.delivered[env.kind.idx()] += 1;
+            self.record(topo, env, d);
         }
         delay
+    }
+
+    /// The bookkeeping of one delivered leg.
+    fn record(&mut self, topo: &Topology, env: Envelope, delay: SimDuration) {
+        let (from, to) = (topo.node_region(env.from), topo.node_region(env.to));
+        self.note(env.kind, from, to, env.bytes, 1);
+        self.delays[env.kind.idx()].record(delay);
+        self.delivered[env.kind.idx()] += 1;
+    }
+
+    /// One parallel round trip from `from` to every node of `to`: a
+    /// `req_bytes` request out and a `resp_bytes` response back per
+    /// target, all in flight at once. Returns the slowest target's round
+    /// trip, or `None` when any leg was undeliverable; every delivered
+    /// leg is accounted exactly as [`MessagePlane::charge`] does, the
+    /// undelivered ones not at all.
+    pub fn scatter(
+        &mut self,
+        topo: &mut Topology,
+        kind: RpcKind,
+        from: NetNodeId,
+        to: impl IntoIterator<Item = NetNodeId>,
+        req_bytes: u64,
+        resp_bytes: u64,
+    ) -> Option<SimDuration> {
+        self.pairs.clear();
+        self.pairs.extend(to.into_iter().map(|node| {
+            let leg = |from, to, bytes| Envelope {
+                kind,
+                from,
+                to,
+                bytes,
+            };
+            [leg(from, node, req_bytes), leg(node, from, resp_bytes)]
+        }));
+        self.pair_delays.clear();
+        self.pair_delays.resize(self.pairs.len(), [None; 2]);
+        self.transport
+            .deliver_pairs(topo, &self.pairs, &mut self.pair_delays);
+        let mut slowest = Some(SimDuration::ZERO);
+        for i in 0..self.pairs.len() {
+            let mut round_trip = Some(SimDuration::ZERO);
+            for leg in 0..2 {
+                let delay = self.pair_delays[i][leg];
+                if let Some(d) = delay {
+                    self.record(topo, self.pairs[i][leg], d);
+                }
+                round_trip = round_trip.zip(delay).map(|(rt, d)| rt + d);
+            }
+            slowest = slowest.zip(round_trip).map(|(s, rt)| s.max(rt));
+        }
+        slowest
     }
 
     /// Messages of `kind` the active transport delivered (excludes
@@ -310,8 +400,7 @@ impl MessagePlane {
         )
     }
 
-    /// Small request/response round trip (both legs 128 control bytes).
-    /// The response leg is only attempted when the request leg delivered,
+    /// Small request/response round trip (both legs 128 control bytes),
     /// mirroring [`Topology::rtt`].
     pub fn rtt(
         &mut self,
@@ -320,9 +409,7 @@ impl MessagePlane {
         a: NetNodeId,
         b: NetNodeId,
     ) -> Option<SimDuration> {
-        let there = self.send(topo, kind, a, b, 128)?;
-        let back = self.send(topo, kind, b, a, 128)?;
-        Some(there + back)
+        self.scatter(topo, kind, a, [b], 128, 128)
     }
 
     /// Ship `bytes` to `to` with a small acknowledgment back (the
@@ -336,9 +423,7 @@ impl MessagePlane {
         to: NetNodeId,
         bytes: u64,
     ) -> Option<SimDuration> {
-        let there = self.send(topo, kind, from, to, bytes)?;
-        let back = self.send(topo, kind, to, from, 128)?;
-        Some(there + back)
+        self.scatter(topo, kind, from, [to], bytes, 128)
     }
 
     /// Account payload bytes whose delivery cost was modelled elsewhere
@@ -432,6 +517,70 @@ mod tests {
         assert_eq!(plane.bytes(RpcKind::SyncQuorumShip), 4096 + 128);
     }
 
+    /// A Xi'an CN and one data node per city, each on its own host.
+    fn cn_and_three_dns(seed: u64) -> (Topology, NetNodeId, [NetNodeId; 3]) {
+        let (mut t, regions) = TopologyBuilder::three_city(seed, false, 300);
+        let cn = t.add_node(regions[0], 0, NodeKind::ComputeNode);
+        let mut host = 0;
+        let dns = regions.map(|r| {
+            host += 1;
+            t.add_node(r, host, NodeKind::DataNodePrimary)
+        });
+        (t, cn, dns)
+    }
+
+    #[test]
+    fn sim_scatter_is_the_sequential_one_way_stream() {
+        let (mut t1, cn, dns) = cn_and_three_dns(11);
+        let (mut t2, ..) = cn_and_three_dns(11);
+        let mut plane = MessagePlane::new(RegionId(0));
+        let mut direct = LatencyHistogram::bounded();
+        let mut leg = |t: &mut Topology, from, to, bytes| {
+            let d = t.one_way(from, to, bytes);
+            if let Some(d) = d {
+                direct.record(d);
+            }
+            d
+        };
+
+        // Healthy: the slowest there+back, drawn in there/back order.
+        let got = plane.scatter(&mut t1, RpcKind::DnRead, cn, dns, 128, 512);
+        let mut slowest = SimDuration::ZERO;
+        for dn in dns {
+            let there = leg(&mut t2, cn, dn, 128).unwrap();
+            slowest = slowest.max(there + leg(&mut t2, dn, cn, 512).unwrap());
+        }
+        assert_eq!(got, Some(slowest));
+        assert_eq!(plane.transport_msgs(RpcKind::DnRead), 6);
+        assert_eq!(plane.bytes(RpcKind::DnRead), 3 * (128 + 512));
+
+        // The middle target's city partitioned away: the first pair
+        // delivers, the middle request fails, nothing after it draws or
+        // is accounted.
+        for t in [&mut t1, &mut t2] {
+            let (a, b) = (t.node_region(cn), t.node_region(dns[1]));
+            t.partition(a, b);
+        }
+        let got = plane.scatter(&mut t1, RpcKind::DnRead, cn, dns, 128, 512);
+        assert_eq!(got, None);
+        leg(&mut t2, cn, dns[0], 128).unwrap();
+        leg(&mut t2, dns[0], cn, 512).unwrap();
+        assert_eq!(leg(&mut t2, cn, dns[1], 128), None);
+        assert_eq!(plane.transport_msgs(RpcKind::DnRead), 8);
+        assert_eq!(plane.bytes(RpcKind::DnRead), 4 * (128 + 512));
+        assert_eq!(
+            plane.delays[RpcKind::DnRead.idx()].to_summary(),
+            direct.to_summary(),
+            "every delivered leg's delay, in order"
+        );
+
+        // Same RNG stream afterwards.
+        assert_eq!(
+            plane.send(&mut t1, RpcKind::DnWrite, cn, dns[2], 64),
+            t2.one_way(cn, dns[2], 64)
+        );
+    }
+
     #[test]
     fn every_kind_preregistered_with_region_label() {
         let plane = MessagePlane::new(RegionId(0));
@@ -489,6 +638,46 @@ mod tests {
         assert_eq!(plane.send(&mut t, RpcKind::DnRead, a, b, 64), None);
         assert_eq!(plane.msgs(RpcKind::DnRead), 1);
         plane.shutdown_transport();
+    }
+
+    #[test]
+    fn scatter_accounts_every_delivered_leg_even_after_a_failed_one() {
+        /// Loses the middle pair, as a real transport does when only
+        /// that target's connection fails.
+        struct MiddleLost;
+        impl Transport for MiddleLost {
+            fn name(&self) -> &'static str {
+                "middle-lost"
+            }
+            fn deliver(&mut self, _: &mut Topology, _: Envelope) -> Option<SimDuration> {
+                Some(SimDuration::from_millis(1))
+            }
+            fn deliver_pairs(
+                &mut self,
+                _: &mut Topology,
+                pairs: &[[Envelope; 2]],
+                delays: &mut [[Option<SimDuration>; 2]],
+            ) {
+                for (i, out) in delays.iter_mut().enumerate().take(pairs.len()) {
+                    if i != 1 {
+                        *out = [Some(SimDuration::from_millis(1)); 2];
+                    }
+                }
+            }
+        }
+        let (mut t, cn, dns) = cn_and_three_dns(5);
+        let mut plane = MessagePlane::new(RegionId(0));
+        plane.set_transport(Box::new(MiddleLost));
+        assert_eq!(
+            plane.scatter(&mut t, RpcKind::DnRead, cn, dns, 128, 512),
+            None
+        );
+        assert_eq!(plane.transport_msgs(RpcKind::DnRead), 4);
+        assert_eq!(plane.bytes(RpcKind::DnRead), 2 * (128 + 512));
+        assert_eq!(
+            plane.scatter(&mut t, RpcKind::DnRead, cn, [dns[0]], 128, 512),
+            Some(SimDuration::from_millis(2))
+        );
     }
 
     #[test]

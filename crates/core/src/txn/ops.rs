@@ -14,7 +14,7 @@ use gdb_model::{
     Datum, DistributionKind, GdbError, GdbResult, IndexId, Row, RowKey, TableId, TableSchema,
     Timestamp,
 };
-use gdb_simnet::{SimDuration, SimTime};
+use gdb_simnet::SimTime;
 use gdb_sqlengine::plan::BoundDdl;
 use gdb_sqlengine::DataAccess;
 use gdb_storage::{Catalog, DataNodeStorage, LockOutcome};
@@ -128,25 +128,18 @@ impl<'a> TxnHandle<'a> {
         bytes: u64,
     ) -> GdbResult<()> {
         let db = &mut *self.db;
+        let shards = &db.shards;
+        let nodes = to.into_iter().map(|(shard, target)| match target {
+            ReadTarget::Primary => shards[shard].primary,
+            ReadTarget::Replica(ri) => shards[shard].replicas[ri].node,
+        });
         let cn_node = db.cns[self.cn].node;
-        let unreachable = || GdbError::NodeUnavailable("data node unreachable".into());
-        let mut max = SimDuration::ZERO;
-        for (shard, target) in to {
-            let node = match target {
-                ReadTarget::Primary => db.shards[shard].primary,
-                ReadTarget::Replica(ri) => db.shards[shard].replicas[ri].node,
-            };
-            let there = db
-                .plane
-                .send(&mut db.topo, kind, cn_node, node, OP_MSG_BYTES)
-                .ok_or_else(unreachable)?;
-            let back = db
-                .plane
-                .send(&mut db.topo, kind, node, cn_node, bytes.max(OP_MSG_BYTES))
-                .ok_or_else(unreachable)?;
-            max = max.max(there + back);
-        }
-        self.now += max + db.config.op_cpu_cost;
+        let back = bytes.max(OP_MSG_BYTES);
+        let slowest = db
+            .plane
+            .scatter(&mut db.topo, kind, cn_node, nodes, OP_MSG_BYTES, back)
+            .ok_or_else(|| GdbError::NodeUnavailable("data node unreachable".into()))?;
+        self.now += slowest + db.config.op_cpu_cost;
         Ok(())
     }
 

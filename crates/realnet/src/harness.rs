@@ -2,7 +2,7 @@
 //!
 //! [`RealCluster`] wraps the ordinary [`globaldb::Cluster`]: same
 //! virtual-time driver, same workloads, same chaos plans — only the
-//! transport behind [`globaldb::MessagePlane::charge`] differs. At
+//! transport behind the [`globaldb::MessagePlane`] differs. At
 //! shutdown it collects each silo's tallies into a [`RealnetReport`]
 //! and cross-checks them against the driver's message-plane accounting:
 //! every message the plane charged must have been physically routed by
@@ -44,6 +44,8 @@ pub struct SiloReport {
     pub msgs: u64,
     pub bytes: u64,
     pub per_kind: [u64; NKINDS],
+    /// Ack writes; `msgs / ack_flushes` is the frames one wake-up served.
+    pub ack_flushes: u64,
 }
 
 /// End-of-run physical accounting for a [`RealCluster`].
@@ -179,6 +181,7 @@ impl RealCluster {
                 msgs: s.stats.msgs,
                 bytes: s.stats.bytes,
                 per_kind: s.stats.per_kind,
+                ack_flushes: s.stats.ack_flushes,
             });
         }
         let report = RealnetReport {
@@ -237,6 +240,9 @@ mod tests {
         let (report, verdict, _) = run_one(Backend::Tcp);
         assert_eq!(report.silos.len(), 3);
         assert!(report.msgs > 0);
+        for s in &report.silos {
+            assert!(s.ack_flushes <= s.msgs, "one write answers ≥ 1 frame");
+        }
         verdict.unwrap();
     }
 

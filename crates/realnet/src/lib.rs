@@ -3,26 +3,29 @@
 //!
 //! The paper's system is an actual geo-distributed deployment; this
 //! workspace reproduces it on `simnet` virtual time. Every wire
-//! interaction already funnels through one seam —
-//! [`globaldb::MessagePlane::charge`] → [`globaldb::Transport::deliver`]
-//! — so this crate swaps what "deliver" means without touching
-//! transaction, replication, or consistency logic:
+//! interaction already funnels through one seam — the
+//! [`globaldb::MessagePlane`] hands one-way messages to
+//! [`globaldb::Transport::deliver`] and a scatter's round trips to
+//! [`globaldb::Transport::deliver_pairs`] — so this crate swaps what
+//! "deliver" means without touching transaction, replication, or
+//! consistency logic:
 //!
 //! * [`transport::ThreadTransport`] — each silo (host) is a real OS
 //!   thread; envelopes travel over in-process channels. The stepping
 //!   stone: real scheduling and real measured delays, no sockets.
 //! * [`transport::TcpTransport`] — each silo additionally runs a
 //!   loopback-TCP accept loop and envelopes travel as length-prefixed
-//!   frames ([`wire`]) over real sockets, Nagle disabled.
+//!   frames ([`wire`]) over real sockets, Nagle disabled; a scatter's
+//!   legs are in flight at once, one write per silo each way.
 //!
 //! The split follows the silo / message-router / membership layout of
 //! actor-style cluster runtimes:
 //!
 //! ```text
 //!              Cluster (driver thread, virtual time)
-//!                 │  MessagePlane::charge(env)
+//!                 │  MessagePlane::charge(env) / scatter(..)
 //!                 ▼
-//!         Transport::deliver ── topo.deliverable()? ── faults?
+//!   Transport::deliver(_pairs) ── topo.deliverable()? ── faults?
 //!                 │ frame                        ▲
 //!                 ▼                              │ measured delay
 //!   ┌─────────┐  ┌─────────┐  ┌─────────┐       │

@@ -13,6 +13,7 @@ use gdb_simclock::{TimeSource, WallClock};
 use gdb_simnet::SimTime;
 use globaldb::ALL_RPC_KINDS;
 use std::sync::{Arc, Mutex};
+use std::time::{Duration, Instant};
 
 /// Number of `RpcKind`s (array size of the per-kind tallies).
 pub const NKINDS: usize = ALL_RPC_KINDS.len();
@@ -26,6 +27,10 @@ pub struct SiloStats {
     pub bytes: u64,
     pub per_kind: [u64; NKINDS],
     pub last_recv: SimTime,
+    /// Writes of buffered acks back to a TCP client; `msgs / ack_flushes`
+    /// is how many pipelined frames one wake-up served. The channel
+    /// backend replies per frame and leaves it at 0.
+    pub ack_flushes: u64,
 }
 
 impl Default for SiloStats {
@@ -35,6 +40,7 @@ impl Default for SiloStats {
             bytes: 0,
             per_kind: [0; NKINDS],
             last_recv: SimTime::ZERO,
+            ack_flushes: 0,
         }
     }
 }
@@ -74,20 +80,29 @@ impl SiloState {
 /// loop should exit (resp. drop the connection).
 pub fn handle_frame(silo: &SharedSilo, body: &[u8]) -> Option<Vec<u8>> {
     let mut ack = Vec::new();
-    handle_frame_into(silo, body, &mut ack).then_some(ack)
+    handle_frame_into(silo, body, &mut ack, Instant::now()).then_some(ack)
 }
 
-/// [`handle_frame`] encoding the ack into a reused buffer; `false` where
-/// that returns `None`.
-pub fn handle_frame_into(silo: &SharedSilo, body: &[u8], ack_out: &mut Vec<u8>) -> bool {
+/// [`handle_frame`] for a frame that `arrived` at that instant, appending
+/// the encoded ack to `acks` (the acks a connection has not written
+/// yet); `false` where that returns `None`.
+pub fn handle_frame_into(
+    silo: &SharedSilo,
+    body: &[u8],
+    acks: &mut Vec<u8>,
+    arrived: Instant,
+) -> bool {
     let Some(Frame::Rpc(req)) = decode(body) else {
         return false;
     };
     if req.delay_ns > 0 {
         // The fault-injected one-way delay is served *here*, at the
         // destination, like tc's netem on the receive path — the sender's
-        // measured round trip includes it physically.
-        std::thread::sleep(std::time::Duration::from_nanos(req.delay_ns));
+        // measured round trip includes it physically. Like netem, it
+        // runs from the frame's arrival, so frames that arrived together
+        // are delayed together, not one after another.
+        let due = arrived + Duration::from_nanos(req.delay_ns);
+        std::thread::sleep(due.saturating_duration_since(Instant::now()));
     }
     let mut s = silo.lock().expect("silo lock");
     s.stats.msgs += 1;
@@ -95,7 +110,7 @@ pub fn handle_frame_into(silo: &SharedSilo, body: &[u8], ack_out: &mut Vec<u8>) 
     s.stats.per_kind[req.kind.index()] += 1;
     s.stats.last_recv = s.clock.now();
     let ack = s.router.route(&req);
-    wire::encode_ack_into(&ack, ack_out);
+    wire::append_ack(&ack, acks);
     true
 }
 

@@ -11,6 +11,15 @@
 //! 3. ship the frame, wait for the ack, and charge the *measured*
 //!    wall-clock round trip to virtual time.
 //!
+//! The TCP transport also pipelines a scatter
+//! ([`Transport::deliver_pairs`]): every leg is planned up front, then
+//! all requests are put in flight at once — each silo's frames in one
+//! write, the acks read back in leg order — and then, the same way, the
+//! responses of the requests that delivered. A scatter's round trips
+//! overlap instead of queueing, and each response is still handled only
+//! after its request: a response bound for its request's own silo rides
+//! in the request's write, behind it on the same connection.
+//!
 //! Neither path ever touches the topology's RNG (`one_way` is sim-only),
 //! so installing a real transport cannot perturb sim traces; accounting
 //! goes through [`Topology::record_delivery`].
@@ -22,7 +31,7 @@ use crate::wire::{self, Request};
 use gdb_simclock::WallClock;
 use gdb_simnet::{SimDuration, Topology};
 use globaldb::{Envelope, Transport};
-use std::io::Write;
+use std::io::{self, BufReader, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{channel, Receiver, Sender};
@@ -71,9 +80,20 @@ fn make_request(env: &Envelope, seq: u64, delay_ns: u64) -> Request {
     }
 }
 
-fn check_ack(ack: &wire::Ack, seq: u64, who: &str) {
+fn invalid(e: String) -> io::Error {
+    io::Error::new(io::ErrorKind::InvalidData, e)
+}
+
+/// Decode an ack body and check it answers request `seq`. A mismatch is
+/// an error for the caller to treat as an undeliverable leg, never a
+/// panic.
+fn check_ack(body: &[u8], seq: u64, who: &str) -> io::Result<()> {
+    let ack = wire::decode_ack(body).map_err(invalid)?;
     if ack.seq != seq {
-        panic!("{who}: ack out of sequence: sent {seq}, got {}", ack.seq);
+        return Err(invalid(format!(
+            "{who}: ack out of sequence: sent {seq}, got {}",
+            ack.seq
+        )));
     }
     if !ack.ok {
         // Membership covers every topology node, so a rejected route is a
@@ -81,6 +101,7 @@ fn check_ack(ack: &wire::Ack, seq: u64, who: &str) {
         // consistent but be loud.
         eprintln!("{who}: silo rejected routed frame (seq {seq})");
     }
+    Ok(())
 }
 
 // ---------------------------------------------------------------------------
@@ -188,8 +209,7 @@ impl Transport for ThreadTransport {
             .ok()?;
         let ack_encoded = self.reply_rx.recv().ok()?;
         let ack_body = wire::read_frame(&mut &ack_encoded[..]).ok()?;
-        let ack = wire::decode_ack(&ack_body).ok()?;
-        check_ack(&ack, self.seq, "thread transport");
+        check_ack(&ack_body, self.seq, "thread transport").ok()?;
         let measured = start.elapsed().as_nanos() as u64;
         topo.record_delivery(env.from, env.to, env.bytes);
         Some(SimDuration::from_nanos(measured))
@@ -231,6 +251,21 @@ struct TcpSilo {
     accept_thread: Option<JoinHandle<()>>,
 }
 
+/// A client connection to one silo, read through a buffer so the acks of
+/// a pipelined batch cost few reads.
+type Conn = BufReader<TcpStream>;
+
+/// One planned leg of the batch in flight.
+struct Leg {
+    env: Envelope,
+    silo: usize,
+    seq: u64,
+    delay_ns: u64,
+    /// When its ack came in, in nanoseconds since the batch's first
+    /// write; `None` until then, and for good if it never does.
+    acked: Option<u64>,
+}
+
 /// Each silo runs a loopback-TCP accept loop; envelopes travel as
 /// length-prefixed frames over real sockets with Nagle disabled.
 pub struct TcpTransport {
@@ -239,10 +274,12 @@ pub struct TcpTransport {
     silos: Vec<SharedSilo>,
     listeners: Vec<TcpSilo>,
     /// Lazily-connected client stream per destination silo.
-    streams: Vec<Option<TcpStream>>,
-    /// The request frame and the ack body of the round trip in flight,
-    /// reused so a delivery allocates nothing.
-    frame: Vec<u8>,
+    streams: Vec<Option<Conn>>,
+    /// The batch in flight, all reused so a delivery allocates nothing:
+    /// its planned legs in leg order, each silo's frames of the current
+    /// phase (sent with one write), and the ack body being read.
+    legs: Vec<Leg>,
+    outbox: Vec<Vec<u8>>,
     ack: Vec<u8>,
     seq: u64,
     down: bool,
@@ -250,21 +287,51 @@ pub struct TcpTransport {
 
 const IO_TIMEOUT: Duration = Duration::from_secs(10);
 
-fn serve_connection(silo: SharedSilo, mut stream: TcpStream) {
+/// Read buffer of a silo connection: room for a whole pipelined batch of
+/// full-size frames, so the frames of one batch arrive in one read.
+const BATCH_READ_BUF: usize = 64 << 10;
+
+/// Serve one client connection. Acks collect in a buffer that is written
+/// only once every frame already received has been handled, so a
+/// pipelined batch costs the silo one wake-up and one write. A frame
+/// arrived when the read that brought its first byte returned, so the
+/// frames of one batch share an arrival instant.
+fn serve_connection(silo: SharedSilo, stream: TcpStream) {
     let _ = stream.set_nodelay(true);
-    // One request body and one ack frame per connection, reused.
-    let (mut body, mut ack) = (Vec::new(), Vec::new());
+    let mut conn = BufReader::with_capacity(BATCH_READ_BUF, stream);
+    let (mut body, mut acks) = (Vec::new(), Vec::new());
+    let mut arrived = Instant::now();
     loop {
-        if wire::read_frame_into(&mut stream, &mut body).is_err() {
+        let fresh = conn.buffer().is_empty();
+        if wire::read_frame_into(&mut conn, &mut body).is_err() {
             return; // peer closed (or corrupt length): drop conn
         }
-        if !handle_frame_into(&silo, &body, &mut ack) {
+        if fresh {
+            arrived = Instant::now();
+        }
+        if !handle_frame_into(&silo, &body, &mut acks, arrived) {
             return; // shutdown sentinel
         }
-        if wire::write_frame(&mut stream, &ack).is_err() {
-            return;
+        if conn.buffer().is_empty() {
+            if conn.get_mut().write_all(&acks).is_err() {
+                return;
+            }
+            acks.clear();
+            silo.lock().expect("silo lock").stats.ack_flushes += 1;
         }
     }
+}
+
+/// The open connection in `slot`, connecting to `addr` first if none is.
+fn connect(slot: &mut Option<Conn>, addr: SocketAddr) -> io::Result<&mut Conn> {
+    if slot.is_none() {
+        let stream = TcpStream::connect(addr)?;
+        stream.set_nodelay(true)?;
+        stream.set_read_timeout(Some(IO_TIMEOUT))?;
+        stream.set_write_timeout(Some(IO_TIMEOUT))?;
+        *slot = Some(BufReader::new(stream));
+    }
+    Ok(slot.as_mut().expect("connected above"))
 }
 
 impl TcpTransport {
@@ -306,14 +373,15 @@ impl TcpTransport {
                 accept_thread: Some(accept_thread),
             });
         }
-        let streams = (0..listeners.len()).map(|_| None).collect();
+        let n = listeners.len();
         Ok(TcpTransport {
             membership,
             faults,
             silos,
             listeners,
-            streams,
-            frame: Vec::new(),
+            streams: (0..n).map(|_| None).collect(),
+            legs: Vec::new(),
+            outbox: vec![Vec::new(); n],
             ack: Vec::new(),
             seq: 0,
             down: false,
@@ -329,43 +397,88 @@ impl TcpTransport {
         self.faults.clone()
     }
 
-    fn stream_to(&mut self, silo: usize) -> Option<&mut TcpStream> {
-        if self.streams[silo].is_none() {
-            let stream = TcpStream::connect(self.listeners[silo].addr).ok()?;
-            let _ = stream.set_nodelay(true);
-            let _ = stream.set_read_timeout(Some(IO_TIMEOUT));
-            let _ = stream.set_write_timeout(Some(IO_TIMEOUT));
-            self.streams[silo] = Some(stream);
+    /// Plan `envs` in order, stopping at the first undeliverable one as
+    /// sequential delivery would.
+    fn plan<'e>(&mut self, topo: &Topology, envs: impl IntoIterator<Item = &'e Envelope>) {
+        self.legs.clear();
+        for env in envs {
+            let Some((silo, delay_ns)) = plan_delivery(topo, &self.membership, &self.faults, env)
+            else {
+                break;
+            };
+            self.seq += 1;
+            self.legs.push(Leg {
+                env: *env,
+                silo,
+                seq: self.seq,
+                delay_ns,
+                acked: None,
+            });
         }
-        self.streams[silo].as_mut()
     }
 
-    /// Send the encoded request in `self.frame` to silo `dst` and wait
-    /// for its ack; the measured round trip in nanoseconds.
-    fn round_trip(&mut self, dst: usize, seq: u64) -> Option<u64> {
-        self.stream_to(dst)?;
-        let (stream, frame, ack) = (self.streams[dst].as_mut()?, &self.frame, &mut self.ack);
-        let start = Instant::now();
-        let io = (|| -> std::io::Result<wire::Ack> {
-            stream.write_all(frame)?;
-            stream.flush()?;
-            wire::read_frame_into(stream, ack)?;
-            wire::decode_ack(ack)
-                .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e))
-        })();
-        match io {
-            Ok(ack) => {
-                check_ack(&ack, seq, "tcp transport");
-                Some(start.elapsed().as_nanos() as u64)
-            }
-            Err(_) => {
-                // Broken pipe / timeout: drop the stream so the next
-                // delivery reconnects, report undeliverable.
-                self.streams[dst] = None;
-                None
+    /// Put the planned legs `in_phase` selects in flight at once — each
+    /// silo's frames in one write — and read their acks in leg order,
+    /// stamping each delivered leg with its ack time since `start`.
+    ///
+    /// A write, read, decode or sequence error drops that leg's stream,
+    /// and the stream's remaining legs of the phase stay undelivered; the
+    /// other streams' acks are still read. So no stream is left owing an
+    /// ack (no later batch can read a stale one; the next write to a
+    /// dropped stream reconnects), and every leg a silo acked is
+    /// delivered — only the failed stream's legs can be in doubt.
+    fn phase(&mut self, topo: &mut Topology, start: Instant, in_phase: fn(&[Leg], usize) -> bool) {
+        for (i, leg) in self.legs.iter().enumerate() {
+            if in_phase(&self.legs, i) {
+                let req = make_request(&leg.env, leg.seq, leg.delay_ns);
+                wire::append_request(&req, &mut self.outbox[leg.silo]);
             }
         }
+        for (silo, frames) in self.outbox.iter_mut().enumerate() {
+            if frames.is_empty() {
+                continue;
+            }
+            let slot = &mut self.streams[silo];
+            let sent = connect(slot, self.listeners[silo].addr)
+                .and_then(|conn| conn.get_mut().write_all(frames));
+            frames.clear();
+            if sent.is_err() {
+                *slot = None;
+            }
+        }
+        for i in 0..self.legs.len() {
+            if !in_phase(&self.legs, i) {
+                continue;
+            }
+            let leg = &mut self.legs[i];
+            let slot = &mut self.streams[leg.silo];
+            let Some(conn) = slot.as_mut() else {
+                continue;
+            };
+            let read = wire::read_frame_into(conn, &mut self.ack)
+                .and_then(|()| check_ack(&self.ack, leg.seq, "tcp transport"));
+            if read.is_err() {
+                *slot = None;
+                continue;
+            }
+            leg.acked = Some(start.elapsed().as_nanos() as u64);
+            topo.record_delivery(leg.env.from, leg.env.to, leg.env.bytes);
+        }
     }
+}
+
+/// Phase selectors over a batch laid out as (request, response) legs.
+/// The first phase carries every request, and each response bound for
+/// the silo its request went to: a silo handles one connection's frames
+/// in order, so that response is still handled after its request (and
+/// both are same-silo legs, which carry no injected delay).
+fn first_phase(legs: &[Leg], i: usize) -> bool {
+    i.is_multiple_of(2) || legs[i].silo == legs[i - 1].silo
+}
+
+/// The other responses, once their request delivered.
+fn second_phase(legs: &[Leg], i: usize) -> bool {
+    !first_phase(legs, i) && legs[i - 1].acked.is_some()
 }
 
 impl Transport for TcpTransport {
@@ -374,13 +487,35 @@ impl Transport for TcpTransport {
     }
 
     fn deliver(&mut self, topo: &mut Topology, env: Envelope) -> Option<SimDuration> {
-        let (dst, delay_ns) = plan_delivery(topo, &self.membership, &self.faults, &env)?;
-        self.seq += 1;
-        let req = make_request(&env, self.seq, delay_ns);
-        wire::encode_request_into(&req, &mut self.frame);
-        let measured = self.round_trip(dst, self.seq)?;
-        topo.record_delivery(env.from, env.to, env.bytes);
-        Some(SimDuration::from_nanos(measured))
+        self.plan(topo, [&env]);
+        self.phase(topo, Instant::now(), first_phase);
+        let acked = self.legs.first()?.acked?;
+        Some(SimDuration::from_nanos(acked))
+    }
+
+    /// All requests in flight at once (with the responses that go to
+    /// their request's silo), then the other responses of the requests
+    /// that delivered. A request's delay is the time from the first write
+    /// to its ack; its response's, the time from that ack to the
+    /// response's own. A pair's round trip is thus the time until its
+    /// response is acked, and the slowest pair's is the batch's wall
+    /// time.
+    fn deliver_pairs(
+        &mut self,
+        topo: &mut Topology,
+        pairs: &[[Envelope; 2]],
+        delays: &mut [[Option<SimDuration>; 2]],
+    ) {
+        self.plan(topo, pairs.iter().flatten());
+        let start = Instant::now();
+        self.phase(topo, start, first_phase);
+        self.phase(topo, start, second_phase);
+        for (legs, out) in self.legs.chunks(2).zip(delays) {
+            let there = legs[0].acked;
+            let back = legs.get(1).and_then(|l| l.acked).zip(there);
+            out[0] = there.map(SimDuration::from_nanos);
+            out[1] = back.map(|(back, there)| SimDuration::from_nanos(back.saturating_sub(there)));
+        }
     }
 
     fn shutdown(&mut self) {
@@ -392,9 +527,8 @@ impl Transport for TcpTransport {
         //    the serving loop exits on the sentinel, others on EOF.
         let frame = wire::encode_shutdown();
         for s in self.streams.iter_mut() {
-            if let Some(mut stream) = s.take() {
-                let _ = stream.write_all(&frame);
-                let _ = stream.flush();
+            if let Some(mut conn) = s.take() {
+                let _ = conn.get_mut().write_all(&frame);
             }
         }
         // 2. Stop flags + a dummy connect to wake each accept loop.
@@ -420,7 +554,9 @@ impl Drop for TcpTransport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use globaldb::{ClusterConfig, RpcKind};
+    use crate::silo::SiloStats;
+    use gdb_simnet::{NetNodeId, RegionId};
+    use globaldb::{ClusterConfig, MessagePlane, RpcKind};
 
     fn fixture() -> (Topology, StaticMembership) {
         let (topo, _) = ClusterConfig::globaldb_three_city().build_topology();
@@ -494,7 +630,165 @@ mod tests {
         assert_eq!(topo.total_stats().messages, 1, "drops are not accounted");
     }
 
+    /// A scatter from silo 0's first node to a node on every silo, its
+    /// own included.
+    fn scatter_targets(m: &StaticMembership) -> (NetNodeId, [NetNodeId; 3]) {
+        let node = |silo: usize, i: usize| m.silos()[silo].nodes[i].0;
+        (node(0, 0), [node(0, 1), node(1, 0), node(2, 0)])
+    }
+
+    fn tcp_plane(m: &StaticMembership, faults: FaultController) -> (MessagePlane, Vec<SharedSilo>) {
+        let t = TcpTransport::launch(m.clone(), faults, WallClock::new()).expect("bind loopback");
+        let states = t.states();
+        let mut plane = MessagePlane::new(RegionId(0));
+        plane.set_transport(Box::new(t));
+        (plane, states)
+    }
+
     #[test]
+    fn tcp_scatter_is_pipelined_and_accounted() {
+        let (mut topo, m) = fixture();
+        let (mut plane, states) = tcp_plane(&m, FaultController::default());
+        let (cn, to) = scatter_targets(&m);
+        for _ in 0..3 {
+            let d = plane.scatter(&mut topo, RpcKind::DnRead, cn, to, 128, 512);
+            assert!(d.expect("healthy scatter") > SimDuration::ZERO);
+        }
+        // The middle target's region partitioned away: the first pair
+        // delivers, nothing from the middle request on is sent.
+        let (a, b) = (topo.node_region(cn), topo.node_region(to[1]));
+        assert_ne!(a, b);
+        topo.partition(a, b);
+        assert_eq!(
+            plane.scatter(&mut topo, RpcKind::DnWrite, cn, to, 128, 128),
+            None
+        );
+        plane.shutdown_transport();
+        let stats: Vec<SiloStats> = states
+            .iter()
+            .map(|s| s.lock().unwrap().stats.clone())
+            .collect();
+        for kind in [RpcKind::DnRead, RpcKind::DnWrite] {
+            let tallied: u64 = stats.iter().map(|s| s.per_kind[kind.index()]).sum();
+            assert_eq!(tallied, plane.transport_msgs(kind), "{}", kind.name());
+        }
+        assert_eq!(plane.transport_msgs(RpcKind::DnRead), 3 * 6);
+        assert_eq!(plane.transport_msgs(RpcKind::DnWrite), 2);
+        // Silo 0 gets four frames per healthy scatter in two writes: its
+        // own target's request and response, then the other two
+        // responses. It answers each write with one.
+        assert!(
+            stats[0].ack_flushes < stats[0].msgs,
+            "{} flushes for {} frames",
+            stats[0].ack_flushes,
+            stats[0].msgs
+        );
+    }
+
+    #[test]
+    fn a_same_silo_round_trip_is_one_write_and_one_ack_flush() {
+        let (mut topo, m) = fixture();
+        let (mut plane, states) = tcp_plane(&m, FaultController::default());
+        let (cn, to) = scatter_targets(&m);
+        for _ in 0..3 {
+            plane.rtt(&mut topo, RpcKind::DnRead, cn, to[0]).unwrap();
+        }
+        plane.shutdown_transport();
+        let s = states[0].lock().unwrap();
+        assert_eq!((s.stats.msgs, s.stats.ack_flushes), (6, 3));
+    }
+
+    #[test]
+    #[ignore = "wall-clock bound (sleeps 20 ms link delays); scripts/ci.sh realnet runs it"]
+    fn tcp_scatter_overlaps_link_delays() {
+        let (mut topo, m) = fixture();
+        let faults = FaultController::default();
+        let (mut plane, _) = tcp_plane(&m, faults.clone());
+        let (cn, to) = scatter_targets(&m);
+        let delay = SimDuration::from_millis(20);
+        for silo in [1, 2] {
+            faults.set_link_delay(m.host_of_silo(0), m.host_of_silo(silo), delay);
+        }
+        // A response leaves only once its request arrived: a round trip
+        // over a delayed link pays the delay both ways.
+        for _ in 0..2 {
+            let d = plane
+                .rtt(&mut topo, RpcKind::DnRead, cn, to[1])
+                .expect("delayed but deliverable");
+            assert!(
+                d >= delay * 2,
+                "measured {d:?}, the link delays 20ms each way"
+            );
+        }
+        // Four legs cross a delayed link: 80 ms one after another. The two
+        // requests sleep at silos 1 and 2 at once, then the two responses
+        // at silo 0 at once: about 40 ms.
+        let d = plane
+            .scatter(&mut topo, RpcKind::DnRead, cn, [to[1], to[2]], 128, 128)
+            .expect("delayed but deliverable");
+        assert!(d >= delay * 2, "measured {d:?} must include both ways");
+        assert!(
+            d < delay * 3,
+            "measured {d:?}; legs in turn take 80ms, responses in turn 60ms"
+        );
+        plane.shutdown_transport();
+    }
+
+    #[test]
+    fn a_connection_closed_mid_batch_fails_only_its_legs_and_recovers() {
+        let (mut topo, m) = fixture();
+        let mut t = TcpTransport::launch(m.clone(), FaultController::default(), WallClock::new())
+            .expect("bind loopback");
+        let states = t.states();
+        let (cn, to) = scatter_targets(&m);
+        let env = |from, to| Envelope {
+            kind: RpcKind::DnRead,
+            from,
+            to,
+            bytes: 128,
+        };
+        let pairs = to.map(|node| [env(cn, node), env(node, cn)]);
+        let mut delivered = 0;
+        let mut scatter = |t: &mut TcpTransport| {
+            let mut delays = [[None; 2]; 3];
+            t.deliver_pairs(&mut topo, &pairs, &mut delays);
+            delivered += delays.iter().flatten().filter(|d| d.is_some()).count() as u64;
+            delays
+        };
+        assert!(scatter(&mut t).iter().flatten().all(Option::is_some));
+        // Silo 1 ends its connection (the shutdown sentinel returns its
+        // handler) while the next batch is being written to it.
+        let conn = t.streams[1].as_mut().expect("connected");
+        conn.get_mut().write_all(&wire::encode_shutdown()).unwrap();
+        let delays = scatter(&mut t);
+        assert_eq!(delays[1], [None; 2], "{delays:?}");
+        for pair in [0, 2] {
+            assert!(delays[pair].iter().all(Option::is_some), "{delays:?}");
+        }
+        assert!(t.streams[1].is_none(), "the failed stream is dropped");
+        assert!(t.streams[0].is_some() && t.streams[2].is_some());
+        // The next batch reconnects and reads in-sequence acks.
+        assert!(scatter(&mut t).iter().flatten().all(Option::is_some));
+        t.shutdown();
+        // Every frame a silo handled was reported delivered, and no other.
+        let tallied: u64 = states
+            .iter()
+            .map(|s| s.lock().unwrap().stats.per_kind[RpcKind::DnRead.index()])
+            .sum();
+        assert_eq!(tallied, delivered);
+        assert_eq!(delivered, 6 + 4 + 6);
+        assert_eq!(topo.total_stats().messages, delivered);
+        // A stale ack is an error, not a panic.
+        let stale = wire::encode_ack(&wire::Ack {
+            seq: 5,
+            ok: true,
+            value: 0,
+        });
+        assert!(check_ack(&stale[4..], 6, "test").is_err());
+    }
+
+    #[test]
+    #[ignore = "wall-clock bound (sleeps a 5 ms link delay); scripts/ci.sh realnet runs it"]
     fn link_delay_is_physically_enacted() {
         let (mut topo, m) = fixture();
         let faults = FaultController::default();
