@@ -3,8 +3,9 @@
 //! [`run_fast`] drives one deterministic single-shard write script
 //! through the calls the cluster makes for it: the data node's lock table
 //! and version install ([`DataNodeStorage`]), the shard's redo log with
-//! its group-commit segment ([`ShardLog`]), the shipping drain
-//! ([`ShippingChannel`]) and the replica's replay ([`ReplicaApplier`]).
+//! its group-commit segment ([`ShardLog`]), the shipping drain of its
+//! sealed window ([`ShardLog::drain`] into a [`ShippingChannel`]) and the
+//! replica's replay ([`ReplicaApplier`]).
 //!
 //! This crate's `tests/txn_path.rs` derives the durable segment and the
 //! committed state the script implies and holds the run to them; the
@@ -195,8 +196,9 @@ fn storage() -> DataNodeStorage {
 /// timestamp `i + 1`. Per write: take the row lock, install the version
 /// on the primary, stage the redo record in the shard log. Every `window`
 /// transactions the log seals (one group-commit sync), the channel drains
-/// the sealed records — compressed for the wire — into batches the
-/// replica applies, and the log trims what the replica has applied.
+/// the sealed window — its durable frames, compressed for the wire — into
+/// batches the replica applies, and the log trims what the replica has
+/// applied.
 pub fn run_fast(script: &Script, window: usize) -> TxnPathResult {
     let window = window.max(1);
     let mut primary = storage();
@@ -233,7 +235,7 @@ pub fn run_fast(script: &Script, window: usize) -> TxnPathResult {
 
         if (i + 1) % window == 0 || i + 1 == script.0.len() {
             log.seal_upto(now);
-            while let Some(shipped) = channel.drain(log.sealed()) {
+            while let Some(shipped) = log.drain(&mut channel) {
                 replica
                     .apply_batch_owned(shipped.batch.records, now)
                     .expect("replica replay");

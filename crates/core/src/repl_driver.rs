@@ -213,7 +213,7 @@ impl GlobalDb {
         }
         let (records, raw_bytes, wire_bytes) = match image {
             Some(bytes) => (Vec::new(), bytes, bytes),
-            None => match follower.channel.drain(log.sealed()) {
+            None => match log.drain(&mut follower.channel) {
                 Some(wire) => (
                     wire.batch.records,
                     wire.raw_bytes as u64,
@@ -400,4 +400,205 @@ pub(crate) fn flush_event(w: &mut GlobalDb, sim: &mut CoreSim, shard: usize) {
     }
     let interval = w.config.flush_interval;
     sim.schedule_event_after(interval, CoreEvent::FlushShard { shard });
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use gdb_model::{ColumnDef, DataType, Datum, Row, RowKey, SchemaBuilder, TableId, TxnId};
+    use gdb_wal::{Lsn, RedoPayload};
+    use rand::rngs::SmallRng;
+    use rand::{Rng, SeedableRng};
+    use std::ops::Range;
+
+    const TABLE: TableId = TableId(1);
+    /// Below the largest windows the stream seals, so some batches that
+    /// start at a window's first record stop short of its end.
+    const MAX_BATCH: usize = 40;
+
+    fn follower(node: u32, codec: Codec) -> Replica {
+        let mut storage = DataNodeStorage::new();
+        let schema = SchemaBuilder::new("t")
+            .column(ColumnDef::new("id", DataType::Int).not_null())
+            .column(ColumnDef::new("note", DataType::Text))
+            .primary_key(&["id"])
+            .build(TABLE)
+            .unwrap();
+        storage.create_table(schema).unwrap();
+        Replica {
+            node: NetNodeId(node),
+            region: RegionId(0),
+            applier: ReplicaApplier::new(storage),
+            channel: ShippingChannel::new(codec).with_max_batch(MAX_BATCH),
+            busy_until: SimTime::ZERO,
+            stream_free: SimTime::ZERO,
+            last_arrival: SimTime::ZERO,
+            epoch: 0,
+        }
+    }
+
+    /// Stage 0–11 transactions of 1–4 writes, some with a PENDING_COMMIT
+    /// first, some applying a little in the future, plus an occasional
+    /// heartbeat.
+    fn stage(log: &mut ShardLog, rng: &mut SmallRng, now: SimTime, txn: &mut u64) {
+        for _ in 0..rng.gen_range(0..12) {
+            *txn += 1;
+            let (id, at) = (
+                TxnId(*txn),
+                now + SimDuration::from_micros(rng.gen_range(0..15)),
+            );
+            if rng.gen_bool(0.5) {
+                log.append(at, id, RedoPayload::PendingCommit);
+            }
+            for w in 0..rng.gen_range(1..=4) {
+                // A key per write: staged apply instants reorder commits,
+                // which same-key row locks would otherwise have to order.
+                let k = (*txn * 4 + w) as i64;
+                let note = Datum::from(format!("note-{}", rng.gen_range(0..1000)));
+                let (key, row) = (RowKey::single(k), Row(vec![Datum::Int(k), note]));
+                log.append(
+                    at,
+                    id,
+                    RedoPayload::Insert {
+                        table: TABLE,
+                        key,
+                        row,
+                    },
+                );
+            }
+            let commit_ts = Timestamp(*txn);
+            log.append(at, id, RedoPayload::Commit { commit_ts });
+        }
+        if rng.gen_bool(0.2) {
+            let commit_ts = Timestamp(*txn);
+            log.append(now, TxnId(0), RedoPayload::Heartbeat { commit_ts });
+        }
+    }
+
+    /// The records and durable bytes of the last seal.
+    type Window = (Range<Lsn>, Range<usize>);
+
+    /// `seal_all(now)` with `all`, else the flush's `seal_upto`; a
+    /// non-empty seal becomes `window`.
+    fn seal(log: &mut ShardLog, now: SimTime, all: bool, window: &mut Window) {
+        let (first, from) = (log.sealed_head(), log.durable().segment().len());
+        let sealed = if all {
+            log.seal_all(now)
+        } else {
+            log.seal_upto(now)
+        };
+        if sealed > 0 {
+            *window = (
+                first..log.sealed_head(),
+                from..log.durable().segment().len(),
+            );
+        }
+    }
+
+    #[derive(Default)]
+    struct Tally {
+        hits: u64,
+        misses: u64,
+    }
+
+    /// A seeded redo stream through one shard log and three followers: a
+    /// steady one, one partitioned for some flushes that catches up
+    /// across windows, and one whose in-flight batches die with a
+    /// [`Replica::restart_stream`]. Seals are the flush's `seal_upto`
+    /// and, now and then, a migration-style `seal_all` between flushes.
+    /// Every batch ships exactly `LogBatch::encode` of its records and the
+    /// codec's length of those bytes; a batch shipped from the window is
+    /// exactly the window's records and the durable frames of that seal.
+    fn run_stream(seed: u64, codec: Codec) -> [Tally; 3] {
+        let mut rng = SmallRng::seed_from_u64(seed);
+        let mut log = ShardLog::new();
+        let mut followers = [follower(1, codec), follower(2, codec), follower(3, codec)];
+        let mut in_flight: Vec<Vec<RedoRecord>> = Vec::new();
+        let mut tally: [Tally; 3] = Default::default();
+        let (mut txn, mut window): (u64, Window) = (0, (Lsn(0)..Lsn(0), 0..0));
+        for flush in 1..=300u64 {
+            let now = SimTime::from_micros(10 * flush);
+            stage(&mut log, &mut rng, now, &mut txn);
+            if rng.gen_bool(0.1) {
+                seal(&mut log, now, true, &mut window);
+                stage(&mut log, &mut rng, now, &mut txn);
+            }
+            seal(&mut log, now, false, &mut window);
+            let partitioned = rng.gen_bool(0.3);
+            let restart = rng.gen_bool(0.15);
+            for (i, f) in followers.iter_mut().enumerate() {
+                if i == 1 && partitioned && flush < 300 {
+                    continue;
+                }
+                if i == 2 {
+                    if restart {
+                        in_flight.clear();
+                        f.restart_stream(now);
+                    }
+                    for batch in in_flight.drain(..) {
+                        f.applier.apply_batch_owned(batch, now).unwrap();
+                    }
+                }
+                loop {
+                    let framed = f.channel.stats.framed_records;
+                    let Some(wire) = log.drain(&mut f.channel) else {
+                        break;
+                    };
+                    let raw = wire.batch.encode();
+                    assert_eq!(wire.raw_bytes, raw.len(), "seed {seed} {codec:?}");
+                    assert_eq!(wire.wire_bytes, codec.encode(&raw).len(), "seed {seed}");
+                    let lsns = wire.batch.first_lsn..f.channel.next_lsn();
+                    if f.channel.stats.framed_records == framed {
+                        assert_eq!(lsns, window.0, "a window hit is the window");
+                        let frames = &log.durable().segment()[window.1.clone()];
+                        assert_eq!(frames, &raw[..], "a window hit ships the frames");
+                        tally[i].hits += 1;
+                    } else {
+                        assert_eq!(
+                            f.channel.stats.framed_records - framed,
+                            wire.batch.len() as u64
+                        );
+                        tally[i].misses += 1;
+                    }
+                    if i == 2 && flush < 300 {
+                        in_flight.push(wire.batch.records);
+                    } else {
+                        f.applier
+                            .apply_batch_owned(wire.batch.records, now)
+                            .unwrap();
+                    }
+                }
+            }
+            let floor = followers.iter().map(|f| f.applier.resume_from()).min();
+            log.trim_shipped(floor.unwrap());
+        }
+        for f in &followers {
+            assert_eq!(f.applier.applied_lsn(), log.sealed_head(), "seed {seed}");
+        }
+        tally
+    }
+
+    #[test]
+    fn window_path_is_exact() {
+        let mut totals: [Tally; 3] = Default::default();
+        for codec in [Codec::None, Codec::Lz4] {
+            for seed in 1..=3 {
+                for (total, t) in totals.iter_mut().zip(run_stream(seed, codec)) {
+                    total.hits += t.hits;
+                    total.misses += t.misses;
+                }
+            }
+        }
+        for (name, t) in ["steady", "partitioned", "restarted"].iter().zip(&totals) {
+            assert!(
+                t.hits > 0 && t.misses > 0,
+                "{name}: {} hits, {} misses",
+                t.hits,
+                t.misses
+            );
+        }
+        // The steady follower misses only windows longer than a batch and
+        // flushes that follow a `seal_all`.
+        assert!(totals[0].hits > totals[0].misses);
+    }
 }

@@ -8,8 +8,15 @@
 //! boundary reconstructs the interleaving a real primary would write —
 //! including commit records appearing out of timestamp order across
 //! transactions, the case the paper's PENDING_COMMIT safeguard exists for.
+//!
+//! Each seal frames its records once, into the durable segment, and the
+//! log remembers that window: a follower whose next batch is exactly the
+//! window ships those frames and the window's one compression
+//! ([`ShardLog::drain`]).
 
 use gdb_model::TxnId;
+use gdb_replication::channel::WireBatch;
+use gdb_replication::{SealedWindow, ShippingChannel};
 use gdb_simnet::SimTime;
 use gdb_wal::{GroupCommitWal, Lsn, RedoBuffer, RedoPayload};
 use std::collections::BTreeMap;
@@ -29,6 +36,8 @@ pub struct ShardLog {
     sealed: RedoBuffer,
     durable: GroupCommitWal,
     sealed_upto: SimTime,
+    /// The last non-empty seal's records and durable frames.
+    window: SealedWindow,
 }
 
 impl Default for ShardLog {
@@ -41,6 +50,7 @@ impl Default for ShardLog {
             // seal ends with one explicit sync over everything it framed.
             durable: GroupCommitWal::with_window(usize::MAX),
             sealed_upto: SimTime::ZERO,
+            window: SealedWindow::default(),
         }
     }
 }
@@ -86,8 +96,10 @@ impl ShardLog {
 
     /// Move staged records — those at or before `upto`, or all of them —
     /// into the shipping buffer and the durable segment (one sync for the
-    /// whole window), then advance the boundary to `boundary`.
+    /// whole window, which becomes the log's sealed window), then advance
+    /// the boundary to `boundary`.
     fn seal(&mut self, upto: Option<SimTime>, boundary: SimTime) -> usize {
+        let (first, from) = (self.sealed.head_lsn(), self.durable.segment().len());
         let mut sealed = 0;
         while let Some(entry) = self.staging.first_entry() {
             if upto.is_some_and(|upto| entry.key().0 > upto) {
@@ -104,6 +116,11 @@ impl ShardLog {
         }
         if sealed > 0 {
             self.durable.sync();
+            self.window = SealedWindow {
+                lsns: first..self.sealed.head_lsn(),
+                bytes: from..self.durable.segment().len(),
+                wire: None,
+            };
         }
         self.sealed_upto = self.sealed_upto.max(boundary);
         sealed
@@ -112,6 +129,13 @@ impl ShardLog {
     /// The sealed shipping buffer (shipping channels drain from here).
     pub fn sealed(&self) -> &RedoBuffer {
         &self.sealed
+    }
+
+    /// `channel`'s next batch of sealed redo: the durable frames of the
+    /// sealed window when the batch is exactly that window, framed by the
+    /// channel otherwise ([`ShippingChannel::drain_sealed`]).
+    pub fn drain(&mut self, channel: &mut ShippingChannel) -> Option<WireBatch> {
+        channel.drain_sealed(&self.sealed, self.durable.segment(), &mut self.window)
     }
 
     pub fn sealed_head(&self) -> Lsn {

@@ -26,7 +26,7 @@ pub mod mode;
 pub mod replay;
 pub mod replica;
 
-pub use channel::ShippingChannel;
+pub use channel::{SealedWindow, ShippingChannel};
 pub use mode::{quorum_wait, ReplicationMode};
 pub use replay::ReplayCostModel;
 pub use replica::{ReplicaApplier, ReplicaReadResult};

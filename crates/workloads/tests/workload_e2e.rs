@@ -168,7 +168,7 @@ fn tpcc_runs_during_mode_transition_without_downtime() {
 
 /// Heavier soak: medium-scale TPC-C on the Three-City cluster with the
 /// consistency conditions checked at the end. Run with
-/// `cargo test -p gdb-workloads -- --ignored`.
+/// `scripts/ci.sh soak` (part of `scripts/ci.sh all`).
 #[test]
 #[ignore = "heavier soak test (~1 min)"]
 fn tpcc_medium_scale_soak() {

@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Full CI gate: formatting, lints, release build, tests, a 5-seed smoke
 # run of the chaos nemesis binary, the virtual-time bench regression
-# gate, and a quick run of the full-stack wall-clock benchmark.
+# gate, a quick run of the full-stack wall-clock benchmark, the real
+# backends and the TPC-C medium-scale soak.
 # Everything runs offline against the vendored dependency set.
 #
 # Usage: scripts/ci.sh [STAGE]
@@ -18,9 +19,10 @@
 #                  (simnet, simclock, obs, workloads, rebalance, chaos,
 #                  bench), the real backends (realnet) and the shell's
 #                  sim-backend tests. The `#[ignore]`d tests — realnet's
-#                  wall-clock-bound link-delay tests and the shell's
-#                  thread-backend test — run in their own timeout-bounded
-#                  stages; `cargo test --workspace` runs every crate
+#                  wall-clock-bound link-delay tests, the shell's
+#                  thread-backend test and the workloads' TPC-C soak — run
+#                  in their own timeout-bounded stages; `cargo test
+#                  --workspace` runs every crate
 #   nemesis-smoke  nemesis seeds 1..5 (the CI "nemesis" job)
 #   shell          gdb-shell tests, the ignored thread-backend one
 #                  included, + committed scenario replays (the CI "shell"
@@ -30,6 +32,9 @@
 #                  tests pass, and `all --quick` exits 0
 #   realnet        real-backend tests, the ignored wall-clock-bound
 #                  ones included (the CI "realnet" job)
+#   soak           the ignored TPC-C medium-scale soak (gdb-workloads):
+#                  medium-scale redo windows shipped under the TPC-C
+#                  consistency checks; in `all`, not `main`
 #   vt-diff REV    on demand, not part of `main`/`all`: build REV beside
 #                  the working tree and diff every deterministic output
 #                  (scripts/vt_diff.sh) — run it for any change that
@@ -155,6 +160,14 @@ stage_realnet() {
     timeout 600 cargo test --release -q -p gdb-realnet -- --include-ignored
 }
 
+# The TPC-C medium-scale soak: the one test that ships medium-scale
+# windows through the replication path under the TPC-C consistency
+# checks. Too slow for `cargo test` (hence `#[ignore]`); bounded here.
+stage_soak() {
+    echo "==> TPC-C medium-scale soak"
+    timeout 600 cargo test --release -q -p gdb-workloads -- --ignored tpcc_medium_scale_soak
+}
+
 case "${1:-all}" in
 lint) stage_lint ;;
 build) stage_build ;;
@@ -164,6 +177,7 @@ shell) stage_shell ;;
 bench-smoke) stage_bench_smoke ;;
 benchmark) stage_benchmark ;;
 realnet) stage_realnet ;;
+soak) stage_soak ;;
 vt-diff) scripts/vt_diff.sh "${2:?usage: scripts/ci.sh vt-diff <rev>}" ;;
 main)
     stage_lint
@@ -182,6 +196,7 @@ all)
     stage_bench_smoke
     stage_benchmark
     stage_realnet
+    stage_soak
     echo "CI OK"
     ;;
 *)

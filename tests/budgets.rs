@@ -244,6 +244,92 @@ fn background_work_scales_with_redo_not_with_state() {
     );
 }
 
+// ---- Log shipping ----------------------------------------------------------
+
+/// The fixed-seed three-city cluster with the 4-column sysbench table
+/// loaded with `rows` rows.
+fn sbtest_cluster(rows: i64) -> Cluster {
+    let mut c = Cluster::new(ClusterConfig::globaldb_three_city().with_seed(42));
+    c.ddl(
+        "CREATE TABLE sbtest (id INT NOT NULL, k INT, c TEXT, pad TEXT, \
+         PRIMARY KEY (id)) DISTRIBUTE BY HASH(id)",
+    )
+    .unwrap();
+    let table = c.db.catalog().table_by_name("sbtest").unwrap().id;
+    let rows = (1..=rows)
+        .map(|id| {
+            Row(vec![
+                Datum::Int(id),
+                Datum::Int(id % 97),
+                Datum::from(format!("c-{id:08}")),
+                Datum::Text("padpadpadpad".into()),
+            ])
+        })
+        .collect();
+    c.bulk_load(table, rows).unwrap();
+    c.finish_load();
+    c
+}
+
+/// What shipping a shard's redo to its two replicas costs in framing and
+/// compression, on work counters. Fixed-seed three-city cluster, the
+/// 4-column sysbench table, 2 000 single-row updates 50 µs of virtual
+/// time apart, so every flush seals a window and both replicas ship it.
+/// Each record is framed once, into the durable segment, and each window
+/// is compressed once (measured: 1.000 framings per sealed record and
+/// 1.000 bytes compressed per durable byte, over 6 660 records and
+/// 170 161 bytes). A channel that framed and compressed its own batches
+/// cost 3 and 2: one framing into the segment and one per replica.
+#[test]
+fn log_shipping_frames_and_compresses_each_window_once() {
+    const ROWS: i64 = 2_200;
+    const UPDATES: u64 = 2_000;
+    let mut c = sbtest_cluster(ROWS);
+    let update = c
+        .prepare("UPDATE sbtest SET k = k + 1 WHERE id = ?")
+        .unwrap();
+    // (records sealed, durable bytes, records framed by channels, bytes
+    // compressed by channels), summed over the shards.
+    let work = |c: &Cluster| {
+        let mut w = [0u64; 4];
+        for shard in c.db.shards() {
+            w[0] += shard.log.sealed_head().0;
+            w[1] += shard.log.durable().segment().len() as u64;
+            for r in &shard.replicas {
+                w[2] += r.channel.stats.framed_records;
+                w[3] += r.channel.stats.compressed_bytes;
+            }
+        }
+        w
+    };
+    let before = work(&c);
+    let mut rng = SmallRng::seed_from_u64(42);
+    let (t0, cns) = (c.now(), c.db.cns().len());
+    for i in 0..UPDATES {
+        let at = t0 + SimDuration::from_micros(50 * (i + 1));
+        c.run_until(at);
+        let id = rng.gen_range(1..=ROWS);
+        c.execute_prepared(i as usize % cns, at, &update, &[Datum::Int(id)])
+            .unwrap();
+    }
+    c.run_until(c.now() + SimDuration::from_secs(1));
+    let after = work(&c);
+    let [sealed, durable, framed, compressed] = [0, 1, 2, 3].map(|i| after[i] - before[i]);
+    assert!(sealed >= 3 * UPDATES, "{sealed} records sealed");
+    let framings = (sealed + framed) as f64 / sealed as f64;
+    assert!(framings <= 1.0, "{framings:.3} framings per sealed record");
+    let compressions = compressed as f64 / durable as f64;
+    assert!(
+        compressions <= 1.02,
+        "{compressions:.3} bytes compressed per durable byte shipped"
+    );
+    for shard in c.db.shards() {
+        for r in &shard.replicas {
+            assert_eq!(r.channel.backlog(shard.log.sealed()), 0, "all shipped");
+        }
+    }
+}
+
 // ---- Event engine ----------------------------------------------------------
 // A self-replicating storm: each tick bumps one counter and records one
 // histogram sample (the per-event metrics cost), then schedules 1-2
@@ -475,25 +561,7 @@ fn routing_digest_and_terminal_state_budget() {
 fn statement_path_allocation_budget() {
     const ROWS: i64 = 2_200;
     const STATEMENTS: i64 = 1_000;
-    let mut c = Cluster::new(ClusterConfig::globaldb_three_city().with_seed(42));
-    c.ddl(
-        "CREATE TABLE sbtest (id INT NOT NULL, k INT, c TEXT, pad TEXT, \
-         PRIMARY KEY (id)) DISTRIBUTE BY HASH(id)",
-    )
-    .unwrap();
-    let table = c.db.catalog().table_by_name("sbtest").unwrap().id;
-    let rows = (1..=ROWS)
-        .map(|id| {
-            Row(vec![
-                Datum::Int(id),
-                Datum::Int(id % 97),
-                Datum::from(format!("c-{id:08}")),
-                Datum::Text("padpadpadpad".into()),
-            ])
-        })
-        .collect();
-    c.bulk_load(table, rows).unwrap();
-    c.finish_load();
+    let mut c = sbtest_cluster(ROWS);
     let select = c.prepare("SELECT c FROM sbtest WHERE id = ?").unwrap();
     let update = c
         .prepare("UPDATE sbtest SET k = k + 1 WHERE id = ?")
