@@ -4,143 +4,35 @@
 //! region-0 CN: the hot keys pile onto a handful of shards whose
 //! primaries sit in remote regions, so the static cluster pays the
 //! cross-region round trip on most commits. The rebalance run ticks a
-//! [`RebalanceController`] at every window boundary; its placement cost
-//! model scores the whole cluster view (cross-region traffic, per-host
-//! load spread, replica balance) and starts one batched migration plan
-//! whenever a move clears the hysteresis margin — snapshot copy, redo
-//! catch-up, cutover barrier, one routing-epoch bump per batch — without
-//! any window dropping to zero commits.
+//! [`RebalanceController`](gdb_rebalance::RebalanceController) at every
+//! window boundary; its placement cost model scores the whole cluster
+//! view (cross-region traffic, per-host load spread, replica balance)
+//! and starts one batched migration plan whenever a move clears the
+//! hysteresis margin — snapshot copy, redo catch-up, cutover barrier, one
+//! routing-epoch bump per batch — without any window dropping to zero
+//! commits.
 //!
 //! The PR 4 policy chain (since removed; EXPERIMENTS.md keeps the dated
 //! result) thrashed here: with every client in one region, its affinity
 //! and load-spread policies optimized conflicting objectives and
 //! oscillated (16 ping-pong migrations in a 10 s run).
 //! The cost model's single objective plus the decaying per-shard
-//! hysteresis penalty converges instead, so the artifact pins the
-//! migration count with a lower-is-better counter gate: the
-//! `rebalance-skew` series must localize the hot shards in at most
-//! [`MAX_MIGRATIONS`] moves, and a ping-pong regression fails the CI
-//! gate even if throughput barely moves.
+//! hysteresis penalty converges instead: the `rebalance-skew` run must
+//! localize the hot shards in at most [`MAX_MIGRATIONS`] moves (the root
+//! claims test asserts the same bound on the same run).
 //!
 //! Regenerate with: `cargo run -p gdb-bench --release --bin ablation_rebalance`
 
+use gdb_bench::windowed::{rebalance_controller, rebalance_run, window, MAX_MIGRATIONS};
 use gdb_bench::{artifact, emit_artifact, print_table, ratio, series_from_run, BenchParams};
-use gdb_obs::{COUNTER_GATE_MAX_KEY, COUNTER_GATE_METRIC_KEY, COUNTER_GATE_SERIES_KEY};
-use gdb_rebalance::RebalanceController;
-use gdb_simnet::stats::LatencyHistogram;
-use gdb_simnet::{SimDuration, SimTime};
-use gdb_workloads::driver::{KeyDistribution, Workload};
-use gdb_workloads::sysbench::{SysbenchMode, SysbenchScale, SysbenchWorkload};
-use gdb_workloads::WorkloadReport;
-use globaldb::{Cluster, ClusterConfig};
-
-/// The convergence budget the counter gate enforces: one-sided traffic
-/// must localize in at most this many migrations (the removed policy
-/// chain needed 16 and kept going).
-const MAX_MIGRATIONS: u64 = 4;
-
-fn window() -> SimDuration {
-    SimDuration::from_millis(500)
-}
-
-struct WindowStat {
-    commits: u64,
-    latency: LatencyHistogram,
-    event: String,
-}
-
-/// One windowed closed-loop run; `controller` ticks at window
-/// boundaries when present.
-fn run(
-    params: &BenchParams,
-    mut controller: Option<&mut RebalanceController>,
-) -> (Cluster, WorkloadReport, Vec<WindowStat>) {
-    let mut cluster = Cluster::new(ClusterConfig::globaldb_three_city());
-    let scale = match params.scale_name {
-        "tiny" => SysbenchScale::tiny(),
-        _ => SysbenchScale::small(),
-    };
-    let mut wl = SysbenchWorkload::new(scale, SysbenchMode::UpdateIndex, params.seed)
-        .with_key_dist(KeyDistribution::Zipfian { theta: 0.99 });
-    wl.pin_cn = Some(0);
-    wl.setup(&mut cluster).expect("sysbench setup");
-
-    let windows = ((params.run.duration.as_nanos() / window().as_nanos()).max(4)) as usize;
-    let t0 = cluster.now();
-    let t_end = t0 + window() * windows as u64;
-    let mut report = WorkloadReport {
-        duration: window() * windows as u64,
-        ..Default::default()
-    };
-    let mut stats: Vec<WindowStat> = (0..windows)
-        .map(|_| WindowStat {
-            commits: 0,
-            latency: LatencyHistogram::bounded(),
-            event: String::new(),
-        })
-        .collect();
-
-    let mut next_at: Vec<SimTime> = (0..params.run.terminals)
-        .map(|i| t0 + SimDuration::from_micros(1 + i as u64 * 137))
-        .collect();
-    let mut cur_w = 0usize;
-    while let Some((term, &at)) = next_at.iter().enumerate().min_by_key(|(_, t)| t.as_nanos()) {
-        if at >= t_end {
-            break;
-        }
-        let w = ((at.since(t0).as_nanos() / window().as_nanos()) as usize).min(windows - 1);
-        while cur_w < w {
-            // Window boundary: let the controller read the finished
-            // window's shard counters and (maybe) start a batched plan.
-            if let Some(c) = controller.as_deref_mut() {
-                let batch = c.tick(&mut cluster);
-                if !batch.is_empty() {
-                    stats[cur_w].event = if batch.len() == 1 {
-                        batch[0].reason.clone()
-                    } else {
-                        format!("batch of {}: {}", batch.len(), batch[0].reason)
-                    };
-                }
-            }
-            cur_w += 1;
-        }
-        let (kind, res) = wl.run_one(&mut cluster, term, at);
-        match res {
-            Ok(outcome) => {
-                report.record_commit(kind, outcome.latency);
-                stats[w].commits += 1;
-                stats[w].latency.record(outcome.latency);
-                next_at[term] = outcome.completed_at + params.run.think_time;
-            }
-            Err(e) if e.is_retryable() => {
-                report.record_abort(kind);
-                next_at[term] = at + params.run.think_time;
-            }
-            Err(e) => panic!("sysbench error ({kind}): {e}"),
-        }
-    }
-    cluster.run_until(t_end);
-    (cluster, report, stats)
-}
 
 fn main() {
     let params = BenchParams::from_env();
     let mut art = artifact("ablation_rebalance", &params);
-    // The counter gate: `rebalance-skew` must converge within the
-    // migration budget, and never regress past the blessed count.
-    art.config_kv(COUNTER_GATE_METRIC_KEY, "rebalance.migrations_started");
-    art.config_kv(COUNTER_GATE_MAX_KEY, MAX_MIGRATIONS);
-    art.config_kv(COUNTER_GATE_SERIES_KEY, "rebalance-skew");
 
-    let (mut c_static, r_static, _) = run(&params, None);
-    let mut controller = RebalanceController::new();
-    if params.scale_name == "tiny" {
-        // At tiny scale a 500 ms window carries too few ops to clear
-        // the default noise floor; lower it so the smoke run exercises
-        // (and gates) real migrations rather than a silent no-op twin.
-        controller.policy.min_shard_ops = 8;
-    }
-    let (mut c_rebal, r_rebal, mut windows) = run(&params, Some(&mut controller));
+    let (mut c_static, r_static, _) = rebalance_run(&params, None);
+    let mut controller = rebalance_controller(&params);
+    let (mut c_rebal, r_rebal, mut windows) = rebalance_run(&params, Some(&mut controller));
 
     art.series
         .push(series_from_run("static-skew", &mut c_static, &r_static));
@@ -195,8 +87,8 @@ fn main() {
         );
     }
 
-    // The convergence claim the artifact gates: a bounded number of
-    // migrations (the removed policy chain ping-ponged 16 times here) ...
+    // The convergence claim: a bounded number of migrations (the removed
+    // policy chain ping-ponged 16 times here) ...
     let started = c("rebalance.migrations_started");
     assert!(
         started <= MAX_MIGRATIONS,

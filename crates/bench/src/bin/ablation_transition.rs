@@ -8,84 +8,27 @@
 //!
 //! Regenerate with: `cargo run -p gdb-bench --release --bin ablation_transition`
 
+use gdb_bench::windowed::{transition_run, TO_GCLOCK_AT, TO_GTM_AT};
 use gdb_bench::{print_table, BenchParams};
-use gdb_model::Datum;
-use gdb_simnet::{SimDuration, SimTime};
-use gdb_workloads::tpcc::{loader, txns, TpccMix, TpccScale};
-use globaldb::{Cluster, ClusterConfig, TmMode, TransitionDirection};
-use rand::rngs::SmallRng;
-use rand::SeedableRng;
 
 fn main() {
     let params = BenchParams::from_env();
-    let scale = TpccScale::tiny();
-    let mut config = ClusterConfig::globaldb_one_region();
-    config.tm_mode = TmMode::Gtm;
-    let mut cluster = Cluster::new(config);
-    loader::load(&mut cluster, &scale, params.seed).expect("load");
-    let st = txns::Statements::prepare(&cluster).expect("prepare");
-    let mut rng = SmallRng::seed_from_u64(params.seed);
-    let _ = TpccMix::standard();
+    let run = transition_run(params.seed);
 
-    let window = SimDuration::from_millis(500);
-    let total_windows = 16usize;
-    let mut commits_per_window = vec![0u64; total_windows];
-    let mut modes = vec![String::new(); total_windows];
-
-    // Closed loop, single driver thread of 8 logical terminals.
-    let mut next_at: Vec<SimTime> = (0..8)
-        .map(|i| SimTime::from_millis(10 + i as u64))
-        .collect();
-    let t_end = SimTime::from_millis(10) + window * total_windows as u64;
-    let mut transition_started = 0usize; // 0 = none, 1 = to GClock, 2 = back
-
-    while let Some((term, &at)) = next_at.iter().enumerate().min_by_key(|(_, t)| t.as_nanos()) {
-        if at >= t_end {
-            break;
-        }
-        // Kick the transitions at windows 4 and 10.
-        let widx = ((at.as_millis().saturating_sub(10)) / window.as_millis()) as usize;
-        if widx >= 4 && transition_started == 0 {
-            cluster.start_transition(TransitionDirection::ToGClock);
-            transition_started = 1;
-        }
-        if widx >= 10 && transition_started == 1 {
-            cluster.start_transition(TransitionDirection::ToGtm);
-            transition_started = 2;
-        }
-        let w = (term as i64 % scale.warehouses) + 1;
-        let dist = ((term as i64 / scale.warehouses) % scale.districts_per_warehouse) + 1;
-        let cn = term % cluster.db.cns().len();
-        let res = txns::new_order(&mut cluster, &st, &mut rng, &scale, cn, at, w, dist, 0.0);
-        let done = match res {
-            Ok(outcome) => {
-                if widx < total_windows {
-                    commits_per_window[widx] += 1;
-                    modes[widx] = format!("{}", cluster.db.cn_mode(cn));
-                }
-                outcome.completed_at
-            }
-            Err(_) => at + SimDuration::from_millis(5),
-        };
-        // New-Order only keeps the harness simple; mixed kinds would
-        // obscure the per-window signal.
-        let _ = Datum::Null;
-        next_at[term] = done + SimDuration::from_millis(10);
-    }
-
-    let rows: Vec<Vec<String>> = commits_per_window
+    let rows: Vec<Vec<String>> = run
+        .commits
         .iter()
         .enumerate()
         .map(|(i, c)| {
             let note = match i {
-                4 => "→ transition to GClock starts",
-                10 => "→ transition back to GTM starts",
+                TO_GCLOCK_AT => "→ transition to GClock starts",
+                TO_GTM_AT => "→ transition back to GTM starts",
                 _ => "",
             };
             vec![
                 format!("{}..{} ms", 10 + i * 500, 10 + (i + 1) * 500),
                 format!("{c}"),
-                modes[i].clone(),
+                run.modes[i].clone(),
                 note.to_string(),
             ]
         })
@@ -95,11 +38,11 @@ fn main() {
         &["window", "NewOrder commits", "CN mode at end", "event"],
         &rows,
     );
-    let min = commits_per_window.iter().min().unwrap();
+    let min = run.commits.iter().min().unwrap();
     println!(
         "Minimum window: {min} commits — zero-downtime requires every window > 0. \
          Last transition completed: {:?}",
-        cluster.db.last_transition_completed()
+        run.cluster.db.last_transition_completed()
     );
     assert!(*min > 0, "a window starved during the transition!");
 }

@@ -7,7 +7,7 @@
 //! * GlobalDB shows no regression when deployed on One-Region.
 //!
 //! Regenerate with: `cargo run -p gdb-bench --release --bin fig6a`
-//! (add `--json BENCH_fig6a.json` to also write the machine-readable
+//! (add `--json fig6a.json` to also write the machine-readable
 //! artifact, and `--trace trace.json` to export a Chrome trace-event
 //! span timeline of the GlobalDB three-city run).
 

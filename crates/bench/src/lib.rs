@@ -4,7 +4,9 @@
 //! evaluation (§V, Fig. 1a and Fig. 6a–d) or one ablation. Absolute
 //! numbers are simulated (the substrate is a deterministic virtual-time
 //! cluster, not the authors' hardware); the *shape* — who wins, by what
-//! factor, where the crossovers are — is the reproduction target.
+//! factor, where the crossovers are — is the reproduction target, and the
+//! root package's `tests/claims.rs` asserts it at tiny scale through the
+//! same functions.
 //!
 //! Environment knobs:
 //! * `GDB_BENCH_SCALE` = `tiny` | `small` (default) | `medium`
@@ -12,6 +14,11 @@
 //! * `GDB_BENCH_TERMINALS` = closed-loop terminals (default 24)
 
 pub mod txnpath;
+pub mod windowed;
+
+/// The scenario DSL, for the root package's scenario-file fuzz test: the
+/// root package reaches the tooling crates through this one.
+pub use gdb_chaos::scenario;
 
 use gdb_obs::{BenchArtifact, BenchSeries, HistSummary, NetStats};
 use gdb_simnet::stats::LatencyHistogram;

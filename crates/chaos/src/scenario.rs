@@ -40,8 +40,8 @@
 //!
 //! Validation is strict: unknown tables, unknown keys, dangling plan
 //! names, and unknown fault kinds are all errors, reported with line
-//! numbers (`benchcmp validate` lints committed scenario files with the
-//! same code path).
+//! numbers (the shell's `committed_scenarios_lint_clean` test lints every
+//! committed scenario file with the same code path).
 
 use crate::fault::Fault;
 use crate::plan::{canned, FaultPlan};
@@ -182,15 +182,22 @@ pub fn fault_from_pairs(kind: &str, pairs: &[(String, ConfValue)]) -> Result<Fau
             .map(|v| v as usize)
             .ok_or_else(|| format!("fault {kind:?}: argument {key:?} must be a non-negative int"))
     };
+    let host = |key: &str| -> Result<u16, String> {
+        let v = int(key)?;
+        u16::try_from(v)
+            .map_err(|_| format!("fault {kind:?}: argument {key:?} = {v} must be at most 65535"))
+    };
     let duration = |key: &str| -> Result<SimDuration, String> {
         let v = &pairs
             .iter()
             .find(|(k, _)| k == key)
             .ok_or_else(|| format!("fault {kind:?}: missing argument {key:?}"))?
             .1;
+        // A bare int is seconds; both forms go through `parse_duration`,
+        // which rejects a count that overflows the nanosecond clock.
         match v {
             ConfValue::Str(s) => gdb_obs::parse_duration(s),
-            ConfValue::Int(n) if *n >= 0 => Some(SimDuration::from_secs(*n as u64)),
+            ConfValue::Int(n) => gdb_obs::parse_duration(&n.to_string()),
             _ => None,
         }
         .ok_or_else(|| format!("fault {kind:?}: argument {key:?} must be a duration"))
@@ -238,7 +245,7 @@ pub fn fault_from_pairs(kind: &str, pairs: &[(String, ConfValue)]) -> Result<Fau
         "start-migration" => Fault::StartMigration {
             shard: int("shard")?,
             to_region: int("to-region")?,
-            to_host: int("to-host")? as u16,
+            to_host: host("to-host")?,
         },
         "crash-migration-target" => Fault::CrashMigrationTarget,
         "restore-migration-target" => Fault::RestoreMigrationTarget,
@@ -246,11 +253,11 @@ pub fn fault_from_pairs(kind: &str, pairs: &[(String, ConfValue)]) -> Result<Fau
         "restore-migration-source" => Fault::RestoreMigrationSource,
         "add-node" => Fault::AddNode {
             region: int("region")?,
-            host: int("host")? as u16,
+            host: host("host")?,
         },
         "remove-node" => Fault::RemoveNode {
             region: int("region")?,
-            host: int("host")? as u16,
+            host: host("host")?,
         },
         _ => unreachable!("kind validated above"),
     })
@@ -540,7 +547,6 @@ pub fn load(text: &str) -> Result<Scenario, Vec<String>> {
 }
 
 /// Lint a scenario file: every validation error, or empty when clean.
-/// (`benchcmp validate` calls this on committed `scenarios/*.toml`.)
 pub fn lint(text: &str) -> Vec<String> {
     match load(text) {
         Ok(_) => Vec::new(),
@@ -709,6 +715,66 @@ shard = 0
         // At the bounds, and async with no replicas, the file is fine.
         let text = "[scenario]\nname = \"x\"\n[topology]\ncns = 1\nshards = 256\n\
                     replicas = 0\nreplication = \"async\"\n[nemesis]\nplan = \"generated\"\n";
+        assert_eq!(lint(text), Vec::<String>::new());
+    }
+
+    /// A host id past `u16` is an error naming the argument; it used to
+    /// wrap silently (65 536 targeted host 0).
+    #[test]
+    fn host_ids_past_u16_are_rejected() {
+        for (kind, args, key) in [
+            ("add-node", "region = 0\nhost = 65536", "host"),
+            ("remove-node", "region = 0\nhost = 70000", "host"),
+            (
+                "start-migration",
+                "shard = 0\nto-region = 1\nto-host = 65536",
+                "to-host",
+            ),
+        ] {
+            let text = format!(
+                "[scenario]\nname = \"x\"\n[[fault]]\nat = \"1s\"\nkind = \"{kind}\"\n{args}\n"
+            );
+            let errs = lint(&text);
+            assert!(
+                errs.iter()
+                    .any(|e| e.contains(&format!("{key:?}")) && e.contains("at most 65535")),
+                "{kind}: {errs:?}"
+            );
+        }
+        let text = "[scenario]\nname = \"x\"\n[[fault]]\nat = \"1s\"\nkind = \"add-node\"\n\
+                    region = 0\nhost = 65535\n";
+        let scn = load(text).unwrap();
+        let PlanSource::Inline(plan) = &scn.plan else {
+            panic!("expected inline plan");
+        };
+        assert_eq!(
+            plan.events[0].fault,
+            Fault::AddNode {
+                region: 0,
+                host: 65535
+            }
+        );
+    }
+
+    /// Found by `tests/scenario_props.rs`: a bare-int `extra` past the
+    /// 64-bit nanosecond clock overflowed converting to a duration (a
+    /// panic in debug builds, a wrapped short spike in release).
+    #[test]
+    fn delay_spike_past_the_clock_is_rejected() {
+        for extra in ["9223372036854775807", "18446744074", "-1"] {
+            let text = format!(
+                "[scenario]\nname = \"x\"\n[[fault]]\nat = \"1s\"\nkind = \"delay-spike\"\n\
+                 extra = {extra}\n"
+            );
+            let errs = lint(&text);
+            assert!(
+                errs.iter()
+                    .any(|e| e.contains("\"extra\" must be a duration")),
+                "{extra}: {errs:?}"
+            );
+        }
+        let text = "[scenario]\nname = \"x\"\n[[fault]]\nat = \"1s\"\nkind = \"delay-spike\"\n\
+                    extra = 18446744073\n";
         assert_eq!(lint(text), Vec::<String>::new());
     }
 

@@ -4,7 +4,7 @@
 //! (Fig. 6a), RTT sweeps (Fig. 6b), ROR freshness (Fig. 6c), redo-shipping
 //! bandwidth (Fig. 6d) — which requires per-phase instrumentation, not
 //! end-of-run aggregates. This crate provides the three pieces the bench
-//! harness and CI gate build on:
+//! harness builds on:
 //!
 //! * [`Tracer`] — trace spans keyed to virtual time ([`SimTime`]). Every
 //!   transaction records begin → snapshot-acquire → execute → prepare →
@@ -15,10 +15,9 @@
 //!   histograms keyed by static names, snapshotted into a serializable,
 //!   comparable [`MetricsReport`].
 //! * [`BenchArtifact`] — the stable `gdb-bench/v1` JSON schema every
-//!   figure binary emits via `--json`, plus the baseline comparison the
-//!   CI perf gate runs.
+//!   figure binary emits via `--json`.
 //!
-//! The vendored `serde` is a no-op facade, so JSON encoding/decoding is
+//! The vendored `serde` is a no-op facade, so JSON encoding is
 //! hand-rolled in [`json`] (compact writer + recursive-descent parser)
 //! with deterministic key order throughout.
 
@@ -33,11 +32,7 @@ pub use json::Json;
 pub use metrics::{
     CounterId, HistId, HistSummary, Metric, MetricName, MetricsRegistry, MetricsReport,
 };
-pub use report::{
-    bundle, compare_artifacts, load_artifacts, to_chrome_trace, validate_artifacts, BenchArtifact,
-    BenchSeries, Comparison, NetStats, COUNTER_GATE_MAX_KEY, COUNTER_GATE_METRIC_KEY,
-    COUNTER_GATE_SERIES_KEY,
-};
+pub use report::{to_chrome_trace, BenchArtifact, BenchSeries, NetStats};
 pub use span::{Span, SpanId, SpanKind, Tracer};
 
 use serde::{Deserialize, Serialize};

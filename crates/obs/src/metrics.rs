@@ -268,28 +268,6 @@ impl HistSummary {
         ])
     }
 
-    /// Decode a summary encoded by [`HistSummary::to_json`]. `ctx` names
-    /// the field in error messages.
-    pub fn from_json(v: &crate::Json, ctx: &str) -> Result<Self, String> {
-        use crate::Json;
-        let f = |k: &str| -> Result<u64, String> {
-            v.get(k)
-                .and_then(Json::as_u64)
-                .ok_or_else(|| format!("{ctx}: {k} missing or not a count"))
-        };
-        Ok(HistSummary {
-            count: f("count")?,
-            sum_us: f("sum_us")?,
-            min_us: f("min_us")?,
-            max_us: f("max_us")?,
-            mean_us: f("mean_us")?,
-            p50_us: f("p50_us")?,
-            p95_us: f("p95_us")?,
-            p99_us: f("p99_us")?,
-            p999_us: f("p999_us")?,
-        })
-    }
-
     pub fn of(h: &LatencyHistogram) -> Self {
         let b = h.to_summary();
         HistSummary {
@@ -341,8 +319,8 @@ impl MetricsReport {
 
     /// Encode as a JSON object, one member per metric, in name order.
     /// Counters encode as bare numbers; gauges are tagged
-    /// (`{"gauge": v}`) so an integral gauge value survives the round
-    /// trip as a gauge instead of decoding as a counter.
+    /// (`{"gauge": v}`) so an integral gauge value does not read as a
+    /// counter.
     pub fn to_json(&self) -> crate::Json {
         use crate::Json;
         let mut pairs = Vec::with_capacity(self.metrics.len());
@@ -355,36 +333,6 @@ impl MetricsReport {
             pairs.push((name.clone(), v));
         }
         Json::Obj(pairs)
-    }
-
-    /// Decode a report encoded by [`MetricsReport::to_json`]. A bare JSON
-    /// number is a counter if integral; a `{"gauge": v}` object is a
-    /// gauge; any other object is a histogram summary. A bare
-    /// non-integral number still decodes as a gauge for artifacts written
-    /// before gauges were tagged.
-    pub fn from_json(v: &crate::Json) -> Result<Self, String> {
-        use crate::Json;
-        let pairs = v.as_obj().ok_or("metrics: expected object")?;
-        let mut metrics = BTreeMap::new();
-        for (name, val) in pairs {
-            let m = match val {
-                Json::Num(n) if *n == n.trunc() && *n >= 0.0 => Metric::Counter(*n as u64),
-                Json::Num(n) => Metric::Gauge(*n),
-                Json::Obj(members) if members.len() == 1 && members[0].0 == "gauge" => {
-                    let g = members[0]
-                        .1
-                        .as_f64()
-                        .ok_or_else(|| format!("metrics.{name}: gauge must be a number"))?;
-                    Metric::Gauge(g)
-                }
-                Json::Obj(_) => {
-                    Metric::Histogram(HistSummary::from_json(val, &format!("metrics.{name}"))?)
-                }
-                other => return Err(format!("metrics.{name}: unexpected {other:?}")),
-            };
-            metrics.insert(name.clone(), m);
-        }
-        Ok(MetricsReport { metrics })
     }
 }
 
@@ -435,44 +383,42 @@ mod tests {
         assert_eq!(names, vec!["a.first", "m.lat_us", "z.last"]);
     }
 
+    /// Emission: counters are bare numbers, gauges are tagged, histograms
+    /// are summaries; the pretty text parses back to the same document.
     #[test]
     fn json_round_trip() {
         let mut r = MetricsRegistry::new();
         r.count("c.n", 3);
         r.gauge("g.v", 1.25);
         r.observe("h.lat_us", SimDuration::from_micros(42));
-        let snap = r.snapshot();
-        let text = snap.to_json().to_pretty();
-        let back = MetricsReport::from_json(&crate::Json::parse(&text).unwrap()).unwrap();
-        assert_eq!(back, snap);
+        let json = r.snapshot().to_json();
+        let text = json.to_pretty();
+        let doc = crate::Json::parse(&text).unwrap();
+        assert_eq!(doc, json);
+        assert_eq!(doc.get("c.n"), Some(&crate::Json::Num(3.0)));
+        assert_eq!(
+            doc.get("g.v").and_then(|g| g.get("gauge")).and_then(crate::Json::as_f64),
+            Some(1.25)
+        );
+        let hist = doc.get("h.lat_us").unwrap();
+        assert_eq!(hist.get("count").and_then(crate::Json::as_u64), Some(1));
+        assert_eq!(hist.get("p50_us").and_then(crate::Json::as_u64), Some(42));
     }
 
     #[test]
     fn integral_gauge_round_trips_as_gauge() {
-        // Regression: `gauge("a.load", 2.0)` used to decode as
-        // `Metric::Counter(2)` because counters and gauges shared the
-        // bare-number encoding.
+        // Regression: `gauge("a.load", 2.0)` used to emit the same bare
+        // number as `count("a.n", 2)`, so a reader could not tell them
+        // apart. Gauges carry a `{"gauge": v}` tag; counters stay bare.
         let mut r = MetricsRegistry::new();
         r.gauge("a.load", 2.0);
         r.count("a.n", 2);
-        let snap = r.snapshot();
-        let text = snap.to_json().to_pretty();
-        let back = MetricsReport::from_json(&crate::Json::parse(&text).unwrap()).unwrap();
-        assert_eq!(back, snap);
-        assert_eq!(back.gauge("a.load"), Some(2.0));
-        assert_eq!(back.counter("a.load"), None);
-        assert_eq!(back.counter("a.n"), Some(2));
-    }
-
-    #[test]
-    fn legacy_untagged_gauges_still_decode() {
-        // Artifacts written before gauges were tagged carry them as bare
-        // non-integral numbers.
-        let back =
-            MetricsReport::from_json(&crate::Json::parse(r#"{"a.load": 0.5, "a.n": 3}"#).unwrap())
-                .unwrap();
-        assert_eq!(back.gauge("a.load"), Some(0.5));
-        assert_eq!(back.counter("a.n"), Some(3));
+        let text = r.snapshot().to_json().to_pretty();
+        let doc = crate::Json::parse(&text).unwrap();
+        let gauge = doc.get("a.load").unwrap();
+        assert_eq!(gauge.as_obj().map(|m| m.len()), Some(1), "{text}");
+        assert_eq!(gauge.get("gauge").and_then(crate::Json::as_f64), Some(2.0));
+        assert_eq!(doc.get("a.n"), Some(&crate::Json::Num(2.0)));
     }
 
     #[test]

@@ -171,13 +171,18 @@ fn migrate_to_an_unknown_region_is_an_error() {
 
 #[test]
 fn committed_scenarios_lint_clean() {
-    for text in [
-        include_str!("../../../scenarios/migrate-under-fire.toml"),
-        include_str!("../../../scenarios/elastic-under-fire.toml"),
-    ] {
-        let errors = gdb_chaos::scenario::lint(text);
-        assert!(errors.is_empty(), "{errors:?}");
+    let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../scenarios");
+    let mut linted = 0;
+    for entry in std::fs::read_dir(&dir).unwrap() {
+        let path = entry.unwrap().path();
+        if path.extension().is_some_and(|e| e == "toml") {
+            let text = std::fs::read_to_string(&path).unwrap();
+            let errors = gdb_chaos::scenario::lint(&text);
+            assert!(errors.is_empty(), "{}: {errors:?}", path.display());
+            linted += 1;
+        }
     }
+    assert!(linted > 0, "no scenario files in {}", dir.display());
 }
 
 /// A topology the cluster cannot deploy is a load error: `scenario run`

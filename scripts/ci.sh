@@ -1,19 +1,18 @@
 #!/usr/bin/env bash
-# Full CI gate: formatting, lints, release build, tests, a 5-seed smoke
-# run of the chaos nemesis binary, the virtual-time bench regression
-# gate, a quick run of the full-stack wall-clock benchmark, the real
-# backends and the TPC-C medium-scale soak.
+# Full CI gate: formatting, lints, release build, tests (the paper's
+# claims among them), a 5-seed smoke run of the chaos nemesis binary, a
+# quick run of the full-stack wall-clock benchmark, the real backends and
+# the TPC-C medium-scale soak.
 # Everything runs offline against the vendored dependency set.
 #
 # Usage: scripts/ci.sh [STAGE]
 #   all            every stage below (default; what local runs use)
-#   main           lint + build + test + bench-smoke + benchmark (the CI
-#                  "ci" job)
-#   lint           cargo fmt --check && cargo clippy -D warnings, plus
-#                  benchcmp validate over every committed BENCH_*.json
+#   main           lint + build + test + benchmark (the CI "ci" job)
+#   lint           cargo fmt --check && cargo clippy -D warnings
 #   build          cargo build --release
 #   test           cargo test -q: the workspace's default-members — the
-#                  root package (incl. the deterministic hot-path budgets
+#                  root package (incl. the paper's claims in
+#                  tests/claims.rs and the deterministic hot-path budgets
 #                  in tests/budgets.rs), the ten paper-component crates,
 #                  model .. core, the seven deterministic tooling crates
 #                  (simnet, simclock, obs, workloads, rebalance, chaos,
@@ -27,7 +26,6 @@
 #   shell          gdb-shell tests, the ignored thread-backend one
 #                  included, + committed scenario replays (the CI "shell"
 #                  job)
-#   bench-smoke    tiny-scale figure runs gated against BENCH_smoke.json
 #   benchmark      benchmark/ builds against the current crates, its
 #                  tests pass, and `all --quick` exits 0
 #   realnet        real-backend tests, the ignored wall-clock-bound
@@ -51,9 +49,6 @@ stage_lint() {
 
     echo "==> cargo bench --no-run (benches must keep compiling)"
     cargo bench --workspace --no-run -q
-
-    echo "==> benchcmp validate (committed baselines + scenario files)"
-    cargo run --release -q -p gdb-bench --bin benchcmp -- validate BENCH_*.json scenarios/*.toml
 }
 
 stage_build() {
@@ -111,32 +106,6 @@ stage_shell() {
     done
 }
 
-# Regenerate every figure artifact at tiny scale and compare throughput
-# against the committed baseline. The simulation is deterministic, so on
-# unchanged code this reproduces the baseline exactly; the 20% tolerance
-# only absorbs intended performance shifts (bless bigger ones with
-# scripts/regen_bench.sh).
-stage_bench_smoke() {
-    echo "==> bench smoke (tiny scale) + perf gate"
-    local out=target/bench-smoke
-    rm -rf "$out"
-    mkdir -p "$out"
-    for fig in fig1a fig6a fig6b fig6c fig6d ablation_rebalance; do
-        GDB_BENCH_SCALE=tiny GDB_BENCH_SECS=2 GDB_BENCH_TERMINALS=8 \
-            cargo run --release -q -p gdb-bench --bin "$fig" -- \
-            --json "$out/$fig.json" >/dev/null
-    done
-    cargo run --release -q -p gdb-chaos --bin nemesis -- \
-        --seed 1 --duration 2s --json "$out/nemesis.json" >/dev/null
-    cargo run --release -q -p gdb-bench --bin benchcmp -- merge \
-        "$out/BENCH_smoke.json" \
-        "$out"/fig1a.json "$out"/fig6a.json "$out"/fig6b.json \
-        "$out"/fig6c.json "$out"/fig6d.json "$out"/ablation_rebalance.json \
-        "$out"/nemesis.json
-    cargo run --release -q -p gdb-bench --bin benchcmp -- check \
-        BENCH_smoke.json "$out/BENCH_smoke.json" --tolerance 0.20
-}
-
 # The full-stack wall-clock benchmark is its own workspace under
 # benchmark/ and calls deep into the crates' public API; building it,
 # running its tests and a quick pass over all four workloads (~20 s)
@@ -174,7 +143,6 @@ build) stage_build ;;
 test) stage_test ;;
 nemesis-smoke) stage_nemesis_smoke ;;
 shell) stage_shell ;;
-bench-smoke) stage_bench_smoke ;;
 benchmark) stage_benchmark ;;
 realnet) stage_realnet ;;
 soak) stage_soak ;;
@@ -183,7 +151,6 @@ main)
     stage_lint
     stage_build
     stage_test
-    stage_bench_smoke
     stage_benchmark
     echo "CI OK"
     ;;
@@ -193,7 +160,6 @@ all)
     stage_test
     stage_nemesis_smoke
     stage_shell
-    stage_bench_smoke
     stage_benchmark
     stage_realnet
     stage_soak

@@ -3,6 +3,8 @@
 # byte-identical to <rev>'s? The simulation draws one topology-RNG value
 # per message, so a refactor that reorders, adds or drops a single send
 # on any path shows up here as a changed latency, count or trace line.
+# It answers "did anything move"; whether the paper's results still hold
+# after a change that is meant to move virtual time is tests/claims.rs.
 #
 # Usage: scripts/vt_diff.sh <rev>
 #
@@ -10,8 +12,9 @@
 # there with its own target dir; both sides then run the same surface —
 # inputs (scenario files, the shell golden script) always come from the
 # working tree, so a difference is a difference in behaviour:
-#   * the 7 bench-smoke runs (6 figures + nemesis seed 1), stdout and the
-#     full --json artifact (every metric in the registry);
+#   * 6 figure binaries at tiny scale (GDB_BENCH_SCALE=tiny, 2 virtual
+#     seconds, 8 terminals) and nemesis seed 1, stdout and the full
+#     --json artifact (every metric in the registry);
 #   * nemesis seeds 1-5, plain and --overlap --migrations --elastic;
 #     seeds 51-53 --elastic;
 #   * every canned --plan;
