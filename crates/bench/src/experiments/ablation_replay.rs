@@ -5,31 +5,40 @@
 //! freshness (RCP lag): serial replay falls behind, parallel replay keeps
 //! the RCP close to the present, which is what makes ROR reads fresh.
 //!
-//! Regenerate with: `cargo run -p gdb-bench --release --bin ablation_replay`
+//! Regenerate with: `cargo run -p gdb-bench --release -- ablation_replay`
 
-use gdb_bench::{print_table, rcp_lag_ms, tpcc_run, BenchParams};
+use super::{rcp_lag_ms, Run};
+use crate::{print_table, tpcc_run, BenchParams};
 use gdb_replication::ReplayCostModel;
 use gdb_simnet::SimDuration;
 use gdb_workloads::tpcc::TpccMix;
 use globaldb::ClusterConfig;
 
-fn main() {
-    let params = BenchParams::from_env();
+/// Replay workers per replica.
+pub const SWEEP: [usize; 4] = [1, 2, 4, 8];
+
+/// The TPC-C standard mix, every transaction local, on Three-City
+/// GlobalDB whose replicas replay with `workers` workers.
+pub fn point(params: &BenchParams, workers: usize) -> Run {
+    let config = ClusterConfig {
+        replay: ReplayCostModel {
+            // A deliberately expensive per-record cost so replay is the
+            // bottleneck being ablated.
+            per_record: SimDuration::from_micros(150),
+            workers,
+            per_batch: SimDuration::from_micros(20),
+        },
+        ..ClusterConfig::globaldb_three_city()
+    };
+    tpcc_run(config, params, TpccMix::standard(), |wl| {
+        wl.set_all_local();
+    })
+}
+
+pub fn run(params: &BenchParams) {
     let mut rows = Vec::new();
-    for workers in [1usize, 2, 4, 8] {
-        let config = ClusterConfig {
-            replay: ReplayCostModel {
-                // A deliberately expensive per-record cost so replay is the
-                // bottleneck being ablated.
-                per_record: SimDuration::from_micros(150),
-                workers,
-                per_batch: SimDuration::from_micros(20),
-            },
-            ..ClusterConfig::globaldb_three_city()
-        };
-        let (cluster, report) = tpcc_run(config, &params, TpccMix::standard(), |wl| {
-            wl.set_all_local();
-        });
+    for workers in SWEEP {
+        let (cluster, report) = point(params, workers);
         let fallbacks = cluster.db.stats().replica_blocked_fallbacks;
         rows.push(vec![
             format!("{workers}"),

@@ -3,18 +3,22 @@
 //! co-located with the GTM server. Baseline GaussDB degrades by up to
 //! ~90% at 100 ms; GlobalDB is flat (no timestamp round trips).
 //!
-//! Regenerate with: `cargo run -p gdb-bench --release --bin fig6b`
+//! Regenerate with: `cargo run -p gdb-bench --release -- fig6b`
 
-use gdb_bench::{artifact, emit_artifact, print_table, series_from_run, tpcc_run, BenchParams};
+use super::Run;
+use crate::{artifact, print_table, series_from_run, tpcc_run, BenchParams};
+use gdb_obs::BenchArtifact;
 use gdb_workloads::tpcc::TpccMix;
 use globaldb::{ClusterConfig, Geometry, ReplicationMode, SimDuration, TmMode};
 
-fn main() {
-    let params = BenchParams::from_env();
-    let mut art = artifact("fig6b", &params);
-    let delays_ms = [0u64, 10, 25, 50, 100];
+/// Injected delays, in ms; each runs GTM (the baseline) and GClock.
+pub const SWEEP: [u64; 5] = [0, 10, 25, 50, 100];
 
-    let mk = |mode: TmMode, delay_ms: u64| ClusterConfig {
+/// TPC-C on One-Region under `mode` with `delay_ms` injected, every
+/// transaction local and submitted at CN 1, which is on a different host
+/// than the GTM (host 0).
+pub fn point(params: &BenchParams, mode: TmMode, delay_ms: u64) -> Run {
+    let config = ClusterConfig {
         geometry: Geometry::OneRegion {
             injected_delay: SimDuration::from_millis(delay_ms),
         },
@@ -24,29 +28,21 @@ fn main() {
         replication: ReplicationMode::Async,
         ..ClusterConfig::baseline_one_region()
     };
+    tpcc_run(config, params, TpccMix::standard(), |wl| {
+        wl.set_all_local();
+        wl.pin_cn = Some(1);
+        wl.local_warehouses_only = true;
+    })
+}
 
+pub fn run(params: &BenchParams) -> BenchArtifact {
+    let mut art = artifact("fig6b", params);
     let mut rows = Vec::new();
     let mut base_gtm = 0.0;
     let mut base_gclock = 0.0;
-    for &delay in &delays_ms {
-        // CN 1 is on a different host than the GTM (which lives on host 0).
-        let localize = |wl: &mut gdb_workloads::tpcc::TpccWorkload| {
-            wl.set_all_local();
-            wl.pin_cn = Some(1);
-            wl.local_warehouses_only = true;
-        };
-        let (mut c_gtm, r_gtm) = tpcc_run(
-            mk(TmMode::Gtm, delay),
-            &params,
-            TpccMix::standard(),
-            localize,
-        );
-        let (mut c_gclock, r_gclock) = tpcc_run(
-            mk(TmMode::GClock, delay),
-            &params,
-            TpccMix::standard(),
-            localize,
-        );
+    for delay in SWEEP {
+        let (mut c_gtm, r_gtm) = point(params, TmMode::Gtm, delay);
+        let (mut c_gclock, r_gclock) = point(params, TmMode::GClock, delay);
         art.series.push(series_from_run(
             format!("gtm @ {delay}ms"),
             &mut c_gtm,
@@ -84,5 +80,5 @@ fn main() {
         "Paper shape: baseline loses up to ~90% at 100 ms; GlobalDB holds \
          its throughput regardless of delay."
     );
-    emit_artifact(&art);
+    art
 }

@@ -4,46 +4,43 @@
 //! the baseline routes every read to (mostly remote) primaries. The paper
 //! reports up to 14× improvement.
 //!
-//! Regenerate with: `cargo run -p gdb-bench --release --bin fig6c`
+//! Regenerate with: `cargo run -p gdb-bench --release -- fig6c`
 
-use gdb_bench::{
-    artifact, emit_artifact, print_table, ratio, series_from_run, tpcc_run, BenchParams,
-};
+use super::{config, rcp_lag_ms, Deployment, Run, System};
+use crate::{artifact, print_table, ratio, series_from_run, tpcc_run, BenchParams};
+use gdb_obs::BenchArtifact;
 use gdb_workloads::tpcc::TpccMix;
-use globaldb::ClusterConfig;
+use globaldb::SimDuration;
 
-fn main() {
-    let mut params = BenchParams::from_env();
-    // The paper drives 600 terminals with negligible think time; the
-    // throughput gap is the per-query latency gap.
-    params.run.think_time = gdb_simnet::SimDuration::from_millis(1);
-    let mut art = artifact("fig6c", &params);
+/// "Up to 14x": the offered load, in closed-loop terminals.
+pub const SWEEP: [usize; 3] = [8, 24, 64];
 
-    // "Up to 14x": sweep the offered load (terminal count).
+/// Read-only TPC-C on `system` at three cities with `terminals`
+/// terminals. The paper drives 600 terminals with negligible think time;
+/// the throughput gap is the per-query latency gap.
+pub fn point(params: &BenchParams, system: System, terminals: usize) -> Run {
+    let mut p = *params;
+    p.run.think_time = SimDuration::from_millis(1);
+    p.run.terminals = terminals;
+    tpcc_run(
+        config(system, Deployment::ThreeCity),
+        &p,
+        TpccMix::read_only(),
+        |wl| {
+            wl.multi_shard_read_fraction = 0.5;
+            wl.remote_cn_fraction = 0.0;
+        },
+    )
+}
+
+pub fn run(params: &BenchParams) -> BenchArtifact {
+    let mut art = artifact("fig6c", params);
     let mut rows = Vec::new();
     let mut last_rcp_lag = 0.0;
-    for terminals in [8usize, 24, 64] {
-        let mut p = params;
-        p.run.terminals = terminals;
-        let (mut c_base, baseline) = tpcc_run(
-            ClusterConfig::baseline_three_city(),
-            &p,
-            TpccMix::read_only(),
-            |wl| {
-                wl.multi_shard_read_fraction = 0.5;
-                wl.remote_cn_fraction = 0.0;
-            },
-        );
-        let (mut cluster, globaldb) = tpcc_run(
-            ClusterConfig::globaldb_three_city(),
-            &p,
-            TpccMix::read_only(),
-            |wl| {
-                wl.multi_shard_read_fraction = 0.5;
-                wl.remote_cn_fraction = 0.0;
-            },
-        );
-        last_rcp_lag = gdb_bench::rcp_lag_ms(&cluster);
+    for terminals in SWEEP {
+        let (mut c_base, baseline) = point(params, System::Baseline, terminals);
+        let (mut cluster, globaldb) = point(params, System::GlobalDb, terminals);
+        last_rcp_lag = rcp_lag_ms(&cluster);
         art.series.push(series_from_run(
             format!("baseline @ {terminals}t"),
             &mut c_base,
@@ -81,5 +78,5 @@ fn main() {
         "Paper shape: up to 14x read throughput from replica reads plus \
          decentralized timestamps. RCP lag at end: {last_rcp_lag:.1} ms."
     );
-    emit_artifact(&art);
+    art
 }

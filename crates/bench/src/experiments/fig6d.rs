@@ -3,28 +3,32 @@
 //! from the submitting CN; GlobalDB reads them from local replicas
 //! instead. The paper reports up to 8.9× improvement.
 //!
-//! Regenerate with: `cargo run -p gdb-bench --release --bin fig6d`
+//! Regenerate with: `cargo run -p gdb-bench --release -- fig6d`
 
-use gdb_bench::{artifact, emit_artifact, print_table, ratio, series_from_run, BenchParams};
+use super::{config, rcp_lag_ms, replica_read_share, Deployment, Run, System};
+use crate::{artifact, print_table, ratio, series_from_run, BenchParams};
+use gdb_obs::BenchArtifact;
 use gdb_workloads::driver::{run_workload, Workload};
 use gdb_workloads::sysbench::{SysbenchMode, SysbenchScale, SysbenchWorkload};
-use globaldb::{Cluster, ClusterConfig};
+use globaldb::Cluster;
 
-fn main() {
-    let params = BenchParams::from_env();
-    let mut art = artifact("fig6d", &params);
-    let scale = SysbenchScale::small();
+/// Small-scale Sysbench Point-Select on `system` at three cities.
+pub fn point(params: &BenchParams, system: System) -> Run {
+    let mut cluster = Cluster::new(config(system, Deployment::ThreeCity));
+    let mut wl = SysbenchWorkload::new(
+        SysbenchScale::small(),
+        SysbenchMode::PointSelect,
+        params.seed,
+    );
+    wl.setup(&mut cluster).expect("sysbench setup");
+    let report = run_workload(&mut cluster, &mut wl, params.run);
+    (cluster, report)
+}
 
-    let run = |config: ClusterConfig| {
-        let mut cluster = Cluster::new(config);
-        let mut wl = SysbenchWorkload::new(scale, SysbenchMode::PointSelect, params.seed);
-        wl.setup(&mut cluster).expect("sysbench setup");
-        let report = run_workload(&mut cluster, &mut wl, params.run);
-        (cluster, report)
-    };
-
-    let (mut c_base, baseline) = run(ClusterConfig::baseline_three_city());
-    let (mut cluster, globaldb) = run(ClusterConfig::globaldb_three_city());
+pub fn run(params: &BenchParams) -> BenchArtifact {
+    let mut art = artifact("fig6d", params);
+    let (mut c_base, baseline) = point(params, System::Baseline);
+    let (mut cluster, globaldb) = point(params, System::GlobalDb);
     art.series
         .push(series_from_run("baseline", &mut c_base, &baseline));
     art.series
@@ -32,28 +36,20 @@ fn main() {
 
     let b = baseline.throughput_per_sec();
     let g = globaldb.throughput_per_sec();
-    let remote_frac = |r: &gdb_workloads::WorkloadReport| {
-        let total = r.reads_on_primary + r.reads_on_replica;
-        if total == 0 {
-            0.0
-        } else {
-            r.reads_on_replica as f64 / total as f64
-        }
-    };
     let rows = vec![
         vec![
             "baseline (primary reads)".into(),
             format!("{b:.0}"),
             "1.00x".into(),
             format!("{}", baseline.mean_latency("point_select")),
-            format!("{:.0}%", 100.0 * remote_frac(&baseline)),
+            format!("{:.0}%", 100.0 * replica_read_share(&baseline)),
         ],
         vec![
             "GlobalDB (ROR)".into(),
             format!("{g:.0}"),
             ratio(g, b),
             format!("{}", globaldb.mean_latency("point_select")),
-            format!("{:.0}%", 100.0 * remote_frac(&globaldb)),
+            format!("{:.0}%", 100.0 * replica_read_share(&globaldb)),
         ],
     ];
     print_table(
@@ -70,7 +66,7 @@ fn main() {
     println!(
         "Paper shape: up to 8.9x from reading local replicas (2/3 of \
          tuples are remote for the baseline). RCP lag: {:.1} ms.",
-        gdb_bench::rcp_lag_ms(&cluster)
+        rcp_lag_ms(&cluster)
     );
-    emit_artifact(&art);
+    art
 }

@@ -1,72 +1,77 @@
-//! Shared harness for the figure-regeneration binaries.
+//! The paper's evaluation (§V, Fig. 1a and Fig. 6a–d) and its ablations,
+//! run by one binary:
 //!
-//! Each binary under `src/bin/` regenerates one figure of the paper's
-//! evaluation (§V, Fig. 1a and Fig. 6a–d) or one ablation. Absolute
+//! ```text
+//! gdb-bench <experiment> [--scale tiny|small|medium] [--secs N] [--terminals N]
+//!                        [--json PATH] [--trace PATH]
+//! ```
+//!
+//! [`experiments`] defines each of the twelve experiments once: its
+//! sweep, the run of one sweep point, and the table it prints. Absolute
 //! numbers are simulated (the substrate is a deterministic virtual-time
 //! cluster, not the authors' hardware); the *shape* — who wins, by what
 //! factor, where the crossovers are — is the reproduction target, and the
-//! root package's `tests/claims.rs` asserts it at tiny scale through the
-//! same functions.
+//! root package's `tests/claims.rs` asserts it at tiny scale on the same
+//! point functions.
 //!
-//! Environment knobs:
-//! * `GDB_BENCH_SCALE` = `tiny` | `small` (default) | `medium`
-//! * `GDB_BENCH_SECS`  = measured virtual seconds (default 10)
-//! * `GDB_BENCH_TERMINALS` = closed-loop terminals (default 24)
+//! Defaults: small scale, 10 measured virtual seconds, 24 closed-loop
+//! terminals. `--json` writes the `gdb-bench/v1` artifact of the
+//! experiments that record one; `--trace`, the Chrome trace of Fig. 6a's
+//! GlobalDB three-city run.
 
+pub mod experiments;
 pub mod txnpath;
-pub mod windowed;
 
 /// The scenario DSL, for the root package's scenario-file fuzz test: the
 /// root package reaches the tooling crates through this one.
 pub use gdb_chaos::scenario;
 
-use gdb_obs::{BenchArtifact, BenchSeries, HistSummary, NetStats};
+use gdb_obs::{Args, BenchArtifact, BenchSeries, HistSummary};
 use gdb_simnet::stats::LatencyHistogram;
 use gdb_simnet::SimDuration;
 use gdb_workloads::driver::{run_workload, RunConfig, Workload};
 use gdb_workloads::tpcc::{TpccMix, TpccScale, TpccWorkload};
 use gdb_workloads::WorkloadReport;
-use globaldb::{Cluster, ClusterConfig, Metric};
-use std::collections::BTreeMap;
-use std::path::PathBuf;
+use globaldb::{Cluster, ClusterConfig};
 
-/// Scale/duration parameters shared by the binaries.
+/// Scale/duration parameters shared by the experiments.
 #[derive(Debug, Clone, Copy)]
 pub struct BenchParams {
     pub scale: TpccScale,
-    /// The resolved `GDB_BENCH_SCALE` name (recorded in artifacts).
+    /// The `--scale` name (recorded in artifacts).
     pub scale_name: &'static str,
     pub run: RunConfig,
     pub seed: u64,
 }
 
 impl BenchParams {
-    /// Read from the environment (defaults: small scale, 10 virtual s).
-    pub fn from_env() -> Self {
-        let (scale, scale_name) = match std::env::var("GDB_BENCH_SCALE").as_deref() {
-            Ok("tiny") => (TpccScale::tiny(), "tiny"),
-            Ok("medium") => (TpccScale::medium(), "medium"),
-            _ => (TpccScale::small(), "small"),
-        };
-        let secs: u64 = std::env::var("GDB_BENCH_SECS")
-            .ok()
-            .and_then(|s| s.parse().ok())
-            .unwrap_or(10);
-        let terminals: usize = std::env::var("GDB_BENCH_TERMINALS")
-            .ok()
-            .and_then(|s| s.parse().ok())
-            .unwrap_or(24);
-        BenchParams {
+    /// The run `--scale`, `--secs` and `--terminals` describe (defaults:
+    /// small scale, 10 virtual seconds, 24 terminals). A scale name other
+    /// than the three, or a count that is not a positive integer, is an
+    /// error.
+    pub fn from_args(args: &Args) -> Result<Self, String> {
+        let (scale, scale_name) = args
+            .read("--scale", |v| match v {
+                "tiny" => Some((TpccScale::tiny(), "tiny")),
+                "small" => Some((TpccScale::small(), "small")),
+                "medium" => Some((TpccScale::medium(), "medium")),
+                _ => None,
+            })?
+            .unwrap_or((TpccScale::small(), "small"));
+        let positive = |v: &str| v.parse().ok().filter(|&n: &u64| n > 0);
+        let secs = args.read("--secs", positive)?.unwrap_or(10);
+        let terminals = args.read("--terminals", positive)?.unwrap_or(24);
+        Ok(BenchParams {
             scale,
             scale_name,
             run: RunConfig {
-                terminals,
+                terminals: terminals as usize,
                 duration: SimDuration::from_secs(secs),
                 warmup: SimDuration::from_secs(1),
                 think_time: SimDuration::from_millis(10),
             },
             seed: 42,
-        }
+        })
     }
 }
 
@@ -99,7 +104,7 @@ pub fn tpcc_run_with(
     (cluster, report)
 }
 
-/// Print an aligned results table (one figure per binary, paper-style).
+/// Print an aligned results table (one per experiment, paper-style).
 pub fn print_table(title: &str, headers: &[&str], rows: &[Vec<String>]) {
     println!("\n=== {title} ===");
     let mut widths: Vec<usize> = headers.iter().map(|h| h.len()).collect();
@@ -134,17 +139,6 @@ pub fn ratio(value: f64, base: f64) -> String {
     }
 }
 
-/// The path given by `--json <path>` on the binary's command line.
-pub fn json_out_path() -> Option<PathBuf> {
-    gdb_obs::cli_path("--json")
-}
-
-/// The path given by `--trace <path>`: where to write a Chrome
-/// trace-event JSON of the instrumented run's span tree.
-pub fn trace_out_path() -> Option<PathBuf> {
-    gdb_obs::cli_path("--trace")
-}
-
 /// Start a `gdb-bench/v1` artifact for one figure, recording the run
 /// configuration (scale, virtual seconds, terminals, seed).
 pub fn artifact(figure: &str, params: &BenchParams) -> BenchArtifact {
@@ -157,67 +151,25 @@ pub fn artifact(figure: &str, params: &BenchParams) -> BenchArtifact {
 }
 
 /// Build one artifact series from a finished run: workload-window
-/// throughput/latency plus the cluster's full metrics snapshot, with the
-/// per-phase breakdown (`txnmgr.phase.*`) and network totals lifted into
-/// their schema fields.
+/// throughput/latency plus the cluster's full metrics snapshot
+/// ([`globaldb::bench_series`]).
 pub fn series_from_run(
     label: impl Into<String>,
     cluster: &mut Cluster,
     report: &WorkloadReport,
 ) -> BenchSeries {
-    let snap = cluster.metrics_snapshot();
     // Measured-window latency across all transaction types.
     let mut lat = LatencyHistogram::bounded();
     for h in report.latency.values() {
         lat.merge(h);
     }
-    let mut phases = BTreeMap::new();
-    for (name, m) in &snap.metrics {
-        if let (Some(rest), Metric::Histogram(h)) =
-            (name.strip_prefix(gdb_txnmgr::metrics::PHASE_PREFIX), m)
-        {
-            phases.insert(rest.trim_end_matches("_us").to_string(), h.clone());
-        }
-    }
-    let c = |n: &str| snap.counter(n).unwrap_or(0);
-    let net = NetStats {
-        wire_bytes: c(gdb_replication::metrics::SHIP_WIRE_BYTES),
-        raw_bytes: c(gdb_replication::metrics::SHIP_RAW_BYTES),
-        batches: c(gdb_replication::metrics::SHIP_BATCHES),
-        cross_region_msgs: c(gdb_simnet::metrics::CROSS_REGION_MSGS),
-        cross_region_bytes: c(gdb_simnet::metrics::CROSS_REGION_BYTES),
-    };
-    BenchSeries {
-        label: label.into(),
-        throughput_txn_s: report.throughput_per_sec(),
-        tpmc: report.tpmc(),
-        commits: report.total_commits(),
-        aborts: report.total_aborts(),
-        latency: HistSummary::of(&lat),
-        phases,
-        net,
-        metrics: snap,
-    }
-}
-
-/// Write the artifact to the `--json` path, if one was given.
-pub fn emit_artifact(a: &BenchArtifact) {
-    if let Some(path) = json_out_path() {
-        std::fs::write(&path, a.to_pretty())
-            .unwrap_or_else(|e| panic!("write {}: {e}", path.display()));
-        eprintln!("wrote {}", path.display());
-    }
-}
-
-/// Mean RCP lag across regions in milliseconds (freshness metric).
-pub fn rcp_lag_ms(cluster: &Cluster) -> f64 {
-    let now_us = cluster.now().as_micros() as f64;
-    let regions = cluster.db.rcp_calculators().len().max(1) as f64;
-    let total: f64 = cluster
-        .db
-        .rcp_calculators()
-        .iter()
-        .map(|r| (now_us - r.current().as_micros() as f64).max(0.0))
-        .sum();
-    total / regions / 1_000.0
+    globaldb::bench_series(
+        label.into(),
+        report.throughput_per_sec(),
+        report.tpmc(),
+        report.total_commits(),
+        report.total_aborts(),
+        HistSummary::of(&lat),
+        cluster.metrics_snapshot(),
+    )
 }

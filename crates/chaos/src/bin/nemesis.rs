@@ -8,9 +8,9 @@
 //! The same `--seed` always produces the identical fault schedule, event
 //! interleaving, and trace. Exits non-zero if any invariant was violated.
 
-use gdb_chaos::plan::canned;
+use gdb_chaos::plan::{canned, FaultPlan};
 use gdb_chaos::{run_nemesis, run_plan, ChaosConfig, ChaosReport};
-use gdb_obs::{flag_value, parse_duration, BenchArtifact, BenchSeries, NetStats};
+use gdb_obs::{parse_duration, Args, BenchArtifact};
 use gdb_simnet::SimDuration;
 use std::process::ExitCode;
 
@@ -21,44 +21,23 @@ fn to_artifact(report: &ChaosReport, seed: u64) -> BenchArtifact {
     art.config_kv("plan", &report.plan_name);
     art.config_kv("duration_s", report.duration.as_secs_f64());
     art.config_kv("violations", report.violations.len());
-    let c = |n: &str| report.metrics.counter(n).unwrap_or(0);
     let secs = report.duration.as_secs_f64().max(1e-9);
-    art.series.push(BenchSeries {
-        label: report.plan_name.clone(),
-        throughput_txn_s: report.txns_committed as f64 / secs,
-        tpmc: 0.0,
-        commits: report.txns_committed,
-        aborts: report.txns_aborted,
-        latency: report.latency.clone(),
-        phases: report
-            .metrics
-            .metrics
-            .iter()
-            .filter_map(|(name, m)| {
-                let rest = name.strip_prefix(gdb_txnmgr::metrics::PHASE_PREFIX)?;
-                match m {
-                    globaldb::Metric::Histogram(h) => {
-                        Some((rest.trim_end_matches("_us").to_string(), h.clone()))
-                    }
-                    _ => None,
-                }
-            })
-            .collect(),
-        net: NetStats {
-            wire_bytes: c(gdb_replication::metrics::SHIP_WIRE_BYTES),
-            raw_bytes: c(gdb_replication::metrics::SHIP_RAW_BYTES),
-            batches: c(gdb_replication::metrics::SHIP_BATCHES),
-            cross_region_msgs: c(gdb_simnet::metrics::CROSS_REGION_MSGS),
-            cross_region_bytes: c(gdb_simnet::metrics::CROSS_REGION_BYTES),
-        },
-        metrics: report.metrics.clone(),
-    });
+    art.series.push(globaldb::bench_series(
+        report.plan_name.clone(),
+        report.txns_committed as f64 / secs,
+        0.0,
+        report.txns_committed,
+        report.txns_aborted,
+        report.latency.clone(),
+        report.metrics.clone(),
+    ));
     art
 }
 
-fn usage() -> ! {
+fn usage(err: &str) -> ! {
     eprintln!(
-        "usage: nemesis [--seed N] [--duration 60s|500ms] [--plan NAME] [--json PATH] \
+        "nemesis: {err}\n\
+         usage: nemesis [--seed N] [--duration 60s|500ms] [--plan NAME] [--json PATH] \
          [--overlap] [--migrations] [--elastic]\n\
          plans: {}",
         canned::all()
@@ -70,58 +49,51 @@ fn usage() -> ! {
     std::process::exit(2);
 }
 
+/// What one invocation asks for.
+struct Options {
+    seed: u64,
+    cfg: ChaosConfig,
+    /// A canned plan, or `None` for the seeded nemesis schedule.
+    plan: Option<FaultPlan>,
+    json: Option<String>,
+}
+
+fn options(args: &[String]) -> Result<Options, String> {
+    let args = Args::parse(
+        args,
+        &["--seed", "--duration", "--plan", "--json"],
+        &["--overlap", "--migrations", "--elastic"],
+    )?;
+    if let Some(word) = args.rest.first() {
+        return Err(format!("unexpected argument {word:?}"));
+    }
+    let seed = args.read("--seed", |v| v.parse().ok())?.unwrap_or(1);
+    let mut cfg = ChaosConfig::quick(seed);
+    cfg.duration = args
+        .read("--duration", parse_duration)?
+        .unwrap_or(SimDuration::from_secs(3));
+    cfg.overlap = args.switch("--overlap");
+    cfg.migrations = args.switch("--migrations");
+    cfg.elastic = args.switch("--elastic");
+    Ok(Options {
+        seed,
+        cfg,
+        plan: args.read("--plan", canned::by_name)?,
+        json: args.value("--json").map(str::to_string),
+    })
+}
+
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    // Reject typos up front: every flag must be one we know, and value
-    // flags must have their value.
-    let value_flags = ["--seed", "--duration", "--plan", "--json"];
-    let bool_flags = ["--overlap", "--migrations", "--elastic"];
-    let mut i = 0;
-    while i < args.len() {
-        let a = args[i].as_str();
-        if value_flags.contains(&a) {
-            if args.get(i + 1).is_none() {
-                usage();
-            }
-            i += 2;
-        } else if bool_flags.contains(&a) {
-            i += 1;
-        } else {
-            usage();
-        }
-    }
-
-    let seed: u64 = match flag_value(&args, "--seed") {
-        Some(v) => v.parse().unwrap_or_else(|_| usage()),
-        None => 1,
-    };
-    let duration = match flag_value(&args, "--duration") {
-        Some(v) => parse_duration(v).unwrap_or_else(|| usage()),
-        None => SimDuration::from_secs(3),
-    };
-    let plan_name = flag_value(&args, "--plan").map(str::to_string);
-    let json_path = flag_value(&args, "--json").map(str::to_string);
-    let overlap = args.iter().any(|a| a == "--overlap");
-    let migrations = args.iter().any(|a| a == "--migrations");
-    let elastic = args.iter().any(|a| a == "--elastic");
-
-    let mut cfg = ChaosConfig::quick(seed);
-    cfg.duration = duration;
-    cfg.overlap = overlap;
-    cfg.migrations = migrations;
-    cfg.elastic = elastic;
-
-    let report = match plan_name {
-        Some(name) => match canned::by_name(&name) {
-            Some(plan) => run_plan(plan, &cfg),
-            None => usage(),
-        },
-        None => run_nemesis(seed, &cfg),
+    let opts = options(&args).unwrap_or_else(|e| usage(&e));
+    let report = match opts.plan {
+        Some(plan) => run_plan(plan, &opts.cfg),
+        None => run_nemesis(opts.seed, &opts.cfg),
     };
 
     print!("{}", report.render());
-    if let Some(path) = json_path {
-        let art = to_artifact(&report, seed);
+    if let Some(path) = opts.json {
+        let art = to_artifact(&report, opts.seed);
         std::fs::write(&path, art.to_pretty()).unwrap_or_else(|e| panic!("write {path}: {e}"));
         eprintln!("wrote {path}");
     }
@@ -129,5 +101,42 @@ fn main() -> ExitCode {
         ExitCode::SUCCESS
     } else {
         ExitCode::FAILURE
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(line: &str) -> Result<Options, String> {
+        let args: Vec<String> = line.split_whitespace().map(str::to_string).collect();
+        options(&args)
+    }
+
+    /// `--json` with its path missing used to take the next flag as the
+    /// path: `--json --overlap` wrote a file named `--overlap` and also
+    /// turned overlap on.
+    #[test]
+    fn json_without_a_path_is_a_usage_error() {
+        assert_eq!(
+            parse("--json --overlap").err().unwrap(),
+            "--json needs a value"
+        );
+        let ok = parse("--seed 3 --duration 500ms --overlap --json out.json").unwrap();
+        assert_eq!((ok.seed, ok.json.as_deref()), (3, Some("out.json")));
+        assert!(ok.cfg.overlap && !ok.cfg.elastic);
+        assert_eq!(ok.cfg.duration, SimDuration::from_millis(500));
+    }
+
+    #[test]
+    fn bad_values_and_stray_words_are_usage_errors() {
+        for (line, err) in [
+            ("--seed x", "bad value \"x\" for --seed"),
+            ("--duration fast", "bad value \"fast\" for --duration"),
+            ("--plan nope", "bad value \"nope\" for --plan"),
+            ("--overlap 7", "unexpected argument \"7\""),
+        ] {
+            assert_eq!(parse(line).err().unwrap(), err, "{line}");
+        }
     }
 }

@@ -9,7 +9,7 @@ use crate::plan::FaultPlan;
 use crate::trace::new_trace;
 use gdb_workloads::tpcc::{consistency, TpccMix, TpccScale, TpccWorkload};
 use gdb_workloads::{run_workload, RunConfig, Workload};
-use globaldb::{Cluster, ClusterConfig, GlobalDb, ReplicationMode, SimDuration, SimTime};
+use globaldb::{Cluster, ClusterConfig, Geometry, GlobalDb, ReplicationMode, SimDuration, SimTime};
 use std::rc::Rc;
 
 /// Knobs for one chaos run.
@@ -302,33 +302,32 @@ pub fn run_plan_prepped(
     }
 }
 
-/// Generate a nemesis schedule from `seed` and run it. The schedule is a
-/// pure function of the seed and the cluster shape, so the whole run —
-/// trace included — replays bit-for-bit.
-pub fn run_nemesis(seed: u64, cfg: &ChaosConfig) -> ChaosReport {
-    // Shape is determined by the config, not a live cluster; build the
-    // shape from the same parameters `run_plan` will use.
-    let cc = cfg.cluster_config();
+/// The seeded nemesis schedule over `cfg`'s fault window for a cluster
+/// deployed from `cc`, drawing the episode families `cfg` enables. It is
+/// a pure function of its inputs, so a run of it — trace included —
+/// replays bit-for-bit.
+pub fn nemesis_plan(seed: u64, cfg: &ChaosConfig, cc: &ClusterConfig) -> FaultPlan {
     let shape = ClusterShape {
         shards: cc.shard_count,
         replicas_per_shard: cc.replicas_per_shard,
         cns: cc.cn_count,
         regions: match cc.geometry {
-            globaldb::Geometry::OneRegion { .. } => 1,
-            globaldb::Geometry::ThreeCity { .. } => 3,
-            globaldb::Geometry::MultiRegion { regions, .. } => regions,
+            Geometry::OneRegion { .. } => 1,
+            Geometry::ThreeCity { .. } => 3,
+            Geometry::MultiRegion { regions, .. } => regions,
         },
     };
-    let mut nemesis = NemesisConfig::new(seed, SimTime::ZERO, cfg.duration);
-    if cfg.overlap {
-        nemesis = nemesis.with_overlap();
-    }
-    if cfg.migrations {
-        nemesis = nemesis.with_migrations();
-    }
-    if cfg.elastic {
-        nemesis = nemesis.with_elastic();
-    }
-    let plan = crate::nemesis::generate(&nemesis, &shape);
-    run_plan(plan, cfg)
+    let nemesis = NemesisConfig {
+        overlap: cfg.overlap,
+        migrations: cfg.migrations,
+        elastic: cfg.elastic,
+        ..NemesisConfig::new(seed, SimTime::ZERO, cfg.duration)
+    };
+    crate::nemesis::generate(&nemesis, &shape)
+}
+
+/// Generate a nemesis schedule from `seed` and run it on the canonical
+/// chaos cluster.
+pub fn run_nemesis(seed: u64, cfg: &ChaosConfig) -> ChaosReport {
+    run_plan(nemesis_plan(seed, cfg, &cfg.cluster_config()), cfg)
 }

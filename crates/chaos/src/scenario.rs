@@ -45,7 +45,7 @@
 
 use crate::fault::Fault;
 use crate::plan::{canned, FaultPlan};
-use crate::runner::{run_plan_prepped, ChaosConfig, ChaosReport};
+use crate::runner::{nemesis_plan, run_plan_prepped, ChaosConfig, ChaosReport};
 use gdb_obs::{ConfDoc, ConfTable, ConfValue};
 use gdb_rebalance::RebalanceController;
 use globaldb::{ClusterConfig, ReplicationMode, SimDuration, SimTime};
@@ -58,12 +58,9 @@ pub enum PlanSource {
     /// A canned plan by name ([`canned::by_name`]).
     Canned(String),
     /// The seeded nemesis generator (`plan = "generated"`), with the
-    /// episode families enabled by the `[nemesis]` flags.
-    Generated {
-        overlap: bool,
-        migrations: bool,
-        elastic: bool,
-    },
+    /// episode families the `[nemesis]` flags set in the scenario's
+    /// [`ChaosConfig`].
+    Generated,
     /// Inline `[[fault]]` events (offsets from the end of warmup).
     Inline(FaultPlan),
 }
@@ -420,17 +417,11 @@ pub fn load(text: &str) -> Result<Scenario, Vec<String>> {
     let mut plan: Option<PlanSource> = None;
     if let Some(t) = doc.table("nemesis") {
         ck.known_keys(t, &["plan", "overlap", "migrations", "elastic"]);
-        let overlap = t.bool_of("overlap").unwrap_or(false);
-        let migrations = t.bool_of("migrations").unwrap_or(false);
-        let elastic = t.bool_of("elastic").unwrap_or(false);
+        cfg.overlap = t.bool_of("overlap").unwrap_or(false);
+        cfg.migrations = t.bool_of("migrations").unwrap_or(false);
+        cfg.elastic = t.bool_of("elastic").unwrap_or(false);
         match t.str_of("plan") {
-            Some("generated") => {
-                plan = Some(PlanSource::Generated {
-                    overlap,
-                    migrations,
-                    elastic,
-                })
-            }
+            Some("generated") => plan = Some(PlanSource::Generated),
             Some(p) => {
                 if canned::by_name(p).is_some() {
                     plan = Some(PlanSource::Canned(p.to_string()));
@@ -562,35 +553,7 @@ pub fn run_scenario(scn: &Scenario) -> ChaosReport {
     let plan = match &scn.plan {
         PlanSource::Canned(name) => canned::by_name(name).expect("validated plan name"),
         PlanSource::Inline(plan) => plan.clone(),
-        PlanSource::Generated {
-            overlap,
-            migrations,
-            elastic,
-        } => {
-            let cc = scn.cluster_config();
-            let shape = crate::nemesis::ClusterShape {
-                shards: cc.shard_count,
-                replicas_per_shard: cc.replicas_per_shard,
-                cns: cc.cn_count,
-                regions: match cc.geometry {
-                    globaldb::Geometry::OneRegion { .. } => 1,
-                    globaldb::Geometry::ThreeCity { .. } => 3,
-                    globaldb::Geometry::MultiRegion { regions, .. } => regions,
-                },
-            };
-            let mut nemesis =
-                crate::nemesis::NemesisConfig::new(cfg.cluster_seed, SimTime::ZERO, cfg.duration);
-            if *overlap {
-                nemesis = nemesis.with_overlap();
-            }
-            if *migrations {
-                nemesis = nemesis.with_migrations();
-            }
-            if *elastic {
-                nemesis = nemesis.with_elastic();
-            }
-            crate::nemesis::generate(&nemesis, &shape)
-        }
+        PlanSource::Generated => nemesis_plan(cfg.cluster_seed, &cfg, &scn.cluster_config()),
     };
     let every = scn.rebalance_every;
     let horizon = cfg.warmup + cfg.duration;

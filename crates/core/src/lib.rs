@@ -52,7 +52,7 @@ pub use event::{CoreEvent, CoreSim};
 pub use migrate::{Migration, MigrationKind, MigrationPhase, MigrationSpec, ShardLoad};
 pub use net::{Envelope, MessagePlane, RpcKind, SimTransport, Transport, ALL_RPC_KINDS};
 pub use repl_driver::{Replica, Shard};
-pub use stats::{ClusterStats, TxnOutcome};
+pub use stats::{bench_series, ClusterStats, TxnOutcome};
 
 // Re-export the pieces callers commonly need.
 pub use gdb_compress::Codec;

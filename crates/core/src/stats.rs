@@ -1,6 +1,7 @@
 //! Cluster-level statistics and per-transaction outcomes.
 
 use gdb_model::Timestamp;
+use gdb_obs::{BenchSeries, HistSummary, Metric, MetricsReport, NetStats};
 use gdb_simnet::stats::LatencyHistogram;
 use gdb_simnet::{SimDuration, SimTime};
 
@@ -99,6 +100,51 @@ impl ClusterStats {
             self.committed += 1;
             self.latency.record(outcome.latency);
         }
+    }
+}
+
+/// One `gdb-bench/v1` artifact series: a run's totals plus its cluster's
+/// metrics snapshot, with the per-phase breakdown (`txnmgr.phase.*`) and
+/// the network totals lifted out of the snapshot into their schema
+/// fields. Every `--json` artifact's series is built here.
+pub fn bench_series(
+    label: String,
+    throughput_txn_s: f64,
+    tpmc: f64,
+    commits: u64,
+    aborts: u64,
+    latency: HistSummary,
+    metrics: MetricsReport,
+) -> BenchSeries {
+    let phases = metrics
+        .metrics
+        .iter()
+        .filter_map(|(name, m)| match m {
+            Metric::Histogram(h) => {
+                let rest = name.strip_prefix(gdb_txnmgr::metrics::PHASE_PREFIX)?;
+                Some((rest.trim_end_matches("_us").to_string(), h.clone()))
+            }
+            _ => None,
+        })
+        .collect();
+    let c = |n: &str| metrics.counter(n).unwrap_or(0);
+    let net = NetStats {
+        wire_bytes: c(gdb_replication::metrics::SHIP_WIRE_BYTES),
+        raw_bytes: c(gdb_replication::metrics::SHIP_RAW_BYTES),
+        batches: c(gdb_replication::metrics::SHIP_BATCHES),
+        cross_region_msgs: c(gdb_simnet::metrics::CROSS_REGION_MSGS),
+        cross_region_bytes: c(gdb_simnet::metrics::CROSS_REGION_BYTES),
+    };
+    BenchSeries {
+        label,
+        throughput_txn_s,
+        tpmc,
+        commits,
+        aborts,
+        latency,
+        phases,
+        net,
+        metrics,
     }
 }
 

@@ -1,7 +1,6 @@
 //! Shared scenario/run configuration loading: the TOML-subset document
-//! parser behind the scenario DSL, plus the duration and command-line
-//! flag helpers that used to be duplicated between the `nemesis` CLI and
-//! the figure binaries.
+//! parser behind the scenario DSL, the duration parser, and [`Args`], the
+//! one command-line parser of `gdb-bench`, `nemesis` and `gdb-shell`.
 //!
 //! The parser covers exactly the subset scenario files need — `[table]`
 //! and `[[array-of-tables]]` headers, `key = value` entries with quoted
@@ -11,7 +10,6 @@
 //! consumer, not the parser.
 
 use gdb_simnet::SimDuration;
-use std::path::PathBuf;
 
 /// One parsed scalar value.
 #[derive(Debug, Clone, PartialEq)]
@@ -243,19 +241,78 @@ pub fn parse_duration(s: &str) -> Option<SimDuration> {
     duration_from(count.parse().ok()?, unit_nanos)
 }
 
-/// The value following `flag` in `args`, if present.
-pub fn flag_value<'a>(args: &'a [String], flag: &str) -> Option<&'a str> {
-    args.iter()
-        .position(|a| a == flag)
-        .and_then(|i| args.get(i + 1))
-        .map(String::as_str)
+/// A command line read against the flags one program takes: value flags
+/// (`--seed 7`), switches (`--overlap`) and a positional remainder. The
+/// first word that is not a flag starts the remainder, which is kept
+/// verbatim, flags and all (`gdb-shell bench tpcc --json x` runs the
+/// command `bench tpcc --json x`). Every CLI in the workspace parses
+/// with it, so a typo is an error, never a silent default.
+#[derive(Debug, Default)]
+pub struct Args {
+    /// Each flag given, with its value (`None` for a switch).
+    flags: Vec<(String, Option<String>)>,
+    /// The words from the first positional one on.
+    pub rest: Vec<String>,
 }
 
-/// The path following `flag` on this process's command line (the shared
-/// `--json` / `--trace` convention of the figure binaries).
-pub fn cli_path(flag: &str) -> Option<PathBuf> {
-    let args: Vec<String> = std::env::args().collect();
-    flag_value(&args, flag).map(PathBuf::from)
+impl Args {
+    /// Parse `args` (without the program name). An unknown or repeated
+    /// flag, and a value flag whose value is missing or is itself a
+    /// `--flag`, are errors naming the flag.
+    pub fn parse(args: &[String], value_flags: &[&str], switches: &[&str]) -> Result<Args, String> {
+        let mut out = Args::default();
+        let mut words = args.iter();
+        while let Some(word) = words.next() {
+            if !word.starts_with("--") {
+                out.rest.push(word.clone());
+                out.rest.extend(words.cloned());
+                break;
+            }
+            if out.flags.iter().any(|(f, _)| f == word) {
+                return Err(format!("{word} given twice"));
+            }
+            let value = if value_flags.contains(&word.as_str()) {
+                match words.next() {
+                    Some(value) if !value.starts_with("--") => Some(value.clone()),
+                    _ => return Err(format!("{word} needs a value")),
+                }
+            } else if switches.contains(&word.as_str()) {
+                None
+            } else {
+                return Err(format!("unknown flag {word}"));
+            };
+            out.flags.push((word.clone(), value));
+        }
+        Ok(out)
+    }
+
+    /// The value given for `flag`, if it was given.
+    pub fn value(&self, flag: &str) -> Option<&str> {
+        self.flags
+            .iter()
+            .find(|(f, _)| f == flag)
+            .and_then(|(_, v)| v.as_deref())
+    }
+
+    /// The value of `flag` read by `read`: `None` when the flag is
+    /// absent, an error naming the flag when `read` rejects its value.
+    pub fn read<T>(
+        &self,
+        flag: &str,
+        read: impl FnOnce(&str) -> Option<T>,
+    ) -> Result<Option<T>, String> {
+        match self.value(flag) {
+            None => Ok(None),
+            Some(v) => read(v)
+                .map(Some)
+                .ok_or_else(|| format!("bad value {v:?} for {flag}")),
+        }
+    }
+
+    /// Whether the switch `flag` was given.
+    pub fn switch(&self, flag: &str) -> bool {
+        self.flags.iter().any(|(f, _)| f == flag)
+    }
 }
 
 #[cfg(test)]
@@ -353,11 +410,33 @@ shard = 0
         );
         assert_eq!(w.duration_of("big"), None);
         assert_eq!(w.duration_of("neg"), None);
-        let args: Vec<String> = ["x", "--json", "out.json"]
-            .iter()
-            .map(|s| s.to_string())
-            .collect();
-        assert_eq!(flag_value(&args, "--json"), Some("out.json"));
-        assert_eq!(flag_value(&args, "--trace"), None);
+
+        // The command-line parser: value flags, switches, the remainder.
+        let words =
+            |line: &str| -> Vec<String> { line.split_whitespace().map(str::to_string).collect() };
+        let parse = |line| Args::parse(&words(line), &["--seed", "--json"], &["--overlap"]);
+        let a = parse("--seed 7 --overlap sql SELECT 1 --json x").unwrap();
+        assert_eq!(a.value("--seed"), Some("7"));
+        assert_eq!(a.read("--seed", |v| v.parse::<u64>().ok()), Ok(Some(7)));
+        assert!(a.switch("--overlap"));
+        // The remainder is verbatim: its `--json` is not the program's.
+        assert_eq!(a.value("--json"), None);
+        assert_eq!(a.rest, words("sql SELECT 1 --json x"));
+        assert_eq!(a.read("--json", |_| Some(())), Ok(None));
+
+        for (line, err) in [
+            ("--json --overlap", "--json needs a value"),
+            ("--seed", "--seed needs a value"),
+            ("--bogus", "unknown flag --bogus"),
+            ("--overlap --overlap", "--overlap given twice"),
+            ("--seed 1 --seed 2", "--seed given twice"),
+        ] {
+            assert_eq!(parse(line).unwrap_err(), err, "{line}");
+        }
+        let a = parse("--seed x").unwrap();
+        assert_eq!(
+            a.read("--seed", |v| v.parse::<u64>().ok()),
+            Err("bad value \"x\" for --seed".to_string())
+        );
     }
 }

@@ -14,8 +14,8 @@
 //! * [`MetricsRegistry`] — cheap counters, gauges, and bounded-quantile
 //!   histograms keyed by static names, snapshotted into a serializable,
 //!   comparable [`MetricsReport`].
-//! * [`BenchArtifact`] — the stable `gdb-bench/v1` JSON schema every
-//!   figure binary emits via `--json`.
+//! * [`BenchArtifact`] — the stable `gdb-bench/v1` JSON schema that
+//!   `gdb-bench`, `nemesis` and the shell emit via `--json`.
 //!
 //! The vendored `serde` is a no-op facade, so JSON encoding is
 //! hand-rolled in [`json`] (compact writer + recursive-descent parser)
@@ -27,7 +27,7 @@ pub mod metrics;
 pub mod report;
 pub mod span;
 
-pub use config::{cli_path, flag_value, parse_duration, ConfDoc, ConfTable, ConfValue};
+pub use config::{parse_duration, Args, ConfDoc, ConfTable, ConfValue};
 pub use json::Json;
 pub use metrics::{
     CounterId, HistId, HistSummary, Metric, MetricName, MetricsRegistry, MetricsReport,

@@ -397,7 +397,9 @@ mod tests {
         assert_eq!(doc, json);
         assert_eq!(doc.get("c.n"), Some(&crate::Json::Num(3.0)));
         assert_eq!(
-            doc.get("g.v").and_then(|g| g.get("gauge")).and_then(crate::Json::as_f64),
+            doc.get("g.v")
+                .and_then(|g| g.get("gauge"))
+                .and_then(crate::Json::as_f64),
             Some(1.25)
         );
         let hist = doc.get("h.lat_us").unwrap();

@@ -1,6 +1,7 @@
-//! The `gdb-bench/v1` artifact schema every figure binary emits.
+//! The `gdb-bench/v1` artifact schema.
 //!
-//! Every figure binary writes one [`BenchArtifact`] per run via `--json`:
+//! `gdb-bench`, `nemesis` and the shell's `bench tpcc` write one
+//! [`BenchArtifact`] per run via `--json`:
 //! the figure name, the configuration key/values, and one [`BenchSeries`]
 //! per plotted line/bar (throughput, latency quantiles, per-phase
 //! breakdown, network bytes, full metrics snapshot). The artifacts are an

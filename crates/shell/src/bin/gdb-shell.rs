@@ -10,45 +10,54 @@
 //! Exits non-zero if any command failed (unknown command, bad arguments,
 //! scenario violations) or the backend teardown failed verification.
 
-use gdb_obs::flag_value;
+use gdb_obs::Args;
 use gdb_realnet::Backend;
 use gdb_shell::Shell;
 use std::io::{BufRead, Write};
 use std::process::ExitCode;
 
-fn usage() -> ! {
+fn usage(err: &str) -> ! {
     eprintln!(
-        "usage: gdb-shell [--backend sim|thread|tcp] [--seed N] [--script FILE] [COMMAND...]"
+        "gdb-shell: {err}\n\
+         usage: gdb-shell [--backend sim|thread|tcp] [--seed N] [--script FILE] [COMMAND...]"
     );
     std::process::exit(2);
 }
 
+/// What one invocation asks for.
+#[derive(Debug)]
+struct Options {
+    backend: Backend,
+    seed: u64,
+    script: Option<String>,
+    /// Everything after the flags: one inline command.
+    command: Vec<String>,
+}
+
+fn options(args: &[String]) -> Result<Options, String> {
+    let args = Args::parse(args, &["--backend", "--seed", "--script"], &[])?;
+    let backend = args.read("--backend", |v| match v {
+        "sim" => Some(Backend::Sim),
+        "thread" => Some(Backend::Thread),
+        "tcp" => Some(Backend::Tcp),
+        _ => None,
+    })?;
+    Ok(Options {
+        backend: backend.unwrap_or(Backend::Sim),
+        seed: args.read("--seed", |v| v.parse().ok())?.unwrap_or(1),
+        script: args.value("--script").map(str::to_string),
+        command: args.rest,
+    })
+}
+
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let backend = match flag_value(&args, "--backend") {
-        None | Some("sim") => Backend::Sim,
-        Some("thread") => Backend::Thread,
-        Some("tcp") => Backend::Tcp,
-        Some(_) => usage(),
-    };
-    let seed: u64 = match flag_value(&args, "--seed") {
-        Some(v) => v.parse().unwrap_or_else(|_| usage()),
-        None => 1,
-    };
-    let script = flag_value(&args, "--script").map(str::to_string);
-
-    // Everything after the flags is one inline command.
-    let mut rest: Vec<String> = Vec::new();
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--backend" | "--seed" | "--script" => i += 2,
-            a => {
-                rest.push(a.to_string());
-                i += 1;
-            }
-        }
-    }
+    let Options {
+        backend,
+        seed,
+        script,
+        command,
+    } = options(&args).unwrap_or_else(|e| usage(&e));
 
     let mut shell = Shell::launch(seed, backend);
     if let Some(path) = script {
@@ -57,8 +66,8 @@ fn main() -> ExitCode {
             std::process::exit(2);
         });
         print!("{}", shell.run_script(&text));
-    } else if !rest.is_empty() {
-        let out = shell.exec(&rest.join(" "));
+    } else if !command.is_empty() {
+        let out = shell.exec(&command.join(" "));
         if !out.is_empty() {
             println!("{out}");
         }
@@ -92,5 +101,41 @@ fn repl(shell: &mut Shell) {
         if !out.is_empty() {
             println!("{out}");
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(line: &str) -> Result<Options, String> {
+        let args: Vec<String> = line.split_whitespace().map(str::to_string).collect();
+        options(&args)
+    }
+
+    /// A value flag with its value missing used to fall back to its
+    /// default: `gdb-shell --seed` ran seed 1, `--backend` ran sim.
+    #[test]
+    fn a_value_flag_without_its_value_is_a_usage_error() {
+        assert_eq!(parse("--seed").unwrap_err(), "--seed needs a value");
+        assert_eq!(parse("--backend").unwrap_err(), "--backend needs a value");
+        assert_eq!(
+            parse("--backend --seed 3").unwrap_err(),
+            "--backend needs a value"
+        );
+        assert_eq!(
+            parse("--backend udp").unwrap_err(),
+            "bad value \"udp\" for --backend"
+        );
+        assert_eq!(parse("--bogus").unwrap_err(), "unknown flag --bogus");
+    }
+
+    #[test]
+    fn flags_then_one_inline_command() {
+        let o = parse("--seed 7 --backend tcp bench tpcc --json out.json").unwrap();
+        assert_eq!((o.seed, o.backend, o.script), (7, Backend::Tcp, None));
+        assert_eq!(o.command.join(" "), "bench tpcc --json out.json");
+        let o = parse("").unwrap();
+        assert_eq!((o.seed, o.backend), (1, Backend::Sim));
     }
 }

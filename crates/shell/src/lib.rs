@@ -26,7 +26,7 @@ use gdb_chaos::plan::canned;
 use gdb_chaos::runner::heal_all;
 use gdb_chaos::scenario;
 use gdb_chaos::trace::new_trace;
-use gdb_obs::{parse_duration, to_chrome_trace, ConfValue, Metric};
+use gdb_obs::{parse_duration, to_chrome_trace, Args, ConfValue, Metric};
 use gdb_realnet::{Backend, RealCluster};
 use gdb_simnet::{NodeKind, RegionId};
 use gdb_workloads::driver::RunConfig;
@@ -569,10 +569,15 @@ impl Shell {
     /// *fresh* sim cluster with this session's seed (the live cluster is
     /// left untouched), emitting a `gdb-bench/v1` artifact on request.
     fn bench(&mut self, rest: &str) -> String {
-        let args: Vec<String> = rest.split_whitespace().map(str::to_string).collect();
-        if args.first().map(String::as_str) != Some("tpcc") {
-            return self.fail("usage: bench tpcc [--json <path>]".into());
-        }
+        let words: Vec<String> = rest.split_whitespace().map(str::to_string).collect();
+        let args = match words.split_first() {
+            Some((tpcc, flags)) if tpcc == "tpcc" => Args::parse(flags, &["--json"], &[]),
+            _ => Err("no workload".into()),
+        };
+        let json = match args {
+            Ok(args) if args.rest.is_empty() => args.value("--json").map(str::to_string),
+            _ => return self.fail("usage: bench tpcc [--json <path>]".into()),
+        };
         let params = gdb_bench::BenchParams {
             scale: TpccScale::tiny(),
             scale_name: "tiny",
@@ -597,11 +602,11 @@ impl Shell {
             report.total_commits(),
             report.total_aborts(),
         );
-        if let Some(path) = gdb_obs::flag_value(&args, "--json") {
+        if let Some(path) = json {
             let mut a = gdb_bench::artifact("shell-tpcc", &params);
             a.series
                 .push(gdb_bench::series_from_run("tpcc", &mut cluster, &report));
-            match std::fs::write(path, a.to_pretty()) {
+            match std::fs::write(&path, a.to_pretty()) {
                 Ok(()) => out.push_str(&format!("\nwrote {path}")),
                 Err(e) => return self.fail(format!("write {path}: {e}")),
             }

@@ -11,6 +11,7 @@ pub fn parse(sql: &str) -> GdbResult<Statement> {
         tokens,
         pos: 0,
         params: 0,
+        depth: 0,
     };
     let stmt = p.statement()?;
     // Optional trailing semicolon, then end of input.
@@ -24,10 +25,18 @@ pub fn parse(sql: &str) -> GdbResult<Statement> {
     Ok(stmt)
 }
 
+/// How deep one expression may nest before the parser rejects it. Every
+/// parenthesis, `NOT`, unary minus and chained binary operator counts a
+/// level: the parser, the binder, the evaluator and the tree's drop all
+/// recurse on the tree, so its depth must not be the input's to choose.
+const MAX_DEPTH: usize = 128;
+
 struct Parser {
     tokens: Vec<Token>,
     pos: usize,
     params: usize,
+    /// Expression nesting so far (see [`MAX_DEPTH`]).
+    depth: usize,
 }
 
 impl Parser {
@@ -74,6 +83,17 @@ impl Parser {
                 self.peek()
             )))
         }
+    }
+
+    /// Enter one more level of expression nesting.
+    fn deeper(&mut self) -> GdbResult<()> {
+        self.depth += 1;
+        if self.depth > MAX_DEPTH {
+            return Err(GdbError::Parse(format!(
+                "expression nested more than {MAX_DEPTH} levels deep"
+            )));
+        }
+        Ok(())
     }
 
     fn expect(&mut self, t: Token) -> GdbResult<()> {
@@ -435,12 +455,17 @@ impl Parser {
     // ---- Expressions (precedence climbing) -----------------------------
 
     fn expr(&mut self) -> GdbResult<PExpr> {
-        self.or_expr()
+        let depth = self.depth;
+        self.deeper()?;
+        let e = self.or_expr();
+        self.depth = depth;
+        e
     }
 
     fn or_expr(&mut self) -> GdbResult<PExpr> {
         let mut lhs = self.and_expr()?;
         while self.eat_kw("OR") {
+            self.deeper()?;
             let rhs = self.and_expr()?;
             lhs = PExpr::Bin(Box::new(lhs), BinOp::Or, Box::new(rhs));
         }
@@ -450,6 +475,7 @@ impl Parser {
     fn and_expr(&mut self) -> GdbResult<PExpr> {
         let mut lhs = self.not_expr()?;
         while self.eat_kw("AND") {
+            self.deeper()?;
             let rhs = self.not_expr()?;
             lhs = PExpr::Bin(Box::new(lhs), BinOp::And, Box::new(rhs));
         }
@@ -458,6 +484,7 @@ impl Parser {
 
     fn not_expr(&mut self) -> GdbResult<PExpr> {
         if self.eat_kw("NOT") {
+            self.deeper()?;
             Ok(PExpr::Not(Box::new(self.not_expr()?)))
         } else {
             self.cmp_expr()
@@ -520,6 +547,7 @@ impl Parser {
                 _ => break,
             };
             self.pos += 1;
+            self.deeper()?;
             let rhs = self.mul_expr()?;
             lhs = PExpr::Bin(Box::new(lhs), op, Box::new(rhs));
         }
@@ -535,6 +563,7 @@ impl Parser {
                 _ => break,
             };
             self.pos += 1;
+            self.deeper()?;
             let rhs = self.unary_expr()?;
             lhs = PExpr::Bin(Box::new(lhs), op, Box::new(rhs));
         }
@@ -543,6 +572,7 @@ impl Parser {
 
     fn unary_expr(&mut self) -> GdbResult<PExpr> {
         if self.eat(&Token::Minus) {
+            self.deeper()?;
             let inner = self.unary_expr()?;
             return Ok(PExpr::Bin(
                 Box::new(PExpr::Lit(Datum::Int(0))),

@@ -12,7 +12,8 @@
 #   build          cargo build --release
 #   test           cargo test -q: the workspace's default-members — the
 #                  root package (incl. the paper's claims in
-#                  tests/claims.rs and the deterministic hot-path budgets
+#                  tests/claims.rs, run on the same experiment definitions
+#                  as `gdb-bench`, and the deterministic hot-path budgets
 #                  in tests/budgets.rs), the ten paper-component crates,
 #                  model .. core, the seven deterministic tooling crates
 #                  (simnet, simclock, obs, workloads, rebalance, chaos,
@@ -35,8 +36,10 @@
 #                  consistency checks; in `all`, not `main`
 #   vt-diff REV    on demand, not part of `main`/`all`: build REV beside
 #                  the working tree and diff every deterministic output
-#                  (scripts/vt_diff.sh) — run it for any change that
-#                  claims virtual time is untouched
+#                  (scripts/vt_diff.sh: all twelve `gdb-bench` experiments
+#                  at tiny scale, nemesis seeds and plans, the scenario
+#                  replays and the shell golden script) — run it for any
+#                  change that claims virtual time is untouched
 set -euo pipefail
 cd "$(dirname "$0")/.."
 

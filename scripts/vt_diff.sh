@@ -12,9 +12,13 @@
 # there with its own target dir; both sides then run the same surface —
 # inputs (scenario files, the shell golden script) always come from the
 # working tree, so a difference is a difference in behaviour:
-#   * 6 figure binaries at tiny scale (GDB_BENCH_SCALE=tiny, 2 virtual
-#     seconds, 8 terminals) and nemesis seed 1, stdout and the full
-#     --json artifact (every metric in the registry);
+#   * all 12 experiments at tiny scale (`gdb-bench <name> --scale tiny
+#     --secs 2 --terminals 8`): stdout, plus the full --json artifact
+#     (every metric in the registry) of the six that record one; the six
+#     ablations without an artifact diff stdout only. A <rev> older than
+#     the `gdb-bench` runner runs its per-figure binary of the same name
+#     instead, with the same knobs set through the environment;
+#   * nemesis seed 1, stdout and the --json artifact;
 #   * nemesis seeds 1-5, plain and --overlap --migrations --elastic;
 #     seeds 51-53 --elastic;
 #   * every canned --plan;
@@ -54,9 +58,17 @@ surface() {
     mkdir -p "$out"
     (
         cd "$out"
-        for fig in fig1a fig6a fig6b fig6c fig6d ablation_rebalance; do
-            GDB_BENCH_SCALE=tiny GDB_BENCH_SECS=2 GDB_BENCH_TERMINALS=8 \
-                "$bin/$fig" --json "$fig.json" >"$fig.out" 2>&1
+        for exp in $experiments; do
+            local json=()
+            case $exp in
+            fig* | ablation_rebalance) json=(--json "$exp.json") ;;
+            esac
+            if [ -x "$bin/gdb-bench" ]; then
+                "$bin/gdb-bench" "$exp" --scale tiny --secs 2 --terminals 8 "${json[@]}"
+            else
+                env "${knob}_SCALE=tiny" "${knob}_SECS=2" "${knob}_TERMINALS=8" \
+                    "$bin/$exp" "${json[@]}"
+            fi >"$exp.out" 2>&1
         done
         "$bin/nemesis" --seed 1 --duration 2s --json nemesis.json \
             >nemesis-json.out 2>&1 || true
@@ -83,6 +95,9 @@ surface() {
 
 build "$there"
 build "$here"
+experiments=$("$here/target/release/gdb-bench" 2>&1 | sed -n 's/^experiments: //p' | tr -d ',' || true)
+# The environment prefix the per-figure binaries read their knobs from.
+knob=GDB_BENCH
 plans=$("$here/target/release/nemesis" --help 2>&1 | sed -n 's/^plans: //p' | tr -d ',' || true)
 echo "==> run $sha"
 surface "$there" "$work/out-rev"

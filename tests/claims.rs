@@ -1,27 +1,28 @@
 //! The paper's evaluation, asserted.
 //!
 //! Each test runs one EXPERIMENTS.md result at tiny scale through the
-//! harness its `crates/bench` binary uses (`gdb_bench::tpcc_run`,
-//! `series_from_run`, `rcp_lag_ms`, `windowed::*`) and asserts the
-//! result's *shape*: who wins, by roughly what factor, what stays flat.
+//! point function of its `gdb_bench::experiments` module — the run
+//! `gdb-bench <experiment>` makes for that sweep value — over the sweep
+//! values it asserts on, and asserts the result's *shape*: who wins, by
+//! roughly what factor, what stays flat.
 //! Every threshold's comment gives the paper's number, the value these
 //! runs measure, and the slack between them. The runs are deterministic,
 //! so a change that moves virtual time either keeps every claim or
 //! fails a named one. DESIGN.md "How performance is judged" maps each
 //! claim to the mechanism it rests on and to a mutation that breaks it.
 
-use gdb_bench::windowed::{rebalance_controller, rebalance_run, transition_run, MAX_MIGRATIONS};
-use gdb_bench::{rcp_lag_ms, series_from_run, tpcc_run, BenchParams};
-use gdb_replication::ReplayCostModel;
-use gdb_simclock::GClockConfig;
-use gdb_workloads::driver::{run_workload, RunConfig, Workload};
-use gdb_workloads::sysbench::{SysbenchMode, SysbenchScale, SysbenchWorkload};
-use gdb_workloads::tpcc::{TpccMix, TpccScale, TpccWorkload};
-use gdb_workloads::WorkloadReport;
-use globaldb::{
-    Cluster, ClusterConfig, Codec, Geometry, ReplicationMode, SimDuration, TmMode,
-    TransitionDirection,
+use gdb_bench::experiments::Deployment::{OneRegion, ThreeCity};
+use gdb_bench::experiments::System::{Baseline, GlobalDb};
+use gdb_bench::experiments::{
+    ablation_clock, ablation_compression, ablation_rebalance, ablation_replay, ablation_transition,
+    commit_wait_us, compression_ratio, fig1a, fig6a, fig6b, fig6c, fig6d, rcp_lag_ms,
+    replica_read_share,
 };
+use gdb_bench::{series_from_run, BenchParams};
+use gdb_simclock::GClockConfig;
+use gdb_workloads::driver::RunConfig;
+use gdb_workloads::tpcc::TpccScale;
+use globaldb::{Codec, SimDuration, TmMode, TransitionDirection};
 
 /// Tiny-scale TPC-C with `terminals` closed-loop terminals measuring
 /// `secs` virtual seconds, seed 42 (the binaries' seed).
@@ -39,11 +40,6 @@ fn tiny(terminals: usize, secs: u64) -> BenchParams {
     }
 }
 
-/// A TPC-C standard-mix run with every transaction local (§V-A).
-fn local_tpcc(config: ClusterConfig, params: &BenchParams) -> (Cluster, WorkloadReport) {
-    tpcc_run(config, params, TpccMix::standard(), |wl| wl.set_all_local())
-}
-
 /// `T_err` of the default clock right before a sync: the sync round trip
 /// plus 200 PPM drift over the 1 ms sync interval (paper Eq. 1).
 fn t_err_us(clock: &GClockConfig) -> f64 {
@@ -56,24 +52,10 @@ fn t_err_us(clock: &GClockConfig) -> f64 {
 #[test]
 fn fig1a_throughput_collapses_with_span() {
     let params = tiny(8, 1);
-    let one_region = |delay_ms| ClusterConfig {
-        geometry: Geometry::OneRegion {
-            injected_delay: SimDuration::from_millis(delay_ms),
-        },
-        ..ClusterConfig::baseline_one_region()
-    };
-    let tpmc: Vec<f64> = [
-        one_region(0),
-        one_region(2),
-        ClusterConfig::baseline_three_city(),
-    ]
-    .into_iter()
-    .map(|config| {
-        tpcc_run(config, &params, TpccMix::standard(), |_| {})
-            .1
-            .tpmc()
-    })
-    .collect();
+    let tpmc: Vec<f64> = fig1a::SWEEP
+        .into_iter()
+        .map(|(_, delay)| fig1a::point(&params, delay).1.tpmc())
+        .collect();
     println!("fig1a tpmC same rack / same city / three cities: {tpmc:?}");
     // Paper: "falls sharply" at each step. Measured: ×0.37 from rack to
     // city, ×0.14 from city to three cities. Slack: each step must still
@@ -88,14 +70,14 @@ fn fig1a_throughput_collapses_with_span() {
 #[test]
 fn fig6a_globaldb_keeps_its_throughput_at_three_cities() {
     let params = tiny(8, 1);
-    let run = |config| {
-        let (mut cluster, report) = local_tpcc(config, &params);
+    let run = |system, deployment| {
+        let (mut cluster, report) = fig6a::point(&params, system, deployment, None);
         series_from_run("", &mut cluster, &report)
     };
-    let base_one = run(ClusterConfig::baseline_one_region());
-    let base_three = run(ClusterConfig::baseline_three_city());
-    let gdb_one = run(ClusterConfig::globaldb_one_region());
-    let gdb_three = run(ClusterConfig::globaldb_three_city());
+    let base_one = run(Baseline, OneRegion);
+    let base_three = run(Baseline, ThreeCity);
+    let gdb_one = run(GlobalDb, OneRegion);
+    let gdb_three = run(GlobalDb, ThreeCity);
     let tput = |s: &globaldb::BenchSeries| s.throughput_txn_s;
     println!(
         "fig6a txn/s baseline {} / {}, GlobalDB {} / {}",
@@ -147,25 +129,8 @@ fn fig6a_globaldb_keeps_its_throughput_at_three_cities() {
 #[test]
 fn fig6b_globaldb_is_flat_under_injected_delay() {
     let params = tiny(8, 1);
-    let run = |tm_mode, delay_ms| {
-        let config = ClusterConfig {
-            geometry: Geometry::OneRegion {
-                injected_delay: SimDuration::from_millis(delay_ms),
-            },
-            tm_mode,
-            replication: ReplicationMode::Async,
-            ..ClusterConfig::baseline_one_region()
-        };
-        // CN 1 is on a different host than the GTM (host 0).
-        let localize = |wl: &mut TpccWorkload| {
-            wl.set_all_local();
-            wl.pin_cn = Some(1);
-            wl.local_warehouses_only = true;
-        };
-        tpcc_run(config, &params, TpccMix::standard(), localize)
-            .1
-            .tpmc()
-    };
+    // CN 1 is on a different host than the GTM (host 0).
+    let run = |tm_mode, delay_ms| fig6b::point(&params, tm_mode, delay_ms).1.tpmc();
     let (gtm_0, gtm_100) = (run(TmMode::Gtm, 0), run(TmMode::Gtm, 100));
     let (gclock_0, gclock_100) = (run(TmMode::GClock, 0), run(TmMode::GClock, 100));
     println!("fig6b tpmC at 0 / 100 ms: GTM {gtm_0} / {gtm_100}, GClock {gclock_0} / {gclock_100}");
@@ -181,18 +146,10 @@ fn fig6b_globaldb_is_flat_under_injected_delay() {
 /// multi-shard: replica reads at the RCP replace cross-city primary reads.
 #[test]
 fn fig6c_replica_reads_speed_up_read_only_tpcc() {
-    let mut params = tiny(8, 1);
-    params.run.think_time = SimDuration::from_millis(1);
-    let run = |config| {
-        tpcc_run(config, &params, TpccMix::read_only(), |wl| {
-            wl.multi_shard_read_fraction = 0.5;
-            wl.remote_cn_fraction = 0.0;
-        })
-        .1
-        .throughput_per_sec()
-    };
-    let baseline = run(ClusterConfig::baseline_three_city());
-    let globaldb = run(ClusterConfig::globaldb_three_city());
+    let params = tiny(8, 1);
+    let run = |system| fig6c::point(&params, system, 8).1.throughput_per_sec();
+    let baseline = run(Baseline);
+    let globaldb = run(GlobalDb);
     let speedup = globaldb / baseline;
     println!("fig6c txn/s baseline {baseline}, GlobalDB {globaldb}: {speedup:.2}x");
     // Paper: up to 14×. Measured: 15.2×. Slack: 10×.
@@ -204,21 +161,10 @@ fn fig6c_replica_reads_speed_up_read_only_tpcc() {
 #[test]
 fn fig6d_point_selects_read_two_thirds_on_replicas() {
     let params = tiny(8, 1);
-    let run = |config| {
-        let mut cluster = Cluster::new(config);
-        let mut wl = SysbenchWorkload::new(
-            SysbenchScale::small(),
-            SysbenchMode::PointSelect,
-            params.seed,
-        );
-        wl.setup(&mut cluster).expect("sysbench setup");
-        run_workload(&mut cluster, &mut wl, params.run)
-    };
-    let baseline = run(ClusterConfig::baseline_three_city());
-    let globaldb = run(ClusterConfig::globaldb_three_city());
+    let baseline = fig6d::point(&params, Baseline).1;
+    let globaldb = fig6d::point(&params, GlobalDb).1;
     let speedup = globaldb.throughput_per_sec() / baseline.throughput_per_sec();
-    let reads = (globaldb.reads_on_replica + globaldb.reads_on_primary) as f64;
-    let share = globaldb.reads_on_replica as f64 / reads;
+    let share = replica_read_share(&globaldb);
     println!("fig6d speedup {speedup:.2}x, replica-read share {share:.3}");
     // Paper: up to 8.9×. Measured: 5.9×. Slack: 4×.
     assert!(speedup >= 4.0, "speedup {speedup:.2}x");
@@ -237,18 +183,8 @@ fn ablation_commit_wait_tracks_clock_error() {
     let params = tiny(8, 1);
     let mut waits = Vec::new();
     for sync_rtt_us in [60, 10_000] {
-        let gclock = GClockConfig {
-            sync_rtt: SimDuration::from_micros(sync_rtt_us),
-            ..GClockConfig::default()
-        };
-        let config = ClusterConfig {
-            gclock,
-            ..ClusterConfig::globaldb_three_city()
-        };
-        let (cluster, report) = local_tpcc(config, &params);
-        let commits = report.total_commits().max(1) as f64;
-        let wait = cluster.db.stats().commit_wait_total.as_micros() as f64 / commits;
-        let t_err = t_err_us(&gclock);
+        let wait = commit_wait_us(&ablation_clock::point(&params, sync_rtt_us));
+        let t_err = t_err_us(&ablation_clock::clock(sync_rtt_us));
         println!("clock: sync RTT {sync_rtt_us} µs, mean commit wait {wait:.1} µs");
         // Paper: wait until the commit timestamp T_clock + T_err has
         // passed on every clock, between T_err and 2·T_err. Measured:
@@ -270,29 +206,8 @@ fn ablation_commit_wait_tracks_clock_error() {
 fn ablation_lz4_bounds_rcp_lag_on_a_thin_wan() {
     let params = tiny(8, 1);
     let thin = |codec| {
-        let mut config = ClusterConfig {
-            geometry: Geometry::ThreeCity {
-                tuned: true,
-                bandwidth_mbps: 2,
-            },
-            ..ClusterConfig::globaldb_three_city()
-        };
-        if let Some(codec) = codec {
-            config.codec = codec;
-        }
-        let (cluster, _) = local_tpcc(config, &params);
-        let (raw, wire) = cluster
-            .db
-            .shards()
-            .iter()
-            .flat_map(|s| s.replicas.iter())
-            .fold((0u64, 0u64), |(r, w), rep| {
-                (
-                    r + rep.channel.stats.raw_bytes,
-                    w + rep.channel.stats.wire_bytes,
-                )
-            });
-        (rcp_lag_ms(&cluster), raw as f64 / wire.max(1) as f64)
+        let (cluster, _) = ablation_compression::point(&params, codec);
+        (rcp_lag_ms(&cluster), compression_ratio(&cluster))
     };
     let (raw_lag, _) = thin(Some(Codec::None));
     // The GlobalDB preset's own codec.
@@ -317,18 +232,7 @@ fn ablation_lz4_bounds_rcp_lag_on_a_thin_wan() {
 #[test]
 fn ablation_parallel_replay_keeps_the_rcp_fresh() {
     let params = tiny(16, 1);
-    let lag = |workers| {
-        let config = ClusterConfig {
-            replay: ReplayCostModel {
-                // Expensive enough that replay is the bottleneck.
-                per_record: SimDuration::from_micros(150),
-                workers,
-                per_batch: SimDuration::from_micros(20),
-            },
-            ..ClusterConfig::globaldb_three_city()
-        };
-        rcp_lag_ms(&local_tpcc(config, &params).0)
-    };
+    let lag = |workers| rcp_lag_ms(&ablation_replay::point(&params, workers).0);
     let (serial, parallel) = (lag(1), lag(2));
     println!("replay: RCP lag 1 worker {serial:.1} ms, 2 workers {parallel:.1} ms");
     // Paper: parallel replay "significantly improves log replay speed".
@@ -344,7 +248,7 @@ fn ablation_parallel_replay_keeps_the_rcp_fresh() {
 /// stops the cluster.
 #[test]
 fn ablation_transition_never_drops_a_window() {
-    let run = transition_run(42);
+    let run = ablation_transition::point(42);
     println!("transition: New-Order commits per window {:?}", run.commits);
     let (min, max) = (
         *run.commits.iter().min().unwrap(),
@@ -367,9 +271,9 @@ fn ablation_transition_never_drops_a_window() {
 #[test]
 fn ablation_rebalancer_converges_in_four_migrations() {
     let params = tiny(8, 2);
-    let (_, r_static, _) = rebalance_run(&params, None);
-    let mut controller = rebalance_controller(&params);
-    let (mut cluster, r_rebal, windows) = rebalance_run(&params, Some(&mut controller));
+    let (_, r_static, _) = ablation_rebalance::point(&params, None);
+    let mut controller = ablation_rebalance::controller(&params);
+    let (mut cluster, r_rebal, windows) = ablation_rebalance::point(&params, Some(&mut controller));
     let started = cluster
         .db
         .metrics_snapshot()
@@ -382,7 +286,7 @@ fn ablation_rebalancer_converges_in_four_migrations() {
     // 16 times (EXPERIMENTS.md). Measured: 4. Slack: none; at least one
     // must happen.
     assert!(
-        (1..=MAX_MIGRATIONS).contains(&started),
+        (1..=ablation_rebalance::MAX_MIGRATIONS).contains(&started),
         "{started} migrations started"
     );
     // Zero downtime across every cutover, as for the paper's online
