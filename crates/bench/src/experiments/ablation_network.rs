@@ -63,7 +63,7 @@ pub fn point(params: &BenchParams, nagle: bool, congestion: CongestionModel) -> 
 pub fn run(params: &BenchParams) {
     let mut rows = Vec::new();
     for (label, nagle, congestion) in SWEEP {
-        let (_, mut report) = point(params, nagle, congestion);
+        let (_, report) = point(params, nagle, congestion);
         rows.push(vec![
             label.to_string(),
             format!("{:.0}", report.tpmc()),

@@ -94,7 +94,7 @@ pub fn point(
     let mut stats: Vec<WindowStat> = (0..windows)
         .map(|_| WindowStat {
             commits: 0,
-            latency: LatencyHistogram::bounded(),
+            latency: LatencyHistogram::new(),
             event: String::new(),
         })
         .collect();

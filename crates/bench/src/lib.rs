@@ -159,7 +159,7 @@ pub fn series_from_run(
     report: &WorkloadReport,
 ) -> BenchSeries {
     // Measured-window latency across all transaction types.
-    let mut lat = LatencyHistogram::bounded();
+    let mut lat = LatencyHistogram::new();
     for h in report.latency.values() {
         lat.merge(h);
     }

@@ -9,6 +9,7 @@ use crate::plan::FaultPlan;
 use crate::trace::new_trace;
 use gdb_workloads::tpcc::{consistency, TpccMix, TpccScale, TpccWorkload};
 use gdb_workloads::{run_workload, RunConfig, Workload};
+use globaldb::config::FLUSH_INTERVAL;
 use globaldb::{Cluster, ClusterConfig, Geometry, GlobalDb, ReplicationMode, SimDuration, SimTime};
 use std::rc::Rc;
 
@@ -244,7 +245,7 @@ pub fn run_plan_prepped(
     // shipping pipeline when a primary dies: an unsealed batch (one flush
     // interval), a sealed batch in flight, plus scheduling slack — but
     // never more. That bound is what the oracle enforces.
-    let loss_window = cluster.db.config().flush_interval * 2 + SimDuration::from_millis(250);
+    let loss_window = FLUSH_INTERVAL * 2 + SimDuration::from_millis(250);
     plan.schedule(&mut cluster, Rc::clone(&trace));
     oracle.schedule(&mut cluster, start, end, cfg.probe_interval, &trace);
 

@@ -18,7 +18,7 @@
 //! methods (or the typed APIs above), so cross-layer mutation stays
 //! inside this crate.
 
-use crate::config::{ClusterConfig, Placement, RoutingPolicy};
+use crate::config::{ClusterConfig, Placement, RoutingPolicy, FLUSH_INTERVAL};
 use crate::event::{CoreEvent, CoreSim};
 use crate::net::MessagePlane;
 use crate::rcp_driver::GtmRate;
@@ -637,8 +637,10 @@ impl Cluster {
         // Schedule the recurring background activities (typed events —
         // stored inline in the queue, no per-event allocation).
         for s in 0..db.shards.len() {
-            let interval = db.config.flush_interval;
-            sim.schedule_event_at(SimTime::ZERO + interval, CoreEvent::FlushShard { shard: s });
+            sim.schedule_event_at(
+                SimTime::ZERO + FLUSH_INTERVAL,
+                CoreEvent::FlushShard { shard: s },
+            );
         }
         for r in 0..db.regions.len() {
             let interval = db.config.rcp_interval;

@@ -6,6 +6,12 @@ use gdb_simclock::GClockConfig;
 use gdb_simnet::{LinkParams, NodeKind, SimDuration, Topology, TopologyBuilder};
 use gdb_txnmgr::TmMode;
 
+/// Redo shipping flush cadence per shard.
+pub const FLUSH_INTERVAL: SimDuration = SimDuration::from_millis(5);
+
+/// CPU cost charged per SQL operation at a node (execution time).
+pub const OP_CPU_COST: SimDuration = SimDuration::from_micros(30);
+
 /// Cluster geometry, mirroring the paper's two testbeds (§V).
 #[derive(Debug, Clone)]
 pub enum Geometry {
@@ -49,8 +55,6 @@ pub struct ClusterConfig {
     pub codec: Codec,
     pub routing: RoutingPolicy,
     pub gclock: GClockConfig,
-    /// Redo shipping flush cadence per shard.
-    pub flush_interval: SimDuration,
     /// RCP collection/distribution cadence (§IV-A).
     pub rcp_interval: SimDuration,
     /// Model the RCP round as two separate events — gather reports, then
@@ -63,8 +67,6 @@ pub struct ClusterConfig {
     /// Heartbeat cadence that keeps idle replicas' max commit ts moving.
     pub heartbeat_interval: SimDuration,
     pub replay: ReplayCostModel,
-    /// CPU cost charged per SQL operation at a node (execution time).
-    pub op_cpu_cost: SimDuration,
     /// Cadence of the background vacuum that prunes MVCC versions below
     /// the cluster-wide RCP horizon (`None` disables it).
     pub vacuum_interval: Option<SimDuration>,
@@ -150,12 +152,10 @@ impl ClusterConfig {
             codec: Codec::None,
             routing: RoutingPolicy::Primary,
             gclock: GClockConfig::default(),
-            flush_interval: SimDuration::from_millis(5),
             rcp_interval: SimDuration::from_millis(25),
             rcp_two_phase: false,
             heartbeat_interval: SimDuration::from_millis(10),
             replay: ReplayCostModel::default(),
-            op_cpu_cost: SimDuration::from_micros(30),
             vacuum_interval: Some(SimDuration::from_secs(5)),
             seed: 42,
         }

@@ -51,6 +51,7 @@
 //! children tile it exactly (aborts tile up to the abort instant).
 
 use crate::cluster::GlobalDb;
+use crate::config::FLUSH_INTERVAL;
 use crate::event::CoreSim;
 use crate::net::RpcKind;
 use crate::repl_driver::{Replica, Ship};
@@ -346,8 +347,7 @@ pub(crate) fn migration_tick(db: &mut GlobalDb, sim: &mut CoreSim, seq: u64) {
             let m = &mut db.migrations[idx];
             m.phase = MigrationPhase::Catchup;
             m.snapshot_end = Some(now);
-            let interval = db.config.flush_interval;
-            sim.schedule_after(interval, move |w: &mut GlobalDb, sim| {
+            sim.schedule_after(FLUSH_INTERVAL, move |w: &mut GlobalDb, sim| {
                 migration_tick(w, sim, seq);
             });
         }
@@ -396,8 +396,7 @@ fn catchup_round(db: &mut GlobalDb, sim: &mut CoreSim, idx: usize, seq: u64, now
                 // Run the barrier after this last batch lands.
                 begin_barrier(db, sim, idx, seq, now, arrive);
             } else {
-                let interval = db.config.flush_interval;
-                let next = arrive.max(now + interval);
+                let next = arrive.max(now + FLUSH_INTERVAL);
                 sim.schedule_at(next, move |w: &mut GlobalDb, sim| {
                     migration_tick(w, sim, seq);
                 });

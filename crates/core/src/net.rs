@@ -268,7 +268,7 @@ impl MessagePlane {
         let mut plane = MessagePlane {
             totals: Default::default(),
             by_region: BTreeMap::new(),
-            delays: vec![LatencyHistogram::bounded(); ALL_RPC_KINDS.len()],
+            delays: vec![LatencyHistogram::new(); ALL_RPC_KINDS.len()],
             transport: Box::new(SimTransport),
             delivered: [0; ALL_RPC_KINDS.len()],
             pairs: Vec::new(),
@@ -534,7 +534,7 @@ mod tests {
         let (mut t1, cn, dns) = cn_and_three_dns(11);
         let (mut t2, ..) = cn_and_three_dns(11);
         let mut plane = MessagePlane::new(RegionId(0));
-        let mut direct = LatencyHistogram::bounded();
+        let mut direct = LatencyHistogram::new();
         let mut leg = |t: &mut Topology, from, to, bytes| {
             let d = t.one_way(from, to, bytes);
             if let Some(d) = d {
@@ -569,8 +569,8 @@ mod tests {
         assert_eq!(plane.transport_msgs(RpcKind::DnRead), 8);
         assert_eq!(plane.bytes(RpcKind::DnRead), 4 * (128 + 512));
         assert_eq!(
-            plane.delays[RpcKind::DnRead.idx()].to_summary(),
-            direct.to_summary(),
+            plane.delays[RpcKind::DnRead.idx()],
+            direct,
             "every delivered leg's delay, in order"
         );
 

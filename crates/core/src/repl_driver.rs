@@ -25,6 +25,7 @@
 //! without a second latency draw.
 
 use crate::cluster::{Cluster, GlobalDb};
+use crate::config::FLUSH_INTERVAL;
 use crate::event::{CoreEvent, CoreSim};
 use crate::migrate::Migration;
 use crate::net::RpcKind;
@@ -398,8 +399,7 @@ pub(crate) fn flush_event(w: &mut GlobalDb, sim: &mut CoreSim, shard: usize) {
             );
         }
     }
-    let interval = w.config.flush_interval;
-    sim.schedule_event_after(interval, CoreEvent::FlushShard { shard });
+    sim.schedule_event_after(FLUSH_INTERVAL, CoreEvent::FlushShard { shard });
 }
 
 #[cfg(test)]

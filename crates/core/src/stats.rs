@@ -2,7 +2,6 @@
 
 use gdb_model::Timestamp;
 use gdb_obs::{BenchSeries, HistSummary, Metric, MetricsReport, NetStats};
-use gdb_simnet::stats::LatencyHistogram;
 use gdb_simnet::{SimDuration, SimTime};
 
 /// What happened to one transaction.
@@ -26,7 +25,7 @@ pub struct TxnOutcome {
 }
 
 /// Aggregate counters for a cluster run.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct ClusterStats {
     pub committed: u64,
     pub aborted: u64,
@@ -57,48 +56,16 @@ pub struct ClusterStats {
     pub migrations_started: u64,
     pub migrations_completed: u64,
     pub migrations_aborted: u64,
-    pub latency: LatencyHistogram,
-}
-
-impl Default for ClusterStats {
-    fn default() -> Self {
-        ClusterStats {
-            committed: 0,
-            aborted: 0,
-            reads_on_replica: 0,
-            reads_on_primary: 0,
-            replica_blocked_fallbacks: 0,
-            ror_rejected_freshness: 0,
-            ror_rejected_ddl: 0,
-            lock_waits: 0,
-            commit_wait_total: SimDuration::ZERO,
-            heartbeats_sent: 0,
-            rcp_rounds: 0,
-            rcp_rounds_abandoned: 0,
-            collector_failovers: 0,
-            versions_vacuumed: 0,
-            redo_records_trimmed: 0,
-            stale_route_rejects: 0,
-            migrations_started: 0,
-            migrations_completed: 0,
-            migrations_aborted: 0,
-            // This histogram lives for the whole cluster and is fed on the
-            // per-transaction hot path: bounded mode, not store-every-sample.
-            latency: LatencyHistogram::bounded(),
-        }
-    }
 }
 
 impl ClusterStats {
     /// Record a finished transaction. Aborts land in `aborted`; only
-    /// commits count as commits (and only their latency is meaningful for
-    /// the client-visible histogram).
+    /// commits count as commits.
     pub fn record_txn(&mut self, outcome: &TxnOutcome) {
         if outcome.aborted {
             self.aborted += 1;
         } else {
             self.committed += 1;
-            self.latency.record(outcome.latency);
         }
     }
 }
@@ -165,7 +132,7 @@ mod tests {
             aborted: false,
         });
         assert_eq!(s.committed, 1);
-        assert_eq!(s.latency.len(), 1);
+        assert_eq!(s.aborted, 0);
     }
 
     #[test]
@@ -182,7 +149,5 @@ mod tests {
         });
         assert_eq!(s.committed, 0);
         assert_eq!(s.aborted, 1);
-        // Abort latency is not client-visible commit latency.
-        assert_eq!(s.latency.len(), 0);
     }
 }

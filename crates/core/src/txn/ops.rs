@@ -8,6 +8,7 @@
 //! share [`TxnHandle::lock_row`] and [`TxnHandle::write_row`].
 
 use super::{TxnHandle, WriteOp, LOCK_LEASE, OP_MSG_BYTES};
+use crate::config::OP_CPU_COST;
 use crate::net::RpcKind;
 use crate::ror::ReadTarget;
 use gdb_model::{
@@ -139,7 +140,7 @@ impl<'a> TxnHandle<'a> {
             .plane
             .scatter(&mut db.topo, kind, cn_node, nodes, OP_MSG_BYTES, back)
             .ok_or_else(|| GdbError::NodeUnavailable("data node unreachable".into()))?;
-        self.now += slowest + db.config.op_cpu_cost;
+        self.now += slowest + OP_CPU_COST;
         Ok(())
     }
 

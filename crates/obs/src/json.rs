@@ -153,6 +153,7 @@ impl Json {
         let mut p = Parser {
             bytes: input.as_bytes(),
             pos: 0,
+            depth: 0,
         };
         p.skip_ws();
         let v = p.value()?;
@@ -203,9 +204,16 @@ fn write_str(out: &mut String, s: &str) {
     out.push('"');
 }
 
+/// How deep arrays and objects may nest before the parser rejects the
+/// document: parsing, writing and dropping a tree all recurse on it, so
+/// its depth must not be the input's to choose.
+const MAX_DEPTH: usize = 128;
+
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects open around the current position.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -252,11 +260,25 @@ impl<'a> Parser<'a> {
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
             Some(b'"') => self.string().map(Json::Str),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(b'[') => self.nested(Self::array),
+            Some(b'{') => self.nested(Self::object),
             Some(b) if b == b'-' || b.is_ascii_digit() => self.number(),
             other => Err(format!("unexpected {:?} at byte {}", other, self.pos)),
         }
+    }
+
+    /// Parse one array or object a level deeper (see [`MAX_DEPTH`]).
+    fn nested(&mut self, f: fn(&mut Self) -> Result<Json, String>) -> Result<Json, String> {
+        if self.depth == MAX_DEPTH {
+            return Err(format!(
+                "nested more than {MAX_DEPTH} levels deep at byte {}",
+                self.pos
+            ));
+        }
+        self.depth += 1;
+        let v = f(self);
+        self.depth -= 1;
+        v
     }
 
     fn array(&mut self) -> Result<Json, String> {
@@ -451,6 +473,24 @@ mod tests {
         assert!(Json::parse("[1,]").is_err());
         assert!(Json::parse("{\"a\":1} x").is_err());
         assert!(Json::parse("nul").is_err());
+    }
+
+    /// Nesting recursed without bound: 200 000 `[` overflowed the stack
+    /// (an abort, not even a panic).
+    #[test]
+    fn deep_nesting_is_an_error_not_a_stack_overflow() {
+        let n = 200_000;
+        for text in [
+            format!("{}{}", "[".repeat(n), "]".repeat(n)),
+            "{\"a\":".repeat(n),
+            "[{\"a\":".repeat(n),
+        ] {
+            assert!(Json::parse(&text).is_err());
+        }
+        let at_limit = format!("{}{}", "[".repeat(MAX_DEPTH), "]".repeat(MAX_DEPTH));
+        assert!(Json::parse(&at_limit).is_ok());
+        let past = format!("[{at_limit}]");
+        assert!(Json::parse(&past).is_err());
     }
 
     #[test]

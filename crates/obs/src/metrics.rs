@@ -1,5 +1,4 @@
-//! The metrics registry: named counters, gauges, and bounded-quantile
-//! histograms.
+//! The metrics registry: named counters, gauges, and latency histograms.
 //!
 //! Names are usually `&'static str` constants owned by the subsystem
 //! crates (`gdb_txnmgr::metrics`, `gdb_replication::metrics`, …) in a
@@ -7,27 +6,24 @@
 //! `replication.ship.wire_bytes`, `rcp.rounds`. Labelled instruments
 //! (per-`RpcKind`, per-region-pair) pass an owned `String`; keys are
 //! `Cow<'static, str>` so the static-name hot path stays allocation-free.
-//! Registration is implicit: the first record of a name creates the
-//! instrument. Storage is `BTreeMap`-backed so snapshots iterate in
-//! deterministic name order.
 //!
-//! # Handles
+//! # One store
 //!
-//! Per-transaction and per-message call sites should not pay a string
-//! `BTreeMap` lookup per record. [`MetricsRegistry::register_counter`] /
-//! [`MetricsRegistry::register_histogram`] resolve a name once to a
-//! [`CounterId`] / [`HistId`] — a plain `Vec` slot index — and the hot
-//! methods ([`MetricsRegistry::add`], [`MetricsRegistry::bump`],
-//! [`MetricsRegistry::record`]) are direct indexed writes. The name→id
-//! map is consulted only at registration and by the string-path methods,
-//! which transparently forward to the slot when a name is registered (so
-//! mixed usage stays consistent). A slot appears in [`snapshot`] only
-//! once touched, keeping snapshots bit-identical with the old implicit
-//! registration no matter how many instruments are pre-registered.
+//! Counters and histograms each live in one `Vec` of slots, found by a
+//! name → slot-index `BTreeMap`. [`MetricsRegistry::register_counter`] /
+//! [`MetricsRegistry::register_histogram`] resolve a name to its
+//! [`CounterId`] / [`HistId`] (creating the slot on first use), and the
+//! hot methods ([`MetricsRegistry::add`], [`MetricsRegistry::bump`],
+//! [`MetricsRegistry::record`]) are direct indexed writes. The string
+//! methods (`count`, `incr`, `set_counter`, `observe`, `set_histogram`)
+//! resolve the name the same way and then write the slot, so a name is
+//! one instrument whichever path touches it. Gauges are a plain name →
+//! value map.
 //!
-//! Histograms use [`LatencyHistogram::bounded`] — O(1) memory streaming
-//! summaries — so per-transaction hot paths never accumulate per-sample
-//! storage.
+//! A slot appears in [`snapshot`] only once written: a counter once
+//! touched, a histogram once non-empty. Pre-registering instruments
+//! therefore never changes a report. Snapshots iterate the name maps, so
+//! they come out in deterministic name order.
 //!
 //! [`snapshot`]: MetricsRegistry::snapshot
 
@@ -40,32 +36,23 @@ use std::collections::BTreeMap;
 /// Instrument name: a static constant or an owned labelled name.
 pub type MetricName = Cow<'static, str>;
 
-/// Handle to a pre-registered counter: a direct `Vec` slot index.
+/// Handle to a counter: a direct `Vec` slot index.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct CounterId(u32);
 
-/// Handle to a pre-registered histogram: a direct `Vec` slot index.
+/// Handle to a histogram: a direct `Vec` slot index.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct HistId(u32);
 
 /// Live instrument storage.
 #[derive(Debug, Default, Serialize, Deserialize)]
 pub struct MetricsRegistry {
-    counters: BTreeMap<MetricName, u64>,
-    gauges: BTreeMap<MetricName, f64>,
-    histograms: BTreeMap<MetricName, LatencyHistogram>,
-    /// Slot storage for handle-based counters, parallel to
-    /// `counter_touched` / `counter_names`.
-    counter_slots: Vec<u64>,
-    /// Whether the slot has ever been written — untouched pre-registered
-    /// slots are excluded from snapshots, so registration alone never
-    /// changes a report.
-    counter_touched: Vec<bool>,
-    counter_names: Vec<MetricName>,
     counter_ids: BTreeMap<MetricName, u32>,
-    hist_slots: Vec<LatencyHistogram>,
-    hist_names: Vec<MetricName>,
+    /// One value per registered counter; `None` until first written.
+    counter_slots: Vec<Option<u64>>,
     hist_ids: BTreeMap<MetricName, u32>,
+    hist_slots: Vec<LatencyHistogram>,
+    gauges: BTreeMap<MetricName, f64>,
 }
 
 impl MetricsRegistry {
@@ -73,33 +60,26 @@ impl MetricsRegistry {
         Self::default()
     }
 
-    /// Resolve `name` to a counter slot, creating it on first call. Any
-    /// value the string path already accumulated is adopted by the slot.
+    /// Resolve `name` to its counter slot, creating it on first call.
     pub fn register_counter(&mut self, name: impl Into<MetricName>) -> CounterId {
         let name = name.into();
         if let Some(&id) = self.counter_ids.get(&name) {
             return CounterId(id);
         }
         let id = self.counter_slots.len() as u32;
-        let existing = self.counters.remove(&name);
-        self.counter_touched.push(existing.is_some());
-        self.counter_slots.push(existing.unwrap_or(0));
-        self.counter_names.push(name.clone());
+        self.counter_slots.push(None);
         self.counter_ids.insert(name, id);
         CounterId(id)
     }
 
-    /// Resolve `name` to a histogram slot, creating it on first call.
+    /// Resolve `name` to its histogram slot, creating it on first call.
     pub fn register_histogram(&mut self, name: impl Into<MetricName>) -> HistId {
         let name = name.into();
         if let Some(&id) = self.hist_ids.get(&name) {
             return HistId(id);
         }
         let id = self.hist_slots.len() as u32;
-        let existing = self.histograms.remove(&name);
-        self.hist_slots
-            .push(existing.unwrap_or_else(LatencyHistogram::bounded));
-        self.hist_names.push(name.clone());
+        self.hist_slots.push(LatencyHistogram::new());
         self.hist_ids.insert(name, id);
         HistId(id)
     }
@@ -107,9 +87,7 @@ impl MetricsRegistry {
     /// Add `delta` to a registered counter — one indexed write, no lookup.
     #[inline]
     pub fn add(&mut self, id: CounterId, delta: u64) {
-        let i = id.0 as usize;
-        self.counter_slots[i] += delta;
-        self.counter_touched[i] = true;
+        *self.counter_slots[id.0 as usize].get_or_insert(0) += delta;
     }
 
     /// Increment a registered counter by one.
@@ -126,14 +104,9 @@ impl MetricsRegistry {
     }
 
     /// Add `delta` to counter `name` (created at zero on first use).
-    /// Forwards to the slot if `name` was registered.
     pub fn count(&mut self, name: impl Into<MetricName>, delta: u64) {
-        let name = name.into();
-        if let Some(&id) = self.counter_ids.get(&name) {
-            self.add(CounterId(id), delta);
-        } else {
-            *self.counters.entry(name).or_insert(0) += delta;
-        }
+        let id = self.register_counter(name);
+        self.add(id, delta);
     }
 
     pub fn incr(&mut self, name: impl Into<MetricName>) {
@@ -143,86 +116,55 @@ impl MetricsRegistry {
     /// Set counter `name` to an absolute value (for mirroring externally
     /// maintained totals into the registry at snapshot time).
     pub fn set_counter(&mut self, name: impl Into<MetricName>, value: u64) {
-        let name = name.into();
-        if let Some(&id) = self.counter_ids.get(&name) {
-            let i = id as usize;
-            self.counter_slots[i] = value;
-            self.counter_touched[i] = true;
-        } else {
-            self.counters.insert(name, value);
-        }
+        let id = self.register_counter(name);
+        self.counter_slots[id.0 as usize] = Some(value);
     }
 
     pub fn gauge(&mut self, name: impl Into<MetricName>, value: f64) {
         self.gauges.insert(name.into(), value);
     }
 
-    /// Record one latency observation into bounded histogram `name`.
-    /// Forwards to the slot if `name` was registered.
+    /// Record one latency observation into histogram `name`.
     pub fn observe(&mut self, name: impl Into<MetricName>, d: SimDuration) {
-        let name = name.into();
-        if let Some(&id) = self.hist_ids.get(&name) {
-            self.record(HistId(id), d);
-        } else {
-            self.histograms
-                .entry(name)
-                .or_insert_with(LatencyHistogram::bounded)
-                .record(d);
-        }
+        let id = self.register_histogram(name);
+        self.record(id, d);
     }
 
     /// Replace histogram `name` wholesale (for mirroring histograms
     /// maintained outside the registry into a snapshot).
     pub fn set_histogram(&mut self, name: impl Into<MetricName>, h: LatencyHistogram) {
-        let name = name.into();
-        if let Some(&id) = self.hist_ids.get(&name) {
-            self.hist_slots[id as usize] = h;
-        } else {
-            self.histograms.insert(name, h);
-        }
+        let id = self.register_histogram(name);
+        self.hist_slots[id.0 as usize] = h;
     }
 
     pub fn counter(&self, name: &str) -> u64 {
-        if let Some(&id) = self.counter_ids.get(name) {
-            return self.counter_slots[id as usize];
-        }
-        self.counters.get(name).copied().unwrap_or(0)
+        self.counter_ids
+            .get(name)
+            .and_then(|&id| self.counter_slots[id as usize])
+            .unwrap_or(0)
     }
 
     pub fn histogram(&self, name: &str) -> Option<&LatencyHistogram> {
-        if let Some(&id) = self.hist_ids.get(name) {
-            let h = &self.hist_slots[id as usize];
-            return if h.is_empty() { None } else { Some(h) };
-        }
-        self.histograms.get(name)
+        let h = &self.hist_slots[*self.hist_ids.get(name)? as usize];
+        (!h.is_empty()).then_some(h)
     }
 
-    /// Freeze the registry into a comparable, serializable report.
-    /// Registered slots are included only once touched (counters) or
-    /// non-empty (histograms), so the report is identical whether an
-    /// instrument went through the handle or the string path.
+    /// Freeze the registry into a comparable, serializable report: every
+    /// written counter, every gauge and every non-empty histogram.
     pub fn snapshot(&self) -> MetricsReport {
         let mut metrics = BTreeMap::new();
-        for (name, &v) in &self.counters {
-            metrics.insert(name.to_string(), Metric::Counter(v));
-        }
-        for (i, &v) in self.counter_slots.iter().enumerate() {
-            if self.counter_touched[i] {
-                metrics.insert(self.counter_names[i].to_string(), Metric::Counter(v));
+        for (name, &id) in &self.counter_ids {
+            if let Some(v) = self.counter_slots[id as usize] {
+                metrics.insert(name.to_string(), Metric::Counter(v));
             }
         }
         for (name, &v) in &self.gauges {
             metrics.insert(name.to_string(), Metric::Gauge(v));
         }
-        for (name, h) in &self.histograms {
-            metrics.insert(name.to_string(), Metric::Histogram(HistSummary::of(h)));
-        }
-        for (i, h) in self.hist_slots.iter().enumerate() {
+        for (name, &id) in &self.hist_ids {
+            let h = &self.hist_slots[id as usize];
             if !h.is_empty() {
-                metrics.insert(
-                    self.hist_names[i].to_string(),
-                    Metric::Histogram(HistSummary::of(h)),
-                );
+                metrics.insert(name.to_string(), Metric::Histogram(HistSummary::of(h)));
             }
         }
         MetricsReport { metrics }
@@ -269,21 +211,16 @@ impl HistSummary {
     }
 
     pub fn of(h: &LatencyHistogram) -> Self {
-        let b = h.to_summary();
         HistSummary {
-            count: b.count(),
-            sum_us: b.sum_us(),
-            min_us: b.min_us(),
-            max_us: b.max_us(),
-            mean_us: if b.count() == 0 {
-                0
-            } else {
-                b.sum_us() / b.count()
-            },
-            p50_us: b.percentile_us(50.0),
-            p95_us: b.percentile_us(95.0),
-            p99_us: b.percentile_us(99.0),
-            p999_us: b.percentile_us(99.9),
+            count: h.len() as u64,
+            sum_us: h.sum_us(),
+            min_us: h.min().as_micros(),
+            max_us: h.max().as_micros(),
+            mean_us: h.mean().as_micros(),
+            p50_us: h.percentile(50.0).as_micros(),
+            p95_us: h.percentile(95.0).as_micros(),
+            p99_us: h.percentile(99.0).as_micros(),
+            p999_us: h.percentile(99.9).as_micros(),
         }
     }
 }
@@ -360,7 +297,6 @@ mod tests {
         for i in 0..10_000u64 {
             r.observe("x.lat_us", SimDuration::from_micros(100 + i % 50));
         }
-        assert!(r.histogram("x.lat_us").unwrap().is_bounded());
         let snap = r.snapshot();
         let h = snap.histogram("x.lat_us").unwrap();
         assert_eq!(h.count, 10_000);
@@ -426,13 +362,12 @@ mod tests {
     #[test]
     fn handles_resolve_to_slots_and_interop_with_strings() {
         let mut r = MetricsRegistry::new();
-        // Registration adopts a value the string path already recorded.
+        // A name is one slot whichever path reaches it first.
         r.count("a.events", 2);
         let c = r.register_counter("a.events");
         assert_eq!(r.register_counter("a.events"), c);
         r.add(c, 3);
         r.bump(c);
-        // The string path forwards to the slot after registration.
         r.incr("a.events");
         assert_eq!(r.counter("a.events"), 7);
 

@@ -190,7 +190,7 @@ mod tests {
     use gdb_simnet::SimDuration;
 
     fn summary(vals_us: &[u64]) -> HistSummary {
-        let mut h = LatencyHistogram::bounded();
+        let mut h = LatencyHistogram::new();
         for &v in vals_us {
             h.record(SimDuration::from_micros(v));
         }

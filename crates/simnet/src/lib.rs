@@ -14,8 +14,9 @@
 //!   failures. Message cost accounts for Nagle's algorithm and a
 //!   Reno-vs-BBR congestion model, the two network knobs the paper tunes
 //!   (§V-A).
-//! * [`stats`] — small statistics helpers (histograms, percentiles) used by
-//!   the workload drivers and benches.
+//! * [`stats`] — the latency histogram (log-linear buckets, percentile
+//!   queries) used by the workload drivers, the metrics registry and the
+//!   benches.
 
 pub mod event;
 pub mod metrics;

@@ -1,16 +1,12 @@
-//! Small statistics helpers shared by the workload drivers and benches:
-//! latency histograms with percentile queries, and throughput counters.
+//! The latency histogram shared by the workload drivers, the cluster's
+//! metrics registry and the benches.
 //!
-//! [`LatencyHistogram`] has two representations:
-//!
-//! * **exact** (the default) stores every sample and answers nearest-rank
-//!   percentiles precisely — right for offline figure runs where the
-//!   sample count is bounded by the run length;
-//! * **bounded** ([`LatencyHistogram::bounded`]) keeps log-linear bucket
-//!   counts (64 sub-buckets per power of two, ≤ ~1.6% relative error)
-//!   in O(1) memory regardless of sample count — right for per-transaction
-//!   hot paths that live for the whole process (cluster-wide counters,
-//!   the metrics registry).
+//! [`LatencyHistogram`] is a log-linear bucket summary: values below
+//! 64 µs each get their own bucket, and every power of two above is
+//! split into 64 sub-buckets, so a percentile is the lower bound of its
+//! bucket, within 1/64 of the nearest-rank sample. Count, sum, min and
+//! max are kept exactly. Memory is the buckets touched, independent of
+//! the number of samples, so one histogram can live for a whole run.
 
 use crate::time::SimDuration;
 use serde::{Deserialize, Serialize};
@@ -43,11 +39,10 @@ fn bucket_value(index: usize) -> u64 {
     (LINEAR + sub) << group
 }
 
-/// Streaming bounded quantile summary: log-linear bucket counts plus exact
-/// count/sum/min/max. Memory is O(buckets touched), independent of the
-/// number of samples.
+/// A latency recorder with percentile queries: log-linear bucket counts
+/// plus exact count, sum, min and max (see the module docs).
 #[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct BoundedSummary {
+pub struct LatencyHistogram {
     counts: Vec<u64>,
     count: u64,
     sum_us: u64,
@@ -55,8 +50,13 @@ pub struct BoundedSummary {
     max_us: u64,
 }
 
-impl BoundedSummary {
-    pub fn record(&mut self, us: u64) {
+impl LatencyHistogram {
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    pub fn record(&mut self, d: SimDuration) {
+        let us = d.as_micros();
         let idx = bucket_index(us);
         if idx >= self.counts.len() {
             self.counts.resize(idx + 1, 0);
@@ -73,57 +73,64 @@ impl BoundedSummary {
         self.sum_us = self.sum_us.saturating_add(us);
     }
 
-    pub fn count(&self) -> u64 {
-        self.count
+    pub fn len(&self) -> usize {
+        self.count as usize
     }
 
+    pub fn is_empty(&self) -> bool {
+        self.count == 0
+    }
+
+    /// Sum of all recorded samples in microseconds.
     pub fn sum_us(&self) -> u64 {
         self.sum_us
     }
 
-    pub fn min_us(&self) -> u64 {
+    /// The q-th percentile (q in 0..=100), nearest-rank over the bucket
+    /// counts: exact below 64 µs, at most 1/64 low above (the bucket's
+    /// lower bound), and clamped to the exact [min, max] envelope.
+    pub fn percentile(&self, q: f64) -> SimDuration {
         if self.count == 0 {
-            0
-        } else {
-            self.min_us
-        }
-    }
-
-    pub fn max_us(&self) -> u64 {
-        if self.count == 0 {
-            0
-        } else {
-            self.max_us
-        }
-    }
-
-    /// Nearest-rank percentile over the bucket counts; exact for values
-    /// below 64 µs, ≤ ~1.6% low-biased above (bucket lower bound), and
-    /// clamped to the exact [min, max] envelope.
-    pub fn percentile_us(&self, q: f64) -> u64 {
-        if self.count == 0 {
-            return 0;
+            return SimDuration::ZERO;
         }
         let rank = ((q / 100.0) * self.count as f64).ceil().max(1.0) as u64;
         let mut seen = 0u64;
         for (idx, &c) in self.counts.iter().enumerate() {
             seen += c;
             if seen >= rank {
-                return bucket_value(idx).clamp(self.min_us, self.max_us);
+                let us = bucket_value(idx).clamp(self.min_us, self.max_us);
+                return SimDuration::from_micros(us);
             }
         }
-        self.max_us
+        SimDuration::from_micros(self.max_us)
     }
 
-    pub fn merge(&mut self, other: &BoundedSummary) {
+    pub fn mean(&self) -> SimDuration {
+        if self.count == 0 {
+            return SimDuration::ZERO;
+        }
+        SimDuration::from_micros(self.sum_us / self.count)
+    }
+
+    pub fn max(&self) -> SimDuration {
+        SimDuration::from_micros(self.max_us)
+    }
+
+    pub fn min(&self) -> SimDuration {
+        SimDuration::from_micros(self.min_us)
+    }
+
+    /// Merge another histogram into this one: the result is the one
+    /// recording the union of both sample sets would have built.
+    pub fn merge(&mut self, other: &LatencyHistogram) {
         if other.count == 0 {
             return;
         }
         if other.counts.len() > self.counts.len() {
             self.counts.resize(other.counts.len(), 0);
         }
-        for (i, &c) in other.counts.iter().enumerate() {
-            self.counts[i] += c;
+        for (mine, &theirs) in self.counts.iter_mut().zip(&other.counts) {
+            *mine += theirs;
         }
         if self.count == 0 {
             self.min_us = other.min_us;
@@ -137,216 +144,17 @@ impl BoundedSummary {
     }
 }
 
-#[derive(Debug, Clone, Serialize, Deserialize)]
-enum Repr {
-    Exact { samples_us: Vec<u64>, sorted: bool },
-    Bounded(BoundedSummary),
-}
-
-/// A latency recorder with percentile queries. Exact by default (stores
-/// all samples); [`LatencyHistogram::bounded`] switches to the streaming
-/// summary for hot paths.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct LatencyHistogram {
-    repr: Repr,
-}
-
-impl Default for LatencyHistogram {
-    fn default() -> Self {
-        LatencyHistogram {
-            repr: Repr::Exact {
-                samples_us: Vec::new(),
-                sorted: false,
-            },
-        }
-    }
-}
-
-impl LatencyHistogram {
-    /// Exact mode: every sample stored, percentiles precise.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Bounded mode: O(1) memory, streaming p50/p95/p99/p999 with ≤ ~1.6%
-    /// relative error.
-    pub fn bounded() -> Self {
-        LatencyHistogram {
-            repr: Repr::Bounded(BoundedSummary::default()),
-        }
-    }
-
-    pub fn is_bounded(&self) -> bool {
-        matches!(self.repr, Repr::Bounded(_))
-    }
-
-    pub fn record(&mut self, d: SimDuration) {
-        match &mut self.repr {
-            Repr::Exact { samples_us, sorted } => {
-                samples_us.push(d.as_micros());
-                *sorted = false;
-            }
-            Repr::Bounded(b) => b.record(d.as_micros()),
-        }
-    }
-
-    pub fn len(&self) -> usize {
-        match &self.repr {
-            Repr::Exact { samples_us, .. } => samples_us.len(),
-            Repr::Bounded(b) => b.count() as usize,
-        }
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Sum of all recorded samples in microseconds.
-    pub fn sum_us(&self) -> u64 {
-        match &self.repr {
-            Repr::Exact { samples_us, .. } => {
-                samples_us.iter().fold(0u64, |a, &v| a.saturating_add(v))
-            }
-            Repr::Bounded(b) => b.sum_us(),
-        }
-    }
-
-    fn ensure_sorted(&mut self) {
-        if let Repr::Exact { samples_us, sorted } = &mut self.repr {
-            if !*sorted {
-                samples_us.sort_unstable();
-                *sorted = true;
-            }
-        }
-    }
-
-    /// The q-th percentile (q in 0..=100), using nearest-rank.
-    pub fn percentile(&mut self, q: f64) -> SimDuration {
-        if self.is_empty() {
-            return SimDuration::ZERO;
-        }
-        self.ensure_sorted();
-        match &self.repr {
-            Repr::Exact { samples_us, .. } => {
-                let n = samples_us.len();
-                let rank = ((q / 100.0) * n as f64).ceil().max(1.0) as usize;
-                SimDuration::from_micros(samples_us[rank.min(n) - 1])
-            }
-            Repr::Bounded(b) => SimDuration::from_micros(b.percentile_us(q)),
-        }
-    }
-
-    pub fn mean(&self) -> SimDuration {
-        if self.is_empty() {
-            return SimDuration::ZERO;
-        }
-        SimDuration::from_micros(self.sum_us() / self.len() as u64)
-    }
-
-    pub fn max(&mut self) -> SimDuration {
-        self.ensure_sorted();
-        match &self.repr {
-            Repr::Exact { samples_us, .. } => {
-                SimDuration::from_micros(samples_us.last().copied().unwrap_or(0))
-            }
-            Repr::Bounded(b) => SimDuration::from_micros(b.max_us()),
-        }
-    }
-
-    pub fn min(&mut self) -> SimDuration {
-        self.ensure_sorted();
-        match &self.repr {
-            Repr::Exact { samples_us, .. } => {
-                SimDuration::from_micros(samples_us.first().copied().unwrap_or(0))
-            }
-            Repr::Bounded(b) => SimDuration::from_micros(b.min_us()),
-        }
-    }
-
-    /// Merge another histogram into this one. Merging a bounded histogram
-    /// into an exact one promotes the receiver to bounded (the samples
-    /// behind a summary are gone).
-    pub fn merge(&mut self, other: &LatencyHistogram) {
-        match (&mut self.repr, &other.repr) {
-            (
-                Repr::Exact { samples_us, sorted },
-                Repr::Exact {
-                    samples_us: theirs, ..
-                },
-            ) => {
-                samples_us.extend_from_slice(theirs);
-                *sorted = false;
-            }
-            (
-                Repr::Bounded(b),
-                Repr::Exact {
-                    samples_us: theirs, ..
-                },
-            ) => {
-                for &v in theirs {
-                    b.record(v);
-                }
-            }
-            (Repr::Bounded(b), Repr::Bounded(theirs)) => b.merge(theirs),
-            (Repr::Exact { samples_us, .. }, Repr::Bounded(theirs)) => {
-                let mut b = BoundedSummary::default();
-                for &v in samples_us.iter() {
-                    b.record(v);
-                }
-                b.merge(theirs);
-                self.repr = Repr::Bounded(b);
-            }
-        }
-    }
-
-    /// The bounded summary view: the live summary in bounded mode, or one
-    /// computed from the stored samples in exact mode.
-    pub fn to_summary(&self) -> BoundedSummary {
-        match &self.repr {
-            Repr::Bounded(b) => b.clone(),
-            Repr::Exact { samples_us, .. } => {
-                let mut b = BoundedSummary::default();
-                for &v in samples_us.iter() {
-                    b.record(v);
-                }
-                b
-            }
-        }
-    }
-}
-
-/// A windowed throughput counter: events per virtual second.
-#[derive(Debug, Clone, Copy, Default, Serialize, Deserialize)]
-pub struct Throughput {
-    pub count: u64,
-    pub elapsed: SimDuration,
-}
-
-impl Throughput {
-    pub fn per_second(&self) -> f64 {
-        let s = self.elapsed.as_secs_f64();
-        if s <= 0.0 {
-            0.0
-        } else {
-            self.count as f64 / s
-        }
-    }
-
-    /// TPC-C style transactions-per-minute.
-    pub fn per_minute(&self) -> f64 {
-        self.per_second() * 60.0
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn empty_histogram_is_zero() {
-        let mut h = LatencyHistogram::new();
+        let h = LatencyHistogram::new();
         assert_eq!(h.percentile(50.0), SimDuration::ZERO);
         assert_eq!(h.mean(), SimDuration::ZERO);
+        assert_eq!(h.min(), SimDuration::ZERO);
+        assert_eq!(h.max(), SimDuration::ZERO);
         assert!(h.is_empty());
     }
 
@@ -356,9 +164,10 @@ mod tests {
         for ms in 1..=100u64 {
             h.record(SimDuration::from_millis(ms));
         }
-        assert_eq!(h.percentile(50.0).as_millis(), 50);
-        assert_eq!(h.percentile(99.0).as_millis(), 99);
-        assert_eq!(h.percentile(100.0).as_millis(), 100);
+        // Bucket lower bounds: 50 000 µs sits in [49 664, 50 176).
+        assert_eq!(h.percentile(50.0).as_micros(), 49_664);
+        assert_eq!(h.percentile(99.0).as_micros(), 98_304);
+        assert_eq!(h.percentile(100.0).as_micros(), 99_328);
         assert_eq!(h.min().as_millis(), 1);
         assert_eq!(h.max().as_millis(), 100);
         assert_eq!(h.mean().as_micros(), 50_500);
@@ -376,40 +185,13 @@ mod tests {
     }
 
     #[test]
-    fn bounded_tracks_exact_within_bucket_error() {
-        let mut exact = LatencyHistogram::new();
-        let mut bounded = LatencyHistogram::bounded();
-        // A spread of magnitudes: 10 µs .. ~1 s.
-        let mut v = 10u64;
-        for i in 0..50_000u64 {
-            let us = v + (i * 7919) % (v / 2 + 1);
-            exact.record(SimDuration::from_micros(us));
-            bounded.record(SimDuration::from_micros(us));
-            if i % 1000 == 0 {
-                v = (v * 3 / 2).min(1_000_000);
-            }
-        }
-        assert!(bounded.is_bounded());
-        assert_eq!(exact.len(), bounded.len());
-        for q in [50.0, 95.0, 99.0, 99.9] {
-            let e = exact.percentile(q).as_micros() as f64;
-            let b = bounded.percentile(q).as_micros() as f64;
-            let err = (e - b).abs() / e.max(1.0);
-            assert!(err < 0.02, "p{q}: exact {e} vs bounded {b} (err {err})");
-        }
-        assert_eq!(exact.min(), bounded.min());
-        assert_eq!(exact.max(), bounded.max());
-        assert_eq!(exact.mean(), bounded.mean());
-    }
-
-    #[test]
     fn bounded_memory_does_not_grow_with_samples() {
-        let mut b = BoundedSummary::default();
+        let mut h = LatencyHistogram::new();
         for i in 0..1_000_000u64 {
-            b.record(i % 4096);
+            h.record(SimDuration::from_micros(i % 4096));
         }
-        assert!(b.counts.len() <= bucket_index(4096) + 1);
-        assert_eq!(b.count(), 1_000_000);
+        assert!(h.counts.len() <= bucket_index(4096) + 1);
+        assert_eq!(h.len(), 1_000_000);
     }
 
     #[test]
@@ -421,36 +203,5 @@ mod tests {
             // Relative error of the representative is bounded by 1/64.
             assert!((v - lo) as f64 <= (v as f64) / 64.0 + 1.0, "{v} -> {lo}");
         }
-    }
-
-    #[test]
-    fn mixed_merges_promote_to_bounded() {
-        let mut exact = LatencyHistogram::new();
-        exact.record(SimDuration::from_micros(10));
-        let mut b = LatencyHistogram::bounded();
-        b.record(SimDuration::from_micros(20));
-        exact.merge(&b);
-        assert!(exact.is_bounded());
-        assert_eq!(exact.len(), 2);
-        assert_eq!(exact.max().as_micros(), 20);
-
-        let mut b2 = LatencyHistogram::bounded();
-        let mut e2 = LatencyHistogram::new();
-        e2.record(SimDuration::from_micros(5));
-        b2.merge(&e2);
-        assert_eq!(b2.len(), 1);
-        assert_eq!(b2.min().as_micros(), 5);
-    }
-
-    #[test]
-    fn throughput_math() {
-        let t = Throughput {
-            count: 600,
-            elapsed: SimDuration::from_secs(60),
-        };
-        assert!((t.per_second() - 10.0).abs() < 1e-9);
-        assert!((t.per_minute() - 600.0).abs() < 1e-9);
-        let z = Throughput::default();
-        assert_eq!(z.per_second(), 0.0);
     }
 }

@@ -62,10 +62,10 @@ impl SimDuration {
     pub fn from_nanos(ns: u64) -> Self {
         SimDuration(ns)
     }
-    pub fn from_micros(us: u64) -> Self {
+    pub const fn from_micros(us: u64) -> Self {
         SimDuration(us * 1_000)
     }
-    pub fn from_millis(ms: u64) -> Self {
+    pub const fn from_millis(ms: u64) -> Self {
         SimDuration(ms * 1_000_000)
     }
     pub fn from_secs(s: u64) -> Self {

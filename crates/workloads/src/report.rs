@@ -66,9 +66,9 @@ impl WorkloadReport {
     }
 
     /// p99 latency for one type.
-    pub fn p99_latency(&mut self, kind: &'static str) -> SimDuration {
+    pub fn p99_latency(&self, kind: &'static str) -> SimDuration {
         self.latency
-            .get_mut(kind)
+            .get(kind)
             .map(|h| h.percentile(99.0))
             .unwrap_or(SimDuration::ZERO)
     }

@@ -63,7 +63,7 @@ fn tpcc_remote_transactions_cost_more_on_wan() {
         let mut wl = TpccWorkload::new(TpccScale::tiny(), TpccMix::standard(), 17);
         wl.remote_cn_fraction = remote;
         wl.setup(&mut cluster).unwrap();
-        let mut report = run_workload(&mut cluster, &mut wl, small_run());
+        let report = run_workload(&mut cluster, &mut wl, small_run());
         report.p99_latency("new_order")
     };
     let local = run(0.0);

@@ -34,7 +34,8 @@
 #   soak           the ignored TPC-C medium-scale soak (gdb-workloads):
 #                  medium-scale redo windows shipped under the TPC-C
 #                  consistency checks; in `all`, not `main`
-#   vt-diff REV    on demand, not part of `main`/`all`: build REV beside
+#   vt-diff REV    on demand, not part of `main`/`all`: build REV (one
+#                  with the `gdb-bench` runner, c8f4e5a or later) beside
 #                  the working tree and diff every deterministic output
 #                  (scripts/vt_diff.sh: all twelve `gdb-bench` experiments
 #                  at tiny scale, nemesis seeds and plans, the scenario

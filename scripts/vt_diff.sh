@@ -15,9 +15,8 @@
 #   * all 12 experiments at tiny scale (`gdb-bench <name> --scale tiny
 #     --secs 2 --terminals 8`): stdout, plus the full --json artifact
 #     (every metric in the registry) of the six that record one; the six
-#     ablations without an artifact diff stdout only. A <rev> older than
-#     the `gdb-bench` runner runs its per-figure binary of the same name
-#     instead, with the same knobs set through the environment;
+#     ablations without an artifact diff stdout only. <rev> must have the
+#     `gdb-bench` runner (c8f4e5a or later);
 #   * nemesis seed 1, stdout and the --json artifact;
 #   * nemesis seeds 1-5, plain and --overlap --migrations --elastic;
 #     seeds 51-53 --elastic;
@@ -63,12 +62,8 @@ surface() {
             case $exp in
             fig* | ablation_rebalance) json=(--json "$exp.json") ;;
             esac
-            if [ -x "$bin/gdb-bench" ]; then
-                "$bin/gdb-bench" "$exp" --scale tiny --secs 2 --terminals 8 "${json[@]}"
-            else
-                env "${knob}_SCALE=tiny" "${knob}_SECS=2" "${knob}_TERMINALS=8" \
-                    "$bin/$exp" "${json[@]}"
-            fi >"$exp.out" 2>&1
+            "$bin/gdb-bench" "$exp" --scale tiny --secs 2 --terminals 8 "${json[@]}" \
+                >"$exp.out" 2>&1
         done
         "$bin/nemesis" --seed 1 --duration 2s --json nemesis.json \
             >nemesis-json.out 2>&1 || true
@@ -96,8 +91,6 @@ surface() {
 build "$there"
 build "$here"
 experiments=$("$here/target/release/gdb-bench" 2>&1 | sed -n 's/^experiments: //p' | tr -d ',' || true)
-# The environment prefix the per-figure binaries read their knobs from.
-knob=GDB_BENCH
 plans=$("$here/target/release/nemesis" --help 2>&1 | sed -n 's/^plans: //p' | tr -d ',' || true)
 echo "==> run $sha"
 surface "$there" "$work/out-rev"
