@@ -75,21 +75,6 @@ impl NemesisConfig {
             elastic: false,
         }
     }
-
-    pub fn with_overlap(mut self) -> Self {
-        self.overlap = true;
-        self
-    }
-
-    pub fn with_migrations(mut self) -> Self {
-        self.migrations = true;
-        self
-    }
-
-    pub fn with_elastic(mut self) -> Self {
-        self.elastic = true;
-        self
-    }
 }
 
 /// Generate a random, fully paired fault schedule.
@@ -348,17 +333,18 @@ mod tests {
             !has_concurrent_injections(&plain),
             "without the flag every episode recovers before the next injects"
         );
-        let overlapped = generate(&base.with_overlap(), &shape());
+        let overlap = NemesisConfig {
+            overlap: true,
+            ..base
+        };
+        let overlapped = generate(&overlap, &shape());
         assert!(
             has_concurrent_injections(&overlapped),
             "overlap flag produced no concurrent episodes"
         );
         assert!(overlapped.events.len() > plain.events.len());
         // Still deterministic.
-        assert_eq!(
-            overlapped.events,
-            generate(&base.with_overlap(), &shape()).events
-        );
+        assert_eq!(overlapped.events, generate(&overlap, &shape()).events);
     }
 
     /// The faults injected while another injection is still outstanding
@@ -386,9 +372,10 @@ mod tests {
         let mut gtm = 0usize;
         let mut partition = 0usize;
         for seed in 1..=20 {
-            let cfg =
-                NemesisConfig::new(seed, SimTime::from_millis(500), SimDuration::from_secs(5))
-                    .with_overlap();
+            let cfg = NemesisConfig {
+                overlap: true,
+                ..NemesisConfig::new(seed, SimTime::from_millis(500), SimDuration::from_secs(5))
+            };
             for f in concurrent_faults(&generate(&cfg, &shape())) {
                 match f {
                     Fault::CrashGtm => gtm += 1,
@@ -405,6 +392,10 @@ mod tests {
     fn migration_family_is_gated_by_the_flag() {
         let cfg = NemesisConfig::new(13, SimTime::from_millis(500), SimDuration::from_secs(10));
         let plain = generate(&cfg, &shape());
+        let migrations = NemesisConfig {
+            migrations: true,
+            ..cfg
+        };
         assert!(
             !plain
                 .events
@@ -412,7 +403,7 @@ mod tests {
                 .any(|e| matches!(e.fault, Fault::StartMigration { .. })),
             "default schedules must not start migrations"
         );
-        let with = generate(&cfg.with_migrations(), &shape());
+        let with = generate(&migrations, &shape());
         assert!(
             with.events
                 .iter()
@@ -420,16 +411,20 @@ mod tests {
             "migration flag drew no migration episode over 10s"
         );
         // Still deterministic with the extra family.
-        assert_eq!(
-            with.events,
-            generate(&cfg.with_migrations(), &shape()).events
-        );
+        assert_eq!(with.events, generate(&migrations, &shape()).events);
     }
 
     #[test]
     fn elastic_family_is_gated_by_the_flag() {
-        let cfg = NemesisConfig::new(13, SimTime::from_millis(500), SimDuration::from_secs(10));
-        let plain = generate(&cfg.with_migrations(), &shape());
+        let cfg = NemesisConfig {
+            migrations: true,
+            ..NemesisConfig::new(13, SimTime::from_millis(500), SimDuration::from_secs(10))
+        };
+        let plain = generate(&cfg, &shape());
+        let elastic = NemesisConfig {
+            elastic: true,
+            ..cfg
+        };
         assert!(
             !plain
                 .events
@@ -437,7 +432,7 @@ mod tests {
                 .any(|e| matches!(e.fault, Fault::AddNode { .. } | Fault::RemoveNode { .. })),
             "schedules without the flag must not touch membership"
         );
-        let with = generate(&cfg.with_migrations().with_elastic(), &shape());
+        let with = generate(&elastic, &shape());
         assert!(
             with.events
                 .iter()
@@ -451,10 +446,7 @@ mod tests {
             "elastic flag drew no remove-node episode over 10s"
         );
         // Still deterministic with the extra family.
-        assert_eq!(
-            with.events,
-            generate(&cfg.with_migrations().with_elastic(), &shape()).events
-        );
+        assert_eq!(with.events, generate(&elastic, &shape()).events);
     }
 
     #[test]

@@ -34,14 +34,6 @@ impl FaultPlan {
         self
     }
 
-    /// True if the plan contains a promotion (possible data loss under
-    /// asynchronous replication — the oracle relaxes durability checks).
-    pub fn has_promotion(&self) -> bool {
-        self.events
-            .iter()
-            .any(|e| matches!(e.fault, Fault::PromoteReplica { .. }))
-    }
-
     /// Schedule every fault of the plan as a first-class simulation event
     /// on `cluster`, recording each application into `trace`.
     pub fn schedule(&self, cluster: &mut Cluster, trace: TraceHandle) {
@@ -300,8 +292,6 @@ mod tests {
             assert!(!p.events.is_empty(), "{} is empty", p.name);
             assert!(canned::by_name(&p.name).is_some());
         }
-        assert!(canned::primary_failover().has_promotion());
-        assert!(!canned::partition_and_delay().has_promotion());
     }
 
     #[test]

@@ -28,13 +28,13 @@ pub struct ChaosConfig {
     pub probe_interval: SimDuration,
     pub probe_keys: i64,
     /// Let the nemesis generator overlay concurrent fault episodes
-    /// ([`NemesisConfig::with_overlap`]).
+    /// ([`NemesisConfig::overlap`]).
     pub overlap: bool,
     /// Let the nemesis generator draw online-migration episodes
-    /// ([`NemesisConfig::with_migrations`]).
+    /// ([`NemesisConfig::migrations`]).
     pub migrations: bool,
     /// Let the nemesis generator draw elastic-membership episodes
-    /// ([`NemesisConfig::with_elastic`]).
+    /// ([`NemesisConfig::elastic`]).
     pub elastic: bool,
     /// Replication mode under torment. Synchronous modes get the strict
     /// durability oracle; `Async` gets the bounded-loss check (a failover

@@ -58,10 +58,6 @@ impl CollectorElection {
         }
     }
 
-    pub fn is_alive(&self, cn: usize) -> bool {
-        self.alive.get(cn).copied().unwrap_or(false)
-    }
-
     /// Refresh the whole liveness view from an external health check (the
     /// fault-injection entry point). Returns the new collector if the
     /// leadership changed — i.e. a collector failover happened.
@@ -136,6 +132,5 @@ mod tests {
         assert_eq!(e.on_cn_down(9), None);
         e.on_cn_up(9);
         assert_eq!(e.collector(), Some(0));
-        assert!(!e.is_alive(9));
     }
 }

@@ -59,25 +59,6 @@ impl RcpCalculator {
     pub fn current(&self) -> Timestamp {
         self.rcp
     }
-
-    /// Adopt a distributed RCP from the collector CN (never backwards).
-    pub fn adopt(&mut self, rcp: Timestamp) {
-        self.rcp = self.rcp.max(rcp);
-    }
-
-    /// Remove a replica from the expected set (it crashed and was dropped
-    /// from the read group); the RCP may then advance past it.
-    pub fn remove_replica(&mut self, replica: ReplicaSlot) {
-        self.expected.retain(|&r| r != replica);
-        self.reported.remove(&replica);
-    }
-
-    /// Add a replica to the expected set (rejoined after recovery).
-    pub fn add_replica(&mut self, replica: ReplicaSlot) {
-        if !self.expected.contains(&replica) {
-            self.expected.push(replica);
-        }
-    }
 }
 
 #[cfg(test)]
@@ -124,33 +105,6 @@ mod tests {
         assert_eq!(rcp.compute(), Timestamp(40));
         rcp.report(2, Timestamp(70));
         assert_eq!(rcp.compute(), Timestamp(50));
-    }
-
-    #[test]
-    fn adopt_distributed_rcp_monotone() {
-        let mut rcp = RcpCalculator::new(vec![]);
-        rcp.adopt(Timestamp(30));
-        rcp.adopt(Timestamp(20));
-        assert_eq!(rcp.current(), Timestamp(30));
-    }
-
-    #[test]
-    fn crashed_replica_unpins_rcp() {
-        let mut rcp = RcpCalculator::new(vec![1, 2, 3]);
-        rcp.report(1, Timestamp(90));
-        rcp.report(2, Timestamp(80));
-        rcp.report(3, Timestamp(5)); // far behind, then crashes
-        assert_eq!(rcp.compute(), Timestamp(5));
-        rcp.remove_replica(3);
-        assert_eq!(rcp.compute(), Timestamp(80));
-        // It rejoins: RCP stays monotone (pinned until it reports).
-        rcp.add_replica(3);
-        assert_eq!(rcp.compute(), Timestamp(80));
-        rcp.report(3, Timestamp(85));
-        assert_eq!(rcp.compute(), Timestamp(80), "min(90,80,85) = 80");
-        rcp.report(3, Timestamp(100));
-        rcp.report(2, Timestamp(95));
-        assert_eq!(rcp.compute(), Timestamp(90));
     }
 }
 

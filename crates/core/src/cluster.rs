@@ -729,11 +729,6 @@ impl Cluster {
         self.db.migrations.first().map(|m| m.shard)
     }
 
-    /// Run a vacuum pass at the current virtual time.
-    pub fn vacuum(&mut self) -> usize {
-        self.db.vacuum()
-    }
-
     /// Metrics snapshot with the time-derived per-replica freshness
     /// gauges refreshed at the engine's current virtual time. Prefer
     /// this over [`GlobalDb::metrics_snapshot`] whenever the engine is

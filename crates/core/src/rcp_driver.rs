@@ -213,9 +213,10 @@ impl GlobalDb {
     }
 
     /// Vacuum primaries up to the cluster-wide minimum RCP (safe horizon:
-    /// every replica and every client snapshot is at or above it) and
-    /// trim shard shipping logs past the durable-consumer floor.
-    pub(crate) fn vacuum(&mut self) -> usize {
+    /// every replica and every client snapshot is at or above it), trim
+    /// shard shipping logs past the durable-consumer floor and drop the
+    /// row locks released by `now`.
+    pub(crate) fn vacuum(&mut self, now: SimTime) -> usize {
         // Shard-log trimming: every record below the minimum resume
         // point over the shard's followers (replicas and in-flight
         // migration targets) is durably consumed and can never be
@@ -227,6 +228,13 @@ impl GlobalDb {
                 .map(|f| f.applier.resume_from())
                 .fold(s.log.sealed_head(), Lsn::min);
             self.stats.redo_records_trimmed += s.log.trim_shipped(floor) as u64;
+            // A live primary drops the row locks released by `now`: every
+            // later acquire runs at or after `now`, and to it an expired
+            // lock and an absent one are the same. A crashed primary does
+            // no housekeeping; a takeover carries its table as it was.
+            if !self.topo.is_node_down(s.primary) {
+                s.storage.locks.sweep(now);
+            }
         }
 
         let horizon = self
@@ -310,7 +318,7 @@ pub(crate) fn heartbeat_event(w: &mut GlobalDb, sim: &mut CoreSim) {
 }
 
 pub(crate) fn vacuum_event(w: &mut GlobalDb, sim: &mut CoreSim) {
-    let removed = w.vacuum();
+    let removed = w.vacuum(sim.now());
     w.stats.versions_vacuumed += removed as u64;
     let Some(interval) = w.config.vacuum_interval else {
         return;

@@ -35,7 +35,7 @@ use gdb_model::Timestamp;
 use gdb_obs::SpanKind;
 use gdb_replication::{ReplicaApplier, ShippingChannel};
 use gdb_simnet::{NetNodeId, RegionId, SimDuration, SimTime};
-use gdb_storage::DataNodeStorage;
+use gdb_storage::{DataNodeStorage, LockTable};
 use gdb_wal::RedoRecord;
 
 /// One follower of a shard's redo stream: a replica data node, or the
@@ -117,10 +117,14 @@ impl Shard {
             .unwrap_or(Timestamp::ZERO);
         let mut channel = ShippingChannel::new(codec);
         channel.rewind(head);
+        // A replica never reads the row-lock table, and a takeover
+        // installs the old primary's.
+        let mut storage = self.storage.clone();
+        storage.locks = LockTable::new();
         Replica {
             node,
             region,
-            applier: ReplicaApplier::resumed(self.storage.clone(), head, max_ts),
+            applier: ReplicaApplier::resumed(storage, head, max_ts),
             channel,
             busy_until: now,
             stream_free: now,

@@ -107,7 +107,7 @@ impl ShardLog {
             }
             let ((_, _), (txn, payload)) = entry.remove_entry();
             let lsn = self.sealed.head_lsn();
-            self.durable.append_parts(lsn, txn, payload.as_view());
+            self.durable.append_parts(lsn, txn, &payload);
             if ends_txn(&payload) {
                 self.durable.commit();
             }

@@ -83,14 +83,6 @@ impl Datum {
         }
     }
 
-    /// Extract a boolean, if this is one.
-    pub fn as_bool(&self) -> Option<bool> {
-        match self {
-            Datum::Bool(b) => Some(*b),
-            _ => None,
-        }
-    }
-
     /// SQL comparison: NULL compares as unknown (`None`); numeric types
     /// compare across Int/Decimal by raw value.
     pub fn sql_cmp(&self, other: &Datum) -> Option<Ordering> {

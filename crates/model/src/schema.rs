@@ -75,12 +75,6 @@ impl TableSchema {
         self.primary_key.iter().map(|&i| row.0[i].clone()).collect()
     }
 
-    /// Map a row to its shard given the cluster's shard count.
-    pub fn shard_of_row(&self, row: &Row, shard_count: u16) -> ShardId {
-        let vals = self.distribution_key.iter().map(|&i| &row.0[i]);
-        self.shard_of_values(vals, shard_count)
-    }
-
     /// Map a *primary-key* value to its shard by extracting the
     /// distribution-key columns from it (requires the distribution key to
     /// be a subset of the primary key, which the schema builder enforces).
@@ -284,8 +278,8 @@ mod tests {
     fn hash_distribution_is_stable() {
         let s = sample_schema();
         let row = Row::new(vec![Datum::Int(42), Datum::Null, Datum::Decimal(0)]);
-        let a = s.shard_of_row(&row, 6);
-        let b = s.shard_of_row(&row, 6);
+        let a = s.shard_of_pk(&s.primary_key_of(&row), 6);
+        let b = s.shard_of_pk(&s.primary_key_of(&row), 6);
         assert_eq!(a, b);
         assert!(a.0 < 6);
     }
@@ -303,7 +297,6 @@ mod tests {
         for w in 0..50i64 {
             let row = Row::new(vec![Datum::Int(w), Datum::from("n"), Datum::Int(w * 7)]);
             let by_key = s.shard_of_key(&RowKey::single(w), 7);
-            assert_eq!(s.shard_of_row(&row, 7), by_key);
             assert_eq!(s.shard_of_pk(&s.primary_key_of(&row), 7), by_key);
             assert_eq!(s.shard_of_values([&Datum::Int(w)], 7), by_key);
         }

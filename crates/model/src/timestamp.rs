@@ -87,16 +87,6 @@ impl TimestampBound {
     pub fn uncertainty(&self) -> u64 {
         self.latest.0 - self.earliest.0
     }
-
-    /// True if `other` definitely happened before this reading.
-    pub fn definitely_after(&self, other: Timestamp) -> bool {
-        self.earliest > other
-    }
-
-    /// True if `other` definitely happened after this reading.
-    pub fn definitely_before(&self, other: Timestamp) -> bool {
-        self.latest < other
-    }
 }
 
 #[cfg(test)]
@@ -119,10 +109,6 @@ mod tests {
             latest: Timestamp(140),
         };
         assert_eq!(b.uncertainty(), 40);
-        assert!(b.definitely_after(Timestamp(99)));
-        assert!(!b.definitely_after(Timestamp(100)));
-        assert!(b.definitely_before(Timestamp(141)));
-        assert!(!b.definitely_before(Timestamp(140)));
     }
 
     #[test]

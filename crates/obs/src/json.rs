@@ -25,10 +25,6 @@ impl Json {
         Json::Str(s.into())
     }
 
-    pub fn num(n: impl Into<f64>) -> Json {
-        Json::Num(n.into())
-    }
-
     /// u64 → Json number. JSON numbers are `f64`: values above 2^53 are
     /// rounded here and refused by [`Json::as_u64`], so encode
     /// full-width identifiers (hashes, digests) as strings instead.

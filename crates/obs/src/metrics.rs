@@ -15,7 +15,7 @@
 //! [`CounterId`] / [`HistId`] (creating the slot on first use), and the
 //! hot methods ([`MetricsRegistry::add`], [`MetricsRegistry::bump`],
 //! [`MetricsRegistry::record`]) are direct indexed writes. The string
-//! methods (`count`, `incr`, `set_counter`, `observe`, `set_histogram`)
+//! methods (`count`, `set_counter`, `observe`, `set_histogram`)
 //! resolve the name the same way and then write the slot, so a name is
 //! one instrument whichever path touches it. Gauges are a plain name →
 //! value map.
@@ -107,10 +107,6 @@ impl MetricsRegistry {
     pub fn count(&mut self, name: impl Into<MetricName>, delta: u64) {
         let id = self.register_counter(name);
         self.add(id, delta);
-    }
-
-    pub fn incr(&mut self, name: impl Into<MetricName>) {
-        self.count(name, 1);
     }
 
     /// Set counter `name` to an absolute value (for mirroring externally
@@ -280,7 +276,7 @@ mod tests {
     #[test]
     fn counters_and_gauges() {
         let mut r = MetricsRegistry::new();
-        r.incr("a.events");
+        r.count("a.events", 1);
         r.count("a.events", 4);
         r.gauge("a.load", 0.5);
         assert_eq!(r.counter("a.events"), 5);
@@ -368,7 +364,7 @@ mod tests {
         assert_eq!(r.register_counter("a.events"), c);
         r.add(c, 3);
         r.bump(c);
-        r.incr("a.events");
+        r.count("a.events", 1);
         assert_eq!(r.counter("a.events"), 7);
 
         let h = r.register_histogram("a.lat_us");

@@ -122,11 +122,6 @@ pub struct Tracer {
 }
 
 impl Tracer {
-    /// A tracer that records nothing (the default for bench runs).
-    pub fn disabled() -> Self {
-        Self::default()
-    }
-
     /// Enable recording with a hard span-count bound.
     pub fn enable(&mut self, capacity: usize) {
         self.enabled = true;
@@ -247,12 +242,6 @@ impl Tracer {
         }
         out
     }
-
-    /// Forget all recorded spans (keeps enablement and capacity).
-    pub fn clear(&mut self) {
-        self.spans.clear();
-        self.dropped = 0;
-    }
 }
 
 #[cfg(test)]
@@ -266,7 +255,7 @@ mod tests {
 
     #[test]
     fn disabled_tracer_records_nothing() {
-        let mut tr = Tracer::disabled();
+        let mut tr = Tracer::default();
         assert_eq!(tr.record(SpanKind::Txn, 1, t(0), t(5)), None);
         assert!(tr.spans().is_empty());
         assert_eq!(tr.dropped(), 0);

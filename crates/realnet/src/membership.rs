@@ -58,10 +58,6 @@ impl StaticMembership {
         &self.silos
     }
 
-    pub fn silo_count(&self) -> usize {
-        self.silos.len()
-    }
-
     /// The silo index hosting `node`.
     pub fn silo_of(&self, node: NetNodeId) -> usize {
         self.silo_of_node[node.0 as usize]
@@ -82,7 +78,7 @@ mod tests {
     fn three_city_cluster_forms_three_silos_covering_every_node() {
         let (topo, _) = ClusterConfig::globaldb_three_city().build_topology();
         let m = StaticMembership::from_topology(&topo);
-        assert_eq!(m.silo_count(), 3, "one silo per host");
+        assert_eq!(m.silos().len(), 3, "one silo per host");
         let total: usize = m.silos().iter().map(|s| s.nodes.len()).sum();
         assert_eq!(total, topo.node_count(), "every node lives in a silo");
         for silo in m.silos() {

@@ -183,10 +183,6 @@ impl ThreadTransport {
     pub fn states(&self) -> Vec<SharedSilo> {
         self.silos.iter().map(Arc::clone).collect()
     }
-
-    pub fn fault_controller(&self) -> FaultController {
-        self.faults.clone()
-    }
 }
 
 impl Transport for ThreadTransport {
@@ -391,10 +387,6 @@ impl TcpTransport {
     /// Handles on the running silos (for end-of-run verification).
     pub fn states(&self) -> Vec<SharedSilo> {
         self.silos.iter().map(Arc::clone).collect()
-    }
-
-    pub fn fault_controller(&self) -> FaultController {
-        self.faults.clone()
     }
 
     /// Plan `envs` in order, stopping at the first undeliverable one as

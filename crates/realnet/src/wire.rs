@@ -14,7 +14,7 @@
 //!   (a GTM timestamp, a DN applied-bytes cursor).
 
 use gdb_simnet::NetNodeId;
-use globaldb::{Envelope, RpcKind};
+use globaldb::RpcKind;
 use std::io::{self, Read};
 
 /// Actual bytes shipped per request is capped here; the declared size in
@@ -44,17 +44,6 @@ pub struct Request {
     pub declared: u64,
     /// Fault-injected extra one-way delay the silo sleeps before acking.
     pub delay_ns: u64,
-}
-
-impl Request {
-    pub fn envelope(&self) -> Envelope {
-        Envelope {
-            kind: self.kind,
-            from: self.from,
-            to: self.to,
-            bytes: self.declared,
-        }
-    }
 }
 
 /// The reply to a request frame.

@@ -89,10 +89,6 @@ impl ShippingChannel {
         self
     }
 
-    pub fn codec(&self) -> Codec {
-        self.codec
-    }
-
     pub fn next_lsn(&self) -> Lsn {
         self.next_lsn
     }

@@ -30,18 +30,6 @@ impl Default for ReplayCostModel {
 }
 
 impl ReplayCostModel {
-    pub fn serial() -> Self {
-        ReplayCostModel {
-            workers: 1,
-            ..Self::default()
-        }
-    }
-
-    pub fn with_workers(mut self, workers: usize) -> Self {
-        self.workers = workers.max(1);
-        self
-    }
-
     /// Time to replay a batch of `records` records.
     pub fn batch_delay(&self, records: usize) -> SimDuration {
         let per_worker = records.div_ceil(self.workers.max(1));
@@ -55,8 +43,14 @@ mod tests {
 
     #[test]
     fn parallelism_divides_replay_time() {
-        let serial = ReplayCostModel::serial();
-        let par4 = ReplayCostModel::default().with_workers(4);
+        let serial = ReplayCostModel {
+            workers: 1,
+            ..ReplayCostModel::default()
+        };
+        let par4 = ReplayCostModel {
+            workers: 4,
+            ..ReplayCostModel::default()
+        };
         let s = serial.batch_delay(1000);
         let p = par4.batch_delay(1000);
         // 4 workers ≈ 4× faster on the per-record term.
@@ -72,7 +66,11 @@ mod tests {
 
     #[test]
     fn workers_never_zero() {
-        let m = ReplayCostModel::default().with_workers(0);
-        assert_eq!(m.workers, 1);
+        // Zero workers replays like one rather than dividing by zero.
+        let [zero, one] = [0, 1].map(|workers| ReplayCostModel {
+            workers,
+            ..ReplayCostModel::default()
+        });
+        assert_eq!(zero.batch_delay(1000), one.batch_delay(1000));
     }
 }

@@ -71,11 +71,6 @@ impl Skyline {
             .copied()
     }
 
-    /// Pick the freshest candidate regardless of cost (strict freshness).
-    pub fn select_freshest(&self) -> Option<NodeMetrics> {
-        self.candidates.first().copied()
-    }
-
     pub fn is_empty(&self) -> bool {
         self.candidates.is_empty()
     }
@@ -145,8 +140,6 @@ mod tests {
         // Impossible bound: nothing qualifies (caller falls back to
         // the primary).
         assert!(sky.select(Some(SimDuration::from_millis(5))).is_none());
-        // Freshest-first.
-        assert_eq!(sky.select_freshest().unwrap().node, NetNodeId(1));
     }
 
     #[test]
@@ -174,7 +167,6 @@ mod tests {
         let sky = Skyline::compute(&[]);
         assert!(sky.is_empty());
         assert!(sky.select(None).is_none());
-        assert!(sky.select_freshest().is_none());
     }
 
     #[test]

@@ -355,7 +355,12 @@ impl Shell {
         let c = &mut self.real.cluster;
         let at = c.now();
         match c.execute_sql(cn, at, stmt, &[]) {
-            Ok((out, o)) => render_sql(&out, &o),
+            Ok((out, o)) => {
+                // The session issues its next statement only after this
+                // one's ack.
+                c.run_until(o.completed_at);
+                render_sql(&out, &o)
+            }
             Err(e) => format!("error: {e:?}"),
         }
     }
@@ -739,6 +744,21 @@ mod tests {
         assert!(lag.contains("max lag"), "missing lag aggregate:\n{lag}");
         assert!(lag.lines().count() <= SUMMARY_TOP_K + 2);
         assert!(!shell.failed());
+    }
+
+    /// A session issues a statement only after the previous one's ack,
+    /// so a primary read (`FOR UPDATE`) sees the row the statement
+    /// before inserted.
+    #[test]
+    fn sql_reads_its_own_writes() {
+        let mut shell = Shell::launch(7, Backend::Sim);
+        shell.exec("sql CREATE TABLE t (id INT NOT NULL, PRIMARY KEY (id)) DISTRIBUTE BY HASH(id)");
+        let insert = shell.exec("sql INSERT INTO t VALUES (1)");
+        assert!(insert.starts_with("1 row(s) affected"), "{insert}");
+        let select = shell.exec("sql SELECT id FROM t WHERE id = 1 FOR UPDATE");
+        assert!(select.contains("via primary"), "{select}");
+        assert!(select.starts_with("(1)\n1 row(s)"), "{select}");
+        assert!(!shell.exec("status").contains("t=0.000000s"));
     }
 
     /// Small clusters keep the exhaustive listing (the golden transcript

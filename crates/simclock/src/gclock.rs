@@ -68,10 +68,6 @@ impl GClock {
         }
     }
 
-    pub fn config(&self) -> GClockConfig {
-        self.config
-    }
-
     /// Synchronize with the regional time device (call on the sync period).
     pub fn sync(&mut self, true_now: SimTime) {
         self.clock.sync(true_now, self.config.sync_rtt);

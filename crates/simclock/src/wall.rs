@@ -22,8 +22,8 @@ pub trait TimeSource: Send {
     fn now(&self) -> SimTime;
 }
 
-/// Monotonic real time, anchored when constructed (or at an explicit
-/// origin shared by several clocks so their readings are comparable).
+/// Monotonic real time, anchored when constructed; copies share the
+/// anchor, so their readings are comparable.
 #[derive(Debug, Clone, Copy)]
 pub struct WallClock {
     origin: Instant,
@@ -35,16 +35,6 @@ impl WallClock {
         WallClock {
             origin: Instant::now(),
         }
-    }
-
-    /// A clock sharing `origin` — every silo of a real cluster is handed
-    /// the same origin so their timestamps form one timeline.
-    pub fn with_origin(origin: Instant) -> Self {
-        WallClock { origin }
-    }
-
-    pub fn origin(&self) -> Instant {
-        self.origin
     }
 
     /// Real time elapsed since `earlier` (saturating at zero).
@@ -81,18 +71,6 @@ mod tests {
             "2ms sleep measured as {}",
             b.since(a)
         );
-    }
-
-    #[test]
-    fn shared_origin_clocks_agree() {
-        let origin = Instant::now();
-        let a = WallClock::with_origin(origin);
-        let b = WallClock::with_origin(origin);
-        let (ta, tb) = (a.now(), b.now());
-        // Two reads against the same origin are within a generous bound
-        // of each other (they differ only by the time between calls).
-        let skew = if ta > tb { ta.since(tb) } else { tb.since(ta) };
-        assert!(skew < SimDuration::from_secs(1), "skew {skew}");
     }
 
     #[test]

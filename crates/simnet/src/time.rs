@@ -100,10 +100,6 @@ impl SimDuration {
     pub fn min(self, other: SimDuration) -> SimDuration {
         SimDuration(self.0.min(other.0))
     }
-
-    pub fn saturating_sub(self, other: SimDuration) -> SimDuration {
-        SimDuration(self.0.saturating_sub(other.0))
-    }
 }
 
 impl Add<SimDuration> for SimTime {

@@ -18,7 +18,7 @@
 //! Reno-style window-limited sender achieves at most `window / RTT`
 //! (paper §V-A's motivation for switching to BBR).
 
-use crate::time::{SimDuration, SimTime};
+use crate::time::SimDuration;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
@@ -526,17 +526,6 @@ impl TopologyBuilder {
     }
 }
 
-/// A tiny convenience: the virtual time a periodic activity with `period`
-/// next fires at, aligned to its phase.
-pub fn next_tick(now: SimTime, period: SimDuration) -> SimTime {
-    if period.is_zero() {
-        return now;
-    }
-    let p = period.as_nanos();
-    let n = now.as_nanos();
-    SimTime::from_nanos(((n / p) + 1) * p)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -714,18 +703,6 @@ mod tests {
             SimDuration::from_micros(27_500)
         );
         assert!(!t.link(x, d).nagle);
-    }
-
-    #[test]
-    fn next_tick_alignment() {
-        assert_eq!(
-            next_tick(SimTime::from_millis(7), SimDuration::from_millis(5)),
-            SimTime::from_millis(10)
-        );
-        assert_eq!(
-            next_tick(SimTime::from_millis(10), SimDuration::from_millis(5)),
-            SimTime::from_millis(15)
-        );
     }
 
     #[test]

@@ -76,10 +76,6 @@ impl MemAccess {
         self.now_ts = self.now_ts.next();
         self.now_ts
     }
-
-    pub fn storage(&self) -> &DataNodeStorage {
-        &self.storage
-    }
 }
 
 impl Default for MemAccess {

@@ -227,11 +227,6 @@ impl Table {
         })
     }
 
-    /// True if any version (even a tombstone) exists for the key.
-    pub fn contains_any_version(&self, key: &RowKey) -> bool {
-        self.rows.contains_key(key)
-    }
-
     /// True if the key has a live (non-tombstone) newest version.
     pub fn exists_newest(&self, key: &RowKey) -> bool {
         self.read_newest(key).is_some()
@@ -374,7 +369,6 @@ mod tests {
         assert!(tbl.read(&k(1), t(20)).is_none());
         assert!(tbl.read(&k(1), t(25)).is_none());
         assert!(!tbl.exists_newest(&k(1)));
-        assert!(tbl.contains_any_version(&k(1)));
     }
 
     #[test]

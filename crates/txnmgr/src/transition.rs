@@ -84,10 +84,6 @@ impl TransitionOrchestrator {
         self.phase != Phase::Idle
     }
 
-    pub fn direction(&self) -> Option<TransitionDirection> {
-        self.direction
-    }
-
     /// Begin a transition. The server immediately enters DUAL mode and the
     /// cluster stays fully online.
     pub fn start(

@@ -124,6 +124,12 @@ impl RedoPayload {
             _ => None,
         }
     }
+
+    /// The payload itself. Kept only because the full-stack benchmark's
+    /// WAL probe (`benchmark/src/probes.rs`) calls it.
+    pub fn as_view(&self) -> &RedoPayload {
+        self
+    }
 }
 
 /// One redo record: stream position, owning transaction, and payload.
@@ -132,89 +138,6 @@ pub struct RedoRecord {
     pub lsn: Lsn,
     pub txn: TxnId,
     pub payload: RedoPayload,
-}
-
-/// Borrowed view of a [`RedoPayload`], so hot-path writers can encode a
-/// record straight from the live key/row they are installing — no owned
-/// `RowKey`/`Row` clones just to build a payload that is immediately
-/// serialized and dropped. Encodes byte-identically to the owned form.
-#[derive(Debug, Clone, Copy)]
-pub enum RedoPayloadRef<'a> {
-    Insert {
-        table: TableId,
-        key: &'a RowKey,
-        row: &'a Row,
-    },
-    Update {
-        table: TableId,
-        key: &'a RowKey,
-        new_row: &'a Row,
-    },
-    Delete {
-        table: TableId,
-        key: &'a RowKey,
-    },
-    PendingCommit,
-    Commit {
-        commit_ts: Timestamp,
-    },
-    Abort,
-    Prepare,
-    CommitPrepared {
-        commit_ts: Timestamp,
-    },
-    AbortPrepared,
-    Ddl {
-        commit_ts: Timestamp,
-        kind: &'a DdlKind,
-    },
-    Heartbeat {
-        commit_ts: Timestamp,
-    },
-    Checkpoint {
-        as_of: Timestamp,
-    },
-}
-
-impl RedoPayload {
-    /// The borrowed encoding view of this payload.
-    pub fn as_view(&self) -> RedoPayloadRef<'_> {
-        match self {
-            RedoPayload::Insert { table, key, row } => RedoPayloadRef::Insert {
-                table: *table,
-                key,
-                row,
-            },
-            RedoPayload::Update {
-                table,
-                key,
-                new_row,
-            } => RedoPayloadRef::Update {
-                table: *table,
-                key,
-                new_row,
-            },
-            RedoPayload::Delete { table, key } => RedoPayloadRef::Delete { table: *table, key },
-            RedoPayload::PendingCommit => RedoPayloadRef::PendingCommit,
-            RedoPayload::Commit { commit_ts } => RedoPayloadRef::Commit {
-                commit_ts: *commit_ts,
-            },
-            RedoPayload::Abort => RedoPayloadRef::Abort,
-            RedoPayload::Prepare => RedoPayloadRef::Prepare,
-            RedoPayload::CommitPrepared { commit_ts } => RedoPayloadRef::CommitPrepared {
-                commit_ts: *commit_ts,
-            },
-            RedoPayload::AbortPrepared => RedoPayloadRef::AbortPrepared,
-            RedoPayload::Ddl { commit_ts, kind } => RedoPayloadRef::Ddl {
-                commit_ts: *commit_ts,
-                kind,
-            },
-            RedoPayload::Heartbeat { commit_ts } => RedoPayloadRef::Heartbeat {
-                commit_ts: *commit_ts,
-            },
-            RedoPayload::Checkpoint { as_of } => RedoPayloadRef::Checkpoint { as_of: *as_of },
-        }
-    }
 }
 
 // Payload tags.
@@ -317,15 +240,15 @@ fn get_schema(r: &mut Reader) -> Result<TableSchema, WalError> {
     })
 }
 
-fn put_payload_ref(out: &mut Vec<u8>, p: RedoPayloadRef<'_>) {
+fn put_payload(out: &mut Vec<u8>, p: &RedoPayload) {
     match p {
-        RedoPayloadRef::Insert { table, key, row } => {
+        RedoPayload::Insert { table, key, row } => {
             out.push(P_INSERT);
             put_varint(out, table.0 as u64);
             put_key(out, key);
             put_row(out, row);
         }
-        RedoPayloadRef::Update {
+        RedoPayload::Update {
             table,
             key,
             new_row,
@@ -335,24 +258,24 @@ fn put_payload_ref(out: &mut Vec<u8>, p: RedoPayloadRef<'_>) {
             put_key(out, key);
             put_row(out, new_row);
         }
-        RedoPayloadRef::Delete { table, key } => {
+        RedoPayload::Delete { table, key } => {
             out.push(P_DELETE);
             put_varint(out, table.0 as u64);
             put_key(out, key);
         }
-        RedoPayloadRef::PendingCommit => out.push(P_PENDING),
-        RedoPayloadRef::Commit { commit_ts } => {
+        RedoPayload::PendingCommit => out.push(P_PENDING),
+        RedoPayload::Commit { commit_ts } => {
             out.push(P_COMMIT);
             put_varint(out, commit_ts.0);
         }
-        RedoPayloadRef::Abort => out.push(P_ABORT),
-        RedoPayloadRef::Prepare => out.push(P_PREPARE),
-        RedoPayloadRef::CommitPrepared { commit_ts } => {
+        RedoPayload::Abort => out.push(P_ABORT),
+        RedoPayload::Prepare => out.push(P_PREPARE),
+        RedoPayload::CommitPrepared { commit_ts } => {
             out.push(P_COMMIT_PREP);
             put_varint(out, commit_ts.0);
         }
-        RedoPayloadRef::AbortPrepared => out.push(P_ABORT_PREP),
-        RedoPayloadRef::Ddl { commit_ts, kind } => {
+        RedoPayload::AbortPrepared => out.push(P_ABORT_PREP),
+        RedoPayload::Ddl { commit_ts, kind } => {
             out.push(P_DDL);
             put_varint(out, commit_ts.0);
             match kind {
@@ -384,11 +307,11 @@ fn put_payload_ref(out: &mut Vec<u8>, p: RedoPayloadRef<'_>) {
                 }
             }
         }
-        RedoPayloadRef::Heartbeat { commit_ts } => {
+        RedoPayload::Heartbeat { commit_ts } => {
             out.push(P_HEARTBEAT);
             put_varint(out, commit_ts.0);
         }
-        RedoPayloadRef::Checkpoint { as_of } => {
+        RedoPayload::Checkpoint { as_of } => {
             out.push(P_CHECKPOINT);
             put_varint(out, as_of.0);
         }
@@ -479,24 +402,25 @@ pub fn encode_record(out: &mut Vec<u8>, rec: &RedoRecord) {
 
 /// [`encode_record`] reusing a caller-owned staging buffer.
 pub fn encode_record_into(scratch: &mut EncodeScratch, out: &mut Vec<u8>, rec: &RedoRecord) {
-    encode_record_parts(scratch, out, rec.lsn, rec.txn, rec.payload.as_view());
+    encode_record_parts(scratch, out, rec.lsn, rec.txn, &rec.payload);
 }
 
-/// Frame a record directly from borrowed payload parts — the zero-copy
-/// write path: no owned payload, no per-record body `Vec`. Byte-for-byte
-/// identical to [`encode_record`] on the equivalent owned record.
+/// Frame a record from its parts, so a writer that keeps the payload
+/// apart from its LSN and txn need not build a [`RedoRecord`]: no
+/// per-record body `Vec`. Byte-for-byte identical to [`encode_record`]
+/// on the equivalent record.
 pub fn encode_record_parts(
     scratch: &mut EncodeScratch,
     out: &mut Vec<u8>,
     lsn: Lsn,
     txn: TxnId,
-    payload: RedoPayloadRef<'_>,
+    payload: &RedoPayload,
 ) {
     let body = &mut scratch.body;
     body.clear();
     put_varint(body, lsn.0);
     put_varint(body, txn.0);
-    put_payload_ref(body, payload);
+    put_payload(body, payload);
     put_varint(out, body.len() as u64);
     out.extend_from_slice(body);
     out.extend_from_slice(&crc32(body).to_le_bytes());
@@ -643,9 +567,9 @@ mod tests {
 
     #[test]
     fn view_encoding_is_byte_identical() {
-        // The zero-copy parts path must frame exactly like the owned
-        // path for every payload kind, and the scratch buffer must not
-        // leak state across records.
+        // The parts path must frame exactly like the record path for
+        // every payload kind, and the scratch buffer must not leak state
+        // across records.
         let mut scratch = EncodeScratch::default();
         for (i, payload) in all_payloads().into_iter().enumerate() {
             let rec = RedoRecord {
@@ -656,13 +580,7 @@ mod tests {
             let mut owned = Vec::new();
             encode_record(&mut owned, &rec);
             let mut via_view = Vec::new();
-            encode_record_parts(
-                &mut scratch,
-                &mut via_view,
-                rec.lsn,
-                rec.txn,
-                rec.payload.as_view(),
-            );
+            encode_record_parts(&mut scratch, &mut via_view, rec.lsn, rec.txn, &rec.payload);
             assert_eq!(owned, via_view);
         }
     }

@@ -12,8 +12,7 @@
 
 use crate::crc::crc32_extend;
 use crate::record::{
-    encode_record_into, encode_record_parts, EncodeScratch, Lsn, RedoPayload, RedoPayloadRef,
-    RedoRecord,
+    encode_record_into, encode_record_parts, EncodeScratch, Lsn, RedoPayload, RedoRecord,
 };
 use gdb_model::TxnId;
 
@@ -225,8 +224,8 @@ impl GroupCommitWal {
         encode_record_into(&mut self.scratch, &mut self.segment, rec);
     }
 
-    /// Frame a record from borrowed parts (the zero-copy write path).
-    pub fn append_parts(&mut self, lsn: Lsn, txn: TxnId, payload: RedoPayloadRef<'_>) {
+    /// Frame a record from its parts (no [`RedoRecord`] built).
+    pub fn append_parts(&mut self, lsn: Lsn, txn: TxnId, payload: &RedoPayload) {
         encode_record_parts(&mut self.scratch, &mut self.segment, lsn, txn, payload);
     }
 
@@ -434,7 +433,7 @@ mod tests {
         let mut parts = GroupCommitWal::with_window(4);
         for r in &recs {
             owned.append(r);
-            parts.append_parts(r.lsn, r.txn, r.payload.as_view());
+            parts.append_parts(r.lsn, r.txn, &r.payload);
         }
         owned.sync();
         parts.sync();

@@ -50,9 +50,6 @@ stage_lint() {
 
     echo "==> cargo clippy --workspace -- -D warnings"
     cargo clippy --workspace --all-targets -- -D warnings
-
-    echo "==> cargo bench --no-run (benches must keep compiling)"
-    cargo bench --workspace --no-run -q
 }
 
 stage_build() {

@@ -653,3 +653,41 @@ fn tpcc_allocation_budget() {
         "{per_txn:.2} allocs per TPC-C transaction over budget"
     );
 }
+
+// ---- Row locks -------------------------------------------------------------
+
+/// A primary's row-lock table holds the locks not yet released, not one
+/// entry per row ever locked: the vacuum event sweeps the released ones,
+/// and a follower built from the primary's storage starts with none.
+/// Tiny-scale TPC-C on the three-city cluster, then one vacuum interval
+/// with the terminals stopped (measured: 1 516 entries when the run
+/// ends, none a vacuum later; 4 002 stayed while nothing swept).
+#[test]
+fn lock_tables_hold_only_unreleased_locks() {
+    let config = ClusterConfig::globaldb_three_city().with_seed(42);
+    let interval = config.vacuum_interval.expect("the preset vacuums");
+    let params = gdb_bench::BenchParams {
+        scale: TpccScale::tiny(),
+        scale_name: "tiny",
+        run: gdb_workloads::RunConfig {
+            terminals: 8,
+            duration: SimDuration::from_secs(6),
+            warmup: SimDuration::from_secs(1),
+            think_time: SimDuration::from_millis(10),
+        },
+        seed: 42,
+    };
+    let (mut c, _) = gdb_bench::tpcc_run(config, &params, TpccMix::standard(), |_| {});
+    let entries = |c: &Cluster| -> (usize, usize) {
+        let shards = c.db.shards().iter();
+        let primaries = shards.clone().map(|s| s.storage.locks.len()).sum();
+        let followers = shards
+            .flat_map(|s| &s.replicas)
+            .map(|r| r.applier.storage.locks.len())
+            .sum();
+        (primaries, followers)
+    };
+    assert_eq!(entries(&c).1, 0, "a follower holds row locks");
+    c.run_until(c.now() + interval);
+    assert_eq!(entries(&c), (0, 0), "released locks outlived a vacuum");
+}
