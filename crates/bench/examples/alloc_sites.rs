@@ -1,8 +1,9 @@
 //! Sampling allocation-site profiler for the full-stack workloads.
 //!
-//! Drives TPC-C (`tpcc`, standard mix at `TpccScale::small()`) or
-//! single-row Zipfian updates (`update`, 10 × 25 000 sysbench rows) on the
-//! simulated three-city cluster the way `benchmark/` does: 96 terminals in
+//! Drives TPC-C (`tpcc`, standard mix at `TpccScale::small()`),
+//! single-row Zipfian updates (`update`, 10 × 25 000 sysbench rows) or
+//! read-on-replica point selects (`point`, uniform over the same rows) on
+//! the simulated three-city cluster the way `benchmark/` does: 96 terminals in
 //! a closed loop, the due background events run before each transaction.
 //! After a warm-up, every `EVERY`-th allocation records its backtrace.
 //! Samples are grouped by their first `FRAMES` frames inside `crates/` and
@@ -12,7 +13,7 @@
 //!
 //! ```text
 //! CARGO_PROFILE_RELEASE_DEBUG=line-tables-only cargo run --release -p gdb-bench \
-//!     --example alloc_sites -- <tpcc|update> [TXNS=2000] [EVERY=53] [FRAMES=2] [SEED=42]
+//!     --example alloc_sites -- <tpcc|update|point> [TXNS=2000] [EVERY=53] [FRAMES=2] [SEED=42]
 //! ```
 
 use gdb_workloads::sysbench::{SysbenchMode, SysbenchScale, SysbenchWorkload};
@@ -27,6 +28,12 @@ use std::collections::{BinaryHeap, HashMap};
 use std::sync::Mutex;
 
 const PHASES: [&str; 2] = ["foreground (run_one)", "background (run_until)"];
+
+/// The sysbench tables of `update` and `point`.
+const SYSBENCH: SysbenchScale = SysbenchScale {
+    tables: 10,
+    rows_per_table: 25_000,
+};
 
 thread_local! {
     static COUNT: Cell<u64> = const { Cell::new(0) };
@@ -118,16 +125,18 @@ fn main() {
             seed,
         )),
         Some("update") => {
-            let scale = SysbenchScale {
-                tables: 10,
-                rows_per_table: 25_000,
-            };
             let zipf = KeyDistribution::Zipfian { theta: 0.99 };
             Box::new(
-                SysbenchWorkload::new(scale, SysbenchMode::UpdateIndex, seed).with_key_dist(zipf),
+                SysbenchWorkload::new(SYSBENCH, SysbenchMode::UpdateIndex, seed)
+                    .with_key_dist(zipf),
             )
         }
-        _ => panic!("usage: alloc_sites <tpcc|update> [TXNS] [EVERY] [FRAMES] [SEED]"),
+        Some("point") => Box::new(SysbenchWorkload::new(
+            SYSBENCH,
+            SysbenchMode::PointSelect,
+            seed,
+        )),
+        _ => panic!("usage: alloc_sites <tpcc|update|point> [TXNS] [EVERY] [FRAMES] [SEED]"),
     };
     let mut cluster = Cluster::new(ClusterConfig::globaldb_three_city().with_seed(seed));
     workload.setup(&mut cluster).expect("set-up");

@@ -87,6 +87,9 @@ pub struct GlobalDb {
     /// `cn * shard_count + shard` — a change is a re-selection (counted,
     /// and spanned when tracing is on).
     pub(crate) last_skyline_pick: Vec<Option<crate::ror::ReadTarget>>,
+    /// Scratch of [`GlobalDb::select_read_node`]: one shard's read
+    /// candidates, reused so picking a read node allocates nothing.
+    pub(crate) read_candidates: Vec<gdb_router::NodeMetrics>,
     /// Per-CN flag: `true` while the CN's clock-sync daemon is cut off
     /// from its regional time device (fault injection). While blocked the
     /// clock keeps drifting and its error bound grows until sync resumes.
@@ -608,6 +611,7 @@ impl Cluster {
             hot,
             routes: gdb_router::RouteTable::default(),
             last_skyline_pick: vec![None; cn_count * shard_count],
+            read_candidates: Vec::new(),
             clock_sync_blocked: vec![false; cn_count],
             txn_seq: 0,
             last_transition_completed: None,

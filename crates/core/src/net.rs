@@ -28,7 +28,6 @@
 use gdb_obs::MetricsRegistry;
 use gdb_simnet::stats::LatencyHistogram;
 use gdb_simnet::{NetNodeId, RegionId, SimDuration, Topology};
-use std::collections::BTreeMap;
 use std::fmt;
 
 /// Every RPC the system puts on the wire. One enumerator per logical
@@ -231,10 +230,55 @@ impl Transport for SimTransport {
     }
 }
 
+/// Per-(kind, from, to) traffic in one dense table; `None` marks a pair
+/// never charged, which gets no labelled counter.
+#[derive(Debug, Default)]
+struct RegionTraffic {
+    /// Regions per side; grows to cover the largest region seen.
+    regions: usize,
+    cells: Vec<Option<Traffic>>,
+}
+
+impl RegionTraffic {
+    fn index(&self, kind: usize, from: usize, to: usize) -> usize {
+        (kind * self.regions + from) * self.regions + to
+    }
+
+    /// The pair's counters, marked charged.
+    fn cell(&mut self, kind: RpcKind, from: RegionId, to: RegionId) -> &mut Traffic {
+        let (from, to) = (from.0 as usize, to.0 as usize);
+        let needed = from.max(to) + 1;
+        if needed > self.regions {
+            let old = std::mem::replace(
+                self,
+                RegionTraffic {
+                    regions: needed,
+                    cells: vec![None; ALL_RPC_KINDS.len() * needed * needed],
+                },
+            );
+            for (k, f, t, traffic) in old.charged() {
+                let i = self.index(k, f, t);
+                self.cells[i] = Some(traffic);
+            }
+        }
+        let i = self.index(kind.idx(), from, to);
+        self.cells[i].get_or_insert_default()
+    }
+
+    /// Every charged `(kind, from, to, traffic)`, in `(kind, from, to)`
+    /// order.
+    fn charged(&self) -> impl Iterator<Item = (usize, usize, usize, Traffic)> + '_ {
+        let n = self.regions;
+        self.cells.iter().enumerate().filter_map(move |(i, cell)| {
+            cell.map(|traffic| (i / (n * n), i / n % n, i % n, traffic))
+        })
+    }
+}
+
 /// Per-kind, per-region-pair RPC accounting plus the latency chokepoint.
 pub struct MessagePlane {
     totals: [Traffic; ALL_RPC_KINDS.len()],
-    by_region: BTreeMap<(u8, RegionId, RegionId), Traffic>,
+    by_region: RegionTraffic,
     delays: Vec<LatencyHistogram>,
     transport: Box<dyn Transport>,
     /// Messages that went through [`Transport::deliver`] and delivered,
@@ -267,7 +311,7 @@ impl MessagePlane {
     pub fn new(home: RegionId) -> Self {
         let mut plane = MessagePlane {
             totals: Default::default(),
-            by_region: BTreeMap::new(),
+            by_region: RegionTraffic::default(),
             delays: vec![LatencyHistogram::new(); ALL_RPC_KINDS.len()],
             transport: Box::new(SimTransport),
             delivered: [0; ALL_RPC_KINDS.len()],
@@ -275,9 +319,7 @@ impl MessagePlane {
             pair_delays: Vec::new(),
         };
         for kind in ALL_RPC_KINDS {
-            plane
-                .by_region
-                .insert((kind.idx() as u8, home, home), Traffic::default());
+            plane.by_region.cell(kind, home, home);
         }
         plane
     }
@@ -303,10 +345,7 @@ impl MessagePlane {
         let t = &mut self.totals[kind.idx()];
         t.msgs += msgs;
         t.bytes += bytes;
-        let r = self
-            .by_region
-            .entry((kind.idx() as u8, from, to))
-            .or_default();
+        let r = self.by_region.cell(kind, from, to);
         r.msgs += msgs;
         r.bytes += bytes;
     }
@@ -472,9 +511,10 @@ impl MessagePlane {
                 reg.set_histogram(format!("rpc.{}.delay_us", kind.name()), h.clone());
             }
         }
-        for (&(kind, from, to), t) in &self.by_region {
-            let name = ALL_RPC_KINDS[kind as usize].name();
-            let (f, tn) = (topo.region_name(from), topo.region_name(to));
+        for (kind, from, to, t) in self.by_region.charged() {
+            let name = ALL_RPC_KINDS[kind].name();
+            let region = |r: usize| topo.region_name(RegionId(r as u16));
+            let (f, tn) = (region(from), region(to));
             reg.set_counter(format!("rpc.{name}.msgs.{f}-{tn}"), t.msgs);
             reg.set_counter(format!("rpc.{name}.bytes.{f}-{tn}"), t.bytes);
         }
@@ -594,6 +634,36 @@ mod tests {
             let labelled = format!("rpc.{}.msgs.xian-xian", kind.name());
             assert_eq!(snap.counter(&labelled), Some(0), "missing {labelled}");
         }
+    }
+
+    /// The dense region table lists exactly the charged `(kind, from,
+    /// to)` cells, in that order, with their sums — also across a growth
+    /// to a larger region and for a byte-only charge (no message).
+    #[test]
+    fn region_table_lists_charged_cells_in_order() {
+        let mut plane = MessagePlane::new(RegionId(0));
+        let r = RegionId;
+        plane.account(RpcKind::SkylineProbe, r(0), r(1), 16);
+        plane.account(RpcKind::RcpGather, r(2), r(0), 64);
+        plane.account(RpcKind::SkylineProbe, r(0), r(1), 16);
+        let (mut t, x, y) = city_pair(1);
+        plane.charge_bytes(&mut t, RpcKind::LogShipBatch, x, y, 900);
+        let charged: Vec<_> = plane
+            .by_region
+            .charged()
+            .filter(|c| c.3.msgs + c.3.bytes > 0)
+            .map(|(k, f, to, tr)| (ALL_RPC_KINDS[k], f, to, tr.msgs, tr.bytes))
+            .collect();
+        assert_eq!(
+            charged,
+            vec![
+                (RpcKind::LogShipBatch, 0, 1, 0, 900),
+                (RpcKind::RcpGather, 2, 0, 1, 64),
+                (RpcKind::SkylineProbe, 0, 1, 2, 32),
+            ]
+        );
+        // Every kind's pre-registered home cell survives the growth.
+        assert_eq!(plane.by_region.charged().count(), ALL_RPC_KINDS.len() + 3);
     }
 
     #[test]

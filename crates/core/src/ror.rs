@@ -9,7 +9,7 @@
 use crate::cluster::GlobalDb;
 use crate::net::RpcKind;
 use gdb_model::Timestamp;
-use gdb_router::{estimate_staleness_gclock, estimate_staleness_gtm, NodeMetrics, Skyline};
+use gdb_router::{estimate_staleness_gclock, estimate_staleness_gtm, pick, NodeMetrics, Skyline};
 use gdb_simnet::{SimDuration, SimTime};
 use gdb_txnmgr::TmMode;
 
@@ -49,12 +49,28 @@ impl GlobalDb {
         snapshot: Timestamp,
         now: SimTime,
     ) -> Skyline {
+        let mut metrics = Vec::new();
+        self.candidate_metrics(cn, shard, snapshot, now, &mut metrics);
+        Skyline::compute(&metrics)
+    }
+
+    /// Fill `out` with the metrics of a shard's read candidates: the
+    /// primary first, then each replica in order, healthy only if it has
+    /// applied at least up to `snapshot`.
+    fn candidate_metrics(
+        &mut self,
+        cn: usize,
+        shard: usize,
+        snapshot: Timestamp,
+        now: SimTime,
+        out: &mut Vec<NodeMetrics>,
+    ) {
         let cn_node = self.cns[cn].node;
         let cn_region = self.cns[cn].region;
         let mode = self.cns[cn].tm.mode;
         let gtm_head = self.gtm.current();
         let gtm_rate = self.gtm_rate.per_sec;
-        let mut metrics = Vec::new();
+        out.clear();
 
         let shard_ref = &self.shards[shard];
         // Primary: staleness zero by definition.
@@ -62,7 +78,7 @@ impl GlobalDb {
             && !self
                 .topo
                 .is_partitioned(cn_region, self.topo.node_region(shard_ref.primary));
-        metrics.push(NodeMetrics {
+        out.push(NodeMetrics {
             node: shard_ref.primary,
             staleness: SimDuration::ZERO,
             latency: self.topo.nominal_rtt(cn_node, shard_ref.primary),
@@ -90,7 +106,7 @@ impl GlobalDb {
             };
             // Replay backlog inflates the load axis.
             let backlog = replica.busy_until.since(now).as_secs_f64();
-            metrics.push(NodeMetrics {
+            out.push(NodeMetrics {
                 node: replica.node,
                 staleness,
                 latency: self.topo.nominal_rtt(cn_node, replica.node),
@@ -100,12 +116,12 @@ impl GlobalDb {
             self.plane
                 .account(RpcKind::SkylineProbe, cn_region, replica.region, 16);
         }
-
-        Skyline::compute(&metrics)
     }
 
     /// Pick the read target for one shard access (skyline + bounded
-    /// staleness, falling back to the primary).
+    /// staleness, falling back to the primary). The candidates go into a
+    /// reused buffer and [`gdb_router::pick`] chooses among them as the
+    /// skyline's selection would, so a read allocates nothing here.
     pub(crate) fn select_read_node(
         &mut self,
         cn: usize,
@@ -114,24 +130,21 @@ impl GlobalDb {
         now: SimTime,
         freshness_bound: Option<SimDuration>,
     ) -> ReadTarget {
-        let sky = self.shard_candidates(cn, shard, snapshot, now);
-        let target = match sky.select(freshness_bound) {
-            // Map the picked node id back to its target.
-            Some(pick) => {
-                let replicas = &self.shards[shard].replicas;
-                match replicas.iter().position(|r| r.node == pick.node) {
-                    Some(ri) => ReadTarget::Replica(ri),
-                    None => ReadTarget::Primary,
-                }
-            }
-            // Nothing on the skyline satisfies the bound (the primary is
-            // normally a zero-staleness candidate, so this means it is
-            // down too): fall back to the primary path and count it.
+        let mut candidates = std::mem::take(&mut self.read_candidates);
+        self.candidate_metrics(cn, shard, snapshot, now, &mut candidates);
+        let target = match pick(&candidates, freshness_bound) {
+            // The primary is candidate 0, replica `i` candidate `i + 1`.
+            Some(0) => ReadTarget::Primary,
+            Some(i) => ReadTarget::Replica(i - 1),
+            // Nothing satisfies the bound (the primary is normally a
+            // zero-staleness candidate, so this means it is down too):
+            // fall back to the primary path and count it.
             None => {
                 self.stats.ror_rejected_freshness += 1;
                 ReadTarget::Primary
             }
         };
+        self.read_candidates = candidates;
         self.note_skyline_pick(cn, shard, target, now);
         target
     }

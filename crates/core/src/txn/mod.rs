@@ -189,7 +189,7 @@ impl<'a> TxnHandle<'a> {
             if !self
                 .db
                 .ddl
-                .ror_allowed(self.snapshot, &prepared.bound.tables())
+                .ror_allowed(self.snapshot, prepared.bound.tables())
             {
                 self.db.stats.ror_rejected_ddl += 1;
                 self.fallback_to_primary()?;

@@ -189,25 +189,27 @@ impl<'a> TxnHandle<'a> {
 
     // ---- Read paths -------------------------------------------------------
 
-    /// Fetch one tuple from `target`, whose round trip is already paid. A
-    /// tuple blocked on the replica pays an extra primary round trip; a
-    /// primary version whose commit is still in flight raises `wait` to
-    /// its completion instant (in-doubt wait).
-    fn fetch_key(
+    /// Fetch one tuple from `target`, whose round trip is already paid,
+    /// and hand it to `f` where it lies in storage. A tuple blocked on
+    /// the replica pays an extra primary round trip; a primary version
+    /// whose commit is still in flight raises `wait` to its completion
+    /// instant (in-doubt wait).
+    fn fetch_key<R>(
         &mut self,
         shard: usize,
         target: ReadTarget,
         table: TableId,
         key: &RowKey,
         wait: &mut SimTime,
-    ) -> GdbResult<Option<Row>> {
+        f: impl FnOnce(&Row) -> R,
+    ) -> GdbResult<Option<R>> {
         let snapshot = self.snapshot;
         if let ReadTarget::Replica(ri) = self.unblocked(shard, target, table, Touch::Key(key)) {
             let storage = &mut self.db.shards[shard].replicas[ri].applier.storage;
-            let row = storage.read(table, key, snapshot)?.map(|v| v.row.clone());
+            let out = storage.read(table, key, snapshot)?.map(|v| f(v.row));
             self.used_replica = true;
             self.db.stats.reads_on_replica += 1;
-            return Ok(row);
+            return Ok(out);
         }
         if target != ReadTarget::Primary {
             self.charge_scatter(
@@ -220,7 +222,7 @@ impl<'a> TxnHandle<'a> {
         let vis = self.db.shards[shard].storage.read(table, key, snapshot)?;
         Ok(vis.map(|v| {
             *wait = (*wait).max(v.commit_vtime);
-            v.row.clone()
+            f(v.row)
         }))
     }
 
@@ -434,18 +436,23 @@ impl<'a> DataAccess for TxnHandle<'a> {
         &self.db.catalog
     }
 
-    fn point_read(&mut self, table: TableId, key: &RowKey) -> GdbResult<Option<Row>> {
+    fn point_read(
+        &mut self,
+        table: TableId,
+        key: &RowKey,
+        visit: &mut dyn FnMut(&Row) -> GdbResult<()>,
+    ) -> GdbResult<()> {
         if let Some(hit) = self.overlay.get(table, key) {
-            return Ok(hit.clone());
+            return hit.as_ref().map_or(Ok(()), visit);
         }
         let shard = self.shards_for(table, Touch::Key(key), Access::Read)?.start;
         self.route_to_shard(shard, OP_MSG_BYTES)?;
         let target = self.read_target(shard);
         self.charge_scatter(RpcKind::DnRead, [(shard, target)], OP_MSG_BYTES)?;
         let mut wait = self.now;
-        let row = self.fetch_key(shard, target, table, key, &mut wait)?;
+        let visited = self.fetch_key(shard, target, table, key, &mut wait, visit)?;
         self.now = self.now.max(wait);
-        Ok(row)
+        visited.unwrap_or(Ok(()))
     }
 
     fn multi_point_read(&mut self, table: TableId, keys: &[RowKey]) -> GdbResult<Vec<Option<Row>>> {
@@ -483,7 +490,7 @@ impl<'a> DataAccess for TxnHandle<'a> {
                 continue;
             }
             let (s, target) = reads[slot];
-            out.push(self.fetch_key(s, target, table, key, &mut wait)?);
+            out.push(self.fetch_key(s, target, table, key, &mut wait, Row::clone)?);
         }
         self.now = self.now.max(wait);
         Ok(out)

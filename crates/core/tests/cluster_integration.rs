@@ -629,3 +629,37 @@ fn deterministic_under_same_seed() {
     };
     assert_eq!(run(), run(), "same seed ⇒ identical execution");
 }
+
+/// A key range whose bounds cross (`lo > hi`) reads no rows on every
+/// path — replica or primary, and merged with the transaction's own
+/// writes — instead of panicking in the storage B-tree.
+#[test]
+fn inverted_key_range_returns_no_rows() {
+    let mut c = Cluster::new(ClusterConfig::globaldb_three_city());
+    c.ddl(
+        "CREATE TABLE t (a INT NOT NULL, b INT NOT NULL, PRIMARY KEY (a, b)) \
+         DISTRIBUTE BY HASH(a)",
+    )
+    .unwrap();
+    c.execute_sql(0, t(10), "INSERT INTO t VALUES (1, 2), (1, 3), (1, 4)", &[])
+        .unwrap();
+    let queries = [
+        c.prepare("SELECT b FROM t WHERE a = 1 AND b BETWEEN 4 AND 2")
+            .unwrap(),
+        c.prepare("SELECT b FROM t WHERE a = 1 AND b >= 4 AND b <= 2")
+            .unwrap(),
+    ];
+    for (cn, q) in queries.iter().enumerate() {
+        let (rows, _) = c.execute_prepared(cn, t(1_000), q, &[]).unwrap();
+        assert_eq!(rows.rows(), vec![], "{}", q.sql);
+    }
+    let insert = c.prepare("INSERT INTO t VALUES (1, 5)").unwrap();
+    c.run_transaction(0, t(1_200), false, false, |txn| {
+        txn.execute(&insert, &[])?;
+        for q in &queries {
+            assert_eq!(txn.execute(q, &[])?.rows(), vec![], "{}", q.sql);
+        }
+        Ok(())
+    })
+    .unwrap();
+}

@@ -13,6 +13,6 @@ pub mod skyline;
 pub mod staleness;
 pub mod table;
 
-pub use skyline::{NodeMetrics, Skyline};
+pub use skyline::{pick, NodeMetrics, Skyline};
 pub use staleness::{estimate_staleness_gclock, estimate_staleness_gtm};
 pub use table::{RouteEntry, RouteTable};

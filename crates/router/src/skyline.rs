@@ -58,17 +58,10 @@ impl Skyline {
     }
 
     /// Pick the minimum-cost candidate whose staleness is within
-    /// `freshness_bound` (`None` = any staleness acceptable).
+    /// `freshness_bound` (`None` = any staleness acceptable); on equal
+    /// cost the fresher, then the earlier, wins.
     pub fn select(&self, freshness_bound: Option<SimDuration>) -> Option<NodeMetrics> {
-        self.candidates
-            .iter()
-            .filter(|c| freshness_bound.is_none_or(|b| c.staleness <= b))
-            .min_by(|a, b| {
-                a.cost()
-                    .partial_cmp(&b.cost())
-                    .unwrap_or(std::cmp::Ordering::Equal)
-            })
-            .copied()
+        pick(&self.candidates, freshness_bound).map(|i| self.candidates[i])
     }
 
     pub fn is_empty(&self) -> bool {
@@ -78,6 +71,32 @@ impl Skyline {
     pub fn len(&self) -> usize {
         self.candidates.len()
     }
+}
+
+/// The index of the node a read goes to: the cheapest healthy node whose
+/// staleness is within `freshness_bound`, ties to the fresher, then to
+/// the earlier in `nodes`. This is `Skyline::compute(nodes).select(..)`
+/// without building the skyline: a dominated node never wins, since the
+/// node dominating it is healthy, within the bound whenever it is, and
+/// cheaper or as cheap and fresher; and the skyline keeps the order of
+/// nodes that tie on both axes.
+pub fn pick(nodes: &[NodeMetrics], freshness_bound: Option<SimDuration>) -> Option<usize> {
+    let mut best: Option<(usize, f64)> = None;
+    for (i, n) in nodes.iter().enumerate() {
+        if !n.healthy || freshness_bound.is_some_and(|b| n.staleness > b) {
+            continue;
+        }
+        let cost = n.cost();
+        let wins = best.is_none_or(|(b, best_cost)| match cost.partial_cmp(&best_cost) {
+            Some(std::cmp::Ordering::Less) => true,
+            Some(std::cmp::Ordering::Equal) => n.staleness < nodes[b].staleness,
+            _ => false,
+        });
+        if wins {
+            best = Some((i, cost));
+        }
+    }
+    best.map(|(i, _)| i)
 }
 
 /// `a` dominates `b` if it is no worse on both axes and strictly better on
@@ -197,7 +216,52 @@ mod proptests {
         })
     }
 
+    /// Few distinct values per axis, so equal costs and staleness ties
+    /// are common.
+    fn arb_tied_node(id: u32) -> impl Strategy<Value = NodeMetrics> {
+        (0u64..4, 1u64..4, 0u8..3, 0u8..4).prop_map(move |(s, l, load, health)| NodeMetrics {
+            node: NetNodeId(id),
+            staleness: SimDuration::from_millis(s * 10),
+            latency: SimDuration::from_millis(l * 10),
+            load: [0.0, 0.5, 1.0][load as usize],
+            healthy: health != 0,
+        })
+    }
+
     proptest! {
+        #![proptest_config(ProptestConfig::with_cases(5_000))]
+
+        /// The allocation-free pick is exactly the skyline's selection —
+        /// the same node, ties included — on random candidate sets with
+        /// unhealthy nodes, equal costs and a freshness bound.
+        #[test]
+        fn pick_equals_skyline_select(
+            n0 in arb_tied_node(0), n1 in arb_tied_node(1), n2 in arb_tied_node(2),
+            n3 in arb_tied_node(3), n4 in arb_tied_node(4),
+            wide in arb_node(5),
+            len in 0usize..7,
+            bound_ms in proptest::option::of(0u64..45),
+        ) {
+            let nodes = [n0, n1, n2, n3, n4, wide];
+            let nodes = &nodes[..len.min(nodes.len())];
+            let bound = bound_ms.map(SimDuration::from_millis);
+            // The selection rule as a spec: of the skyline's members
+            // (staleness-ascending, ties in input order) within the
+            // bound, the first of least cost.
+            let sky = Skyline::compute(nodes);
+            let expected = sky
+                .candidates()
+                .iter()
+                .filter(|c| bound.is_none_or(|b| c.staleness <= b))
+                .min_by(|a, b| a.cost().total_cmp(&b.cost()))
+                .copied();
+            prop_assert_eq!(sky.select(bound), expected);
+            prop_assert_eq!(pick(nodes, bound).map(|i| nodes[i]), expected);
+        }
+    }
+
+    proptest! {
+
         /// The selected node is never dominated by any healthy node and
         /// always meets the freshness bound.
         #[test]

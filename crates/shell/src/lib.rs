@@ -761,6 +761,25 @@ mod tests {
         assert!(!shell.exec("status").contains("t=0.000000s"));
     }
 
+    /// A key range whose bounds cross is an empty result, not a panic.
+    #[test]
+    fn inverted_key_range_returns_no_rows() {
+        let mut shell = Shell::launch(7, Backend::Sim);
+        shell.exec(
+            "sql CREATE TABLE t (a INT NOT NULL, b INT NOT NULL, PRIMARY KEY (a, b)) \
+             DISTRIBUTE BY HASH(a)",
+        );
+        shell.exec("sql INSERT INTO t VALUES (1, 2), (1, 3), (1, 4)");
+        for sql in [
+            "sql SELECT b FROM t WHERE a = 1 AND b BETWEEN 4 AND 2",
+            "sql SELECT b FROM t WHERE a = 1 AND b >= 4 AND b <= 2",
+        ] {
+            let out = shell.exec(sql);
+            assert!(out.starts_with("0 row(s)"), "{sql}: {out}");
+        }
+        assert!(!shell.failed());
+    }
+
     /// Small clusters keep the exhaustive listing (the golden transcript
     /// pins the exact small-cluster bytes; this pins the branch choice).
     #[test]

@@ -15,13 +15,29 @@ pub trait DataAccess {
     /// The catalog to resolve schemas against.
     fn catalog(&self) -> &Catalog;
 
-    /// Snapshot point read.
-    fn point_read(&mut self, table: TableId, key: &RowKey) -> GdbResult<Option<Row>>;
+    /// Snapshot point read: `visit` sees the row where it lies — the
+    /// stored version or the transaction's own write — if there is one,
+    /// and its error is the read's.
+    fn point_read(
+        &mut self,
+        table: TableId,
+        key: &RowKey,
+        visit: &mut dyn FnMut(&Row) -> GdbResult<()>,
+    ) -> GdbResult<()>;
 
     /// Batched snapshot point reads (join inner side): one round trip per
     /// shard instead of one per key. The default just loops.
     fn multi_point_read(&mut self, table: TableId, keys: &[RowKey]) -> GdbResult<Vec<Option<Row>>> {
-        keys.iter().map(|k| self.point_read(table, k)).collect()
+        keys.iter()
+            .map(|key| {
+                let mut row = None;
+                self.point_read(table, key, &mut |r| {
+                    row = Some(r.clone());
+                    Ok(())
+                })?;
+                Ok(row)
+            })
+            .collect()
     }
 
     /// Snapshot range read, inclusive bounds (`None` = unbounded).
@@ -89,11 +105,16 @@ impl DataAccess for MemAccess {
         self.storage.catalog()
     }
 
-    fn point_read(&mut self, table: TableId, key: &RowKey) -> GdbResult<Option<Row>> {
-        Ok(self
-            .storage
-            .read(table, key, Timestamp::MAX)?
-            .map(|v| v.row.clone()))
+    fn point_read(
+        &mut self,
+        table: TableId,
+        key: &RowKey,
+        visit: &mut dyn FnMut(&Row) -> GdbResult<()>,
+    ) -> GdbResult<()> {
+        match self.storage.read(table, key, Timestamp::MAX)? {
+            Some(v) => visit(v.row),
+            None => Ok(()),
+        }
     }
 
     fn range_read(

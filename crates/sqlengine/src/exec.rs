@@ -7,6 +7,7 @@ use crate::plan::{AccessPath, AggSpec, BoundStatement, Expr, JoinPlan, Projectio
 #[cfg(test)]
 use gdb_model::GdbError;
 use gdb_model::{Datum, GdbResult, Row, RowKey, TableId};
+use std::borrow::Cow;
 use std::collections::HashSet;
 
 /// Result of executing a statement.
@@ -88,22 +89,21 @@ fn exec_insert(
     Ok(ExecOutput::Count(inserted))
 }
 
-/// Fetch `(key, row)` pairs for an access path on the outer table.
+/// Fetch the rows of an access path on the outer table, handing each to
+/// `emit` with its key, in key order: borrowed where it lies for a point
+/// read, owned (already copied out of storage) for the other paths.
 fn fetch_outer(
     table: TableId,
     access: &AccessPath,
     params: &[Datum],
     ctx: &RowCtx,
     da: &mut dyn DataAccess,
-) -> GdbResult<Vec<(RowKey, Row)>> {
-    match access {
+    emit: &mut dyn FnMut(&RowKey, Cow<Row>) -> GdbResult<()>,
+) -> GdbResult<()> {
+    let rows = match access {
         AccessPath::PointLookup { key } => {
             let rk = eval_key(key, params, ctx)?;
-            Ok(da
-                .point_read(table, &rk)?
-                .map(|row| (rk, row))
-                .into_iter()
-                .collect())
+            return da.point_read(table, &rk, &mut |row| emit(&rk, Cow::Borrowed(row)));
         }
         AccessPath::PkRange { prefix, low, high } => {
             let prefix_vals = prefix
@@ -138,17 +138,44 @@ fn fetch_outer(
                         .zip(&prefix_vals)
                         .all(|(a, b)| a.key_cmp(b) == std::cmp::Ordering::Equal)
             });
-            Ok(rows)
+            rows
         }
         AccessPath::IndexPrefix { index, prefix } => {
             let prefix_vals = prefix
                 .iter()
                 .map(|e| eval(e, params, ctx))
                 .collect::<GdbResult<Vec<_>>>()?;
-            da.index_read(*index, &prefix_vals)
+            da.index_read(*index, &prefix_vals)?
         }
-        AccessPath::FullScan => da.full_scan(table),
+        AccessPath::FullScan => da.full_scan(table)?,
+    };
+    for (key, row) in rows {
+        emit(&key, Cow::Owned(row))?;
     }
+    Ok(())
+}
+
+/// The keys of the rows an access path fetches (UPDATE and DELETE
+/// re-read each one under its lock).
+fn fetch_keys(
+    table: TableId,
+    access: &AccessPath,
+    params: &[Datum],
+    da: &mut dyn DataAccess,
+) -> GdbResult<Vec<RowKey>> {
+    let mut keys = Vec::new();
+    fetch_outer(
+        table,
+        access,
+        params,
+        &RowCtx::empty(),
+        da,
+        &mut |key, _| {
+            keys.push(key.clone());
+            Ok(())
+        },
+    )?;
+    Ok(keys)
 }
 
 /// Evaluate key expressions straight into a key's one allocation.
@@ -174,10 +201,8 @@ fn exec_update(
     params: &[Datum],
     da: &mut dyn DataAccess,
 ) -> GdbResult<ExecOutput> {
-    let ctx = RowCtx::empty();
-    let candidates = fetch_outer(table, access, params, &ctx, da)?;
     let mut affected = 0u64;
-    for (key, _snapshot_row) in candidates {
+    for key in fetch_keys(table, access, params, da)? {
         // Lock and re-read the newest committed version (read-committed).
         let Some(current) = da.read_for_update(table, &key)? else {
             continue; // concurrently deleted
@@ -205,10 +230,8 @@ fn exec_delete(
     params: &[Datum],
     da: &mut dyn DataAccess,
 ) -> GdbResult<ExecOutput> {
-    let ctx = RowCtx::empty();
-    let candidates = fetch_outer(table, access, params, &ctx, da)?;
     let mut affected = 0u64;
-    for (key, _) in candidates {
+    for key in fetch_keys(table, access, params, da)? {
         let Some(current) = da.read_for_update(table, &key)? else {
             continue;
         };
@@ -229,8 +252,47 @@ fn exec_select(
     params: &[Datum],
     da: &mut dyn DataAccess,
 ) -> GdbResult<ExecOutput> {
+    // Without a join, an ORDER BY, a lock or an aggregate, each outer row
+    // is projected where it lies (in storage, for a point read) and
+    // nothing else is kept of it.
+    let direct = match &plan.projection {
+        Projection::Columns(exprs)
+            if plan.join.is_none() && plan.order_by.is_none() && !plan.for_update =>
+        {
+            Some(exprs)
+        }
+        _ => None,
+    };
+    let mut out = Vec::new();
+    let mut outer_rows = Vec::new();
     let empty_ctx = RowCtx::empty();
-    let outer_rows = fetch_outer(plan.tables[0], &plan.outer_access, params, &empty_ctx, da)?;
+    let emit = &mut |key: &RowKey, row: Cow<Row>| -> GdbResult<()> {
+        let Some(exprs) = direct else {
+            outer_rows.push((key.clone(), row.into_owned()));
+            return Ok(());
+        };
+        let ctx = RowCtx::outer(&row);
+        if let Some(f) = &plan.outer_residual {
+            if !truthy(&eval(f, params, &ctx)?) {
+                return Ok(());
+            }
+        }
+        if plan.limit.is_none_or(|limit| out.len() < limit) {
+            out.push(project(exprs, params, &ctx)?);
+        }
+        Ok(())
+    };
+    fetch_outer(
+        plan.tables[0],
+        &plan.outer_access,
+        params,
+        &empty_ctx,
+        da,
+        emit,
+    )?;
+    if direct.is_some() {
+        return Ok(ExecOutput::Rows(out));
+    }
 
     // Filter outer rows; lock them if FOR UPDATE.
     let mut joined: Vec<(Row, Option<Row>)> = Vec::new();
@@ -328,11 +390,7 @@ fn exec_select(
                     Some(i) => RowCtx::joined(outer, i),
                     None => RowCtx::outer(outer),
                 };
-                let vals = exprs
-                    .iter()
-                    .map(|e| eval(e, params, &ctx))
-                    .collect::<GdbResult<Vec<_>>>()?;
-                out.push(Row(vals));
+                out.push(project(exprs, params, &ctx)?);
             }
             Ok(ExecOutput::Rows(out))
         }
@@ -343,6 +401,15 @@ fn exec_select(
     }
 }
 
+/// One output row: `exprs` evaluated over `ctx`.
+fn project(exprs: &[Expr], params: &[Datum], ctx: &RowCtx) -> GdbResult<Row> {
+    let vals = exprs
+        .iter()
+        .map(|e| eval(e, params, ctx))
+        .collect::<GdbResult<Vec<_>>>()?;
+    Ok(Row(vals))
+}
+
 fn fetch_inner(
     jp: &JoinPlan,
     params: &[Datum],
@@ -350,17 +417,17 @@ fn fetch_inner(
     da: &mut dyn DataAccess,
 ) -> GdbResult<Vec<Row>> {
     let ctx = RowCtx::outer(outer);
-    let candidates = fetch_outer(jp.table, &jp.access, params, &ctx, da)?;
     let mut out = Vec::new();
-    for (_, inner) in candidates {
+    fetch_outer(jp.table, &jp.access, params, &ctx, da, &mut |_, inner| {
         if let Some(f) = &jp.residual {
             let jctx = RowCtx::joined(outer, &inner);
             if !truthy(&eval(f, params, &jctx)?) {
-                continue;
+                return Ok(());
             }
         }
-        out.push(inner);
-    }
+        out.push(inner.into_owned());
+        Ok(())
+    })?;
     Ok(out)
 }
 

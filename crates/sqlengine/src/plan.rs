@@ -192,18 +192,18 @@ pub enum BoundStatement {
 impl BoundStatement {
     /// Tables this statement touches (for DDL-visibility checks and shard
     /// routing).
-    pub fn tables(&self) -> Vec<TableId> {
+    pub fn tables(&self) -> &[TableId] {
         match self {
             BoundStatement::Ddl(d) => match d {
                 BoundDdl::DropTable(t)
                 | BoundDdl::CreateIndex { table: t, .. }
-                | BoundDdl::DropIndex { table: t, .. } => vec![*t],
-                BoundDdl::CreateTable { .. } => vec![],
+                | BoundDdl::DropIndex { table: t, .. } => std::slice::from_ref(t),
+                BoundDdl::CreateTable { .. } => &[],
             },
             BoundStatement::Insert { table, .. }
             | BoundStatement::Update { table, .. }
-            | BoundStatement::Delete { table, .. } => vec![*table],
-            BoundStatement::Select(s) => s.tables.clone(),
+            | BoundStatement::Delete { table, .. } => std::slice::from_ref(table),
+            BoundStatement::Select(s) => &s.tables,
         }
     }
 

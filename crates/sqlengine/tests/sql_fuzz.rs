@@ -2,9 +2,11 @@
 //! text, random token sequences and byte-mutated TPC-C and Sysbench
 //! statements. Each must answer `Ok` or `Err`, never panic. `prepare`
 //! binds against the TPC-C tables plus one Sysbench table, so mutated
-//! statements reach the binder with names it knows.
+//! statements reach the binder with names it knows; every statement that
+//! prepares is then executed with random parameters against those tables
+//! holding a few rows each.
 
-use gdb_model::GdbResult;
+use gdb_model::{Datum, GdbResult};
 use gdb_sqlengine::access::{DataAccess, MemAccess};
 use gdb_sqlengine::lexer::lex;
 use gdb_sqlengine::{execute, parse, prepare};
@@ -40,6 +42,9 @@ const STATEMENTS: &[&str] = &[
     "SELECT COUNT(DISTINCT s_i_id) FROM order_line, stock WHERE ol_w_id = ? AND ol_d_id = ? \
      AND ol_o_id BETWEEN ? AND ? AND s_w_id = ? AND s_i_id = ol_i_id AND s_quantity < ?",
     "SELECT SUM(ol_amount), MIN(ol_i_id) FROM order_line WHERE ol_w_id = ? AND ol_d_id = ?",
+    "SELECT ol_i_id FROM order_line WHERE ol_w_id = ? AND ol_d_id = ? AND ol_o_id >= ? \
+     AND ol_o_id <= ? ORDER BY ol_i_id",
+    "SELECT s_quantity FROM stock WHERE s_w_id = ? AND s_i_id = ?",
     "UPDATE sbtest1 SET k = k + 1 WHERE id = ?",
     "SELECT c FROM sbtest1 WHERE id IN (1, -2, ?) AND NOT c IS NULL OR k <> 3",
     "CREATE TABLE t (a INT NOT NULL, PRIMARY KEY (a)) DISTRIBUTE BY RANGE(a) SPLIT AT (-1, 9)",
@@ -61,6 +66,52 @@ fn catalog() -> MemAccess {
         execute(&p.bound, &[], &mut da).unwrap_or_else(|e| panic!("{ddl}: {e}"));
     }
     da
+}
+
+/// Rows each table holds before a statement runs: keys around 1 and 2.
+const LOAD: &[&str] = &[
+    "INSERT INTO district VALUES (1, 1, 0.1, 3001), (1, 2, 0.2, 3001)",
+    "INSERT INTO customer VALUES (1, 1, 1, 'BAR', 'a', 10.0), (1, 1, 2, 'OUGHT', 'b', -1.5)",
+    "INSERT INTO order_line VALUES (1, 1, 1, 1, 1, 1.0), (1, 1, 2, 1, 2, 2.0), \
+     (1, 1, 3, 2, 2, 3.0)",
+    "INSERT INTO stock VALUES (1, 1, 5), (1, 2, 50)",
+    "INSERT INTO item VALUES (1, 1.0), (2, 2.5)",
+    "INSERT INTO sbtest1 VALUES (1, 1, 'x'), (2, 2, NULL)",
+];
+
+/// The test catalog with `LOAD`'s rows in it.
+fn loaded() -> MemAccess {
+    let mut da = catalog();
+    for sql in LOAD {
+        let p = prepare(sql, da.catalog()).unwrap_or_else(|e| panic!("{sql}: {e}"));
+        execute(&p.bound, &[], &mut da).unwrap_or_else(|e| panic!("{sql}: {e}"));
+    }
+    da
+}
+
+/// A parameter: NULL, integers at the edges and around the loaded keys
+/// (so random `BETWEEN` bounds are often inverted), decimals, text.
+fn param() -> impl Strategy<Value = Datum> {
+    const INTS: [i64; 8] = [i64::MIN, -1, 0, 1, 2, 3, 3001, i64::MAX];
+    prop_oneof![
+        Just(Datum::Null),
+        (0..INTS.len()).prop_map(|i| Datum::Int(INTS[i])),
+        (0..INTS.len()).prop_map(|i| Datum::Int(INTS[i])),
+        (-2i64..4).prop_map(Datum::Decimal),
+        (0usize..3).prop_map(|i| Datum::from(["", "BAR", "x"][i])),
+    ]
+}
+
+/// Prepare `sql` and, if it prepares, execute it against `da` with
+/// `params`; `Err` says what panicked.
+fn run(da: &mut MemAccess, sql: &str, params: &[Datum]) -> Result<(), String> {
+    let Ok(p) = prepare(sql, da.catalog()) else {
+        return Ok(());
+    };
+    match catch_unwind(AssertUnwindSafe(|| execute(&p.bound, params, da))) {
+        Ok(_) => Ok(()),
+        Err(_) => Err(format!("execute panicked on {sql:?} with {params:?}")),
+    }
 }
 
 /// Lex, parse and prepare `sql`; `Err` names the layer that panicked.
@@ -134,6 +185,50 @@ proptest! {
         edits in proptest::collection::vec((0usize..200, any::<u8>(), sql_byte()), 1..6),
     ) {
         prop_assert_eq!(feed(&catalog(), &mutate(STATEMENTS[seed], &edits)), Ok(()));
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(600))]
+
+    /// Every seed statement, and every mutation of one that prepares,
+    /// executes to `Ok` or `Err` with random parameters — NULLs, edge
+    /// integers, inverted range bounds, too few of them — against loaded
+    /// tables.
+    #[test]
+    fn prepared_statements_execute_without_panics(
+        seed in 0..STATEMENTS.len(),
+        edits in proptest::collection::vec((0usize..200, any::<u8>(), sql_byte()), 0..3),
+        params in proptest::collection::vec(param(), 0..9),
+    ) {
+        let mut da = loaded();
+        prop_assert_eq!(run(&mut da, STATEMENTS[seed], &params), Ok(()));
+        prop_assert_eq!(run(&mut da, &mutate(STATEMENTS[seed], &edits), &params), Ok(()));
+    }
+}
+
+/// A composite-key range whose bounds cross (`lo > hi`) is empty, not a
+/// panic, in both of its SQL forms.
+#[test]
+fn inverted_key_range_returns_no_rows() {
+    let mut da = MemAccess::new();
+    for sql in [
+        "CREATE TABLE t (a INT NOT NULL, b INT NOT NULL, PRIMARY KEY (a, b))",
+        "INSERT INTO t VALUES (1, 2), (1, 3), (1, 4)",
+    ] {
+        let p = prepare(sql, da.catalog()).unwrap();
+        execute(&p.bound, &[], &mut da).unwrap();
+    }
+    for sql in [
+        "SELECT b FROM t WHERE a = 1 AND b BETWEEN 4 AND 2",
+        "SELECT b FROM t WHERE a = 1 AND b >= 4 AND b <= 2",
+    ] {
+        let p = prepare(sql, da.catalog()).unwrap();
+        assert_eq!(
+            execute(&p.bound, &[], &mut da).unwrap().rows(),
+            vec![],
+            "{sql}"
+        );
     }
 }
 

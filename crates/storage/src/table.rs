@@ -2,18 +2,24 @@
 //!
 //! Version chains live in a per-table slab arena: each chain is a
 //! newest-first singly linked list of `u32` node indices, with the head
-//! stored in the key B-tree. Vacuumed nodes go on a freelist and their
-//! rows are dropped, so the steady state — install, read, vacuum,
+//! stored in the key's B-tree slot. Vacuumed nodes go on a freelist and
+//! their rows are dropped, so the steady state — install, read, vacuum,
 //! repeat — reuses slots rather than growing the slab. A chain's
 //! head keeps its arena slot for the life of the key (an install pushes
 //! the previous head down into a fresh slot), so the table can list the
 //! chains that hold garbage by head slot and vacuum visits only those:
 //! a pass costs what was written since the last one, not the table's
 //! size.
+//!
+//! The B-tree is ordered by `(prefix, key)`, where the prefix is a 4-byte
+//! order-preserving digest of the key (`key_prefix`): a search compares
+//! the integers stored inline in the node and follows a key's pointer to
+//! its shared datums only when two prefixes tie.
 
-use gdb_model::{FxHashMap, GdbError, GdbResult, Row, RowKey, Timestamp};
+use gdb_model::{Datum, FxHashMap, GdbError, GdbResult, Row, RowKey, Timestamp};
 use gdb_simnet::SimTime;
-use std::collections::BTreeMap;
+use std::cmp::Ordering;
+use std::collections::btree_map::{BTreeMap, Entry};
 use std::ops::Bound;
 
 /// One committed version of a row.
@@ -72,6 +78,11 @@ impl VersionArena {
         }
     }
 
+    /// The slot the next [`VersionArena::alloc`] returns.
+    fn next_slot(&self) -> u32 {
+        self.free.last().copied().unwrap_or(self.nodes.len() as u32)
+    }
+
     /// Return a node to the freelist, dropping its row.
     fn release(&mut self, idx: u32) {
         self.nodes[idx as usize].version.row = None;
@@ -110,13 +121,170 @@ impl VersionArena {
     }
 }
 
+/// Order-preserving 32-bit prefix of a key: `a < b` under [`RowKey`]'s
+/// order implies `key_prefix(a) <= key_prefix(b)`, and equal keys share a
+/// prefix. The key is written as a bit string, most significant bit
+/// first, and the first 32 bits (zero-padded) are the prefix. Each datum
+/// is a code from one prefix-free set whose lexicographic order is the
+/// datum order — the rank order Null < Bool < numeric < Text, numeric
+/// values by raw value whether Int or Decimal:
+///
+/// | datum | code | payload bits |
+/// |---|---|---|
+/// | NULL | `0000` | — |
+/// | Bool | `0001` | 1 |
+/// | negative | `001` | 64 (two's complement) |
+/// | 0 ..= 15 | `01` | 4 |
+/// | 16 ..= 4 111 | `10` | 12 (value − 16) |
+/// | 4 112 ..= 69 647 | `110` | 16 (value − 4 112) |
+/// | 69 648 ..= 1 118 223 | `1110` | 20 (value − 69 648) |
+/// | larger | `11110` | 64 (value − 1 118 224) |
+/// | Text | `11111` | the UTF-8 bytes, then nothing more |
+///
+/// A key that is a prefix of a longer one writes a prefix of its bit
+/// string, so the zero padding sorts it first. Text ends the string:
+/// without a terminator, `'a'` and `'a\0'` must not be told apart by
+/// what follows them. Small integers are dense, so a TPC-C
+/// `(warehouse, district, id)` key or a sysbench id up to 69 647 is told
+/// apart from its neighbours by the prefix alone.
+fn key_prefix(key: &[Datum]) -> u32 {
+    let mut bits = PrefixBits::default();
+    for d in key {
+        match d {
+            Datum::Null => bits.push(0b0000, 4),
+            Datum::Bool(b) => {
+                bits.push(0b0001, 4);
+                bits.push(*b as u64, 1);
+            }
+            Datum::Int(v) | Datum::Decimal(v) => match *v {
+                v if v < 0 => {
+                    bits.push(0b001, 3);
+                    bits.push(v as u64, 64);
+                }
+                v @ 0..=15 => {
+                    bits.push(0b01, 2);
+                    bits.push(v as u64, 4);
+                }
+                v @ 16..=4_111 => {
+                    bits.push(0b10, 2);
+                    bits.push((v - 16) as u64, 12);
+                }
+                v @ 4_112..=69_647 => {
+                    bits.push(0b110, 3);
+                    bits.push((v - 4_112) as u64, 16);
+                }
+                v @ 69_648..=1_118_223 => {
+                    bits.push(0b1110, 4);
+                    bits.push((v - 69_648) as u64, 20);
+                }
+                v => {
+                    bits.push(0b11110, 5);
+                    bits.push((v - 1_118_224) as u64, 64);
+                }
+            },
+            Datum::Text(s) => {
+                bits.push(0b11111, 5);
+                for &b in s.as_bytes() {
+                    if bits.full() {
+                        break;
+                    }
+                    bits.push(b as u64, 8);
+                }
+                break;
+            }
+        }
+        if bits.full() {
+            break;
+        }
+    }
+    (bits.acc >> 32) as u32
+}
+
+/// A bit string filled from the most significant bit of `acc`.
+#[derive(Default)]
+struct PrefixBits {
+    acc: u64,
+    used: u32,
+}
+
+impl PrefixBits {
+    /// True once the 32 prefix bits are written.
+    fn full(&self) -> bool {
+        self.used >= 32
+    }
+
+    /// Append the low `width` bits of `value` (`width <= 64`), keeping
+    /// what fits in 64 bits. Fewer than 64 are used at every call: a
+    /// datum starts below 32 and pushes a code and at most one payload,
+    /// and text stops at 32 before each byte.
+    fn push(&mut self, value: u64, width: u32) {
+        let value = if width == 64 {
+            value
+        } else {
+            value & ((1 << width) - 1)
+        };
+        let end = self.used + width;
+        self.acc |= if end <= 64 {
+            value << (64 - end)
+        } else {
+            value >> (end - 64)
+        };
+        self.used = end.min(64);
+    }
+}
+
+/// One entry of a table's key B-tree: the key, its order prefix, and the
+/// arena slot of its chain's head. Ordered by `(prefix, key)` — the same
+/// order as the key's, since the prefix is monotone — and the head takes
+/// no part: it is fixed for the key's life in the table.
+#[derive(Debug, Clone)]
+struct Slot {
+    prefix: u32,
+    head: u32,
+    key: RowKey,
+}
+
+impl Slot {
+    /// `key`'s slot naming chain head `head`; the head takes no part in
+    /// the order, so a lookup passes any.
+    fn new(key: &RowKey, head: u32) -> Slot {
+        Slot {
+            prefix: key_prefix(&key.0),
+            head,
+            key: key.clone(),
+        }
+    }
+}
+
+impl Ord for Slot {
+    fn cmp(&self, other: &Self) -> Ordering {
+        self.prefix
+            .cmp(&other.prefix)
+            .then_with(|| self.key.cmp(&other.key))
+    }
+}
+
+impl PartialOrd for Slot {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl PartialEq for Slot {
+    fn eq(&self, other: &Self) -> bool {
+        self.cmp(other) == Ordering::Equal
+    }
+}
+
+impl Eq for Slot {}
+
 /// A versioned table: primary-key ordered chains in a slab arena.
 #[derive(Debug, Default, Clone)]
 pub struct Table {
-    /// Key -> head (newest) version node of its chain. The slot is fixed
-    /// when the key is first installed and released only when vacuum
-    /// drops the key.
-    rows: BTreeMap<RowKey, u32>,
+    /// One slot per key, naming the head (newest) version node of its
+    /// chain. The head is fixed when the key is first installed and
+    /// released only when vacuum drops the key.
+    rows: BTreeMap<Slot, ()>,
     arena: VersionArena,
     /// Head slots of the chains vacuum can have work on: more than one
     /// version, or a tombstone head. Each such chain is listed exactly
@@ -142,9 +310,9 @@ impl Table {
     /// `row = None` is a delete. Chains must stay ordered by commit
     /// timestamp — guaranteed by the lock table (a writer waits out the
     /// previous holder whose commit wait, in turn, guarantees a larger
-    /// timestamp). The key is cloned only when it is new to the table or
-    /// becomes deleted, so installing over an existing key allocates only
-    /// when the slab has no free slot.
+    /// timestamp). One tree descent finds the key's slot or makes it;
+    /// installing over an existing key allocates only when the slab has
+    /// no free slot.
     pub fn install_version(
         &mut self,
         key: &RowKey,
@@ -159,21 +327,21 @@ impl Table {
             row,
         };
         let deletes = v.row.is_none();
-        // A key above the current maximum is new: skip the lookup, so an
-        // ascending load pays one tree descent per row (the insert), not
-        // two. `last_key_value` walks the right edge without comparing.
-        let existing = match self.rows.last_key_value() {
-            Some((max, _)) if key <= max => self.rows.get(key).copied(),
-            _ => None,
-        };
-        let Some(head) = existing else {
-            let head = self.arena.alloc(v, NIL);
-            self.rows.insert(key.clone(), head);
-            if deletes {
-                self.garbage.push(head);
-                self.tombstoned.insert(head, key.clone());
+        // A new key's chain starts in the slot the arena hands out next,
+        // so the slot entered here is already the final one.
+        let head = match self.rows.entry(Slot::new(key, self.arena.next_slot())) {
+            Entry::Occupied(slot) => slot.key().head,
+            Entry::Vacant(slot) => {
+                let head = slot.key().head;
+                slot.insert(());
+                let at = self.arena.alloc(v, NIL);
+                debug_assert_eq!(at, head);
+                if deletes {
+                    self.garbage.push(head);
+                    self.tombstoned.insert(head, key.clone());
+                }
+                return Ok(());
             }
-            return Ok(());
         };
         let node = &mut self.arena.nodes[head as usize];
         let last = &node.version;
@@ -202,12 +370,17 @@ impl Table {
         Ok(())
     }
 
+    /// The slot of `key`, if the table holds it.
+    fn slot(&self, key: &RowKey) -> Option<&Slot> {
+        Some(self.rows.get_key_value(&Slot::new(key, NIL))?.0)
+    }
+
     /// Point read at a snapshot. Tombstones read as `None`.
     pub fn read(&self, key: &RowKey, snapshot: Timestamp) -> Option<VisibleRow<'_>> {
-        let (key, &head) = self.rows.get_key_value(key)?;
-        let v = self.arena.visible_at(head, snapshot)?;
+        let slot = self.slot(key)?;
+        let v = self.arena.visible_at(slot.head, snapshot)?;
         v.row.as_ref().map(|row| VisibleRow {
-            key,
+            key: &slot.key,
             row,
             commit_ts: v.commit_ts,
             commit_vtime: v.commit_vtime,
@@ -217,10 +390,10 @@ impl Table {
     /// The newest committed row regardless of snapshot (read-committed
     /// update path, used after acquiring the row lock).
     pub fn read_newest(&self, key: &RowKey) -> Option<VisibleRow<'_>> {
-        let (key, &head) = self.rows.get_key_value(key)?;
-        let v = &self.arena.nodes[head as usize].version;
+        let slot = self.slot(key)?;
+        let v = &self.arena.nodes[slot.head as usize].version;
         v.row.as_ref().map(|row| VisibleRow {
-            key,
+            key: &slot.key,
             row,
             commit_ts: v.commit_ts,
             commit_vtime: v.commit_vtime,
@@ -233,21 +406,26 @@ impl Table {
     }
 
     /// Range scan `[lo, hi]` (inclusive bounds; `None` = unbounded) at a
-    /// snapshot, in key order.
+    /// snapshot, in key order. An empty range (`lo > hi`) has no rows.
     pub fn range(
         &self,
         lo: Option<&RowKey>,
         hi: Option<&RowKey>,
         snapshot: Timestamp,
     ) -> Vec<VisibleRow<'_>> {
-        let lo_b = lo.map_or(Bound::Unbounded, |k| Bound::Included(k.clone()));
-        let hi_b = hi.map_or(Bound::Unbounded, |k| Bound::Included(k.clone()));
+        if let (Some(lo), Some(hi)) = (lo, hi) {
+            if lo > hi {
+                return Vec::new();
+            }
+        }
+        let bound =
+            |k: Option<&RowKey>| k.map_or(Bound::Unbounded, |k| Bound::Included(Slot::new(k, NIL)));
         self.rows
-            .range((lo_b, hi_b))
-            .filter_map(|(key, &head)| {
-                self.arena.visible_at(head, snapshot).and_then(|v| {
+            .range((bound(lo), bound(hi)))
+            .filter_map(|(slot, ())| {
+                self.arena.visible_at(slot.head, snapshot).and_then(|v| {
                     v.row.as_ref().map(|row| VisibleRow {
-                        key,
+                        key: &slot.key,
                         row,
                         commit_ts: v.commit_ts,
                         commit_vtime: v.commit_vtime,
@@ -315,7 +493,7 @@ impl Table {
                 let key = tombstoned
                     .remove(&head)
                     .expect("tombstone heads keep their key");
-                rows.remove(&key);
+                rows.remove(&Slot::new(&key, head));
                 arena.release(head);
                 return false;
             }
@@ -488,6 +666,79 @@ mod tests {
             SimTime::from_millis(77)
         );
     }
+
+    #[test]
+    fn inverted_range_is_empty() {
+        let mut tbl = Table::new();
+        for i in 1..=5i64 {
+            tbl.install_version(&k(i), Some(r(i, "x")), t(10), SimTime::ZERO)
+                .unwrap();
+        }
+        assert!(tbl.range(Some(&k(4)), Some(&k(2)), t(10)).is_empty());
+        assert_eq!(tbl.range(Some(&k(3)), Some(&k(3)), t(10)).len(), 1);
+    }
+
+    /// Keys in ascending order that each stress one rule of the code:
+    /// the rank order, Int/Decimal sharing one scale, each integer class
+    /// edge, and text ending the string (`'a'` then anything sorts
+    /// before `'a\0'`).
+    #[test]
+    fn key_prefix_orders_edge_keys() {
+        let key = |d: Vec<Datum>| RowKey::new(d);
+        let ascending = [
+            key(vec![]),
+            key(vec![Datum::Null]),
+            key(vec![Datum::Null, Datum::Int(i64::MAX)]),
+            key(vec![Datum::Bool(false)]),
+            key(vec![Datum::Bool(true), Datum::Text("z".into())]),
+            key(vec![Datum::Int(i64::MIN)]),
+            key(vec![Datum::Decimal(-1)]),
+            key(vec![Datum::Int(0)]),
+            key(vec![Datum::Int(15), Datum::Int(i64::MAX)]),
+            key(vec![Datum::Decimal(16)]),
+            key(vec![Datum::Int(4_111)]),
+            key(vec![Datum::Int(4_112)]),
+            key(vec![Datum::Int(69_647)]),
+            key(vec![Datum::Int(69_648)]),
+            key(vec![Datum::Int(1_118_223)]),
+            key(vec![Datum::Int(1_118_224)]),
+            key(vec![Datum::Int(i64::MAX)]),
+            key(vec![Datum::Text("".into())]),
+            key(vec![Datum::Text("a".into()), Datum::Int(5)]),
+            key(vec![Datum::Text("a\0".into())]),
+            key(vec![Datum::Text("b".into())]),
+        ];
+        for w in ascending.windows(2) {
+            assert!(w[0] < w[1], "{} < {}", w[0], w[1]);
+            assert!(
+                key_prefix(&w[0].0) <= key_prefix(&w[1].0),
+                "{} < {}",
+                w[0],
+                w[1]
+            );
+        }
+        assert_eq!(
+            key_prefix(&[Datum::Int(7), Datum::Int(9)]),
+            key_prefix(&[Datum::Decimal(7), Datum::Decimal(9)])
+        );
+    }
+
+    /// The keys the workloads use are told apart by the prefix alone:
+    /// sysbench ids and TPC-C `(warehouse, district, customer)` keys get
+    /// strictly rising prefixes.
+    #[test]
+    fn workload_keys_have_distinct_prefixes() {
+        let rising = |keys: &mut dyn Iterator<Item = RowKey>| {
+            let prefixes: Vec<u32> = keys.map(|k| key_prefix(&k.0)).collect();
+            assert!(prefixes.windows(2).all(|w| w[0] < w[1]));
+        };
+        rising(&mut (1..=25_000i64).map(k));
+        rising(&mut (1..=10i64).flat_map(|w| {
+            (1..=10i64).flat_map(move |d| {
+                (1..=3_000i64).map(move |c| RowKey::new(vec![w.into(), d.into(), c.into()]))
+            })
+        }));
+    }
 }
 
 #[cfg(test)]
@@ -542,7 +793,134 @@ mod proptests {
         }
     }
 
+    /// Integers at the edges of each prefix code's range, anywhere, and
+    /// small.
+    fn arb_int() -> impl Strategy<Value = i64> {
+        const EDGES: [i64; 14] = [
+            i64::MIN,
+            i64::MIN + 1,
+            -1,
+            0,
+            15,
+            16,
+            4_111,
+            4_112,
+            69_647,
+            69_648,
+            1_118_223,
+            1_118_224,
+            i64::MAX - 1,
+            i64::MAX,
+        ];
+        prop_oneof![
+            (0..EDGES.len()).prop_map(|i| EDGES[i]),
+            any::<i64>(),
+            -20i64..5_000,
+        ]
+    }
+
+    /// Datums from every rank: Int/Decimal twins, and empty or
+    /// NUL-bearing text.
+    fn arb_datum() -> impl Strategy<Value = Datum> {
+        let text = proptest::collection::vec(
+            prop_oneof![
+                Just('\0'),
+                Just('a'),
+                Just('b'),
+                Just('\u{7f}'),
+                any::<char>()
+            ],
+            0..6,
+        );
+        prop_oneof![
+            Just(Datum::Null),
+            any::<bool>().prop_map(Datum::Bool),
+            arb_int().prop_map(Datum::Int),
+            arb_int().prop_map(Datum::Decimal),
+            text.prop_map(|cs| Datum::from(cs.into_iter().collect::<String>())),
+        ]
+    }
+
+    fn arb_key() -> impl Strategy<Value = RowKey> {
+        proptest::collection::vec(arb_datum(), 0..5).prop_map(RowKey::new)
+    }
+
+    /// A key near `key`: truncated, extended, or with one datum moved by
+    /// one (or swapped for its Int/Decimal twin).
+    fn near(key: &RowKey, edit: usize, extra: Datum) -> RowKey {
+        let mut v = key.0.to_vec();
+        match (edit % 4, v.len()) {
+            (0, n) if n > 0 => {
+                v.truncate(edit % n);
+            }
+            (1, n) if n > 0 => {
+                let i = edit % n;
+                v[i] = match &v[i] {
+                    Datum::Int(x) => Datum::Decimal(*x),
+                    Datum::Decimal(x) => Datum::Int(x.wrapping_add(1)),
+                    Datum::Text(t) => Datum::from(format!("{t}\0")),
+                    _ => extra,
+                };
+            }
+            (2, n) if n > 0 => {
+                let i = edit % n;
+                if let Datum::Int(x) | Datum::Decimal(x) = &mut v[i] {
+                    *x = x.wrapping_sub(1);
+                }
+            }
+            _ => v.push(extra),
+        }
+        RowKey::new(v)
+    }
+
     proptest! {
+        #![proptest_config(ProptestConfig::with_cases(20_000))]
+
+        /// The slot prefix is monotone under `RowKey::cmp`: a smaller key
+        /// never gets a larger prefix, and equal keys get equal ones.
+        #[test]
+        fn key_prefix_is_monotone(
+            a in arb_key(), b in arb_key(), edit in 0usize..64, extra in arb_datum(),
+        ) {
+            let c = near(&a, edit, extra);
+            for (x, y) in [(&a, &b), (&a, &c), (&b, &c)] {
+                let (px, py) = (key_prefix(&x.0), key_prefix(&y.0));
+                match x.cmp(y) {
+                    Ordering::Less => prop_assert!(px <= py, "{} < {} but {:#x} > {:#x}", x, y, px, py),
+                    Ordering::Equal => prop_assert_eq!(px, py, "{} = {}", x, y),
+                    Ordering::Greater => prop_assert!(px >= py, "{} > {} but {:#x} < {:#x}", x, y, px, py),
+                }
+            }
+        }
+    }
+
+    proptest! {
+
+        /// A table keyed by mixed-type keys reads every key back and
+        /// scans and ranges in `RowKey` order.
+        #[test]
+        fn mixed_keys_read_back_in_key_order(
+            keys in proptest::collection::vec(arb_key(), 1..40),
+            lo in arb_key(), hi in arb_key(),
+        ) {
+            let mut tbl = Table::new();
+            let mut spec = BTreeMap::new();
+            for (i, key) in keys.iter().enumerate() {
+                let row = Row(vec![Datum::Int(i as i64)]);
+                tbl.install_version(key, Some(row.clone()), Timestamp(i as u64 + 1), SimTime::ZERO).unwrap();
+                spec.insert(key.clone(), row);
+            }
+            prop_assert_eq!(tbl.key_count(), spec.len());
+            for key in &keys {
+                prop_assert_eq!(tbl.read_newest(key).map(|v| v.row), spec.get(key));
+            }
+            let scan: Vec<_> = tbl.scan(Timestamp::MAX).iter().map(|v| (v.key.clone(), v.row.clone())).collect();
+            prop_assert_eq!(scan, spec.clone().into_iter().collect::<Vec<_>>());
+            let range: Vec<_> = tbl.range(Some(&lo), Some(&hi), Timestamp::MAX).iter().map(|v| v.key.clone()).collect();
+            let expected: Vec<_> = spec.keys().filter(|k| lo <= **k && **k <= hi).cloned().collect();
+            prop_assert_eq!(range, expected);
+        }
+
         /// The arena-chained `Table` (vacuuming only its listed chains)
         /// obeys the spec while installs — updates, tombstones,
         /// re-inserts — interleave with vacuums at rising horizons and
