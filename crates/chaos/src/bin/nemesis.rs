@@ -21,6 +21,9 @@ fn to_artifact(report: &ChaosReport, seed: u64) -> BenchArtifact {
     art.config_kv("plan", &report.plan_name);
     art.config_kv("duration_s", report.duration.as_secs_f64());
     art.config_kv("violations", report.violations.len());
+    art.config_kv("checked_txns", report.checked.txns);
+    art.config_kv("checked_reads", report.checked.reads);
+    art.config_kv("checked_writes", report.checked.writes);
     let secs = report.duration.as_secs_f64().max(1e-9);
     art.series.push(globaldb::bench_series(
         report.plan_name.clone(),

@@ -10,10 +10,11 @@
 //!   delay spikes, and clock-sync outages — either hand-written (canned
 //!   plans) or generated from a seed by the [`nemesis`] module, so any run
 //!   replays bit-for-bit from `--seed N`;
-//! * an **invariant oracle** ([`oracle`]) that drives probe transactions
-//!   through the cluster while the plan executes and checks external
-//!   consistency, RCP monotonicity and bounds, replica-read correctness,
-//!   durability of acknowledged writes, and (via
+//! * an **invariant oracle** ([`oracle`]) that records the workload's
+//!   own transactions while the plan executes and checks that history —
+//!   external consistency, read correctness, lost updates, durability of
+//!   acknowledged writes, replica-read containment — plus RCP
+//!   monotonicity and bounds, and (via
 //!   [`gdb_workloads::tpcc::consistency`]) the TPC-C consistency
 //!   conditions once the dust settles.
 //!
@@ -30,8 +31,8 @@ pub mod trace;
 
 pub use fault::Fault;
 pub use nemesis::NemesisConfig;
-pub use oracle::{FailoverWindow, Oracle, PROBE_LATENCY_US};
+pub use oracle::{Coverage, FailoverWindow, LossWindows, Oracle, Verdict};
 pub use plan::{FaultEvent, FaultPlan};
-pub use runner::{run_nemesis, run_plan, run_plan_on, run_plan_prepped, ChaosConfig, ChaosReport};
+pub use runner::{run_nemesis, run_plan, run_plan_prepped, ChaosConfig, ChaosReport};
 pub use scenario::{PlanSource, Scenario};
 pub use trace::{Trace, TraceHandle};

@@ -1,467 +1,416 @@
-//! The invariant oracle: probe transactions and consistency checkers.
+//! The invariant oracle: a checker over the workload's own history.
 //!
-//! While a fault plan executes, the oracle drives small probe
-//! transactions against a dedicated `chaos_probe` table and checks, on
-//! every observation:
-//!
-//! * **External consistency** — if write `p` was acknowledged before
-//!   write `w` started (in virtual real time), then `p.commit_ts <
-//!   w.commit_ts`.
-//! * **RCP monotonicity** — no CN's adopted RCP ever moves backwards.
-//! * **RCP bound** — a region's computed RCP never exceeds the largest
-//!   max-applied-commit-ts among that region's replicas.
-//! * **Replica-read containment** — a read served by replicas runs at
-//!   exactly the CN's RCP snapshot, never newer.
-//! * **Read correctness** — every read returns the probe value written
-//!   by the latest write with `commit_ts <= snapshot` (reads are checked
-//!   against the full write history, so a lost or resurrected version is
-//!   caught the moment any probe observes it). When asynchronous
-//!   replication fails over ([`OracleState::lossy`]) the newest writes
-//!   may be gone, so reads may observe older acked values — but still
-//!   never a value that was not written at or before the snapshot.
-//! * **Durability** (strict mode, i.e. synchronous replication) — the
-//!   per-key value sequence in commit-timestamp order is exactly
-//!   `1, 2, 3, ...`: no acknowledged write is ever lost, not even across
-//!   a primary failover. Under asynchronous replication a failover may
-//!   lose acknowledged writes, but only the shipping-window tail —
-//!   [`Oracle::final_check`] bounds the loss instead of skipping the
-//!   check.
+//! While a fault plan executes, the cluster records every transaction
+//! ([`globaldb::txn::history`]). After the run heals, [`Oracle::verdict`]
+//! reads every written key back and [`check`]s the whole history for
+//! external consistency, read correctness, lost updates, durability and
+//! replica-read containment — each one check over the history, tabled
+//! in DESIGN.md "Invariants checked by the oracle". Under asynchronous
+//! replication a failover may lose what [`LossWindows`] excuses. RCP
+//! monotonicity and the RCP bound concern collector state, not
+//! transactions: [`Oracle::arm`] schedules a state check for them.
 
 use crate::trace::TraceHandle;
-use globaldb::{Cluster, Datum, GlobalDb, Prepared, SimDuration, SimTime, Timestamp};
+use gdb_model::{RowKey, TableId, TxnId};
+use globaldb::txn::history::{Event, History, Version, HISTORY_CAPACITY};
+use globaldb::{Cluster, DataAccess, GlobalDb, SimDuration, SimTime, Timestamp};
 use std::cell::RefCell;
+use std::collections::{BTreeMap, HashMap};
 use std::rc::Rc;
 
-/// Metric: end-to-end latency of committed oracle probe transactions
-/// (both write and read probes). Lives in the cluster's metrics registry,
-/// so nemesis `--json` artifacts carry the full fault-window latency
-/// distribution of the probes alongside the workload's.
-pub const PROBE_LATENCY_US: &str = "chaos.probe_latency_us";
+/// How often the RCP state check runs while the plan executes.
+const RCP_CHECK_EVERY: SimDuration = SimDuration::from_millis(25);
 
 /// One primary-failover episode of the executed fault plan: the crash of
-/// a shard's primary and the later promotion of one of its replicas. In
-/// asynchronous replication this is the only event that can lose
-/// acknowledged writes — and only those acked inside the shipping window
-/// before the crash (or between crash and promotion, which the shard
-/// rejects anyway).
+/// a shard's primary and the later promotion of one of its replicas.
 #[derive(Debug, Clone, Copy)]
 pub struct FailoverWindow {
     pub crash_at: SimTime,
     pub promote_at: SimTime,
 }
 
-/// One acknowledged probe write.
-#[derive(Debug, Clone)]
-pub struct WriteRecord {
-    pub key: i64,
-    pub value: i64,
-    pub started_at: SimTime,
-    pub acked_at: SimTime,
-    pub commit_ts: Timestamp,
+/// Where asynchronous replication may lose acknowledged writes: those
+/// acked less than `tail` before a failover's crash or later, by a
+/// transaction that started before the promotion (it ran on the old
+/// primary). Empty (the default) under synchronous replication.
+#[derive(Debug, Clone, Default)]
+pub struct LossWindows {
+    pub failovers: Vec<FailoverWindow>,
+    pub tail: SimDuration,
 }
 
-/// Everything the oracle accumulates over a run.
-#[derive(Debug, Default)]
-pub struct OracleState {
-    pub history: Vec<WriteRecord>,
-    pub violations: Vec<String>,
-    /// Set by the runner when asynchronous replication runs a plan with a
-    /// primary failover: the lost shipping-window tail means a read may
-    /// legitimately observe an *older* acked value than the newest one at
-    /// its snapshot. Mid-run reads then only reject invented values
-    /// (never written, or newer than the snapshot); how much rollback is
-    /// tolerable is enforced by [`Oracle::final_check`]'s bounded-loss
-    /// pass.
-    pub lossy: bool,
-    /// Per-CN last observed RCP (monotonicity witness).
-    last_rcp: Vec<Timestamp>,
-    pub writes_committed: u64,
-    /// Probe writes rejected with a retryable error (expected under
-    /// faults: CN down, shard unreachable, lock conflict).
-    pub writes_rejected: u64,
-    pub reads_checked: u64,
-    pub reads_rejected: u64,
-    pub rcp_checks: u64,
-}
-
-impl OracleState {
-    fn violation(&mut self, trace: &TraceHandle, at: SimTime, msg: String) {
-        trace.borrow_mut().record(at, format!("VIOLATION {msg}"));
-        self.violations.push(msg);
+impl LossWindows {
+    /// Whether a reader may miss `w`: it was never acknowledged, or it
+    /// lies in a loss window.
+    fn excuses(&self, w: &KeyWrite) -> bool {
+        w.ack.is_none_or(|ack| {
+            self.failovers
+                .iter()
+                .any(|f| ack + self.tail > f.crash_at && w.start < f.promote_at)
+        })
     }
 }
 
-pub type OracleHandle = Rc<RefCell<OracleState>>;
+/// How much of a run's history the checker covered (the read-back not
+/// counted).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct Coverage {
+    /// Transactions that ended, committed or not.
+    pub txns: u64,
+    pub reads: u64,
+    /// Writes of committed transactions.
+    pub writes: u64,
+}
 
-/// The oracle: probe statements plus shared observation state.
+/// One write of a key that committed, or may have (in doubt).
+#[derive(Debug, Clone, Copy)]
+pub struct KeyWrite {
+    pub txn: TxnId,
+    pub ts: Timestamp,
+    /// `None` for a delete.
+    pub digest: Option<u32>,
+    /// When the writing transaction started.
+    pub start: SimTime,
+    /// `None` while in doubt: never acknowledged.
+    pub ack: Option<SimTime>,
+    /// Position of the transaction's end in the log.
+    pub end: usize,
+}
+
+/// Every key's committed and in-doubt writes, in timestamp order.
+pub fn key_writes(history: &History) -> BTreeMap<(TableId, RowKey), Vec<KeyWrite>> {
+    let (mut starts, mut ends) = (HashMap::new(), HashMap::new());
+    for (end, e) in history.events.iter().enumerate() {
+        match *e {
+            Event::Begin { txn, start, .. } => _ = starts.insert(txn, start),
+            Event::End {
+                txn,
+                ts: Some(ts),
+                ack,
+            } => _ = ends.insert(txn, (ts, ack, end)),
+            _ => {}
+        }
+    }
+    let mut out: BTreeMap<_, Vec<KeyWrite>> = BTreeMap::new();
+    for e in &history.events {
+        let Event::Write {
+            txn,
+            table,
+            key,
+            digest,
+        } = e
+        else {
+            continue;
+        };
+        let Some(&(ts, ack, end)) = ends.get(txn) else {
+            continue;
+        };
+        let (txn, digest, start) = (*txn, *digest, starts[txn]);
+        let writes = out.entry((*table, key.clone())).or_default();
+        // A transaction's last write to a key is the image it installs.
+        match writes.last_mut() {
+            Some(w) if w.txn == txn => w.digest = digest,
+            _ => writes.push(KeyWrite {
+                txn,
+                ts,
+                digest,
+                start,
+                ack,
+                end,
+            }),
+        }
+    }
+    for writes in out.values_mut() {
+        writes.sort_by_key(|w| w.ts);
+    }
+    out
+}
+
+/// What a read at log position `at` may not have seen at `snapshot`,
+/// described. It is held to the writes that ended before it (DESIGN.md
+/// says why not all of them); versions below `floor`, the oldest
+/// recorded commit, predate the recording.
+fn read_fault(
+    (at, snapshot, floor): (usize, Timestamp, Timestamp),
+    writes: &[KeyWrite],
+    seen: Option<Version>,
+    losses: &LossWindows,
+) -> Option<String> {
+    let visible: Vec<_> = writes
+        .iter()
+        .filter(|w| w.ts <= snapshot && w.end < at)
+        .collect();
+    // One past the write the read observed; 0 = from before recording.
+    let after = match seen {
+        Some(v) if v.ts > snapshot => return Some(format!("saw {}, above its snapshot", v.ts)),
+        Some(v) => match visible.iter().rposition(|w| w.ts == v.ts) {
+            Some(i) if visible[i].digest == Some(v.digest) => i + 1,
+            Some(i) => return Some(format!("saw {} unlike what {} wrote", v.ts, visible[i].txn)),
+            None if v.ts >= floor => return Some(format!("saw {}, written by nobody", v.ts)),
+            None => 0,
+        },
+        // Absent: after the newest delete, else from before recording.
+        None => visible
+            .iter()
+            .rposition(|w| w.digest.is_none())
+            .map_or(0, |i| i + 1),
+    };
+    // Every acknowledged write it skipped must lie in a loss window.
+    let w = visible[after..].iter().rev().find(|w| !losses.excuses(w))?;
+    let ack = w.ack.unwrap_or_default();
+    Some(format!(
+        "missed {}'s write at {} (acked at {ack})",
+        w.txn, w.ts
+    ))
+}
+
+/// A locked read by `txn` saw version `seen` of a key it then wrote:
+/// its write must commit above `seen`, and no other acknowledged write
+/// to that key may commit between the two.
+fn lost_update(
+    txn: TxnId,
+    seen: Timestamp,
+    ws: &[KeyWrite],
+    losses: &LossWindows,
+) -> Option<String> {
+    let own = ws.iter().find(|w| w.txn == txn && w.ack.is_some())?;
+    let over = ws
+        .iter()
+        .find(|w| w.txn != txn && seen < w.ts && w.ts < own.ts && !losses.excuses(w));
+    let over = match over {
+        _ if own.ts <= seen => "the version it read".to_string(),
+        Some(w) => format!("{}'s write at {}", w.txn, w.ts),
+        None => return None,
+    };
+    Some(format!("committed at {}, not above {over}", own.ts))
+}
+
+/// Every commit acked by `start` (`(start, bound, txn, writer)`) must be
+/// below `bound` for a writer, at most `bound` for a snapshot. Sort both
+/// sides by time, then sweep the newest commit acked so far.
+fn external_consistency(
+    mut commits: Vec<(SimTime, Timestamp, TxnId)>,
+    mut queries: Vec<(SimTime, Timestamp, TxnId, bool)>,
+    out: &mut Vec<String>,
+) {
+    commits.sort_unstable();
+    queries.sort_by_key(|q| q.0);
+    let mut acked = commits.into_iter().peekable();
+    let mut newest: Option<(Timestamp, TxnId, SimTime)> = None;
+    for (start, bound, txn, writer) in queries {
+        while let Some((ack, ts, a)) = acked.next_if(|c| c.0 <= start) {
+            if newest.is_none_or(|n| ts > n.0) {
+                newest = Some((ts, a, ack));
+            }
+        }
+        let Some((ts, a, ack)) = newest else { continue };
+        let what = match writer {
+            true if ts >= bound => "committed at",
+            false if ts > bound => "read at snapshot",
+            _ => continue,
+        };
+        out.push(format!(
+            "external consistency: {a} committed at {ts} was acked at {ack}, before {txn} \
+             started at {start}, yet {txn} {what} {bound}"
+        ));
+    }
+}
+
+/// Check a recorded history; reads from event `read_back_from` on are
+/// the post-run read-back, reported as durability violations.
+pub fn check(
+    history: &History,
+    read_back_from: usize,
+    losses: &LossWindows,
+) -> (Coverage, Vec<String>) {
+    let mut out = Vec::new();
+    if history.overflow > 0 {
+        let n = history.overflow;
+        out.push(format!(
+            "history overflow: {n} events past the {HISTORY_CAPACITY}-event log"
+        ));
+    }
+    let writes = key_writes(history);
+    let floor = writes.values().flatten().map(|w| w.ts).min();
+    let floor = floor.unwrap_or(Timestamp(u64::MAX));
+    let committed = writes.values().flatten().filter(|w| w.ack.is_some());
+    let mut cov = Coverage {
+        writes: committed.count() as u64,
+        ..Coverage::default()
+    };
+    let mut snapshots = HashMap::new();
+    let (mut commits, mut queries) = (Vec::new(), Vec::new());
+    for (i, e) in history.events.iter().enumerate() {
+        let in_run = u64::from(i < read_back_from);
+        match e {
+            &Event::Begin {
+                txn,
+                cn,
+                start,
+                snapshot,
+                ror,
+                cn_rcp,
+            } => {
+                snapshots.insert(txn, (start, snapshot));
+                if !ror {
+                    queries.push((start, snapshot, txn, false));
+                } else if snapshot != cn_rcp {
+                    let rcp = format!("CN {cn}'s RCP is {cn_rcp}");
+                    out.push(format!(
+                        "replica read: {txn} read at snapshot {snapshot}, {rcp}"
+                    ));
+                }
+            }
+            Event::Read {
+                txn,
+                table,
+                key,
+                seen,
+                locked,
+            } => {
+                cov.reads += in_run;
+                let ws = writes.get(&(*table, key.clone())).map_or(&[][..], |w| w);
+                // A locked read saw the newest version: whether that was
+                // the newest write is the lost-update check's question.
+                let snapshot = match *locked {
+                    true => seen.map_or(Timestamp::ZERO, |v| v.ts),
+                    false => snapshots.get(txn).map_or(Timestamp::ZERO, |s| s.1),
+                };
+                let what = match (*locked, i >= read_back_from) {
+                    (true, _) => "locked read",
+                    (false, true) => "durability: read-back",
+                    (false, false) => "read correctness",
+                };
+                let fault = read_fault((i, snapshot, floor), ws, *seen, losses).map(|f| (what, f));
+                let fault = fault.or_else(|| {
+                    let seen = seen.filter(|_| *locked)?;
+                    Some(("lost update", lost_update(*txn, seen.ts, ws, losses)?))
+                });
+                if let Some((what, fault)) = fault {
+                    out.push(format!(
+                        "{what}: {txn} read {table} {key} at {snapshot}: {fault}"
+                    ));
+                }
+            }
+            Event::Write { .. } => {}
+            &Event::End { txn, ts, ack } => {
+                cov.txns += in_run;
+                if let (Some(ts), Some(ack)) = (ts, ack) {
+                    let start = snapshots.get(&txn).map_or(SimTime::ZERO, |s| s.0);
+                    commits.push((ack, ts, txn));
+                    queries.push((start, ts, txn, true));
+                }
+            }
+        }
+    }
+    external_consistency(commits, queries, &mut out);
+    (cov, out)
+}
+
+/// RCP state the periodic check compares against.
+struct RcpWatch {
+    /// Per-CN last observed RCP (monotonicity witness).
+    last: Vec<Timestamp>,
+    violations: Vec<String>,
+}
+
+impl RcpWatch {
+    fn check(&mut self, db: &GlobalDb, now: SimTime, trace: &TraceHandle) {
+        let mut found = Vec::new();
+        for (i, cn) in db.cns().iter().enumerate() {
+            if cn.rcp < self.last[i] {
+                let last = self.last[i];
+                found.push(format!(
+                    "RCP moved backwards on CN {i}: {last:?} -> {:?}",
+                    cn.rcp
+                ));
+            }
+            self.last[i] = cn.rcp;
+        }
+        for (r, &region) in db.regions().iter().enumerate() {
+            let computed = db.rcp_calculators()[r].current();
+            if computed == Timestamp::ZERO {
+                continue; // group freshly rebuilt; nothing reported yet
+            }
+            let replicas = db.shards().iter().flat_map(|s| s.replicas.iter());
+            let in_region = replicas.filter(|rep| rep.region == region);
+            let applied_max = in_region.map(|rep| rep.applier.max_commit_ts()).max();
+            if let Some(m) = applied_max.filter(|&m| computed > m) {
+                found.push(format!(
+                    "region {r} RCP {computed:?} exceeds its replicas' max applied commit ts {m:?}"
+                ));
+            }
+        }
+        for msg in found {
+            trace.borrow_mut().record(now, format!("VIOLATION {msg}"));
+            self.violations.push(msg);
+        }
+    }
+}
+
+/// What a run's history showed.
+#[derive(Debug)]
+pub struct Verdict {
+    pub coverage: Coverage,
+    pub violations: Vec<String>,
+    pub history: History,
+}
+
+/// The oracle of one run: the history recorder plus the RCP check.
 pub struct Oracle {
-    pub state: OracleHandle,
-    keys: i64,
-    select_v: Rc<Prepared>,
-    /// Locking variant for the write probe: without `FOR UPDATE` the
-    /// read-modify-write would be two steps under snapshot isolation and
-    /// two overlapping probes could both increment the same base value (a
-    /// plain lost update, not a system fault).
-    select_v_locked: Rc<Prepared>,
-    update_v: Rc<Prepared>,
+    rcp: Rc<RefCell<RcpWatch>>,
 }
 
 impl Oracle {
-    /// Create the probe table, seed `keys` rows (value 0), and record
-    /// their insertion in the write history.
-    pub fn install(cluster: &mut Cluster, keys: i64) -> globaldb::GdbResult<Oracle> {
-        cluster.ddl(
-            "CREATE TABLE chaos_probe (id INT NOT NULL, v INT, \
-             PRIMARY KEY (id)) DISTRIBUTE BY HASH(id)",
-        )?;
-        let insert = cluster.prepare("INSERT INTO chaos_probe VALUES (?, ?)")?;
-        let select_v = cluster.prepare("SELECT v FROM chaos_probe WHERE id = ?")?;
-        let select_v_locked =
-            cluster.prepare("SELECT v FROM chaos_probe WHERE id = ? FOR UPDATE")?;
-        let update_v = cluster.prepare("UPDATE chaos_probe SET v = ? WHERE id = ?")?;
-
-        let mut history = Vec::new();
-        for k in 0..keys {
-            let at = cluster.now();
-            let (_, outcome) = cluster.run_transaction(0, at, false, true, |t| {
-                t.execute(&insert, &[Datum::Int(k), Datum::Int(0)])
-            })?;
-            history.push(WriteRecord {
-                key: k,
-                value: 0,
-                started_at: at,
-                acked_at: outcome.completed_at,
-                commit_ts: outcome.commit_ts.expect("probe insert commits"),
-            });
-        }
-        let state = Rc::new(RefCell::new(OracleState {
-            history,
-            last_rcp: vec![Timestamp::ZERO; cluster.db.cns().len()],
-            ..OracleState::default()
+    /// Start recording the cluster's history and schedule the RCP check
+    /// over `[start, end)`. The check sends no message and draws no RNG.
+    pub fn arm(cluster: &mut Cluster, start: SimTime, end: SimTime, trace: &TraceHandle) -> Oracle {
+        cluster.db.record_history();
+        let last = vec![Timestamp::ZERO; cluster.db.cns().len()];
+        let rcp = Rc::new(RefCell::new(RcpWatch {
+            last,
+            violations: Vec::new(),
         }));
-        Ok(Oracle {
-            state,
-            keys,
-            select_v: Rc::new(select_v),
-            select_v_locked: Rc::new(select_v_locked),
-            update_v: Rc::new(update_v),
-        })
-    }
-
-    /// Schedule write and read probes every `interval` over
-    /// `[start, end)`. Probes run as ordinary simulation events, so they
-    /// interleave with the fault plan and the foreground workload.
-    pub fn schedule(
-        &self,
-        cluster: &mut Cluster,
-        start: SimTime,
-        end: SimTime,
-        interval: SimDuration,
-        trace: &TraceHandle,
-    ) {
-        let half = SimDuration::from_nanos(interval.as_nanos() / 2);
         let mut t = start;
-        let mut tick: u64 = 0;
         while t < end {
-            let key = (tick as i64) % self.keys;
-            let (state, sel, upd, tr) = (
-                Rc::clone(&self.state),
-                Rc::clone(&self.select_v_locked),
-                Rc::clone(&self.update_v),
-                Rc::clone(trace),
-            );
-            cluster.sim.schedule_at(t, move |w, sim| {
-                write_probe(w, sim.now(), key, tick, &state, &sel, &upd, &tr);
+            let (watch, trace) = (Rc::clone(&rcp), Rc::clone(trace));
+            cluster.sim.schedule_at(t, move |db, sim| {
+                watch.borrow_mut().check(db, sim.now(), &trace);
             });
-            let (state, sel, tr) = (
-                Rc::clone(&self.state),
-                Rc::clone(&self.select_v),
-                Rc::clone(trace),
-            );
-            cluster.sim.schedule_at(t + half, move |w, sim| {
-                rcp_probe(w, sim.now(), &state, &tr);
-                read_probe(w, sim.now(), key, tick, &state, &sel, &tr);
-            });
-            t += interval;
-            tick += 1;
+            t += RCP_CHECK_EVERY;
         }
+        Oracle { rcp }
     }
 
-    /// Post-run checks, after every fault healed and the cluster idled:
-    /// read back every key from the primary and verify durability.
-    ///
-    /// * **Strict** (synchronous replication): the final value is exactly
-    ///   the last acknowledged write, and the full per-key value sequence
-    ///   is `1, 2, 3, ...` — nothing acked is ever lost.
-    /// * **Bounded loss** (asynchronous replication): a primary failover
-    ///   may lose the *tail* of acknowledged writes still inside the
-    ///   shipping-batch window at the crash — and nothing more. Every
-    ///   write acked at least `loss_window` before each failover's crash
-    ///   (or after its promotion, i.e. on the new primary) must survive:
-    ///   the final value can never fall below the newest such safe write.
-    ///   Without any failover, async loses nothing (restarts replay WAL),
-    ///   so the strict final-value check applies.
-    pub fn final_check(
-        &self,
-        cluster: &mut Cluster,
-        strict: bool,
-        failovers: &[FailoverWindow],
-        loss_window: SimDuration,
-    ) {
-        for k in 0..self.keys {
+    /// Read every written key back, each in its own read-write
+    /// transaction at the primary; then stop recording and check the
+    /// history.
+    pub fn verdict(self, cluster: &mut Cluster, losses: &LossWindows) -> Verdict {
+        let history = cluster.db.history();
+        let keys = history.map(key_writes).unwrap_or_default().into_keys();
+        let read_back_from = history.map_or(0, |h| h.events.len());
+        let mut violations = std::mem::take(&mut self.rcp.borrow_mut().violations);
+        for (table, key) in keys {
             let at = cluster.now();
-            let sel = Rc::clone(&self.select_v);
-            // A read-write transaction reads the freshest primary state.
-            let observed = cluster
-                .run_transaction(0, at, false, true, |t| {
-                    t.execute(&sel, &[Datum::Int(k)]).map(|o| o.scalar_int())
-                })
-                .map(|(v, _)| v);
-            let state = &mut *self.state.borrow_mut();
-            let last = state
-                .history
-                .iter()
-                .filter(|r| r.key == k)
-                .max_by_key(|r| r.commit_ts)
-                .map(|r| r.value);
-            match observed {
-                Ok(v) if (strict || failovers.is_empty()) && v != last => {
-                    state.violations.push(format!(
-                        "durability: key {k} final value {v:?}, last acked write {last:?}"
-                    ));
-                }
-                Ok(v) if !strict && !failovers.is_empty() => {
-                    // A write is safe when no failover window covers it:
-                    // it was shipped well before every crash, or it landed
-                    // on the already-promoted new primary.
-                    let safe = state
-                        .history
-                        .iter()
-                        .filter(|r| r.key == k)
-                        .filter(|r| {
-                            failovers.iter().all(|f| {
-                                r.acked_at + loss_window <= f.crash_at || r.acked_at >= f.promote_at
-                            })
-                        })
-                        .max_by_key(|r| r.commit_ts);
-                    if let Some(floor) = safe {
-                        if v.is_none_or(|v| v < floor.value) {
-                            state.violations.push(format!(
-                                "bounded-loss durability: key {k} final value {v:?} lost \
-                                 write {} acked at {} — outside every failover's \
-                                 {}us loss window",
-                                floor.value,
-                                floor.acked_at,
-                                loss_window.as_micros()
-                            ));
-                        }
-                    }
-                }
-                Ok(_) => {}
-                Err(e) => state
-                    .violations
-                    .push(format!("final read of key {k} failed: {e}")),
-            }
-        }
-        if strict {
-            let state = &mut *self.state.borrow_mut();
-            for k in 0..self.keys {
-                let mut vals: Vec<(Timestamp, i64)> = state
-                    .history
-                    .iter()
-                    .filter(|r| r.key == k)
-                    .map(|r| (r.commit_ts, r.value))
-                    .collect();
-                vals.sort();
-                for (i, w) in vals.iter().enumerate() {
-                    if w.1 != i as i64 {
-                        state.violations.push(format!(
-                            "durability: key {k} write #{i} has value {} (an acked \
-                             write was lost or duplicated); sequence: {vals:?}",
-                            w.1
-                        ));
-                        break;
-                    }
-                }
-            }
-        }
-    }
-}
-
-fn alive_cns(db: &GlobalDb) -> Vec<usize> {
-    (0..db.cns().len())
-        .filter(|&i| !db.topo().is_node_down(db.cns()[i].node))
-        .collect()
-}
-
-#[allow(clippy::too_many_arguments)]
-fn write_probe(
-    db: &mut GlobalDb,
-    now: SimTime,
-    key: i64,
-    tick: u64,
-    state: &OracleHandle,
-    sel: &Prepared,
-    upd: &Prepared,
-    trace: &TraceHandle,
-) {
-    let alive = alive_cns(db);
-    let Some(&cn) = alive.get(tick as usize % alive.len().max(1)) else {
-        return;
-    };
-    let res = db.run_transaction_at(cn, now, false, true, |t| {
-        let cur = t
-            .execute(sel, &[Datum::Int(key)])?
-            .scalar_int()
-            .unwrap_or(0);
-        let next = cur + 1;
-        t.execute(upd, &[Datum::Int(next), Datum::Int(key)])?;
-        Ok(next)
-    });
-    let state = &mut *state.borrow_mut();
-    match res {
-        Ok((value, outcome)) => {
-            db.obs_mut()
-                .metrics
-                .observe(PROBE_LATENCY_US, outcome.latency);
-            let commit_ts = outcome.commit_ts.expect("probe write commits");
-            // External consistency: every write acknowledged before this
-            // one *started* must have a strictly smaller commit ts.
-            for p in &state.history {
-                if p.acked_at <= now && p.commit_ts >= commit_ts {
-                    let msg = format!(
-                        "external consistency: write(key={key}, ts={commit_ts:?}) started at \
-                         {now} after write(key={}, ts={:?}) was acked at {}",
-                        p.key, p.commit_ts, p.acked_at
-                    );
-                    state.violation(trace, now, msg);
-                    break;
-                }
-            }
-            state.history.push(WriteRecord {
-                key,
-                value,
-                started_at: now,
-                acked_at: outcome.completed_at,
-                commit_ts,
+            let read = cluster.run_transaction(0, at, false, true, |t| {
+                t.point_read(table, &key, &mut |_| Ok(()))
             });
-            state.writes_committed += 1;
+            if let Err(e) = read {
+                violations.push(format!(
+                    "durability: read-back of {table} {key} failed: {e}"
+                ));
+            }
         }
-        Err(e) if e.is_retryable() => state.writes_rejected += 1,
-        Err(e) => {
-            let msg = format!("probe write(key={key}) failed non-retryably: {e}");
-            state.violation(trace, now, msg);
+        let history = cluster.db.take_history().unwrap_or_default();
+        let (coverage, found) = check(&history, read_back_from, losses);
+        violations.extend(found);
+        Verdict {
+            coverage,
+            violations,
+            history,
         }
     }
 }
 
-fn read_probe(
-    db: &mut GlobalDb,
-    now: SimTime,
-    key: i64,
-    tick: u64,
-    state: &OracleHandle,
-    sel: &Prepared,
-    trace: &TraceHandle,
-) {
-    let alive = alive_cns(db);
-    // Read from the opposite end of the CN list so reads and writes keep
-    // crossing CN (and usually region) boundaries.
-    let Some(&cn) = alive.get(
-        alive
-            .len()
-            .wrapping_sub(1 + tick as usize % alive.len().max(1)),
-    ) else {
-        return;
-    };
-    let rcp_before = db.cns()[cn].rcp;
-    let res = db.run_transaction_at(cn, now, true, true, |t| {
-        Ok(t.execute(sel, &[Datum::Int(key)])?.scalar_int())
-    });
-    let state = &mut *state.borrow_mut();
-    match res {
-        Ok((observed, outcome)) => {
-            db.obs_mut()
-                .metrics
-                .observe(PROBE_LATENCY_US, outcome.latency);
-            state.reads_checked += 1;
-            if outcome.used_replica && outcome.snapshot != rcp_before {
-                let msg = format!(
-                    "replica read at snapshot {:?} != CN {cn} RCP {rcp_before:?}",
-                    outcome.snapshot
-                );
-                state.violation(trace, now, msg);
-            }
-            let expected = state
-                .history
-                .iter()
-                .filter(|r| r.key == key && r.commit_ts <= outcome.snapshot)
-                .max_by_key(|r| r.commit_ts)
-                .map(|r| r.value);
-            let ok = if state.lossy {
-                // A failover already rolled (or may yet roll) the key back
-                // to an older acked value; accept any value actually
-                // written at or before the snapshot, reject inventions.
-                match observed {
-                    Some(v) => state
-                        .history
-                        .iter()
-                        .any(|r| r.key == key && r.commit_ts <= outcome.snapshot && r.value == v),
-                    None => expected.is_none(),
-                }
-            } else {
-                observed == expected
-            };
-            if !ok {
-                let msg = format!(
-                    "read(key={key}) at snapshot {:?} returned {observed:?}, history says \
-                     {expected:?} (replica={}, lossy={})",
-                    outcome.snapshot, outcome.used_replica, state.lossy
-                );
-                state.violation(trace, now, msg);
-            }
-        }
-        Err(e) if e.is_retryable() => state.reads_rejected += 1,
-        Err(e) => {
-            let msg = format!("probe read(key={key}) failed non-retryably: {e}");
-            state.violation(trace, now, msg);
-        }
-    }
-}
-
-fn rcp_probe(db: &mut GlobalDb, now: SimTime, state: &OracleHandle, trace: &TraceHandle) {
-    let state = &mut *state.borrow_mut();
-    state.rcp_checks += 1;
-    for (i, cn) in db.cns().iter().enumerate() {
-        if cn.rcp < state.last_rcp[i] {
-            let msg = format!(
-                "RCP moved backwards on CN {i}: {:?} -> {:?}",
-                state.last_rcp[i], cn.rcp
-            );
-            state.violation(trace, now, msg);
-        }
-        state.last_rcp[i] = cn.rcp;
-    }
-    for (r, &region) in db.regions().iter().enumerate() {
-        let computed = db.rcp_calculators()[r].current();
-        if computed == Timestamp::ZERO {
-            continue; // group freshly rebuilt; nothing reported yet
-        }
-        let applied_max = db
-            .shards()
-            .iter()
-            .flat_map(|s| s.replicas.iter())
-            .filter(|rep| rep.region == region)
-            .map(|rep| rep.applier.max_commit_ts())
-            .max();
-        if let Some(m) = applied_max {
-            if computed > m {
-                let msg = format!(
-                    "region {r} RCP {computed:?} exceeds its replicas' max applied \
-                     commit ts {m:?}"
-                );
-                state.violation(trace, now, msg);
-            }
-        }
-    }
-}
+#[cfg(test)]
+mod tests;

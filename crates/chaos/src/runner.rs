@@ -1,15 +1,16 @@
-//! The chaos runner: a TPC-C workload in the foreground, a fault plan
-//! and the invariant oracle interleaved as simulation events, a heal-all
+//! The chaos runner: a TPC-C workload in the foreground with its history
+//! recorded, a fault plan interleaved as simulation events, a heal-all
 //! recovery phase, and final whole-database checks.
 
 use crate::fault::Fault;
 use crate::nemesis::{ClusterShape, NemesisConfig};
-use crate::oracle::{FailoverWindow, Oracle};
+use crate::oracle::{Coverage, FailoverWindow, LossWindows, Oracle};
 use crate::plan::FaultPlan;
 use crate::trace::new_trace;
 use gdb_workloads::tpcc::{consistency, TpccMix, TpccScale, TpccWorkload};
 use gdb_workloads::{run_workload, RunConfig, Workload};
 use globaldb::config::FLUSH_INTERVAL;
+use globaldb::txn::history::History;
 use globaldb::{Cluster, ClusterConfig, Geometry, GlobalDb, ReplicationMode, SimDuration, SimTime};
 use std::rc::Rc;
 
@@ -25,8 +26,6 @@ pub struct ChaosConfig {
     pub duration: SimDuration,
     /// Idle recovery time between heal-all and the final checks.
     pub grace: SimDuration,
-    pub probe_interval: SimDuration,
-    pub probe_keys: i64,
     /// Let the nemesis generator overlay concurrent fault episodes
     /// ([`NemesisConfig::overlap`]).
     pub overlap: bool,
@@ -52,8 +51,6 @@ impl ChaosConfig {
             warmup: SimDuration::from_millis(500),
             duration: SimDuration::from_secs(3),
             grace: SimDuration::from_secs(2),
-            probe_interval: SimDuration::from_millis(25),
-            probe_keys: 4,
             overlap: false,
             migrations: false,
             elastic: false,
@@ -83,10 +80,14 @@ pub struct ChaosReport {
     /// of the same seed produce identical traces.
     pub trace: Vec<String>,
     pub violations: Vec<String>,
+    /// Transactions of the tormented run (the oracle's read-back is not
+    /// counted).
     pub txns_committed: u64,
     pub txns_aborted: u64,
-    pub probe_writes: u64,
-    pub probe_reads: u64,
+    /// What the oracle checked of the recorded history.
+    pub checked: Coverage,
+    /// The recorded history, read-back included.
+    pub history: History,
     pub rcp_rounds: u64,
     pub rcp_rounds_abandoned: u64,
     pub collector_failovers: u64,
@@ -95,7 +96,7 @@ pub struct ChaosReport {
     pub duration: SimDuration,
     /// End-to-end commit latency over the whole run.
     pub latency: gdb_obs::HistSummary,
-    /// Full metrics snapshot of the tormented cluster at the end.
+    /// Full metrics snapshot of the tormented cluster, before the read-back.
     pub metrics: gdb_obs::MetricsReport,
 }
 
@@ -106,14 +107,16 @@ impl ChaosReport {
 
     pub fn render(&self) -> String {
         let mut out = format!(
-            "plan: {}\ncommitted: {}  aborted: {}  probe writes: {}  probe reads: {}\n\
+            "plan: {}\ncommitted: {}  aborted: {}\n\
+             checked txns: {}  reads: {}  writes: {}\n\
              rcp rounds: {} ({} abandoned)  collector failovers: {}\n\
              tpcc rows verified: {}\n--- trace ---\n",
             self.plan_name,
             self.txns_committed,
             self.txns_aborted,
-            self.probe_writes,
-            self.probe_reads,
+            self.checked.txns,
+            self.checked.reads,
+            self.checked.writes,
             self.rcp_rounds,
             self.rcp_rounds_abandoned,
             self.collector_failovers,
@@ -202,22 +205,16 @@ fn failover_windows(plan: &FaultPlan) -> Vec<FailoverWindow> {
 
 /// Run TPC-C under `plan` and return the full report.
 pub fn run_plan(plan: FaultPlan, cfg: &ChaosConfig) -> ChaosReport {
-    run_plan_on(plan, cfg, cfg.cluster_config())
+    run_plan_prepped(plan, cfg, cfg.cluster_config(), |_| {})
 }
 
-/// [`run_plan`] against an explicit cluster config — the entry point for
-/// scenario files, whose `[topology]` table overrides the canonical
-/// chaos shape (shard/replica/CN counts, geometry) while keeping the
-/// oracle, heal-all recovery, and final-check machinery intact.
-pub fn run_plan_on(plan: FaultPlan, cfg: &ChaosConfig, cc: ClusterConfig) -> ChaosReport {
-    run_plan_prepped(plan, cfg, cc, |_| {})
-}
-
-/// [`run_plan_on`] with a post-load cluster hook, called after TPC-C
-/// setup and oracle installation but before the plan is scheduled. A
-/// scenario uses it to arm periodic events of its own (e.g. recurring
-/// auto-rebalance ticks). The hook must schedule via the cluster's own
-/// simulation so determinism is preserved.
+/// [`run_plan`] against an explicit cluster config, with a post-load
+/// cluster hook called after TPC-C setup, before the plan is scheduled —
+/// the entry point for scenario files, whose `[topology]` table
+/// overrides the canonical chaos shape and whose hook arms periodic
+/// events of their own (e.g. recurring auto-rebalance ticks). The hook
+/// must schedule via the cluster's own simulation so determinism is
+/// preserved.
 pub fn run_plan_prepped(
     plan: FaultPlan,
     cfg: &ChaosConfig,
@@ -229,7 +226,6 @@ pub fn run_plan_prepped(
     let scale = TpccScale::tiny();
     let mut workload = TpccWorkload::new(scale, TpccMix::standard(), cfg.workload_seed);
     workload.setup(&mut cluster).expect("TPC-C setup");
-    let oracle = Oracle::install(&mut cluster, cfg.probe_keys).expect("oracle install");
     prep(&mut cluster);
 
     let t0 = cluster.now();
@@ -239,15 +235,20 @@ pub fn run_plan_prepped(
 
     let plan = plan.shifted(SimDuration::from_nanos(start.as_nanos()));
     let plan_name = plan.name.clone();
-    let failovers = failover_windows(&plan);
-    oracle.state.borrow_mut().lossy = !strict && !failovers.is_empty();
     // Async replication may lose the tail of acked writes still in the
     // shipping pipeline when a primary dies: an unsealed batch (one flush
     // interval), a sealed batch in flight, plus scheduling slack — but
     // never more. That bound is what the oracle enforces.
-    let loss_window = FLUSH_INTERVAL * 2 + SimDuration::from_millis(250);
+    let losses = LossWindows {
+        failovers: if strict {
+            Vec::new()
+        } else {
+            failover_windows(&plan)
+        },
+        tail: FLUSH_INTERVAL * 2 + SimDuration::from_millis(250),
+    };
     plan.schedule(&mut cluster, Rc::clone(&trace));
-    oracle.schedule(&mut cluster, start, end, cfg.probe_interval, &trace);
+    let oracle = Oracle::arm(&mut cluster, start, end, &trace);
 
     run_workload(
         &mut cluster,
@@ -265,22 +266,19 @@ pub fn run_plan_prepped(
     heal_all(&mut cluster.db, now);
     cluster.run_until(now + cfg.grace);
 
-    oracle.final_check(&mut cluster, strict, &failovers, loss_window);
+    let metrics = cluster.metrics_snapshot();
+    let (committed, aborted) = (cluster.db.stats().committed, cluster.db.stats().aborted);
+    let mut verdict = oracle.verdict(&mut cluster, &losses);
     let tpcc_rows_verified = match consistency::verify(&mut cluster, &scale) {
         Ok(rows) => rows,
         Err(e) => {
-            oracle
-                .state
-                .borrow_mut()
-                .violations
-                .push(format!("TPC-C consistency after {plan_name}: {e}"));
+            let msg = format!("TPC-C consistency after {plan_name}: {e}");
+            verdict.violations.push(msg);
             0
         }
     };
 
     let trace_lines = trace.borrow().lines();
-    let state = oracle.state.borrow();
-    let metrics = cluster.metrics_snapshot();
     let latency = metrics
         .histogram(gdb_txnmgr::metrics::LATENCY_US)
         .cloned()
@@ -288,11 +286,11 @@ pub fn run_plan_prepped(
     ChaosReport {
         plan_name,
         trace: trace_lines,
-        violations: state.violations.clone(),
-        txns_committed: cluster.db.stats().committed,
-        txns_aborted: cluster.db.stats().aborted,
-        probe_writes: state.writes_committed,
-        probe_reads: state.reads_checked,
+        violations: verdict.violations,
+        txns_committed: committed,
+        txns_aborted: aborted,
+        checked: verdict.coverage,
+        history: verdict.history,
         rcp_rounds: cluster.db.stats().rcp_rounds,
         rcp_rounds_abandoned: cluster.db.stats().rcp_rounds_abandoned,
         collector_failovers: cluster.db.stats().collector_failovers,

@@ -40,7 +40,7 @@ impl Trace {
     }
 }
 
-/// Shared handle: fault events and probe events run inside `'static`
+/// Shared handle: fault events and RCP checks run inside `'static`
 /// simulation closures, so they hold the trace behind `Rc<RefCell>`.
 pub type TraceHandle = Rc<RefCell<Trace>>;
 

@@ -95,6 +95,8 @@ pub struct GlobalDb {
     /// clock keeps drifting and its error bound grows until sync resumes.
     pub(crate) clock_sync_blocked: Vec<bool>,
     pub(crate) txn_seq: u64,
+    /// The transaction history recorder (`None` = off, the default).
+    pub(crate) history: Option<crate::txn::history::History>,
     /// Set when an online transition completes (observed by tests/benches).
     pub(crate) last_transition_completed: Option<gdb_txnmgr::TransitionDirection>,
     /// Phase boundaries of the in-flight DUAL transition (span source).
@@ -614,6 +616,7 @@ impl Cluster {
             read_candidates: Vec::new(),
             clock_sync_blocked: vec![false; cn_count],
             txn_seq: 0,
+            history: None,
             last_transition_completed: None,
             transition_trace: None,
             routing_epoch: 0,

@@ -63,5 +63,5 @@ pub use gdb_obs::{
 };
 pub use gdb_replication::ReplicationMode;
 pub use gdb_simnet::{SimDuration, SimTime};
-pub use gdb_sqlengine::{ExecOutput, Prepared};
+pub use gdb_sqlengine::{DataAccess, ExecOutput, Prepared};
 pub use gdb_txnmgr::{TmMode, TransitionDirection};

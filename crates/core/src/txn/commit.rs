@@ -15,14 +15,15 @@
 //! per-shard 2PC branches are kept so observability can record them as
 //! child spans of the prepare / replication-ack phases.
 
-use super::{TxnHandle, OP_MSG_BYTES};
+use super::history::Event;
+use super::{gtm_rtt, TxnHandle, OP_MSG_BYTES};
 use crate::net::RpcKind;
 use crate::repl_driver::{Replica, Shard};
 use crate::stats::TxnOutcome;
 use gdb_model::{Datum, GdbError, GdbResult, Timestamp};
 use gdb_obs::SpanKind;
 use gdb_replication::{quorum_wait, ReplicationMode};
-use gdb_simnet::{SimDuration, SimTime};
+use gdb_simnet::{NetNodeId, SimDuration, SimTime};
 use gdb_txnmgr::{CommitPlan, TmMode};
 use gdb_wal::RedoPayload;
 
@@ -161,6 +162,20 @@ impl<'a> TxnHandle<'a> {
         }
     }
 
+    /// One 2PC message `from` → `to`; an unreachable shard fails the
+    /// commit.
+    fn send(
+        &mut self,
+        kind: RpcKind,
+        from: NetNodeId,
+        to: NetNodeId,
+        bytes: u64,
+    ) -> GdbResult<SimDuration> {
+        let db = &mut *self.db;
+        let one_way = db.plane.send(&mut db.topo, kind, from, to, bytes);
+        one_way.ok_or_else(|| GdbError::NodeUnavailable("shard unreachable".into()))
+    }
+
     /// Phase 1 — the 2PC prepare round (multi-shard only): writes + PREPARE
     /// must be durable (and quorum-replicated in sync modes) on every shard
     /// before the commit point.
@@ -180,28 +195,12 @@ impl<'a> TxnHandle<'a> {
         let cn_node = self.db.cns[self.cn].node;
         for &s in write_shards {
             let bytes = self.redo_bytes(s);
-            let db = &mut *self.db;
-            let primary = db.shards[s].primary;
-            let ow = db
-                .plane
-                .send(&mut db.topo, RpcKind::TwoPcPrepare, cn_node, primary, bytes)
-                .ok_or_else(|| GdbError::NodeUnavailable("shard unreachable".into()))?;
-            let arrive = start + ow;
-            db.shards[s]
-                .log
-                .append(arrive, self.txn, RedoPayload::Prepare);
+            let primary = self.db.shards[s].primary;
+            let arrive = start + self.send(RpcKind::TwoPcPrepare, cn_node, primary, bytes)?;
+            let log = &mut self.db.shards[s].log;
+            log.append(arrive, self.txn, RedoPayload::Prepare);
             let q = self.sync_quorum_wait(s, bytes)?;
-            let db = &mut *self.db;
-            let back = db
-                .plane
-                .send(
-                    &mut db.topo,
-                    RpcKind::TwoPcPrepare,
-                    primary,
-                    cn_node,
-                    OP_MSG_BYTES,
-                )
-                .ok_or_else(|| GdbError::NodeUnavailable("shard unreachable".into()))?;
+            let back = self.send(RpcKind::TwoPcPrepare, primary, cn_node, OP_MSG_BYTES)?;
             let acked = arrive + q + back;
             out.prepare_done = out.prepare_done.max(acked);
             out.branches.push(BranchAck { shard: s, acked });
@@ -215,32 +214,20 @@ impl<'a> TxnHandle<'a> {
     fn commit_point_phase(&mut self) -> GdbResult<CommitPoint> {
         self.db.sync_cn_clock(self.cn, self.now);
         let plan = self.db.cns[self.cn].tm.plan_commit(self.now);
-        let cn_node = self.db.cns[self.cn].node;
         let (commit_ts, clock_wait) = match plan {
             CommitPlan::GClockLocal { ts, commit_wait } => (ts, commit_wait),
             CommitPlan::ViaGtmCounter => {
-                let db = &mut *self.db;
-                let gtm_node = db.gtm_node;
-                let rtt = db
-                    .plane
-                    .rtt(&mut db.topo, RpcKind::GtmCommitTs, cn_node, gtm_node)
-                    .ok_or_else(|| GdbError::NodeUnavailable("GTM unreachable".into()))?;
+                let rtt = gtm_rtt(self.db, self.cn, RpcKind::GtmCommitTs)?;
                 self.now += rtt;
                 // A straggler GTM transaction after the cluster moved to
                 // GClock aborts here (paper §III-A); `commit` rolls back.
-                db.gtm.commit_gtm()?
+                self.db.gtm.commit_gtm()?
             }
             CommitPlan::ViaGtmDual { gclock_ts } => {
-                let db = &mut *self.db;
-                let gtm_node = db.gtm_node;
-                let rtt = db
-                    .plane
-                    .rtt(&mut db.topo, RpcKind::GtmDualCommit, cn_node, gtm_node)
-                    .ok_or_else(|| GdbError::NodeUnavailable("GTM unreachable".into()))?;
+                let rtt = gtm_rtt(self.db, self.cn, RpcKind::GtmDualCommit)?;
                 self.now += rtt;
-                let ts = db.gtm.commit_dual(gclock_ts);
-                let wait = db.cns[self.cn].tm.dual_post_wait(self.now, ts);
-                (ts, wait)
+                let ts = self.db.gtm.commit_dual(gclock_ts);
+                (ts, self.db.cns[self.cn].tm.dual_post_wait(self.now, ts))
             }
         };
         self.db.stats.commit_wait_total += clock_wait;
@@ -275,12 +262,8 @@ impl<'a> TxnHandle<'a> {
             } else {
                 self.redo_bytes(s)
             };
-            let db = &mut *self.db;
-            let primary = db.shards[s].primary;
-            let ow = db
-                .plane
-                .send(&mut db.topo, RpcKind::TwoPcCommit, cn_node, primary, bytes)
-                .ok_or_else(|| GdbError::NodeUnavailable("shard unreachable".into()))?;
+            let primary = self.db.shards[s].primary;
+            let ow = self.send(RpcKind::TwoPcCommit, cn_node, primary, bytes)?;
             // Single-shard sync replication waits at commit time. The
             // quorum check runs *before* the commit record is appended: if
             // the quorum is unreachable the whole transaction must roll
@@ -298,21 +281,10 @@ impl<'a> TxnHandle<'a> {
             } else {
                 RedoPayload::Commit { commit_ts }
             };
-            self.commit_appended = true;
+            self.commit_appended = Some(commit_ts);
             self.db.shards[s].log.append(apply_at, self.txn, payload);
-            let shard_ack = apply_at + q;
-            let db = &mut *self.db;
-            let back = db
-                .plane
-                .send(
-                    &mut db.topo,
-                    RpcKind::TwoPcCommit,
-                    primary,
-                    cn_node,
-                    OP_MSG_BYTES,
-                )
-                .ok_or_else(|| GdbError::NodeUnavailable("shard unreachable".into()))?;
-            let acked = (shard_ack + back).max(wait_end);
+            let back = self.send(RpcKind::TwoPcCommit, primary, cn_node, OP_MSG_BYTES)?;
+            let acked = (apply_at + q + back).max(wait_end);
             out.ack = out.ack.max(acked);
             out.branches.push(BranchAck { shard: s, acked });
 
@@ -348,15 +320,17 @@ impl<'a> TxnHandle<'a> {
     /// fault hitting mid-commit would leave replica tuples locked forever.
     pub fn commit(mut self) -> GdbResult<TxnOutcome> {
         self.finished = true;
-        match self.try_commit() {
-            Ok(outcome) => Ok(outcome),
-            Err(e) => {
-                if !self.commit_appended {
-                    self.abort_inner();
-                }
-                Err(e)
-            }
+        let result = self.try_commit();
+        if result.is_err() && self.commit_appended.is_none() {
+            self.abort_inner();
+        } else {
+            let ts = result
+                .as_ref()
+                .map_or(self.commit_appended, |o| o.commit_ts);
+            let ack = result.as_ref().ok().map(|o| o.completed_at);
+            self.record(|txn| Event::End { txn, ts, ack });
         }
+        result
     }
 
     fn try_commit(&mut self) -> GdbResult<TxnOutcome> {
@@ -365,15 +339,7 @@ impl<'a> TxnHandle<'a> {
         if self.shards_written.is_empty() {
             // Pure read: nothing to make durable.
             self.record_phases(exec_done, None);
-            return Ok(TxnOutcome {
-                commit_ts: None,
-                snapshot: self.snapshot,
-                completed_at: self.now,
-                latency: self.now.since(self.started_at),
-                shards_written: vec![],
-                used_replica: self.used_replica,
-                aborted: false,
-            });
+            return Ok(self.outcome(None, Vec::new()));
         }
 
         let write_shards = self.shards_written.clone();
@@ -400,15 +366,7 @@ impl<'a> TxnHandle<'a> {
             }),
         );
 
-        Ok(TxnOutcome {
-            commit_ts: Some(point.commit_ts),
-            snapshot: self.snapshot,
-            completed_at: self.now,
-            latency: self.now.since(self.started_at),
-            shards_written: write_shards,
-            used_replica: self.used_replica,
-            aborted: false,
-        })
+        Ok(self.outcome(Some(point.commit_ts), write_shards))
     }
 
     /// Record the per-phase latency breakdown (and, when tracing is on,

@@ -12,6 +12,7 @@
 //! returning a phase-state struct that carries its timing boundaries.
 
 mod commit;
+pub mod history;
 mod ops;
 
 use crate::cluster::GlobalDb;
@@ -23,6 +24,7 @@ use gdb_simnet::{SimDuration, SimTime};
 use gdb_sqlengine::{execute, ExecOutput, Prepared};
 use gdb_txnmgr::BeginPlan;
 use gdb_wal::RedoPayload;
+use history::Event;
 
 /// Nominal request/response payload size for point operations.
 const OP_MSG_BYTES: u64 = 256;
@@ -71,10 +73,19 @@ pub struct TxnHandle<'a> {
     shards_written: Vec<usize>,
     used_replica: bool,
     finished: bool,
-    /// Set once a COMMIT / COMMIT_PREPARED record has been appended to any
-    /// shard's redo log: past this point a failure must not emit ABORT
-    /// records (the replicas may already have replayed the commit).
-    commit_appended: bool,
+    /// The commit timestamp, once a COMMIT / COMMIT_PREPARED record has
+    /// been appended to any shard's redo log: past this point a failure
+    /// must not emit ABORT records (the replicas may already have
+    /// replayed the commit).
+    commit_appended: Option<Timestamp>,
+}
+
+/// A round trip from CN `cn` to the GTM; an unreachable GTM fails the
+/// transaction.
+fn gtm_rtt(db: &mut GlobalDb, cn: usize, kind: RpcKind) -> GdbResult<SimDuration> {
+    let (cn_node, gtm_node) = (db.cns[cn].node, db.gtm_node);
+    let rtt = db.plane.rtt(&mut db.topo, kind, cn_node, gtm_node);
+    rtt.ok_or_else(|| GdbError::NodeUnavailable("GTM unreachable".into()))
 }
 
 /// Acquire a primary-read snapshot for CN `cn` at `now`: a GTM round
@@ -88,12 +99,7 @@ fn acquire_snapshot(
 ) -> GdbResult<(Timestamp, SimTime)> {
     match db.cns[cn].tm.plan_begin(now, single_shard) {
         BeginPlan::ViaGtm => {
-            let cn_node = db.cns[cn].node;
-            let gtm_node = db.gtm_node;
-            let rtt = db
-                .plane
-                .rtt(&mut db.topo, RpcKind::GtmBeginTs, cn_node, gtm_node)
-                .ok_or_else(|| GdbError::NodeUnavailable("GTM unreachable".into()))?;
+            let rtt = gtm_rtt(db, cn, RpcKind::GtmBeginTs)?;
             Ok((db.gtm.begin_snapshot(), now + rtt))
         }
         BeginPlan::Local {
@@ -139,7 +145,7 @@ impl<'a> TxnHandle<'a> {
         }
 
         let txn = db.next_txn_id(cn);
-        Ok(TxnHandle {
+        let mut handle = TxnHandle {
             db,
             cn,
             txn,
@@ -157,8 +163,32 @@ impl<'a> TxnHandle<'a> {
             shards_written: Vec::new(),
             used_replica: false,
             finished: false,
-            commit_appended: false,
-        })
+            commit_appended: None,
+        };
+        handle.record_snapshot();
+        Ok(handle)
+    }
+
+    /// Append an event to the history, if recording.
+    fn record(&mut self, event: impl FnOnce(TxnId) -> Event) {
+        if let Some(h) = &mut self.db.history {
+            h.push(event(self.txn));
+        }
+    }
+
+    /// Record, if recording, the snapshot just taken.
+    fn record_snapshot(&mut self) {
+        let db = &mut *self.db;
+        if let Some(h) = &mut db.history {
+            h.push(Event::Begin {
+                txn: self.txn,
+                cn: self.cn,
+                start: self.started_at,
+                snapshot: self.snapshot,
+                ror: self.ror,
+                cn_rcp: db.cns[self.cn].rcp,
+            });
+        }
     }
 
     /// The snapshot this transaction reads at.
@@ -204,6 +234,7 @@ impl<'a> TxnHandle<'a> {
         self.ror = false;
         (self.snapshot, self.now) =
             acquire_snapshot(self.db, self.cn, self.now, self.single_shard_hint)?;
+        self.record_snapshot();
         Ok(())
     }
 
@@ -222,6 +253,8 @@ impl<'a> TxnHandle<'a> {
         self.overlay.clear();
         self.write_log.clear();
         self.finished = true;
+        let (ts, ack) = (None, None);
+        self.record(|txn| Event::End { txn, ts, ack });
     }
 
     /// Abort the transaction: release locks, discard buffered writes, and
@@ -230,13 +263,22 @@ impl<'a> TxnHandle<'a> {
     pub fn abort(mut self) -> TxnOutcome {
         self.abort_inner();
         TxnOutcome {
-            commit_ts: None,
+            aborted: true,
+            ..self.outcome(None, Vec::new())
+        }
+    }
+
+    /// The outcome as of now, committed at `commit_ts` (`None`: a pure
+    /// read) on `shards_written`.
+    fn outcome(&self, commit_ts: Option<Timestamp>, shards_written: Vec<usize>) -> TxnOutcome {
+        TxnOutcome {
+            commit_ts,
             snapshot: self.snapshot,
             completed_at: self.now,
             latency: self.now.since(self.started_at),
-            shards_written: vec![],
+            shards_written,
             used_replica: self.used_replica,
-            aborted: true,
+            aborted: false,
         }
     }
 }

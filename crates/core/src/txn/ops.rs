@@ -7,6 +7,7 @@
 //! message plane as [`RpcKind::DnRead`] / [`RpcKind::DnWrite`]. Writes
 //! share [`TxnHandle::lock_row`] and [`TxnHandle::write_row`].
 
+use super::history::{digest, note_read, Event, History};
 use super::{TxnHandle, WriteOp, LOCK_LEASE, OP_MSG_BYTES};
 use crate::config::OP_CPU_COST;
 use crate::net::RpcKind;
@@ -205,8 +206,11 @@ impl<'a> TxnHandle<'a> {
     ) -> GdbResult<Option<R>> {
         let snapshot = self.snapshot;
         if let ReadTarget::Replica(ri) = self.unblocked(shard, target, table, Touch::Key(key)) {
-            let storage = &mut self.db.shards[shard].replicas[ri].applier.storage;
-            let out = storage.read(table, key, snapshot)?.map(|v| f(v.row));
+            let db = &mut *self.db;
+            let storage = &mut db.shards[shard].replicas[ri].applier.storage;
+            let vis = storage.read(table, key, snapshot)?;
+            note_read(&mut db.history, (self.txn, table, key), vis.as_ref(), false);
+            let out = vis.map(|v| f(v.row));
             self.used_replica = true;
             self.db.stats.reads_on_replica += 1;
             return Ok(out);
@@ -219,7 +223,9 @@ impl<'a> TxnHandle<'a> {
             )?;
         }
         self.db.stats.reads_on_primary += 1;
-        let vis = self.db.shards[shard].storage.read(table, key, snapshot)?;
+        let db = &mut *self.db;
+        let vis = db.shards[shard].storage.read(table, key, snapshot)?;
+        note_read(&mut db.history, (self.txn, table, key), vis.as_ref(), false);
         Ok(vis.map(|v| {
             *wait = (*wait).max(v.commit_vtime);
             f(v.row)
@@ -229,14 +235,20 @@ impl<'a> TxnHandle<'a> {
     /// Range and index reads: per touched shard, an unblocked replica is
     /// read with one round trip of its own; the shards left to their
     /// primaries are read in one parallel scatter, counted as one primary
-    /// read. `fetch` appends one storage instance's rows and returns the
-    /// latest commit instant among them (primary readers wait for it).
+    /// read. `fetch` appends one storage instance's rows (recording their
+    /// versions when the history is on) and returns the latest commit
+    /// instant among them (primary readers wait for it).
     fn read_rows(
         &mut self,
         table: TableId,
         touch: Touch,
         bytes: u64,
-        fetch: impl Fn(&mut DataNodeStorage, Timestamp, &mut Rows) -> GdbResult<SimTime>,
+        fetch: impl Fn(
+            &mut DataNodeStorage,
+            Timestamp,
+            &mut Rows,
+            &mut Option<History>,
+        ) -> GdbResult<SimTime>,
     ) -> GdbResult<Rows> {
         let shards = self.shards_for(table, touch, Access::Read)?;
         for s in shards.clone() {
@@ -252,8 +264,9 @@ impl<'a> TxnHandle<'a> {
                     self.charge_scatter(RpcKind::DnRead, [(s, target)], bytes)?;
                     self.used_replica = true;
                     self.db.stats.reads_on_replica += 1;
-                    let storage = &mut self.db.shards[s].replicas[ri].applier.storage;
-                    fetch(storage, snapshot, &mut out)?;
+                    let db = &mut *self.db;
+                    let storage = &mut db.shards[s].replicas[ri].applier.storage;
+                    fetch(storage, snapshot, &mut out, &mut db.history)?;
                 }
                 ReadTarget::Primary => primaries.push(s),
             }
@@ -263,7 +276,9 @@ impl<'a> TxnHandle<'a> {
             self.charge_scatter(RpcKind::DnRead, to, bytes)?;
             self.db.stats.reads_on_primary += 1;
             for &s in &primaries {
-                let wait = fetch(&mut self.db.shards[s].storage, snapshot, &mut out)?;
+                let db = &mut *self.db;
+                let storage = &mut db.shards[s].storage;
+                let wait = fetch(storage, snapshot, &mut out, &mut db.history)?;
                 self.now = self.now.max(wait);
             }
         }
@@ -360,6 +375,12 @@ impl<'a> TxnHandle<'a> {
         for s in self.lock_row(table, key, is_insert)? {
             self.stage_write(s, table, key, &row, is_insert);
         }
+        self.record(|txn| Event::Write {
+            txn,
+            table,
+            key: key.clone(),
+            digest: row.as_ref().map(digest),
+        });
         self.overlay.insert(table, key, row);
         Ok(())
     }
@@ -502,9 +523,16 @@ impl<'a> DataAccess for TxnHandle<'a> {
         lo: Option<&RowKey>,
         hi: Option<&RowKey>,
     ) -> GdbResult<Rows> {
-        let fetch = |storage: &mut DataNodeStorage, snapshot, out: &mut Rows| {
+        let txn = self.txn;
+        let fetch = |storage: &mut DataNodeStorage, snapshot, out: &mut Rows, h: &mut Option<_>| {
             let mut wait = SimTime::ZERO;
-            for v in storage.range(table, lo, hi, snapshot)? {
+            let rows = storage.range(table, lo, hi, snapshot)?;
+            if h.is_some() {
+                for v in &rows {
+                    note_read(h, (txn, table, v.key), Some(v), false);
+                }
+            }
+            for v in rows {
                 wait = wait.max(v.commit_vtime);
                 out.push((v.key.clone(), v.row.clone()));
             }
@@ -518,7 +546,7 @@ impl<'a> DataAccess for TxnHandle<'a> {
     fn index_read(&mut self, index: IndexId, prefix: &[Datum]) -> GdbResult<Rows> {
         let table = self.db.catalog.index(index)?.table;
         // Index entries carry no commit instant: no in-doubt wait.
-        let fetch = |storage: &mut DataNodeStorage, snapshot, out: &mut Rows| {
+        let fetch = |storage: &mut DataNodeStorage, snapshot, out: &mut Rows, _: &mut _| {
             out.extend(storage.index_lookup(index, prefix, snapshot)?);
             Ok(SimTime::ZERO)
         };
@@ -551,9 +579,9 @@ impl<'a> DataAccess for TxnHandle<'a> {
         if let Some(hit) = self.overlay.get(table, key) {
             return Ok(hit.clone());
         }
-        let vis = self.db.shards[shards.start]
-            .storage
-            .read_newest(table, key)?;
+        let db = &mut *self.db;
+        let vis = db.shards[shards.start].storage.read_newest(table, key)?;
+        note_read(&mut db.history, (self.txn, table, key), vis.as_ref(), true);
         Ok(vis.map(|v| {
             self.now = self.now.max(v.commit_vtime);
             v.row.clone()

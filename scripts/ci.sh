@@ -23,10 +23,11 @@
 #                  thread-backend test and the workloads' TPC-C soak — run
 #                  in their own timeout-bounded stages; `cargo test
 #                  --workspace` runs every crate
-#   nemesis-smoke  nemesis seeds 1..5 (the CI "nemesis" job)
+#   nemesis-smoke  nemesis seeds 1..5, the elastic-under-fire plan and
+#                  elastic seeds 51..53 (the CI "nemesis" job)
 #   shell          gdb-shell tests, the ignored thread-backend one
 #                  included, + committed scenario replays (the CI "shell"
-#                  job)
+#                  job; the only stage that replays them)
 #   benchmark      benchmark/ builds against the current crates, its
 #                  tests pass, and `all --quick` exits 0
 #   realnet        real-backend tests, the ignored wall-clock-bound
@@ -80,14 +81,6 @@ stage_nemesis_smoke() {
     for seed in 51 52 53; do
         timeout 300 cargo run --release -q -p gdb-chaos --bin nemesis -- \
             --seed "$seed" --duration 2s --elastic | tail -n 1
-    done
-
-    # The same two drills as committed scenario files, replayed through
-    # the operator console (oracle must stay green).
-    echo "==> committed scenario replays"
-    for scn in scenarios/*.toml; do
-        timeout 300 cargo run --release -q -p gdb-shell --bin gdb-shell -- \
-            scenario run "$scn" | tail -n 1
     done
 }
 

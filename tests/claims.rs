@@ -14,9 +14,9 @@
 use gdb_bench::experiments::Deployment::{OneRegion, ThreeCity};
 use gdb_bench::experiments::System::{Baseline, GlobalDb};
 use gdb_bench::experiments::{
-    ablation_clock, ablation_compression, ablation_rebalance, ablation_replay, ablation_transition,
-    commit_wait_us, compression_ratio, fig1a, fig6a, fig6b, fig6c, fig6d, rcp_lag_ms,
-    replica_read_share,
+    ablation_clock, ablation_compression, ablation_network, ablation_rcp, ablation_rebalance,
+    ablation_replay, ablation_transition, commit_wait_us, compression_ratio, fig1a, fig6a, fig6b,
+    fig6c, fig6d, rcp_lag_ms, replica_read_share,
 };
 use gdb_bench::{series_from_run, BenchParams};
 use gdb_simclock::GClockConfig;
@@ -224,6 +224,61 @@ fn ablation_lz4_bounds_rcp_lag_on_a_thin_wan() {
     assert!(
         raw_lag >= 5.0 * lz4_lag,
         "raw {raw_lag:.1} ms vs LZ4 {lz4_lag:.1} ms"
+    );
+}
+
+/// §V-A: GlobalDB turns Nagle's algorithm off on its WAN links; under
+/// quorum-synchronous replication every commit waits on a WAN round,
+/// so batching small segments shows in commit latency. (BBR vs Reno
+/// makes no difference at tiny scale — DESIGN.md says why — so only
+/// Nagle is asserted.)
+#[test]
+fn ablation_nagle_off_speeds_up_sync_commits() {
+    let params = tiny(8, 1);
+    let bbr = |nagle| {
+        let (label, _, congestion) = ablation_network::SWEEP[if nagle { 1 } else { 3 }];
+        let (_, report) = ablation_network::point(&params, nagle, congestion);
+        let mean = report.mean_latency("new_order").as_micros() as f64 / 1e3;
+        println!(
+            "network {label}: tpmC {:.0}, NewOrder mean {mean:.1} ms",
+            report.tpmc()
+        );
+        (report.tpmc(), mean)
+    };
+    let ((on_tpmc, on_ms), (off_tpmc, off_ms)) = (bbr(true), bbr(false));
+    // Paper: Nagle off is part of GlobalDB's WAN tuning (no number
+    // given). Measured: NewOrder mean 38.7 → 28.6 ms (×0.74). Slack: it
+    // must still fall below ×0.85.
+    assert!(
+        off_ms < 0.85 * on_ms,
+        "NewOrder {on_ms:.1} → {off_ms:.1} ms"
+    );
+    // Measured: tpmC 4 680 → 6 060 (×1.29). Slack: above ×1.15.
+    assert!(
+        off_tpmc > 1.15 * on_tpmc,
+        "tpmC {on_tpmc:.0} → {off_tpmc:.0}"
+    );
+}
+
+/// §IV-A: heartbeats advance every replica's max commit ts, so on a
+/// read-only load the RCP — and with it ROR staleness — trails by up to
+/// one heartbeat spacing, and sparser heartbeats leave it staler.
+#[test]
+fn ablation_rcp_lag_tracks_the_heartbeat_spacing() {
+    let params = tiny(8, 1);
+    let lag = |hb_ms| rcp_lag_ms(&ablation_rcp::point(&params, hb_ms).0);
+    let (fast, slow) = (lag(50), lag(1000));
+    println!("rcp: lag at 50 ms heartbeats {fast:.1} ms, at 1000 ms {slow:.1} ms");
+    // Paper: heartbeats bound the RCP's staleness (no number given).
+    // Measured: 49.9 ms at 50 ms heartbeats. Slack: half a spacing.
+    assert!(fast <= 75.0, "lag {fast:.1} ms at 50 ms");
+    // The lag is a sawtooth over one spacing, sampled where the run
+    // ends: measured 499.9 ms at 1000 ms, halfway up (`gdb-bench`'s
+    // longer run samples 999.9). Slack: 2× of the 10× ratio, and never
+    // past one and a half spacings.
+    assert!(
+        slow >= 5.0 * fast && slow <= 1500.0,
+        "lag {slow:.1} ms at 1000 ms"
     );
 }
 
