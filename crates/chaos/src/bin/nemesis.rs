@@ -8,11 +8,13 @@
 //! The same `--seed` always produces the identical fault schedule, event
 //! interleaving, and trace. Exits non-zero if any invariant was violated.
 
-use gdb_chaos::plan::{canned, FaultPlan};
-use gdb_chaos::{run_nemesis, run_plan, ChaosConfig, ChaosReport};
+use gdb_chaos::plan::canned;
+use gdb_chaos::{run, ChaosReport, PlanSource, Scenario};
 use gdb_obs::{parse_duration, Args, BenchArtifact};
-use gdb_simnet::SimDuration;
 use std::process::ExitCode;
+
+/// The switches that pick the seeded schedule's extra fault families.
+const FAMILY_FLAGS: [&str; 3] = ["--overlap", "--migrations", "--elastic"];
 
 /// Encode one run as a `gdb-bench/v1` artifact (figure `nemesis`).
 fn to_artifact(report: &ChaosReport, seed: u64) -> BenchArtifact {
@@ -54,10 +56,7 @@ fn usage(err: &str) -> ! {
 
 /// What one invocation asks for.
 struct Options {
-    seed: u64,
-    cfg: ChaosConfig,
-    /// A canned plan, or `None` for the seeded nemesis schedule.
-    plan: Option<FaultPlan>,
+    scenario: Scenario,
     json: Option<String>,
 }
 
@@ -65,23 +64,38 @@ fn options(args: &[String]) -> Result<Options, String> {
     let args = Args::parse(
         args,
         &["--seed", "--duration", "--plan", "--json"],
-        &["--overlap", "--migrations", "--elastic"],
+        &FAMILY_FLAGS,
     )?;
     if let Some(word) = args.rest.first() {
         return Err(format!("unexpected argument {word:?}"));
     }
     let seed = args.read("--seed", |v| v.parse().ok())?.unwrap_or(1);
-    let mut cfg = ChaosConfig::quick(seed);
-    cfg.duration = args
-        .read("--duration", parse_duration)?
-        .unwrap_or(SimDuration::from_secs(3));
-    cfg.overlap = args.switch("--overlap");
-    cfg.migrations = args.switch("--migrations");
-    cfg.elastic = args.switch("--elastic");
+    let mut scn = Scenario::quick(seed);
+    if let Some(d) = args.read("--duration", parse_duration)? {
+        scn.duration = d;
+    }
+    let [overlap, migrations, elastic] = FAMILY_FLAGS.map(|f| args.switch(f));
+    match args.read("--plan", canned::by_name)? {
+        Some(plan) => {
+            if let Some(flag) = FAMILY_FLAGS.iter().find(|f| args.switch(f)) {
+                return Err(format!(
+                    "{flag} applies only to the seeded schedule, not --plan"
+                ));
+            }
+            scn.name = plan.name.clone();
+            scn.plan = PlanSource::Canned(plan.name);
+        }
+        None => {
+            scn.name = format!("nemesis-{seed}");
+            scn.plan = PlanSource::Generated {
+                overlap,
+                migrations,
+                elastic,
+            };
+        }
+    }
     Ok(Options {
-        seed,
-        cfg,
-        plan: args.read("--plan", canned::by_name)?,
+        scenario: scn,
         json: args.value("--json").map(str::to_string),
     })
 }
@@ -89,14 +103,11 @@ fn options(args: &[String]) -> Result<Options, String> {
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let opts = options(&args).unwrap_or_else(|e| usage(&e));
-    let report = match opts.plan {
-        Some(plan) => run_plan(plan, &opts.cfg),
-        None => run_nemesis(opts.seed, &opts.cfg),
-    };
+    let report = run(&opts.scenario);
 
     print!("{}", report.render());
     if let Some(path) = opts.json {
-        let art = to_artifact(&report, opts.seed);
+        let art = to_artifact(&report, opts.scenario.seed);
         std::fs::write(&path, art.to_pretty()).unwrap_or_else(|e| panic!("write {path}: {e}"));
         eprintln!("wrote {path}");
     }
@@ -126,9 +137,17 @@ mod tests {
             "--json needs a value"
         );
         let ok = parse("--seed 3 --duration 500ms --overlap --json out.json").unwrap();
-        assert_eq!((ok.seed, ok.json.as_deref()), (3, Some("out.json")));
-        assert!(ok.cfg.overlap && !ok.cfg.elastic);
-        assert_eq!(ok.cfg.duration, SimDuration::from_millis(500));
+        let scn = &ok.scenario;
+        assert_eq!((scn.seed, ok.json.as_deref()), (3, Some("out.json")));
+        assert!(matches!(
+            scn.plan,
+            PlanSource::Generated {
+                overlap: true,
+                elastic: false,
+                ..
+            }
+        ));
+        assert_eq!(scn.duration, gdb_simnet::SimDuration::from_millis(500));
     }
 
     #[test]
@@ -140,6 +159,47 @@ mod tests {
             ("--overlap 7", "unexpected argument \"7\""),
         ] {
             assert_eq!(parse(line).err().unwrap(), err, "{line}");
+        }
+    }
+
+    /// The family switches steer only the seeded schedule; beside a canned
+    /// plan they used to be dropped without a word.
+    #[test]
+    fn family_flags_with_a_canned_plan_are_usage_errors() {
+        for flag in FAMILY_FLAGS {
+            assert_eq!(
+                parse(&format!("--plan primary-failover {flag}"))
+                    .err()
+                    .unwrap(),
+                format!("{flag} applies only to the seeded schedule, not --plan")
+            );
+        }
+    }
+
+    /// The flags and the equivalent scenario file describe one run: the
+    /// same `Scenario`, and running it gives the same trace, history and
+    /// metrics.
+    #[test]
+    fn flags_and_the_equivalent_scenario_file_are_one_run() {
+        for (line, file) in [
+            (
+                "--seed 3 --duration 1s --overlap --migrations",
+                "[scenario]\nname = \"nemesis-3\"\nseed = 3\n[workload]\nduration = \"1s\"\n\
+                 [nemesis]\nplan = \"generated\"\noverlap = true\nmigrations = true\n",
+            ),
+            (
+                "--plan primary-failover",
+                "[scenario]\nname = \"primary-failover\"\n[nemesis]\nplan = \"primary-failover\"\n",
+            ),
+        ] {
+            let flags = parse(line).unwrap().scenario;
+            let loaded = gdb_chaos::scenario::load(file).unwrap();
+            assert_eq!(format!("{flags:?}"), format!("{loaded:?}"), "{line}");
+            let (a, b) = (run(&flags), run(&loaded));
+            assert!(a.ok(), "{line}: {}", a.render());
+            assert_eq!(a.trace, b.trace, "{line}");
+            assert!(a.history == b.history, "{line}: histories differ");
+            assert_eq!(a.metrics, b.metrics, "{line}");
         }
     }
 }

@@ -18,8 +18,9 @@
 //!   [`gdb_workloads::tpcc::consistency`]) the TPC-C consistency
 //!   conditions once the dust settles.
 //!
-//! [`runner::run_plan`] / [`runner::run_nemesis`] tie the two together
-//! with a TPC-C workload running in the foreground.
+//! A [`Scenario`] describes one run — cluster, workload, fault plan,
+//! rebalancer — and [`run`] ties the two halves together with a TPC-C
+//! workload running in the foreground.
 
 pub mod fault;
 pub mod nemesis;
@@ -30,9 +31,8 @@ pub mod scenario;
 pub mod trace;
 
 pub use fault::Fault;
-pub use nemesis::NemesisConfig;
 pub use oracle::{Coverage, FailoverWindow, LossWindows, Oracle, Verdict};
 pub use plan::{FaultEvent, FaultPlan};
-pub use runner::{run_nemesis, run_plan, run_plan_prepped, ChaosConfig, ChaosReport};
+pub use runner::{run, ChaosReport};
 pub use scenario::{PlanSource, Scenario};
 pub use trace::{Trace, TraceHandle};

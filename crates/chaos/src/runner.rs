@@ -3,74 +3,18 @@
 //! recovery phase, and final whole-database checks.
 
 use crate::fault::Fault;
-use crate::nemesis::{ClusterShape, NemesisConfig};
 use crate::oracle::{Coverage, FailoverWindow, LossWindows, Oracle};
-use crate::plan::FaultPlan;
+use crate::plan::{canned, FaultPlan};
+use crate::scenario::{PlanSource, Scenario};
 use crate::trace::new_trace;
+use gdb_rebalance::RebalanceController;
 use gdb_workloads::tpcc::{consistency, TpccMix, TpccScale, TpccWorkload};
 use gdb_workloads::{run_workload, RunConfig, Workload};
 use globaldb::config::FLUSH_INTERVAL;
 use globaldb::txn::history::History;
-use globaldb::{Cluster, ClusterConfig, Geometry, GlobalDb, ReplicationMode, SimDuration, SimTime};
+use globaldb::{Cluster, GlobalDb, SimDuration, SimTime};
+use std::cell::RefCell;
 use std::rc::Rc;
-
-/// Knobs for one chaos run.
-#[derive(Debug, Clone, Copy)]
-pub struct ChaosConfig {
-    pub cluster_seed: u64,
-    pub workload_seed: u64,
-    pub terminals: usize,
-    /// Fault-free lead-in before the plan starts.
-    pub warmup: SimDuration,
-    /// The fault window (plan offsets land inside it).
-    pub duration: SimDuration,
-    /// Idle recovery time between heal-all and the final checks.
-    pub grace: SimDuration,
-    /// Let the nemesis generator overlay concurrent fault episodes
-    /// ([`NemesisConfig::overlap`]).
-    pub overlap: bool,
-    /// Let the nemesis generator draw online-migration episodes
-    /// ([`NemesisConfig::migrations`]).
-    pub migrations: bool,
-    /// Let the nemesis generator draw elastic-membership episodes
-    /// ([`NemesisConfig::elastic`]).
-    pub elastic: bool,
-    /// Replication mode under torment. Synchronous modes get the strict
-    /// durability oracle; `Async` gets the bounded-loss check (a failover
-    /// may lose at most the shipping-window tail).
-    pub replication: ReplicationMode,
-}
-
-impl ChaosConfig {
-    /// A short run sized for the integration suite.
-    pub fn quick(seed: u64) -> Self {
-        ChaosConfig {
-            cluster_seed: seed,
-            workload_seed: seed ^ 0xc4a0_5bad,
-            terminals: 8,
-            warmup: SimDuration::from_millis(500),
-            duration: SimDuration::from_secs(3),
-            grace: SimDuration::from_secs(2),
-            overlap: false,
-            migrations: false,
-            elastic: false,
-            replication: ReplicationMode::SyncRemoteQuorum { quorum: 1 },
-        }
-    }
-
-    /// The cluster every chaos run torments: the Three-City GlobalDB
-    /// deployment with two CNs per region (so collector leadership can
-    /// fail over), quorum-synchronous replication (so every fault leaves
-    /// acknowledged writes recoverable and errors retryable), and
-    /// two-phase RCP rounds (so a collector crash can land mid-round).
-    pub fn cluster_config(&self) -> ClusterConfig {
-        let mut c = ClusterConfig::globaldb_three_city().with_seed(self.cluster_seed);
-        c.cn_count = 6;
-        c.replication = self.replication;
-        c.rcp_two_phase = true;
-        c
-    }
-}
 
 /// What a chaos run produced.
 #[derive(Debug)]
@@ -203,34 +147,51 @@ fn failover_windows(plan: &FaultPlan) -> Vec<FailoverWindow> {
     out
 }
 
-/// Run TPC-C under `plan` and return the full report.
-pub fn run_plan(plan: FaultPlan, cfg: &ChaosConfig) -> ChaosReport {
-    run_plan_prepped(plan, cfg, cfg.cluster_config(), |_| {})
-}
-
-/// [`run_plan`] against an explicit cluster config, with a post-load
-/// cluster hook called after TPC-C setup, before the plan is scheduled —
-/// the entry point for scenario files, whose `[topology]` table
-/// overrides the canonical chaos shape and whose hook arms periodic
-/// events of their own (e.g. recurring auto-rebalance ticks). The hook
-/// must schedule via the cluster's own simulation so determinism is
-/// preserved.
-pub fn run_plan_prepped(
-    plan: FaultPlan,
-    cfg: &ChaosConfig,
-    cc: ClusterConfig,
-    prep: impl FnOnce(&mut Cluster),
-) -> ChaosReport {
-    let mut cluster = Cluster::new(cc);
+/// Run `scn`: deploy its cluster, load TPC-C, arm the auto-rebalancer
+/// if asked, run the workload under its fault plan, heal, and check the
+/// recorded history and the TPC-C consistency conditions. The report's
+/// plan name is the scenario's name, or the plan's when that is empty.
+pub fn run(scn: &Scenario) -> ChaosReport {
+    let plan = match &scn.plan {
+        PlanSource::Canned(name) => {
+            canned::by_name(name).unwrap_or_else(|| panic!("no canned plan {name:?}"))
+        }
+        PlanSource::Inline(plan) => plan.clone(),
+        &PlanSource::Generated {
+            overlap,
+            migrations,
+            elastic,
+        } => crate::nemesis::generate(
+            scn.seed,
+            overlap,
+            migrations,
+            elastic,
+            &scn.cluster,
+            scn.duration,
+        ),
+    };
+    let mut cluster = Cluster::new(scn.cluster.clone());
     let strict = cluster.db.config().replication.is_sync();
     let scale = TpccScale::tiny();
-    let mut workload = TpccWorkload::new(scale, TpccMix::standard(), cfg.workload_seed);
+    let mut workload = TpccWorkload::new(scale, TpccMix::standard(), scn.seed ^ 0xc4a0_5bad);
     workload.setup(&mut cluster).expect("TPC-C setup");
-    prep(&mut cluster);
 
     let t0 = cluster.now();
-    let start = t0 + cfg.warmup;
-    let end = start + cfg.duration;
+    let start = t0 + scn.warmup;
+    let end = start + scn.duration;
+    if let Some(every) = scn.rebalance_every {
+        // Recurring controller ticks over warmup and the fault window,
+        // scheduled on the cluster's own simulation.
+        let ctrl = Rc::new(RefCell::new(RebalanceController::new()));
+        let mut at = t0 + every;
+        while at <= end {
+            let ctrl = Rc::clone(&ctrl);
+            cluster.sim.schedule_at(at, move |w, sim| {
+                ctrl.borrow_mut().tick_at(w, sim);
+            });
+            at += every;
+        }
+    }
     let trace = new_trace();
 
     let plan = plan.shifted(SimDuration::from_nanos(start.as_nanos()));
@@ -254,9 +215,9 @@ pub fn run_plan_prepped(
         &mut cluster,
         &mut workload,
         RunConfig {
-            terminals: cfg.terminals,
-            duration: cfg.duration,
-            warmup: cfg.warmup,
+            terminals: scn.terminals,
+            duration: scn.duration,
+            warmup: scn.warmup,
             think_time: SimDuration::from_millis(10),
         },
     );
@@ -264,7 +225,7 @@ pub fn run_plan_prepped(
     // Recovery: heal everything, let replication / RCP catch up.
     let now = cluster.now();
     heal_all(&mut cluster.db, now);
-    cluster.run_until(now + cfg.grace);
+    cluster.run_until(now + scn.grace);
 
     let metrics = cluster.metrics_snapshot();
     let (committed, aborted) = (cluster.db.stats().committed, cluster.db.stats().aborted);
@@ -284,7 +245,11 @@ pub fn run_plan_prepped(
         .cloned()
         .unwrap_or_default();
     ChaosReport {
-        plan_name,
+        plan_name: if scn.name.is_empty() {
+            plan_name
+        } else {
+            scn.name.clone()
+        },
         trace: trace_lines,
         violations: verdict.violations,
         txns_committed: committed,
@@ -295,38 +260,8 @@ pub fn run_plan_prepped(
         rcp_rounds_abandoned: cluster.db.stats().rcp_rounds_abandoned,
         collector_failovers: cluster.db.stats().collector_failovers,
         tpcc_rows_verified,
-        duration: cfg.duration,
+        duration: scn.duration,
         latency,
         metrics,
     }
-}
-
-/// The seeded nemesis schedule over `cfg`'s fault window for a cluster
-/// deployed from `cc`, drawing the episode families `cfg` enables. It is
-/// a pure function of its inputs, so a run of it — trace included —
-/// replays bit-for-bit.
-pub fn nemesis_plan(seed: u64, cfg: &ChaosConfig, cc: &ClusterConfig) -> FaultPlan {
-    let shape = ClusterShape {
-        shards: cc.shard_count,
-        replicas_per_shard: cc.replicas_per_shard,
-        cns: cc.cn_count,
-        regions: match cc.geometry {
-            Geometry::OneRegion { .. } => 1,
-            Geometry::ThreeCity { .. } => 3,
-            Geometry::MultiRegion { regions, .. } => regions,
-        },
-    };
-    let nemesis = NemesisConfig {
-        overlap: cfg.overlap,
-        migrations: cfg.migrations,
-        elastic: cfg.elastic,
-        ..NemesisConfig::new(seed, SimTime::ZERO, cfg.duration)
-    };
-    crate::nemesis::generate(&nemesis, &shape)
-}
-
-/// Generate a nemesis schedule from `seed` and run it on the canonical
-/// chaos cluster.
-pub fn run_nemesis(seed: u64, cfg: &ChaosConfig) -> ChaosReport {
-    run_plan(nemesis_plan(seed, cfg, &cfg.cluster_config()), cfg)
 }

@@ -2,11 +2,12 @@
 //! mix, nemesis schedule, and rebalancer settings, runnable as a single
 //! oracle-checked chaos run.
 //!
-//! A scenario is the operator-facing unit of reproduction: instead of
-//! wiring `ClusterConfig` + `ChaosConfig` + a `FaultPlan` + rebalancer
-//! ticks in Rust, a DBA (or CI) commits a TOML-subset file and replays
-//! it with `gdb-shell scenario run <file>`. Same file + same seed ⇒
-//! bit-identical trace, like every other seeded run in this repo.
+//! A [`Scenario`] is the one description of a chaos run — the `nemesis`
+//! binary builds one from its flags, a test from [`Scenario::quick`] —
+//! and the operator-facing unit of reproduction: a DBA (or CI) commits a
+//! TOML-subset file and replays it with `gdb-shell scenario run <file>`.
+//! Same file + same seed ⇒ bit-identical trace, like every other seeded
+//! run in this repo.
 //!
 //! ```toml
 //! [scenario]
@@ -38,82 +39,102 @@
 //! shard = 0
 //! ```
 //!
-//! Validation is strict: unknown tables, unknown keys, dangling plan
+//! Validation is strict: unknown tables, unknown keys, mistyped or
+//! out-of-range values, family flags beside a canned plan, dangling plan
 //! names, and unknown fault kinds are all errors, reported with line
 //! numbers (the shell's `committed_scenarios_lint_clean` test lints every
 //! committed scenario file with the same code path).
 
 use crate::fault::Fault;
 use crate::plan::{canned, FaultPlan};
-use crate::runner::{nemesis_plan, run_plan_prepped, ChaosConfig, ChaosReport};
 use gdb_obs::{ConfDoc, ConfTable, ConfValue};
-use gdb_rebalance::RebalanceController;
 use globaldb::{ClusterConfig, ReplicationMode, SimDuration, SimTime};
-use std::cell::RefCell;
-use std::rc::Rc;
 
 /// Where a scenario's fault schedule comes from.
 #[derive(Debug, Clone)]
 pub enum PlanSource {
     /// A canned plan by name ([`canned::by_name`]).
     Canned(String),
-    /// The seeded nemesis generator (`plan = "generated"`), with the
-    /// episode families the `[nemesis]` flags set in the scenario's
-    /// [`ChaosConfig`].
-    Generated,
+    /// The seeded nemesis generator (`plan = "generated"`) with the
+    /// episode families it may draw beyond the base seven; each is off by
+    /// default so existing seeds replay their exact historical schedules.
+    Generated {
+        /// Overlay a second concurrent fault on about 40 % of the
+        /// episodes, drawn from any family other than the main one's
+        /// (GTM crash and region partition included) and nested inside
+        /// the main fault's outage.
+        overlap: bool,
+        /// Online shard migrations mid-traffic, half of which crash (then
+        /// restore) the migration target mid-copy.
+        migrations: bool,
+        /// Elastic membership: provision a spare data node, then drain an
+        /// original host onto the survivors, half the time crashing (then
+        /// restoring) a drain-move source mid-flight.
+        elastic: bool,
+    },
     /// Inline `[[fault]]` events (offsets from the end of warmup).
     Inline(FaultPlan),
 }
 
-/// A fully validated scenario, ready to run.
+/// One chaos run, fully described: the `nemesis` binary, `gdb-shell`
+/// and the tests all build one, and [`crate::runner::run`] runs it.
 #[derive(Debug, Clone)]
 pub struct Scenario {
+    /// Names the report; empty means the fault plan's own name.
     pub name: String,
-    /// The chaos knobs (seed, warmup/duration/grace, terminals,
-    /// replication mode) the file resolved to.
-    pub cfg: ChaosConfig,
-    pub geometry: GeometryKind,
-    pub cns: Option<usize>,
-    pub shards: Option<usize>,
-    pub replicas: Option<usize>,
+    /// Seeds the cluster and the nemesis generator; the TPC-C workload
+    /// draws from `seed ^ 0xc4a0_5bad`.
+    pub seed: u64,
+    /// The deployment under torment. Synchronous replication gets the
+    /// strict durability oracle; `Async` the bounded-loss check (a
+    /// failover may lose at most the shipping-window tail).
+    pub cluster: ClusterConfig,
+    pub terminals: usize,
+    /// Fault-free lead-in before the plan starts.
+    pub warmup: SimDuration,
+    /// The fault window (plan offsets land inside it).
+    pub duration: SimDuration,
+    /// Idle recovery time between heal-all and the final checks.
+    pub grace: SimDuration,
     pub plan: PlanSource,
-    /// `Some(interval)` when `[rebalancer] auto = true`: the controller
-    /// ticks at this period for the whole fault window.
+    /// `Some(interval)`: the auto-rebalancer ticks at this period through
+    /// warmup and the fault window.
     pub rebalance_every: Option<SimDuration>,
 }
 
-/// Which preset topology the `[topology] geometry` key selected.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum GeometryKind {
-    ThreeCity,
-    OneRegion,
+impl Scenario {
+    /// A short seeded-nemesis run on the Three-City chaos cluster, sized
+    /// for the integration suite.
+    pub fn quick(seed: u64) -> Self {
+        Scenario {
+            name: String::new(),
+            seed,
+            cluster: chaos_cluster(ClusterConfig::globaldb_three_city(), seed),
+            terminals: 8,
+            warmup: SimDuration::from_millis(500),
+            duration: SimDuration::from_secs(3),
+            grace: SimDuration::from_secs(2),
+            plan: PlanSource::Generated {
+                overlap: false,
+                migrations: false,
+                elastic: false,
+            },
+            rebalance_every: None,
+        }
+    }
 }
 
-impl Scenario {
-    /// The cluster config this scenario deploys: the canonical chaos
-    /// shape for its geometry, with the file's overrides applied.
-    pub fn cluster_config(&self) -> ClusterConfig {
-        let mut cc = match self.geometry {
-            GeometryKind::ThreeCity => self.cfg.cluster_config(),
-            GeometryKind::OneRegion => {
-                let mut c = ClusterConfig::globaldb_one_region().with_seed(self.cfg.cluster_seed);
-                c.cn_count = 6;
-                c.replication = self.cfg.replication;
-                c.rcp_two_phase = true;
-                c
-            }
-        };
-        if let Some(n) = self.cns {
-            cc.cn_count = n;
-        }
-        if let Some(n) = self.shards {
-            cc.shard_count = n;
-        }
-        if let Some(n) = self.replicas {
-            cc.replicas_per_shard = n;
-        }
-        cc
-    }
+/// The cluster every chaos run torments: `base`'s geometry with six CNs
+/// (two per Three-City region, so collector leadership can fail over),
+/// quorum-synchronous replication (so every fault leaves acknowledged
+/// writes recoverable and errors retryable), and two-phase RCP rounds
+/// (so a collector crash can land mid-round).
+fn chaos_cluster(base: ClusterConfig, seed: u64) -> ClusterConfig {
+    let mut c = base.with_seed(seed);
+    c.cn_count = 6;
+    c.replication = ReplicationMode::SyncRemoteQuorum { quorum: 1 };
+    c.rcp_two_phase = true;
+    c
 }
 
 /// Every fault kind the DSL (and the shell's `fault` command) accepts,
@@ -263,8 +284,17 @@ pub fn fault_from_pairs(kind: &str, pairs: &[(String, ConfValue)]) -> Result<Fau
 /// The most shards a scenario may deploy: the scale tier's 256.
 const MAX_SHARDS: i64 = 256;
 
+/// The most TPC-C terminals a scenario may drive; the driver keeps one
+/// pending event per terminal.
+const MAX_TERMINALS: i64 = 1024;
+
+/// The `[nemesis]` keys only a generated plan reads.
+const FAMILY_FLAGS: [&str; 3] = ["overlap", "migrations", "elastic"];
+
 /// Accumulates all validation errors instead of stopping at the first,
-/// so a lint pass reports the whole file at once.
+/// so a lint pass reports the whole file at once. Each typed read is an
+/// error at the key's line when the value has the wrong type or is out
+/// of range — never a silent default.
 struct Check {
     errors: Vec<String>,
 }
@@ -280,6 +310,56 @@ impl Check {
                 ));
             }
         }
+    }
+
+    /// `key`'s value and line, if `t` sets it.
+    fn entry<'t>(t: &'t ConfTable, key: &str) -> Option<(&'t ConfValue, usize)> {
+        t.entries.iter().find(|e| e.0 == key).map(|e| (&e.1, e.2))
+    }
+
+    /// `key`'s value as `read` takes it, or an error at its line saying
+    /// what it must be. `None` when `t` does not set `key`.
+    fn typed<'t, T>(
+        &mut self,
+        t: &'t ConfTable,
+        key: &str,
+        must_be: &str,
+        read: impl FnOnce(&'t ConfValue) -> Option<T>,
+    ) -> Option<T> {
+        let (v, line) = Self::entry(t, key)?;
+        let out = read(v);
+        if out.is_none() {
+            self.errors
+                .push(format!("line {line}: [{}] {key} must be {must_be}", t.name));
+        }
+        out
+    }
+
+    /// An int in `lo..=hi` (`hi = None`: no upper bound).
+    fn int(&mut self, t: &ConfTable, key: &str, lo: i64, hi: Option<i64>) -> Option<i64> {
+        let n = self.typed(t, key, "an int", ConfValue::as_int)?;
+        if n >= lo && hi.is_none_or(|hi| n <= hi) {
+            return Some(n);
+        }
+        let bound = hi.map_or(format!("at least {lo}"), |hi| format!("{lo}..={hi}"));
+        let (_, line) = Self::entry(t, key)?;
+        self.errors.push(format!(
+            "line {line}: [{}] {key} = {n} must be {bound}",
+            t.name
+        ));
+        None
+    }
+
+    fn boolean(&mut self, t: &ConfTable, key: &str) -> Option<bool> {
+        self.typed(t, key, "true or false", ConfValue::as_bool)
+    }
+
+    fn string<'t>(&mut self, t: &'t ConfTable, key: &str) -> Option<&'t str> {
+        self.typed(t, key, "a string", ConfValue::as_str)
+    }
+
+    fn duration(&mut self, t: &ConfTable, key: &str) -> Option<SimDuration> {
+        self.typed(t, key, "a duration", |_| t.duration_of(key))
     }
 }
 
@@ -317,25 +397,18 @@ pub fn load(text: &str) -> Result<Scenario, Vec<String>> {
                     .errors
                     .push(format!("line {}: [scenario] needs a string `name`", t.line)),
             }
-            if let Some(v) = t.get("seed") {
-                match v.as_int().filter(|s| *s >= 0) {
-                    Some(s) => seed = s as u64,
-                    None => ck
-                        .errors
-                        .push("[scenario] seed must be a non-negative int".into()),
-                }
+            if let Some(s) = ck.int(t, "seed", 0, None) {
+                seed = s as u64;
             }
         }
         None => ck.errors.push("missing [scenario] table".into()),
     }
+    let mut scn = Scenario {
+        name,
+        ..Scenario::quick(seed)
+    };
 
-    let mut cfg = ChaosConfig::quick(seed);
-
-    // [topology]
-    let mut geometry = GeometryKind::ThreeCity;
-    let mut cns = None;
-    let mut shards = None;
-    let mut replicas = None;
+    // [topology]: overrides of the chaos cluster preset.
     let mut quorum_line = None;
     if let Some(t) = doc.table("topology") {
         ck.known_keys(
@@ -349,37 +422,33 @@ pub fn load(text: &str) -> Result<Scenario, Vec<String>> {
                 "quorum",
             ],
         );
-        match t.str_of("geometry") {
+        match ck.string(t, "geometry") {
             Some("three-city") | None => {}
-            Some("one-region") => geometry = GeometryKind::OneRegion,
+            Some("one-region") => {
+                scn.cluster = chaos_cluster(ClusterConfig::globaldb_one_region(), seed)
+            }
             Some(g) => ck.errors.push(format!(
                 "[topology] geometry {g:?} (known: three-city, one-region)"
             )),
         }
-        let line_of = |key: &str| t.entries.iter().find(|e| e.0 == key).map(|e| e.2);
-        // A count the cluster can deploy, or an error naming its line.
-        let mut count = |key: &str, lo: i64, hi: Option<i64>| {
-            let v = t.int_of(key)?;
-            if v >= lo && hi.is_none_or(|hi| v <= hi) {
-                return Some(v as usize);
-            }
-            let bound = hi.map_or(format!("at least {lo}"), |hi| format!("{lo}..={hi}"));
-            let line = line_of(key).unwrap_or(t.line);
-            ck.errors.push(format!(
-                "line {line}: [topology] {key} = {v} must be {bound}"
-            ));
-            None
-        };
-        cns = count("cns", 1, None);
-        shards = count("shards", 1, Some(MAX_SHARDS));
-        replicas = count("replicas", 0, None);
+        let cc = &mut scn.cluster;
+        if let Some(n) = ck.int(t, "cns", 1, None) {
+            cc.cn_count = n as usize;
+        }
+        if let Some(n) = ck.int(t, "shards", 1, Some(MAX_SHARDS)) {
+            cc.shard_count = n as usize;
+        }
+        if let Some(n) = ck.int(t, "replicas", 0, None) {
+            cc.replicas_per_shard = n as usize;
+        }
+        let line_of = |key: &str| Check::entry(t, key).map(|(_, line)| line);
         quorum_line = line_of("quorum").or(line_of("replicas"));
-        let quorum = t.int_of("quorum").unwrap_or(1).max(0) as usize;
-        match t.str_of("replication") {
-            Some("async") => cfg.replication = ReplicationMode::Async,
-            Some("sync-local-quorum") => cfg.replication = ReplicationMode::SyncLocalQuorum,
+        let quorum = ck.int(t, "quorum", 0, None).unwrap_or(1) as usize;
+        match ck.string(t, "replication") {
+            Some("async") => cc.replication = ReplicationMode::Async,
+            Some("sync-local-quorum") => cc.replication = ReplicationMode::SyncLocalQuorum,
             Some("sync-remote-quorum") | None => {
-                cfg.replication = ReplicationMode::SyncRemoteQuorum { quorum }
+                cc.replication = ReplicationMode::SyncRemoteQuorum { quorum }
             }
             Some(m) => ck.errors.push(format!(
                 "[topology] replication {m:?} (known: async, sync-local-quorum, \
@@ -391,25 +460,17 @@ pub fn load(text: &str) -> Result<Scenario, Vec<String>> {
     // [workload]
     if let Some(t) = doc.table("workload") {
         ck.known_keys(t, &["terminals", "warmup", "duration", "grace"]);
-        if let Some(n) = t.int_of("terminals") {
-            cfg.terminals = n.max(1) as usize;
+        if let Some(n) = ck.int(t, "terminals", 1, Some(MAX_TERMINALS)) {
+            scn.terminals = n as usize;
         }
-        let dur = |key: &str, errors: &mut Vec<String>| -> Option<SimDuration> {
-            t.get(key)?;
-            let d = t.duration_of(key);
-            if d.is_none() {
-                errors.push(format!("[workload] {key} must be a duration"));
-            }
-            d
-        };
-        if let Some(d) = dur("warmup", &mut ck.errors) {
-            cfg.warmup = d;
+        if let Some(d) = ck.duration(t, "warmup") {
+            scn.warmup = d;
         }
-        if let Some(d) = dur("duration", &mut ck.errors) {
-            cfg.duration = d;
+        if let Some(d) = ck.duration(t, "duration") {
+            scn.duration = d;
         }
-        if let Some(d) = dur("grace", &mut ck.errors) {
-            cfg.grace = d;
+        if let Some(d) = ck.duration(t, "grace") {
+            scn.grace = d;
         }
     }
 
@@ -417,25 +478,34 @@ pub fn load(text: &str) -> Result<Scenario, Vec<String>> {
     let mut plan: Option<PlanSource> = None;
     if let Some(t) = doc.table("nemesis") {
         ck.known_keys(t, &["plan", "overlap", "migrations", "elastic"]);
-        cfg.overlap = t.bool_of("overlap").unwrap_or(false);
-        cfg.migrations = t.bool_of("migrations").unwrap_or(false);
-        cfg.elastic = t.bool_of("elastic").unwrap_or(false);
-        match t.str_of("plan") {
-            Some("generated") => plan = Some(PlanSource::Generated),
-            Some(p) => {
-                if canned::by_name(p).is_some() {
-                    plan = Some(PlanSource::Canned(p.to_string()));
-                } else {
-                    ck.errors.push(format!(
-                        "[nemesis] unknown plan {p:?} (known: generated, {})",
-                        canned::all()
-                            .iter()
-                            .map(|pl| pl.name.clone())
-                            .collect::<Vec<_>>()
-                            .join(", ")
-                    ));
-                }
+        let [overlap, migrations, elastic] =
+            FAMILY_FLAGS.map(|flag| ck.boolean(t, flag).unwrap_or(false));
+        match ck.string(t, "plan") {
+            Some("generated") => {
+                plan = Some(PlanSource::Generated {
+                    overlap,
+                    migrations,
+                    elastic,
+                })
             }
+            Some(p) if canned::by_name(p).is_some() => {
+                for (k, _, line) in &t.entries {
+                    if FAMILY_FLAGS.contains(&k.as_str()) {
+                        ck.errors.push(format!(
+                            "line {line}: [nemesis] {k} applies only to plan = \"generated\""
+                        ));
+                    }
+                }
+                plan = Some(PlanSource::Canned(p.to_string()));
+            }
+            Some(p) => ck.errors.push(format!(
+                "[nemesis] unknown plan {p:?} (known: generated, {})",
+                canned::all()
+                    .iter()
+                    .map(|pl| pl.name.clone())
+                    .collect::<Vec<_>>()
+                    .join(", ")
+            )),
             None => ck
                 .errors
                 .push(format!("line {}: [nemesis] needs a `plan`", t.line)),
@@ -447,10 +517,10 @@ pub fn load(text: &str) -> Result<Scenario, Vec<String>> {
             ck.errors
                 .push("give either [nemesis] plan or [[fault]] events, not both".into());
         }
-        let mut inline = FaultPlan::new(if name.is_empty() {
+        let mut inline = FaultPlan::new(if scn.name.is_empty() {
             "inline".to_string()
         } else {
-            name.clone()
+            scn.name.clone()
         });
         for t in &fault_tables {
             let mut pairs: Vec<(String, ConfValue)> = Vec::new();
@@ -490,14 +560,15 @@ pub fn load(text: &str) -> Result<Scenario, Vec<String>> {
             .push("scenario has no fault schedule: give [nemesis] plan or [[fault]] events".into());
         return Err(ck.errors);
     };
+    scn.plan = plan;
 
     // [rebalancer]
-    let mut rebalance_every = None;
     if let Some(t) = doc.table("rebalancer") {
         ck.known_keys(t, &["auto", "interval"]);
-        if t.bool_of("auto").unwrap_or(false) {
-            match t.duration_of("interval") {
-                Some(d) if d > SimDuration::ZERO => rebalance_every = Some(d),
+        let interval = ck.duration(t, "interval");
+        if ck.boolean(t, "auto") == Some(true) {
+            match interval {
+                Some(d) if d > SimDuration::ZERO => scn.rebalance_every = Some(d),
                 _ => ck
                     .errors
                     .push("[rebalancer] auto = true needs a positive `interval`".into()),
@@ -505,24 +576,14 @@ pub fn load(text: &str) -> Result<Scenario, Vec<String>> {
         }
     }
 
-    let scn = Scenario {
-        name,
-        cfg,
-        geometry,
-        cns,
-        shards,
-        replicas,
-        plan,
-        rebalance_every,
-    };
     // A sync commit waits for its quorum of replica acks: with fewer
     // replicas than that, no commit could ever succeed.
-    let acks = match cfg.replication {
+    let acks = match scn.cluster.replication {
         ReplicationMode::Async => 0,
         ReplicationMode::SyncLocalQuorum => 1,
         ReplicationMode::SyncRemoteQuorum { quorum } => quorum,
     };
-    let have = scn.cluster_config().replicas_per_shard;
+    let have = scn.cluster.replicas_per_shard;
     if acks > have {
         let line = quorum_line.map_or(String::new(), |l| format!("line {l}: "));
         ck.errors.push(format!(
@@ -545,45 +606,10 @@ pub fn lint(text: &str) -> Vec<String> {
     }
 }
 
-/// Run a loaded scenario: resolve its plan, deploy its topology, arm
-/// the auto-rebalancer if asked, and torment it under the standard
-/// oracle. The report's plan name is the scenario name.
-pub fn run_scenario(scn: &Scenario) -> ChaosReport {
-    let cfg = scn.cfg;
-    let plan = match &scn.plan {
-        PlanSource::Canned(name) => canned::by_name(name).expect("validated plan name"),
-        PlanSource::Inline(plan) => plan.clone(),
-        PlanSource::Generated => nemesis_plan(cfg.cluster_seed, &cfg, &scn.cluster_config()),
-    };
-    let every = scn.rebalance_every;
-    let horizon = cfg.warmup + cfg.duration;
-    let mut report = run_plan_prepped(plan, &cfg, scn.cluster_config(), move |cluster| {
-        let Some(every) = every else { return };
-        let ctrl = Rc::new(RefCell::new(RebalanceController::new()));
-        let end = cluster.now() + horizon;
-        let mut at = cluster.now() + every;
-        while at <= end {
-            let ctrl = Rc::clone(&ctrl);
-            cluster.sim.schedule_at(at, move |w, sim| {
-                ctrl.borrow_mut().tick_at(w, sim);
-            });
-            at += every;
-        }
-    });
-    if !scn.name.is_empty() {
-        report.plan_name = scn.name.clone();
-    }
-    report
-}
-
-/// Load + run in one step; parse errors become report-less `Err`.
-pub fn run_text(text: &str) -> Result<ChaosReport, Vec<String>> {
-    Ok(run_scenario(&load(text)?))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::runner::run;
 
     const GOOD: &str = r#"
 [scenario]
@@ -615,8 +641,8 @@ shard = 0
     fn loads_inline_scenario() {
         let scn = load(GOOD).unwrap();
         assert_eq!(scn.name, "smoke");
-        assert_eq!(scn.cfg.terminals, 4);
-        assert_eq!(scn.cfg.warmup, SimDuration::from_millis(200));
+        assert_eq!(scn.terminals, 4);
+        assert_eq!(scn.warmup, SimDuration::from_millis(200));
         let PlanSource::Inline(plan) = &scn.plan else {
             panic!("expected inline plan");
         };
@@ -752,6 +778,83 @@ shard = 0
         );
     }
 
+    /// A mistyped or out-of-range value is an error at its line; each of
+    /// these used to lint clean and run with a default or a wrapped value
+    /// (`quorum = -3` ran with quorum 0; 10^11 terminals built a driver
+    /// heap of that size).
+    #[test]
+    fn mistyped_and_out_of_range_values_are_errors_at_their_line() {
+        for (table, entry, needle) in [
+            ("topology", "cns = \"6\"", "[topology] cns must be an int"),
+            (
+                "topology",
+                "quorum = -3",
+                "[topology] quorum = -3 must be at least 0",
+            ),
+            (
+                "topology",
+                "quorum = \"two\"",
+                "[topology] quorum must be an int",
+            ),
+            (
+                "workload",
+                "terminals = 100000000000",
+                "[workload] terminals = 100000000000 must be 1..=1024",
+            ),
+            (
+                "workload",
+                "terminals = -5",
+                "[workload] terminals = -5 must be 1..=1024",
+            ),
+            (
+                "workload",
+                "terminals = \"8\"",
+                "[workload] terminals must be an int",
+            ),
+            (
+                "rebalancer",
+                "auto = \"true\"",
+                "[rebalancer] auto must be true or false",
+            ),
+        ] {
+            let text = format!(
+                "[scenario]\nname = \"x\"\n[nemesis]\nplan = \"generated\"\n[{table}]\n{entry}\n"
+            );
+            let errs = lint(&text);
+            assert!(
+                errs.iter().any(|e| e == &format!("line 6: {needle}")),
+                "{entry:?}: {errs:?}"
+            );
+        }
+    }
+
+    /// The family flags steer only the seeded generator; beside a canned
+    /// plan they used to be dropped without a word.
+    #[test]
+    fn family_flags_with_a_canned_plan_are_errors() {
+        for flag in FAMILY_FLAGS {
+            let text = format!(
+                "[scenario]\nname = \"x\"\n[nemesis]\nplan = \"primary-failover\"\n{flag} = true\n"
+            );
+            assert_eq!(
+                lint(&text),
+                vec![format!(
+                    "line 5: [nemesis] {flag} applies only to plan = \"generated\""
+                )]
+            );
+        }
+        let text = "[scenario]\nname = \"x\"\n[nemesis]\nplan = \"generated\"\noverlap = true\n";
+        let scn = load(text).unwrap();
+        assert!(matches!(
+            scn.plan,
+            PlanSource::Generated {
+                overlap: true,
+                migrations: false,
+                elastic: false
+            }
+        ));
+    }
+
     /// `[[fault]]` entries naming a shard, CN or region the cluster does
     /// not have are skipped in the trace (they used to index out of
     /// bounds inside the scheduled fault event) and the run stays green.
@@ -766,7 +869,7 @@ shard = 0
         for (kind, args, _) in faults {
             text += &format!("\n[[fault]]\nat = \"200ms\"\nkind = \"{kind}\"\n{args}\n");
         }
-        let report = run_text(&text).unwrap();
+        let report = run(&load(&text).unwrap());
         assert!(report.ok(), "{}", report.render());
         for (kind, _, missing) in faults {
             let line = format!("skip {kind}: {missing}");
@@ -787,7 +890,7 @@ shard = 0
         let text = format!(
             "{GOOD}\n[[fault]]\nat = \"200ms\"\nkind = \"rejoin-old-primary\"\nshard = 0\n"
         );
-        let report = run_text(&text).unwrap();
+        let report = run(&load(&text).unwrap());
         assert!(report.ok(), "{}", report.render());
         let rejoins: Vec<&String> = report
             .trace
@@ -805,7 +908,7 @@ shard = 0
 
     #[test]
     fn tiny_inline_scenario_runs_oracle_green() {
-        let report = run_text(GOOD).unwrap();
+        let report = run(&load(GOOD).unwrap());
         assert_eq!(report.plan_name, "smoke");
         assert!(report.ok(), "{}", report.render());
         assert!(report.txns_committed > 0);

@@ -4,9 +4,30 @@
 //! identical trace and history) and the collector-crash-mid-RCP-round
 //! recovery path.
 
-use gdb_chaos::plan::canned;
-use gdb_chaos::{run_nemesis, run_plan, ChaosConfig};
+use gdb_chaos::{run, PlanSource, Scenario};
 use globaldb::{Cluster, ReplicationMode, SimDuration};
+
+/// The canned plan `name` on the quick chaos run of `seed`.
+fn canned(name: &str, seed: u64) -> Scenario {
+    Scenario {
+        plan: PlanSource::Canned(name.into()),
+        ..Scenario::quick(seed)
+    }
+}
+
+/// A 2 s seeded nemesis schedule of `seed` drawing the families
+/// `[overlap, migrations, elastic]` enable.
+fn nemesis(seed: u64, [overlap, migrations, elastic]: [bool; 3]) -> Scenario {
+    Scenario {
+        duration: SimDuration::from_secs(2),
+        plan: PlanSource::Generated {
+            overlap,
+            migrations,
+            elastic,
+        },
+        ..Scenario::quick(seed)
+    }
+}
 
 fn assert_clean(report: &gdb_chaos::ChaosReport) {
     assert!(
@@ -29,7 +50,7 @@ fn assert_clean(report: &gdb_chaos::ChaosReport) {
 
 #[test]
 fn tpcc_survives_primary_failover_plan() {
-    let report = run_plan(canned::primary_failover(), &ChaosConfig::quick(101));
+    let report = run(&canned("primary-failover", 101));
     assert_clean(&report);
     // The plan both promotes a replica and rejoins the old primary.
     assert!(report.trace.iter().any(|l| l.contains("promote")));
@@ -38,14 +59,14 @@ fn tpcc_survives_primary_failover_plan() {
 
 #[test]
 fn tpcc_survives_partition_and_delay_plan() {
-    let report = run_plan(canned::partition_and_delay(), &ChaosConfig::quick(102));
+    let report = run(&canned("partition-and-delay", 102));
     assert_clean(&report);
     assert!(report.trace.iter().any(|l| l.contains("partition")));
 }
 
 #[test]
 fn tpcc_survives_gtm_and_collector_plan() {
-    let report = run_plan(canned::gtm_and_collector(), &ChaosConfig::quick(103));
+    let report = run(&canned("gtm-and-collector", 103));
     assert_clean(&report);
     assert!(report.trace.iter().any(|l| l.contains("crash-gtm")));
     // Killing a collector CN forces a collector failover at a later round.
@@ -54,7 +75,7 @@ fn tpcc_survives_gtm_and_collector_plan() {
 
 #[test]
 fn tpcc_survives_overlapping_faults_plan() {
-    let report = run_plan(canned::overlapping_faults(), &ChaosConfig::quick(104));
+    let report = run(&canned("overlapping-faults", 104));
     assert_clean(&report);
     // The partition, the delay spike, and the CN crash overlap in time.
     assert!(report.trace.iter().any(|l| l.contains("partition")));
@@ -64,7 +85,7 @@ fn tpcc_survives_overlapping_faults_plan() {
 
 #[test]
 fn tpcc_survives_heavy_overlap_plan() {
-    let report = run_plan(canned::heavy_overlap(), &ChaosConfig::quick(105));
+    let report = run(&canned("heavy-overlap", 105));
     assert_clean(&report);
     // A primary crash, a GTM crash, and a region partition are all
     // outstanding at once, and the heals are interleaved.
@@ -86,7 +107,7 @@ fn tpcc_survives_heavy_overlap_plan() {
 /// durability) holds across the routing-epoch bump.
 #[test]
 fn tpcc_survives_migrate_under_fire_plan() {
-    let report = run_plan(canned::migrate_under_fire(), &ChaosConfig::quick(107));
+    let report = run(&canned("migrate-under-fire", 107));
     assert_clean(&report);
     assert!(report.trace.iter().any(|l| l.contains("start-migration")));
     assert!(report
@@ -116,7 +137,7 @@ fn tpcc_survives_migrate_under_fire_plan() {
 /// delay spike, an unrelated migration, and a GTM failover in the mix.
 #[test]
 fn tpcc_survives_elastic_under_fire_plan() {
-    let report = run_plan(canned::elastic_under_fire(), &ChaosConfig::quick(108));
+    let report = run(&canned("elastic-under-fire", 108));
     assert_clean(&report);
     assert!(report.trace.iter().any(|l| l.contains("add-node")));
     assert!(report.trace.iter().any(|l| l.contains("remove-node")));
@@ -149,10 +170,7 @@ fn tpcc_survives_nemesis_seeds_with_elastic() {
     let mut drains = 0usize;
     let mut adds = 0usize;
     for seed in 51..=60u64 {
-        let mut cfg = ChaosConfig::quick(seed);
-        cfg.duration = SimDuration::from_secs(2);
-        cfg.elastic = true;
-        let report = run_nemesis(seed, &cfg);
+        let report = run(&nemesis(seed, [false, false, true]));
         assert_clean(&report);
         adds += report
             .trace
@@ -178,10 +196,7 @@ fn tpcc_survives_nemesis_seeds_with_elastic() {
 fn tpcc_survives_nemesis_seeds_with_migrations() {
     let mut migrations_started = 0u64;
     for seed in 1..=10u64 {
-        let mut cfg = ChaosConfig::quick(seed);
-        cfg.duration = SimDuration::from_secs(2);
-        cfg.migrations = true;
-        let report = run_nemesis(seed, &cfg);
+        let report = run(&nemesis(seed, [false, true, false]));
         assert_clean(&report);
         migrations_started += report
             .metrics
@@ -199,10 +214,7 @@ fn tpcc_survives_nemesis_seeds_with_migrations() {
 #[test]
 fn tpcc_survives_heavy_overlap_nemesis_seeds() {
     for seed in 31..=35u64 {
-        let mut cfg = ChaosConfig::quick(seed);
-        cfg.duration = SimDuration::from_secs(2);
-        cfg.overlap = true;
-        let report = run_nemesis(seed, &cfg);
+        let report = run(&nemesis(seed, [true, false, false]));
         assert_clean(&report);
     }
 }
@@ -212,9 +224,9 @@ fn tpcc_survives_heavy_overlap_nemesis_seeds() {
 /// durability check (rather than the strict one) enforces exactly that.
 #[test]
 fn async_failover_durability_is_bounded_loss() {
-    let mut cfg = ChaosConfig::quick(106);
-    cfg.replication = ReplicationMode::Async;
-    let report = run_plan(canned::primary_failover(), &cfg);
+    let mut scn = canned("primary-failover", 106);
+    scn.cluster.replication = ReplicationMode::Async;
+    let report = run(&scn);
     assert_clean(&report);
     assert!(report.trace.iter().any(|l| l.contains("promote")));
 }
@@ -226,30 +238,22 @@ fn async_failover_durability_is_bounded_loss() {
 /// promoted replica whose stream was not rewound.
 #[test]
 fn failover_regression_schedules_stay_clean() {
-    let mut cfg = ChaosConfig::quick(6);
-    cfg.replication = ReplicationMode::Async;
-    assert_clean(&run_plan(canned::elastic_under_fire(), &cfg));
-    let mut cfg = ChaosConfig::quick(47);
-    cfg.duration = SimDuration::from_secs(2);
-    cfg.migrations = true;
-    assert_clean(&run_nemesis(47, &cfg));
+    let mut scn = canned("elastic-under-fire", 6);
+    scn.cluster.replication = ReplicationMode::Async;
+    assert_clean(&run(&scn));
+    assert_clean(&run(&nemesis(47, [false, true, false])));
 }
 
 #[test]
 fn tpcc_survives_overlapping_nemesis_schedule() {
-    let mut cfg = ChaosConfig::quick(23);
-    cfg.duration = SimDuration::from_secs(2);
-    cfg.overlap = true;
-    let report = run_nemesis(23, &cfg);
+    let report = run(&nemesis(23, [true, false, false]));
     assert_clean(&report);
 }
 
 #[test]
 fn tpcc_survives_ten_random_nemesis_seeds() {
     for seed in 1..=10u64 {
-        let mut cfg = ChaosConfig::quick(seed);
-        cfg.duration = SimDuration::from_secs(2);
-        let report = run_nemesis(seed, &cfg);
+        let report = run(&nemesis(seed, [false; 3]));
         assert_clean(&report);
         assert!(
             report.trace.iter().any(|l| l.contains("fault")),
@@ -261,10 +265,8 @@ fn tpcc_survives_ten_random_nemesis_seeds() {
 
 #[test]
 fn same_seed_replays_identical_trace() {
-    let mut cfg = ChaosConfig::quick(42);
-    cfg.duration = SimDuration::from_secs(2);
-    let a = run_nemesis(42, &cfg);
-    let b = run_nemesis(42, &cfg);
+    let a = run(&nemesis(42, [false; 3]));
+    let b = run(&nemesis(42, [false; 3]));
     assert_eq!(a.trace, b.trace, "seed 42 did not replay bit-for-bit");
     assert_eq!(a.txns_committed, b.txns_committed);
     assert_eq!(a.checked, b.checked);
@@ -274,9 +276,7 @@ fn same_seed_replays_identical_trace() {
     );
     assert_eq!(a.violations, b.violations);
 
-    let mut cfg3 = ChaosConfig::quick(43);
-    cfg3.duration = SimDuration::from_secs(2);
-    let c = run_nemesis(43, &cfg3);
+    let c = run(&nemesis(43, [false; 3]));
     assert_ne!(a.trace, c.trace, "different seeds produced the same trace");
 }
 
@@ -285,8 +285,7 @@ fn same_seed_replays_identical_trace() {
 /// next round elects a new collector and completes.
 #[test]
 fn collector_crash_mid_rcp_round_abandons_then_fails_over() {
-    let cfg = ChaosConfig::quick(7);
-    let mut cluster = Cluster::new(cfg.cluster_config());
+    let mut cluster = Cluster::new(Scenario::quick(7).cluster);
     // Give replicas some applied state so rounds report real timestamps.
     cluster
         .ddl("CREATE TABLE t (id INT NOT NULL, v INT, PRIMARY KEY (id)) DISTRIBUTE BY HASH(id)")

@@ -58,7 +58,7 @@ pub struct Shell {
 /// topology (Three-City, two CNs per region, quorum-sync replication,
 /// two-phase RCP) — the same cluster the scenario runner torments.
 pub fn default_config(seed: u64) -> ClusterConfig {
-    gdb_chaos::ChaosConfig::quick(seed).cluster_config()
+    scenario::Scenario::quick(seed).cluster
 }
 
 impl Shell {
@@ -646,8 +646,9 @@ impl Shell {
                     .join("\n")
             };
         }
-        match scenario::run_text(&text) {
-            Ok(report) => {
+        match scenario::load(&text) {
+            Ok(scn) => {
+                let report = gdb_chaos::run(&scn);
                 if !report.ok() {
                     self.failed = true;
                 }

@@ -9,7 +9,7 @@
 #   all            every stage below (default; what local runs use)
 #   main           lint + build + test + benchmark (the CI "ci" job)
 #   lint           cargo fmt --check && cargo clippy -D warnings
-#   build          cargo build --release
+#   build          cargo build --release --locked
 #   test           cargo test -q: the workspace's default-members — the
 #                  root package (incl. the paper's claims in
 #                  tests/claims.rs, run on the same experiment definitions
@@ -53,9 +53,11 @@ stage_lint() {
     cargo clippy --workspace --all-targets -- -D warnings
 }
 
+# `--locked` here and in the benchmark stage: a change that would rewrite
+# Cargo.lock or benchmark/Cargo.lock fails instead of rewriting it.
 stage_build() {
-    echo "==> cargo build --release"
-    cargo build --release
+    echo "==> cargo build --release --locked"
+    cargo build --release --locked
 }
 
 stage_test() {
@@ -107,8 +109,8 @@ stage_shell() {
 # here — BENCHMARK.json's driver compares them against the parent commit.
 stage_benchmark() {
     echo "==> benchmark/ (build, tests, all --quick)"
-    cargo test --release --offline --manifest-path benchmark/Cargo.toml
-    timeout 600 cargo run --release --offline --quiet \
+    cargo test --release --offline --locked --manifest-path benchmark/Cargo.toml
+    timeout 600 cargo run --release --offline --locked --quiet \
         --manifest-path benchmark/Cargo.toml -- all --quick
 }
 
