@@ -156,7 +156,7 @@ fn fnv_datum(mut h: u64, d: &Datum) -> u64 {
 }
 
 /// Digest a table scan (rows arrive in key order).
-fn fnv_scan(mut h: u64, rows: &[VisibleRow<'_>]) -> u64 {
+fn fnv_scan<'a>(mut h: u64, rows: impl Iterator<Item = VisibleRow<'a>>) -> u64 {
     for vr in rows {
         for d in vr.key.0.iter() {
             h = fnv_datum(h, d);
@@ -253,10 +253,7 @@ pub fn run_fast(script: &Script, window: usize) -> TxnPathResult {
     let mut digest = FNV_OFFSET;
     for storage in [&mut primary, &mut replica.storage] {
         for table in TABLES {
-            digest = fnv_scan(
-                digest,
-                &storage.scan(table, snapshot).expect("script table"),
-            );
+            digest = fnv_scan(digest, storage.scan(table, snapshot).expect("script table"));
         }
     }
     let durable = log.durable();

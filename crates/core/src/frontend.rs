@@ -140,27 +140,31 @@ impl Cluster {
             schema.coerce_row(&mut row);
             schema.check_row(&row)?;
             let key = schema.primary_key_of(&row);
-            let targets: Vec<usize> = match schema.distribution {
-                gdb_model::DistributionKind::Replicated => (0..self.db.shards.len()).collect(),
-                _ => vec![schema.shard_of_pk(&key, shard_count).0 as usize],
+            let targets = match schema.distribution {
+                gdb_model::DistributionKind::Replicated => 0..self.db.shards.len(),
+                _ => {
+                    let s = schema.shard_of_pk(&key, shard_count).0 as usize;
+                    s..s + 1
+                }
             };
-            // Every installed copy is a clone, the last one included: a
-            // clone is trimmed to its length, while the loader's own row
-            // can carry string capacity it grew into and would pin it
-            // for the life of the version.
+            // Every installed copy but the last is a clone; the last is the
+            // loader's own row, trimmed as a clone is: capacity the loader
+            // grew into would be pinned for the version's life.
+            row.0.shrink_to_fit();
+            let last = targets.end - 1;
             for s in targets {
                 let shard = &mut self.db.shards[s];
-                shard
-                    .storage
-                    .apply_put(table, &key, row.clone(), ts, SimTime::ZERO)?;
-                for replica in &mut shard.replicas {
-                    replica.applier.storage.apply_put(
-                        table,
-                        &key,
-                        row.clone(),
-                        ts,
-                        SimTime::ZERO,
-                    )?;
+                let replicas = shard.replicas.iter_mut().map(|r| &mut r.applier.storage);
+                let mut nodes = std::iter::once(&mut shard.storage)
+                    .chain(replicas)
+                    .peekable();
+                while let Some(storage) = nodes.next() {
+                    let copy = if s == last && nodes.peek().is_none() {
+                        std::mem::take(&mut row)
+                    } else {
+                        row.clone()
+                    };
+                    storage.apply_put(table, &key, copy, ts, SimTime::ZERO)?;
                 }
             }
             n += 1;

@@ -63,9 +63,12 @@ pub struct TxnHandle<'a> {
     ror: bool,
     freshness_bound: Option<SimDuration>,
     single_shard_hint: bool,
-    /// This transaction's own uncommitted writes (`None` = deleted),
-    /// consulted before committed state by every read.
-    overlay: RowMap<Option<Row>>,
+    /// This transaction's own uncommitted writes, consulted before
+    /// committed state by every read: per key, the index of its latest
+    /// entry in `write_log`, which owns the image.
+    overlay: RowMap<usize>,
+    /// Every staged write in order, each owning its image (`None` =
+    /// deleted); the commit installs them from here.
     write_log: Vec<WriteOp>,
     locked: Vec<(usize, TableId, RowKey)>,
     /// Shards holding staged writes (and so a `PENDING_COMMIT` record),

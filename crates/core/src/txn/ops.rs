@@ -7,19 +7,20 @@
 //! message plane as [`RpcKind::DnRead`] / [`RpcKind::DnWrite`]. Writes
 //! share [`TxnHandle::lock_row`] and [`TxnHandle::write_row`].
 
-use super::history::{digest, note_read, Event, History};
+use super::history::{digest, note_read, Event};
 use super::{TxnHandle, WriteOp, LOCK_LEASE, OP_MSG_BYTES};
+use crate::cluster::GlobalDb;
 use crate::config::OP_CPU_COST;
 use crate::net::RpcKind;
 use crate::ror::ReadTarget;
 use gdb_model::{
-    Datum, DistributionKind, GdbError, GdbResult, IndexId, Row, RowKey, TableId, TableSchema,
-    Timestamp,
+    Datum, DistributionKind, GdbError, GdbResult, IndexId, Row, RowKey, RowMap, TableId,
+    TableSchema, Timestamp, TxnId,
 };
 use gdb_simnet::SimTime;
 use gdb_sqlengine::plan::BoundDdl;
 use gdb_sqlengine::DataAccess;
-use gdb_storage::{Catalog, DataNodeStorage, LockOutcome};
+use gdb_storage::{Catalog, LockOutcome};
 use gdb_wal::RedoPayload;
 use std::cmp::Ordering;
 use std::ops::Range;
@@ -29,7 +30,8 @@ use std::ops::Range;
 enum Touch<'k> {
     /// One tuple, by full primary key.
     Key(&'k RowKey),
-    /// The inclusive primary-key range `[lo, hi]` (`None` = unbounded).
+    /// The inclusive primary-key range `[lo, hi]` (`None` = unbounded;
+    /// `hi` covers every key it is a prefix of, [`RowKey::in_range`]).
     Range(Option<&'k RowKey>, Option<&'k RowKey>),
     /// The tuples whose leading index columns equal the prefix values.
     IndexPrefix(IndexId, &'k [Datum]),
@@ -232,89 +234,107 @@ impl<'a> TxnHandle<'a> {
         }))
     }
 
-    /// Range and index reads: per touched shard, an unblocked replica is
+    /// This transaction's own write to `key`, if it made one: the image
+    /// its latest write left (`None` = deleted).
+    fn own(&self, table: TableId, key: &RowKey) -> Option<Option<&Row>> {
+        let &at = self.overlay.get(table, key)?;
+        Some(self.write_log[at].row.as_ref())
+    }
+
+    /// Range and index reads. Per touched shard, an unblocked replica is
     /// read with one round trip of its own; the shards left to their
     /// primaries are read in one parallel scatter, counted as one primary
-    /// read. `fetch` appends one storage instance's rows (recording their
-    /// versions when the history is on) and returns the latest commit
-    /// instant among them (primary readers wait for it).
+    /// read. `visit` sees the rows in key order, the transaction's own
+    /// writes merged in: on one shard where they lie in storage, across
+    /// several shards copied out and sorted first.
     fn read_rows(
         &mut self,
         table: TableId,
         touch: Touch,
         bytes: u64,
-        fetch: impl Fn(
-            &mut DataNodeStorage,
-            Timestamp,
-            &mut Rows,
-            &mut Option<History>,
-        ) -> GdbResult<SimTime>,
-    ) -> GdbResult<Rows> {
+        visit: &mut dyn FnMut(&RowKey, &Row) -> GdbResult<()>,
+    ) -> GdbResult<()> {
         let shards = self.shards_for(table, touch, Access::Read)?;
         for s in shards.clone() {
             self.route_to_shard(s, bytes)?;
         }
-        let snapshot = self.snapshot;
-        let mut out = Rows::new();
+        let reader = (self.txn, self.snapshot);
+        if shards.len() == 1 {
+            let s = shards.start;
+            let target = self.read_target(s);
+            let source = self.unblocked(s, target, table, touch);
+            self.charge_scatter(RpcKind::DnRead, [(s, source)], bytes)?;
+            self.count_read(source);
+            let own = own_writes(
+                &self.overlay,
+                &self.write_log,
+                &self.db.catalog,
+                table,
+                touch,
+            )?;
+            let mut merge = Merge::new(&own, visit);
+            let (db, now) = (&mut *self.db, &mut self.now);
+            walk(db, now, reader, (s, source), table, touch, &mut |k, r| {
+                merge.stored(k, r)
+            })?;
+            return merge.finish();
+        }
+        let mut replicas = Vec::new();
         let mut primaries = Vec::new();
         for s in shards {
             let target = self.read_target(s);
             match self.unblocked(s, target, table, touch) {
                 ReadTarget::Replica(ri) => {
                     self.charge_scatter(RpcKind::DnRead, [(s, target)], bytes)?;
-                    self.used_replica = true;
-                    self.db.stats.reads_on_replica += 1;
-                    let db = &mut *self.db;
-                    let storage = &mut db.shards[s].replicas[ri].applier.storage;
-                    fetch(storage, snapshot, &mut out, &mut db.history)?;
+                    self.count_read(target);
+                    replicas.push((s, ReadTarget::Replica(ri)));
                 }
-                ReadTarget::Primary => primaries.push(s),
+                ReadTarget::Primary => primaries.push((s, ReadTarget::Primary)),
             }
         }
         if !primaries.is_empty() {
-            let to = primaries.iter().map(|&s| (s, ReadTarget::Primary));
-            self.charge_scatter(RpcKind::DnRead, to, bytes)?;
-            self.db.stats.reads_on_primary += 1;
-            for &s in &primaries {
-                let db = &mut *self.db;
-                let storage = &mut db.shards[s].storage;
-                let wait = fetch(storage, snapshot, &mut out, &mut db.history)?;
-                self.now = self.now.max(wait);
-            }
+            self.charge_scatter(RpcKind::DnRead, primaries.iter().copied(), bytes)?;
+            self.count_read(ReadTarget::Primary);
         }
-        out.sort_by(|a, b| a.0.cmp(&b.0));
-        Ok(out)
+        let mut rows = Rows::new();
+        for source in replicas.into_iter().chain(primaries) {
+            walk(
+                self.db,
+                &mut self.now,
+                reader,
+                source,
+                table,
+                touch,
+                &mut |k, r| {
+                    rows.push((k.clone(), r.clone()));
+                    Ok(())
+                },
+            )?;
+        }
+        rows.sort_by(|a, b| a.0.cmp(&b.0));
+        let own = own_writes(
+            &self.overlay,
+            &self.write_log,
+            &self.db.catalog,
+            table,
+            touch,
+        )?;
+        let mut merge = Merge::new(&own, visit);
+        for (k, r) in &rows {
+            merge.stored(k, r)?;
+        }
+        merge.finish()
     }
 
-    fn merge_overlay_into_range(
-        &self,
-        table: TableId,
-        lo: Option<&RowKey>,
-        hi: Option<&RowKey>,
-        rows: &mut Rows,
-    ) {
-        let mut changed = false;
-        for (key, row) in self.overlay.in_table(table) {
-            if lo.is_some_and(|l| key < l) || hi.is_some_and(|h| key > h) {
-                continue;
+    /// Count one read served by `source`: a replica read marks the
+    /// transaction as having used one.
+    fn count_read(&mut self, source: ReadTarget) {
+        match source {
+            ReadTarget::Replica(_) => {
+                self.used_replica = true;
+                self.db.stats.reads_on_replica += 1;
             }
-            match rows.iter().position(|(k, _)| k == key) {
-                Some(i) => match row {
-                    Some(r) => rows[i].1 = r.clone(),
-                    None => {
-                        rows.remove(i);
-                    }
-                },
-                None => {
-                    if let Some(r) = row {
-                        rows.push((key.clone(), r.clone()));
-                        changed = true;
-                    }
-                }
-            }
-        }
-        if changed {
-            rows.sort_by(|a, b| a.0.cmp(&b.0));
+            ReadTarget::Primary => self.db.stats.reads_on_primary += 1,
         }
     }
 
@@ -344,7 +364,7 @@ impl<'a> TxnHandle<'a> {
         if fresh {
             // Overlay first (a row this transaction deleted may be
             // reinserted), then committed state.
-            let exists = match self.overlay.get(table, key) {
+            let exists = match self.own(table, key) {
                 Some(own) => own.is_some(),
                 None => self.db.shards[shards.start]
                     .storage
@@ -369,11 +389,14 @@ impl<'a> TxnHandle<'a> {
         &mut self,
         table: TableId,
         key: &RowKey,
-        row: Option<Row>,
+        mut row: Option<Row>,
         is_insert: bool,
     ) -> GdbResult<()> {
-        for s in self.lock_row(table, key, is_insert)? {
-            self.stage_write(s, table, key, &row, is_insert);
+        let shards = self.lock_row(table, key, is_insert)?;
+        // Storage installs this very image, so it is trimmed as a copy
+        // would be: spare capacity would be pinned for the version's life.
+        if let Some(r) = &mut row {
+            r.0.shrink_to_fit();
         }
         self.record(|txn| Event::Write {
             txn,
@@ -381,7 +404,13 @@ impl<'a> TxnHandle<'a> {
             key: key.clone(),
             digest: row.as_ref().map(digest),
         });
-        self.overlay.insert(table, key, row);
+        // Every shard but the last stages a copy; the last takes the image.
+        let last = shards.end - 1;
+        for s in shards.start..last {
+            self.stage_write(s, table, key, row.clone(), is_insert);
+        }
+        self.stage_write(last, table, key, row, is_insert);
+        self.overlay.insert(table, key, self.write_log.len() - 1);
         Ok(())
     }
 
@@ -411,7 +440,7 @@ impl<'a> TxnHandle<'a> {
         shard: usize,
         table: TableId,
         key: &RowKey,
-        row: &Option<Row>,
+        row: Option<Row>,
         is_insert: bool,
     ) {
         // PENDING_COMMIT is written before the transaction obtains its
@@ -422,34 +451,154 @@ impl<'a> TxnHandle<'a> {
                 .log
                 .append(self.now, self.txn, RedoPayload::PendingCommit);
         }
-        // One copy of the key and image for the redo record, one for the
-        // write set the commit installs from.
-        let op = WriteOp {
-            shard,
-            table,
-            key: key.clone(),
-            row: row.clone(),
-        };
-        let (key, image) = (key.clone(), row.clone());
-        let payload = match image {
-            Some(row) if is_insert => RedoPayload::Insert { table, key, row },
+        // The write set owns the image; the redo record gets the one copy.
+        let key = key.clone();
+        let payload = match row.clone() {
+            Some(row) if is_insert => RedoPayload::Insert {
+                table,
+                key: key.clone(),
+                row,
+            },
             Some(new_row) => RedoPayload::Update {
                 table,
-                key,
+                key: key.clone(),
                 new_row,
             },
-            None => RedoPayload::Delete { table, key },
+            None => RedoPayload::Delete {
+                table,
+                key: key.clone(),
+            },
         };
         self.db.shards[shard]
             .log
             .append(self.now, self.txn, payload);
-        self.write_log.push(op);
+        self.write_log.push(WriteOp {
+            shard,
+            table,
+            key,
+            row,
+        });
     }
 }
 
 /// The single-shard set.
 fn one(shard: usize) -> Range<usize> {
     shard..shard + 1
+}
+
+/// Walk the rows `touch` selects on `shard`'s `source` at the reader's
+/// snapshot, handing each to `f` in key order where it lies. A range
+/// read records the version of each row it walks in the history, and a
+/// primary reader waits out (`now`) the commits in flight among them;
+/// index entries carry no commit instant, so an index read does neither.
+fn walk(
+    db: &mut GlobalDb,
+    now: &mut SimTime,
+    (txn, snapshot): (TxnId, Timestamp),
+    (shard, source): (usize, ReadTarget),
+    table: TableId,
+    touch: Touch,
+    f: &mut dyn FnMut(&RowKey, &Row) -> GdbResult<()>,
+) -> GdbResult<()> {
+    let (shards, history) = (&mut db.shards, &mut db.history);
+    let storage = match source {
+        ReadTarget::Replica(ri) => &mut shards[shard].replicas[ri].applier.storage,
+        ReadTarget::Primary => &mut shards[shard].storage,
+    };
+    match touch {
+        Touch::Range(lo, hi) => {
+            for v in storage.range(table, lo, hi, snapshot)? {
+                note_read(history, (txn, table, v.key), Some(&v), false);
+                if source == ReadTarget::Primary {
+                    *now = (*now).max(v.commit_vtime);
+                }
+                f(v.key, v.row)?;
+            }
+            Ok(())
+        }
+        Touch::IndexPrefix(index, prefix) => {
+            storage.index_lookup(index, prefix, snapshot, &mut |v| f(v.key, v.row))
+        }
+        Touch::Key(_) => unreachable!("point reads go through fetch_key"),
+    }
+}
+
+/// This transaction's own writes to `table` that a read of `touch`
+/// meets, in key order: each key's latest image (`None` = deleted). An
+/// image an index read's prefix no longer selects counts as a delete:
+/// it hides the stored row it replaced.
+fn own_writes<'w>(
+    overlay: &'w RowMap<usize>,
+    write_log: &'w [WriteOp],
+    catalog: &Catalog,
+    table: TableId,
+    touch: Touch,
+) -> GdbResult<Vec<(&'w RowKey, Option<&'w Row>)>> {
+    let columns = match touch {
+        Touch::IndexPrefix(index, _) => &catalog.index(index)?.columns[..],
+        _ => &[],
+    };
+    let mut own = Vec::new();
+    for (key, &at) in overlay.in_table(table) {
+        let image = write_log[at].row.as_ref();
+        match touch {
+            Touch::Range(lo, hi) if key.in_range(lo, hi) => own.push((key, image)),
+            Touch::IndexPrefix(_, prefix) => {
+                let selects = |r: &&Row| {
+                    let same = |(&c, p): (&usize, &Datum)| r.0[c].key_cmp(p) == Ordering::Equal;
+                    columns.iter().zip(prefix).all(same)
+                };
+                own.push((key, image.filter(selects)));
+            }
+            _ => {}
+        }
+    }
+    own.sort_by(|a, b| a.0.cmp(b.0));
+    Ok(own)
+}
+
+/// Stored rows, in key order, merged with the transaction's own writes
+/// to them: an own image replaces the stored row at its key, an own
+/// delete hides it, and an own insert joins in key order.
+struct Merge<'o, 'v> {
+    own: std::iter::Peekable<std::slice::Iter<'o, (&'o RowKey, Option<&'o Row>)>>,
+    visit: &'v mut dyn FnMut(&RowKey, &Row) -> GdbResult<()>,
+}
+
+impl<'o, 'v> Merge<'o, 'v> {
+    fn new(
+        own: &'o [(&'o RowKey, Option<&'o Row>)],
+        visit: &'v mut dyn FnMut(&RowKey, &Row) -> GdbResult<()>,
+    ) -> Self {
+        Merge {
+            own: own.iter().peekable(),
+            visit,
+        }
+    }
+
+    /// The next stored row: the own writes up to its key go first, and
+    /// one at its key takes its place.
+    fn stored(&mut self, key: &RowKey, row: &Row) -> GdbResult<()> {
+        while let Some(&(k, image)) = self.own.next_if(|(k, _)| *k <= key) {
+            if let Some(r) = image {
+                (self.visit)(k, r)?;
+            }
+            if k >= key {
+                return Ok(());
+            }
+        }
+        (self.visit)(key, row)
+    }
+
+    /// The own writes past the last stored row.
+    fn finish(self) -> GdbResult<()> {
+        for &(k, image) in self.own {
+            if let Some(r) = image {
+                (self.visit)(k, r)?;
+            }
+        }
+        Ok(())
+    }
 }
 
 impl<'a> DataAccess for TxnHandle<'a> {
@@ -463,8 +612,8 @@ impl<'a> DataAccess for TxnHandle<'a> {
         key: &RowKey,
         visit: &mut dyn FnMut(&Row) -> GdbResult<()>,
     ) -> GdbResult<()> {
-        if let Some(hit) = self.overlay.get(table, key) {
-            return hit.as_ref().map_or(Ok(()), visit);
+        if let Some(own) = self.own(table, key) {
+            return own.map_or(Ok(()), visit);
         }
         let shard = self.shards_for(table, Touch::Key(key), Access::Read)?.start;
         self.route_to_shard(shard, OP_MSG_BYTES)?;
@@ -476,9 +625,14 @@ impl<'a> DataAccess for TxnHandle<'a> {
         visited.unwrap_or(Ok(()))
     }
 
-    fn multi_point_read(&mut self, table: TableId, keys: &[RowKey]) -> GdbResult<Vec<Option<Row>>> {
+    fn multi_point_read(
+        &mut self,
+        table: TableId,
+        keys: &[RowKey],
+        visit: &mut dyn FnMut(usize, &Row) -> GdbResult<()>,
+    ) -> GdbResult<()> {
         if keys.is_empty() {
-            return Ok(Vec::new());
+            return Ok(());
         }
         // Group keys by shard: `reads` holds each touched shard once, in
         // first-use order (few per statement, so a position scan beats
@@ -503,18 +657,18 @@ impl<'a> DataAccess for TxnHandle<'a> {
         let bytes = OP_MSG_BYTES * (keys.len() as u64 / 4).max(1);
         self.charge_scatter(RpcKind::DnRead, reads.iter().copied(), bytes)?;
 
-        let mut out = Vec::with_capacity(keys.len());
         let mut wait = self.now;
-        for (key, &slot) in keys.iter().zip(&slot_of_key) {
-            if let Some(hit) = self.overlay.get(table, key) {
-                out.push(hit.clone());
+        for (i, (key, &slot)) in keys.iter().zip(&slot_of_key).enumerate() {
+            if let Some(own) = self.own(table, key) {
+                own.map_or(Ok(()), |row| visit(i, row))?;
                 continue;
             }
             let (s, target) = reads[slot];
-            out.push(self.fetch_key(s, target, table, key, &mut wait, Row::clone)?);
+            let visited = self.fetch_key(s, target, table, key, &mut wait, |row| visit(i, row))?;
+            visited.unwrap_or(Ok(()))?;
         }
         self.now = self.now.max(wait);
-        Ok(out)
+        Ok(())
     }
 
     fn range_read(
@@ -522,70 +676,42 @@ impl<'a> DataAccess for TxnHandle<'a> {
         table: TableId,
         lo: Option<&RowKey>,
         hi: Option<&RowKey>,
-    ) -> GdbResult<Rows> {
-        let txn = self.txn;
-        let fetch = |storage: &mut DataNodeStorage, snapshot, out: &mut Rows, h: &mut Option<_>| {
-            let mut wait = SimTime::ZERO;
-            let rows = storage.range(table, lo, hi, snapshot)?;
-            if h.is_some() {
-                for v in &rows {
-                    note_read(h, (txn, table, v.key), Some(v), false);
-                }
-            }
-            for v in rows {
-                wait = wait.max(v.commit_vtime);
-                out.push((v.key.clone(), v.row.clone()));
-            }
-            Ok(wait)
-        };
-        let mut out = self.read_rows(table, Touch::Range(lo, hi), OP_MSG_BYTES * 4, fetch)?;
-        self.merge_overlay_into_range(table, lo, hi, &mut out);
-        Ok(out)
+        visit: &mut dyn FnMut(&RowKey, &Row) -> GdbResult<()>,
+    ) -> GdbResult<()> {
+        self.read_rows(table, Touch::Range(lo, hi), OP_MSG_BYTES * 4, visit)
     }
 
-    fn index_read(&mut self, index: IndexId, prefix: &[Datum]) -> GdbResult<Rows> {
+    fn index_read(
+        &mut self,
+        index: IndexId,
+        prefix: &[Datum],
+        visit: &mut dyn FnMut(&RowKey, &Row) -> GdbResult<()>,
+    ) -> GdbResult<()> {
         let table = self.db.catalog.index(index)?.table;
-        // Index entries carry no commit instant: no in-doubt wait.
-        let fetch = |storage: &mut DataNodeStorage, snapshot, out: &mut Rows, _: &mut _| {
-            out.extend(storage.index_lookup(index, prefix, snapshot)?);
-            Ok(SimTime::ZERO)
-        };
         let touch = Touch::IndexPrefix(index, prefix);
-        let mut out = self.read_rows(table, touch, OP_MSG_BYTES * 2, fetch)?;
-        // Overlay merge: recheck added/updated rows against the prefix.
-        let columns = &self.db.catalog.index(index)?.columns;
-        for (key, row) in self.overlay.in_table(table) {
-            out.retain(|(k, _)| k != key);
-            if let Some(r) = row {
-                let matches = columns
-                    .iter()
-                    .zip(prefix)
-                    .all(|(&c, p)| r.0[c].key_cmp(p) == Ordering::Equal);
-                if matches {
-                    out.push((key.clone(), r.clone()));
-                }
-            }
-        }
-        out.sort_by(|a, b| a.0.cmp(&b.0));
-        Ok(out)
+        self.read_rows(table, touch, OP_MSG_BYTES * 2, visit)
     }
 
-    fn full_scan(&mut self, table: TableId) -> GdbResult<Rows> {
-        self.range_read(table, None, None)
-    }
-
-    fn read_for_update(&mut self, table: TableId, key: &RowKey) -> GdbResult<Option<Row>> {
+    fn read_for_update(
+        &mut self,
+        table: TableId,
+        key: &RowKey,
+        visit: &mut dyn FnMut(&Row) -> GdbResult<()>,
+    ) -> GdbResult<()> {
         let shards = self.lock_row(table, key, false)?;
-        if let Some(hit) = self.overlay.get(table, key) {
-            return Ok(hit.clone());
+        if let Some(own) = self.own(table, key) {
+            return own.map_or(Ok(()), visit);
         }
         let db = &mut *self.db;
         let vis = db.shards[shards.start].storage.read_newest(table, key)?;
         note_read(&mut db.history, (self.txn, table, key), vis.as_ref(), true);
-        Ok(vis.map(|v| {
-            self.now = self.now.max(v.commit_vtime);
-            v.row.clone()
-        }))
+        match vis {
+            Some(v) => {
+                self.now = self.now.max(v.commit_vtime);
+                visit(v.row)
+            }
+            None => Ok(()),
+        }
     }
 
     fn insert(&mut self, table: TableId, mut row: Row) -> GdbResult<()> {

@@ -663,3 +663,163 @@ fn inverted_key_range_returns_no_rows() {
     })
     .unwrap();
 }
+
+/// A primary-key prefix reads every row that extends it, whatever its
+/// later key columns hold: a text column sorting above any fixed
+/// "+∞" stand-in too — on the replica path, through the transaction's
+/// own writes, and under `COUNT(*)`.
+#[test]
+fn prefix_range_reads_keys_with_high_text_columns() {
+    let mut c = Cluster::new(ClusterConfig::globaldb_three_city());
+    c.ddl(
+        "CREATE TABLE t (a INT NOT NULL, b TEXT NOT NULL, v INT, PRIMARY KEY (a, b)) \
+         DISTRIBUTE BY HASH(a)",
+    )
+    .unwrap();
+    let high = "\u{10FFFF}".repeat(4) + "z";
+    let insert = c.prepare("INSERT INTO t VALUES (1, ?, ?)").unwrap();
+    for (b, v) in [("x", 1), (high.as_str(), 2)] {
+        c.execute_prepared(0, t(10), &insert, &[Datum::Text(b.into()), Datum::Int(v)])
+            .unwrap();
+    }
+    let select = c.prepare("SELECT v FROM t WHERE a = 1").unwrap();
+    let count = c.prepare("SELECT COUNT(*) FROM t WHERE a = 1").unwrap();
+    let ints = |rows: Vec<gdb_model::Row>| -> Vec<Datum> {
+        rows.into_iter().map(|r| r.0[0].clone()).collect()
+    };
+    c.run_until(t(1_000));
+    let mut on_replica = false;
+    for cn in 0..3 {
+        let ((), outcome) = c
+            .run_transaction(cn, t(1_000 + cn as u64), true, true, |txn| {
+                let rows = txn.execute(&select, &[])?.rows();
+                assert_eq!(ints(rows), vec![Datum::Int(1), Datum::Int(2)]);
+                assert_eq!(txn.execute(&count, &[])?.scalar_int(), Some(2));
+                Ok(())
+            })
+            .unwrap();
+        on_replica |= outcome.used_replica;
+    }
+    assert!(on_replica, "a read ran on a replica");
+    let higher = "\u{10FFFF}".repeat(5);
+    c.run_transaction(0, t(1_200), false, false, |txn| {
+        txn.execute(
+            &insert,
+            &[Datum::Text(higher.as_str().into()), Datum::Int(3)],
+        )?;
+        let rows = txn.execute(&select, &[])?.rows();
+        assert_eq!(
+            ints(rows),
+            vec![Datum::Int(1), Datum::Int(2), Datum::Int(3)]
+        );
+        assert_eq!(txn.execute(&count, &[])?.scalar_int(), Some(3));
+        Ok(())
+    })
+    .unwrap();
+}
+
+/// A transaction's own writes, staged once in its write set and found
+/// through the overlay's index into it, read back on every path: a row
+/// updated twice, one deleted and re-inserted, one moved out of an index
+/// prefix, and inserts before, inside and after a scanned range. After
+/// the commit the primary and both replicas of each shard hold the same
+/// versions.
+#[test]
+fn own_writes_read_back_on_every_path_and_replicate() {
+    let mut c = Cluster::new(ClusterConfig::globaldb_three_city());
+    c.ddl(
+        "CREATE TABLE t (w INT NOT NULL, id INT NOT NULL, tag TEXT, v INT, \
+         PRIMARY KEY (w, id)) DISTRIBUTE BY HASH(w)",
+    )
+    .unwrap();
+    c.ddl("CREATE INDEX t_by_tag ON t (w, tag)").unwrap();
+    let table = c.db.catalog().table_by_name("t").unwrap().id;
+    let rows = [2, 4, 6, 8]
+        .into_iter()
+        .map(|id| {
+            gdb_model::Row(vec![
+                Datum::Int(1),
+                Datum::Int(id),
+                Datum::Text("a".into()),
+                Datum::Int(id * 10),
+            ])
+        })
+        .collect();
+    c.bulk_load(table, rows).unwrap();
+    c.finish_load();
+    let stmt = |c: &Cluster, sql: &str| c.prepare(sql).unwrap();
+    let add = stmt(&c, "UPDATE t SET v = v + ? WHERE w = 1 AND id = ?");
+    let retag = stmt(&c, "UPDATE t SET tag = ? WHERE w = 1 AND id = ?");
+    let delete = stmt(&c, "DELETE FROM t WHERE w = 1 AND id = ?");
+    let insert = stmt(&c, "INSERT INTO t VALUES (1, ?, ?, ?)");
+    let point = stmt(&c, "SELECT v FROM t WHERE w = 1 AND id = ?");
+    let locked = stmt(&c, "SELECT v FROM t WHERE w = 1 AND id = ? FOR UPDATE");
+    let range = stmt(&c, "SELECT id, v FROM t WHERE w = 1");
+    let bounded = stmt(&c, "SELECT id FROM t WHERE w = 1 AND id BETWEEN 3 AND 7");
+    let by_tag = stmt(&c, "SELECT id FROM t WHERE w = 1 AND tag = ?");
+    let sum = stmt(&c, "SELECT SUM(v) FROM t WHERE w = 1");
+    let int = Datum::Int;
+    let text = |s: &str| Datum::Text(s.into());
+    let pairs =
+        |rows: Vec<gdb_model::Row>| -> Vec<Vec<Datum>> { rows.into_iter().map(|r| r.0).collect() };
+    c.run_transaction(0, t(100), false, false, |txn| {
+        txn.execute(&add, &[int(1), int(2)])?;
+        txn.execute(&add, &[int(2), int(2)])?;
+        txn.execute(&delete, &[int(4)])?;
+        txn.execute(&insert, &[int(4), text("b"), int(44)])?;
+        txn.execute(&retag, &[text("c"), int(6)])?;
+        for (id, tag) in [(1, "a"), (5, "a"), (9, "b")] {
+            txn.execute(&insert, &[int(id), text(tag), int(id * 10)])?;
+        }
+        txn.execute(&delete, &[int(8)])?;
+        assert_eq!(
+            pairs(txn.execute(&point, &[int(2)])?.rows()),
+            vec![vec![int(23)]]
+        );
+        assert_eq!(
+            pairs(txn.execute(&point, &[int(8)])?.rows()),
+            Vec::<Vec<Datum>>::new()
+        );
+        assert_eq!(
+            pairs(txn.execute(&locked, &[int(4)])?.rows()),
+            vec![vec![int(44)]]
+        );
+        assert_eq!(
+            pairs(txn.execute(&range, &[])?.rows()),
+            [(1, 10), (2, 23), (4, 44), (5, 50), (6, 60), (9, 90)]
+                .map(|(id, v)| vec![int(id), int(v)])
+        );
+        assert_eq!(
+            pairs(txn.execute(&bounded, &[])?.rows()),
+            [4, 5, 6].map(|id| vec![int(id)])
+        );
+        assert_eq!(
+            pairs(txn.execute(&by_tag, &[text("a")])?.rows()),
+            [1, 2, 5].map(|id| vec![int(id)])
+        );
+        assert_eq!(
+            pairs(txn.execute(&by_tag, &[text("b")])?.rows()),
+            [4, 9].map(|id| vec![int(id)])
+        );
+        assert_eq!(txn.execute(&sum, &[])?.scalar_int(), Some(277));
+        Ok(())
+    })
+    .unwrap();
+    let (rows, _) = c.execute_prepared(1, t(2_000), &range, &[]).unwrap();
+    assert_eq!(rows.rows().len(), 6, "committed");
+    c.run_until(t(3_000));
+    let at = gdb_model::Timestamp::MAX;
+    for shard in c.db.shards_mut() {
+        let versions = |storage: &mut gdb_storage::DataNodeStorage| -> Vec<_> {
+            storage
+                .scan(table, at)
+                .unwrap()
+                .map(|v| (v.key.clone(), v.row.clone(), v.commit_ts))
+                .collect()
+        };
+        let primary = versions(&mut shard.storage);
+        for replica in &mut shard.replicas {
+            assert_eq!(versions(&mut replica.applier.storage), primary);
+        }
+    }
+}

@@ -100,6 +100,26 @@ impl RowKey {
         failed.map_or(Ok(key), Err)
     }
 
+    /// True if this key sorts at or below the upper bound `hi` on `hi`'s
+    /// own columns: a bound covers every key it is a prefix of, so
+    /// `(1)` admits `(1, 'x')` whatever the later columns hold.
+    pub fn within_upper(&self, hi: &RowKey) -> bool {
+        for (a, b) in self.0.iter().zip(hi.0.iter()) {
+            match a.key_cmp(b) {
+                Ordering::Equal => continue,
+                ord => return ord == Ordering::Less,
+            }
+        }
+        true
+    }
+
+    /// True if this key lies in the inclusive range `[lo, hi]` (`None` =
+    /// unbounded), the upper bound prefix-inclusive as in
+    /// [`RowKey::within_upper`].
+    pub fn in_range(&self, lo: Option<&RowKey>, hi: Option<&RowKey>) -> bool {
+        lo.is_none_or(|l| self >= l) && hi.is_none_or(|h| self.within_upper(h))
+    }
+
     /// Combined stable hash of all key columns (for hash distribution).
     pub fn stable_hash(&self) -> u64 {
         Self::stable_hash_of(self.0.iter())
@@ -177,6 +197,22 @@ mod tests {
         // Prefix sorts before its extension.
         let p = RowKey::new(vec![Datum::Int(1)]);
         assert!(p < a);
+    }
+
+    #[test]
+    fn upper_bounds_cover_their_extensions() {
+        let key = |d: Vec<Datum>| RowKey::new(d);
+        let p = key(vec![Datum::Int(1)]);
+        let high_text = key(vec![Datum::Int(1), Datum::Text("\u{10FFFF}z".into())]);
+        assert!(high_text.within_upper(&p));
+        assert!(high_text.in_range(Some(&p), Some(&p)));
+        assert!(
+            p.within_upper(&high_text),
+            "a bound's own prefix is below it"
+        );
+        assert!(!key(vec![Datum::Int(2)]).within_upper(&p));
+        assert!(!key(vec![Datum::Int(0), Datum::Int(9)]).in_range(Some(&p), None));
+        assert!(key(vec![Datum::Int(5)]).in_range(None, None));
     }
 
     #[test]

@@ -247,16 +247,16 @@ impl ReplicaApplier {
     }
 
     /// True if any in-progress transaction holds a lock on this table
-    /// within `[lo, hi]` — range scans block conservatively.
+    /// within `[lo, hi]` — range scans block conservatively. The bounds
+    /// are read as the range read reads them ([`RowKey::in_range`]), so a
+    /// pending write the read would return always blocks it.
     pub fn is_range_blocked(
         &self,
         table: TableId,
         lo: Option<&RowKey>,
         hi: Option<&RowKey>,
     ) -> bool {
-        self.locked
-            .in_table(table)
-            .any(|(k, _)| lo.is_none_or(|l| k >= l) && hi.is_none_or(|h| k <= h))
+        self.locked.in_table(table).any(|(k, _)| k.in_range(lo, hi))
     }
 
     /// Keys currently locked (testing / diagnostics).
@@ -556,5 +556,9 @@ mod tests {
         assert!(!a.is_range_blocked(TableId(0), Some(&k(6)), Some(&k(9))));
         assert!(!a.is_range_blocked(TableId(1), None, None));
         assert!(a.is_range_blocked(TableId(0), None, None));
+        // An upper bound covers every key it is a prefix of, as the range
+        // read it guards does.
+        let no_columns = RowKey::new(Vec::new());
+        assert!(a.is_range_blocked(TableId(0), Some(&k(5)), Some(&no_columns)));
     }
 }

@@ -26,38 +26,49 @@ pub trait DataAccess {
     ) -> GdbResult<()>;
 
     /// Batched snapshot point reads (join inner side): one round trip per
-    /// shard instead of one per key. The default just loops.
-    fn multi_point_read(&mut self, table: TableId, keys: &[RowKey]) -> GdbResult<Vec<Option<Row>>> {
-        keys.iter()
-            .map(|key| {
-                let mut row = None;
-                self.point_read(table, key, &mut |r| {
-                    row = Some(r.clone());
-                    Ok(())
-                })?;
-                Ok(row)
-            })
-            .collect()
+    /// shard instead of one per key. `visit` sees the row of `keys[i]`,
+    /// with `i`, where it lies, in the order of `keys`. The default loops.
+    fn multi_point_read(
+        &mut self,
+        table: TableId,
+        keys: &[RowKey],
+        visit: &mut dyn FnMut(usize, &Row) -> GdbResult<()>,
+    ) -> GdbResult<()> {
+        for (i, key) in keys.iter().enumerate() {
+            self.point_read(table, key, &mut |row| visit(i, row))?;
+        }
+        Ok(())
     }
 
-    /// Snapshot range read, inclusive bounds (`None` = unbounded).
+    /// Snapshot range read over `[lo, hi]` (`None` = unbounded; the upper
+    /// bound covers every key it is a prefix of, [`RowKey::in_range`]):
+    /// `visit` sees each row with its key, in key order, where it lies.
     fn range_read(
         &mut self,
         table: TableId,
         lo: Option<&RowKey>,
         hi: Option<&RowKey>,
-    ) -> GdbResult<Vec<(RowKey, Row)>>;
+        visit: &mut dyn FnMut(&RowKey, &Row) -> GdbResult<()>,
+    ) -> GdbResult<()>;
 
-    /// Snapshot secondary-index prefix lookup.
-    fn index_read(&mut self, index: IndexId, prefix: &[Datum]) -> GdbResult<Vec<(RowKey, Row)>>;
+    /// Snapshot secondary-index prefix lookup: `visit` sees each row with
+    /// its key, in key order, where it lies.
+    fn index_read(
+        &mut self,
+        index: IndexId,
+        prefix: &[Datum],
+        visit: &mut dyn FnMut(&RowKey, &Row) -> GdbResult<()>,
+    ) -> GdbResult<()>;
 
-    /// Snapshot full scan.
-    fn full_scan(&mut self, table: TableId) -> GdbResult<Vec<(RowKey, Row)>>;
-
-    /// Lock the row for write and return its *newest committed* version
-    /// (read-committed update semantics; the lock is held to transaction
-    /// end).
-    fn read_for_update(&mut self, table: TableId, key: &RowKey) -> GdbResult<Option<Row>>;
+    /// Lock the row for write and let `visit` see its *newest committed*
+    /// version, if there is one (read-committed update semantics; the
+    /// lock is held to transaction end).
+    fn read_for_update(
+        &mut self,
+        table: TableId,
+        key: &RowKey,
+        visit: &mut dyn FnMut(&Row) -> GdbResult<()>,
+    ) -> GdbResult<()>;
 
     /// Insert a new row (duplicate primary key is an error).
     fn insert(&mut self, table: TableId, row: Row) -> GdbResult<()>;
@@ -122,30 +133,34 @@ impl DataAccess for MemAccess {
         table: TableId,
         lo: Option<&RowKey>,
         hi: Option<&RowKey>,
-    ) -> GdbResult<Vec<(RowKey, Row)>> {
-        Ok(self
-            .storage
-            .range(table, lo, hi, Timestamp::MAX)?
-            .into_iter()
-            .map(|v| (v.key.clone(), v.row.clone()))
-            .collect())
+        visit: &mut dyn FnMut(&RowKey, &Row) -> GdbResult<()>,
+    ) -> GdbResult<()> {
+        for v in self.storage.range(table, lo, hi, Timestamp::MAX)? {
+            visit(v.key, v.row)?;
+        }
+        Ok(())
     }
 
-    fn index_read(&mut self, index: IndexId, prefix: &[Datum]) -> GdbResult<Vec<(RowKey, Row)>> {
-        self.storage.index_lookup(index, prefix, Timestamp::MAX)
+    fn index_read(
+        &mut self,
+        index: IndexId,
+        prefix: &[Datum],
+        visit: &mut dyn FnMut(&RowKey, &Row) -> GdbResult<()>,
+    ) -> GdbResult<()> {
+        self.storage
+            .index_lookup(index, prefix, Timestamp::MAX, &mut |v| visit(v.key, v.row))
     }
 
-    fn full_scan(&mut self, table: TableId) -> GdbResult<Vec<(RowKey, Row)>> {
-        Ok(self
-            .storage
-            .scan(table, Timestamp::MAX)?
-            .into_iter()
-            .map(|v| (v.key.clone(), v.row.clone()))
-            .collect())
-    }
-
-    fn read_for_update(&mut self, table: TableId, key: &RowKey) -> GdbResult<Option<Row>> {
-        Ok(self.storage.read_newest(table, key)?.map(|v| v.row.clone()))
+    fn read_for_update(
+        &mut self,
+        table: TableId,
+        key: &RowKey,
+        visit: &mut dyn FnMut(&Row) -> GdbResult<()>,
+    ) -> GdbResult<()> {
+        match self.storage.read_newest(table, key)? {
+            Some(v) => visit(v.row),
+            None => Ok(()),
+        }
     }
 
     fn insert(&mut self, table: TableId, row: Row) -> GdbResult<()> {

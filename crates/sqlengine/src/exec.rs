@@ -4,10 +4,8 @@ use crate::access::DataAccess;
 use crate::ast::AggFunc;
 use crate::eval::{eval, truthy, RowCtx};
 use crate::plan::{AccessPath, AggSpec, BoundStatement, Expr, JoinPlan, Projection, SelectPlan};
-#[cfg(test)]
-use gdb_model::GdbError;
-use gdb_model::{Datum, GdbResult, Row, RowKey, TableId};
-use std::borrow::Cow;
+use gdb_model::{Datum, GdbError, GdbResult, Row, RowKey, TableId};
+use std::cmp::Ordering;
 use std::collections::HashSet;
 
 /// Result of executing a statement.
@@ -79,118 +77,105 @@ fn exec_insert(
     let ctx = RowCtx::empty();
     let mut inserted = 0u64;
     for exprs in rows {
-        let values = exprs
-            .iter()
-            .map(|e| eval(e, params, &ctx))
-            .collect::<GdbResult<Vec<_>>>()?;
+        // Sized once: the image is stored as built.
+        let mut values = Vec::with_capacity(exprs.len());
+        for e in exprs {
+            values.push(eval(e, params, &ctx)?);
+        }
         da.insert(table, Row(values))?;
         inserted += 1;
     }
     Ok(ExecOutput::Count(inserted))
 }
 
-/// Fetch the rows of an access path on the outer table, handing each to
-/// `emit` with its key, in key order: borrowed where it lies for a point
-/// read, owned (already copied out of storage) for the other paths.
+/// Fetch the rows of an access path, handing each to `emit` with its key,
+/// in key order, where it lies (in storage, or in the transaction's own
+/// writes). `ctx` binds the columns the path's expressions may read (the
+/// outer row, for a join's inner side).
 fn fetch_outer(
     table: TableId,
     access: &AccessPath,
     params: &[Datum],
     ctx: &RowCtx,
     da: &mut dyn DataAccess,
-    emit: &mut dyn FnMut(&RowKey, Cow<Row>) -> GdbResult<()>,
+    emit: &mut dyn FnMut(&RowKey, &Row) -> GdbResult<()>,
 ) -> GdbResult<()> {
-    let rows = match access {
+    match access {
         AccessPath::PointLookup { key } => {
             let rk = eval_key(key, params, ctx)?;
-            return da.point_read(table, &rk, &mut |row| emit(&rk, Cow::Borrowed(row)));
+            da.point_read(table, &rk, &mut |row| emit(&rk, row))
         }
         AccessPath::PkRange { prefix, low, high } => {
-            let prefix_vals = prefix
-                .iter()
-                .map(|e| eval(e, params, ctx))
-                .collect::<GdbResult<Vec<_>>>()?;
-            let lo = match low {
-                Some(e) => Some(prefix_then(&prefix_vals, [eval(e, params, ctx)?])),
-                None if prefix_vals.is_empty() => None,
-                None => Some(prefix_then(&prefix_vals, [])),
+            // The key prefix, then the bound on the next column if there is
+            // one. An upper bound covers every key it is a prefix of, so
+            // both ends of `a = 1` are `(1)`.
+            let bound = |last: Option<&Expr>| -> GdbResult<Option<RowKey>> {
+                if prefix.is_empty() && last.is_none() {
+                    return Ok(None);
+                }
+                let len = prefix.len() + usize::from(last.is_some());
+                let column = |i| prefix.get(i).or(last).expect("a bound has `len` columns");
+                RowKey::try_from_fn(len, |i| eval(column(i), params, ctx)).map(Some)
             };
-            // Upper bound: prefix + high, or prefix + MAX sentinel. Text is
-            // the highest-ranked datum type in key order, so a chain of
-            // 0xFF-style text works as a practical +∞ per prefix.
-            let hi = match high {
-                // Extend with +∞ for any remaining PK columns so the
-                // inclusive bound covers full keys with this prefix.
-                Some(e) => Some(prefix_then(
-                    &prefix_vals,
-                    [eval(e, params, ctx)?, max_sentinel()],
-                )),
-                None if prefix_vals.is_empty() => None,
-                None => Some(prefix_then(&prefix_vals, [max_sentinel()])),
+            let lo = bound(low.as_ref())?;
+            let hi = match (low, high) {
+                (None, None) => lo.clone(),
+                _ => bound(high.as_ref())?,
             };
-            let mut rows = da.range_read(table, lo.as_ref(), hi.as_ref())?;
-            // Filter exact prefix match (range bounds are necessary, not
-            // sufficient, for composite keys).
-            rows.retain(|(k, _)| {
-                k.0.len() >= prefix_vals.len()
-                    && k.0[..prefix_vals.len()]
-                        .iter()
-                        .zip(&prefix_vals)
-                        .all(|(a, b)| a.key_cmp(b) == std::cmp::Ordering::Equal)
-            });
-            rows
+            da.range_read(table, lo.as_ref(), hi.as_ref(), emit)
         }
         AccessPath::IndexPrefix { index, prefix } => {
             let prefix_vals = prefix
                 .iter()
                 .map(|e| eval(e, params, ctx))
                 .collect::<GdbResult<Vec<_>>>()?;
-            da.index_read(*index, &prefix_vals)?
+            da.index_read(*index, &prefix_vals, emit)
         }
-        AccessPath::FullScan => da.full_scan(table)?,
-    };
-    for (key, row) in rows {
-        emit(&key, Cow::Owned(row))?;
+        AccessPath::FullScan => da.range_read(table, None, None, emit),
     }
-    Ok(())
 }
 
-/// The keys of the rows an access path fetches (UPDATE and DELETE
-/// re-read each one under its lock).
-fn fetch_keys(
+/// Hand `each` the key of every row `access` fetches that `filter` admits,
+/// once the read is done, so that `each` may lock and write it. A point
+/// key is checked where its row lies and kept in no vector; the other
+/// paths collect the keys (each a shared handle, not a copy).
+fn for_each_key(
     table: TableId,
     access: &AccessPath,
+    filter: Option<&Expr>,
     params: &[Datum],
     da: &mut dyn DataAccess,
-) -> GdbResult<Vec<RowKey>> {
-    let mut keys = Vec::new();
-    fetch_outer(
-        table,
-        access,
-        params,
-        &RowCtx::empty(),
-        da,
-        &mut |key, _| {
-            keys.push(key.clone());
+    each: &mut dyn FnMut(&mut dyn DataAccess, &RowKey) -> GdbResult<()>,
+) -> GdbResult<()> {
+    let empty = RowCtx::empty();
+    let admits = |row: &Row| holds(filter, params, &RowCtx::outer(row));
+    if let AccessPath::PointLookup { key } = access {
+        let key = eval_key(key, params, &empty)?;
+        let mut found = false;
+        da.point_read(table, &key, &mut |row| {
+            found = admits(row)?;
             Ok(())
-        },
-    )?;
-    Ok(keys)
+        })?;
+        return if found { each(da, &key) } else { Ok(()) };
+    }
+    let mut keys = Vec::new();
+    fetch_outer(table, access, params, &empty, da, &mut |key, row| {
+        if admits(row)? {
+            keys.push(key.clone());
+        }
+        Ok(())
+    })?;
+    keys.iter().try_for_each(|key| each(da, key))
+}
+
+/// True if `filter` is absent or holds over `ctx`.
+fn holds(filter: Option<&Expr>, params: &[Datum], ctx: &RowCtx) -> GdbResult<bool> {
+    filter.map_or(Ok(true), |f| Ok(truthy(&eval(f, params, ctx)?)))
 }
 
 /// Evaluate key expressions straight into a key's one allocation.
 fn eval_key(exprs: &[Expr], params: &[Datum], ctx: &RowCtx) -> GdbResult<RowKey> {
     RowKey::try_from_fn(exprs.len(), |i| eval(&exprs[i], params, ctx))
-}
-
-/// A range bound: the key prefix followed by `tail`, in one allocation.
-fn prefix_then<const N: usize>(prefix: &[Datum], tail: [Datum; N]) -> RowKey {
-    prefix.iter().cloned().chain(tail).collect()
-}
-
-fn max_sentinel() -> Datum {
-    // Highest-sorting datum in key order: a long high text value.
-    Datum::Text("\u{10FFFF}\u{10FFFF}\u{10FFFF}\u{10FFFF}".into())
 }
 
 fn exec_update(
@@ -202,24 +187,28 @@ fn exec_update(
     da: &mut dyn DataAccess,
 ) -> GdbResult<ExecOutput> {
     let mut affected = 0u64;
-    for key in fetch_keys(table, access, params, da)? {
-        // Lock and re-read the newest committed version (read-committed).
-        let Some(current) = da.read_for_update(table, &key)? else {
-            continue; // concurrently deleted
-        };
-        let row_ctx = RowCtx::outer(&current);
-        if let Some(f) = residual {
-            if !truthy(&eval(f, params, &row_ctx)?) {
-                continue;
+    for_each_key(table, access, None, params, da, &mut |da, key| {
+        // Lock the row and build its new image from the newest committed
+        // version where it lies (read-committed): the one copy is the new
+        // image itself.
+        let mut new_row = None;
+        da.read_for_update(table, key, &mut |current| {
+            let ctx = RowCtx::outer(current);
+            if holds(residual, params, &ctx)? {
+                let mut row = current.clone();
+                for (idx, e) in sets {
+                    row.0[*idx] = eval(e, params, &ctx)?;
+                }
+                new_row = Some(row);
             }
+            Ok(())
+        })?;
+        if let Some(row) = new_row {
+            da.update(table, key, row)?;
+            affected += 1;
         }
-        let mut new_row = current.clone();
-        for (idx, e) in sets {
-            new_row.0[*idx] = eval(e, params, &row_ctx)?;
-        }
-        da.update(table, &key, new_row)?;
-        affected += 1;
-    }
+        Ok(())
+    })?;
     Ok(ExecOutput::Count(affected))
 }
 
@@ -231,19 +220,18 @@ fn exec_delete(
     da: &mut dyn DataAccess,
 ) -> GdbResult<ExecOutput> {
     let mut affected = 0u64;
-    for key in fetch_keys(table, access, params, da)? {
-        let Some(current) = da.read_for_update(table, &key)? else {
-            continue;
-        };
-        let row_ctx = RowCtx::outer(&current);
-        if let Some(f) = residual {
-            if !truthy(&eval(f, params, &row_ctx)?) {
-                continue;
-            }
+    for_each_key(table, access, None, params, da, &mut |da, key| {
+        let mut matched = false;
+        da.read_for_update(table, key, &mut |current| {
+            matched = holds(residual, params, &RowCtx::outer(current))?;
+            Ok(())
+        })?;
+        if matched {
+            da.delete(table, key)?;
+            affected += 1;
         }
-        da.delete(table, &key)?;
-        affected += 1;
-    }
+        Ok(())
+    })?;
     Ok(ExecOutput::Count(affected))
 }
 
@@ -252,26 +240,28 @@ fn exec_select(
     params: &[Datum],
     da: &mut dyn DataAccess,
 ) -> GdbResult<ExecOutput> {
-    // Without a join, an ORDER BY, a lock or an aggregate, each outer row
-    // is projected where it lies (in storage, for a point read) and
-    // nothing else is kept of it.
-    let direct = match &plan.projection {
+    match &plan.projection {
         Projection::Columns(exprs)
             if plan.join.is_none() && plan.order_by.is_none() && !plan.for_update =>
         {
-            Some(exprs)
+            select_direct(plan, exprs, params, da)
         }
-        _ => None,
-    };
+        _ => select_staged(plan, params, da),
+    }
+}
+
+/// A SELECT without a join, an ORDER BY, a lock or an aggregate: each row
+/// is projected where it lies (in storage, for a point read) and nothing
+/// else is kept of it.
+fn select_direct(
+    plan: &SelectPlan,
+    exprs: &[Expr],
+    params: &[Datum],
+    da: &mut dyn DataAccess,
+) -> GdbResult<ExecOutput> {
     let mut out = Vec::new();
-    let mut outer_rows = Vec::new();
-    let empty_ctx = RowCtx::empty();
-    let emit = &mut |key: &RowKey, row: Cow<Row>| -> GdbResult<()> {
-        let Some(exprs) = direct else {
-            outer_rows.push((key.clone(), row.into_owned()));
-            return Ok(());
-        };
-        let ctx = RowCtx::outer(&row);
+    let emit = &mut |_: &RowKey, row: &Row| -> GdbResult<()> {
+        let ctx = RowCtx::outer(row);
         if let Some(f) = &plan.outer_residual {
             if !truthy(&eval(f, params, &ctx)?) {
                 return Ok(());
@@ -282,6 +272,7 @@ fn exec_select(
         }
         Ok(())
     };
+    let empty_ctx = RowCtx::empty();
     fetch_outer(
         plan.tables[0],
         &plan.outer_access,
@@ -290,114 +281,227 @@ fn exec_select(
         da,
         emit,
     )?;
-    if direct.is_some() {
-        return Ok(ExecOutput::Rows(out));
-    }
+    Ok(ExecOutput::Rows(out))
+}
 
-    // Filter outer rows; lock them if FOR UPDATE.
-    let mut joined: Vec<(Row, Option<Row>)> = Vec::new();
-    for (key, row) in outer_rows {
-        let ctx = RowCtx::outer(&row);
-        if let Some(f) = &plan.outer_residual {
-            if !truthy(&eval(f, params, &ctx)?) {
-                continue;
-            }
+/// Every other SELECT, as stages each row passes through where it lies:
+/// the outer residual, the lock (FOR UPDATE re-reads the newest version
+/// and checks the residual again), the join, then the [`Sink`]. Only
+/// what a later stage reads is copied: the outer rows a join's inner
+/// fetches or expressions need, and the rows ORDER BY / LIMIT keep.
+fn select_staged(
+    plan: &SelectPlan,
+    params: &[Datum],
+    da: &mut dyn DataAccess,
+) -> GdbResult<ExecOutput> {
+    let mut sink = Sink::new(plan, params);
+    let Some(jp) = &plan.join else {
+        outer_rows(plan, params, da, &mut |row| sink.push(&RowCtx::outer(row)))?;
+        return Ok(ExecOutput::Rows(sink.finish()));
+    };
+    // A point-keyed inner side is read in one batch after the outer rows,
+    // by the keys they yield; the outer rows themselves are kept only if
+    // a later stage reads them. Any other inner side is fetched per
+    // outer row, which its access path reads.
+    let inner_key = match &jp.access {
+        AccessPath::PointLookup { key } => Some(key),
+        _ => None,
+    };
+    let keep_outer = inner_key.is_none() || reads_outer_after_join(plan, jp);
+    let mut outers = Vec::new();
+    let mut keys = Vec::new();
+    outer_rows(plan, params, da, &mut |row| {
+        if let Some(key) = inner_key {
+            keys.push(eval_key(key, params, &RowCtx::outer(row))?);
         }
-        let row = if plan.for_update {
-            // Lock and use the newest version.
-            match da.read_for_update(plan.tables[0], &key)? {
-                Some(newest) => {
-                    // Re-check the residual on the newest version.
-                    let ctx = RowCtx::outer(&newest);
-                    if let Some(f) = &plan.outer_residual {
-                        if !truthy(&eval(f, params, &ctx)?) {
-                            continue;
-                        }
-                    }
-                    newest
-                }
-                None => continue,
-            }
-        } else {
-            row
-        };
-
-        joined.push((row, None));
-    }
-
-    // Join: a point-lookup inner side batches all keys into one
-    // multi-shard fetch (the CN pushes the lookups down in one round
-    // trip); other access paths fetch per outer row.
-    if let Some(jp) = &plan.join {
-        let outer_only = std::mem::take(&mut joined);
-        match &jp.access {
-            AccessPath::PointLookup { key } => {
-                let mut keys = Vec::with_capacity(outer_only.len());
-                for (outer, _) in &outer_only {
-                    keys.push(eval_key(key, params, &RowCtx::outer(outer))?);
-                }
-                let fetched = da.multi_point_read(jp.table, &keys)?;
-                for ((outer, _), inner) in outer_only.into_iter().zip(fetched) {
-                    let Some(inner) = inner else { continue };
-                    if let Some(f) = &jp.residual {
-                        let jctx = RowCtx::joined(&outer, &inner);
-                        if !truthy(&eval(f, params, &jctx)?) {
-                            continue;
-                        }
-                    }
-                    joined.push((outer, Some(inner)));
-                }
-            }
-            _ => {
-                for (outer, _) in outer_only {
-                    let inners = fetch_inner(jp, params, &outer, da)?;
-                    for inner in inners {
-                        joined.push((outer.clone(), Some(inner)));
-                    }
-                }
-            }
+        if keep_outer {
+            outers.push(row.clone());
         }
-    }
-
-    // ORDER BY before projection (it references table columns).
-    if let Some((slot, idx, desc)) = plan.order_by {
-        joined.sort_by(|a, b| {
-            let get = |pair: &(Row, Option<Row>)| -> Datum {
-                let row = if slot == 0 {
-                    &pair.0
-                } else {
-                    pair.1.as_ref().expect("order by inner slot requires join")
-                };
-                row.0[idx].clone()
+        Ok(())
+    })?;
+    let residual = jp.residual.as_ref();
+    if inner_key.is_some() {
+        da.multi_point_read(jp.table, &keys, &mut |i, inner| {
+            let ctx = RowCtx {
+                slots: [outers.get(i), Some(inner)],
             };
-            let o = get(a).key_cmp(&get(b));
-            if desc {
-                o.reverse()
-            } else {
-                o
+            if holds(residual, params, &ctx)? {
+                sink.push(&ctx)?;
             }
+            Ok(())
+        })?;
+    } else {
+        for outer in &outers {
+            let ctx = RowCtx::outer(outer);
+            fetch_outer(jp.table, &jp.access, params, &ctx, da, &mut |_, inner| {
+                let ctx = RowCtx::joined(outer, inner);
+                if holds(residual, params, &ctx)? {
+                    sink.push(&ctx)?;
+                }
+                Ok(())
+            })?;
+        }
+    }
+    Ok(ExecOutput::Rows(sink.finish()))
+}
+
+/// Hand `f` every outer row of `plan` that its residual admits, where it
+/// lies: as fetched, or — FOR UPDATE — locked and re-read at its newest
+/// version, which must pass the residual again.
+fn outer_rows(
+    plan: &SelectPlan,
+    params: &[Datum],
+    da: &mut dyn DataAccess,
+    f: &mut dyn FnMut(&Row) -> GdbResult<()>,
+) -> GdbResult<()> {
+    let (table, residual) = (plan.tables[0], plan.outer_residual.as_ref());
+    let mut admitted = |row: &Row| -> GdbResult<()> {
+        if holds(residual, params, &RowCtx::outer(row))? {
+            f(row)?;
+        }
+        Ok(())
+    };
+    let access = &plan.outer_access;
+    if !plan.for_update {
+        let empty = RowCtx::empty();
+        return fetch_outer(table, access, params, &empty, da, &mut |_, row| {
+            admitted(row)
         });
     }
-    if let Some(limit) = plan.limit {
-        joined.truncate(limit);
+    for_each_key(table, access, residual, params, da, &mut |da, key| {
+        da.read_for_update(table, key, &mut admitted)
+    })
+}
+
+/// True if a stage after the join — its residual, ORDER BY or the
+/// projection — reads an outer (slot 0) column.
+fn reads_outer_after_join(plan: &SelectPlan, jp: &JoinPlan) -> bool {
+    let reads = |e: &Expr| e.references_slot(0);
+    jp.residual.as_ref().is_some_and(reads)
+        || plan.order_by.is_some_and(|(slot, ..)| slot == 0)
+        || match &plan.projection {
+            Projection::Columns(exprs) => exprs.iter().any(reads),
+            Projection::Aggregates(specs) => specs.iter().filter_map(|s| s.arg.as_ref()).any(reads),
+        }
+}
+
+/// Where the rows of a staged SELECT end. Without ORDER BY or LIMIT each
+/// row is projected, or folded into the aggregates, as it passes. With
+/// them, a row is copied — projected, or its aggregate arguments taken —
+/// only if it makes the cut so far: LIMIT n keeps at most n, and a row
+/// goes after the kept rows it ties with, where a stable sort of all
+/// rows would put it.
+struct Sink<'p> {
+    plan: &'p SelectPlan,
+    params: &'p [Datum],
+    /// The kept rows, in arrival order (no ORDER BY).
+    rows: Vec<Row>,
+    /// The kept rows with their ORDER BY value, in output order (but for
+    /// the final stable sort when there is no LIMIT).
+    ranked: Vec<(Datum, Row)>,
+    /// The running aggregates, when they fold as rows pass.
+    folds: Vec<Fold>,
+}
+
+impl<'p> Sink<'p> {
+    fn new(plan: &'p SelectPlan, params: &'p [Datum]) -> Self {
+        let folds = match &plan.projection {
+            Projection::Aggregates(specs) if plan.order_by.is_none() && plan.limit.is_none() => {
+                specs.iter().map(|_| Fold::default()).collect()
+            }
+            _ => Vec::new(),
+        };
+        Sink {
+            plan,
+            params,
+            rows: Vec::new(),
+            ranked: Vec::new(),
+            folds,
+        }
     }
 
-    match &plan.projection {
-        Projection::Columns(exprs) => {
-            let mut out = Vec::with_capacity(joined.len());
-            for (outer, inner) in &joined {
-                let ctx = match inner {
-                    Some(i) => RowCtx::joined(outer, i),
-                    None => RowCtx::outer(outer),
-                };
-                out.push(project(exprs, params, &ctx)?);
+    fn push(&mut self, ctx: &RowCtx) -> GdbResult<()> {
+        let (plan, limit) = (self.plan, self.plan.limit);
+        if let Projection::Aggregates(specs) = &plan.projection {
+            if !self.folds.is_empty() {
+                for (fold, spec) in self.folds.iter_mut().zip(specs) {
+                    fold.add(spec, agg_arg(spec, self.params, ctx)?);
+                }
+                return Ok(());
             }
-            Ok(ExecOutput::Rows(out))
         }
-        Projection::Aggregates(specs) => {
-            let row = aggregate(specs, &joined, params)?;
-            Ok(ExecOutput::Rows(vec![row]))
+        let Some((slot, idx, desc)) = plan.order_by else {
+            if limit.is_none_or(|n| self.rows.len() < n) {
+                let row = self.keep(ctx)?;
+                self.rows.push(row);
+            }
+            return Ok(());
+        };
+        let value = ctx.slots[slot]
+            .and_then(|row| row.0.get(idx))
+            .ok_or_else(|| GdbError::Internal(format!("no ORDER BY column {slot}.{idx}")))?;
+        // After every kept row that sorts at or before it.
+        let at = match limit {
+            Some(_) => self
+                .ranked
+                .partition_point(|(v, _)| order(v, value, desc) != Ordering::Greater),
+            None => self.ranked.len(),
+        };
+        if limit.is_some_and(|n| at >= n) {
+            return Ok(());
         }
+        let row = self.keep(ctx)?;
+        self.ranked.insert(at, (value.clone(), row));
+        if let Some(n) = limit {
+            self.ranked.truncate(n);
+        }
+        Ok(())
+    }
+
+    /// What is kept of a row: its projection, or its aggregate arguments.
+    fn keep(&self, ctx: &RowCtx) -> GdbResult<Row> {
+        match &self.plan.projection {
+            Projection::Columns(exprs) => project(exprs, self.params, ctx),
+            Projection::Aggregates(specs) => specs
+                .iter()
+                .map(|spec| agg_arg(spec, self.params, ctx))
+                .collect::<GdbResult<Vec<_>>>()
+                .map(Row),
+        }
+    }
+
+    fn finish(mut self) -> Vec<Row> {
+        if let Some((_, _, desc)) = self.plan.order_by {
+            if self.plan.limit.is_none() {
+                self.ranked.sort_by(|a, b| order(&a.0, &b.0, desc));
+            }
+            self.rows = self.ranked.into_iter().map(|(_, row)| row).collect();
+        }
+        let Projection::Aggregates(specs) = &self.plan.projection else {
+            return self.rows;
+        };
+        if self.folds.is_empty() {
+            self.folds = specs.iter().map(|_| Fold::default()).collect();
+            for args in self.rows {
+                for ((fold, spec), value) in self.folds.iter_mut().zip(specs).zip(args.0) {
+                    fold.add(spec, value);
+                }
+            }
+        }
+        let values = self.folds.into_iter().zip(specs);
+        vec![Row(values
+            .map(|(fold, spec)| fold.finish(spec.func))
+            .collect())]
+    }
+}
+
+/// The ORDER BY comparison of two values.
+fn order(a: &Datum, b: &Datum, desc: bool) -> Ordering {
+    let o = a.key_cmp(b);
+    if desc {
+        o.reverse()
+    } else {
+        o
     }
 }
 
@@ -410,109 +514,77 @@ fn project(exprs: &[Expr], params: &[Datum], ctx: &RowCtx) -> GdbResult<Row> {
     Ok(Row(vals))
 }
 
-fn fetch_inner(
-    jp: &JoinPlan,
-    params: &[Datum],
-    outer: &Row,
-    da: &mut dyn DataAccess,
-) -> GdbResult<Vec<Row>> {
-    let ctx = RowCtx::outer(outer);
-    let mut out = Vec::new();
-    fetch_outer(jp.table, &jp.access, params, &ctx, da, &mut |_, inner| {
-        if let Some(f) = &jp.residual {
-            let jctx = RowCtx::joined(outer, &inner);
-            if !truthy(&eval(f, params, &jctx)?) {
-                return Ok(());
-            }
-        }
-        out.push(inner.into_owned());
-        Ok(())
-    })?;
-    Ok(out)
+/// An aggregate's argument over `ctx` (`COUNT(*)` counts a 1 per row).
+fn agg_arg(spec: &AggSpec, params: &[Datum], ctx: &RowCtx) -> GdbResult<Datum> {
+    match &spec.arg {
+        None => Ok(Datum::Int(1)),
+        Some(e) => eval(e, params, ctx),
+    }
 }
 
-fn aggregate(specs: &[AggSpec], rows: &[(Row, Option<Row>)], params: &[Datum]) -> GdbResult<Row> {
-    let mut out = Vec::with_capacity(specs.len());
-    for spec in specs {
-        let mut count = 0u64;
-        let mut sum: i64 = 0;
-        let mut sum_is_decimal = false;
-        let mut min: Option<Datum> = None;
-        let mut max: Option<Datum> = None;
-        let mut distinct_seen: HashSet<Datum> = HashSet::new();
+/// One aggregate's running state.
+#[derive(Default)]
+struct Fold {
+    count: u64,
+    sum: i64,
+    sum_is_decimal: bool,
+    min: Option<Datum>,
+    max: Option<Datum>,
+    distinct_seen: HashSet<Datum>,
+}
 
-        for (outer, inner) in rows {
-            let ctx = match inner {
-                Some(i) => RowCtx::joined(outer, i),
-                None => RowCtx::outer(outer),
-            };
-            let value = match &spec.arg {
-                None => Datum::Int(1), // COUNT(*)
-                Some(e) => eval(e, params, &ctx)?,
-            };
-            if spec.arg.is_some() && value.is_null() {
-                continue; // aggregates skip NULLs
-            }
-            if spec.distinct && !distinct_seen.insert(value.clone()) {
-                continue;
-            }
-            count += 1;
-            match value {
-                Datum::Int(v) => sum = sum.wrapping_add(v),
-                Datum::Decimal(v) => {
-                    sum = sum.wrapping_add(v);
-                    sum_is_decimal = true;
-                }
-                _ => {}
-            }
-            min = Some(match min {
-                None => value.clone(),
-                Some(m) => {
-                    if value.key_cmp(&m) == std::cmp::Ordering::Less {
-                        value.clone()
-                    } else {
-                        m
-                    }
-                }
-            });
-            max = Some(match max {
-                None => value.clone(),
-                Some(m) => {
-                    if value.key_cmp(&m) == std::cmp::Ordering::Greater {
-                        value.clone()
-                    } else {
-                        m
-                    }
-                }
-            });
+impl Fold {
+    fn add(&mut self, spec: &AggSpec, value: Datum) {
+        if spec.arg.is_some() && value.is_null() {
+            return; // aggregates skip NULLs
         }
-
-        let result = match spec.func {
-            AggFunc::Count => Datum::Int(count as i64),
-            AggFunc::Sum => {
-                if count == 0 {
-                    Datum::Null
-                } else if sum_is_decimal {
-                    Datum::Decimal(sum)
-                } else {
-                    Datum::Int(sum)
-                }
+        if spec.distinct && !self.distinct_seen.insert(value.clone()) {
+            return;
+        }
+        self.count += 1;
+        match value {
+            Datum::Int(v) => self.sum = self.sum.wrapping_add(v),
+            Datum::Decimal(v) => {
+                self.sum = self.sum.wrapping_add(v);
+                self.sum_is_decimal = true;
             }
-            AggFunc::Min => min.unwrap_or(Datum::Null),
-            AggFunc::Max => max.unwrap_or(Datum::Null),
-            AggFunc::Avg => {
-                if count == 0 {
-                    Datum::Null
-                } else if sum_is_decimal {
-                    Datum::Decimal(sum / count as i64)
-                } else {
-                    Datum::Int(sum / count as i64)
-                }
+            _ => {}
+        }
+        if self
+            .min
+            .as_ref()
+            .is_none_or(|m| value.key_cmp(m) == Ordering::Less)
+        {
+            self.min = Some(value.clone());
+        }
+        if self
+            .max
+            .as_ref()
+            .is_none_or(|m| value.key_cmp(m) == Ordering::Greater)
+        {
+            self.max = Some(value);
+        }
+    }
+
+    fn finish(self, func: AggFunc) -> Datum {
+        let count = self.count as i64;
+        let number = |v: i64| {
+            if self.sum_is_decimal {
+                Datum::Decimal(v)
+            } else {
+                Datum::Int(v)
             }
         };
-        out.push(result);
+        match func {
+            AggFunc::Count => Datum::Int(count),
+            AggFunc::Sum if count == 0 => Datum::Null,
+            AggFunc::Sum => number(self.sum),
+            AggFunc::Min => self.min.unwrap_or(Datum::Null),
+            AggFunc::Max => self.max.unwrap_or(Datum::Null),
+            AggFunc::Avg if count == 0 => Datum::Null,
+            AggFunc::Avg => number(self.sum / count),
+        }
     }
-    Ok(Row(out))
 }
 
 #[cfg(test)]
@@ -767,6 +839,37 @@ mod tests {
         // Prefix + lower bound only.
         let ge = run(&mut da, "SELECT item FROM ol WHERE w = 1 AND o >= 4", &[]).unwrap();
         assert_eq!(ge.rows().len(), 3);
+    }
+
+    /// A key prefix reads every row extending it, whatever its later key
+    /// columns hold: a text column above any fixed stand-in for +∞ too.
+    #[test]
+    fn pk_prefix_reads_keys_with_high_text_columns() {
+        let mut da = MemAccess::new();
+        run(
+            &mut da,
+            "CREATE TABLE t (a INT NOT NULL, b TEXT NOT NULL, v INT, PRIMARY KEY (a, b))",
+            &[],
+        )
+        .unwrap();
+        let high = "\u{10FFFF}".repeat(4) + "z";
+        for (b, v) in [("x", 1), (high.as_str(), 2)] {
+            let row = [Datum::Text(b.into()), Datum::Int(v)];
+            run(&mut da, "INSERT INTO t VALUES (1, ?, ?)", &row).unwrap();
+        }
+        let v = |out: ExecOutput| -> Vec<Datum> {
+            out.rows().into_iter().map(|r| r.0[0].clone()).collect()
+        };
+        let want = vec![Datum::Int(1), Datum::Int(2)];
+        assert_eq!(v(run(&mut da, "SELECT v FROM t", &[]).unwrap()), want);
+        assert_eq!(
+            v(run(&mut da, "SELECT v FROM t WHERE a = 1", &[]).unwrap()),
+            want
+        );
+        let count = run(&mut da, "SELECT COUNT(*) FROM t WHERE a = 1", &[]).unwrap();
+        assert_eq!(count.scalar_int(), Some(2));
+        let bumped = run(&mut da, "UPDATE t SET v = v + 10 WHERE a = 1", &[]).unwrap();
+        assert_eq!(bumped.count(), 2);
     }
 
     #[test]

@@ -226,30 +226,39 @@ impl DataNodeStorage {
         Ok(self.table(table)?.read_newest(key))
     }
 
-    pub fn range(
-        &mut self,
+    /// [`Table::range`] of `table`: the rows are walked where they lie.
+    pub fn range<'a>(
+        &'a mut self,
         table: TableId,
         lo: Option<&RowKey>,
-        hi: Option<&RowKey>,
+        hi: Option<&'a RowKey>,
         snapshot: Timestamp,
-    ) -> GdbResult<Vec<VisibleRow<'_>>> {
+    ) -> GdbResult<impl Iterator<Item = VisibleRow<'a>>> {
         self.reads += 1;
         Ok(self.table(table)?.range(lo, hi, snapshot))
     }
 
-    pub fn scan(&mut self, table: TableId, snapshot: Timestamp) -> GdbResult<Vec<VisibleRow<'_>>> {
+    pub fn scan(
+        &mut self,
+        table: TableId,
+        snapshot: Timestamp,
+    ) -> GdbResult<impl Iterator<Item = VisibleRow<'_>>> {
         self.reads += 1;
         Ok(self.table(table)?.scan(snapshot))
     }
 
-    /// Index prefix lookup: all rows whose indexed columns start with
-    /// `prefix`, visible at `snapshot`, with the MVCC recheck applied.
+    /// Index prefix lookup: `visit` sees every row whose indexed columns
+    /// start with `prefix`, visible at `snapshot`, with the MVCC recheck
+    /// applied, in primary-key order, where it lies. A prefix that fixes
+    /// every indexed column walks the index in that order already; a
+    /// shorter one collects the (borrowed) rows to sort them.
     pub fn index_lookup(
         &mut self,
         index: IndexId,
         prefix: &[Datum],
         snapshot: Timestamp,
-    ) -> GdbResult<Vec<(RowKey, Row)>> {
+        visit: &mut dyn FnMut(VisibleRow<'_>) -> GdbResult<()>,
+    ) -> GdbResult<()> {
         self.reads += 1;
         let def = self.catalog.index(index)?;
         let map = self
@@ -260,33 +269,31 @@ impl DataNodeStorage {
             .tables
             .get(&def.table)
             .ok_or_else(|| GdbError::Schema(format!("no storage for table {}", def.table)))?;
-
-        let mut out = Vec::new();
+        let same = |a: &Datum, b: &Datum| a.key_cmp(b) == std::cmp::Ordering::Equal;
         let from: RowKey = prefix.iter().cloned().collect();
-        for (entry, pk) in map.range(from..) {
+        let mut rows = map
+            .range(from..)
             // Stop once the entry no longer starts with the prefix.
-            if entry.0.len() < prefix.len()
-                || entry.0[..prefix.len()]
-                    .iter()
-                    .zip(prefix)
-                    .any(|(a, b)| a.key_cmp(b) != std::cmp::Ordering::Equal)
-            {
-                break;
-            }
-            if let Some(v) = tbl.read(pk, snapshot) {
-                // Recheck: the visible version's indexed columns must still
-                // match this entry (it may be stale after an update).
+            .take_while(|(entry, _)| {
+                entry.0.len() >= prefix.len() && entry.0.iter().zip(prefix).all(|(a, b)| same(a, b))
+            })
+            .filter_map(|(entry, pk)| {
+                // Recheck: the visible version's indexed columns must
+                // still match this entry (it may be stale after an update).
+                let v = tbl.read(pk, snapshot)?;
                 let matches = def
                     .columns
                     .iter()
                     .zip(entry.0.iter())
-                    .all(|(&c, ev)| v.row.0[c].key_cmp(ev) == std::cmp::Ordering::Equal);
-                if matches {
-                    out.push((pk.clone(), v.row.clone()));
-                }
-            }
+                    .all(|(&c, ev)| same(&v.row.0[c], ev));
+                matches.then_some(v)
+            });
+        if prefix.len() >= def.columns.len() {
+            return rows.try_for_each(visit);
         }
-        Ok(out)
+        let mut rows: Vec<_> = rows.collect();
+        rows.sort_by(|a, b| a.key.cmp(b.key));
+        rows.into_iter().try_for_each(visit)
     }
 
     /// Vacuum every table up to `horizon`; returns versions removed.
@@ -402,6 +409,17 @@ mod tests {
         ));
     }
 
+    /// The rows an index lookup visits.
+    fn hits(s: &mut DataNodeStorage, ix: IndexId, prefix: &[Datum], at: Timestamp) -> usize {
+        let mut n = 0;
+        s.index_lookup(ix, prefix, at, &mut |_| {
+            n += 1;
+            Ok(())
+        })
+        .unwrap();
+        n
+    }
+
     #[test]
     fn index_lookup_with_recheck() {
         let mut s = setup();
@@ -417,10 +435,10 @@ mod tests {
             )
             .unwrap();
         }
-        let evens = s
-            .index_lookup(ix, &[Datum::Text("even".into())], Timestamp(10))
-            .unwrap();
-        assert_eq!(evens.len(), 3);
+        assert_eq!(
+            hits(&mut s, ix, &[Datum::Text("even".into())], Timestamp(10)),
+            3
+        );
         // Update row 0's name: old index entry must recheck away at newer
         // snapshots but the old snapshot still finds it.
         s.update(
@@ -431,18 +449,48 @@ mod tests {
             SimTime::ZERO,
         )
         .unwrap();
-        let evens_now = s
-            .index_lookup(ix, &[Datum::Text("even".into())], Timestamp(20))
+        assert_eq!(
+            hits(&mut s, ix, &[Datum::Text("even".into())], Timestamp(20)),
+            2
+        );
+        assert_eq!(
+            hits(&mut s, ix, &[Datum::Text("even".into())], Timestamp(10)),
+            3
+        );
+        assert_eq!(
+            hits(&mut s, ix, &[Datum::Text("odd".into())], Timestamp(20)),
+            3
+        );
+    }
+
+    #[test]
+    fn index_lookup_visits_in_key_order() {
+        let mut s = setup();
+        let t = TableId(0);
+        let ix = s.create_index(t, "by_name", vec![1]).unwrap();
+        for (i, name) in [(1i64, "c"), (2, "a"), (3, "b"), (4, "a")] {
+            s.insert(
+                t,
+                &RowKey::single(i),
+                row(i, name, i),
+                Timestamp(10),
+                SimTime::ZERO,
+            )
             .unwrap();
-        assert_eq!(evens_now.len(), 2);
-        let evens_old = s
-            .index_lookup(ix, &[Datum::Text("even".into())], Timestamp(10))
+        }
+        let keys = |s: &mut DataNodeStorage, prefix: &[Datum]| {
+            let mut keys = Vec::new();
+            s.index_lookup(ix, prefix, Timestamp(10), &mut |v| {
+                keys.push(v.key.0[0].as_int().unwrap());
+                Ok(())
+            })
             .unwrap();
-        assert_eq!(evens_old.len(), 3);
-        let odds_now = s
-            .index_lookup(ix, &[Datum::Text("odd".into())], Timestamp(20))
-            .unwrap();
-        assert_eq!(odds_now.len(), 3);
+            keys
+        };
+        // The index holds them by name (2, 4, 3, 1); a lookup hands them
+        // over by key, for a full prefix and for an empty one alike.
+        assert_eq!(keys(&mut s, &[]), vec![1, 2, 3, 4]);
+        assert_eq!(keys(&mut s, &[Datum::Text("a".into())]), vec![2, 4]);
     }
 
     #[test]
@@ -460,10 +508,10 @@ mod tests {
             .unwrap();
         }
         let ix = s.create_index(t, "by_name", vec![1]).unwrap();
-        let hits = s
-            .index_lookup(ix, &[Datum::Text("n".into())], Timestamp(10))
-            .unwrap();
-        assert_eq!(hits.len(), 4);
+        assert_eq!(
+            hits(&mut s, ix, &[Datum::Text("n".into())], Timestamp(10)),
+            4
+        );
     }
 
     #[test]
@@ -481,10 +529,10 @@ mod tests {
         .unwrap();
         s.delete(t, &RowKey::single(1i64), Timestamp(20), SimTime::ZERO)
             .unwrap();
-        assert!(s
-            .index_lookup(ix, &[Datum::Text("gone".into())], Timestamp(20))
-            .unwrap()
-            .is_empty());
+        assert_eq!(
+            hits(&mut s, ix, &[Datum::Text("gone".into())], Timestamp(20)),
+            0
+        );
     }
 
     #[test]
@@ -494,7 +542,9 @@ mod tests {
         let ix = s.create_index(t, "by_name", vec![1]).unwrap();
         s.drop_table(t).unwrap();
         assert!(s.read(t, &RowKey::single(1i64), Timestamp(10)).is_err());
-        assert!(s.index_lookup(ix, &[], Timestamp(10)).is_err());
+        assert!(s
+            .index_lookup(ix, &[], Timestamp(10), &mut |_| Ok(()))
+            .is_err());
     }
 
     #[test]
@@ -527,14 +577,8 @@ mod tests {
             )
             .unwrap();
         }
-        let rows = s
-            .range(
-                t,
-                Some(&RowKey::single(3i64)),
-                Some(&RowKey::single(6i64)),
-                Timestamp(10),
-            )
-            .unwrap();
-        assert_eq!(rows.len(), 4);
+        let (lo, hi) = (RowKey::single(3i64), RowKey::single(6i64));
+        let rows = s.range(t, Some(&lo), Some(&hi), Timestamp(10)).unwrap();
+        assert_eq!(rows.count(), 4);
     }
 }

@@ -405,38 +405,33 @@ impl Table {
         self.read_newest(key).is_some()
     }
 
-    /// Range scan `[lo, hi]` (inclusive bounds; `None` = unbounded) at a
-    /// snapshot, in key order. An empty range (`lo > hi`) has no rows.
-    pub fn range(
-        &self,
+    /// Range scan `[lo, hi]` (inclusive bounds, the upper one covering
+    /// every key it is a prefix of — [`RowKey::in_range`]; `None` =
+    /// unbounded) at a snapshot, walked in key order where the rows lie.
+    /// An empty range (`lo` above `hi`) has no rows.
+    pub fn range<'t>(
+        &'t self,
         lo: Option<&RowKey>,
-        hi: Option<&RowKey>,
+        hi: Option<&'t RowKey>,
         snapshot: Timestamp,
-    ) -> Vec<VisibleRow<'_>> {
-        if let (Some(lo), Some(hi)) = (lo, hi) {
-            if lo > hi {
-                return Vec::new();
-            }
-        }
-        let bound =
-            |k: Option<&RowKey>| k.map_or(Bound::Unbounded, |k| Bound::Included(Slot::new(k, NIL)));
+    ) -> impl Iterator<Item = VisibleRow<'t>> {
+        let from = lo.map_or(Bound::Unbounded, |k| Bound::Included(Slot::new(k, NIL)));
         self.rows
-            .range((bound(lo), bound(hi)))
-            .filter_map(|(slot, ())| {
-                self.arena.visible_at(slot.head, snapshot).and_then(|v| {
-                    v.row.as_ref().map(|row| VisibleRow {
-                        key: &slot.key,
-                        row,
-                        commit_ts: v.commit_ts,
-                        commit_vtime: v.commit_vtime,
-                    })
+            .range((from, Bound::Unbounded))
+            .take_while(move |(slot, ())| hi.is_none_or(|h| slot.key.within_upper(h)))
+            .filter_map(move |(slot, ())| {
+                let v = self.arena.visible_at(slot.head, snapshot)?;
+                v.row.as_ref().map(|row| VisibleRow {
+                    key: &slot.key,
+                    row,
+                    commit_ts: v.commit_ts,
+                    commit_vtime: v.commit_vtime,
                 })
             })
-            .collect()
     }
 
     /// Full scan at a snapshot.
-    pub fn scan(&self, snapshot: Timestamp) -> Vec<VisibleRow<'_>> {
+    pub fn scan(&self, snapshot: Timestamp) -> impl Iterator<Item = VisibleRow<'_>> {
         self.range(None, None, snapshot)
     }
 
@@ -580,12 +575,13 @@ mod tests {
         }
         tbl.install_version(&k(6), Some(r(6, "late")), t(50), SimTime::ZERO)
             .unwrap();
-        let rows = tbl.range(Some(&k(2)), Some(&k(5)), t(20));
-        let keys: Vec<i64> = rows.iter().map(|v| v.key.0[0].as_int().unwrap()).collect();
+        let hi = k(5);
+        let rows = tbl.range(Some(&k(2)), Some(&hi), t(20));
+        let keys: Vec<i64> = rows.map(|v| v.key.0[0].as_int().unwrap()).collect();
         assert_eq!(keys, vec![2, 3, 4, 5]);
         // Row committed at 50 invisible at snapshot 20, visible at 50.
-        assert_eq!(tbl.scan(t(20)).len(), 5);
-        assert_eq!(tbl.scan(t(50)).len(), 6);
+        assert_eq!(tbl.scan(t(20)).count(), 5);
+        assert_eq!(tbl.scan(t(50)).count(), 6);
     }
 
     #[test]
@@ -674,8 +670,8 @@ mod tests {
             tbl.install_version(&k(i), Some(r(i, "x")), t(10), SimTime::ZERO)
                 .unwrap();
         }
-        assert!(tbl.range(Some(&k(4)), Some(&k(2)), t(10)).is_empty());
-        assert_eq!(tbl.range(Some(&k(3)), Some(&k(3)), t(10)).len(), 1);
+        assert_eq!(tbl.range(Some(&k(4)), Some(&k(2)), t(10)).count(), 0);
+        assert_eq!(tbl.range(Some(&k(3)), Some(&k(3)), t(10)).count(), 1);
     }
 
     /// Keys in ascending order that each stress one rule of the code:
@@ -914,10 +910,10 @@ mod proptests {
             for key in &keys {
                 prop_assert_eq!(tbl.read_newest(key).map(|v| v.row), spec.get(key));
             }
-            let scan: Vec<_> = tbl.scan(Timestamp::MAX).iter().map(|v| (v.key.clone(), v.row.clone())).collect();
+            let scan: Vec<_> = tbl.scan(Timestamp::MAX).map(|v| (v.key.clone(), v.row.clone())).collect();
             prop_assert_eq!(scan, spec.clone().into_iter().collect::<Vec<_>>());
-            let range: Vec<_> = tbl.range(Some(&lo), Some(&hi), Timestamp::MAX).iter().map(|v| v.key.clone()).collect();
-            let expected: Vec<_> = spec.keys().filter(|k| lo <= **k && **k <= hi).cloned().collect();
+            let range: Vec<_> = tbl.range(Some(&lo), Some(&hi), Timestamp::MAX).map(|v| v.key.clone()).collect();
+            let expected: Vec<_> = spec.keys().filter(|k| k.in_range(Some(&lo), Some(&hi))).cloned().collect();
             prop_assert_eq!(range, expected);
         }
 
@@ -937,14 +933,14 @@ mod proptests {
         ) {
             let mut sorted = writes.clone();
             sorted.sort_by_key(|(_, ts, _)| *ts);
-            let rows = |rows: Vec<VisibleRow<'_>>| -> Vec<(RowKey, Row, Timestamp)> {
-                rows.iter().map(|v| (v.key.clone(), v.row.clone(), v.commit_ts)).collect()
+            let rows = |rows: &mut dyn Iterator<Item = VisibleRow<'_>>| -> Vec<(RowKey, Row, Timestamp)> {
+                rows.map(|v| (v.key.clone(), v.row.clone(), v.commit_ts)).collect()
             };
             let (lo, hi) = (RowKey::single(1i64), RowKey::single(4i64));
             let same_reads = |live: &Table, spec: &Spec, snapshot: u64| -> TestCaseResult {
                 let at = Timestamp(snapshot);
                 let mut expected = spec.scan(at);
-                prop_assert_eq!(rows(live.scan(at)), expected.clone(), "scan at {}", snapshot);
+                prop_assert_eq!(rows(&mut live.scan(at)), expected.clone(), "scan at {}", snapshot);
                 for key in (0i64..6).map(RowKey::single) {
                     let read = live.read(&key, at).map(|v| (v.row.clone(), v.commit_ts));
                     let visible = expected.iter().find(|r| r.0 == key);
@@ -952,7 +948,7 @@ mod proptests {
                 }
                 expected.retain(|r| lo <= r.0 && r.0 <= hi);
                 prop_assert_eq!(
-                    rows(live.range(Some(&lo), Some(&hi), at)), expected, "range at {}", snapshot
+                    rows(&mut live.range(Some(&lo), Some(&hi), at)), expected, "range at {}", snapshot
                 );
                 Ok(())
             };
@@ -1032,7 +1028,7 @@ mod proptests {
                     let examined = tbl.chains_examined;
                     prop_assert_eq!(tbl.vacuum(Timestamp(*ts)), 0);
                     prop_assert_eq!(tbl.chains_examined, examined);
-                    prop_assert_eq!(tbl.key_count(), tbl.scan(Timestamp(*ts)).len());
+                    prop_assert_eq!(tbl.key_count(), tbl.scan(Timestamp(*ts)).count());
                     written.clear();
                 }
             }

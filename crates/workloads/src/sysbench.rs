@@ -95,13 +95,15 @@ impl Workload for SysbenchWorkload {
                 .catalog()
                 .table_by_name(&format!("sbtest{t}"))?
                 .id;
+            // Every row shares one `pad` text.
+            let pad = Datum::Text("padpadpadpad".into());
             let rows: Vec<Row> = (1..=self.scale.rows_per_table)
                 .map(|id| {
                     Row(vec![
                         Datum::Int(id),
                         Datum::Int(rng.gen_range(0..self.scale.rows_per_table)),
                         Datum::from(format!("c-{id:08}-{:08}", rng.gen_range(0..1_000_000))),
-                        Datum::Text("padpadpadpad".into()),
+                        pad.clone(),
                     ])
                 })
                 .collect();
