@@ -140,10 +140,13 @@ pub fn compression_ratio(cluster: &Cluster) -> f64 {
     }
 }
 
-/// Mean commit wait per committed transaction, in µs.
-pub fn commit_wait_us((cluster, report): &Run) -> f64 {
-    let commits = report.total_commits().max(1);
-    cluster.db.stats().commit_wait_total.as_micros() as f64 / commits as f64
+/// Mean commit wait per write commit, in µs: the `commit_wait` phase
+/// over the whole run, the same span as Fig. 6a's phase breakdown (0
+/// when nothing was written).
+pub fn commit_wait_us((cluster, _): &Run) -> f64 {
+    let metrics = &cluster.db.obs().metrics;
+    let wait = metrics.histogram(gdb_txnmgr::metrics::PHASE_COMMIT_WAIT_US);
+    wait.map_or(0.0, |h| h.sum_us() as f64 / h.len() as f64)
 }
 
 /// Mean RCP lag across regions in milliseconds (freshness metric).

@@ -73,21 +73,19 @@ pub struct KeyWrite {
     pub start: SimTime,
     /// `None` while in doubt: never acknowledged.
     pub ack: Option<SimTime>,
-    /// Position of the transaction's end in the log.
-    pub end: usize,
 }
 
 /// Every key's committed and in-doubt writes, in timestamp order.
 pub fn key_writes(history: &History) -> BTreeMap<(TableId, RowKey), Vec<KeyWrite>> {
     let (mut starts, mut ends) = (HashMap::new(), HashMap::new());
-    for (end, e) in history.events.iter().enumerate() {
+    for e in &history.events {
         match *e {
             Event::Begin { txn, start, .. } => _ = starts.insert(txn, start),
             Event::End {
                 txn,
                 ts: Some(ts),
                 ack,
-            } => _ = ends.insert(txn, (ts, ack, end)),
+            } => _ = ends.insert(txn, (ts, ack)),
             _ => {}
         }
     }
@@ -102,7 +100,7 @@ pub fn key_writes(history: &History) -> BTreeMap<(TableId, RowKey), Vec<KeyWrite
         else {
             continue;
         };
-        let Some(&(ts, ack, end)) = ends.get(txn) else {
+        let Some(&(ts, ack)) = ends.get(txn) else {
             continue;
         };
         let (txn, digest, start) = (*txn, *digest, starts[txn]);
@@ -116,7 +114,6 @@ pub fn key_writes(history: &History) -> BTreeMap<(TableId, RowKey), Vec<KeyWrite
                 digest,
                 start,
                 ack,
-                end,
             }),
         }
     }
@@ -126,19 +123,19 @@ pub fn key_writes(history: &History) -> BTreeMap<(TableId, RowKey), Vec<KeyWrite
     out
 }
 
-/// What a read at log position `at` may not have seen at `snapshot`,
-/// described. It is held to the writes that ended before it (DESIGN.md
-/// says why not all of them); versions below `floor`, the oldest
-/// recorded commit, predate the recording.
+/// What `txn`'s read at `snapshot` may not have seen, described: it is
+/// held to every other transaction's write at or below its snapshot,
+/// whenever that write ran; versions below `floor`, the oldest recorded
+/// commit, predate the recording.
 fn read_fault(
-    (at, snapshot, floor): (usize, Timestamp, Timestamp),
+    (txn, snapshot, floor): (TxnId, Timestamp, Timestamp),
     writes: &[KeyWrite],
     seen: Option<Version>,
     losses: &LossWindows,
 ) -> Option<String> {
     let visible: Vec<_> = writes
         .iter()
-        .filter(|w| w.ts <= snapshot && w.end < at)
+        .filter(|w| w.ts <= snapshot && w.txn != txn)
         .collect();
     // One past the write the read observed; 0 = from before recording.
     let after = match seen {
@@ -281,7 +278,8 @@ pub fn check(
                     (false, true) => "durability: read-back",
                     (false, false) => "read correctness",
                 };
-                let fault = read_fault((i, snapshot, floor), ws, *seen, losses).map(|f| (what, f));
+                let fault =
+                    read_fault((*txn, snapshot, floor), ws, *seen, losses).map(|f| (what, f));
                 let fault = fault.or_else(|| {
                     let seen = seen.filter(|_| *locked)?;
                     Some(("lost update", lost_update(*txn, seen.ts, ws, losses)?))

@@ -172,9 +172,10 @@ fn a_stale_read_is_flagged() {
 }
 
 #[test]
-fn a_read_of_a_later_write_is_not_stale() {
-    // Txn 5 commits at ts 11, below txn 2's snapshot, but only after
-    // txn 2's read ran: the read is held to the writes before it.
+fn a_write_below_a_snapshot_after_its_read_is_flagged() {
+    // Txn 5 commits at ts 11, below txn 2's snapshot, only after txn 2's
+    // read ran. A read is held to every write at or below its snapshot,
+    // so txn 2 missed it.
     let h = H::default()
         .writer(1, 1, A, ms(0), 10, ms(5))
         .begin(2, ms(6), 12)
@@ -182,7 +183,7 @@ fn a_read_of_a_later_write_is_not_stale() {
         .commit(2, None, ms(8))
         .writer(5, 1, B, ms(7), 11, ms(9));
     let from = h.mark();
-    assert_eq!(strict(&h.0, from), Vec::<String>::new());
+    assert_flags(&strict(&h.0, from), "read correctness", &[2, 5]);
 }
 
 #[test]

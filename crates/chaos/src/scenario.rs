@@ -284,6 +284,15 @@ pub fn fault_from_pairs(kind: &str, pairs: &[(String, ConfValue)]) -> Result<Fau
 /// The most shards a scenario may deploy: the scale tier's 256.
 const MAX_SHARDS: i64 = 256;
 
+/// The most computing nodes a scenario may deploy: ten times the chaos
+/// preset's six. Each CN runs its own clock, RCP and route table, and
+/// the skyline cache keeps one slot per CN and shard.
+const MAX_CNS: i64 = 64;
+
+/// The most replicas per shard: each is a full copy of its shard's
+/// storage, fed every redo batch; the paper deploys two.
+const MAX_REPLICAS: i64 = 8;
+
 /// The most TPC-C terminals a scenario may drive; the driver keeps one
 /// pending event per terminal.
 const MAX_TERMINALS: i64 = 1024;
@@ -432,13 +441,13 @@ pub fn load(text: &str) -> Result<Scenario, Vec<String>> {
             )),
         }
         let cc = &mut scn.cluster;
-        if let Some(n) = ck.int(t, "cns", 1, None) {
+        if let Some(n) = ck.int(t, "cns", 1, Some(MAX_CNS)) {
             cc.cn_count = n as usize;
         }
         if let Some(n) = ck.int(t, "shards", 1, Some(MAX_SHARDS)) {
             cc.shard_count = n as usize;
         }
-        if let Some(n) = ck.int(t, "replicas", 0, None) {
+        if let Some(n) = ck.int(t, "replicas", 0, Some(MAX_REPLICAS)) {
             cc.replicas_per_shard = n as usize;
         }
         let line_of = |key: &str| Check::entry(t, key).map(|(_, line)| line);
@@ -672,16 +681,20 @@ shard = 0
         assert!(errs.iter().any(|e| e.contains("unknown table")), "{errs:?}");
     }
 
-    /// Counts the cluster cannot deploy are errors at the key's line; each
-    /// used to pass the lint and then panic, or exhaust memory, on run.
+    /// Counts the cluster cannot deploy, or past their named maximum, are
+    /// errors at the key's line; each used to pass the lint and then
+    /// panic, or exhaust memory, on run. Parsed only: no cluster is built.
     #[test]
     fn rejects_topologies_the_cluster_cannot_deploy() {
         for (topology, line, needle) in [
-            ("cns = 0", 4, "cns = 0 must be at least 1"),
-            ("cns = -1", 4, "cns = -1 must be at least 1"),
+            ("cns = 0", 4, "cns = 0 must be 1..=64"),
+            ("cns = -1", 4, "cns = -1 must be 1..=64"),
+            ("cns = 65", 4, "cns = 65 must be 1..=64"),
+            ("cns = 1000000000", 4, "cns = 1000000000 must be 1..=64"),
             ("shards = 0", 4, "shards = 0 must be 1..=256"),
             ("shards = 70000", 4, "shards = 70000 must be 1..=256"),
-            ("replicas = -1", 4, "replicas = -1 must be at least 0"),
+            ("replicas = -1", 4, "replicas = -1 must be 0..=8"),
+            ("replicas = 9", 4, "replicas = 9 must be 0..=8"),
             ("replicas = 1\nquorum = 2", 5, "waits for 2 replica ack(s)"),
             ("replicas = 0", 4, "waits for 1 replica ack(s)"),
             (
@@ -702,9 +715,15 @@ shard = 0
             );
         }
         // At the bounds, and async with no replicas, the file is fine.
-        let text = "[scenario]\nname = \"x\"\n[topology]\ncns = 1\nshards = 256\n\
-                    replicas = 0\nreplication = \"async\"\n[nemesis]\nplan = \"generated\"\n";
-        assert_eq!(lint(text), Vec::<String>::new());
+        for topology in [
+            "cns = 1\nshards = 256\nreplicas = 0\nreplication = \"async\"",
+            "cns = 64\nreplicas = 8",
+        ] {
+            let text = format!(
+                "[scenario]\nname = \"x\"\n[topology]\n{topology}\n[nemesis]\nplan = \"generated\"\n"
+            );
+            assert_eq!(lint(&text), Vec::<String>::new(), "{topology:?}");
+        }
     }
 
     /// A host id past `u16` is an error naming the argument; it used to

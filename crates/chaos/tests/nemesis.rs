@@ -4,6 +4,8 @@
 //! identical trace and history) and the collector-crash-mid-RCP-round
 //! recovery path.
 
+use gdb_chaos::plan::canned::all as canned_plans;
+use gdb_chaos::scenario::load;
 use gdb_chaos::{run, PlanSource, Scenario};
 use globaldb::{Cluster, ReplicationMode, SimDuration};
 
@@ -242,6 +244,44 @@ fn failover_regression_schedules_stay_clean() {
     scn.cluster.replication = ReplicationMode::Async;
     assert_clean(&run(&scn));
     assert_clean(&run(&nemesis(47, [false, true, false])));
+}
+
+/// A drain's first replica move, started mid-delay-spike, once built its
+/// follower by sealing every staged redo record into the stream all the
+/// shard's replicas share: a commit timestamp 0.44 s ahead of the clock
+/// reached them before writers that committed below it had begun, so
+/// reads at the RCP missed those writes. A follower built mid-stream now
+/// holds the staged transactions instead.
+#[test]
+fn replica_reads_at_the_rcp_see_writes_staged_behind_a_drain_start() {
+    let mut scn = canned("elastic-under-fire", 6);
+    scn.cluster.replication = ReplicationMode::Async;
+    scn.terminals = 10;
+    let report = run(&scn);
+    assert_clean(&report);
+    assert!(report.trace.iter().any(|l| l.contains("remove-node")));
+}
+
+/// The canned plans on one region under async replication: an ack takes
+/// microseconds there, so it lands within the clocks' error bound of the
+/// next transaction's start. Before the commit wait lasted until the
+/// timestamp had passed on every clock, and before a single-shard begin
+/// took `T_clock + T_err`, every one of these runs read below an
+/// acknowledged commit.
+#[test]
+fn one_region_async_canned_plans_stay_clean() {
+    for plan in canned_plans() {
+        for seed in 1..=2 {
+            let text = format!(
+                "[scenario]\nname = \"{0}\"\nseed = {seed}\n\
+                 [topology]\ngeometry = \"one-region\"\nreplication = \"async\"\n\
+                 [nemesis]\nplan = \"{0}\"\n",
+                plan.name
+            );
+            let scn = load(&text).expect("a valid scenario");
+            assert_clean(&run(&scn));
+        }
+    }
 }
 
 #[test]

@@ -121,7 +121,6 @@ impl Cluster {
             );
         }
         self.db.ddl.record(table_for_ddl, ts);
-        self.db.cns[cn_idx].tm.finish_commit(ts);
         Ok(())
     }
 

@@ -470,13 +470,20 @@ fn cutover_plan(db: &mut GlobalDb, sim: &mut CoreSim, plan: u64, now: SimTime) {
             record_abort(db, &m, now, reason);
             continue;
         }
-        // Final drain: everything the source accepted before this
-        // instant — including records staged with future apply instants
-        // (their commit processing already ran synchronously) — moves to
-        // the target under the barrier.
+        // Final drain under the barrier. A new primary takes over from
+        // everything the source accepted before this instant — records
+        // staged with future apply instants included (their commit
+        // processing already ran synchronously) — and the source's stream
+        // ends here. A moved replica stays on the shared stream, which
+        // must not seal a future commit early (`Shard::new_follower`
+        // says why): it takes what is due by now and follows the rest.
         let m = &db.migrations[idx];
         let (shard_idx, source, target) = (m.shard, m.source, m.target.node);
-        db.shards[shard_idx].log.seal_all(now);
+        let log = &mut db.shards[shard_idx].log;
+        match m.kind {
+            MigrationKind::Primary => _ = log.seal_all(now),
+            MigrationKind::Replica { .. } => _ = log.seal_upto(now),
+        }
         let residue = db.drain_now(shard_idx, target, None, now);
         if residue > 0 {
             db.plane.charge_bytes(

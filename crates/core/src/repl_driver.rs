@@ -91,13 +91,17 @@ pub struct Shard {
 impl Shard {
     /// Build a follower on `node` from the primary's current state: a
     /// snapshot of the storage and a stream that resumes at the sealed
-    /// head. The *entire* staged log is sealed first so the stream cut
-    /// aligns with the snapshot: `storage` already holds versions whose
-    /// records are staged with future apply instants (commit processing
-    /// installs both synchronously), and shipping those after the cut
-    /// would replay writes the snapshot contains — out of timestamp
-    /// order. Initial placement and the resync after a takeover are the
-    /// empty-log case. Incarnation 0; not yet in [`Shard::replicas`].
+    /// head. `storage` already holds the versions of the transactions
+    /// whose records are still staged (commit processing installs both
+    /// synchronously, the records with future apply instants), so the
+    /// follower replays those records for their timestamps only:
+    /// replaying their writes would repeat what the snapshot contains,
+    /// out of timestamp order. They are not sealed early to align the
+    /// cut: that would put a future commit timestamp into the stream
+    /// every follower shares, ahead of transactions that commit below it
+    /// but have not written their `PENDING_COMMIT` yet, and the RCP would
+    /// pass them. Initial placement and the resync after a takeover are
+    /// the empty-log case. Incarnation 0; not yet in [`Shard::replicas`].
     pub(crate) fn new_follower(
         &mut self,
         node: NetNodeId,
@@ -105,8 +109,8 @@ impl Shard {
         codec: Codec,
         now: SimTime,
     ) -> Replica {
-        self.log.seal_all(now);
         let head = self.log.sealed_head();
+        let held = self.log.staged_txns().collect();
         // The snapshot's high-water mark: only what the current replicas
         // have replayed is claimed (none yet right after a takeover).
         let max_ts = self
@@ -124,7 +128,7 @@ impl Shard {
         Replica {
             node,
             region,
-            applier: ReplicaApplier::resumed(storage, head, max_ts),
+            applier: ReplicaApplier::resumed(storage, head, max_ts, held),
             channel,
             busy_until: now,
             stream_free: now,

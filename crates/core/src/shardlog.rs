@@ -147,6 +147,11 @@ impl ShardLog {
         self.staging.len()
     }
 
+    /// The transactions with records still staged.
+    pub fn staged_txns(&self) -> impl Iterator<Item = TxnId> + '_ {
+        self.staging.values().map(|(txn, _)| *txn)
+    }
+
     /// The durable on-disk segment group commit writes into.
     pub fn durable(&self) -> &GroupCommitWal {
         &self.durable

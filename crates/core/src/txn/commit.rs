@@ -349,7 +349,6 @@ impl<'a> TxnHandle<'a> {
         let point = self.commit_point_phase()?;
         let replicate = self.replicate_phase(&write_shards, multi_shard, &point)?;
 
-        self.db.cns[self.cn].tm.finish_commit(point.commit_ts);
         if self.db.cns[self.cn].tm.mode == TmMode::GClock {
             // Asynchronous observe so the GTM can later take over without
             // waiting (Fig. 3) and DUAL timestamps bridge (Listing 1).

@@ -341,6 +341,51 @@ fn lock_conflicts_serialize_hot_row_updates() {
     assert_eq!(rows.rows()[0].0[0], Datum::Decimal(2));
 }
 
+/// GClock external consistency (§III) across skewed clocks: every
+/// transaction that starts after a commit is acknowledged takes a snapshot
+/// at or above its timestamp. Clock sync is cut off on CN 0 (drifting
+/// −100 PPM) for 5 s and on CN 5 (+85 PPM) for the last 3 s, so their
+/// readings stray ≈ −0.5 and +0.25 ms from true time while their error
+/// bounds grow to ≈ 1.06 and 0.66 ms. CN 5 commits; right at its ack
+/// CN 1 (synced) begins a multi-shard transaction and CN 0 a single-shard
+/// one. A commit wait that ends when CN 5's own reading passes the
+/// timestamp, not its lower bound, acks while the timestamp is still
+/// ≈ 0.25 ms ahead of true time and above CN 1's snapshot; a single-shard
+/// snapshot at `T_clock` instead of `T_clock + T_err` puts CN 0's
+/// ≈ 0.5 ms below true time.
+#[test]
+fn snapshots_begun_at_an_ack_cover_it_across_skewed_clocks() {
+    let mut config = ClusterConfig::globaldb_one_region();
+    config.cn_count = 6;
+    let mut c = cluster_with_accounts(config, 10);
+    c.db.block_clock_sync(0);
+    // A transaction syncs its CN's clock as it begins.
+    c.run_transaction(5, t(2_000), false, false, |_| Ok(()))
+        .unwrap();
+    c.db.block_clock_sync(5);
+    let (_, write) = c
+        .execute_sql(
+            5,
+            t(5_000),
+            "UPDATE accounts SET balance = 7 WHERE id = 1",
+            &[],
+        )
+        .unwrap();
+    let committed = write.commit_ts.expect("a write commits");
+    let ack = write.completed_at;
+    for (cn, single_shard) in [(1, false), (0, true)] {
+        let (_, begun) = c
+            .run_transaction(cn, ack, false, single_shard, |_| Ok(()))
+            .unwrap();
+        assert!(
+            begun.snapshot >= committed,
+            "CN {cn} (single-shard {single_shard}) began at the ack {ack} with \
+             snapshot {} below the commit at {committed}",
+            begun.snapshot
+        );
+    }
+}
+
 #[test]
 fn gclock_mode_avoids_gtm_roundtrip_under_injected_delay() {
     // With 50 ms injected inter-host delay, GTM-mode commits pay the GTM

@@ -307,18 +307,17 @@ fn async_promotion_resyncs_survivors_on_an_empty_stream() {
     assert_eq!(rejoined.node, old_primary);
     assert_eq!(rejoined.channel.next_lsn(), rejoined.applier.resume_from());
     assert_eq!(rejoined.channel.next_lsn(), shard.log.sealed_head());
-    assert_eq!(
-        shard.log.staged_len(),
-        0,
-        "the stream is cut at the snapshot"
-    );
+    // Records staged past the cut stay staged: the rejoined snapshot
+    // holds their transactions, and sealing them early would put future
+    // commit timestamps ahead of the other followers' stream.
+    assert!(shard.log.staged_len() > 0, "the writer left records staged");
     assert!(shard.log.sealed_head() > Lsn(0));
     assert_eq!(shard.replicas.len(), before.len());
 
     r.write_until(t(400));
     r.settle_and_compare();
     assert_eq!(r.first_arrival_since(t(150)).as_nanos(), 177_535_203);
-    assert_eq!(r.msgs(), [3172, 0, 0, 0, 0]);
+    assert_eq!(r.msgs(), [3187, 0, 0, 0, 0]);
 }
 
 #[test]
@@ -346,7 +345,7 @@ fn sync_promotion_drains_the_stream_before_the_switch() {
     r.write_until(t(300));
     r.settle_and_compare();
     assert_eq!(r.first_arrival_since(t(150)).as_nanos(), 177_846_047);
-    assert_eq!(r.msgs(), [2743, 454, 0, 0, 0]);
+    assert_eq!(r.msgs(), [2745, 454, 0, 0, 0]);
 }
 
 #[test]
@@ -376,7 +375,7 @@ fn primary_move_takes_over_like_a_promotion() {
 
     r.write_until(t(700));
     r.settle_and_compare();
-    assert_eq!(r.msgs(), [3788, 0, 1, 3, 5]);
+    assert_eq!(r.msgs(), [3794, 0, 1, 3, 5]);
 }
 
 #[test]
@@ -408,7 +407,6 @@ fn replica_move_swaps_identity_and_keeps_the_stream() {
     let shard = &r.c.db.shards()[SHARD];
     assert_eq!(shard.primary, primary);
     assert!(shard.log.sealed_head() >= head_before);
-    assert_eq!(shard.log.staged_len(), 0, "the cutover seals everything");
     let swapped = &shard.replicas[0];
     assert_eq!(swapped.node, target);
     assert_eq!(swapped.region, to_region);
@@ -420,7 +418,7 @@ fn replica_move_swaps_identity_and_keeps_the_stream() {
 
     r.write_until(t(700));
     r.settle_and_compare();
-    assert_eq!(r.msgs(), [3774, 0, 1, 6, 2]);
+    assert_eq!(r.msgs(), [3772, 0, 1, 6, 2]);
 }
 
 #[test]

@@ -9,7 +9,9 @@
 //! transactions likewise block visibility until `COMMIT_PREPARED` /
 //! `ABORT_PREPARED` replays.
 
-use gdb_model::{FxHashMap, GdbError, GdbResult, Row, RowKey, RowMap, TableId, Timestamp, TxnId};
+use gdb_model::{
+    FxHashMap, FxHashSet, GdbError, GdbResult, Row, RowKey, RowMap, TableId, Timestamp, TxnId,
+};
 use gdb_simnet::SimTime;
 use gdb_storage::DataNodeStorage;
 use gdb_wal::{DdlKind, Lsn, RedoPayload, RedoRecord};
@@ -48,6 +50,10 @@ pub struct ReplicaApplier {
     /// Largest commit timestamp replayed — the replica's contribution to
     /// the RCP (paper Fig. 4).
     max_commit_ts: Timestamp,
+    /// Transactions whose effects the storage snapshot this applier
+    /// resumed from already holds, though their records lie past the
+    /// resume point: replaying one only advances `max_commit_ts`.
+    held: FxHashSet<TxnId>,
     pub records_applied: u64,
 }
 
@@ -59,20 +65,29 @@ impl ReplicaApplier {
             locked: RowMap::new(),
             next_lsn: Lsn(0),
             max_commit_ts: Timestamp::ZERO,
+            held: FxHashSet::default(),
             records_applied: 0,
         }
     }
 
     /// An applier resuming mid-stream: `storage` is a snapshot already
     /// containing everything below `from` (a recovered node re-seeded from
-    /// the current primary), so replay continues from that LSN.
-    pub fn resumed(storage: DataNodeStorage, from: Lsn, max_commit_ts: Timestamp) -> Self {
+    /// the current primary), so replay continues from that LSN. The
+    /// snapshot also holds the writes of the `held` transactions, whose
+    /// records come at or after `from`.
+    pub fn resumed(
+        storage: DataNodeStorage,
+        from: Lsn,
+        max_commit_ts: Timestamp,
+        held: FxHashSet<TxnId>,
+    ) -> Self {
         ReplicaApplier {
             storage,
             pending: FxHashMap::default(),
             locked: RowMap::new(),
             next_lsn: from,
             max_commit_ts,
+            held,
             records_applied: 0,
         }
     }
@@ -121,6 +136,10 @@ impl ReplicaApplier {
         self.next_lsn = rec.lsn.next();
         self.records_applied += 1;
 
+        if self.held.contains(&rec.txn) {
+            self.replay_held(rec.txn, rec.payload);
+            return Ok(());
+        }
         match rec.payload {
             RedoPayload::PendingCommit => {
                 self.pending.entry(rec.txn).or_default().has_marker = true;
@@ -175,6 +194,22 @@ impl ReplicaApplier {
             self.apply(rec.clone(), vtime)?;
         }
         Ok(())
+    }
+
+    /// Replay a record of a `held` transaction: the snapshot holds its
+    /// writes, so only its timestamp counts; its end releases it.
+    fn replay_held(&mut self, txn: TxnId, payload: RedoPayload) {
+        match payload {
+            RedoPayload::Commit { commit_ts }
+            | RedoPayload::CommitPrepared { commit_ts }
+            | RedoPayload::Ddl { commit_ts, .. }
+            | RedoPayload::Heartbeat { commit_ts } => {
+                self.advance_ts(commit_ts);
+                self.held.remove(&txn);
+            }
+            RedoPayload::Abort | RedoPayload::AbortPrepared => _ = self.held.remove(&txn),
+            _ => {}
+        }
     }
 
     fn buffer_write(&mut self, txn: TxnId, table: TableId, key: RowKey, row: Option<Row>) {
@@ -354,6 +389,51 @@ mod tests {
             a.read(TableId(0), &k(1), Timestamp(49)).unwrap(),
             ReplicaReadResult::Row(None)
         );
+    }
+
+    /// A follower resumed from a snapshot that already holds txn 1's
+    /// version replays txn 1's records for its timestamp only: no lock,
+    /// no second install. Txn 2, not held, replays as usual.
+    #[test]
+    fn held_transactions_replay_only_their_timestamps() {
+        let mut primary = applier();
+        primary
+            .storage
+            .apply_put(TableId(0), &k(1), row(1, "x"), Timestamp(50), SimTime::ZERO)
+            .unwrap();
+        let held = [TxnId(1)].into_iter().collect();
+        let mut a = ReplicaApplier::resumed(primary.storage, Lsn(0), Timestamp::ZERO, held);
+        let mut buf = RedoBuffer::new();
+        for txn in [TxnId(1), TxnId(2)] {
+            buf.append(txn, RedoPayload::PendingCommit);
+            let (key, row) = (k(txn.0 as i64), row(txn.0 as i64, "x"));
+            let table = TableId(0);
+            buf.append(txn, RedoPayload::Insert { table, key, row });
+        }
+        let batch = buf.batch_from(Lsn(0), 10);
+        a.apply_batch(&batch.records, SimTime::ZERO).unwrap();
+        assert!(!a.is_key_locked(TableId(0), &k(1)));
+        assert!(a.is_key_locked(TableId(0), &k(2)));
+
+        for (txn, ts) in [(TxnId(2), 40), (TxnId(1), 50)] {
+            buf.append(
+                txn,
+                RedoPayload::Commit {
+                    commit_ts: Timestamp(ts),
+                },
+            );
+        }
+        let batch = buf.batch_from(a.applied_lsn(), 10);
+        a.apply_batch(&batch.records, SimTime::ZERO).unwrap();
+        assert_eq!(a.max_commit_ts(), Timestamp(50));
+        for (key, ts) in [(k(1), 50), (k(2), 40)] {
+            let read = a.read(TableId(0), &key, Timestamp(60)).unwrap();
+            assert!(
+                matches!(read, ReplicaReadResult::Row(Some((_, t))) if t == Timestamp(ts)),
+                "{read:?}"
+            );
+        }
+        assert_eq!(a.storage.total_keys(), 2);
     }
 
     #[test]

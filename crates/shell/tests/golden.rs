@@ -204,7 +204,7 @@ fn scenario_run_rejects_an_undeployable_topology() {
     let stdout = String::from_utf8_lossy(&out.stdout);
     assert_eq!(out.status.code(), Some(1), "{stdout}");
     assert!(
-        stdout.contains("line 4: [topology] cns = 0 must be at least 1"),
+        stdout.contains("line 4: [topology] cns = 0 must be 1..=64"),
         "{stdout}"
     );
 }

@@ -58,12 +58,19 @@ impl DriftClock {
     /// the clock at instants *before* the anchor (a transaction's commit
     /// may fast-forward the sync to its future cursor time while later
     /// events run at earlier virtual times), and extrapolating backwards
-    /// keeps all readings consistent.
-    pub fn read_ns(&self, true_now: SimTime) -> u64 {
+    /// keeps all readings consistent. Near the start of virtual time a
+    /// sync residual can put the reading before the epoch: it is then
+    /// negative, still advancing at the clock's rate.
+    pub fn reading_ns(&self, true_now: SimTime) -> i128 {
         let elapsed = true_now.as_nanos() as i128 - self.last_sync_true.as_nanos() as i128;
         let advanced = elapsed as f64 * (1.0 + self.drift_ppm * 1e-6);
-        let r = self.reading_at_sync_ns + advanced as i128;
-        r.max(0) as u64
+        self.reading_at_sync_ns + advanced as i128
+    }
+
+    /// [`DriftClock::reading_ns`], read as an instant since the epoch (0
+    /// before it).
+    pub fn read_ns(&self, true_now: SimTime) -> u64 {
+        self.reading_ns(true_now).max(0) as u64
     }
 
     /// The clock's reading as a `SimTime` (what the node believes now is).
@@ -112,11 +119,11 @@ impl DriftClock {
     /// `target_ns`. Used for invocation / commit waits: the caller sleeps
     /// this long, after which `read_ns > target_ns` is guaranteed.
     pub fn wait_until_after(&self, true_now: SimTime, target_ns: u64) -> SimDuration {
-        let current = self.read_ns(true_now);
-        if current > target_ns {
+        let current = self.reading_ns(true_now);
+        if current > target_ns as i128 {
             return SimDuration::ZERO;
         }
-        let deficit = (target_ns - current + 1) as f64;
+        let deficit = (target_ns as i128 - current + 1) as f64;
         let rate = 1.0 + self.drift_ppm * 1e-6;
         SimDuration::from_nanos((deficit / rate).ceil() as u64)
     }
@@ -186,6 +193,22 @@ mod tests {
         assert!(c.read_ns(now + wait) > target);
         // And the wait is not wildly longer than needed (≤ 2× deficit).
         assert!(wait.as_nanos() < 90_000);
+    }
+
+    /// Before the epoch the reading is negative but still advances, so a
+    /// wait to pass an instant counts from it: counted from the clamped
+    /// reading 0 it would end while the clock still reads 0.
+    #[test]
+    fn wait_until_after_counts_from_before_the_epoch() {
+        let mut c = DriftClock::new(6, 0.0, 200.0);
+        c.sync(SimTime::ZERO, SimDuration::ZERO);
+        c.force_offset(-5_000_000);
+        let now = SimTime::from_millis(1);
+        assert_eq!(c.reading_ns(now), -4_000_000);
+        assert_eq!(c.read_ns(now), 0);
+        let wait = c.wait_until_after(now, 0);
+        assert_eq!(wait, SimDuration::from_nanos(4_000_001));
+        assert!(c.read_ns(now + wait) > 0);
     }
 
     #[test]

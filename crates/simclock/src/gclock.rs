@@ -3,13 +3,15 @@
 //! A transaction gets its GClock timestamp from its computing node's clock:
 //! `TS_GClock = T_clock + T_err`. The protocol then requires:
 //!
-//! * **Invocation**: wait until `T_clock > TS_GClock`, then begin.
-//!   (Single-shard queries bypass this wait by reusing the node's last
-//!   committed transaction timestamp.)
-//! * **Commit**: wait until `T_clock > TS_GClock`, then commit.
+//! * **Invocation**: wait until `TS_GClock` has passed, then begin.
+//!   (Single-shard queries bypass this wait.)
+//! * **Commit**: wait until `TS_GClock` has passed, then commit.
 //!
-//! Following this protocol satisfies the paper's visibility requirements
-//! R.1 / R.2 and yields external serializability.
+//! A timestamp has passed when it is in the past on every correct clock:
+//! when this node's lower bound `T_clock − T_err` exceeds it, about
+//! `2·T_err` after `T_clock + T_err` was assigned (Spanner's 2ε). Following
+//! this protocol satisfies the paper's visibility requirements R.1 / R.2
+//! and yields external serializability.
 
 use crate::drift::DriftClock;
 use gdb_model::{Timestamp, TimestampBound};
@@ -73,11 +75,6 @@ impl GClock {
         self.clock.sync(true_now, self.config.sync_rtt);
     }
 
-    /// The clock reading as a GClock timestamp (microsecond units).
-    pub fn t_clock(&self, true_now: SimTime) -> Timestamp {
-        Timestamp::from_micros(self.clock.read_ns(true_now) / 1_000)
-    }
-
     /// Current error bound `T_err`.
     pub fn t_err(&self, true_now: SimTime) -> SimDuration {
         self.clock.error_bound(true_now)
@@ -85,12 +82,12 @@ impl GClock {
 
     /// The TrueTime-style uncertainty interval `[T_clock − T_err, T_clock + T_err]`.
     pub fn now_bound(&self, true_now: SimTime) -> TimestampBound {
-        let read_ns = self.clock.read_ns(true_now);
-        let err_ns = self.clock.error_bound(true_now).as_nanos();
+        let read_ns = self.clock.reading_ns(true_now);
+        let err_ns = self.clock.error_bound(true_now).as_nanos() as i128;
         // Round the upper bound up and the lower bound down to be safe
-        // across the ns→µs truncation.
-        let latest = Timestamp::from_micros((read_ns + err_ns).div_ceil(1_000));
-        let earliest = Timestamp::from_micros(read_ns.saturating_sub(err_ns) / 1_000);
+        // across the ns→µs truncation; neither lies before the epoch.
+        let latest = Timestamp::from_micros(((read_ns + err_ns).max(0) as u64).div_ceil(1_000));
+        let earliest = Timestamp::from_micros((read_ns - err_ns).max(0) as u64 / 1_000);
         TimestampBound { earliest, latest }
     }
 
@@ -99,13 +96,22 @@ impl GClock {
         self.now_bound(true_now).latest
     }
 
-    /// How long the node must wait until its own clock reads past `ts`
-    /// (the invocation / commit wait). After waiting this long, every
-    /// correct clock in the system has `earliest ≥ ts`, which is what makes
-    /// commits externally visible in timestamp order.
+    /// How long the node must wait until `ts` has passed on every correct
+    /// clock: until its own `earliest` exceeds `ts` (the invocation /
+    /// commit wait). True time is then past `ts`, so any transaction that
+    /// starts later, on any node, is assigned a larger timestamp — which
+    /// is what makes commits externally visible in timestamp order.
     pub fn wait_for(&self, true_now: SimTime, ts: Timestamp) -> SimDuration {
-        self.clock
-            .wait_until_after(true_now, ts.as_micros() * 1_000)
+        let mut wait = SimDuration::ZERO;
+        // Each step waits out the bound as it stood when the step began;
+        // the bound grows by the drift allowance meanwhile, so repeat
+        // (each step is `max_drift` times shorter than the last).
+        while self.now_bound(true_now + wait).earliest <= ts {
+            let at = true_now + wait;
+            let bound_ns = (ts.as_micros() + 1) * 1_000 + self.t_err(at).as_nanos();
+            wait += self.clock.wait_until_after(at, bound_ns - 1);
+        }
+        wait
     }
 
     /// Combined helper: assign a commit timestamp and the commit-wait
@@ -186,10 +192,17 @@ mod tests {
         let g = synced_gclock(3, 0.0, t0);
         let now = t0 + SimDuration::from_micros(500);
         let (_, wait) = g.commit_timestamp(now);
-        let t_err = g.t_err(now);
-        // wait ≈ T_err (clock must pass T_clock + T_err) within µs rounding.
-        assert!(wait.as_micros() >= t_err.as_micros());
-        assert!(wait.as_micros() <= t_err.as_micros() + 2);
+        // The lower bound T_clock − T_err must pass T_clock + T_err: 2·T_err
+        // (T_err as it stands at the start and at the end of the wait),
+        // plus under 1 µs rounding the ts up to a µs and 1 µs because
+        // `earliest` must exceed it.
+        let (start_err, end_err) = (g.t_err(now), g.t_err(now + wait));
+        let rounding = SimDuration::from_micros(2);
+        assert!(wait >= start_err + start_err, "{wait} vs T_err {start_err}");
+        assert!(
+            wait <= end_err + end_err + rounding,
+            "{wait} vs T_err {end_err}"
+        );
     }
 
     #[test]
@@ -228,11 +241,13 @@ mod proptests {
         /// R.1 as a property: for arbitrary drifts within the bound and
         /// arbitrary commit times, a transaction that starts (in true time)
         /// after another's commit-wait completes always gets a larger
-        /// timestamp.
+        /// timestamp — a multi-shard begin, and a single-shard begin on
+        /// a second CN, which takes `T_clock + T_err` without waiting.
         #[test]
         fn external_consistency_holds(
             drift_a in -200.0f64..200.0,
             drift_b in -200.0f64..200.0,
+            drift_c in -200.0f64..200.0,
             seed_a in 0u64..1000,
             seed_b in 0u64..1000,
             commit_offset_us in 0u64..900,
@@ -241,8 +256,10 @@ mod proptests {
             let t0 = SimTime::from_secs(1);
             let mut a = GClock::new(seed_a, drift_a, GClockConfig::default());
             let mut b = GClock::new(seed_b.wrapping_add(7777), drift_b, GClockConfig::default());
+            let mut c = GClock::new(seed_b.wrapping_add(9999), drift_c, GClockConfig::default());
             a.sync(t0);
             b.sync(t0);
+            c.sync(t0);
 
             let commit_at = t0 + SimDuration::from_micros(commit_offset_us);
             let (commit_ts, wait) = a.commit_timestamp(commit_at);
@@ -250,6 +267,9 @@ mod proptests {
             let snapshot = b.assign_timestamp(start_at);
             prop_assert!(snapshot > commit_ts,
                 "snapshot {} <= commit {}", snapshot.0, commit_ts.0);
+            let single_shard = c.assign_timestamp(start_at);
+            prop_assert!(single_shard > commit_ts,
+                "single-shard snapshot {} <= commit {}", single_shard.0, commit_ts.0);
         }
 
         /// The advertised uncertainty interval always contains true time,

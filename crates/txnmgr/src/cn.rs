@@ -14,9 +14,8 @@ use gdb_simnet::{SimDuration, SimTime};
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum BeginPlan {
     /// GClock mode: purely local. `snapshot` is the assigned timestamp and
-    /// `invocation_wait` the "wait until T_clock > TS" duration (zero for
-    /// single-shard transactions, which reuse the node's last committed
-    /// timestamp — paper §III).
+    /// `invocation_wait` the wait until it has passed on every clock (zero
+    /// for single-shard transactions, which bypass it — paper §III).
     Local {
         snapshot: Timestamp,
         invocation_wait: SimDuration,
@@ -52,27 +51,11 @@ pub enum CommitPlan {
 pub struct CnTm {
     pub mode: TmMode,
     pub gclock: GClock,
-    /// Largest commit timestamp this node has completed (single-shard
-    /// begin bypass, and staleness reporting).
-    last_committed: Timestamp,
 }
 
 impl CnTm {
     pub fn new(mode: TmMode, gclock: GClock) -> Self {
-        CnTm {
-            mode,
-            gclock,
-            last_committed: Timestamp::ZERO,
-        }
-    }
-
-    pub fn last_committed(&self) -> Timestamp {
-        self.last_committed
-    }
-
-    /// Record a completed commit (updates the single-shard snapshot).
-    pub fn finish_commit(&mut self, ts: Timestamp) {
-        self.last_committed = self.last_committed.max(ts);
+        CnTm { mode, gclock }
     }
 
     /// Plan the begin of a transaction at virtual time `now`.
@@ -80,17 +63,14 @@ impl CnTm {
         match self.mode {
             TmMode::Gtm | TmMode::Dual => BeginPlan::ViaGtm,
             TmMode::GClock => {
-                if single_shard {
-                    BeginPlan::Local {
-                        snapshot: self.last_committed.max(self.gclock.t_clock(now)),
-                        invocation_wait: SimDuration::ZERO,
-                    }
-                } else {
-                    let ts = self.gclock.assign_timestamp(now);
-                    BeginPlan::Local {
-                        snapshot: ts,
-                        invocation_wait: self.gclock.wait_for(now, ts),
-                    }
+                let ts = self.gclock.assign_timestamp(now);
+                let invocation_wait = match single_shard {
+                    true => SimDuration::ZERO,
+                    false => self.gclock.wait_for(now, ts),
+                };
+                BeginPlan::Local {
+                    snapshot: ts,
+                    invocation_wait,
                 }
             }
         }
@@ -111,7 +91,8 @@ impl CnTm {
     }
 
     /// The clock wait a DUAL transaction performs after the GTM issues its
-    /// timestamp (so subsequent GClock transactions see it ordered).
+    /// timestamp, until it has passed on every clock (so subsequent GClock
+    /// transactions see it ordered).
     pub fn dual_post_wait(&self, now: SimTime, issued: Timestamp) -> SimDuration {
         self.gclock.wait_for(now, issued)
     }
@@ -166,15 +147,16 @@ mod tests {
 
     #[test]
     fn single_shard_begin_bypasses_wait() {
-        let mut c = cn(TmMode::GClock);
-        c.finish_commit(Timestamp(999_999_999_999));
+        // The bypass takes the same snapshot as a multi-shard begin,
+        // `T_clock + T_err`, and skips only its wait.
+        let c = cn(TmMode::GClock);
         let now = SimTime::from_secs(1) + SimDuration::from_micros(10);
         match c.plan_begin(now, true) {
             BeginPlan::Local {
                 snapshot,
                 invocation_wait,
             } => {
-                assert_eq!(snapshot, Timestamp(999_999_999_999));
+                assert_eq!(snapshot, c.gclock.now_bound(now).latest);
                 assert!(invocation_wait.is_zero());
             }
             other => panic!("{other:?}"),
@@ -183,8 +165,7 @@ mod tests {
 
     #[test]
     fn single_shard_snapshot_not_stale_on_idle_node() {
-        // With no recent commits, the bypass still uses the clock reading
-        // so reads are not arbitrarily old.
+        // The bypass reads at the clock, not at some older timestamp.
         let c = cn(TmMode::GClock);
         let now = SimTime::from_secs(2);
         match c.plan_begin(now, true) {
@@ -206,13 +187,5 @@ mod tests {
             CommitPlan::ViaGtmDual { gclock_ts } => assert!(gclock_ts > Timestamp::ZERO),
             other => panic!("{other:?}"),
         }
-    }
-
-    #[test]
-    fn finish_commit_is_monotone() {
-        let mut c = cn(TmMode::GClock);
-        c.finish_commit(Timestamp(100));
-        c.finish_commit(Timestamp(50));
-        assert_eq!(c.last_committed(), Timestamp(100));
     }
 }

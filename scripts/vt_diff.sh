@@ -21,7 +21,7 @@
 #   * nemesis seeds 1-5, plain and --overlap --migrations --elastic;
 #     seeds 51-53 --elastic;
 #   * every canned --plan;
-#   * both scenarios/*.toml replayed through gdb-shell;
+#   * every scenarios/*.toml replayed through gdb-shell;
 #   * the shell golden script (crates/shell/tests/golden.rs SCRIPT).
 # Prints a unified diff per differing file and exits 1 if any differ.
 set -euo pipefail
