@@ -2,13 +2,17 @@
 //!
 //! While a fault plan executes, the cluster records every transaction
 //! ([`globaldb::txn::history`]). After the run heals, [`Oracle::verdict`]
-//! reads every written key back and [`check`]s the whole history for
-//! external consistency, read correctness, lost updates, durability and
-//! replica-read containment — each one check over the history, tabled
-//! in DESIGN.md "Invariants checked by the oracle". Under asynchronous
-//! replication a failover may lose what [`LossWindows`] excuses. RCP
-//! monotonicity and the RCP bound concern collector state, not
-//! transactions: [`Oracle::arm`] schedules a state check for them.
+//! reads every written key back and [`check`]s the whole history. The
+//! recorder gives each key's version order and each transaction's
+//! timestamps, so the serialization order is known, and [`check`] states
+//! one rule over it: every transaction sits at a position in timestamp
+//! order, and every dependency edge out of it — the version a read saw
+//! (wr), the next write of that key (rw), an ack before its start
+//! (real time) — runs forward from that position. DESIGN.md "Invariants
+//! checked by the oracle" names each edge's Adya class. Under
+//! asynchronous replication a failover may lose what [`LossWindows`]
+//! excuses. RCP monotonicity and the RCP bound concern collector state,
+//! not transactions: [`Oracle::arm`] schedules a state check for them.
 
 use crate::trace::TraceHandle;
 use gdb_model::{RowKey, TableId, TxnId};
@@ -123,23 +127,25 @@ pub fn key_writes(history: &History) -> BTreeMap<(TableId, RowKey), Vec<KeyWrite
     out
 }
 
-/// What `txn`'s read at `snapshot` may not have seen, described: it is
-/// held to every other transaction's write at or below its snapshot,
-/// whenever that write ran; versions below `floor`, the oldest recorded
-/// commit, predate the recording.
+/// What `txn`'s read, sitting at position `at`, may not have seen,
+/// described. The version it saw (its wr edge) lies at or below `at` and
+/// was written as seen; the next acknowledged write of the key after that
+/// version (its rw edge) lies above `at`, unless the write is excused.
+/// Versions below `floor`, the oldest recorded commit, predate the
+/// recording.
 fn read_fault(
-    (txn, snapshot, floor): (TxnId, Timestamp, Timestamp),
+    (txn, at, floor): (TxnId, Timestamp, Timestamp),
     writes: &[KeyWrite],
     seen: Option<Version>,
     losses: &LossWindows,
 ) -> Option<String> {
     let visible: Vec<_> = writes
         .iter()
-        .filter(|w| w.ts <= snapshot && w.txn != txn)
+        .filter(|w| w.ts <= at && w.txn != txn)
         .collect();
     // One past the write the read observed; 0 = from before recording.
     let after = match seen {
-        Some(v) if v.ts > snapshot => return Some(format!("saw {}, above its snapshot", v.ts)),
+        Some(v) if v.ts > at => return Some(format!("saw {}, above its position", v.ts)),
         Some(v) => match visible.iter().rposition(|w| w.ts == v.ts) {
             Some(i) if visible[i].digest == Some(v.digest) => i + 1,
             Some(i) => return Some(format!("saw {} unlike what {} wrote", v.ts, visible[i].txn)),
@@ -161,55 +167,30 @@ fn read_fault(
     ))
 }
 
-/// A locked read by `txn` saw version `seen` of a key it then wrote:
-/// its write must commit above `seen`, and no other acknowledged write
-/// to that key may commit between the two.
-fn lost_update(
-    txn: TxnId,
-    seen: Timestamp,
-    ws: &[KeyWrite],
-    losses: &LossWindows,
-) -> Option<String> {
-    let own = ws.iter().find(|w| w.txn == txn && w.ack.is_some())?;
-    let over = ws
-        .iter()
-        .find(|w| w.txn != txn && seen < w.ts && w.ts < own.ts && !losses.excuses(w));
-    let over = match over {
-        _ if own.ts <= seen => "the version it read".to_string(),
-        Some(w) => format!("{}'s write at {}", w.txn, w.ts),
-        None => return None,
-    };
-    Some(format!("committed at {}, not above {over}", own.ts))
-}
-
-/// Every commit acked by `start` (`(start, bound, txn, writer)`) must be
-/// below `bound` for a writer, at most `bound` for a snapshot. Sort both
+/// The real-time edges: every commit acked by a transaction's start
+/// (`(start, at, txn)`) lies at or below its position `at`. Sort both
 /// sides by time, then sweep the newest commit acked so far.
 fn external_consistency(
     mut commits: Vec<(SimTime, Timestamp, TxnId)>,
-    mut queries: Vec<(SimTime, Timestamp, TxnId, bool)>,
+    mut starts: Vec<(SimTime, Timestamp, TxnId)>,
     out: &mut Vec<String>,
 ) {
     commits.sort_unstable();
-    queries.sort_by_key(|q| q.0);
+    starts.sort_by_key(|q| q.0);
     let mut acked = commits.into_iter().peekable();
     let mut newest: Option<(Timestamp, TxnId, SimTime)> = None;
-    for (start, bound, txn, writer) in queries {
+    for (start, at, txn) in starts {
         while let Some((ack, ts, a)) = acked.next_if(|c| c.0 <= start) {
             if newest.is_none_or(|n| ts > n.0) {
                 newest = Some((ts, a, ack));
             }
         }
-        let Some((ts, a, ack)) = newest else { continue };
-        let what = match writer {
-            true if ts >= bound => "committed at",
-            false if ts > bound => "read at snapshot",
-            _ => continue,
-        };
-        out.push(format!(
-            "external consistency: {a} committed at {ts} was acked at {ack}, before {txn} \
-             started at {start}, yet {txn} {what} {bound}"
-        ));
+        if let Some((ts, a, ack)) = newest.filter(|n| n.0 > at) {
+            out.push(format!(
+                "external consistency: {a} committed at {ts} was acked at {ack}, before {txn} \
+                 started at {start}, yet {txn} sits at {at}"
+            ));
+        }
     }
 }
 
@@ -236,7 +217,7 @@ pub fn check(
         ..Coverage::default()
     };
     let mut snapshots = HashMap::new();
-    let (mut commits, mut queries) = (Vec::new(), Vec::new());
+    let (mut commits, mut starts) = (Vec::new(), Vec::new());
     for (i, e) in history.events.iter().enumerate() {
         let in_run = u64::from(i < read_back_from);
         match e {
@@ -250,7 +231,7 @@ pub fn check(
             } => {
                 snapshots.insert(txn, (start, snapshot));
                 if !ror {
-                    queries.push((start, snapshot, txn, false));
+                    starts.push((start, snapshot, txn));
                 } else if snapshot != cn_rcp {
                     let rcp = format!("CN {cn}'s RCP is {cn_rcp}");
                     out.push(format!(
@@ -267,27 +248,20 @@ pub fn check(
             } => {
                 cov.reads += in_run;
                 let ws = writes.get(&(*table, key.clone())).map_or(&[][..], |w| w);
-                // A locked read saw the newest version: whether that was
-                // the newest write is the lost-update check's question.
-                let snapshot = match *locked {
-                    true => seen.map_or(Timestamp::ZERO, |v| v.ts),
-                    false => snapshots.get(txn).map_or(Timestamp::ZERO, |s| s.1),
+                let snapshot = snapshots.get(txn).map_or(Timestamp::ZERO, |s| s.1);
+                // A locked read holds the row until its transaction's write
+                // of it commits, so it sits just below that commit; with no
+                // such write it saw the newest version.
+                let (at, what) = match (*locked, i >= read_back_from) {
+                    (true, _) => match ws.iter().find(|w| w.txn == *txn && w.ack.is_some()) {
+                        Some(own) => (own.ts.prev(), "lost update"),
+                        None => (seen.map_or(Timestamp::ZERO, |v| v.ts), "locked read"),
+                    },
+                    (false, true) => (snapshot, "durability: read-back"),
+                    (false, false) => (snapshot, "read correctness"),
                 };
-                let what = match (*locked, i >= read_back_from) {
-                    (true, _) => "locked read",
-                    (false, true) => "durability: read-back",
-                    (false, false) => "read correctness",
-                };
-                let fault =
-                    read_fault((*txn, snapshot, floor), ws, *seen, losses).map(|f| (what, f));
-                let fault = fault.or_else(|| {
-                    let seen = seen.filter(|_| *locked)?;
-                    Some(("lost update", lost_update(*txn, seen.ts, ws, losses)?))
-                });
-                if let Some((what, fault)) = fault {
-                    out.push(format!(
-                        "{what}: {txn} read {table} {key} at {snapshot}: {fault}"
-                    ));
+                if let Some(fault) = read_fault((*txn, at, floor), ws, *seen, losses) {
+                    out.push(format!("{what}: {txn} read {table} {key} at {at}: {fault}"));
                 }
             }
             Event::Write { .. } => {}
@@ -296,12 +270,12 @@ pub fn check(
                 if let (Some(ts), Some(ack)) = (ts, ack) {
                     let start = snapshots.get(&txn).map_or(SimTime::ZERO, |s| s.0);
                     commits.push((ack, ts, txn));
-                    queries.push((start, ts, txn, true));
+                    starts.push((start, ts.prev(), txn));
                 }
             }
         }
     }
-    external_consistency(commits, queries, &mut out);
+    external_consistency(commits, starts, &mut out);
     (cov, out)
 }
 

@@ -86,6 +86,17 @@ impl H {
         self
     }
 
+    /// Never acknowledged: rolled back, or in doubt with a commit record
+    /// at `ts`.
+    fn unacked(mut self, t: u64, ts: Option<u64>) -> Self {
+        self.0.push(Event::End {
+            txn: txn(t),
+            ts: ts.map(Timestamp),
+            ack: None,
+        });
+        self
+    }
+
     /// A blind writer of `k`: begin at `start` with a snapshot just
     /// below `ts`, commit at `ts`.
     fn writer(self, t: u64, k: i64, digest: u32, start: SimTime, ts: u64, ack: SimTime) -> Self {
@@ -203,6 +214,18 @@ fn an_invented_version_is_flagged() {
         .read(4, 1, seen(20, A), false)
         .commit(4, None, ms(11));
     assert_flags(&strict(&h.0, from), "read correctness", &[4, 3]);
+
+    // The version of a writer that rolled back.
+    let h = clean()
+        .begin(8, ms(10), 24)
+        .write(8, 1, Some(A))
+        .unacked(8, None)
+        .begin(4, ms(12), 30)
+        .read(4, 1, seen(25, A), false)
+        .commit(4, None, ms(13));
+    let found = strict(&h.0, h.mark());
+    assert_flags(&found, "read correctness", &[4]);
+    assert!(found[0].contains("written by nobody"), "{found:?}");
 }
 
 #[test]
@@ -227,6 +250,30 @@ fn a_lost_update_is_flagged() {
         .write(3, 1, Some(B))
         .commit(3, Some(10), ms(9));
     assert_flags(&strict(&h.0, from), "lost update", &[3]);
+
+    // Txn 3 saw no row of key 2 under its lock, then inserted it: txn 5's
+    // acknowledged insert at ts 15 came in between.
+    let h = H::default()
+        .writer(1, 1, A, ms(0), 10, ms(5))
+        .begin(3, ms(6), 12)
+        .read(3, 2, None, true)
+        .write(3, 2, Some(B))
+        .commit(3, Some(20), ms(9))
+        .writer(5, 2, A, ms(7), 15, ms(10));
+    assert_flags(&strict(&h.0, h.mark()), "lost update", &[3, 5]);
+
+    // Txn 3 read under its lock, wrote, then rolled back (or ended in
+    // doubt): it committed nothing to lose, so txn 5's write is no fault.
+    for end in [None, Some(20)] {
+        let h = H::default()
+            .writer(1, 1, A, ms(0), 10, ms(5))
+            .begin(3, ms(6), 12)
+            .read(3, 1, seen(10, A), true)
+            .write(3, 1, Some(B))
+            .unacked(3, end)
+            .writer(5, 1, A, ms(7), 15, ms(10));
+        assert_eq!(strict(&h.0, h.mark()), Vec::<String>::new(), "{end:?}");
+    }
 }
 
 #[test]
@@ -245,6 +292,21 @@ fn an_external_consistency_inversion_is_flagged() {
         .read(7, 2, None, false)
         .commit(7, None, ms(11));
     assert_flags(&strict(&h.0, from), "external consistency", &[3, 7]);
+
+    // A writer sits just below its commit: one that starts after txn 3's
+    // ack and commits at exactly txn 3's ts is out of order...
+    let h = clean()
+        .begin(6, ms(10), 20)
+        .write(6, 2, Some(A))
+        .commit(6, Some(20), ms(12));
+    assert_flags(&strict(&h.0, from), "external consistency", &[3, 6]);
+
+    // ...but a snapshot sits at itself: one at exactly txn 3's ts sees it.
+    let h = clean()
+        .begin(7, ms(10), 20)
+        .read(7, 2, None, false)
+        .commit(7, None, ms(11));
+    assert_eq!(strict(&h.0, from), Vec::<String>::new());
 }
 
 #[test]

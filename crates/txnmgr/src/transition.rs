@@ -208,6 +208,7 @@ pub fn handle_cn_msg(cn_index: usize, cn: &mut CnTm, msg: &TmMsg, now: SimTime) 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cn::CommitPlan;
     use gdb_model::Timestamp;
     use gdb_simclock::{GClock, GClockConfig};
 
@@ -392,6 +393,25 @@ mod tests {
         assert!(
             snap > ts1,
             "with the DUAL wait, R.1 holds: {snap:?} vs {ts1:?}"
+        );
+
+        // A DUAL CN's own commit: the GTMS answers above the CN's GClock
+        // reading, and the CN acks only after its post-wait, so node2's
+        // next snapshot covers it.
+        let mut node1 = make_cn(100, t0);
+        node1.mode = TmMode::Dual;
+        let t = t1 + SimDuration::from_micros(10);
+        let CommitPlan::ViaGtmDual { gclock_ts } = node1.plan_commit(t) else {
+            panic!("a DUAL CN commits through the GTMS");
+        };
+        let ts = gtm.commit_dual(gclock_ts);
+        let ack = t + node1.dual_post_wait(t, ts);
+        let snap = node2
+            .gclock
+            .assign_timestamp(ack + SimDuration::from_micros(1));
+        assert!(
+            snap >= ts,
+            "the DUAL post-wait orders the ack: {snap:?} vs {ts:?}"
         );
     }
 

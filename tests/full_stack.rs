@@ -6,6 +6,7 @@ use gaussdb_global::{
     Cluster, ClusterConfig, Datum, GdbError, ReplicationMode, RoutingPolicy, SimDuration, SimTime,
     TmMode, TransitionDirection,
 };
+use gdb_chaos::LossWindows;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
@@ -160,6 +161,7 @@ fn transition_round_trip_under_load() {
     let mut config = ClusterConfig::globaldb_one_region();
     config.tm_mode = TmMode::Gtm;
     let mut c = bank(config, 20, 100);
+    c.db.record_history();
     let upd = c
         .prepare("UPDATE bank SET balance = balance + 1 WHERE id = ?")
         .unwrap();
@@ -194,6 +196,11 @@ fn transition_round_trip_under_load() {
         c.db.last_transition_completed(),
         Some(TransitionDirection::ToGtm)
     );
+    // Through GTM → DUAL → GClock and back, every dependency edge of the
+    // recorded history runs forward in timestamp order.
+    let h = c.db.history().unwrap();
+    let (_, found) = gdb_chaos::oracle::check(h, h.events.len(), &LossWindows::default());
+    assert_eq!(found, Vec::<String>::new());
     // Every commit is durable: the sum reflects exactly `commits` increments.
     let (out, _) = c
         .execute_sql(0, c.now(), "SELECT SUM(balance) FROM bank", &[])
