@@ -22,10 +22,6 @@
 pub mod experiments;
 pub mod txnpath;
 
-/// The scenario DSL, for the root package's scenario-file fuzz test: the
-/// root package reaches the tooling crates through this one.
-pub use gdb_chaos::scenario;
-
 use gdb_obs::{Args, BenchArtifact, BenchSeries, HistSummary};
 use gdb_simnet::stats::LatencyHistogram;
 use gdb_simnet::SimDuration;

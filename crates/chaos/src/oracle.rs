@@ -15,7 +15,7 @@
 //! not transactions: [`Oracle::arm`] schedules a state check for them.
 
 use crate::trace::TraceHandle;
-use gdb_model::{RowKey, TableId, TxnId};
+use gdb_model::{GdbError, RowKey, TableId, TxnId};
 use globaldb::txn::history::{Event, History, Version, HISTORY_CAPACITY};
 use globaldb::{Cluster, DataAccess, GlobalDb, SimDuration, SimTime, Timestamp};
 use std::cell::RefCell;
@@ -356,17 +356,26 @@ impl Oracle {
 
     /// Read every written key back, each in its own read-write
     /// transaction at the primary; then stop recording and check the
-    /// history.
+    /// history. A read-back rejected for a stale route is retried once:
+    /// the reject refreshed CN 0's route cache (a CN that missed a
+    /// cutover's announcement learns the epoch this way). Any other error
+    /// is a durability violation.
     pub fn verdict(self, cluster: &mut Cluster, losses: &LossWindows) -> Verdict {
         let history = cluster.db.history();
         let keys = history.map(key_writes).unwrap_or_default().into_keys();
         let read_back_from = history.map_or(0, |h| h.events.len());
         let mut violations = std::mem::take(&mut self.rcp.borrow_mut().violations);
         for (table, key) in keys {
-            let at = cluster.now();
-            let read = cluster.run_transaction(0, at, false, true, |t| {
-                t.point_read(table, &key, &mut |_| Ok(()))
-            });
+            let mut read_back = || {
+                let at = cluster.now();
+                cluster.run_transaction(0, at, false, true, |t| {
+                    t.point_read(table, &key, &mut |_| Ok(()))
+                })
+            };
+            let mut read = read_back();
+            if let Err(GdbError::StaleRoute(_)) = read {
+                read = read_back();
+            }
             if let Err(e) = read {
                 violations.push(format!(
                     "durability: read-back of {table} {key} failed: {e}"

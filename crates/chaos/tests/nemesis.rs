@@ -6,8 +6,9 @@
 
 use gdb_chaos::plan::canned::all as canned_plans;
 use gdb_chaos::scenario::load;
-use gdb_chaos::{run, PlanSource, Scenario};
-use globaldb::{Cluster, ReplicationMode, SimDuration};
+use gdb_chaos::trace::new_trace;
+use gdb_chaos::{run, LossWindows, Oracle, PlanSource, Scenario};
+use globaldb::{Cluster, Datum, ReplicationMode, SimDuration};
 
 /// The canned plan `name` on the quick chaos run of `seed`.
 fn canned(name: &str, seed: u64) -> Scenario {
@@ -377,4 +378,45 @@ fn collector_crash_mid_rcp_round_abandons_then_fails_over() {
     for (i, cn) in db.cns().iter().enumerate() {
         assert!(cn.rcp >= rcps_before[i]);
     }
+}
+
+/// CN 0 is down across a primary move's cutover, so the route
+/// announcement misses it and it comes back on the old routing epoch.
+/// Its read-back of a key on the moved shard is a retryable stale-route
+/// reject that refreshes its route cache; the verdict retries it once
+/// and comes back clean.
+#[test]
+fn read_back_through_a_cn_that_missed_a_cutover_is_clean() {
+    const SHARD: usize = 0;
+    let mut cluster = Cluster::new(Scenario::quick(11).cluster);
+    cluster
+        .ddl("CREATE TABLE t (id INT NOT NULL, v INT, PRIMARY KEY (id)) DISTRIBUTE BY HASH(id)")
+        .unwrap();
+    let now = cluster.now();
+    let oracle = Oracle::arm(&mut cluster, now, now, &new_trace());
+    let ins = cluster.prepare("INSERT INTO t VALUES (?, ?)").unwrap();
+    for k in 0..8 {
+        let at = cluster.now();
+        cluster
+            .run_transaction(0, at, false, true, |t| {
+                t.execute(&ins, &[Datum::Int(k), Datum::Int(k)])
+            })
+            .unwrap();
+    }
+    assert!(cluster.db.shards()[SHARD].storage.total_keys() > 0);
+
+    cluster.db.crash_cn(0);
+    let from = cluster.db.shards()[SHARD].region;
+    let to_region = *cluster.db.regions().iter().find(|&&r| r != from).unwrap();
+    cluster.start_migration(SHARD, to_region, 1).unwrap();
+    let now = cluster.now();
+    cluster.run_until(now + SimDuration::from_secs(1));
+    assert_eq!(cluster.db.last_migration_completed(), Some(SHARD));
+    let now = cluster.now();
+    cluster.db.restart_cn(0, now);
+    assert!(cluster.db.cns()[0].route_epoch < cluster.db.routing_epoch());
+
+    let verdict = oracle.verdict(&mut cluster, &LossWindows::default());
+    assert!(verdict.violations.is_empty(), "{:#?}", verdict.violations);
+    assert_eq!(cluster.db.cns()[0].route_epoch, cluster.db.routing_epoch());
 }

@@ -21,7 +21,7 @@
 use crate::config::{ClusterConfig, Placement, RoutingPolicy, FLUSH_INTERVAL};
 use crate::event::{CoreEvent, CoreSim};
 use crate::net::MessagePlane;
-use crate::rcp_driver::GtmRate;
+use crate::rcp_driver::{rcp_group, GtmRate};
 use crate::repl_driver::Shard;
 use crate::ror::RorService;
 use crate::shardlog::ShardLog;
@@ -571,17 +571,7 @@ impl Cluster {
         let mut rcp = Vec::new();
         let mut collectors = Vec::new();
         for &region in &regions {
-            let mut expected = Vec::new();
-            let mut slot = 0u32;
-            for shard in &shards {
-                for replica in &shard.replicas {
-                    if replica.region == region {
-                        expected.push(slot);
-                    }
-                    slot += 1;
-                }
-            }
-            rcp.push(RcpCalculator::new(expected));
+            rcp.push(rcp_group(&shards, region));
             let cn_count_in_region = cns.iter().filter(|c| c.region == region).count();
             collectors.push(CollectorElection::new(cn_count_in_region.max(1)));
         }

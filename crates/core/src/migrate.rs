@@ -34,27 +34,27 @@
 //! routing-epoch announcement fan-out to the CNs. The target is a
 //! follower of the source's redo stream like any replica
 //! ([`Migration::target`]): [`crate::repl_driver`] builds it, ships it
-//! the storage image and the catch-up batches, drains it at the cutover
-//! and — for a primary move — lets it take over; this module only runs
-//! the state machine and decides who is replaced. A crash of the source
-//! or target (or a concurrent promotion replacing the source) at any
-//! point aborts that member and leaves its routing/ownership exactly at
-//! the source — the target is private state until cutover, so abort
-//! drops it and retires its node; surviving plan members continue and
-//! cut over together. A cutover retires the node it replaced (the old
-//! primary or the moved replica). After every plan completion or abort
-//! the cluster checks whether a draining host has emptied and can be
-//! retired ([`GlobalDb::maybe_retire_drained`] — elastic scale-in).
+//! the storage image, feeds it from the shard's flush beside the
+//! replicas, drains it at the cutover and — for a primary move — lets it
+//! take over; this module only runs the state machine and decides who is
+//! replaced. A crash of the source or target (or a concurrent promotion
+//! replacing the source) at any point aborts that member and leaves its
+//! routing/ownership exactly at the source — the target is private state
+//! until cutover, so abort drops it and retires its node; surviving plan
+//! members continue and cut over together. A cutover retires the node it
+//! replaced (the old primary or the moved replica). After every plan
+//! completion or abort the cluster checks whether a draining host has
+//! emptied and can be retired ([`GlobalDb::maybe_retire_drained`] —
+//! elastic scale-in).
 //!
 //! The whole run is spanned: a `Migration` root whose
 //! `MigrationSnapshot` / `MigrationCatchup` / `MigrationCutover`
 //! children tile it exactly (aborts tile up to the abort instant).
 
 use crate::cluster::GlobalDb;
-use crate::config::FLUSH_INTERVAL;
 use crate::event::CoreSim;
 use crate::net::RpcKind;
-use crate::repl_driver::{Replica, Ship};
+use crate::repl_driver::{ship_sealed, Replica, Ship};
 use gdb_model::{GdbError, GdbResult};
 use gdb_obs::SpanKind;
 use gdb_simnet::{NetNodeId, NodeKind, RegionId, SimTime};
@@ -120,7 +120,8 @@ pub struct MigrationSpec {
 pub enum MigrationPhase {
     /// The storage image is in flight to the target.
     Snapshot,
-    /// Redo batches ship each round until the backlog drains.
+    /// The shard's flush feeds the target; the next flush that reaches
+    /// it starts the barrier.
     Catchup,
     /// The cutover barrier round trip is in flight.
     Barrier,
@@ -146,8 +147,6 @@ pub struct Migration {
     pub snapshot_end: Option<SimTime>,
     /// Set when the backlog drained and the barrier began.
     pub catchup_end: Option<SimTime>,
-    /// Catch-up rounds shipped so far.
-    pub rounds: u32,
     /// Guard for scheduled events: ticks for a finished/aborted
     /// migration carry a stale sequence number and are dropped.
     pub(crate) seq: u64,
@@ -284,7 +283,6 @@ fn start_member(db: &mut GlobalDb, sim: &mut CoreSim, plan: u64, spec: Migration
         started: now,
         snapshot_end: None,
         catchup_end: None,
-        rounds: 0,
         seq,
     });
     db.stats.migrations_started += 1;
@@ -329,8 +327,8 @@ fn guard_failure(db: &GlobalDb, m: &Migration) -> Option<&'static str> {
     None
 }
 
-/// One step of a member's state machine (snapshot arrival, a catch-up
-/// round, or the cutover barrier elapsing).
+/// One step of a member's state machine (snapshot arrival, or the
+/// cutover barrier elapsing).
 pub(crate) fn migration_tick(db: &mut GlobalDb, sim: &mut CoreSim, seq: u64) {
     let now = sim.now();
     // Stale tick for a migration that already finished or aborted.
@@ -347,68 +345,51 @@ pub(crate) fn migration_tick(db: &mut GlobalDb, sim: &mut CoreSim, seq: u64) {
             let m = &mut db.migrations[idx];
             m.phase = MigrationPhase::Catchup;
             m.snapshot_end = Some(now);
-            sim.schedule_after(FLUSH_INTERVAL, move |w: &mut GlobalDb, sim| {
-                migration_tick(w, sim, seq);
-            });
         }
-        MigrationPhase::Catchup => catchup_round(db, sim, idx, seq, now),
         MigrationPhase::Barrier => {
             let m = &mut db.migrations[idx];
             m.phase = MigrationPhase::Ready;
             let plan = m.plan;
             maybe_cutover_plan(db, sim, plan, now);
         }
-        // Ready members have no scheduled ticks; a stray one is inert.
-        MigrationPhase::Ready => {}
+        // Catch-up runs at the shard's flush and Ready members wait for
+        // their plan: neither has a scheduled tick, and a stray one is
+        // inert.
+        MigrationPhase::Catchup | MigrationPhase::Ready => {}
     }
 }
 
-/// One catch-up round: seal, drain a batch off the source log, ship it
-/// to the target, apply on arrival. Catch-up has converged — and the
-/// barrier round trip starts — when the backlog is empty *or* the round
-/// shipped nothing but idle heartbeats: every shard log receives a
-/// heartbeat record each heartbeat interval, so a cross-region stream
-/// whose round spacing exceeds that cadence would otherwise chase the
-/// heartbeat tail forever. The residue is handled by the cutover's
-/// synchronous final drain either way.
-fn catchup_round(db: &mut GlobalDb, sim: &mut CoreSim, idx: usize, seq: u64, now: SimTime) {
+/// The shard's flush reached member `idx`'s target, after the replicas
+/// (`repl_driver::flush_event`): check the member's guards, ship the
+/// target everything sealed over `MigrateCatchup` in whatever phase, and
+/// end a `Catchup` phase. Everything sealed has now left for a reachable
+/// target, so the barrier starts once the last batch has landed; the
+/// redo sealed after it is the cutover's final drain.
+pub(crate) fn flush_target(db: &mut GlobalDb, sim: &mut CoreSim, idx: usize, now: SimTime) {
+    if let Some(reason) = guard_failure(db, &db.migrations[idx]) {
+        let m = db.migrations.remove(idx);
+        abort_member(db, sim, m, now, reason);
+        return;
+    }
     let m = &db.migrations[idx];
-    let (shard, node, epoch) = (m.shard, m.target.node, m.target.epoch);
-    db.shards[shard].log.seal_upto(now);
-    match db.ship_next(shard, node, Some(RpcKind::MigrateCatchup), now, None) {
-        Ship::Idle => begin_barrier(db, sim, idx, seq, now, now),
-        Ship::Unreachable => {
-            let m = db.migrations.remove(idx);
-            abort_member(db, sim, m, now, "target unreachable during catch-up");
-        }
-        Ship::Sent {
-            arrive, records, ..
-        } => {
-            let caught_up = records
-                .iter()
-                .all(|r| matches!(r.payload, gdb_wal::RedoPayload::Heartbeat { .. }));
-            // The target applies the batch at its arrival instant; the
-            // records carry their own commit timestamps, so applying
-            // "in the future" is the same contract as replica replay.
-            db.apply_batch(shard, node, epoch, records, arrive);
-            db.migrations[idx].rounds += 1;
-            if caught_up {
-                // Run the barrier after this last batch lands.
-                begin_barrier(db, sim, idx, seq, now, arrive);
-            } else {
-                let next = arrive.max(now + FLUSH_INTERVAL);
-                sim.schedule_at(next, move |w: &mut GlobalDb, sim| {
-                    migration_tick(w, sim, seq);
-                });
-            }
-        }
+    let (shard, node, phase, seq) = (m.shard, m.target.node, m.phase, m.seq);
+    let reachable = ship_sealed(db, sim, shard, node, RpcKind::MigrateCatchup, now);
+    if phase != MigrationPhase::Catchup {
+        return;
+    }
+    if reachable {
+        let landed = db.migrations[idx].target.last_arrival;
+        begin_barrier(db, sim, idx, seq, now, landed);
+    } else {
+        let m = db.migrations.remove(idx);
+        abort_member(db, sim, m, now, "target unreachable during catch-up");
     }
 }
 
 /// Start the cutover barrier: a round trip that stops admission of new
 /// source-side redo (writers keep committing on the source; the final
 /// drain at the cutover instant catches them). The barrier begins once
-/// the last catch-up batch has landed (`from`).
+/// the last batch shipped to the target has landed (`from`).
 fn begin_barrier(
     db: &mut GlobalDb,
     sim: &mut CoreSim,
@@ -451,11 +432,12 @@ fn maybe_cutover_plan(db: &mut GlobalDb, sim: &mut CoreSim, plan: u64, now: SimT
     }
 }
 
-/// The batched cutover instant: per member, seal the source log, drain
-/// the remaining redo into the target synchronously, and swap ownership
-/// (primary moves) or replica identity (replica moves); then bump the
-/// routing epoch **once** (iff a primary moved), rebuild the RCP groups
-/// once, and announce the new route table to the CNs once.
+/// The batched cutover instant: per member, restart the target's stream,
+/// seal the source log, drain the remaining redo into the target
+/// synchronously, and swap ownership (primary moves) or replica identity
+/// (replica moves); then bump the routing epoch **once** (iff a primary
+/// moved), rebuild the RCP groups once, and announce the new route table
+/// to the CNs once.
 fn cutover_plan(db: &mut GlobalDb, sim: &mut CoreSim, plan: u64, now: SimTime) {
     let mut primary_moved: Vec<usize> = Vec::new();
     let mut announce_from = None;
@@ -477,7 +459,12 @@ fn cutover_plan(db: &mut GlobalDb, sim: &mut CoreSim, plan: u64, now: SimTime) {
         // ends here. A moved replica stays on the shared stream, which
         // must not seal a future commit early (`Shard::new_follower`
         // says why): it takes what is due by now and follows the rest.
-        let m = &db.migrations[idx];
+        // The drain starts where the target's applier stands, under a new
+        // incarnation: batches still in flight to it are dropped on
+        // arrival and shipped again here.
+        let m = &mut db.migrations[idx];
+        m.target.epoch += 1;
+        m.target.restart_stream(now);
         let (shard_idx, source, target) = (m.shard, m.source, m.target.node);
         let log = &mut db.shards[shard_idx].log;
         match m.kind {
@@ -515,11 +502,10 @@ fn cutover_plan(db: &mut GlobalDb, sim: &mut CoreSim, plan: u64, now: SimTime) {
                     .find(|r| r.node == old)
                     .expect("guard checked the replaced replica is present");
                 // Swap replica identity in place: the built follower
-                // continues from the sealed head it drained to, and the
-                // incarnation bump orphans deliveries still in flight to
-                // the old node.
-                m.target.epoch = replica.epoch + 1;
-                m.target.restart_stream(now);
+                // continues from the sealed head it drained to, under an
+                // incarnation above the slot's and not below the one its
+                // restart took.
+                m.target.epoch = m.target.epoch.max(replica.epoch + 1);
                 *replica = m.target;
                 old
             }

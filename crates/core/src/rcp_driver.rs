@@ -12,10 +12,11 @@
 use crate::cluster::GlobalDb;
 use crate::event::{CoreEvent, CoreSim};
 use crate::net::RpcKind;
-use crate::repl_driver::followers;
+use crate::repl_driver::{followers, Replica, Shard};
+use gdb_consistency::RcpCalculator;
 use gdb_model::Timestamp;
 use gdb_obs::{SpanId, SpanKind};
-use gdb_simnet::{SimDuration, SimTime};
+use gdb_simnet::{RegionId, SimDuration, SimTime};
 use gdb_txnmgr::TmMode;
 use gdb_wal::{Lsn, RedoPayload};
 
@@ -79,15 +80,12 @@ impl GlobalDb {
         }
         let collector_slot = self.collectors[region_idx].collector()?;
         // Report every replica located in this region.
-        let mut slot = 0u32;
-        for shard in &self.shards {
-            for replica in &shard.replicas {
-                if replica.region == region {
-                    self.rcp[region_idx].report(slot, replica.applier.max_commit_ts());
-                    self.plane.account(RpcKind::RcpGather, region, region, 64);
-                }
-                slot += 1;
-            }
+        let GlobalDb {
+            shards, rcp, plane, ..
+        } = self;
+        for (slot, replica) in rcp_slots(shards, region) {
+            rcp[region_idx].report(slot, replica.applier.max_commit_ts());
+            plane.account(RpcKind::RcpGather, region, region, 64);
         }
         Some(region_cns[collector_slot])
     }
@@ -127,12 +125,8 @@ impl GlobalDb {
         let region = self.regions[region_idx];
         let cn_node = self.cns[collector_cn].node;
         let mut delay = SimDuration::from_micros(50);
-        for shard in &self.shards {
-            for replica in &shard.replicas {
-                if replica.region == region {
-                    delay = delay.max(self.topo.nominal_rtt(cn_node, replica.node));
-                }
-            }
+        for (_, replica) in rcp_slots(&self.shards, region) {
+            delay = delay.max(self.topo.nominal_rtt(cn_node, replica.node));
         }
         delay
     }
@@ -198,17 +192,7 @@ impl GlobalDb {
     /// monotone because CNs only ever adopt larger values.
     pub(crate) fn rebuild_rcp_groups(&mut self) {
         for (region_idx, &region) in self.regions.iter().enumerate() {
-            let mut expected = Vec::new();
-            let mut slot = 0u32;
-            for shard in &self.shards {
-                for replica in &shard.replicas {
-                    if replica.region == region {
-                        expected.push(slot);
-                    }
-                    slot += 1;
-                }
-            }
-            self.rcp[region_idx] = gdb_consistency::RcpCalculator::new(expected);
+            self.rcp[region_idx] = rcp_group(&self.shards, region);
         }
     }
 
@@ -260,6 +244,21 @@ impl GlobalDb {
             })
             .sum()
     }
+}
+
+/// Every replica located in `region`, with its RCP slot: replicas are
+/// numbered across all shards in order, so a slot names one replica of
+/// the cluster.
+fn rcp_slots(shards: &[Shard], region: RegionId) -> impl Iterator<Item = (u32, &Replica)> {
+    let replicas = shards.iter().flat_map(|s| &s.replicas);
+    (0u32..)
+        .zip(replicas)
+        .filter(move |(_, r)| r.region == region)
+}
+
+/// A fresh RCP calculator for `region`, expecting its replicas' slots.
+pub(crate) fn rcp_group(shards: &[Shard], region: RegionId) -> RcpCalculator {
+    RcpCalculator::new(rcp_slots(shards, region).map(|(slot, _)| slot).collect())
 }
 
 // ---- Recurring event functions ------------------------------------------

@@ -217,7 +217,7 @@ impl GlobalDb {
         if let Some(kind) = leg {
             match plane.send(topo, kind, primary, node, 1) {
                 Some(delay) => propagation = delay,
-                None => return Ship::Unreachable, // retried at the next round
+                None => return Ship::Unreachable, // retried at the next flush
             }
         }
         let (records, raw_bytes, wire_bytes) = match image {
@@ -380,23 +380,45 @@ impl Cluster {
     }
 }
 
-/// Recurring flush event: seal one shard's redo, ship each replica
-/// whatever its channel drains, schedule the deliveries (typed,
-/// allocation-free; replicas are addressed by node id + incarnation so a
-/// failover never misroutes a batch in flight), and re-arm.
+/// Recurring flush event: seal one shard's redo, ship each follower
+/// whatever its channel drains (the replicas over `LogShipBatch`, an
+/// in-flight migration's target over `MigrateCatchup`), schedule the
+/// deliveries (typed, allocation-free; followers are addressed by node id
+/// and incarnation so a failover never misroutes a batch in flight), and
+/// re-arm.
 pub(crate) fn flush_event(w: &mut GlobalDb, sim: &mut CoreSim, shard: usize) {
     let now = sim.now();
     w.shards[shard].log.seal_upto(now);
     for i in 0..w.shards[shard].replicas.len() {
         let node = w.shards[shard].replicas[i].node;
-        while let Ship::Sent {
-            epoch,
-            arrive,
-            records,
-            ..
-        } = w.ship_next(shard, node, Some(RpcKind::LogShipBatch), now, None)
-        {
-            sim.schedule_event_at(
+        ship_sealed(w, sim, shard, node, RpcKind::LogShipBatch, now);
+    }
+    // At most one migration per shard is in flight.
+    if let Some(idx) = w.migrations.iter().position(|m| m.shard == shard) {
+        crate::migrate::flush_target(w, sim, idx, now);
+    }
+    sim.schedule_event_after(FLUSH_INTERVAL, CoreEvent::FlushShard { shard });
+}
+
+/// Ship the follower on `node` everything sealed over `leg`, scheduling
+/// each batch's delivery at its arrival. False when the follower was
+/// unreachable (what is left ships at the next flush).
+pub(crate) fn ship_sealed(
+    w: &mut GlobalDb,
+    sim: &mut CoreSim,
+    shard: usize,
+    node: NetNodeId,
+    leg: RpcKind,
+    now: SimTime,
+) -> bool {
+    loop {
+        match w.ship_next(shard, node, Some(leg), now, None) {
+            Ship::Sent {
+                epoch,
+                arrive,
+                records,
+                ..
+            } => sim.schedule_event_at(
                 arrive,
                 CoreEvent::DeliverBatch {
                     shard,
@@ -404,10 +426,11 @@ pub(crate) fn flush_event(w: &mut GlobalDb, sim: &mut CoreSim, shard: usize) {
                     epoch,
                     records,
                 },
-            );
+            ),
+            Ship::Idle => return true,
+            Ship::Unreachable => return false,
         }
     }
-    sim.schedule_event_after(FLUSH_INTERVAL, CoreEvent::FlushShard { shard });
 }
 
 #[cfg(test)]

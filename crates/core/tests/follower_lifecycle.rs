@@ -38,6 +38,8 @@ fn read_row(storage: &DataNodeStorage, table: TableId, k: i64, at: Timestamp) ->
 struct Rig {
     c: Cluster,
     table: TableId,
+    /// The keys the writer cycles over.
+    keys: Vec<i64>,
     /// Next writer instant and value.
     next: SimTime,
     seq: i64,
@@ -64,6 +66,7 @@ fn rig(mut config: ClusterConfig) -> Rig {
     Rig {
         c,
         table,
+        keys: (0..KEYS).collect(),
         next: t(10),
         seq: 0,
     }
@@ -71,7 +74,7 @@ fn rig(mut config: ClusterConfig) -> Rig {
 
 impl Rig {
     /// Run the writer (one single-row update every 2 ms from CN 0,
-    /// cycling over every key, errors ignored — a shard may be down)
+    /// cycling over [`Rig::keys`], errors ignored — a shard may be down)
     /// and the cluster up to `until`, checking the trim floor as it goes.
     fn write_until(&mut self, until: SimTime) {
         while self.next < until {
@@ -80,7 +83,10 @@ impl Rig {
                 0,
                 self.next,
                 "UPDATE kv SET v = ? WHERE k = ?",
-                &[Datum::Int(self.seq), Datum::Int(self.seq % KEYS)],
+                &[
+                    Datum::Int(self.seq),
+                    Datum::Int(self.keys[self.seq as usize % self.keys.len()]),
+                ],
             );
             self.next += SimDuration::from_millis(2);
             assert_trim_floor(&self.c);
@@ -131,16 +137,18 @@ impl Rig {
 
     /// End of the `Migration` root span of `SHARD` (completion or abort).
     fn migration_end(&self) -> SimTime {
-        self.c
-            .db
-            .obs()
-            .tracer
-            .spans()
+        self.migration_span(SpanKind::Migration).1
+    }
+
+    /// Start and end of `SHARD`'s last migration span of `kind`.
+    fn migration_span(&self, kind: SpanKind) -> (SimTime, SimTime) {
+        let spans = self.c.db.obs().tracer.spans();
+        let span = spans
             .iter()
             .rev()
-            .find(|s| s.kind == SpanKind::Migration && s.label == SHARD as u64)
-            .expect("a migration span")
-            .end
+            .find(|s| s.kind == kind && s.label == SHARD as u64)
+            .expect("a migration span");
+        (span.start, span.end)
     }
 
     /// Arrival of the first batch `SHARD` shipped at or after `from`.
@@ -350,7 +358,7 @@ fn sync_promotion_drains_the_stream_before_the_switch() {
 
 #[test]
 fn primary_move_takes_over_like_a_promotion() {
-    const DONE_NS: u64 = 180_604_865;
+    const DONE_NS: u64 = 147_991_885;
     let mut r = rig(ClusterConfig::globaldb_three_city());
     r.write_until(t(100));
     let to_region = r.c.db.regions()[1];
@@ -375,12 +383,50 @@ fn primary_move_takes_over_like_a_promotion() {
 
     r.write_until(t(700));
     r.settle_and_compare();
-    assert_eq!(r.msgs(), [3794, 0, 1, 3, 5]);
+    assert_eq!(r.msgs(), [3796, 0, 1, 6, 5]);
+}
+
+/// A write every 2 ms, all to the moving shard — more often than both
+/// the flush (5 ms) and the heartbeat (10 ms) — does not hold the move in
+/// catch-up: the first flush after the snapshot lands ends the phase, and
+/// the cutover follows one barrier round trip after the last batch
+/// shipped lands, while the writer keeps going.
+#[test]
+fn a_move_off_a_steadily_written_shard_completes() {
+    /// From the snapshot's arrival to the cutover: one flush interval,
+    /// the last batch's trip and the barrier round trip to region 1 come
+    /// to ≈ 40 ms.
+    const BOUND: SimDuration = SimDuration::from_millis(60);
+    let mut r = rig(ClusterConfig::globaldb_three_city());
+    let storage = &r.c.db.shards()[SHARD].storage;
+    r.keys = (0..KEYS)
+        .filter(|&k| read_row(storage, r.table, k, Timestamp::MAX).is_some())
+        .collect();
+    assert!(r.keys.len() > 1);
+    r.write_until(t(100));
+    let to_region = r.c.db.regions()[1];
+    r.c.start_migration(SHARD, to_region, 1).unwrap();
+    r.write_until(t(400));
+    assert_eq!(r.c.db.last_migration_completed(), Some(SHARD));
+    let (arrived, caught_up) = r.migration_span(SpanKind::MigrationCatchup);
+    assert!(
+        caught_up - arrived <= SimDuration::from_millis(5),
+        "catch-up ran {:?}",
+        caught_up - arrived
+    );
+    let done = r.migration_end();
+    assert!(
+        done - arrived <= BOUND,
+        "cutover {:?} after the snapshot",
+        done - arrived
+    );
+    r.write_until(t(500));
+    r.settle_and_compare();
 }
 
 #[test]
 fn replica_move_swaps_identity_and_keeps_the_stream() {
-    const DONE_NS: u64 = 238_937_239;
+    const DONE_NS: u64 = 168_036_358;
     let mut r = rig(ClusterConfig::globaldb_three_city());
     r.write_until(t(120));
     let moved = r.epochs()[0];
@@ -418,12 +464,12 @@ fn replica_move_swaps_identity_and_keeps_the_stream() {
 
     r.write_until(t(700));
     r.settle_and_compare();
-    assert_eq!(r.msgs(), [3772, 0, 1, 6, 2]);
+    assert_eq!(r.msgs(), [3774, 0, 1, 7, 2]);
 }
 
 #[test]
 fn aborted_move_leaves_every_follower_as_it_was() {
-    const ABORT_NS: u64 = 160_734_217;
+    const ABORT_NS: u64 = 130_000_000;
     let mut r = rig(ClusterConfig::globaldb_three_city());
     r.write_until(t(100));
     let to_region = r.c.db.regions()[2];
@@ -431,8 +477,10 @@ fn aborted_move_leaves_every_follower_as_it_was() {
     let target = NetNodeId(r.c.db.topo().node_count() as u32 - 1);
     let primary = r.c.db.shards()[SHARD].primary;
     let before = r.epochs();
-    // The target dies mid-catch-up; the member aborts at its next tick.
-    r.write_until(t(140));
+    // The target dies mid-catch-up (the snapshot lands at ≈ 128 ms and
+    // the shard's next flush, at 130 ms, ends the phase); that flush
+    // aborts the member.
+    r.write_until(t(129));
     assert_eq!(r.c.db.migrating_shards(), vec![SHARD]);
     assert_eq!(r.c.db.migrations()[0].phase, MigrationPhase::Catchup);
     r.c.db.crash_node(target);
@@ -447,5 +495,5 @@ fn aborted_move_leaves_every_follower_as_it_was() {
     assert_eq!(r.c.db.routing_epoch(), 0);
 
     r.settle_and_compare();
-    assert_eq!(r.msgs(), [3200, 0, 1, 1, 0]);
+    assert_eq!(r.msgs(), [3202, 0, 1, 3, 0]);
 }

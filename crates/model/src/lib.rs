@@ -9,7 +9,6 @@ pub mod datum;
 pub mod error;
 pub mod fxhash;
 pub mod ids;
-pub mod intern;
 pub mod row;
 pub mod rowmap;
 pub mod schema;
@@ -19,7 +18,6 @@ pub use datum::{DataType, Datum};
 pub use error::{GdbError, GdbResult};
 pub use fxhash::{FxBuildHasher, FxHashMap, FxHashSet, FxHasher};
 pub use ids::{IndexId, ShardId, TableId, TxnId};
-pub use intern::{Interner, Sym};
 pub use row::{Row, RowKey};
 pub use rowmap::RowMap;
 pub use schema::{ColumnDef, DistributionKind, SchemaBuilder, TableSchema};

@@ -61,7 +61,8 @@ pub enum SpanKind {
     Migration,
     /// Migration phase: snapshot copy of the source storage image.
     MigrationSnapshot,
-    /// Migration phase: redo catch-up rounds until the backlog drains.
+    /// Migration phase: from the snapshot's arrival to the flush that
+    /// starts the barrier.
     MigrationCatchup,
     /// Migration phase: writer-drain barrier + ownership/epoch cutover.
     MigrationCutover,

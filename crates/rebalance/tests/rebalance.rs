@@ -6,7 +6,7 @@
 
 use gdb_rebalance::{drain_host, HotShardDetector, RebalanceController};
 use gdb_simnet::RegionId;
-use globaldb::{Cluster, ClusterConfig, Datum, SimTime};
+use globaldb::{Cluster, ClusterConfig, Datum, MigrationPhase, SimTime};
 
 fn t(ms: u64) -> SimTime {
     SimTime::from_millis(ms)
@@ -184,13 +184,13 @@ fn target_crash_mid_migration_aborts_and_leaves_source_owner() {
     c.start_migration(0, RegionId(0), to_host).unwrap();
     let target = c.db.migration().unwrap().target.node;
 
-    // Keep writing the shard so catch-up always has sealed redo to
-    // drain (the migration can't reach the barrier), then kill the
-    // target mid-catch-up.
+    // Write the shard every millisecond until the snapshot lands, so the
+    // target has sealed redo to catch up on, then kill the target
+    // mid-migration (catch-up ends at the shard's next flush).
     let upd = c.prepare("UPDATE kv SET v = ? WHERE k = ?").unwrap();
     let keys = by_shard[0].clone();
     let mut at = c.now();
-    for i in 0..10i64 {
+    for i in 0i64.. {
         let key = keys[i as usize % keys.len()];
         at = at.max(c.now()) + gdb_simnet::SimDuration::from_millis(1);
         c.run_transaction(0, at, false, true, |txn| {
@@ -198,6 +198,9 @@ fn target_crash_mid_migration_aborts_and_leaves_source_owner() {
                 .map(|_| ())
         })
         .unwrap();
+        if c.db.migration().map(|m| m.phase) != Some(MigrationPhase::Snapshot) {
+            break;
+        }
     }
     assert!(c.migration_in_flight().is_some(), "must still be migrating");
     c.db.topo_mut().set_node_down(target, true);

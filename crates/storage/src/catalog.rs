@@ -3,7 +3,7 @@
 //! Computing nodes are stateless (paper §II-A) and share the catalog; data
 //! nodes keep a copy that DDL replay keeps current on replicas.
 
-use gdb_model::{FxHashMap, GdbError, GdbResult, IndexId, Interner, TableId, TableSchema};
+use gdb_model::{FxHashMap, GdbError, GdbResult, IndexId, TableId, TableSchema};
 
 /// Metadata of one secondary index.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -16,20 +16,14 @@ pub struct IndexDef {
     pub columns: Vec<usize>,
 }
 
-/// Table and index metadata.
-///
-/// Name lookups go through an [`Interner`]: each distinct name is
-/// hashed as a string once to obtain a `Sym`, and the by-name maps key
-/// on the `Sym` (a `u32`) with a fast hasher. Interned names are never
-/// freed — catalogs see few distinct names and DDL is rare, so the
-/// table stays tiny even across drop/recreate cycles.
+/// Table and index metadata. The by-name maps key on the name itself:
+/// a lookup hashes the string once.
 #[derive(Debug, Default, Clone)]
 pub struct Catalog {
     tables: FxHashMap<TableId, TableSchema>,
-    names: Interner,
-    by_name: FxHashMap<gdb_model::Sym, TableId>,
+    by_name: FxHashMap<String, TableId>,
     indexes: FxHashMap<IndexId, IndexDef>,
-    index_by_name: FxHashMap<gdb_model::Sym, IndexId>,
+    index_by_name: FxHashMap<String, IndexId>,
     next_table: u32,
     next_index: u32,
 }
@@ -48,15 +42,14 @@ impl Catalog {
 
     /// Register a table (id already set in the schema).
     pub fn create_table(&mut self, schema: TableSchema) -> GdbResult<()> {
-        let sym = self.names.intern(&schema.name);
-        if self.by_name.contains_key(&sym) {
+        if self.by_name.contains_key(&schema.name) {
             return Err(GdbError::Schema(format!(
                 "table {} already exists",
                 schema.name
             )));
         }
         self.next_table = self.next_table.max(schema.id.0 + 1);
-        self.by_name.insert(sym, schema.id);
+        self.by_name.insert(schema.name.clone(), schema.id);
         self.tables.insert(schema.id, schema);
         Ok(())
     }
@@ -66,9 +59,7 @@ impl Catalog {
             .tables
             .remove(&id)
             .ok_or_else(|| GdbError::Schema(format!("unknown table {id}")))?;
-        if let Some(sym) = self.names.get(&schema.name) {
-            self.by_name.remove(&sym);
-        }
+        self.by_name.remove(&schema.name);
         let dropped: Vec<IndexId> = self
             .indexes
             .values()
@@ -77,9 +68,7 @@ impl Catalog {
             .collect();
         for ix in dropped {
             if let Some(def) = self.indexes.remove(&ix) {
-                if let Some(sym) = self.names.get(&def.name) {
-                    self.index_by_name.remove(&sym);
-                }
+                self.index_by_name.remove(&def.name);
             }
         }
         Ok(schema)
@@ -93,9 +82,8 @@ impl Catalog {
 
     pub fn table_by_name(&self, name: &str) -> GdbResult<&TableSchema> {
         let id = self
-            .names
+            .by_name
             .get(name)
-            .and_then(|sym| self.by_name.get(&sym))
             .ok_or_else(|| GdbError::Schema(format!("unknown table {name}")))?;
         self.table(*id)
     }
@@ -117,13 +105,12 @@ impl Catalog {
                 "index {name}: column position out of range"
             )));
         }
-        let sym = self.names.intern(&name);
-        if self.index_by_name.contains_key(&sym) {
+        if self.index_by_name.contains_key(&name) {
             return Err(GdbError::Schema(format!("index {name} already exists")));
         }
         let id = IndexId(self.next_index);
         self.next_index += 1;
-        self.index_by_name.insert(sym, id);
+        self.index_by_name.insert(name.clone(), id);
         self.indexes.insert(
             id,
             IndexDef {
@@ -138,9 +125,8 @@ impl Catalog {
 
     pub fn drop_index(&mut self, name: &str) -> GdbResult<IndexDef> {
         let id = self
-            .names
-            .get(name)
-            .and_then(|sym| self.index_by_name.remove(&sym))
+            .index_by_name
+            .remove(name)
             .ok_or_else(|| GdbError::Schema(format!("unknown index {name}")))?;
         Ok(self.indexes.remove(&id).expect("index map consistent"))
     }
@@ -153,9 +139,8 @@ impl Catalog {
 
     pub fn index_by_name(&self, name: &str) -> GdbResult<&IndexDef> {
         let id = self
-            .names
+            .index_by_name
             .get(name)
-            .and_then(|sym| self.index_by_name.get(&sym))
             .ok_or_else(|| GdbError::Schema(format!("unknown index {name}")))?;
         self.index(*id)
     }

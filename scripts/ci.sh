@@ -23,8 +23,9 @@
 #                  thread-backend test and the workloads' TPC-C soak — run
 #                  in their own timeout-bounded stages; `cargo test
 #                  --workspace` runs every crate
-#   nemesis-smoke  nemesis seeds 1..5, the elastic-under-fire plan and
-#                  elastic seeds 51..53 (the CI "nemesis" job)
+#   nemesis-smoke  nemesis seeds 1..5, the elastic-under-fire plan,
+#                  elastic seeds 51..53 and migration seeds 51..53 (the
+#                  CI "nemesis" job)
 #   shell          gdb-shell tests, the ignored thread-backend one
 #                  included, + committed scenario replays (the CI "shell"
 #                  job; the only stage that replays them)
@@ -83,6 +84,13 @@ stage_nemesis_smoke() {
     for seed in 51 52 53; do
         timeout 300 cargo run --release -q -p gdb-chaos --bin nemesis -- \
             --seed "$seed" --duration 2s --elastic | tail -n 1
+    done
+    # Online migrations under faults: snapshot, catch-up fed by the
+    # shard's flush, batched cutover, aborts.
+    echo "==> migration nemesis (3 seeds)"
+    for seed in 51 52 53; do
+        timeout 300 cargo run --release -q -p gdb-chaos --bin nemesis -- \
+            --seed "$seed" --duration 2s --migrations | tail -n 1
     done
 }
 

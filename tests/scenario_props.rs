@@ -5,7 +5,7 @@
 //! bounds (a parse error on line one would hide every check after it),
 //! and random text.
 
-use gdb_bench::scenario::{self, FAULT_KINDS};
+use gdb_chaos::scenario::{self, FAULT_KINDS};
 use proptest::collection::vec;
 use proptest::prelude::*;
 
