@@ -125,15 +125,13 @@ impl Scenario {
 }
 
 /// The cluster every chaos run torments: `base`'s geometry with six CNs
-/// (two per Three-City region, so collector leadership can fail over),
-/// quorum-synchronous replication (so every fault leaves acknowledged
-/// writes recoverable and errors retryable), and two-phase RCP rounds
-/// (so a collector crash can land mid-round).
+/// (two per Three-City region, so collector leadership can fail over)
+/// and quorum-synchronous replication (so every fault leaves
+/// acknowledged writes recoverable and errors retryable).
 fn chaos_cluster(base: ClusterConfig, seed: u64) -> ClusterConfig {
     let mut c = base.with_seed(seed);
     c.cn_count = 6;
     c.replication = ReplicationMode::SyncRemoteQuorum { quorum: 1 };
-    c.rcp_two_phase = true;
     c
 }
 

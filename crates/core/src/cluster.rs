@@ -29,7 +29,7 @@ use crate::stats::{ClusterStats, TxnOutcome};
 use crate::transition::TransitionTrace;
 use crate::txn::TxnHandle;
 use gdb_consistency::{CollectorElection, DdlTracker, RcpCalculator};
-use gdb_model::{GdbResult, TableId, Timestamp, TxnId};
+use gdb_model::{GdbResult, Timestamp, TxnId};
 use gdb_obs::{MetricsReport, Obs};
 use gdb_simclock::GClock;
 use gdb_simnet::{NetNodeId, RegionId, Sim, SimTime, Topology};
@@ -68,11 +68,6 @@ pub struct GlobalDb {
     /// Per-region collector elections.
     pub(crate) collectors: Vec<CollectorElection>,
     pub(crate) gtm_rate: GtmRate,
-    /// Per-table replication-mode overrides (the paper's future-work item:
-    /// synchronous replicated tables co-existing with asynchronous ones,
-    /// trading update latency for maximal freshness on selected tables).
-    pub(crate) table_replication:
-        std::collections::HashMap<TableId, gdb_replication::ReplicationMode>,
     pub(crate) stats: ClusterStats,
     /// Observability: trace spans (off by default) + metrics registry.
     pub(crate) obs: Obs,
@@ -597,7 +592,6 @@ impl Cluster {
             rcp,
             collectors,
             gtm_rate: GtmRate::default(),
-            table_replication: std::collections::HashMap::new(),
             stats: ClusterStats::default(),
             obs,
             hot,
@@ -662,12 +656,15 @@ impl Cluster {
         self.sim.run_until(&mut self.db, t);
     }
 
-    /// After bulk loading, fast-forward the replication cursors and RCP so
-    /// replicas are "caught up" with the loaded state.
+    /// After bulk loading, stage a heartbeat (running the engine to the
+    /// end of its commit wait), then fast-forward the replication cursors
+    /// and RCP so replicas are "caught up" with the loaded state.
     pub fn finish_load(&mut self) {
-        let now = self.sim.now();
-        self.db.heartbeat(now);
+        if let Some(staged) = self.db.heartbeat(self.sim.now()) {
+            self.run_until(staged);
+        }
         self.sync_replicas_now();
+        let now = self.sim.now();
         for r in 0..self.db.regions.len() {
             self.db.rcp_round(r, now);
         }

@@ -57,13 +57,6 @@ pub struct ClusterConfig {
     pub gclock: GClockConfig,
     /// RCP collection/distribution cadence (§IV-A).
     pub rcp_interval: SimDuration,
-    /// Model the RCP round as two separate events — gather reports, then
-    /// compute + distribute after the collection round trips — instead of
-    /// one atomic step. The gap between the phases is the window where a
-    /// collector-CN crash abandons the round (chaos testing); off by
-    /// default so steady-state runs distribute the RCP the instant it is
-    /// collected.
-    pub rcp_two_phase: bool,
     /// Heartbeat cadence that keeps idle replicas' max commit ts moving.
     pub heartbeat_interval: SimDuration,
     pub replay: ReplayCostModel,
@@ -153,7 +146,6 @@ impl ClusterConfig {
             routing: RoutingPolicy::Primary,
             gclock: GClockConfig::default(),
             rcp_interval: SimDuration::from_millis(25),
-            rcp_two_phase: false,
             heartbeat_interval: SimDuration::from_millis(10),
             replay: ReplayCostModel::default(),
             vacuum_interval: Some(SimDuration::from_secs(5)),

@@ -40,8 +40,8 @@ pub enum CoreEvent {
     },
     /// Start a region's RCP round (collect phase), then re-arm (recurring).
     RcpRound { region: usize },
-    /// Finish phase of a two-phase RCP round, scheduled one gathering
-    /// delay after the collect phase (the collector-crash window).
+    /// Finish phase of an RCP round, scheduled one gathering delay after
+    /// the collect phase (the collector-crash window).
     RcpFinish {
         region: usize,
         collector_cn: usize,

@@ -7,8 +7,7 @@ use crate::stats::TxnOutcome;
 use gdb_model::{GdbError, GdbResult, TableId, TableSchema, Timestamp};
 use gdb_simnet::{SimDuration, SimTime};
 use gdb_sqlengine::plan::BoundDdl;
-use gdb_sqlengine::{prepare, ExecOutput, Prepared};
-use gdb_txnmgr::TmMode;
+use gdb_sqlengine::{prepare, BoundStatement, ExecOutput, Prepared};
 use gdb_wal::RedoPayload;
 
 impl Cluster {
@@ -19,32 +18,25 @@ impl Cluster {
 
     /// Execute a DDL statement cluster-wide at the current virtual time.
     /// DDL replicates to every shard's redo stream and is tracked for the
-    /// ROR visibility conditions (§IV-A).
+    /// ROR visibility conditions (§IV-A). It is stamped like any commit
+    /// ([`crate::GlobalDb`]'s one stamp path), so in GTM and DUAL mode it
+    /// fails while the GTM is unreachable, and it returns once its commit
+    /// wait has ended and its record is staged.
     pub fn ddl(&mut self, sql: &str) -> GdbResult<()> {
-        let now = self.sim.now();
-        let prepared = prepare(sql, &self.db.catalog)?;
-        let bound = match prepared.bound {
-            gdb_sqlengine::BoundStatement::Ddl(d) => d,
-            _ => return Err(GdbError::Plan("not a DDL statement".into())),
-        };
+        match prepare(sql, &self.db.catalog)?.bound {
+            BoundStatement::Ddl(bound) => self.run_ddl(&bound),
+            _ => Err(GdbError::Plan("not a DDL statement".into())),
+        }
+    }
+
+    /// Execute a bound DDL statement (see [`Cluster::ddl`]).
+    fn run_ddl(&mut self, bound: &BoundDdl) -> GdbResult<()> {
         // DDL commits through the transaction manager like any write.
-        let cn_idx = 0;
-        self.db.sync_cn_clock(cn_idx, now);
-        let ts = match self.db.cns[cn_idx].tm.mode {
-            TmMode::GClock => {
-                let ts = self.db.cns[cn_idx].tm.gclock.assign_timestamp(now);
-                self.db.gtm.observe_commit(ts);
-                ts
-            }
-            TmMode::Gtm => self.db.gtm.commit_gtm()?.0,
-            TmMode::Dual => {
-                let g = self.db.cns[cn_idx].tm.gclock.assign_timestamp(now);
-                self.db.gtm.commit_dual(g)
-            }
-        };
+        let (cn_idx, mut now) = (0, self.sim.now());
+        let stamp = self.db.commit_stamp(cn_idx, &mut now)?;
         let txn = self.db.next_txn_id(cn_idx);
 
-        let (kind, table_for_ddl) = match &bound {
+        let (kind, table_for_ddl) = match bound {
             BoundDdl::CreateTable {
                 name,
                 columns,
@@ -111,16 +103,16 @@ impl Cluster {
             }
         };
         for shard in &mut self.db.shards {
-            shard.log.append(
-                now,
-                txn,
-                RedoPayload::Ddl {
-                    commit_ts: ts,
-                    kind: kind.clone(),
-                },
-            );
+            let payload = RedoPayload::Ddl {
+                commit_ts: stamp.ts,
+                kind: kind.clone(),
+            };
+            shard.log.append(stamp.wait_end, txn, payload);
         }
-        self.db.ddl.record(table_for_ddl, ts);
+        self.db.ddl.record(table_for_ddl, stamp.ts);
+        // Return once the record is staged, so what runs next (a bulk
+        // load's replica sync, a transaction) comes after it.
+        self.run_until(stamp.wait_end);
         Ok(())
     }
 
@@ -191,9 +183,9 @@ impl Cluster {
         prepared: &Prepared,
         params: &[gdb_model::Datum],
     ) -> GdbResult<(ExecOutput, TxnOutcome)> {
-        if matches!(prepared.bound, gdb_sqlengine::BoundStatement::Ddl(_)) {
+        if let BoundStatement::Ddl(bound) = &prepared.bound {
             self.run_until(at);
-            self.ddl(&prepared.sql)?;
+            self.run_ddl(bound)?;
             return Ok((
                 ExecOutput::Count(0),
                 TxnOutcome {
@@ -211,19 +203,5 @@ impl Cluster {
         self.run_transaction(cn, at, read_only, false, |txn| {
             txn.execute(prepared, params)
         })
-    }
-
-    /// Override the replication mode of one table (paper future work:
-    /// "synchronous replicated tables that co-exist with asynchronous
-    /// tables"). Commits touching the table pay the synchronous quorum
-    /// wait; other tables keep the cluster-wide default.
-    pub fn set_table_replication(
-        &mut self,
-        table_name: &str,
-        mode: gdb_replication::ReplicationMode,
-    ) -> GdbResult<()> {
-        let id = self.db.catalog.table_by_name(table_name)?.id;
-        self.db.table_replication.insert(id, mode);
-        Ok(())
     }
 }

@@ -41,9 +41,10 @@ impl GtmRate {
 }
 
 impl GlobalDb {
-    /// One synchronous RCP round for a region: collect then finish with no
-    /// gathering window in between (used at load finish; the background
-    /// event splits the two phases so a collector crash can land mid-round).
+    /// One RCP round for a region in a single step, collect then finish
+    /// with no gathering window in between: `Cluster::finish_load`'s
+    /// fast-forward over the loaded state. Background rounds gather, then
+    /// finish one [`GlobalDb::rcp_gather_delay`] later.
     pub(crate) fn rcp_round(&mut self, region_idx: usize, now: SimTime) {
         if let Some(collector_cn) = self.rcp_collect(region_idx, now) {
             let span = self
@@ -144,47 +145,24 @@ impl GlobalDb {
     }
 
     /// Send a heartbeat transaction to every shard so replica max-commit
-    /// timestamps advance even when idle (paper §IV-A).
-    pub(crate) fn heartbeat(&mut self, now: SimTime) {
+    /// timestamps advance even when idle (paper §IV-A). It is stamped like
+    /// any commit and staged when its commit wait ends, so no write staged
+    /// after it commits below it. Returns that instant, or `None` when no
+    /// CN is alive or the stamp fails (modes that stamp through the GTM
+    /// cannot heartbeat while it is unreachable).
+    pub(crate) fn heartbeat(&mut self, mut now: SimTime) -> Option<SimTime> {
         // CN 0 (or the first alive CN) drives heartbeats.
-        let Some(cn_idx) = (0..self.cns.len()).find(|&i| !self.topo.is_node_down(self.cns[i].node))
-        else {
-            return;
-        };
-        self.sync_cn_clock(cn_idx, now);
-        // Modes that stamp through the GTM can't heartbeat while it is
-        // down (fault injection); GClock heartbeats are unaffected.
-        let gtm_down = self.topo.is_node_down(self.gtm_node);
-        let ts = match self.cns[cn_idx].tm.mode {
-            TmMode::GClock => {
-                let ts = self.cns[cn_idx].tm.gclock.assign_timestamp(now);
-                self.gtm.observe_commit(ts);
-                ts
-            }
-            TmMode::Gtm => {
-                if gtm_down {
-                    return;
-                }
-                match self.gtm.commit_gtm() {
-                    Ok((ts, _)) => ts,
-                    Err(_) => return,
-                }
-            }
-            TmMode::Dual => {
-                if gtm_down {
-                    return;
-                }
-                let g = self.cns[cn_idx].tm.gclock.assign_timestamp(now);
-                self.gtm.commit_dual(g)
-            }
-        };
-        let txn = self.next_txn_id(cn_idx);
+        let cn = (0..self.cns.len()).find(|&i| !self.topo.is_node_down(self.cns[i].node))?;
+        let stamp = self.commit_stamp(cn, &mut now).ok()?;
+        let txn = self.next_txn_id(cn);
         for shard in &mut self.shards {
-            shard
-                .log
-                .append(now, txn, RedoPayload::Heartbeat { commit_ts: ts });
+            let payload = RedoPayload::Heartbeat {
+                commit_ts: stamp.ts,
+            };
+            shard.log.append(stamp.wait_end, txn, payload);
         }
         self.stats.heartbeats_sent += 1;
+        Some(stamp.wait_end)
     }
 
     /// Rebuild the per-region RCP calculators after replica membership
@@ -211,7 +189,7 @@ impl GlobalDb {
             let floor = followers(&mut s.replicas, &mut self.migrations, si)
                 .map(|f| f.applier.resume_from())
                 .fold(s.log.sealed_head(), Lsn::min);
-            self.stats.redo_records_trimmed += s.log.trim_shipped(floor) as u64;
+            s.log.trim_shipped(floor);
             // A live primary drops the row locks released by `now`: every
             // later acquire runs at or after `now`, and to it an expired
             // lock and an absent one are the same. A crashed primary does
@@ -264,28 +242,21 @@ pub(crate) fn rcp_group(shards: &[Shard], region: RegionId) -> RcpCalculator {
 // ---- Recurring event functions ------------------------------------------
 
 pub(crate) fn rcp_event(w: &mut GlobalDb, sim: &mut CoreSim, region: usize) {
-    if w.config.rcp_two_phase {
-        // Two-phase round: gather replica reports now, compute +
-        // distribute after the gathering round trips. The gap is a real
-        // vulnerability window — a collector crash in between abandons
-        // the round. The round's span (and latency) covers collect
-        // through finish; the span id rides in the finish event.
-        if let Some(collector_cn) = w.rcp_collect(region, sim.now()) {
-            let start = sim.now();
-            let span = w.obs.tracer.begin(SpanKind::RcpRound, region as u64, start);
-            let gather = w.rcp_gather_delay(region, collector_cn);
-            sim.schedule_event_after(
-                gather,
-                CoreEvent::RcpFinish {
-                    region,
-                    collector_cn,
-                    span,
-                    start,
-                },
-            );
-        }
-    } else {
-        w.rcp_round(region, sim.now());
+    // Gather replica reports now; compute and distribute after the
+    // gathering round trips. A collector crash in between abandons the
+    // round. The round's span (and latency) covers collect through
+    // finish; the span id rides in the finish event.
+    let start = sim.now();
+    if let Some(collector_cn) = w.rcp_collect(region, start) {
+        let span = w.obs.tracer.begin(SpanKind::RcpRound, region as u64, start);
+        let gather = w.rcp_gather_delay(region, collector_cn);
+        let finish = CoreEvent::RcpFinish {
+            region,
+            collector_cn,
+            span,
+            start,
+        };
+        sim.schedule_event_after(gather, finish);
     }
     let interval = w.config.rcp_interval;
     sim.schedule_event_after(interval, CoreEvent::RcpRound { region });

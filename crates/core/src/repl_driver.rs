@@ -367,13 +367,21 @@ impl GlobalDb {
 
 impl Cluster {
     /// Ship and apply everything sealed so far without network delay
-    /// (setup helper).
+    /// (setup helper). Batches a flush shipped that are still in flight
+    /// are orphaned and their records shipped again, or they would land
+    /// behind these.
     pub(crate) fn sync_replicas_now(&mut self) {
         let now = self.sim.now();
         for s in 0..self.db.shards.len() {
             self.db.shards[s].log.seal_upto(now);
             for i in 0..self.db.shards[s].replicas.len() {
-                let node = self.db.shards[s].replicas[i].node;
+                let replica = &mut self.db.shards[s].replicas[i];
+                let applied = replica.applier.resume_from();
+                if replica.channel.next_lsn() > applied {
+                    replica.epoch += 1;
+                    replica.channel.rewind(applied);
+                }
+                let node = replica.node;
                 self.db.drain_now(s, node, Some(RpcKind::LogShipBatch), now);
             }
         }

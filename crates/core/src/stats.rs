@@ -45,10 +45,6 @@ pub struct ClusterStats {
     /// Times a region's collector-CN leadership moved to another CN.
     pub collector_failovers: u64,
     pub versions_vacuumed: u64,
-    /// Sealed redo records trimmed from shard shipping buffers once every
-    /// durable consumer (replica appliers, in-flight migrations) had
-    /// advanced past them.
-    pub redo_records_trimmed: u64,
     /// Requests rejected because they carried a stale routing epoch
     /// (shard ownership moved under the submitting CN's route table).
     pub stale_route_rejects: u64,

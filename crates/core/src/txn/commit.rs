@@ -3,9 +3,9 @@
 //! 1. **Prepare** ([`TxnHandle::prepare_phase`]) — the 2PC prepare round
 //!    across written shards (multi-shard only), each branch durably
 //!    replicating writes + PREPARE;
-//! 2. **Commit point** ([`TxnHandle::commit_point_phase`]) — obtain the
-//!    commit timestamp per the TM mode (local GClock read, GTM counter
-//!    round trip, or DUAL);
+//! 2. **Commit point** ([`GlobalDb::commit_stamp`]) — obtain the commit
+//!    timestamp per the TM mode (local GClock read, GTM counter round
+//!    trip, or DUAL): the one stamp path heartbeats and DDL share;
 //! 3. **Commit wait** — the clock-uncertainty (or DUAL bridging) wait;
 //! 4. **Replicate-ack** ([`TxnHandle::replicate_phase`]) — ship the
 //!    commit record to each shard, install versions, release locks, and
@@ -17,6 +17,7 @@
 
 use super::history::Event;
 use super::{gtm_rtt, TxnHandle, OP_MSG_BYTES};
+use crate::cluster::GlobalDb;
 use crate::net::RpcKind;
 use crate::repl_driver::{Replica, Shard};
 use crate::stats::TxnOutcome;
@@ -24,7 +25,7 @@ use gdb_model::{Datum, GdbError, GdbResult, Timestamp};
 use gdb_obs::SpanKind;
 use gdb_replication::{quorum_wait, ReplicationMode};
 use gdb_simnet::{NetNodeId, SimDuration, SimTime};
-use gdb_txnmgr::{CommitPlan, TmMode};
+use gdb_txnmgr::CommitPlan;
 use gdb_wal::RedoPayload;
 
 /// One shard's branch of a 2PC round: out-message through ack.
@@ -41,12 +42,49 @@ struct PrepareOutcome {
     branches: Vec<BranchAck>,
 }
 
-/// Outcome of commit-timestamp acquisition.
-struct CommitPoint {
-    commit_ts: Timestamp,
-    /// Commit wait imposed by the plan (GClock uncertainty window or DUAL
-    /// bridging wait; zero for a pure GTM counter commit).
-    clock_wait: SimDuration,
+/// A commit timestamp from [`GlobalDb::commit_stamp`].
+pub(crate) struct CommitStamp {
+    pub(crate) ts: Timestamp,
+    /// When the commit wait ends (the GClock uncertainty wait, the DUAL
+    /// bridging wait or the GTM's own; the instant the timestamp is
+    /// issued for a pure GTM counter commit). Nothing may be ordered
+    /// behind `ts` before it: no version becomes visible, no lock
+    /// releases, and no record that moves replicas' max commit ts is
+    /// staged.
+    pub(crate) wait_end: SimTime,
+}
+
+impl GlobalDb {
+    /// Obtain a commit timestamp for CN `cn` per its TM mode's plan: the
+    /// one stamp path of transactions, heartbeats and DDL. `now` is the
+    /// CN's cursor; it advances past any GTM round trip, also when the GTM
+    /// then refuses (a straggler GTM commit after the move to GClock,
+    /// paper §III-A). An unreachable GTM fails the stamp.
+    pub(crate) fn commit_stamp(&mut self, cn: usize, now: &mut SimTime) -> GdbResult<CommitStamp> {
+        self.sync_cn_clock(cn, *now);
+        let (ts, wait) = match self.cns[cn].tm.plan_commit(*now) {
+            CommitPlan::GClockLocal { ts, commit_wait } => {
+                // Observed asynchronously so the GTM can later take over
+                // without waiting (Fig. 3) and DUAL timestamps bridge
+                // (Listing 1).
+                self.gtm.observe_commit(ts);
+                (ts, commit_wait)
+            }
+            CommitPlan::ViaGtmCounter => {
+                *now += gtm_rtt(self, cn, RpcKind::GtmCommitTs)?;
+                self.gtm.commit_gtm()?
+            }
+            CommitPlan::ViaGtmDual { gclock_ts } => {
+                *now += gtm_rtt(self, cn, RpcKind::GtmDualCommit)?;
+                let ts = self.gtm.commit_dual(gclock_ts);
+                (ts, self.cns[cn].tm.dual_post_wait(*now, ts))
+            }
+        };
+        Ok(CommitStamp {
+            ts,
+            wait_end: *now + wait,
+        })
+    }
 }
 
 /// Outcome of the commit-record fan-out after the commit point.
@@ -89,33 +127,8 @@ impl<'a> TxnHandle<'a> {
         bytes
     }
 
-    /// Strongest replication mode demanded by the tables this transaction
-    /// wrote on `shard` (per-table sync overrides, else the cluster mode).
-    fn shard_replication_mode(&self, shard: usize) -> ReplicationMode {
-        fn rank(m: ReplicationMode) -> u8 {
-            match m {
-                ReplicationMode::Async => 0,
-                ReplicationMode::SyncLocalQuorum => 1,
-                ReplicationMode::SyncRemoteQuorum { .. } => 2,
-            }
-        }
-        let mut mode = self.db.config.replication;
-        for w in &self.write_log {
-            if w.shard != shard {
-                continue;
-            }
-            if let Some(&m) = self.db.table_replication.get(&w.table) {
-                if rank(m) > rank(mode) {
-                    mode = m;
-                }
-            }
-        }
-        mode
-    }
-
     /// Extra commit wait imposed by synchronous replication for one shard.
     fn sync_quorum_wait(&mut self, shard: usize, bytes: u64) -> GdbResult<SimDuration> {
-        let mode = self.shard_replication_mode(shard);
         let db = &mut *self.db;
         let Shard {
             primary,
@@ -137,7 +150,7 @@ impl<'a> TxnHandle<'a> {
             };
             replicas.iter().filter(|r| chosen(r)).map(ship).collect()
         };
-        match mode {
+        match db.config.replication {
             ReplicationMode::Async => Ok(SimDuration::ZERO),
             ReplicationMode::SyncLocalQuorum => {
                 // All same-region replicas; if none exist (geo placement),
@@ -209,34 +222,6 @@ impl<'a> TxnHandle<'a> {
         Ok(out)
     }
 
-    /// Phase 2 — the commit point: obtain the commit timestamp per the TM
-    /// mode's plan.
-    fn commit_point_phase(&mut self) -> GdbResult<CommitPoint> {
-        self.db.sync_cn_clock(self.cn, self.now);
-        let plan = self.db.cns[self.cn].tm.plan_commit(self.now);
-        let (commit_ts, clock_wait) = match plan {
-            CommitPlan::GClockLocal { ts, commit_wait } => (ts, commit_wait),
-            CommitPlan::ViaGtmCounter => {
-                let rtt = gtm_rtt(self.db, self.cn, RpcKind::GtmCommitTs)?;
-                self.now += rtt;
-                // A straggler GTM transaction after the cluster moved to
-                // GClock aborts here (paper §III-A); `commit` rolls back.
-                self.db.gtm.commit_gtm()?
-            }
-            CommitPlan::ViaGtmDual { gclock_ts } => {
-                let rtt = gtm_rtt(self.db, self.cn, RpcKind::GtmDualCommit)?;
-                self.now += rtt;
-                let ts = self.db.gtm.commit_dual(gclock_ts);
-                (ts, self.db.cns[self.cn].tm.dual_post_wait(self.now, ts))
-            }
-        };
-        self.db.stats.commit_wait_total += clock_wait;
-        Ok(CommitPoint {
-            commit_ts,
-            clock_wait,
-        })
-    }
-
     /// Phases 3+4 — commit wait, then the commit-record fan-out: ship the
     /// commit record to each shard; versions install and locks release at
     /// each shard's apply instant — but never before the commit wait ends
@@ -246,10 +231,9 @@ impl<'a> TxnHandle<'a> {
         &mut self,
         write_shards: &[usize],
         multi_shard: bool,
-        point: &CommitPoint,
+        stamp: &CommitStamp,
     ) -> GdbResult<ReplicateOutcome> {
-        let commit_ts = point.commit_ts;
-        let wait_end = self.now + point.clock_wait;
+        let (commit_ts, wait_end) = (stamp.ts, stamp.wait_end);
         let cn_node = self.db.cns[self.cn].node;
         let mut out = ReplicateOutcome {
             wait_end,
@@ -346,14 +330,10 @@ impl<'a> TxnHandle<'a> {
         let multi_shard = write_shards.len() > 1;
 
         let prepare = self.prepare_phase(&write_shards, multi_shard)?;
-        let point = self.commit_point_phase()?;
-        let replicate = self.replicate_phase(&write_shards, multi_shard, &point)?;
+        let stamp = self.db.commit_stamp(self.cn, &mut self.now)?;
+        self.db.stats.commit_wait_total += stamp.wait_end.since(self.now);
+        let replicate = self.replicate_phase(&write_shards, multi_shard, &stamp)?;
 
-        if self.db.cns[self.cn].tm.mode == TmMode::GClock {
-            // Asynchronous observe so the GTM can later take over without
-            // waiting (Fig. 3) and DUAL timestamps bridge (Listing 1).
-            self.db.gtm.observe_commit(point.commit_ts);
-        }
         self.record_phases(
             exec_done,
             Some(WritePhases {
@@ -365,7 +345,7 @@ impl<'a> TxnHandle<'a> {
             }),
         );
 
-        Ok(self.outcome(Some(point.commit_ts), write_shards))
+        Ok(self.outcome(Some(stamp.ts), write_shards))
     }
 
     /// Record the per-phase latency breakdown (and, when tracing is on,

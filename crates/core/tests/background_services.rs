@@ -36,6 +36,47 @@ fn rcp_survives_collector_cn_failure() {
     assert!(c.db.cn_rcp(0) > rcp_cn0_at_revival);
 }
 
+/// Every background RCP round gathers the replicas' reports, then
+/// publishes one gathering delay later (§IV-A), on every preset: on the
+/// Three-City deployment a collector CN that crashes inside that window
+/// abandons the round, and no CN's RCP moves backwards across it or the
+/// rounds that follow.
+#[test]
+fn collector_crash_inside_the_gather_delay_abandons_the_round() {
+    let mut c = Cluster::new(ClusterConfig::globaldb_three_city());
+    c.ddl("CREATE TABLE kv (k INT NOT NULL, v INT, PRIMARY KEY (k)) DISTRIBUTE BY HASH(k)")
+        .unwrap();
+    for k in 0..8 {
+        let at = c.now();
+        c.execute_sql(0, at, "INSERT INTO kv VALUES (?, 0)", &[Datum::Int(k)])
+            .unwrap();
+    }
+    // Rounds start every `rcp_interval` from time zero: run up to the
+    // one at 500 ms, which has gathered but not yet published.
+    let interval = c.db.config().rcp_interval;
+    let round = SimTime::ZERO + interval * 20;
+    c.run_until(round);
+    let region = c.db.regions()[0];
+    let collector = (c.db.cns().iter().position(|cn| cn.region == region)).unwrap();
+    let gather = c.db.rcp_gather_delay(0, collector);
+    let abandoned = c.db.stats().rcp_rounds_abandoned;
+    let mut rcps: Vec<_> = c.db.cns().iter().map(|cn| cn.rcp).collect();
+    assert!(rcps.iter().all(|&rcp| rcp.as_micros() > 0));
+
+    c.run_until(round + gather / 2);
+    c.db.crash_cn(collector);
+    let mut at = c.now();
+    while at < round + interval * 4 {
+        at += SimDuration::from_micros(100);
+        c.run_until(at);
+        for (i, cn) in c.db.cns().iter().enumerate() {
+            assert!(cn.rcp >= rcps[i], "CN {i}'s RCP moved backwards by {at}");
+            rcps[i] = cn.rcp;
+        }
+    }
+    assert_eq!(c.db.stats().rcp_rounds_abandoned, abandoned + 1);
+}
+
 #[test]
 fn periodic_vacuum_prunes_dead_versions() {
     let mut config = ClusterConfig::globaldb_one_region();

@@ -2,6 +2,7 @@
 //! sharded MVCC storage, asynchronous replication with RCP-consistent
 //! replica reads, 2PC, online mode transitions, and failure handling.
 
+use gdb_wal::RedoPayload;
 use globaldb::{
     Cluster, ClusterConfig, Datum, GdbError, Geometry, ReplicationMode, SimDuration, SimTime,
     TmMode, TransitionDirection,
@@ -53,10 +54,11 @@ fn sql_insert_read_roundtrip() {
     assert!(outcome.commit_ts.is_some());
     assert!(!outcome.latency.is_zero(), "commit costs latency");
 
+    // A replica read at the RCP: after the RCP round at 50 ms.
     let (rows, _) = c
         .execute_sql(
             0,
-            t(20),
+            t(60),
             "SELECT balance FROM accounts WHERE id = ?",
             &[Datum::Int(1)],
         )
@@ -100,7 +102,7 @@ fn multi_statement_transaction_reads_own_writes() {
 
     // Committed state visible to a later transaction.
     let (rows, _) = c
-        .execute_sql(1, t(50), "SELECT balance FROM accounts WHERE id = 100", &[])
+        .execute_sql(1, t(60), "SELECT balance FROM accounts WHERE id = 100", &[])
         .unwrap();
     assert_eq!(rows.rows()[0].0[0], Datum::Decimal(22));
 }
@@ -384,6 +386,73 @@ fn snapshots_begun_at_an_ack_cover_it_across_skewed_clocks() {
             begun.snapshot
         );
     }
+}
+
+/// Heartbeats and DDL stamp through the commit path (§III, §IV-A): a
+/// record that moves replicas' max commit ts is staged only once its
+/// timestamp has passed on every clock, so every transaction whose
+/// PENDING_COMMIT is staged after it commits above it. CN 0, which drives
+/// both, has clock sync cut for 5 s: its error bound grows to ≈ 1.06 ms
+/// and what it stamps runs ≈ 0.5 ms ahead of true time. Synced CN 1
+/// commits a single-shard write 1 µs after a heartbeat and another right
+/// after a DDL. A record staged at its stamping instant puts each write's
+/// PENDING_COMMIT behind it and its commit below it: replicas' max commit
+/// ts, and the RCP with it, would pass a write they have not seen.
+#[test]
+fn writes_staged_after_a_heartbeat_or_ddl_commit_above_it() {
+    let mut config = ClusterConfig::globaldb_one_region();
+    config.cn_count = 6;
+    // Keep every sealed record for the walk below.
+    config.vacuum_interval = None;
+    let mut c = cluster_with_accounts(config, 10);
+    c.db.block_clock_sync(0);
+    let update = "UPDATE accounts SET balance = balance + 1 WHERE id = 1";
+    // Heartbeats fire every 10 ms, one of them at 5 s.
+    c.execute_sql(1, t(5_000) + SimDuration::from_micros(1), update, &[])
+        .unwrap();
+    c.ddl("CREATE INDEX acc_by_region ON accounts (region)")
+        .unwrap();
+    let now = c.now();
+    c.execute_sql(1, now, update, &[]).unwrap();
+    let now = c.now();
+    c.run_until(now + SimDuration::from_millis(50));
+
+    let mut checked = 0;
+    for (s, shard) in c.db.shards().iter().enumerate() {
+        let records: Vec<_> = shard.log.sealed().iter().collect();
+        let commit_ts = |txn| {
+            records.iter().find_map(|r| match r.payload {
+                RedoPayload::Commit { commit_ts } | RedoPayload::CommitPrepared { commit_ts }
+                    if r.txn == txn =>
+                {
+                    Some(commit_ts)
+                }
+                _ => None,
+            })
+        };
+        let mut barrier = None;
+        for r in &records {
+            match &r.payload {
+                RedoPayload::Heartbeat { commit_ts } | RedoPayload::Ddl { commit_ts, .. } => {
+                    barrier = barrier.max(Some(*commit_ts));
+                }
+                RedoPayload::PendingCommit => {
+                    let (Some(barrier), Some(ts)) = (barrier, commit_ts(r.txn)) else {
+                        continue;
+                    };
+                    assert!(
+                        ts > barrier,
+                        "shard {s}: {:?} staged its PENDING_COMMIT after a heartbeat or \
+                         DDL at {barrier} and committed below it, at {ts}",
+                        r.txn
+                    );
+                    checked += 1;
+                }
+                _ => {}
+            }
+        }
+    }
+    assert_eq!(checked, 2, "both writes are checked");
 }
 
 #[test]

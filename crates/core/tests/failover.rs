@@ -140,14 +140,13 @@ fn sync_quorum_promotion_loses_nothing() {
     c.fail_primary(s.shard);
     c.promote_replica(s.shard, 0).unwrap();
 
-    // The acknowledged commit survives: it was quorum-durable.
+    // The acknowledged commit survives on the promoted primary: it was
+    // quorum-durable. (A replica read at the RCP may predate it.)
+    let sel = c.prepare("SELECT v FROM kv WHERE k = ?").unwrap();
     let (out, _) = c
-        .execute_sql(
-            s.cn,
-            t(50),
-            "SELECT v FROM kv WHERE k = ?",
-            &[Datum::Int(s.id)],
-        )
+        .run_transaction(s.cn, t(50), false, false, |txn| {
+            txn.execute(&sel, &[Datum::Int(s.id)])
+        })
         .unwrap();
     assert_eq!(
         out.rows()[0].0[0],

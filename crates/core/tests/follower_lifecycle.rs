@@ -288,7 +288,7 @@ fn restart_replica_rewinds_to_the_resume_point() {
     assert!(!r.c.db.topo().is_node_down(node));
     r.write_until(t(300));
     r.settle_and_compare();
-    assert_eq!(r.msgs(), [3000, 0, 0, 0, 0]);
+    assert_eq!(r.msgs(), [2938, 0, 0, 0, 0]);
 }
 
 #[test]
@@ -324,8 +324,8 @@ fn async_promotion_resyncs_survivors_on_an_empty_stream() {
 
     r.write_until(t(400));
     r.settle_and_compare();
-    assert_eq!(r.first_arrival_since(t(150)).as_nanos(), 177_535_203);
-    assert_eq!(r.msgs(), [3187, 0, 0, 0, 0]);
+    assert_eq!(r.first_arrival_since(t(150)).as_nanos(), 182_681_159);
+    assert_eq!(r.msgs(), [3121, 0, 0, 0, 0]);
 }
 
 #[test]
@@ -352,13 +352,13 @@ fn sync_promotion_drains_the_stream_before_the_switch() {
     r.next = t(152);
     r.write_until(t(300));
     r.settle_and_compare();
-    assert_eq!(r.first_arrival_since(t(150)).as_nanos(), 177_846_047);
-    assert_eq!(r.msgs(), [2745, 454, 0, 0, 0]);
+    assert_eq!(r.first_arrival_since(t(150)).as_nanos(), 182_789_445);
+    assert_eq!(r.msgs(), [2700, 454, 0, 0, 0]);
 }
 
 #[test]
 fn primary_move_takes_over_like_a_promotion() {
-    const DONE_NS: u64 = 147_991_885;
+    const DONE_NS: u64 = 152_898_502;
     let mut r = rig(ClusterConfig::globaldb_three_city());
     r.write_until(t(100));
     let to_region = r.c.db.regions()[1];
@@ -383,7 +383,7 @@ fn primary_move_takes_over_like_a_promotion() {
 
     r.write_until(t(700));
     r.settle_and_compare();
-    assert_eq!(r.msgs(), [3796, 0, 1, 6, 5]);
+    assert_eq!(r.msgs(), [3714, 0, 1, 7, 5]);
 }
 
 /// A write every 2 ms, all to the moving shard — more often than both
@@ -426,7 +426,7 @@ fn a_move_off_a_steadily_written_shard_completes() {
 
 #[test]
 fn replica_move_swaps_identity_and_keeps_the_stream() {
-    const DONE_NS: u64 = 168_036_358;
+    const DONE_NS: u64 = 172_726_606;
     let mut r = rig(ClusterConfig::globaldb_three_city());
     r.write_until(t(120));
     let moved = r.epochs()[0];
@@ -464,7 +464,7 @@ fn replica_move_swaps_identity_and_keeps_the_stream() {
 
     r.write_until(t(700));
     r.settle_and_compare();
-    assert_eq!(r.msgs(), [3774, 0, 1, 7, 2]);
+    assert_eq!(r.msgs(), [3677, 0, 1, 6, 2]);
 }
 
 #[test]
@@ -495,5 +495,5 @@ fn aborted_move_leaves_every_follower_as_it_was() {
     assert_eq!(r.c.db.routing_epoch(), 0);
 
     r.settle_and_compare();
-    assert_eq!(r.msgs(), [3202, 0, 1, 3, 0]);
+    assert_eq!(r.msgs(), [3130, 0, 1, 4, 0]);
 }

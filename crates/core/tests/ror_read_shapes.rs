@@ -402,13 +402,13 @@ fn blocked_replica_falls_back_per_shape() {
 /// reads stay inside the reader's region (no jitter); each fallback adds
 /// one jittered WAN round trip to the primary.
 const PINNED_LATENCIES_NS: [u64; 7] = [
-    25_162_434, 40_000, 25_251_000, 40_000, 25_307_095, 40_000, 25_425_004,
+    25_243_439, 40_000, 25_346_071, 40_000, 25_127_774, 40_000, 25_151_433,
 ];
 const PINNED_MSGS: &[(&str, u64)] = &[
     ("dn_read", 28),
     ("dn_write", 4),
     ("two_pc_commit", 2),
-    ("log_ship_batch", 530),
+    ("log_ship_batch", 518),
     ("rcp_gather", 204),
     ("rcp_distribute", 51),
     ("skyline_probe", 33),

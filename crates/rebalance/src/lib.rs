@@ -5,12 +5,12 @@
 //! cutover barrier, batched under one routing-epoch bump) live in
 //! `globaldb::migrate`; this crate owns the *policy* side:
 //!
-//! * [`HotShardDetector`] — a windowed consumer of the live metrics
-//!   registry. Every [`HotShardDetector::observe`] snapshots the
-//!   `rebalance.shard_ops.*` / `rebalance.shard_bytes.*` counters the
-//!   transaction layer maintains, subtracts the previous observation,
-//!   and joins the deltas with the current primary/replica placement
-//!   and drain state into a [`ClusterView`].
+//! * [`HotShardDetector`] — a windowed consumer of the live per-shard
+//!   load counters. Every [`HotShardDetector::observe`] reads
+//!   [`GlobalDb::shard_load`], which the transaction layer maintains,
+//!   subtracts the previous observation, and joins the deltas with the
+//!   current primary/replica placement and drain state into a
+//!   [`ClusterView`].
 //! * [`PlacementCost`] — one scalar objective over a view (cross-region
 //!   traffic, load spread, replica balance, drain pressure) with a
 //!   greedy batch search, [`PlacementCost::propose_batch`], that emits
@@ -31,8 +31,7 @@ pub mod cost;
 pub use cost::{apply_move, CostPolicy, CostProposal, Hysteresis, PlacementCost};
 
 use gdb_simnet::{NetNodeId, RegionId};
-use globaldb::migrate::metrics as mig_metrics;
-use globaldb::{Cluster, CoreSim, GdbResult, GlobalDb, MigrationKind, MigrationSpec};
+use globaldb::{Cluster, CoreSim, GdbResult, GlobalDb, MigrationKind, MigrationSpec, ShardLoad};
 use std::collections::{BTreeMap, BTreeSet};
 
 /// One replica placement of a shard.
@@ -112,27 +111,13 @@ impl ClusterView {
     }
 }
 
-/// The pre-formatted metric names of one shard, built once per cluster
-/// shape instead of 2+R `format!` allocations per shard per window.
-#[derive(Debug, Clone)]
-struct ShardMetricNames {
-    ops: String,
-    bytes: String,
-    by_region: Vec<String>,
-}
-
-/// Windowed consumer of the metrics registry: each `observe` reads the
-/// absolute `rebalance.shard_ops.*` counters, subtracts the previous
-/// observation, and returns the per-window deltas joined with the
-/// current placement.
+/// Windowed consumer of the live per-shard load counters: each
+/// `observe` reads the absolute [`GlobalDb::shard_load`] totals,
+/// subtracts the previous observation, and returns the per-window deltas
+/// joined with the current placement.
 #[derive(Debug, Default)]
 pub struct HotShardDetector {
-    prev: Vec<(u64, u64, Vec<u64>)>,
-    /// Metric-name lookup table, keyed by shard; rebuilt only when the
-    /// shard or region count changes. At the scale tier (hundreds of
-    /// shards × several regions) re-formatting these every window
-    /// dominated `observe`.
-    names: Vec<ShardMetricNames>,
+    prev: Vec<ShardLoad>,
 }
 
 impl HotShardDetector {
@@ -140,50 +125,20 @@ impl HotShardDetector {
         Self::default()
     }
 
-    fn ensure_names(&mut self, shard_count: usize, region_count: usize) {
-        let stale = self.names.len() != shard_count
-            || self
-                .names
-                .first()
-                .is_some_and(|n| n.by_region.len() != region_count);
-        if !stale {
-            return;
-        }
-        self.names = (0..shard_count)
-            .map(|s| ShardMetricNames {
-                ops: format!("{}.{s}", mig_metrics::SHARD_OPS_PREFIX),
-                bytes: format!("{}.{s}", mig_metrics::SHARD_BYTES_PREFIX),
-                by_region: (0..region_count)
-                    .map(|r| format!("{}.{s}.r{r}", mig_metrics::SHARD_OPS_PREFIX))
-                    .collect(),
-            })
-            .collect();
-    }
-
-    /// Snapshot the cluster's metrics and return the load view for the
+    /// Read the cluster's shard load and return the load view for the
     /// window since the previous call (first call: since startup).
-    pub fn observe(&mut self, db: &mut GlobalDb) -> ClusterView {
-        let shard_count = db.shards().len();
+    pub fn observe(&mut self, db: &GlobalDb) -> ClusterView {
         let regions: Vec<RegionId> = db.regions().to_vec();
-        let report = db.metrics_snapshot();
-        self.prev
-            .resize_with(shard_count, || (0, 0, vec![0; regions.len()]));
-        self.ensure_names(shard_count, regions.len());
+        let load = db.shard_load();
+        self.prev.resize_with(load.len(), ShardLoad::default);
 
-        let mut shards = Vec::with_capacity(shard_count);
-        for s in 0..shard_count {
-            let names = &self.names[s];
-            let ops_total = report.counter(&names.ops).unwrap_or(0);
-            let bytes_total = report.counter(&names.bytes).unwrap_or(0);
-            let mut by_region_total = vec![0u64; regions.len()];
-            for (r, slot) in by_region_total.iter_mut().enumerate() {
-                *slot = report.counter(&names.by_region[r]).unwrap_or(0);
-            }
-            let prev = &mut self.prev[s];
-            prev.2.resize(regions.len(), 0);
-            let by_region: Vec<u64> = by_region_total
+        let mut shards = Vec::with_capacity(load.len());
+        for (s, (now, prev)) in load.iter().zip(&mut self.prev).enumerate() {
+            prev.by_region.resize(now.by_region.len(), 0);
+            let by_region = now
+                .by_region
                 .iter()
-                .zip(&prev.2)
+                .zip(&prev.by_region)
                 .map(|(&cur, &old)| cur.saturating_sub(old))
                 .collect();
             let primary = db.shards()[s].primary;
@@ -202,12 +157,12 @@ impl HotShardDetector {
                 shard: s,
                 region: db.topo().node_region(primary),
                 host: db.topo().node_host(primary),
-                ops: ops_total.saturating_sub(prev.0),
-                bytes: bytes_total.saturating_sub(prev.1),
+                ops: now.ops.saturating_sub(prev.ops),
+                bytes: now.bytes.saturating_sub(prev.bytes),
                 by_region,
                 replicas,
             });
-            *prev = (ops_total, bytes_total, by_region_total);
+            prev.clone_from(now);
         }
 
         // Host inventory: every live host slot, sorted for

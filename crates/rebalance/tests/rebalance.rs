@@ -70,11 +70,11 @@ fn skewed_load_triggers_migration_and_improves_spread() {
     let source_host = host_of(&c, 0);
 
     let mut probe = HotShardDetector::new();
-    probe.observe(&mut c.db); // baseline: discard startup traffic
+    probe.observe(&c.db); // baseline: discard startup traffic
 
     let at = read_window(&mut c, &by_shard[0].clone(), 200, t(310));
     let at = read_window(&mut c, &by_shard[3].clone(), 80, at);
-    let skewed_view = probe.observe(&mut c.db);
+    let skewed_view = probe.observe(&c.db);
     let spread_before = skewed_view.spread();
     assert!(
         spread_before > 1.5,
@@ -164,11 +164,11 @@ fn skewed_load_triggers_migration_and_improves_spread() {
     // Same skewed window against the new placement: the spread strictly
     // improves because the hot shard no longer shares a host with the
     // warm one.
-    probe.observe(&mut c.db); // reset the window past the migration traffic
+    probe.observe(&c.db); // reset the window past the migration traffic
     let start = c.now() + gdb_simnet::SimDuration::from_millis(1);
     let at3 = read_window(&mut c, &by_shard[0].clone(), 200, start);
     read_window(&mut c, &by_shard[3].clone(), 80, at3);
-    let spread_after = probe.observe(&mut c.db).spread();
+    let spread_after = probe.observe(&c.db).spread();
     assert!(
         spread_after < spread_before,
         "post-cutover spread must strictly improve: {spread_after} !< {spread_before}"

@@ -55,8 +55,8 @@ pub struct Shell {
 }
 
 /// The deployment every shell session operates: the canonical chaos
-/// topology (Three-City, two CNs per region, quorum-sync replication,
-/// two-phase RCP) — the same cluster the scenario runner torments.
+/// topology (Three-City, two CNs per region, quorum-sync replication) —
+/// the same cluster the scenario runner torments.
 pub fn default_config(seed: u64) -> ClusterConfig {
     scenario::Scenario::quick(seed).cluster
 }
@@ -218,12 +218,7 @@ impl Shell {
     }
 
     fn shards(&mut self) -> String {
-        // Above this many shards the full listing stops being an
-        // operator tool and starts being a scroll; summarize instead.
-        let summarize = self.real.cluster.db.shards().len() > SUMMARY_THRESHOLD;
-        let snap = summarize.then(|| self.real.cluster.metrics_snapshot());
-        let c = &self.real.cluster;
-        let db = &c.db;
+        let db = &self.real.cluster.db;
         let topo = db.topo();
         let mut out = Vec::new();
         let migrating = db.migrating_shards();
@@ -247,20 +242,13 @@ impl Shell {
                 },
             )
         };
-        if let Some(snap) = snap {
-            // Top-k by lifetime routed ops (the same counters rebalance
-            // keys on), then an aggregate tail instead of every shard.
-            let mut loads: Vec<(u64, usize)> = (0..db.shards().len())
-                .map(|s| {
-                    let ops = snap
-                        .counter(&format!(
-                            "{}.{s}",
-                            globaldb::migrate::metrics::SHARD_OPS_PREFIX
-                        ))
-                        .unwrap_or(0);
-                    (ops, s)
-                })
-                .collect();
+        // Above this many shards the full listing stops being an
+        // operator tool and starts being a scroll: list the top-k by
+        // lifetime routed ops (the load rebalance keys on), then an
+        // aggregate tail instead of every shard.
+        if db.shards().len() > SUMMARY_THRESHOLD {
+            let load = db.shard_load().iter().enumerate();
+            let mut loads: Vec<(u64, usize)> = load.map(|(s, l)| (l.ops, s)).collect();
             let total_ops: u64 = loads.iter().map(|&(ops, _)| ops).sum();
             loads.sort_by(|a, b| b.0.cmp(&a.0).then(a.1.cmp(&b.1)));
             out.push(format!(

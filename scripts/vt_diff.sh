@@ -19,7 +19,7 @@
 #     `gdb-bench` runner (c8f4e5a or later);
 #   * nemesis seed 1, stdout and the --json artifact;
 #   * nemesis seeds 1-5, plain and --overlap --migrations --elastic;
-#     seeds 51-53 --elastic;
+#     seeds 51-53 --elastic and --migrations;
 #   * every canned --plan;
 #   * every scenarios/*.toml replayed through gdb-shell;
 #   * the shell golden script (crates/shell/tests/golden.rs SCRIPT).
@@ -76,6 +76,8 @@ surface() {
         for seed in 51 52 53; do
             "$bin/nemesis" --seed "$seed" --duration 2s --elastic \
                 >"nemesis-$seed-elastic.out" 2>&1 || true
+            "$bin/nemesis" --seed "$seed" --duration 2s --migrations \
+                >"nemesis-$seed-migrations.out" 2>&1 || true
         done
         for plan in $plans; do
             "$bin/nemesis" --plan "$plan" >"plan-$plan.out" 2>&1 || true
