@@ -176,7 +176,7 @@ pub fn run(params: &BenchParams) -> BenchArtifact {
         &rows,
     );
 
-    let snap = c_rebal.db.metrics_snapshot();
+    let snap = c_rebal.metrics_snapshot();
     let c = |n: &str| snap.counter(n).unwrap_or(0);
     let s = r_static.throughput_per_sec();
     let g = r_rebal.throughput_per_sec();

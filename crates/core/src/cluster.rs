@@ -340,6 +340,12 @@ impl GlobalDb {
         self.cns[cn].rcp
     }
 
+    /// The first CN that is up: it drives heartbeats and runs
+    /// [`Cluster::ddl`].
+    pub(crate) fn first_alive_cn(&self) -> Option<usize> {
+        (0..self.cns.len()).find(|&i| !self.topo.is_node_down(self.cns[i].node))
+    }
+
     pub fn cn_mode(&self, cn: usize) -> TmMode {
         self.cns[cn].tm.mode
     }
@@ -390,7 +396,7 @@ impl GlobalDb {
     /// traffic, message-plane RPC accounting) into the registry, then
     /// freeze it. The report is a pure function of the run: identical
     /// seeds produce identical reports.
-    pub fn metrics_snapshot(&mut self) -> MetricsReport {
+    pub(crate) fn metrics_snapshot(&mut self) -> MetricsReport {
         self.sync_derived_metrics();
         self.obs.metrics.snapshot()
     }
@@ -724,9 +730,7 @@ impl Cluster {
     }
 
     /// Metrics snapshot with the time-derived per-replica freshness
-    /// gauges refreshed at the engine's current virtual time. Prefer
-    /// this over [`GlobalDb::metrics_snapshot`] whenever the engine is
-    /// at hand.
+    /// gauges refreshed at the engine's current virtual time.
     pub fn metrics_snapshot(&mut self) -> MetricsReport {
         let now = self.sim.now();
         self.db.sync_replica_lag_metrics(now);

@@ -4,9 +4,8 @@
 
 use crate::cluster::Cluster;
 use crate::stats::TxnOutcome;
-use gdb_model::{GdbError, GdbResult, TableId, TableSchema, Timestamp};
-use gdb_simnet::{SimDuration, SimTime};
-use gdb_sqlengine::plan::BoundDdl;
+use gdb_model::{Ddl, GdbError, GdbResult, TableId, Timestamp};
+use gdb_simnet::SimTime;
 use gdb_sqlengine::{prepare, BoundStatement, ExecOutput, Prepared};
 use gdb_wal::RedoPayload;
 
@@ -16,104 +15,61 @@ impl Cluster {
         prepare(sql, &self.db.catalog)
     }
 
-    /// Execute a DDL statement cluster-wide at the current virtual time.
-    /// DDL replicates to every shard's redo stream and is tracked for the
-    /// ROR visibility conditions (§IV-A). It is stamped like any commit
-    /// ([`crate::GlobalDb`]'s one stamp path), so in GTM and DUAL mode it
-    /// fails while the GTM is unreachable, and it returns once its commit
-    /// wait has ended and its record is staged.
+    /// Execute a DDL statement cluster-wide at the current virtual time,
+    /// on the first CN that is up. DDL replicates to every shard's redo
+    /// stream and is tracked for the ROR visibility conditions (§IV-A). It
+    /// is stamped like any commit ([`crate::GlobalDb`]'s one stamp path),
+    /// so in GTM and DUAL mode it fails while the GTM is unreachable, and
+    /// it returns once its commit wait has ended and its record is staged.
     pub fn ddl(&mut self, sql: &str) -> GdbResult<()> {
         match prepare(sql, &self.db.catalog)?.bound {
-            BoundStatement::Ddl(bound) => self.run_ddl(&bound),
+            BoundStatement::Ddl(ddl) => {
+                let cn = self.db.first_alive_cn().unwrap_or(0);
+                self.run_ddl(cn, ddl).map(|_| ())
+            }
             _ => Err(GdbError::Plan("not a DDL statement".into())),
         }
     }
 
-    /// Execute a bound DDL statement (see [`Cluster::ddl`]).
-    fn run_ddl(&mut self, bound: &BoundDdl) -> GdbResult<()> {
+    /// Execute a bound DDL statement on CN `cn` (see [`Cluster::ddl`]).
+    /// The CN catalog and every primary apply the one value, and every
+    /// shard logs it for its replicas to apply the same way.
+    fn run_ddl(&mut self, cn: usize, mut ddl: Ddl) -> GdbResult<TxnOutcome> {
+        if self.db.topo.is_node_down(self.db.cns[cn].node) {
+            return Err(GdbError::NodeUnavailable(format!("cn {cn} is down")));
+        }
         // DDL commits through the transaction manager like any write.
-        let (cn_idx, mut now) = (0, self.sim.now());
-        let stamp = self.db.commit_stamp(cn_idx, &mut now)?;
-        let txn = self.db.next_txn_id(cn_idx);
-
-        let (kind, table_for_ddl) = match bound {
-            BoundDdl::CreateTable {
-                name,
-                columns,
-                primary_key,
-                distribution_key,
-                distribution,
-            } => {
-                let id = self.db.catalog.allocate_table_id();
-                let schema = TableSchema {
-                    id,
-                    name: name.clone(),
-                    columns: columns.clone(),
-                    primary_key: primary_key.clone(),
-                    distribution_key: distribution_key.clone(),
-                    distribution: distribution.clone(),
-                };
-                self.db.catalog.create_table(schema.clone())?;
-                for shard in &mut self.db.shards {
-                    shard.storage.create_table(schema.clone())?;
-                }
-                (gdb_wal::DdlKind::CreateTable(schema), id)
-            }
-            BoundDdl::DropTable(id) => {
-                self.db.catalog.drop_table(*id)?;
-                for shard in &mut self.db.shards {
-                    shard.storage.drop_table(*id)?;
-                }
-                (gdb_wal::DdlKind::DropTable(*id), *id)
-            }
-            BoundDdl::CreateIndex {
-                table,
-                name,
-                columns,
-            } => {
-                self.db
-                    .catalog
-                    .create_index(*table, name.clone(), columns.clone())?;
-                for shard in &mut self.db.shards {
-                    shard
-                        .storage
-                        .create_index(*table, name.clone(), columns.clone())?;
-                }
-                (
-                    gdb_wal::DdlKind::CreateIndex {
-                        table: *table,
-                        index_name: name.clone(),
-                        columns: columns.clone(),
-                    },
-                    *table,
-                )
-            }
-            BoundDdl::DropIndex { name, table } => {
-                self.db.catalog.drop_index(name)?;
-                for shard in &mut self.db.shards {
-                    shard.storage.drop_index(name)?;
-                }
-                (
-                    gdb_wal::DdlKind::DropIndex {
-                        table: *table,
-                        index_name: name.clone(),
-                    },
-                    *table,
-                )
-            }
-        };
+        let start = self.sim.now();
+        let mut now = start;
+        let stamp = self.db.commit_stamp(cn, &mut now)?;
+        let txn = self.db.next_txn_id(cn);
+        if let Ddl::CreateTable(schema) = &mut ddl {
+            schema.id = self.db.catalog.allocate_table_id();
+        }
+        self.db.catalog.apply(&ddl)?;
+        for shard in &mut self.db.shards {
+            shard.storage.apply_ddl(&ddl)?;
+        }
+        self.db.ddl.record(ddl.table(), stamp.ts);
         for shard in &mut self.db.shards {
             let payload = RedoPayload::Ddl {
                 commit_ts: stamp.ts,
-                kind: kind.clone(),
+                ddl: ddl.clone(),
             };
             shard.log.append(stamp.wait_end, txn, payload);
         }
-        self.db.ddl.record(table_for_ddl, stamp.ts);
         // Return once the record is staged, so what runs next (a bulk
         // load's replica sync, a transaction) comes after it.
         self.run_until(stamp.wait_end);
-        Ok(())
+        Ok(TxnOutcome {
+            commit_ts: Some(stamp.ts),
+            snapshot: Timestamp::ZERO,
+            completed_at: stamp.wait_end,
+            latency: stamp.wait_end - start,
+            shards_written: vec![],
+            used_replica: false,
+            aborted: false,
+        })
     }
 
     /// Bulk-load rows directly into primaries *and* replicas at timestamp
@@ -183,21 +139,10 @@ impl Cluster {
         prepared: &Prepared,
         params: &[gdb_model::Datum],
     ) -> GdbResult<(ExecOutput, TxnOutcome)> {
-        if let BoundStatement::Ddl(bound) = &prepared.bound {
+        if let BoundStatement::Ddl(ddl) = &prepared.bound {
             self.run_until(at);
-            self.run_ddl(bound)?;
-            return Ok((
-                ExecOutput::Count(0),
-                TxnOutcome {
-                    commit_ts: None,
-                    snapshot: Timestamp::ZERO,
-                    completed_at: self.sim.now(),
-                    latency: SimDuration::ZERO,
-                    shards_written: vec![],
-                    used_replica: false,
-                    aborted: false,
-                },
-            ));
+            let outcome = self.run_ddl(cn, ddl.clone())?;
+            return Ok((ExecOutput::Count(0), outcome));
         }
         let read_only = prepared.bound.is_read_only();
         self.run_transaction(cn, at, read_only, false, |txn| {

@@ -151,8 +151,7 @@ impl GlobalDb {
     /// CN is alive or the stamp fails (modes that stamp through the GTM
     /// cannot heartbeat while it is unreachable).
     pub(crate) fn heartbeat(&mut self, mut now: SimTime) -> Option<SimTime> {
-        // CN 0 (or the first alive CN) drives heartbeats.
-        let cn = (0..self.cns.len()).find(|&i| !self.topo.is_node_down(self.cns[i].node))?;
+        let cn = self.first_alive_cn()?;
         let stamp = self.commit_stamp(cn, &mut now).ok()?;
         let txn = self.next_txn_id(cn);
         for shard in &mut self.shards {

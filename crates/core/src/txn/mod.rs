@@ -224,7 +224,6 @@ impl<'a> TxnHandle<'a> {
                 .ddl
                 .ror_allowed(self.snapshot, prepared.bound.tables())
             {
-                self.db.stats.ror_rejected_ddl += 1;
                 self.fallback_to_primary()?;
             }
         }

@@ -18,7 +18,6 @@ use gdb_model::{
     TableSchema, Timestamp, TxnId,
 };
 use gdb_simnet::SimTime;
-use gdb_sqlengine::plan::BoundDdl;
 use gdb_sqlengine::DataAccess;
 use gdb_storage::{Catalog, LockOutcome};
 use gdb_wal::RedoPayload;
@@ -726,11 +725,5 @@ impl<'a> DataAccess for TxnHandle<'a> {
 
     fn delete(&mut self, table: TableId, key: &RowKey) -> GdbResult<()> {
         self.write_row(table, key, None, false)
-    }
-
-    fn apply_ddl(&mut self, _ddl: &BoundDdl) -> GdbResult<()> {
-        Err(GdbError::Plan(
-            "DDL cannot run inside a transaction; use Cluster::ddl".into(),
-        ))
     }
 }

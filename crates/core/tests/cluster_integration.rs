@@ -678,6 +678,82 @@ fn replica_down_falls_back_to_primary() {
     assert!(!outcome.used_replica, "must fall back to primary");
 }
 
+/// A DDL statement runs on the CN it was issued from: it fails while that
+/// CN is down, and through a live CN it reports its commit like any write.
+/// `Cluster::ddl` names no CN and runs on the first one that is up.
+#[test]
+fn ddl_runs_on_the_cn_it_was_issued_from() {
+    let mut c = Cluster::new(ClusterConfig::globaldb_three_city());
+    c.db.crash_cn(0);
+    let sql = "CREATE TABLE t (k INT NOT NULL, v INT, PRIMARY KEY (k)) DISTRIBUTE BY HASH(k)";
+    let err = c.execute_sql(0, t(10), sql, &[]).unwrap_err();
+    assert!(matches!(err, GdbError::NodeUnavailable(_)), "{err:?}");
+    assert!(c.db.catalog().table_by_name("t").is_err());
+    let (_, o) = c.execute_sql(1, t(20), sql, &[]).unwrap();
+    assert!(o.commit_ts.is_some());
+    assert!(!o.latency.is_zero(), "a DDL commit waits like any commit");
+    assert_eq!(o.completed_at, c.now());
+    assert!(c.db.catalog().table_by_name("t").is_ok());
+    c.ddl("CREATE INDEX t_by_v ON t (v)").unwrap();
+}
+
+/// A catalog's tables (id, name) and indexes (id, name, table, columns),
+/// in id order.
+type Layout = (
+    Vec<(gdb_model::TableId, String)>,
+    Vec<(gdb_model::IndexId, String, gdb_model::TableId, Vec<usize>)>,
+);
+
+fn layout(catalog: &gdb_storage::Catalog) -> Layout {
+    let mut tables: Vec<_> = catalog.tables().map(|t| (t.id, t.name.clone())).collect();
+    tables.sort();
+    let indexes = tables
+        .iter()
+        .flat_map(|&(id, _)| catalog.indexes_on(id))
+        .map(|ix| (ix.id, ix.name.clone(), ix.table, ix.columns.clone()))
+        .collect();
+    (tables, indexes)
+}
+
+/// Each DDL kind leaves the CN catalog, every primary and, once the
+/// stream has flushed and replayed, every replica with the same tables
+/// and indexes.
+#[test]
+fn every_node_agrees_after_each_ddl_kind() {
+    let mut c = Cluster::new(ClusterConfig::globaldb_three_city());
+    for sql in [
+        "CREATE TABLE t (k INT NOT NULL, v INT, PRIMARY KEY (k)) DISTRIBUTE BY HASH(k)",
+        "CREATE TABLE u (k INT NOT NULL, v TEXT, PRIMARY KEY (k)) DISTRIBUTE BY REPLICATION",
+        "CREATE INDEX t_by_v ON t (v)",
+        "CREATE INDEX t_by_vk ON t (v, k)",
+        "CREATE INDEX u_by_v ON u (v)",
+        "DROP INDEX t_by_v",
+        "DROP TABLE u",
+    ] {
+        c.ddl(sql).unwrap();
+        c.run_until(c.now() + SimDuration::from_millis(500));
+        let want = layout(c.db.catalog());
+        let mut replicas = 0;
+        for (s, shard) in c.db.shards().iter().enumerate() {
+            assert_eq!(layout(shard.storage.catalog()), want, "{sql}: primary {s}");
+            for (r, replica) in shard.replicas.iter().enumerate() {
+                let got = layout(replica.applier.storage.catalog());
+                assert_eq!(got, want, "{sql}: shard {s} replica {r}");
+                replicas += 1;
+            }
+        }
+        assert!(replicas > 0);
+    }
+    // What is left: table t and its index over (v, k).
+    let (tables, indexes) = layout(c.db.catalog());
+    let t_id = tables[0].0;
+    assert_eq!(tables, [(t_id, "t".to_string())]);
+    assert_eq!(
+        indexes,
+        [(indexes[0].0, "t_by_vk".to_string(), t_id, vec![1, 0])]
+    );
+}
+
 #[test]
 fn ddl_gates_ror_until_replicas_catch_up() {
     let mut c = cluster_with_accounts(ClusterConfig::globaldb_one_region(), 10);
@@ -686,18 +762,22 @@ fn ddl_gates_ror_until_replicas_catch_up() {
     c.run_until(t(310));
     c.ddl("CREATE INDEX acc_by_region ON accounts (region)")
         .unwrap();
-    let before = c.db.stats().ror_rejected_ddl;
     let sel = c
         .prepare("SELECT balance FROM accounts WHERE id = ?")
         .unwrap();
     // Immediately after the DDL: RCP has not passed the DDL timestamp, so
-    // ROR falls back (condition check fails).
+    // ROR falls back (condition check fails) to a fresh primary snapshot
+    // above the RCP it began at, and not for a blocked replica read.
+    c.run_until(t(311));
+    let rcp = c.db.cn_rcp(1);
+    let blocked = c.db.stats().replica_blocked_fallbacks;
     let ((), o) = c
         .run_transaction(1, t(311), true, true, |txn| {
             txn.execute(&sel, &[Datum::Int(1)]).map(|_| ())
         })
         .unwrap();
-    assert!(c.db.stats().ror_rejected_ddl > before);
+    assert!(o.snapshot > rcp, "snapshot {:?} rcp {rcp:?}", o.snapshot);
+    assert_eq!(c.db.stats().replica_blocked_fallbacks, blocked);
     assert!(!o.used_replica);
     // Much later the DDL has replayed everywhere; ROR works again. Pick an
     // id whose shard primary is NOT co-hosted with CN 1 (otherwise the

@@ -20,5 +20,5 @@ pub use fxhash::{FxBuildHasher, FxHashMap, FxHashSet, FxHasher};
 pub use ids::{IndexId, ShardId, TableId, TxnId};
 pub use row::{Row, RowKey};
 pub use rowmap::RowMap;
-pub use schema::{ColumnDef, DistributionKind, SchemaBuilder, TableSchema};
+pub use schema::{ColumnDef, Ddl, DistributionKind, SchemaBuilder, TableSchema};
 pub use timestamp::{Timestamp, TimestampBound};

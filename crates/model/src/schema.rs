@@ -254,6 +254,38 @@ impl SchemaBuilder {
     }
 }
 
+/// One DDL statement, as the binder produces it, the redo stream carries
+/// it and every node applies it (paper §IV-A: DDL replicates like any
+/// commit). A bound `CreateTable` has no id yet: the CN that runs it
+/// assigns one from its catalog before anything applies it.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum Ddl {
+    CreateTable(TableSchema),
+    DropTable(TableId),
+    /// A secondary index over the given column positions.
+    CreateIndex {
+        table: TableId,
+        name: String,
+        columns: Vec<usize>,
+    },
+    DropIndex {
+        table: TableId,
+        name: String,
+    },
+}
+
+impl Ddl {
+    /// The table the statement creates, drops or indexes.
+    pub fn table(&self) -> TableId {
+        match self {
+            Ddl::CreateTable(schema) => schema.id,
+            Ddl::DropTable(table)
+            | Ddl::CreateIndex { table, .. }
+            | Ddl::DropIndex { table, .. } => *table,
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -14,7 +14,7 @@ use gdb_model::{
 };
 use gdb_simnet::SimTime;
 use gdb_storage::DataNodeStorage;
-use gdb_wal::{DdlKind, Lsn, RedoPayload, RedoRecord};
+use gdb_wal::{Lsn, RedoPayload, RedoRecord};
 use std::collections::HashSet;
 
 /// Result of a replica point read.
@@ -166,8 +166,8 @@ impl ReplicaApplier {
             RedoPayload::Abort | RedoPayload::AbortPrepared => {
                 self.finish(rec.txn, None, vtime)?;
             }
-            RedoPayload::Ddl { commit_ts, kind } => {
-                self.apply_ddl(kind)?;
+            RedoPayload::Ddl { commit_ts, ddl } => {
+                self.storage.apply_ddl(&ddl)?;
                 self.advance_ts(commit_ts);
             }
             RedoPayload::Heartbeat { commit_ts } => {
@@ -249,22 +249,6 @@ impl ReplicaApplier {
         self.max_commit_ts = self.max_commit_ts.max(ts);
     }
 
-    fn apply_ddl(&mut self, kind: DdlKind) -> GdbResult<()> {
-        match kind {
-            DdlKind::CreateTable(schema) => self.storage.create_table(schema),
-            DdlKind::DropTable(id) => self.storage.drop_table(id),
-            DdlKind::CreateIndex {
-                table,
-                index_name,
-                columns,
-            } => self
-                .storage
-                .create_index(table, index_name, columns)
-                .map(|_| ()),
-            DdlKind::DropIndex { index_name, .. } => self.storage.drop_index(&index_name),
-        }
-    }
-
     /// Point read honouring PENDING_COMMIT locks.
     pub fn read(
         &mut self,
@@ -316,7 +300,7 @@ impl ReplicaApplier {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gdb_model::{ColumnDef, DataType, Datum, SchemaBuilder, TableSchema};
+    use gdb_model::{ColumnDef, DataType, Datum, Ddl, SchemaBuilder, TableSchema};
     use gdb_wal::RedoBuffer;
 
     fn schema() -> TableSchema {
@@ -579,7 +563,7 @@ mod tests {
             TxnId(0),
             RedoPayload::Ddl {
                 commit_ts: Timestamp(40),
-                kind: DdlKind::CreateTable(new_schema),
+                ddl: Ddl::CreateTable(new_schema),
             },
         );
         a.apply_batch(&buf.batch_from(Lsn(0), 10).records, SimTime::ZERO)
@@ -590,7 +574,7 @@ mod tests {
             TxnId(0),
             RedoPayload::Ddl {
                 commit_ts: Timestamp(41),
-                kind: DdlKind::DropTable(TableId(5)),
+                ddl: Ddl::DropTable(TableId(5)),
             },
         );
         a.apply_batch(&buf.batch_from(a.applied_lsn(), 10).records, SimTime::ZERO)

@@ -5,8 +5,7 @@
 //! is a single-node in-memory implementation used by the SQL engine's own
 //! tests (and handy as an embedded mini-database).
 
-use crate::plan::BoundDdl;
-use gdb_model::{Datum, GdbResult, IndexId, Row, RowKey, TableId, Timestamp};
+use gdb_model::{Datum, Ddl, GdbError, GdbResult, IndexId, Row, RowKey, TableId, Timestamp};
 use gdb_simnet::SimTime;
 use gdb_storage::{Catalog, DataNodeStorage};
 
@@ -80,8 +79,11 @@ pub trait DataAccess {
     /// Delete the row at `key`.
     fn delete(&mut self, table: TableId, key: &RowKey) -> GdbResult<()>;
 
-    /// Execute a DDL operation.
-    fn apply_ddl(&mut self, ddl: &BoundDdl) -> GdbResult<()>;
+    /// Execute a DDL operation. The default rejects it: DDL does not run
+    /// inside a transaction.
+    fn apply_ddl(&mut self, _ddl: &Ddl) -> GdbResult<()> {
+        Err(GdbError::Plan("DDL cannot run inside a transaction".into()))
+    }
 }
 
 /// Single-node, single-user in-memory implementation for tests: every
@@ -187,35 +189,11 @@ impl DataAccess for MemAccess {
         self.storage.delete(table, key, ts, SimTime::ZERO)
     }
 
-    fn apply_ddl(&mut self, ddl: &BoundDdl) -> GdbResult<()> {
-        match ddl {
-            BoundDdl::CreateTable {
-                name,
-                columns,
-                primary_key,
-                distribution_key,
-                distribution,
-            } => {
-                let id = self.storage.catalog_mut().allocate_table_id();
-                self.storage.create_table(gdb_model::TableSchema {
-                    id,
-                    name: name.clone(),
-                    columns: columns.clone(),
-                    primary_key: primary_key.clone(),
-                    distribution_key: distribution_key.clone(),
-                    distribution: distribution.clone(),
-                })
-            }
-            BoundDdl::DropTable(id) => self.storage.drop_table(*id),
-            BoundDdl::CreateIndex {
-                table,
-                name,
-                columns,
-            } => self
-                .storage
-                .create_index(*table, name.clone(), columns.clone())
-                .map(|_| ()),
-            BoundDdl::DropIndex { name, .. } => self.storage.drop_index(name),
+    fn apply_ddl(&mut self, ddl: &Ddl) -> GdbResult<()> {
+        let mut ddl = ddl.clone();
+        if let Ddl::CreateTable(schema) = &mut ddl {
+            schema.id = self.storage.catalog_mut().allocate_table_id();
         }
+        self.storage.apply_ddl(&ddl)
     }
 }

@@ -2,7 +2,9 @@
 
 use crate::ast::{self, BinOp, PExpr, SelectItem, Statement};
 use crate::plan::*;
-use gdb_model::{ColumnDef, DataType, Datum, DistributionKind, GdbError, GdbResult, TableSchema};
+use gdb_model::{
+    ColumnDef, DataType, Datum, Ddl, DistributionKind, GdbError, GdbResult, TableId, TableSchema,
+};
 use gdb_storage::Catalog;
 
 /// Bind a parsed statement against the catalog.
@@ -11,7 +13,7 @@ pub fn bind_statement(stmt: &Statement, catalog: &Catalog) -> GdbResult<BoundSta
         Statement::CreateTable(ct) => bind_create_table(ct),
         Statement::DropTable(name) => {
             let t = catalog.table_by_name(name)?;
-            Ok(BoundStatement::Ddl(BoundDdl::DropTable(t.id)))
+            Ok(BoundStatement::Ddl(Ddl::DropTable(t.id)))
         }
         Statement::CreateIndex {
             name,
@@ -27,7 +29,7 @@ pub fn bind_statement(stmt: &Statement, catalog: &Catalog) -> GdbResult<BoundSta
                         .ok_or_else(|| GdbError::Plan(format!("unknown column {c}")))
                 })
                 .collect::<GdbResult<Vec<_>>>()?;
-            Ok(BoundStatement::Ddl(BoundDdl::CreateIndex {
+            Ok(BoundStatement::Ddl(Ddl::CreateIndex {
                 table: schema.id,
                 name: name.clone(),
                 columns: cols,
@@ -35,9 +37,9 @@ pub fn bind_statement(stmt: &Statement, catalog: &Catalog) -> GdbResult<BoundSta
         }
         Statement::DropIndex { name } => {
             let def = catalog.index_by_name(name)?;
-            Ok(BoundStatement::Ddl(BoundDdl::DropIndex {
-                name: name.clone(),
+            Ok(BoundStatement::Ddl(Ddl::DropIndex {
                 table: def.table,
+                name: name.clone(),
             }))
         }
         Statement::Insert {
@@ -119,13 +121,14 @@ fn bind_create_table(ct: &ast::CreateTable) -> GdbResult<BoundStatement> {
             }
         }
     }
-    Ok(BoundStatement::Ddl(BoundDdl::CreateTable {
+    Ok(BoundStatement::Ddl(Ddl::CreateTable(TableSchema {
+        id: TableId(0), // assigned by the node that runs the statement
         name: ct.name.clone(),
         columns,
         primary_key,
         distribution_key,
         distribution,
-    }))
+    })))
 }
 
 fn bind_insert(
@@ -868,11 +871,11 @@ mod tests {
              DISTRIBUTE BY RANGE(a) SPLIT AT (10)",
         );
         match b {
-            BoundStatement::Ddl(BoundDdl::CreateTable {
+            BoundStatement::Ddl(Ddl::CreateTable(TableSchema {
                 distribution,
                 primary_key,
                 ..
-            }) => {
+            })) => {
                 assert_eq!(
                     distribution,
                     DistributionKind::Range {

@@ -1,6 +1,6 @@
 //! Bound statements and access paths (the logical/physical plan).
 
-use gdb_model::{ColumnDef, Datum, DistributionKind, IndexId, TableId};
+use gdb_model::{Datum, Ddl, IndexId, TableId};
 
 /// A bound (name-resolved) expression. Column references carry a *slot*
 /// (position in the FROM list — 0 = outer, 1 = inner join table) and the
@@ -141,33 +141,11 @@ pub struct SelectPlan {
     pub for_update: bool,
 }
 
-/// Bound DDL operations.
-#[derive(Debug, Clone, PartialEq)]
-pub enum BoundDdl {
-    CreateTable {
-        name: String,
-        columns: Vec<ColumnDef>,
-        primary_key: Vec<usize>,
-        distribution_key: Vec<usize>,
-        distribution: DistributionKind,
-    },
-    DropTable(TableId),
-    CreateIndex {
-        table: TableId,
-        name: String,
-        columns: Vec<usize>,
-    },
-    DropIndex {
-        name: String,
-        table: TableId,
-    },
-}
-
 /// A fully bound statement, ready to execute (repeatedly, with params).
 #[allow(clippy::large_enum_variant)] // statements are prepared once, not stored in bulk
 #[derive(Debug, Clone, PartialEq)]
 pub enum BoundStatement {
-    Ddl(BoundDdl),
+    Ddl(Ddl),
     Insert {
         table: TableId,
         /// Each row is full-width, in schema column order.
@@ -191,15 +169,11 @@ pub enum BoundStatement {
 
 impl BoundStatement {
     /// Tables this statement touches (for DDL-visibility checks and shard
-    /// routing).
+    /// routing). DDL lists none: it runs outside transactions, and its
+    /// table is [`Ddl::table`].
     pub fn tables(&self) -> &[TableId] {
         match self {
-            BoundStatement::Ddl(d) => match d {
-                BoundDdl::DropTable(t)
-                | BoundDdl::CreateIndex { table: t, .. }
-                | BoundDdl::DropIndex { table: t, .. } => std::slice::from_ref(t),
-                BoundDdl::CreateTable { .. } => &[],
-            },
+            BoundStatement::Ddl(_) => &[],
             BoundStatement::Insert { table, .. }
             | BoundStatement::Update { table, .. }
             | BoundStatement::Delete { table, .. } => std::slice::from_ref(table),

@@ -3,7 +3,7 @@
 //! Computing nodes are stateless (paper §II-A) and share the catalog; data
 //! nodes keep a copy that DDL replay keeps current on replicas.
 
-use gdb_model::{FxHashMap, GdbError, GdbResult, IndexId, TableId, TableSchema};
+use gdb_model::{Ddl, FxHashMap, GdbError, GdbResult, IndexId, TableId, TableSchema};
 
 /// Metadata of one secondary index.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -38,6 +38,22 @@ impl Catalog {
         let id = TableId(self.next_table);
         self.next_table += 1;
         id
+    }
+
+    /// Apply one DDL statement to the metadata.
+    pub fn apply(&mut self, ddl: &Ddl) -> GdbResult<()> {
+        match ddl {
+            Ddl::CreateTable(schema) => self.create_table(schema.clone()),
+            Ddl::DropTable(id) => self.drop_table(*id).map(|_| ()),
+            Ddl::CreateIndex {
+                table,
+                name,
+                columns,
+            } => self
+                .create_index(*table, name.clone(), columns.clone())
+                .map(|_| ()),
+            Ddl::DropIndex { name, .. } => self.drop_index(name).map(|_| ()),
+        }
     }
 
     /// Register a table (id already set in the schema).

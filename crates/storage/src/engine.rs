@@ -10,7 +10,9 @@
 use crate::catalog::Catalog;
 use crate::lock::LockTable;
 use crate::table::{Table, VisibleRow};
-use gdb_model::{Datum, FxHashMap, GdbError, GdbResult, IndexId, Row, RowKey, TableId, Timestamp};
+use gdb_model::{
+    Datum, Ddl, FxHashMap, GdbError, GdbResult, IndexId, Row, RowKey, TableId, Timestamp,
+};
 use gdb_simnet::SimTime;
 use std::collections::BTreeMap;
 
@@ -42,6 +44,24 @@ impl DataNodeStorage {
     }
 
     // ---- DDL --------------------------------------------------------
+
+    /// Apply one DDL statement: the catalog and the table and index maps.
+    /// The one way a DDL statement reaches a node's state, on the CN's
+    /// primaries and on replicas replaying it alike.
+    pub fn apply_ddl(&mut self, ddl: &Ddl) -> GdbResult<()> {
+        match ddl {
+            Ddl::CreateTable(schema) => self.create_table(schema.clone()),
+            Ddl::DropTable(id) => self.drop_table(*id),
+            Ddl::CreateIndex {
+                table,
+                name,
+                columns,
+            } => self
+                .create_index(*table, name.clone(), columns.clone())
+                .map(|_| ()),
+            Ddl::DropIndex { name, .. } => self.drop_index(name),
+        }
+    }
 
     pub fn create_table(&mut self, schema: gdb_model::TableSchema) -> GdbResult<()> {
         let id = schema.id;

@@ -21,5 +21,5 @@ pub mod crc;
 pub mod record;
 pub mod segment;
 
-pub use record::{DdlKind, EncodeScratch, Lsn, RedoPayload, RedoRecord, WalError};
+pub use record::{EncodeScratch, Lsn, RedoPayload, RedoRecord, WalError};
 pub use segment::{GroupCommitWal, LogBatch, RedoBuffer, SYNC_PAGE};

@@ -5,7 +5,9 @@ use crate::codec::{
     DecodeError, Reader,
 };
 use crate::crc::crc32;
-use gdb_model::{ColumnDef, DistributionKind, Row, RowKey, TableId, TableSchema, Timestamp, TxnId};
+use gdb_model::{
+    ColumnDef, Ddl, DistributionKind, Row, RowKey, TableId, TableSchema, Timestamp, TxnId,
+};
 use std::fmt;
 
 /// Log sequence number: position of a record in one primary's redo stream.
@@ -52,24 +54,6 @@ impl From<DecodeError> for WalError {
     }
 }
 
-/// DDL operations that replicate through the log (paper §IV-A: ROR queries
-/// must be consistent with replayed DDL).
-#[derive(Debug, Clone, PartialEq)]
-pub enum DdlKind {
-    CreateTable(TableSchema),
-    DropTable(TableId),
-    /// Create a secondary index over the given column positions.
-    CreateIndex {
-        table: TableId,
-        index_name: String,
-        columns: Vec<usize>,
-    },
-    DropIndex {
-        table: TableId,
-        index_name: String,
-    },
-}
-
 /// The body of a redo record.
 #[derive(Debug, Clone, PartialEq)]
 pub enum RedoPayload {
@@ -103,8 +87,9 @@ pub enum RedoPayload {
     CommitPrepared { commit_ts: Timestamp },
     /// 2PC: prepared transaction rolled back.
     AbortPrepared,
-    /// A replicated DDL statement, stamped with its commit timestamp.
-    Ddl { commit_ts: Timestamp, kind: DdlKind },
+    /// A replicated DDL statement, stamped with its commit timestamp
+    /// (paper §IV-A: ROR queries must be consistent with replayed DDL).
+    Ddl { commit_ts: Timestamp, ddl: Ddl },
     /// Periodic no-op commit so a replica's max-commit-timestamp advances
     /// even when it receives no real transactions (paper §IV-A).
     Heartbeat { commit_ts: Timestamp },
@@ -275,35 +260,35 @@ fn put_payload(out: &mut Vec<u8>, p: &RedoPayload) {
             put_varint(out, commit_ts.0);
         }
         RedoPayload::AbortPrepared => out.push(P_ABORT_PREP),
-        RedoPayload::Ddl { commit_ts, kind } => {
+        RedoPayload::Ddl { commit_ts, ddl } => {
             out.push(P_DDL);
             put_varint(out, commit_ts.0);
-            match kind {
-                DdlKind::CreateTable(s) => {
+            match ddl {
+                Ddl::CreateTable(s) => {
                     out.push(D_CREATE_TABLE);
                     put_schema(out, s);
                 }
-                DdlKind::DropTable(t) => {
+                Ddl::DropTable(t) => {
                     out.push(D_DROP_TABLE);
                     put_varint(out, t.0 as u64);
                 }
-                DdlKind::CreateIndex {
+                Ddl::CreateIndex {
                     table,
-                    index_name,
+                    name,
                     columns,
                 } => {
                     out.push(D_CREATE_INDEX);
                     put_varint(out, table.0 as u64);
-                    put_str(out, index_name);
+                    put_str(out, name);
                     put_varint(out, columns.len() as u64);
                     for &c in columns {
                         put_varint(out, c as u64);
                     }
                 }
-                DdlKind::DropIndex { table, index_name } => {
+                Ddl::DropIndex { table, name } => {
                     out.push(D_DROP_INDEX);
                     put_varint(out, table.0 as u64);
-                    put_str(out, index_name);
+                    put_str(out, name);
                 }
             }
         }
@@ -346,30 +331,30 @@ fn get_payload(r: &mut Reader) -> Result<RedoPayload, WalError> {
         P_ABORT_PREP => RedoPayload::AbortPrepared,
         P_DDL => {
             let commit_ts = Timestamp(r.varint()?);
-            let kind = match r.u8()? {
-                D_CREATE_TABLE => DdlKind::CreateTable(get_schema(r)?),
-                D_DROP_TABLE => DdlKind::DropTable(TableId(r.varint()? as u32)),
+            let ddl = match r.u8()? {
+                D_CREATE_TABLE => Ddl::CreateTable(get_schema(r)?),
+                D_DROP_TABLE => Ddl::DropTable(TableId(r.varint()? as u32)),
                 D_CREATE_INDEX => {
                     let table = TableId(r.varint()? as u32);
-                    let index_name = r.str()?;
+                    let name = r.str()?;
                     let n = r.varint()? as usize;
                     let mut columns = Vec::with_capacity(n.min(16));
                     for _ in 0..n {
                         columns.push(r.varint()? as usize);
                     }
-                    DdlKind::CreateIndex {
+                    Ddl::CreateIndex {
                         table,
-                        index_name,
+                        name,
                         columns,
                     }
                 }
-                D_DROP_INDEX => DdlKind::DropIndex {
+                D_DROP_INDEX => Ddl::DropIndex {
                     table: TableId(r.varint()? as u32),
-                    index_name: r.str()?,
+                    name: r.str()?,
                 },
                 t => return Err(WalError::Decode(format!("bad ddl tag {t}"))),
             };
-            RedoPayload::Ddl { commit_ts, kind }
+            RedoPayload::Ddl { commit_ts, ddl }
         }
         P_HEARTBEAT => RedoPayload::Heartbeat {
             commit_ts: Timestamp(r.varint()?),
@@ -502,25 +487,25 @@ mod tests {
             RedoPayload::AbortPrepared,
             RedoPayload::Ddl {
                 commit_ts: Timestamp(777),
-                kind: DdlKind::CreateTable(sample_schema()),
+                ddl: Ddl::CreateTable(sample_schema()),
             },
             RedoPayload::Ddl {
                 commit_ts: Timestamp(778),
-                kind: DdlKind::DropTable(TableId(9)),
+                ddl: Ddl::DropTable(TableId(9)),
             },
             RedoPayload::Ddl {
                 commit_ts: Timestamp(779),
-                kind: DdlKind::CreateIndex {
+                ddl: Ddl::CreateIndex {
                     table: TableId(9),
-                    index_name: "by_comment".into(),
+                    name: "by_comment".into(),
                     columns: vec![1],
                 },
             },
             RedoPayload::Ddl {
                 commit_ts: Timestamp(780),
-                kind: DdlKind::DropIndex {
+                ddl: Ddl::DropIndex {
                     table: TableId(9),
-                    index_name: "by_comment".into(),
+                    name: "by_comment".into(),
                 },
             },
             RedoPayload::Heartbeat {
@@ -655,7 +640,7 @@ mod tests {
 #[cfg(test)]
 mod proptests {
     use super::*;
-    use gdb_model::Datum;
+    use gdb_model::{DataType, Datum};
     use proptest::prelude::*;
 
     fn arb_datum() -> impl Strategy<Value = Datum> {
@@ -668,26 +653,111 @@ mod proptests {
         ]
     }
 
-    fn arb_payload() -> impl Strategy<Value = RedoPayload> {
-        prop_oneof![
-            (
-                any::<u32>(),
-                proptest::collection::vec(arb_datum(), 1..4),
-                proptest::collection::vec(arb_datum(), 0..8)
+    fn arb_key() -> impl Strategy<Value = RowKey> {
+        proptest::collection::vec(arb_datum(), 1..4).prop_map(RowKey::new)
+    }
+
+    fn arb_row() -> impl Strategy<Value = Row> {
+        proptest::collection::vec(arb_datum(), 0..8).prop_map(Row)
+    }
+
+    fn arb_name() -> impl Strategy<Value = String> {
+        "[a-zA-Z0-9_ é€]{0,12}"
+    }
+
+    fn arb_positions() -> impl Strategy<Value = Vec<usize>> {
+        proptest::collection::vec(any::<usize>(), 0..4)
+    }
+
+    /// Schemas as the decoder sees them: any columns, key positions and
+    /// distribution, valid or not.
+    fn arb_schema() -> impl Strategy<Value = TableSchema> {
+        let data_type = prop_oneof![
+            Just(DataType::Int),
+            Just(DataType::Decimal),
+            Just(DataType::Text),
+            Just(DataType::Bool),
+        ];
+        let column = (arb_name(), data_type, any::<bool>(), any::<u8>()).prop_map(
+            |(name, data_type, nullable, scale)| ColumnDef {
+                name,
+                data_type,
+                nullable,
+                scale,
+            },
+        );
+        let distribution = prop_oneof![
+            Just(DistributionKind::Hash),
+            proptest::collection::vec(any::<i64>(), 0..6)
+                .prop_map(|split_points| DistributionKind::Range { split_points }),
+            Just(DistributionKind::Replicated),
+        ];
+        (
+            any::<u32>(),
+            arb_name(),
+            proptest::collection::vec(column, 0..6),
+            arb_positions(),
+            arb_positions(),
+            distribution,
+        )
+            .prop_map(
+                |(id, name, columns, primary_key, distribution_key, distribution)| TableSchema {
+                    id: TableId(id),
+                    name,
+                    columns,
+                    primary_key,
+                    distribution_key,
+                    distribution,
+                },
             )
-                .prop_map(|(t, k, r)| RedoPayload::Insert {
+    }
+
+    fn arb_ddl() -> impl Strategy<Value = Ddl> {
+        prop_oneof![
+            arb_schema().prop_map(Ddl::CreateTable),
+            any::<u32>().prop_map(|t| Ddl::DropTable(TableId(t))),
+            (any::<u32>(), arb_name(), arb_positions()).prop_map(|(t, name, columns)| {
+                Ddl::CreateIndex {
                     table: TableId(t),
-                    key: RowKey::new(k),
-                    row: Row(r),
-                }),
-            any::<u64>().prop_map(|ts| RedoPayload::Commit {
-                commit_ts: Timestamp(ts)
+                    name,
+                    columns,
+                }
+            }),
+            (any::<u32>(), arb_name()).prop_map(|(t, name)| Ddl::DropIndex {
+                table: TableId(t),
+                name,
+            }),
+        ]
+    }
+
+    fn arb_payload() -> impl Strategy<Value = RedoPayload> {
+        let ts = || any::<u64>().prop_map(Timestamp);
+        prop_oneof![
+            (any::<u32>(), arb_key(), arb_row()).prop_map(|(t, key, row)| RedoPayload::Insert {
+                table: TableId(t),
+                key,
+                row,
+            }),
+            (any::<u32>(), arb_key(), arb_row()).prop_map(|(t, key, new_row)| {
+                RedoPayload::Update {
+                    table: TableId(t),
+                    key,
+                    new_row,
+                }
+            }),
+            (any::<u32>(), arb_key()).prop_map(|(t, key)| RedoPayload::Delete {
+                table: TableId(t),
+                key,
             }),
             Just(RedoPayload::PendingCommit),
+            ts().prop_map(|commit_ts| RedoPayload::Commit { commit_ts }),
             Just(RedoPayload::Abort),
-            any::<u64>().prop_map(|ts| RedoPayload::Heartbeat {
-                commit_ts: Timestamp(ts)
-            }),
+            Just(RedoPayload::Prepare),
+            ts().prop_map(|commit_ts| RedoPayload::CommitPrepared { commit_ts }),
+            Just(RedoPayload::AbortPrepared),
+            (ts(), arb_ddl()).prop_map(|(commit_ts, ddl)| RedoPayload::Ddl { commit_ts, ddl }),
+            ts().prop_map(|commit_ts| RedoPayload::Heartbeat { commit_ts }),
+            ts().prop_map(|as_of| RedoPayload::Checkpoint { as_of }),
         ]
     }
 
@@ -708,6 +778,10 @@ mod proptests {
     }
 
     proptest! {
+        // Enough cases that every DDL kind and distribution of a created
+        // table's schema comes up many times.
+        #![proptest_config(ProptestConfig::with_cases(2048))]
+
         #[test]
         fn record_roundtrip(lsn in any::<u64>(), txn in any::<u64>(), payload in arb_payload()) {
             let rec = RedoRecord { lsn: Lsn(lsn), txn: TxnId(txn), payload };
@@ -719,7 +793,10 @@ mod proptests {
         /// The decoder answers `Ok` or `Err`, never panics, on arbitrary
         /// bytes (spliced with varints of any size, lengths near
         /// `u64::MAX` included) and on valid segments with one byte
-        /// flipped or cut short.
+        /// flipped or cut short. The CRC turns nearly every such segment
+        /// into `Corrupt`, so each payload body is also flipped or cut
+        /// the same way and decoded past it: the payload, DDL and schema
+        /// decoders see malformed input too.
         #[test]
         fn decoder_never_panics(
             chunks in proptest::collection::vec(arb_chunk(), 0..24),
@@ -728,17 +805,24 @@ mod proptests {
             mask in 1u8..=255,
             cut in any::<bool>(),
         ) {
+            let damage = |bytes: &mut Vec<u8>| {
+                let i = at % bytes.len();
+                if cut {
+                    bytes.truncate(i);
+                } else {
+                    bytes[i] ^= mask;
+                }
+            };
             let mut seg = Vec::new();
-            for (i, payload) in payloads.into_iter().enumerate() {
-                let rec = RedoRecord { lsn: Lsn(i as u64), txn: TxnId(1), payload };
+            for (i, payload) in payloads.iter().enumerate() {
+                let rec = RedoRecord { lsn: Lsn(i as u64), txn: TxnId(1), payload: payload.clone() };
                 encode_record(&mut seg, &rec);
+                let mut body = Vec::new();
+                put_payload(&mut body, payload);
+                damage(&mut body);
+                let _ = get_payload(&mut Reader::new(&body));
             }
-            let i = at % seg.len();
-            if cut {
-                seg.truncate(i);
-            } else {
-                seg[i] ^= mask;
-            }
+            damage(&mut seg);
             for input in [chunks.concat(), seg] {
                 let _ = decode_all(&input);
             }

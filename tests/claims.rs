@@ -347,7 +347,6 @@ fn ablation_rebalancer_converges_in_four_migrations() {
     let mut controller = ablation_rebalance::controller(&params);
     let (mut cluster, r_rebal, windows) = ablation_rebalance::point(&params, Some(&mut controller));
     let started = cluster
-        .db
         .metrics_snapshot()
         .counter("rebalance.migrations_started")
         .unwrap_or(0);

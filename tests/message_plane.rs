@@ -157,7 +157,7 @@ fn every_rpc_kind_has_a_live_region_labelled_counter() {
             &[Datum::Int(3)],
         )
         .unwrap();
-    let snap = c.db.metrics_snapshot();
+    let snap = c.metrics_snapshot();
     for kind in ALL_RPC_KINDS {
         let total = format!("rpc.{}.msgs", kind.name());
         assert!(
@@ -244,7 +244,7 @@ fn migration_rpc_kinds_carry_traffic_during_a_migration() {
     c.run_until(SimTime::from_secs(3));
     assert_eq!(c.db.last_migration_completed(), Some(0));
 
-    let snap = c.db.metrics_snapshot();
+    let snap = c.metrics_snapshot();
     for name in [
         "rpc.migrate_snapshot.msgs",
         "rpc.migrate_catchup.msgs",

@@ -28,7 +28,7 @@ fn run_tpcc(config: ClusterConfig, workload_seed: u64) -> (Cluster, String, Metr
         },
     );
     let render = cluster.db.obs().tracer.render();
-    let snap = cluster.db.metrics_snapshot();
+    let snap = cluster.metrics_snapshot();
     (cluster, render, snap)
 }
 
