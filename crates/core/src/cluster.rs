@@ -36,6 +36,10 @@ use gdb_simnet::{NetNodeId, RegionId, Sim, SimTime, Topology};
 use gdb_storage::{Catalog, DataNodeStorage};
 use gdb_txnmgr::{CnTm, GtmServer, TmMode, TransitionOrchestrator};
 
+/// How many RCP rounds [`Cluster::finish_load`] waits for its heartbeat
+/// to reach every region's RCP (one or two at the default 25 ms).
+const LOAD_RCP_ROUNDS: u64 = 64;
+
 /// One computing node.
 pub struct Cn {
     pub node: NetNodeId,
@@ -662,17 +666,28 @@ impl Cluster {
         self.sim.run_until(&mut self.db, t);
     }
 
-    /// After bulk loading, stage a heartbeat (running the engine to the
-    /// end of its commit wait), then fast-forward the replication cursors
-    /// and RCP so replicas are "caught up" with the loaded state.
+    /// After bulk loading, rebuild every replica from its primary's
+    /// snapshot (`Shard::rebuild_replicas`, as a takeover does), stage a
+    /// heartbeat and run the engine until every alive CN's RCP covers it.
+    /// Panics, naming the region, if an RCP has not within
+    /// `LOAD_RCP_ROUNDS` rounds (a replica or link down at setup).
     pub fn finish_load(&mut self) {
-        if let Some(staged) = self.db.heartbeat(self.sim.now()) {
-            self.run_until(staged);
-        }
-        self.sync_replicas_now();
         let now = self.sim.now();
-        for r in 0..self.db.regions.len() {
-            self.db.rcp_round(r, now);
+        let codec = self.db.config.codec;
+        for shard in &mut self.db.shards {
+            shard.rebuild_replicas(codec, now);
+        }
+        let Some(ts) = self.db.heartbeat(now) else {
+            return;
+        };
+        let deadline = now + self.db.config.rcp_interval * LOAD_RCP_ROUNDS;
+        while let Some(region) = self.db.rcp_short_of(ts) {
+            assert!(
+                self.sim.now() <= deadline,
+                "region {region:?}'s RCP did not cover the load heartbeat \
+                 {ts:?} within {LOAD_RCP_ROUNDS} RCP rounds"
+            );
+            self.sim.step(&mut self.db);
         }
     }
 

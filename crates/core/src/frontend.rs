@@ -58,8 +58,8 @@ impl Cluster {
             };
             shard.log.append(stamp.wait_end, txn, payload);
         }
-        // Return once the record is staged, so what runs next (a bulk
-        // load's replica sync, a transaction) comes after it.
+        // Return once the record is staged, so what runs next (a
+        // transaction, the next `finish_load`'s heartbeat) comes after it.
         self.run_until(stamp.wait_end);
         Ok(TxnOutcome {
             commit_ts: Some(stamp.ts),
@@ -72,13 +72,11 @@ impl Cluster {
         })
     }
 
-    /// Bulk-load rows directly into primaries *and* replicas at timestamp
-    /// 1 (benchmark setup: start from a fully synchronized state without
-    /// paying per-row transaction costs).
+    /// Bulk-load rows directly into the primaries at timestamp 1
+    /// (benchmark setup: no per-row transaction costs). The rows reach the
+    /// replicas at the next [`Cluster::finish_load`], which rebuilds them
+    /// from the primaries' snapshots.
     pub fn bulk_load(&mut self, table: TableId, rows: Vec<gdb_model::Row>) -> GdbResult<usize> {
-        // Replicas learn about tables through DDL replay; make sure any
-        // pending DDL has reached them before installing rows directly.
-        self.sync_replicas_now();
         let schema = self.db.catalog.table(table)?.clone();
         let shard_count = self.db.shards.len() as u16;
         let ts = Timestamp(1);
@@ -100,19 +98,13 @@ impl Cluster {
             row.0.shrink_to_fit();
             let last = targets.end - 1;
             for s in targets {
-                let shard = &mut self.db.shards[s];
-                let replicas = shard.replicas.iter_mut().map(|r| &mut r.applier.storage);
-                let mut nodes = std::iter::once(&mut shard.storage)
-                    .chain(replicas)
-                    .peekable();
-                while let Some(storage) = nodes.next() {
-                    let copy = if s == last && nodes.peek().is_none() {
-                        std::mem::take(&mut row)
-                    } else {
-                        row.clone()
-                    };
-                    storage.apply_put(table, &key, copy, ts, SimTime::ZERO)?;
-                }
+                let copy = if s == last {
+                    std::mem::take(&mut row)
+                } else {
+                    row.clone()
+                };
+                let storage = &mut self.db.shards[s].storage;
+                storage.apply_put(table, &key, copy, ts, SimTime::ZERO)?;
             }
             n += 1;
         }

@@ -41,24 +41,6 @@ impl GtmRate {
 }
 
 impl GlobalDb {
-    /// One RCP round for a region in a single step, collect then finish
-    /// with no gathering window in between: `Cluster::finish_load`'s
-    /// fast-forward over the loaded state. Background rounds gather, then
-    /// finish one [`GlobalDb::rcp_gather_delay`] later.
-    pub(crate) fn rcp_round(&mut self, region_idx: usize, now: SimTime) {
-        if let Some(collector_cn) = self.rcp_collect(region_idx, now) {
-            let span = self
-                .obs
-                .tracer
-                .begin(SpanKind::RcpRound, region_idx as u64, now);
-            self.rcp_finish(region_idx, collector_cn, now);
-            self.obs.tracer.end(span, now);
-            self.obs
-                .metrics
-                .record(self.hot.rcp.round_us, SimDuration::ZERO);
-        }
-    }
-
     /// Phase 1 of an RCP collection round for a region (paper §IV-A): the
     /// collector CN gathers max commit timestamps from the replicas at its
     /// site. Returns the global index of the collecting CN, or `None` when
@@ -147,10 +129,10 @@ impl GlobalDb {
     /// Send a heartbeat transaction to every shard so replica max-commit
     /// timestamps advance even when idle (paper §IV-A). It is stamped like
     /// any commit and staged when its commit wait ends, so no write staged
-    /// after it commits below it. Returns that instant, or `None` when no
+    /// after it commits below it. Returns its timestamp, or `None` when no
     /// CN is alive or the stamp fails (modes that stamp through the GTM
     /// cannot heartbeat while it is unreachable).
-    pub(crate) fn heartbeat(&mut self, mut now: SimTime) -> Option<SimTime> {
+    pub(crate) fn heartbeat(&mut self, mut now: SimTime) -> Option<Timestamp> {
         let cn = self.first_alive_cn()?;
         let stamp = self.commit_stamp(cn, &mut now).ok()?;
         let txn = self.next_txn_id(cn);
@@ -161,7 +143,20 @@ impl GlobalDb {
             shard.log.append(stamp.wait_end, txn, payload);
         }
         self.stats.heartbeats_sent += 1;
-        Some(stamp.wait_end)
+        Some(stamp.ts)
+    }
+
+    /// The region of the first alive CN whose RCP is below `ts` although
+    /// replicas at its site report to it, if any.
+    pub(crate) fn rcp_short_of(&self, ts: Timestamp) -> Option<RegionId> {
+        self.cns
+            .iter()
+            .find(|cn| {
+                cn.rcp < ts
+                    && !self.topo.is_node_down(cn.node)
+                    && rcp_slots(&self.shards, cn.region).next().is_some()
+            })
+            .map(|cn| cn.region)
     }
 
     /// Rebuild the per-region RCP calculators after replica membership

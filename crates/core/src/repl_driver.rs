@@ -8,7 +8,9 @@
 //! functions cover every lifecycle transition (DESIGN.md, "Replication
 //! followers"):
 //!
-//! * [`Shard::new_follower`] — build one from the primary's state;
+//! * [`Shard::new_follower`] — build one from the primary's state
+//!   ([`Shard::rebuild_replicas`] builds every replica anew: the
+//!   survivors of a takeover, and setup's `Cluster::finish_load`);
 //! * [`GlobalDb::ship_next`] (and [`GlobalDb::drain_now`], its loop) —
 //!   feed it the next batch;
 //! * [`GlobalDb::take_over`] — make it the primary;
@@ -24,7 +26,7 @@
 //! separately, and the remaining batch bytes are accounted on the link
 //! without a second latency draw.
 
-use crate::cluster::{Cluster, GlobalDb};
+use crate::cluster::GlobalDb;
 use crate::config::FLUSH_INTERVAL;
 use crate::event::{CoreEvent, CoreSim};
 use crate::migrate::Migration;
@@ -112,7 +114,7 @@ impl Shard {
         let head = self.log.sealed_head();
         let held = self.log.staged_txns().collect();
         // The snapshot's high-water mark: only what the current replicas
-        // have replayed is claimed (none yet right after a takeover).
+        // have replayed is claimed (none during `rebuild_replicas`).
         let max_ts = self
             .replicas
             .iter()
@@ -134,6 +136,18 @@ impl Shard {
             stream_free: now,
             last_arrival: now,
             epoch: 0,
+        }
+    }
+
+    /// Rebuild every replica from the primary's current state at `now`
+    /// under its next incarnation, which orphans every delivery of its
+    /// old stream still in flight. Nothing is charged: the survivors of a
+    /// takeover and setup's `Cluster::finish_load` call it.
+    pub(crate) fn rebuild_replicas(&mut self, codec: Codec, now: SimTime) {
+        for old in std::mem::take(&mut self.replicas) {
+            let mut replica = self.new_follower(old.node, old.region, codec, now);
+            replica.epoch = old.epoch + 1;
+            self.replicas.push(replica);
         }
     }
 }
@@ -312,11 +326,7 @@ impl GlobalDb {
         shard.storage = follower.applier.into_storage();
         shard.storage.locks = old_locks;
         shard.log = ShardLog::new();
-        for old in std::mem::take(&mut shard.replicas) {
-            let mut replica = shard.new_follower(old.node, old.region, codec, now);
-            replica.epoch = old.epoch + 1;
-            shard.replicas.push(replica);
-        }
+        shard.rebuild_replicas(codec, now);
     }
 
     fn follower_mut(
@@ -361,29 +371,6 @@ impl GlobalDb {
         };
         if let Err(e) = follower.applier.apply_batch_owned(records, at) {
             panic!("redo replay failed (shard {shard_idx}, node {node:?}): {e}");
-        }
-    }
-}
-
-impl Cluster {
-    /// Ship and apply everything sealed so far without network delay
-    /// (setup helper). Batches a flush shipped that are still in flight
-    /// are orphaned and their records shipped again, or they would land
-    /// behind these.
-    pub(crate) fn sync_replicas_now(&mut self) {
-        let now = self.sim.now();
-        for s in 0..self.db.shards.len() {
-            self.db.shards[s].log.seal_upto(now);
-            for i in 0..self.db.shards[s].replicas.len() {
-                let replica = &mut self.db.shards[s].replicas[i];
-                let applied = replica.applier.resume_from();
-                if replica.channel.next_lsn() > applied {
-                    replica.epoch += 1;
-                    replica.channel.rewind(applied);
-                }
-                let node = replica.node;
-                self.db.drain_now(s, node, Some(RpcKind::LogShipBatch), now);
-            }
         }
     }
 }

@@ -1,8 +1,9 @@
 //! The follower lifecycle, end to end: every way a node comes to follow a
-//! shard's redo stream (initial placement, replica restart, the survivors
-//! of a promotion, a rejoining old primary, the target of a primary or
-//! replica move) and every way it stops (promotion, cutover, abort), on
-//! the three-city WAN with a writer running throughout.
+//! shard's redo stream (initial placement, the rebuild at setup's
+//! `finish_load`, replica restart, the survivors of a promotion, a
+//! rejoining old primary, the target of a primary or replica move) and
+//! every way it stops (promotion, cutover, abort), on the three-city WAN
+//! with a writer running throughout.
 //!
 //! Two kinds of assertion. Structural: right after a follower is
 //! (re)built its shipping cursor sits on its applier's resume point, its
@@ -17,11 +18,13 @@
 use gdb_model::{Row, RowKey, TableId};
 use gdb_simnet::NetNodeId;
 use gdb_storage::DataNodeStorage;
-use gdb_wal::Lsn;
+use gdb_wal::record::decode_all;
+use gdb_wal::{Lsn, RedoPayload};
 use globaldb::{
     Cluster, ClusterConfig, Datum, MigrationKind, MigrationPhase, MigrationSpec, ReplicationMode,
     RpcKind, SimDuration, SimTime, SpanKind, Timestamp,
 };
+use std::ops::Range;
 
 const KEYS: i64 = 48;
 const SHARD: usize = 0;
@@ -40,7 +43,7 @@ struct Rig {
     table: TableId,
     /// The keys the writer cycles over.
     keys: Vec<i64>,
-    /// Next writer instant and value.
+    /// Next writer instant (first: the end of setup) and value.
     next: SimTime,
     seq: i64,
 }
@@ -52,24 +55,32 @@ fn rig(mut config: ClusterConfig) -> Rig {
     let mut c = Cluster::new(config);
     c.db.obs_mut().tracer.enable(1 << 16);
     assert_initial_placement(&c);
-    c.ddl("CREATE TABLE kv (k INT NOT NULL, v INT, PRIMARY KEY (k)) DISTRIBUTE BY HASH(k)")
-        .unwrap();
-    let table = c.db.catalog().table_by_name("kv").unwrap().id;
-    c.bulk_load(
-        table,
-        (0..KEYS)
-            .map(|k| Row(vec![Datum::Int(k), Datum::Int(0)]))
-            .collect(),
-    )
-    .unwrap();
+    let table = create_kv(&mut c, "kv");
+    load_kv(&mut c, table, 0..KEYS);
     c.finish_load();
+    let next = c.now();
     Rig {
         c,
         table,
         keys: (0..KEYS).collect(),
-        next: t(10),
+        next,
         seq: 0,
     }
+}
+
+/// Create the writer's table shape as `name`.
+fn create_kv(c: &mut Cluster, name: &str) -> TableId {
+    c.ddl(&format!(
+        "CREATE TABLE {name} (k INT NOT NULL, v INT, PRIMARY KEY (k)) DISTRIBUTE BY HASH(k)"
+    ))
+    .unwrap();
+    c.db.catalog().table_by_name(name).unwrap().id
+}
+
+/// Bulk-load `keys` into `table`, each with value 0.
+fn load_kv(c: &mut Cluster, table: TableId, keys: Range<i64>) {
+    let rows = keys.map(|k| Row(vec![Datum::Int(k), Datum::Int(0)]));
+    c.bulk_load(table, rows.collect()).unwrap();
 }
 
 impl Rig {
@@ -269,6 +280,102 @@ fn locks(r: &Rig) -> (usize, u64) {
     (l.len(), l.waits)
 }
 
+/// `Cluster::finish_load` on `c`, checked against its contract: every
+/// replica is rebuilt from its primary's snapshot under its next
+/// incarnation, so it equals its primary row for row in each of `tables`,
+/// and every alive CN's RCP covers the load heartbeat when it returns.
+fn finish_load_checked(c: &mut Cluster, tables: &[TableId]) {
+    let incarnations: Vec<Vec<u64>> =
+        c.db.shards()
+            .iter()
+            .map(|s| s.replicas.iter().map(|r| r.epoch).collect())
+            .collect();
+    // Every heartbeat reaches every shard's log in the order it was sent,
+    // and the load heartbeat is the next one.
+    let sent = c.db.stats().heartbeats_sent as usize;
+    c.finish_load();
+    for (s, shard) in c.db.shards().iter().enumerate() {
+        for (replica, old) in shard.replicas.iter().zip(&incarnations[s]) {
+            assert_eq!(
+                replica.epoch,
+                old + 1,
+                "shard {s} replica n{}",
+                replica.node.0
+            );
+            for &table in tables {
+                for k in 0..KEYS {
+                    assert_eq!(
+                        read_row(&shard.storage, table, k, Timestamp::MAX),
+                        read_row(&replica.applier.storage, table, k, Timestamp::MAX),
+                        "shard {s} replica n{} table {table:?} key {k}",
+                        replica.node.0
+                    );
+                }
+            }
+        }
+    }
+    let sealed = decode_all(c.db.shards()[SHARD].log.durable().segment()).unwrap();
+    let heartbeat = sealed
+        .iter()
+        .filter_map(|rec| match rec.payload {
+            RedoPayload::Heartbeat { commit_ts } => Some(commit_ts),
+            _ => None,
+        })
+        .nth(sent)
+        .expect("the load heartbeat was sealed");
+    for cn in 0..c.db.cns().len() {
+        assert!(
+            c.db.cn_rcp(cn) >= heartbeat,
+            "cn {cn} below the load heartbeat"
+        );
+    }
+}
+
+/// `finish_load` at setup (DDL, two bulk loads), then again in the
+/// middle of a stream: after a writer ran, on a table created and loaded
+/// while replication was shipping.
+#[test]
+fn finish_load_rebuilds_replicas_and_waits_for_the_rcp() {
+    /// The second background RCP round on Three-City: the load heartbeat
+    /// ships with the 5 ms flush and crosses the WAN before it.
+    const SETUP_END_NS: u64 = 50_050_000;
+    let mut config = ClusterConfig::globaldb_three_city();
+    config.vacuum_interval = Some(SimDuration::from_millis(40));
+    let mut c = Cluster::new(config);
+    let table = create_kv(&mut c, "kv");
+    load_kv(&mut c, table, 0..KEYS / 2);
+    load_kv(&mut c, table, KEYS / 2..KEYS);
+    finish_load_checked(&mut c, &[table]);
+    assert_eq!(c.now().as_nanos(), SETUP_END_NS);
+
+    let next = c.now();
+    let mut r = Rig {
+        c,
+        table,
+        keys: (0..KEYS).collect(),
+        next,
+        seq: 0,
+    };
+    r.write_until(t(200));
+    let second = create_kv(&mut r.c, "kv2");
+    load_kv(&mut r.c, second, 0..KEYS);
+    finish_load_checked(&mut r.c, &[table, second]);
+    r.next = r.c.now();
+    r.write_until(t(400));
+    r.settle_and_compare();
+}
+
+/// The wait ends: with a replica down at setup, its region's RCP cannot
+/// cover the load heartbeat, and `finish_load` names that region.
+#[test]
+#[should_panic(expected = "region RegionId(1)'s RCP did not cover the load heartbeat")]
+fn finish_load_names_the_region_its_rcp_cannot_cover() {
+    let mut c = Cluster::new(ClusterConfig::globaldb_three_city());
+    let node = c.db.crash_replica(SHARD, 0).unwrap();
+    assert_eq!(c.db.topo().node_region(node).0, 1);
+    c.finish_load();
+}
+
 #[test]
 fn restart_replica_rewinds_to_the_resume_point() {
     let mut r = rig(ClusterConfig::globaldb_three_city());
@@ -288,7 +395,7 @@ fn restart_replica_rewinds_to_the_resume_point() {
     assert!(!r.c.db.topo().is_node_down(node));
     r.write_until(t(300));
     r.settle_and_compare();
-    assert_eq!(r.msgs(), [2938, 0, 0, 0, 0]);
+    assert_eq!(r.msgs(), [2915, 0, 0, 0, 0]);
 }
 
 #[test]
@@ -324,8 +431,8 @@ fn async_promotion_resyncs_survivors_on_an_empty_stream() {
 
     r.write_until(t(400));
     r.settle_and_compare();
-    assert_eq!(r.first_arrival_since(t(150)).as_nanos(), 182_681_159);
-    assert_eq!(r.msgs(), [3121, 0, 0, 0, 0]);
+    assert_eq!(r.first_arrival_since(t(150)).as_nanos(), 182_558_424);
+    assert_eq!(r.msgs(), [3101, 0, 0, 0, 0]);
 }
 
 #[test]
@@ -352,13 +459,13 @@ fn sync_promotion_drains_the_stream_before_the_switch() {
     r.next = t(152);
     r.write_until(t(300));
     r.settle_and_compare();
-    assert_eq!(r.first_arrival_since(t(150)).as_nanos(), 182_789_445);
-    assert_eq!(r.msgs(), [2700, 454, 0, 0, 0]);
+    assert_eq!(r.first_arrival_since(t(150)).as_nanos(), 182_675_780);
+    assert_eq!(r.msgs(), [2660, 374, 0, 0, 0]);
 }
 
 #[test]
 fn primary_move_takes_over_like_a_promotion() {
-    const DONE_NS: u64 = 152_898_502;
+    const DONE_NS: u64 = 152_772_430;
     let mut r = rig(ClusterConfig::globaldb_three_city());
     r.write_until(t(100));
     let to_region = r.c.db.regions()[1];
@@ -383,7 +490,7 @@ fn primary_move_takes_over_like_a_promotion() {
 
     r.write_until(t(700));
     r.settle_and_compare();
-    assert_eq!(r.msgs(), [3714, 0, 1, 7, 5]);
+    assert_eq!(r.msgs(), [3676, 0, 1, 7, 5]);
 }
 
 /// A write every 2 ms, all to the moving shard — more often than both
@@ -426,7 +533,7 @@ fn a_move_off_a_steadily_written_shard_completes() {
 
 #[test]
 fn replica_move_swaps_identity_and_keeps_the_stream() {
-    const DONE_NS: u64 = 172_726_606;
+    const DONE_NS: u64 = 172_614_909;
     let mut r = rig(ClusterConfig::globaldb_three_city());
     r.write_until(t(120));
     let moved = r.epochs()[0];
@@ -464,7 +571,7 @@ fn replica_move_swaps_identity_and_keeps_the_stream() {
 
     r.write_until(t(700));
     r.settle_and_compare();
-    assert_eq!(r.msgs(), [3677, 0, 1, 6, 2]);
+    assert_eq!(r.msgs(), [3645, 0, 1, 7, 2]);
 }
 
 #[test]
@@ -495,5 +602,5 @@ fn aborted_move_leaves_every_follower_as_it_was() {
     assert_eq!(r.c.db.routing_epoch(), 0);
 
     r.settle_and_compare();
-    assert_eq!(r.msgs(), [3130, 0, 1, 4, 0]);
+    assert_eq!(r.msgs(), [3104, 0, 1, 4, 0]);
 }

@@ -402,14 +402,14 @@ fn blocked_replica_falls_back_per_shape() {
 /// reads stay inside the reader's region (no jitter); each fallback adds
 /// one jittered WAN round trip to the primary.
 const PINNED_LATENCIES_NS: [u64; 7] = [
-    25_243_439, 40_000, 25_346_071, 40_000, 25_127_774, 40_000, 25_151_433,
+    25_155_749, 40_000, 25_333_878, 40_000, 25_244_804, 40_000, 25_456_469,
 ];
 const PINNED_MSGS: &[(&str, u64)] = &[
     ("dn_read", 28),
     ("dn_write", 4),
     ("two_pc_commit", 2),
-    ("log_ship_batch", 518),
-    ("rcp_gather", 204),
-    ("rcp_distribute", 51),
+    ("log_ship_batch", 506),
+    ("rcp_gather", 192),
+    ("rcp_distribute", 48),
     ("skyline_probe", 33),
 ];
