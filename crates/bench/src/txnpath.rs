@@ -219,7 +219,7 @@ pub fn run_fast(script: &Script, window: usize) -> TxnPathResult {
             // Sequential txns: the previous holder's lock has always
             // expired by `now`, so this never waits.
             match primary.locks.acquire(table, &key, txn, now, release) {
-                LockOutcome::Acquired => {}
+                LockOutcome::Acquired | LockOutcome::Held => {}
                 LockOutcome::WaitUntil(at) => panic!("unexpected lock wait until {at}"),
             }
             let mut row = Row::default();

@@ -70,7 +70,13 @@ pub struct TxnHandle<'a> {
     /// Every staged write in order, each owning its image (`None` =
     /// deleted); the commit installs them from here.
     write_log: Vec<WriteOp>,
+    /// Every row lock this transaction holds, once each; commit and
+    /// abort set their release instants from here.
     locked: Vec<(usize, TableId, RowKey)>,
+    /// Where the running statement's entries in `locked` begin: the locks
+    /// it took, and those it found already held (moved in from before).
+    /// Its later reads-for-update and writes of those rows ride them.
+    stmt_start: usize,
     /// Shards holding staged writes (and so a `PENDING_COMMIT` record),
     /// ascending: the 2PC participant set.
     shards_written: Vec<usize>,
@@ -163,6 +169,7 @@ impl<'a> TxnHandle<'a> {
             overlay: RowMap::new(),
             write_log: Vec::new(),
             locked: Vec::new(),
+            stmt_start: 0,
             shards_written: Vec::new(),
             used_replica: false,
             finished: false,
@@ -204,7 +211,10 @@ impl<'a> TxnHandle<'a> {
         self.ror
     }
 
-    /// Execute a prepared statement inside this transaction.
+    /// Execute a prepared statement inside this transaction. The call is
+    /// the statement's scope: a row it locks costs one lock request, and
+    /// its later reads-for-update and writes of that row cost nothing
+    /// more.
     pub fn execute(&mut self, prepared: &Prepared, params: &[Datum]) -> GdbResult<ExecOutput> {
         if matches!(prepared.bound, gdb_sqlengine::BoundStatement::Ddl(_)) {
             return Err(GdbError::Plan(
@@ -227,6 +237,7 @@ impl<'a> TxnHandle<'a> {
                 self.fallback_to_primary()?;
             }
         }
+        self.stmt_start = self.locked.len();
         execute(&prepared.bound, params, self)
     }
 
@@ -282,5 +293,52 @@ impl<'a> TxnHandle<'a> {
             used_replica: self.used_replica,
             aborted: false,
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::TxnHandle;
+    use crate::{Cluster, ClusterConfig, Datum, Prepared, Row, SimDuration};
+
+    /// A lock the transaction already holds — taken by an earlier
+    /// statement, or twice within one — is remembered once, so commit
+    /// and abort release each `(shard, table, key)` once.
+    #[test]
+    fn a_lock_already_held_is_remembered_once() {
+        let mut c = Cluster::new(ClusterConfig::globaldb_three_city().with_seed(3));
+        for ddl in [
+            "CREATE TABLE t (k INT NOT NULL, v INT, PRIMARY KEY (k)) DISTRIBUTE BY HASH(k)",
+            "CREATE TABLE r (k INT NOT NULL, v INT, PRIMARY KEY (k)) DISTRIBUTE BY REPLICATION",
+        ] {
+            c.ddl(ddl).unwrap();
+        }
+        for name in ["t", "r"] {
+            let table = c.db.catalog().table_by_name(name).unwrap().id;
+            let rows = (1..=3).map(|k| Row(vec![Datum::Int(k), Datum::Int(0)]));
+            c.bulk_load(table, rows.collect()).unwrap();
+        }
+        c.finish_load();
+        let for_update = c.prepare("SELECT v FROM t WHERE k = ? FOR UPDATE").unwrap();
+        let update = c.prepare("UPDATE t SET v = v + 1 WHERE k = ?").unwrap();
+        let update_all = c.prepare("UPDATE t SET v = v + 1 WHERE k >= ?").unwrap();
+        let update_r = c.prepare("UPDATE r SET v = v + 1 WHERE k = ?").unwrap();
+        let shards = c.db.shards().len();
+        // The number of locks the transaction remembers after `stmt`.
+        fn locks(txn: &mut TxnHandle, stmt: &Prepared, k: i64) -> usize {
+            txn.execute(stmt, &[Datum::Int(k)]).unwrap();
+            txn.locked.len()
+        }
+        let at = c.now() + SimDuration::from_millis(10);
+        c.run_transaction(0, at, false, false, |txn| {
+            assert_eq!(locks(txn, &for_update, 1), 1);
+            assert_eq!(locks(txn, &update, 1), 1, "held since the last statement");
+            assert_eq!(locks(txn, &update, 2), 2);
+            assert_eq!(locks(txn, &update_all, 1), 3, "rows 1 and 2 already held");
+            assert_eq!(locks(txn, &update_r, 1), 3 + shards);
+            assert_eq!(locks(txn, &update_r, 1), 3 + shards);
+            Ok(())
+        })
+        .unwrap();
     }
 }

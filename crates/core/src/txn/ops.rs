@@ -4,8 +4,16 @@
 //! epoch, [`TxnHandle::read_target`] + [`TxnHandle::unblocked`] make the
 //! Read-On-Replica decision (paper §IV-B, Fig. 5), and
 //! [`TxnHandle::charge_scatter`] charges the round trips through the
-//! message plane as [`RpcKind::DnRead`] / [`RpcKind::DnWrite`]. Writes
-//! share [`TxnHandle::lock_row`] and [`TxnHandle::write_row`].
+//! message plane as [`RpcKind::DnRead`] / [`RpcKind::DnWrite`].
+//!
+//! A locking statement costs one `DnWrite` round trip per shard it locks
+//! on. A single row's lock is one scatter to its owners
+//! ([`TxnHandle::lock_row`]); the rows of a range or index statement go
+//! as one scatter over their distinct owners (`lock_rows`). The
+//! statement's later reads-for-update and writes of a row it locked ride
+//! that lock ([`TxnHandle::write_row`] stages the redo and sends nothing
+//! more): the write images reach the data nodes with the commit. An
+//! `INSERT` always takes its own lock, which checks the key is new.
 
 use super::history::{digest, note_read, Event};
 use super::{TxnHandle, WriteOp, LOCK_LEASE, OP_MSG_BYTES};
@@ -347,18 +355,36 @@ impl<'a> TxnHandle<'a> {
         Ok(schema)
     }
 
-    /// The shared front of every write: route to the owning shard(s),
-    /// charge one scatter, take the row lock on each. With `fresh`, the
-    /// key must not exist yet (checked before any message is charged).
-    fn lock_row(&mut self, table: TableId, key: &RowKey, fresh: bool) -> GdbResult<Range<usize>> {
+    /// Refuse a lock or write in a transaction reading at the RCP.
+    fn writable(&self) -> GdbResult<()> {
         if self.ror {
             return Err(GdbError::Execution(
                 "lock or write in a read-only (ROR) transaction".into(),
             ));
         }
+        Ok(())
+    }
+
+    /// True if the running statement has locked `key` of `table`.
+    fn stmt_holds(&self, table: TableId, key: &RowKey) -> bool {
+        let locked = &self.locked[self.stmt_start..];
+        locked.iter().any(|(_, t, k)| *t == table && k == key)
+    }
+
+    /// The shared front of every write: route to the owning shard(s),
+    /// charge one scatter, take the row lock on each. With `fresh`, the
+    /// key must not exist yet (checked before any message is charged).
+    /// Without it, a row the running statement already locked rides that
+    /// lock: it is routed (the load counters see the access) but nothing
+    /// is charged or locked again.
+    fn lock_row(&mut self, table: TableId, key: &RowKey, fresh: bool) -> GdbResult<Range<usize>> {
+        self.writable()?;
         let shards = self.shards_for(table, Touch::Key(key), Access::Write)?;
         for s in shards.clone() {
             self.route_to_shard(s, OP_MSG_BYTES)?;
+        }
+        if !fresh && self.stmt_holds(table, key) {
+            return Ok(shards);
         }
         if fresh {
             // Overlay first (a row this transaction deleted may be
@@ -377,7 +403,7 @@ impl<'a> TxnHandle<'a> {
         let to = shards.clone().map(|s| (s, ReadTarget::Primary));
         self.charge_scatter(RpcKind::DnWrite, to, OP_MSG_BYTES)?;
         for s in shards.clone() {
-            self.lock_key(s, table, key)?;
+            self.lock_key(s, table, key);
         }
         Ok(shards)
     }
@@ -413,7 +439,10 @@ impl<'a> TxnHandle<'a> {
         Ok(())
     }
 
-    fn lock_key(&mut self, shard: usize, table: TableId, key: &RowKey) -> GdbResult<()> {
+    /// Take the lock on `key` on `shard` for the running statement,
+    /// waiting out another holder. A lock taken here is remembered once;
+    /// one an earlier statement took is moved into this one's entries.
+    fn lock_key(&mut self, shard: usize, table: TableId, key: &RowKey) {
         loop {
             let outcome = self.db.shards[shard].storage.locks.acquire(
                 table,
@@ -423,15 +452,28 @@ impl<'a> TxnHandle<'a> {
                 self.now + LOCK_LEASE,
             );
             match outcome {
-                LockOutcome::Acquired => break,
+                LockOutcome::Acquired => {
+                    self.locked.push((shard, table, key.clone()));
+                    return;
+                }
+                LockOutcome::Held => {
+                    let same = |(s, t, k): &(usize, TableId, RowKey)| {
+                        *s == shard && *t == table && k == key
+                    };
+                    let at = self.locked.iter().position(same);
+                    debug_assert!(at.is_some(), "a held lock is in the list");
+                    if let Some(at) = at.filter(|&at| at < self.stmt_start) {
+                        self.stmt_start -= 1;
+                        self.locked.swap(at, self.stmt_start);
+                    }
+                    return;
+                }
                 LockOutcome::WaitUntil(t) => {
                     self.db.stats.lock_waits += 1;
                     self.now = t;
                 }
             }
         }
-        self.locked.push((shard, table, key.clone()));
-        Ok(())
     }
 
     fn stage_write(
@@ -689,6 +731,35 @@ impl<'a> DataAccess for TxnHandle<'a> {
         let table = self.db.catalog.index(index)?.table;
         let touch = Touch::IndexPrefix(index, prefix);
         self.read_rows(table, touch, OP_MSG_BYTES * 2, visit)
+    }
+
+    fn lock_rows(&mut self, table: TableId, keys: &[RowKey]) -> GdbResult<()> {
+        if keys.is_empty() {
+            return Ok(());
+        }
+        self.writable()?;
+        // The keys' owners, each once: one request to each, routed as a
+        // range read routes its shards.
+        let mut to: Vec<(usize, ReadTarget)> = Vec::new();
+        for key in keys {
+            for s in self.shards_for(table, Touch::Key(key), Access::Write)? {
+                if !to.iter().any(|&(u, _)| u == s) {
+                    to.push((s, ReadTarget::Primary));
+                }
+            }
+        }
+        let bytes = OP_MSG_BYTES * (keys.len() as u64 / 4).max(1);
+        for &(s, _) in &to {
+            self.route_to_shard(s, bytes)?;
+        }
+        self.charge_scatter(RpcKind::DnWrite, to, bytes)?;
+        // The locks themselves in turn: each wait is paid in full.
+        for key in keys {
+            for s in self.shards_for(table, Touch::Key(key), Access::Write)? {
+                self.lock_key(s, table, key);
+            }
+        }
+        Ok(())
     }
 
     fn read_for_update(

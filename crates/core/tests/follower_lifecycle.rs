@@ -395,7 +395,7 @@ fn restart_replica_rewinds_to_the_resume_point() {
     assert!(!r.c.db.topo().is_node_down(node));
     r.write_until(t(300));
     r.settle_and_compare();
-    assert_eq!(r.msgs(), [2915, 0, 0, 0, 0]);
+    assert_eq!(r.msgs(), [2925, 0, 0, 0, 0]);
 }
 
 #[test]
@@ -431,7 +431,7 @@ fn async_promotion_resyncs_survivors_on_an_empty_stream() {
 
     r.write_until(t(400));
     r.settle_and_compare();
-    assert_eq!(r.first_arrival_since(t(150)).as_nanos(), 182_558_424);
+    assert_eq!(r.first_arrival_since(t(150)).as_nanos(), 182_559_735);
     assert_eq!(r.msgs(), [3101, 0, 0, 0, 0]);
 }
 
@@ -459,13 +459,13 @@ fn sync_promotion_drains_the_stream_before_the_switch() {
     r.next = t(152);
     r.write_until(t(300));
     r.settle_and_compare();
-    assert_eq!(r.first_arrival_since(t(150)).as_nanos(), 182_675_780);
-    assert_eq!(r.msgs(), [2660, 374, 0, 0, 0]);
+    assert_eq!(r.first_arrival_since(t(150)).as_nanos(), 182_698_137);
+    assert_eq!(r.msgs(), [2669, 374, 0, 0, 0]);
 }
 
 #[test]
 fn primary_move_takes_over_like_a_promotion() {
-    const DONE_NS: u64 = 152_772_430;
+    const DONE_NS: u64 = 153_012_576;
     let mut r = rig(ClusterConfig::globaldb_three_city());
     r.write_until(t(100));
     let to_region = r.c.db.regions()[1];
@@ -490,7 +490,7 @@ fn primary_move_takes_over_like_a_promotion() {
 
     r.write_until(t(700));
     r.settle_and_compare();
-    assert_eq!(r.msgs(), [3676, 0, 1, 7, 5]);
+    assert_eq!(r.msgs(), [3712, 0, 1, 7, 5]);
 }
 
 /// A write every 2 ms, all to the moving shard — more often than both
@@ -533,7 +533,7 @@ fn a_move_off_a_steadily_written_shard_completes() {
 
 #[test]
 fn replica_move_swaps_identity_and_keeps_the_stream() {
-    const DONE_NS: u64 = 172_614_909;
+    const DONE_NS: u64 = 172_843_840;
     let mut r = rig(ClusterConfig::globaldb_three_city());
     r.write_until(t(120));
     let moved = r.epochs()[0];
@@ -571,7 +571,7 @@ fn replica_move_swaps_identity_and_keeps_the_stream() {
 
     r.write_until(t(700));
     r.settle_and_compare();
-    assert_eq!(r.msgs(), [3645, 0, 1, 7, 2]);
+    assert_eq!(r.msgs(), [3675, 0, 1, 7, 2]);
 }
 
 #[test]
@@ -602,5 +602,5 @@ fn aborted_move_leaves_every_follower_as_it_was() {
     assert_eq!(r.c.db.routing_epoch(), 0);
 
     r.settle_and_compare();
-    assert_eq!(r.msgs(), [3104, 0, 1, 4, 0]);
+    assert_eq!(r.msgs(), [3110, 0, 1, 4, 0]);
 }

@@ -402,14 +402,14 @@ fn blocked_replica_falls_back_per_shape() {
 /// reads stay inside the reader's region (no jitter); each fallback adds
 /// one jittered WAN round trip to the primary.
 const PINNED_LATENCIES_NS: [u64; 7] = [
-    25_155_749, 40_000, 25_333_878, 40_000, 25_244_804, 40_000, 25_456_469,
+    25_380_107, 40_000, 25_440_953, 40_000, 25_127_307, 40_000, 25_220_867,
 ];
 const PINNED_MSGS: &[(&str, u64)] = &[
     ("dn_read", 28),
-    ("dn_write", 4),
+    ("dn_write", 2),
     ("two_pc_commit", 2),
-    ("log_ship_batch", 506),
-    ("rcp_gather", 192),
-    ("rcp_distribute", 48),
+    ("log_ship_batch", 470),
+    ("rcp_gather", 180),
+    ("rcp_distribute", 45),
     ("skyline_probe", 33),
 ];

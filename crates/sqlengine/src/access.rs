@@ -10,6 +10,14 @@ use gdb_simnet::SimTime;
 use gdb_storage::{Catalog, DataNodeStorage};
 
 /// What the executor needs from the storage/cluster layer.
+///
+/// Locks have statement scope in what they cost. A statement is one call
+/// of [`crate::execute`]; the implementation learns where it begins. Once
+/// a statement has locked a row — by [`DataAccess::lock_rows`] or
+/// [`DataAccess::read_for_update`] — its later `read_for_update`,
+/// `update` or `delete` of that row ride the lock and need no request of
+/// their own. An `insert` always locks, since it checks that its key is
+/// new. The lock itself is held to transaction end.
 pub trait DataAccess {
     /// The catalog to resolve schemas against.
     fn catalog(&self) -> &Catalog;
@@ -59,6 +67,12 @@ pub trait DataAccess {
         visit: &mut dyn FnMut(&RowKey, &Row) -> GdbResult<()>,
     ) -> GdbResult<()>;
 
+    /// Lock the rows at `keys` for write, in one request per owning data
+    /// node, ahead of the statement's per-key
+    /// [`DataAccess::read_for_update`] and writes of them. Lock waits are
+    /// taken key by key.
+    fn lock_rows(&mut self, table: TableId, keys: &[RowKey]) -> GdbResult<()>;
+
     /// Lock the row for write and let `visit` see its *newest committed*
     /// version, if there is one (read-committed update semantics; the
     /// lock is held to transaction end).
@@ -72,7 +86,7 @@ pub trait DataAccess {
     /// Insert a new row (duplicate primary key is an error).
     fn insert(&mut self, table: TableId, row: Row) -> GdbResult<()>;
 
-    /// Overwrite the row at `key` (caller holds the lock via
+    /// Overwrite the row at `key` (the statement holds the lock via
     /// [`DataAccess::read_for_update`]).
     fn update(&mut self, table: TableId, key: &RowKey, new_row: Row) -> GdbResult<()>;
 
@@ -151,6 +165,11 @@ impl DataAccess for MemAccess {
     ) -> GdbResult<()> {
         self.storage
             .index_lookup(index, prefix, Timestamp::MAX, &mut |v| visit(v.key, v.row))
+    }
+
+    /// One user, so no locks.
+    fn lock_rows(&mut self, _table: TableId, _keys: &[RowKey]) -> GdbResult<()> {
+        Ok(())
     }
 
     fn read_for_update(

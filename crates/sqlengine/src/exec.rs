@@ -138,7 +138,9 @@ fn fetch_outer(
 /// Hand `each` the key of every row `access` fetches that `filter` admits,
 /// once the read is done, so that `each` may lock and write it. A point
 /// key is checked where its row lies and kept in no vector; the other
-/// paths collect the keys (each a shared handle, not a copy).
+/// paths collect the keys (each a shared handle, not a copy) and lock
+/// them in one request per data node before `each` runs, so its
+/// per-key locks ride the set's.
 fn for_each_key(
     table: TableId,
     access: &AccessPath,
@@ -165,6 +167,7 @@ fn for_each_key(
         }
         Ok(())
     })?;
+    da.lock_rows(table, &keys)?;
     keys.iter().try_for_each(|key| each(da, key))
 }
 

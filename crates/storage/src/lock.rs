@@ -13,8 +13,10 @@ use gdb_simnet::SimTime;
 /// Result of a lock attempt.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum LockOutcome {
-    /// The lock is yours; proceed.
+    /// The lock is yours now; proceed.
     Acquired,
+    /// You already held the lock (its release time is extended); proceed.
+    Held,
     /// Held by another transaction until the given virtual time; wait
     /// until then (adding to your latency) and retry.
     WaitUntil(SimTime),
@@ -46,8 +48,10 @@ impl LockTable {
     /// Try to take the write lock on `(table, key)` for `txn` at virtual
     /// time `now`, holding it until `release_at` (the txn's commit time).
     ///
-    /// Re-acquisition by the same holder extends the release time.
-    /// A lock whose release time has passed is expired and replaceable.
+    /// Re-acquisition by the same holder extends the release time and
+    /// reports [`LockOutcome::Held`], so the holder need not remember the
+    /// lock a second time. A lock whose release time has passed is
+    /// expired and replaceable.
     pub fn acquire(
         &mut self,
         table: TableId,
@@ -59,7 +63,7 @@ impl LockTable {
         if let Some(state) = self.locks.get_mut(table, key) {
             if state.holder == txn {
                 state.release_at = state.release_at.max(release_at);
-                return LockOutcome::Acquired;
+                return LockOutcome::Held;
             }
             if state.release_at <= now {
                 // Previous holder's commit already completed.
@@ -198,7 +202,7 @@ mod tests {
                 SimTime::ZERO,
                 SimTime::from_millis(30)
             ),
-            LockOutcome::Acquired
+            LockOutcome::Held
         );
         // Another txn must wait until the extended time.
         match lt.acquire(
@@ -308,7 +312,11 @@ mod proptests {
                             own => {
                                 let until = own.map_or(rel, |l| l.1.max(rel));
                                 spec.insert(row.clone(), (txn, until));
-                                LockOutcome::Acquired
+                                if own.is_some() {
+                                    LockOutcome::Held
+                                } else {
+                                    LockOutcome::Acquired
+                                }
                             }
                         };
                         prop_assert_eq!(live.acquire(row.0, &row.1, txn, now, rel), expected);

@@ -21,7 +21,7 @@ use gdb_router::RouteTable;
 use gdb_simnet::{NetNodeId, Sim, SimDuration, SimTime, TypedEvent};
 use gdb_workloads::tpcc::{TpccMix, TpccScale, TpccWorkload};
 use gdb_workloads::{KeyDistribution, KeySampler, Workload};
-use globaldb::{Cluster, ClusterConfig, Datum, Prepared, Row};
+use globaldb::{Cluster, ClusterConfig, Datum, Prepared, Row, RpcKind};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -693,6 +693,46 @@ fn tpcc_allocation_budget() {
     assert!(
         per_txn <= 230.0,
         "{per_txn:.2} allocs per TPC-C transaction over budget"
+    );
+}
+
+/// Data-node messages of the TPC-C standard mix at tiny scale on the
+/// three-city cluster, per transaction run (each round trip to one node
+/// is a request and a reply). A locking statement costs one `DnWrite`
+/// round trip per shard it locks on, and its reads-for-update and writes
+/// ride that lock; a statement's snapshot reads cost one `DnRead` per
+/// node read. Measured: 35.04 `DnWrite` and 34.07 `DnRead`; 52.05 and
+/// 34.95 while each UPDATE/DELETE locked its row a second time to write
+/// it and a multi-row statement locked row by row. Each bound is the
+/// measured figure plus 10 %, which a second lock round trip per
+/// written row overshoots.
+#[test]
+fn tpcc_data_node_message_budget() {
+    let params = gdb_bench::BenchParams {
+        scale: TpccScale::tiny(),
+        scale_name: "tiny",
+        run: gdb_workloads::RunConfig {
+            terminals: 8,
+            duration: SimDuration::from_secs(6),
+            warmup: SimDuration::from_secs(1),
+            think_time: SimDuration::from_millis(10),
+        },
+        seed: 42,
+    };
+    let config = ClusterConfig::globaldb_three_city().with_seed(42);
+    let (c, _) = gdb_bench::tpcc_run(config, &params, TpccMix::standard(), |_| {});
+    let stats = c.db.stats();
+    let txns = (stats.committed + stats.aborted) as f64;
+    assert!(txns > 500.0, "{txns} transactions");
+    let per_txn = |kind| c.db.plane().msgs(kind) as f64 / txns;
+    let (write, read) = (per_txn(RpcKind::DnWrite), per_txn(RpcKind::DnRead));
+    assert!(
+        write <= 38.5,
+        "{write:.2} DnWrite messages per TPC-C transaction over budget"
+    );
+    assert!(
+        read <= 37.5,
+        "{read:.2} DnRead messages per TPC-C transaction over budget"
     );
 }
 
