@@ -649,9 +649,6 @@ impl Cluster {
         }
         let hb = db.config.heartbeat_interval;
         sim.schedule_event_at(SimTime::ZERO + hb, CoreEvent::Heartbeat);
-        if let Some(interval) = db.config.vacuum_interval {
-            sim.schedule_event_at(SimTime::ZERO + interval, CoreEvent::Vacuum);
-        }
 
         Cluster { db, sim }
     }

@@ -55,14 +55,12 @@ pub struct ClusterConfig {
     pub codec: Codec,
     pub routing: RoutingPolicy,
     pub gclock: GClockConfig,
-    /// RCP collection/distribution cadence (§IV-A).
+    /// RCP collection/distribution cadence (§IV-A). A round that raises
+    /// the cluster-wide minimum RCP also vacuums, so this paces vacuum too.
     pub rcp_interval: SimDuration,
     /// Heartbeat cadence that keeps idle replicas' max commit ts moving.
     pub heartbeat_interval: SimDuration,
     pub replay: ReplayCostModel,
-    /// Cadence of the background vacuum that prunes MVCC versions below
-    /// the cluster-wide RCP horizon (`None` disables it).
-    pub vacuum_interval: Option<SimDuration>,
     pub seed: u64,
 }
 
@@ -148,7 +146,6 @@ impl ClusterConfig {
             rcp_interval: SimDuration::from_millis(25),
             heartbeat_interval: SimDuration::from_millis(10),
             replay: ReplayCostModel::default(),
-            vacuum_interval: Some(SimDuration::from_secs(5)),
             seed: 42,
         }
     }

@@ -1,12 +1,12 @@
 //! Typed simulation events for the cluster world.
 //!
 //! The engine's hot events — log-ship flushes, batch deliveries and
-//! replays, RCP rounds, heartbeats, vacuum ticks — form a small closed
-//! set, so they are scheduled as [`CoreEvent`] values stored inline in the
-//! queue instead of one `Box<dyn FnOnce>` allocation each (see
-//! [`gdb_simnet::TypedEvent`]). Open-ended sites keep using closures:
-//! chaos fault plans, mode transitions, and migration steps capture
-//! arbitrary state and fire rarely, so boxing them costs nothing
+//! replays, RCP rounds (whose finish phase also vacuums) and heartbeats —
+//! form a small closed set, so they are scheduled as [`CoreEvent`] values
+//! stored inline in the queue instead of one `Box<dyn FnOnce>` allocation
+//! each (see [`gdb_simnet::TypedEvent`]). Open-ended sites keep using
+//! closures: chaos fault plans, mode transitions, and migration steps
+//! capture arbitrary state and fire rarely, so boxing them costs nothing
 //! measurable. `core::net` and `core::lifecycle` schedule nothing
 //! themselves — message charges and crash/restore handling run inline in
 //! whichever event invokes them.
@@ -50,8 +50,6 @@ pub enum CoreEvent {
     },
     /// Cluster-wide heartbeat + clock-health watchdog (recurring).
     Heartbeat,
-    /// Vacuum versions below the safe horizon (recurring).
-    Vacuum,
 }
 
 impl TypedEvent<GlobalDb> for CoreEvent {
@@ -94,7 +92,6 @@ impl TypedEvent<GlobalDb> for CoreEvent {
                 start,
             } => crate::rcp_driver::rcp_finish_event(w, sim, region, collector_cn, span, start),
             CoreEvent::Heartbeat => crate::rcp_driver::heartbeat_event(w, sim),
-            CoreEvent::Vacuum => crate::rcp_driver::vacuum_event(w, sim),
         }
     }
 }

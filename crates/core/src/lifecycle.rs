@@ -91,12 +91,14 @@ impl GlobalDb {
     }
 
     /// Restart a crashed CN: it rejoins with a freshly synced clock and
-    /// its old (monotone) RCP value, adopting newer values at the next
-    /// distribution round.
+    /// its region's published RCP, as its live peers did at the last
+    /// distribution (its own may be below the vacuum horizon by now).
     pub fn restart_cn(&mut self, cn: usize, now: SimTime) {
         let node = self.cns[cn].node;
         self.restore_node(node);
         self.sync_cn_clock(cn, now);
+        let published = self.rcp[self.region_idx_of_cn(cn)].current();
+        self.cns[cn].rcp = self.cns[cn].rcp.max(published);
     }
 
     /// Cut a CN's clock-sync daemon off from its regional time device.

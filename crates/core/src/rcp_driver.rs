@@ -8,6 +8,8 @@
 //! crash can land in. The gather/distribute fan-in is counted on the
 //! message plane ([`RpcKind::RcpGather`] / [`RpcKind::RcpDistribute`]);
 //! its latency is modelled by the round's scheduling, not per message.
+//! Vacuum has no timer: a finish that raises the vacuum horizon, the
+//! minimum published RCP, is what makes versions reclaimable, so it vacuums.
 
 use crate::cluster::GlobalDb;
 use crate::event::{CoreEvent, CoreSim};
@@ -168,6 +170,15 @@ impl GlobalDb {
         }
     }
 
+    /// The vacuum horizon: the cluster-wide minimum published RCP.
+    fn vacuum_horizon(&self) -> Timestamp {
+        self.rcp
+            .iter()
+            .map(|r| r.current())
+            .min()
+            .unwrap_or(Timestamp::ZERO)
+    }
+
     /// Vacuum primaries up to the cluster-wide minimum RCP (safe horizon:
     /// every replica and every client snapshot is at or above it), trim
     /// shard shipping logs past the durable-consumer floor and drop the
@@ -193,12 +204,7 @@ impl GlobalDb {
             }
         }
 
-        let horizon = self
-            .rcp
-            .iter()
-            .map(|r| r.current())
-            .min()
-            .unwrap_or(Timestamp::ZERO);
+        let horizon = self.vacuum_horizon();
         if horizon == Timestamp::ZERO {
             return 0;
         }
@@ -265,7 +271,12 @@ pub(crate) fn rcp_finish_event(
     start: SimTime,
 ) {
     let now = sim.now();
+    let horizon = w.vacuum_horizon();
     w.rcp_finish(region, collector_cn, now);
+    if w.vacuum_horizon() > horizon {
+        let removed = w.vacuum(now);
+        w.stats.versions_vacuumed += removed as u64;
+    }
     w.obs.tracer.end(span, now);
     w.obs.metrics.record(w.hot.rcp.round_us, now.since(start));
 }
@@ -279,13 +290,4 @@ pub(crate) fn heartbeat_event(w: &mut GlobalDb, sim: &mut CoreSim) {
     }
     let interval = w.config.heartbeat_interval;
     sim.schedule_event_after(interval, CoreEvent::Heartbeat);
-}
-
-pub(crate) fn vacuum_event(w: &mut GlobalDb, sim: &mut CoreSim) {
-    let removed = w.vacuum(sim.now());
-    w.stats.versions_vacuumed += removed as u64;
-    let Some(interval) = w.config.vacuum_interval else {
-        return;
-    };
-    sim.schedule_event_after(interval, CoreEvent::Vacuum);
 }

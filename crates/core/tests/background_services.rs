@@ -1,6 +1,7 @@
 //! Background-service tests: collector-CN failover for RCP distribution,
-//! the periodic vacuum pruning MVCC versions below the RCP horizon, and
-//! log shipping across a region partition.
+//! the vacuum that rides RCP rounds pruning MVCC versions below the
+//! horizon, a restarted CN's RCP, and log shipping across a region
+//! partition.
 
 use globaldb::{Cluster, ClusterConfig, Datum, SimDuration, SimTime};
 
@@ -77,11 +78,12 @@ fn collector_crash_inside_the_gather_delay_abandons_the_round() {
     assert_eq!(c.db.stats().rcp_rounds_abandoned, abandoned + 1);
 }
 
+/// Vacuum rides the RCP round: a round that raises the cluster-wide
+/// horizon prunes the versions below it, so a dead chain is gone a few
+/// RCP intervals after its last write.
 #[test]
 fn periodic_vacuum_prunes_dead_versions() {
-    let mut config = ClusterConfig::globaldb_one_region();
-    config.vacuum_interval = Some(SimDuration::from_millis(500));
-    let mut c = Cluster::new(config);
+    let mut c = Cluster::new(ClusterConfig::globaldb_one_region());
     c.ddl("CREATE TABLE kv (k INT NOT NULL, v INT, PRIMARY KEY (k)) DISTRIBUTE BY HASH(k)")
         .unwrap();
     c.execute_sql(0, t(5), "INSERT INTO kv VALUES (1, 0)", &[])
@@ -96,8 +98,9 @@ fn periodic_vacuum_prunes_dead_versions() {
         )
         .unwrap();
     }
-    // After the vacuum interval (and RCP catching up), old versions go.
-    c.run_until(t(3000));
+    // Within a few RCP intervals of the last write, old versions go.
+    let after = t(10 + 49 * 4) + c.db.config().rcp_interval * 4;
+    c.run_until(after);
     assert!(
         c.db.stats().versions_vacuumed > 20,
         "vacuum must prune the dead chain: {}",
@@ -105,31 +108,47 @@ fn periodic_vacuum_prunes_dead_versions() {
     );
     // The newest value is intact.
     let (out, _) = c
-        .execute_sql(0, t(3010), "SELECT v FROM kv WHERE k = 1", &[])
+        .execute_sql(0, after, "SELECT v FROM kv WHERE k = 1", &[])
         .unwrap();
     assert_eq!(out.rows()[0].0[0], Datum::Int(49));
 }
 
+/// A restarted CN reads at its region's published RCP, not at the RCP it
+/// held before the crash: vacuum has since freed the versions below the
+/// horizon, so a snapshot at the old value would miss a row that exists.
 #[test]
-fn vacuum_disabled_keeps_versions() {
-    let mut config = ClusterConfig::globaldb_one_region();
-    config.vacuum_interval = None;
+fn restarted_cn_reads_at_its_regions_published_rcp() {
+    let mut config = ClusterConfig::globaldb_three_city();
+    // Two CNs per region: region 1 keeps a live collector while CN 1 is
+    // down.
+    config.cn_count = 6;
     let mut c = Cluster::new(config);
     c.ddl("CREATE TABLE kv (k INT NOT NULL, v INT, PRIMARY KEY (k)) DISTRIBUTE BY HASH(k)")
         .unwrap();
-    c.execute_sql(0, t(5), "INSERT INTO kv VALUES (1, 0)", &[])
+    let at = c.now();
+    c.execute_sql(0, at, "INSERT INTO kv VALUES (1, 0)", &[])
         .unwrap();
-    for i in 0..20u64 {
-        c.execute_sql(
-            0,
-            t(10) + SimDuration::from_millis(i * 4),
-            "UPDATE kv SET v = ? WHERE k = 1",
-            &[Datum::Int(i as i64)],
-        )
-        .unwrap();
+    c.run_until(c.now() + SimDuration::from_secs(1));
+    c.db.crash_cn(1);
+    for v in 1..=5 {
+        let at = c.now();
+        c.execute_sql(0, at, "UPDATE kv SET v = ? WHERE k = 1", &[Datum::Int(v)])
+            .unwrap();
     }
-    c.run_until(t(3000));
-    assert_eq!(c.db.stats().versions_vacuumed, 0);
+    c.run_until(c.now() + SimDuration::from_secs(6));
+    assert!(c.db.stats().versions_vacuumed > 0);
+
+    let at = c.now();
+    c.db.restart_cn(1, at);
+    let (out, _) = c
+        .execute_sql(1, at, "SELECT v FROM kv WHERE k = 1", &[])
+        .unwrap();
+    assert_eq!(
+        out.rows().first().map(|r| r.0[0].clone()),
+        Some(Datum::Int(5)),
+        "CN 1 read at RCP {:?}",
+        c.db.cn_rcp(1)
+    );
 }
 
 /// Log shipping to a partitioned replica: the flush probes the link

@@ -2,6 +2,7 @@
 //! sharded MVCC storage, asynchronous replication with RCP-consistent
 //! replica reads, 2PC, online mode transitions, and failure handling.
 
+use gdb_wal::record::decode_all;
 use gdb_wal::RedoPayload;
 use globaldb::{
     Cluster, ClusterConfig, Datum, GdbError, Geometry, ReplicationMode, SimDuration, SimTime,
@@ -402,8 +403,6 @@ fn snapshots_begun_at_an_ack_cover_it_across_skewed_clocks() {
 fn writes_staged_after_a_heartbeat_or_ddl_commit_above_it() {
     let mut config = ClusterConfig::globaldb_one_region();
     config.cn_count = 6;
-    // Keep every sealed record for the walk below.
-    config.vacuum_interval = None;
     let mut c = cluster_with_accounts(config, 10);
     c.db.block_clock_sync(0);
     let update = "UPDATE accounts SET balance = balance + 1 WHERE id = 1";
@@ -419,7 +418,10 @@ fn writes_staged_after_a_heartbeat_or_ddl_commit_above_it() {
 
     let mut checked = 0;
     for (s, shard) in c.db.shards().iter().enumerate() {
-        let records: Vec<_> = shard.log.sealed().iter().collect();
+        // The durable segment keeps every record; vacuum trims the
+        // shipping buffer.
+        let records =
+            decode_all(shard.log.durable().segment()).unwrap_or_else(|e| panic!("shard {s}: {e}"));
         let commit_ts = |txn| {
             records.iter().find_map(|r| match r.payload {
                 RedoPayload::Commit { commit_ts } | RedoPayload::CommitPrepared { commit_ts }

@@ -9,7 +9,10 @@
 //! nothing else in flight. The script pins the `DnRead` and `DnWrite`
 //! counts and the statements' latency of every shape, so a second lock
 //! round trip — or any drift in the order or number of sends, which also
-//! shifts the topology's jitter stream — fails here.
+//! shifts the topology's jitter stream — fails here. It also pins the
+//! rebalancer's load signal on the owning shard: `ShardLoad::ops` counts
+//! data-node routing calls, not messages, so a point UPDATE is 3 (its
+//! read, its lock and its write).
 
 use gdb_model::{Row, RowKey};
 use globaldb::{Cluster, ClusterConfig, Datum, Prepared, RpcKind, SimDuration};
@@ -29,6 +32,8 @@ fn int(v: i64) -> Datum {
 struct Fixture {
     c: Cluster,
     groups: Vec<i64>,
+    /// The shard that owns every group.
+    remote: usize,
 }
 
 fn fixture() -> Fixture {
@@ -62,28 +67,34 @@ fn fixture() -> Fixture {
     let rows = (1..=ROWS).map(|id| Row(vec![int(id), int(id)])).collect();
     c.bulk_load(cfg, rows).unwrap();
     c.finish_load();
-    Fixture { c, groups }
+    Fixture { c, groups, remote }
 }
 
 /// What one transaction's statements cost: `DnRead` and `DnWrite`
-/// messages, and the virtual time from the first statement's start to
-/// the last one's end (commit excluded).
+/// messages, the `ShardLoad::ops` charged to `shard`, and the virtual
+/// time from the first statement's start to the last one's end (commit
+/// excluded).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct Cost {
     dn_read: u64,
     dn_write: u64,
+    load_ops: u64,
     latency_ns: u64,
 }
 
 /// Run `stmts` as one read-write transaction from the CN, a second after
 /// the previous one began (long after it committed); returns each
-/// statement's row count and the cost.
-fn run(c: &mut Cluster, stmts: &[(&Prepared, &[Datum])]) -> (Vec<u64>, Cost) {
+/// statement's row count and the cost, its load counted on `shard`.
+fn run(c: &mut Cluster, shard: usize, stmts: &[(&Prepared, &[Datum])]) -> (Vec<u64>, Cost) {
     let at = c.now() + SimDuration::from_secs(1);
     c.run_until(at);
     let msgs = |c: &Cluster| {
         let plane = c.db.plane();
-        (plane.msgs(RpcKind::DnRead), plane.msgs(RpcKind::DnWrite))
+        (
+            plane.msgs(RpcKind::DnRead),
+            plane.msgs(RpcKind::DnWrite),
+            c.db.shard_load()[shard].ops,
+        )
     };
     let before = msgs(c);
     let ((counts, latency_ns), _) = c
@@ -100,6 +111,7 @@ fn run(c: &mut Cluster, stmts: &[(&Prepared, &[Datum])]) -> (Vec<u64>, Cost) {
     let cost = Cost {
         dn_read: after.0 - before.0,
         dn_write: after.1 - before.1,
+        load_ops: after.2 - before.2,
         latency_ns,
     };
     (counts, cost)
@@ -127,7 +139,11 @@ const RT: u64 = 2;
 
 #[test]
 fn each_write_shape_costs_one_lock_round_trip_per_shard() {
-    let Fixture { mut c, groups } = fixture();
+    let Fixture {
+        mut c,
+        groups,
+        remote,
+    } = fixture();
     let shards = c.db.shards().len() as u64;
     let insert = c.prepare("INSERT INTO kv VALUES (?, ?, ?)").unwrap();
     let for_update = c
@@ -150,43 +166,43 @@ fn each_write_shape_costs_one_lock_round_trip_per_shard() {
     let mut costs = Vec::new();
 
     // INSERT: its own lock, which checks the key is new. No read.
-    let (n, cost) = run(&mut c, &[(&insert, &[w(0), int(ROWS + 1), int(7)])]);
+    let (n, cost) = run(&mut c, remote, &[(&insert, &[w(0), int(ROWS + 1), int(7)])]);
     assert_eq!(n, [1]);
     assert_eq!((cost.dn_read, cost.dn_write), (0, RT));
     costs.push(cost);
 
     // SELECT … FOR UPDATE by key: the snapshot read, then the lock.
-    let (n, cost) = run(&mut c, &[(&for_update, &[w(1), int(1)])]);
+    let (n, cost) = run(&mut c, remote, &[(&for_update, &[w(1), int(1)])]);
     assert_eq!(n, [1]);
     assert_eq!((cost.dn_read, cost.dn_write), (RT, RT));
     costs.push(cost);
 
     // UPDATE and DELETE by key: the write rides the statement's lock.
-    let (n, cost) = run(&mut c, &[(&update, &[w(2), int(1)])]);
+    let (n, cost) = run(&mut c, remote, &[(&update, &[w(2), int(1)])]);
     assert_eq!(n, [1]);
     assert_eq!((cost.dn_read, cost.dn_write), (RT, RT));
     costs.push(cost);
-    let (n, cost) = run(&mut c, &[(&delete, &[w(3), int(1)])]);
+    let (n, cost) = run(&mut c, remote, &[(&delete, &[w(3), int(1)])]);
     assert_eq!(n, [1]);
     assert_eq!((cost.dn_read, cost.dn_write), (RT, RT));
     costs.push(cost);
 
     // A multi-row UPDATE by PK range on one shard: one range read, and
     // the four rows' locks in one request.
-    let (n, cost) = run(&mut c, &[(&update_range, &[w(4), int(2), int(5)])]);
+    let (n, cost) = run(&mut c, remote, &[(&update_range, &[w(4), int(2), int(5)])]);
     assert_eq!(n, [4]);
     assert_eq!((cost.dn_read, cost.dn_write), (RT, RT));
     costs.push(cost);
 
     // An UPDATE of a replicated table: read at the nearest shard, locked
     // on every shard in one scatter.
-    let (n, cost) = run(&mut c, &[(&update_cfg, &[int(1)])]);
+    let (n, cost) = run(&mut c, remote, &[(&update_cfg, &[int(1)])]);
     assert_eq!(n, [1]);
     assert_eq!((cost.dn_read, cost.dn_write), (RT, RT * shards));
     costs.push(cost);
 
     // An UPDATE of an absent key finds nothing and locks nothing.
-    let (n, cost) = run(&mut c, &[(&update, &[w(5), int(ROWS + 9)])]);
+    let (n, cost) = run(&mut c, remote, &[(&update, &[w(5), int(ROWS + 9)])]);
     assert_eq!(n, [0]);
     assert_eq!((cost.dn_read, cost.dn_write), (RT, 0));
     costs.push(cost);
@@ -196,6 +212,7 @@ fn each_write_shape_costs_one_lock_round_trip_per_shard() {
     // UPDATE's write rides its own statement's lock.
     let (n, cost) = run(
         &mut c,
+        remote,
         &[(&for_update, &[w(6), int(1)]), (&update, &[w(6), int(1)])],
     );
     assert_eq!(n, [1, 1]);
@@ -223,6 +240,10 @@ fn each_write_shape_costs_one_lock_round_trip_per_shard() {
         .collect();
     assert_eq!(round_trips, [1, 2, 2, 2, 2, 1, 1, 4]);
 
+    // The rebalancer's load on the owning shard, in routing calls.
+    let load: Vec<u64> = costs.iter().map(|c| c.load_ops).collect();
+    assert_eq!(load, PINNED_LOAD_OPS);
+
     // ---- Pinned virtual-time behaviour ----
     let latencies: Vec<u64> = costs.iter().map(|c| c.latency_ns).collect();
     assert_eq!(latencies, PINNED_LATENCIES_NS);
@@ -240,3 +261,9 @@ const PINNED_LATENCIES_NS: [u64; 8] = [
     55_684_763,
     221_448_089,
 ];
+
+/// `ShardLoad::ops` on the owning shard, shape by shape as above: one
+/// per data-node access, a write that rides its statement's lock
+/// included. The range UPDATE is its read, one lock request and 4 × (read
+/// for update + write); the replicated UPDATE reads elsewhere.
+const PINNED_LOAD_OPS: [u64; 8] = [1, 2, 3, 3, 10, 2, 1, 5];

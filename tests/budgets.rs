@@ -739,15 +739,20 @@ fn tpcc_data_node_message_budget() {
 // ---- Row locks -------------------------------------------------------------
 
 /// A primary's row-lock table holds the locks not yet released, not one
-/// entry per row ever locked: the vacuum event sweeps the released ones,
-/// and a follower built from the primary's storage starts with none.
-/// Tiny-scale TPC-C on the three-city cluster, then one vacuum interval
-/// with the terminals stopped (measured: 1 516 entries when the run
-/// ends, none a vacuum later; 4 002 stayed while nothing swept).
+/// entry per row ever locked: the vacuum that rides an RCP round sweeps
+/// the released ones, and a follower built from the primary's storage
+/// starts with none. Tiny-scale TPC-C on the three-city cluster, then
+/// `SWEEP_ROUNDS` RCP intervals with the terminals stopped (measured: 22
+/// entries when the run ends, the last gone 5 rounds later, once the
+/// transactions begun before the end have released theirs; 4 002 stayed
+/// while nothing swept).
 #[test]
 fn lock_tables_hold_only_unreleased_locks() {
+    /// Heartbeats keep the horizon rising with the terminals stopped, so
+    /// each of these rounds vacuums.
+    const SWEEP_ROUNDS: u64 = 8;
     let config = ClusterConfig::globaldb_three_city().with_seed(42);
-    let interval = config.vacuum_interval.expect("the preset vacuums");
+    let interval = config.rcp_interval * SWEEP_ROUNDS;
     let params = gdb_bench::BenchParams {
         scale: TpccScale::tiny(),
         scale_name: "tiny",
@@ -772,4 +777,49 @@ fn lock_tables_hold_only_unreleased_locks() {
     assert_eq!(entries(&c).1, 0, "a follower holds row locks");
     c.run_until(c.now() + interval);
     assert_eq!(entries(&c), (0, 0), "released locks outlived a vacuum");
+}
+
+// ---- Steady-state memory ---------------------------------------------------
+
+/// Version storage stays flat under a steady write load: vacuum rides the
+/// RCP rounds, so the versions a run leaves resident do not grow with its
+/// length. Tiny-scale sysbench UPDATE-index on the three-city cluster with
+/// 8 terminals: the arena bytes of every primary and replica after 2
+/// virtual seconds and after 6 more may differ by at most
+/// `FLAT_GROWTH_BYTES` (measured: 114 720 → 116 272 B; a vacuum every
+/// 5 s grew 187 872 → 280 128 B).
+#[test]
+fn resident_versions_stay_flat_under_steady_updates() {
+    use gdb_workloads::sysbench::{SysbenchMode, SysbenchScale, SysbenchWorkload};
+    const FLAT_GROWTH_BYTES: usize = 8 * 1024;
+
+    let mut c = Cluster::new(ClusterConfig::globaldb_three_city().with_seed(42));
+    let mut wl = SysbenchWorkload::new(SysbenchScale::tiny(), SysbenchMode::UpdateIndex, 42);
+    wl.setup(&mut c).unwrap();
+    let run = |c: &mut Cluster, wl: &mut SysbenchWorkload, secs| {
+        let config = gdb_workloads::RunConfig {
+            terminals: 8,
+            duration: SimDuration::from_secs(secs),
+            warmup: SimDuration::ZERO,
+            think_time: SimDuration::from_millis(10),
+        };
+        let report = gdb_workloads::run_workload(c, wl, config);
+        assert!(report.total_commits() > 0);
+        c.db.shards()
+            .iter()
+            .map(|s| {
+                let replicas = s
+                    .replicas
+                    .iter()
+                    .map(|r| r.applier.storage.resident_bytes());
+                s.storage.resident_bytes() + replicas.sum::<usize>()
+            })
+            .sum::<usize>()
+    };
+    let early = run(&mut c, &mut wl, 2);
+    let late = run(&mut c, &mut wl, 6);
+    assert!(
+        late <= early + FLAT_GROWTH_BYTES,
+        "resident version bytes grew {early} -> {late} B over 6 virtual seconds"
+    );
 }

@@ -328,8 +328,8 @@ fn tpcc_wal_decodes_and_roundtrips_on_every_shard() {
         &mut wl,
         RunConfig {
             terminals: 8,
-            // Past the first vacuum pass (every 5 s), which trims the
-            // shipping buffers.
+            // Long past the first RCP round that raises the vacuum
+            // horizon; its vacuum trims the shipping buffers.
             duration: SimDuration::from_secs(6),
             warmup: SimDuration::from_millis(200),
             think_time: SimDuration::from_millis(10),
