@@ -313,6 +313,7 @@ impl<'a> TxnHandle<'a> {
                 .map_or(self.commit_appended, |o| o.commit_ts);
             let ack = result.as_ref().ok().map(|o| o.completed_at);
             self.record(|txn| Event::End { txn, ts, ack });
+            self.release_locks(true);
         }
         result
     }

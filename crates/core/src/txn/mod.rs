@@ -251,13 +251,20 @@ impl<'a> TxnHandle<'a> {
         Ok(())
     }
 
-    fn abort_inner(&mut self) {
+    /// Release at `self.now` every lock no commit apply pins: all of them
+    /// on abort; on commit, those on the shards it wrote nothing on (an
+    /// absent key, a row only read for update).
+    fn release_locks(&mut self, committed: bool) {
         for (shard, table, key) in std::mem::take(&mut self.locked) {
-            self.db.shards[shard]
-                .storage
-                .locks
-                .set_release(table, &key, self.txn, self.now);
+            if !(committed && self.shards_written.contains(&shard)) {
+                let locks = &mut self.db.shards[shard].storage.locks;
+                locks.set_release(table, &key, self.txn, self.now);
+            }
         }
+    }
+
+    fn abort_inner(&mut self) {
+        self.release_locks(false);
         for &s in &self.shards_written {
             self.db.shards[s]
                 .log

@@ -8,8 +8,11 @@
 //!
 //! A locking statement costs one `DnWrite` round trip per shard it locks
 //! on. A single row's lock is one scatter to its owners
-//! ([`TxnHandle::lock_row`]); the rows of a range or index statement go
-//! as one scatter over their distinct owners (`lock_rows`). The
+//! ([`TxnHandle::lock_row`]), and a point statement sends nothing before
+//! it: its `read_for_update` takes the lock and reads the newest version
+//! in that one request, and the key stays locked even if it has no live
+//! row. The rows of a range or index statement, found by a snapshot read,
+//! go as one scatter over their distinct owners (`lock_rows`). The
 //! statement's later reads-for-update and writes of a row it locked ride
 //! that lock ([`TxnHandle::write_row`] stages the redo and sends nothing
 //! more): the write images reach the data nodes with the commit. An

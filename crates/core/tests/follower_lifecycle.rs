@@ -390,7 +390,7 @@ fn restart_replica_rewinds_to_the_resume_point() {
     assert!(!r.c.db.topo().is_node_down(node));
     r.write_until(t(300));
     r.settle_and_compare();
-    assert_eq!(r.msgs(), [2925, 0, 0, 0, 0]);
+    assert_eq!(r.msgs(), [2919, 0, 0, 0, 0]);
 }
 
 #[test]
@@ -426,8 +426,8 @@ fn async_promotion_resyncs_survivors_on_an_empty_stream() {
 
     r.write_until(t(400));
     r.settle_and_compare();
-    assert_eq!(r.first_arrival_since(t(150)).as_nanos(), 182_559_735);
-    assert_eq!(r.msgs(), [3101, 0, 0, 0, 0]);
+    assert_eq!(r.first_arrival_since(t(150)).as_nanos(), 182_532_566);
+    assert_eq!(r.msgs(), [3114, 0, 0, 0, 0]);
 }
 
 #[test]
@@ -454,13 +454,13 @@ fn sync_promotion_drains_the_stream_before_the_switch() {
     r.next = t(152);
     r.write_until(t(300));
     r.settle_and_compare();
-    assert_eq!(r.first_arrival_since(t(150)).as_nanos(), 182_698_137);
-    assert_eq!(r.msgs(), [2669, 374, 0, 0, 0]);
+    assert_eq!(r.first_arrival_since(t(150)).as_nanos(), 182_634_165);
+    assert_eq!(r.msgs(), [2676, 374, 0, 0, 0]);
 }
 
 #[test]
 fn primary_move_takes_over_like_a_promotion() {
-    const DONE_NS: u64 = 172_843_840;
+    const DONE_NS: u64 = 172_828_909;
     let mut r = rig(ClusterConfig::globaldb_three_city());
     // Started at 120 ms, the move cuts over while the shard's lock table
     // holds entries the last RCP round's vacuum has not swept.
@@ -487,7 +487,7 @@ fn primary_move_takes_over_like_a_promotion() {
 
     r.write_until(t(700));
     r.settle_and_compare();
-    assert_eq!(r.msgs(), [3702, 0, 1, 7, 5]);
+    assert_eq!(r.msgs(), [3718, 0, 1, 7, 5]);
 }
 
 /// A write every 2 ms, all to the moving shard — more often than both
@@ -530,7 +530,7 @@ fn a_move_off_a_steadily_written_shard_completes() {
 
 #[test]
 fn replica_move_swaps_identity_and_keeps_the_stream() {
-    const DONE_NS: u64 = 172_843_840;
+    const DONE_NS: u64 = 172_828_909;
     let mut r = rig(ClusterConfig::globaldb_three_city());
     r.write_until(t(120));
     let moved = r.epochs()[0];
@@ -568,7 +568,7 @@ fn replica_move_swaps_identity_and_keeps_the_stream() {
 
     r.write_until(t(700));
     r.settle_and_compare();
-    assert_eq!(r.msgs(), [3675, 0, 1, 7, 2]);
+    assert_eq!(r.msgs(), [3681, 0, 1, 7, 2]);
 }
 
 #[test]
@@ -599,5 +599,5 @@ fn aborted_move_leaves_every_follower_as_it_was() {
     assert_eq!(r.c.db.routing_epoch(), 0);
 
     r.settle_and_compare();
-    assert_eq!(r.msgs(), [3110, 0, 1, 4, 0]);
+    assert_eq!(r.msgs(), [3122, 0, 1, 4, 0]);
 }

@@ -402,14 +402,14 @@ fn blocked_replica_falls_back_per_shape() {
 /// reads stay inside the reader's region (no jitter); each fallback adds
 /// one jittered WAN round trip to the primary.
 const PINNED_LATENCIES_NS: [u64; 7] = [
-    25_380_107, 40_000, 25_440_953, 40_000, 25_127_307, 40_000, 25_220_867,
+    25_204_989, 40_000, 25_280_276, 40_000, 25_143_853, 40_000, 25_194_860,
 ];
 const PINNED_MSGS: &[(&str, u64)] = &[
-    ("dn_read", 28),
+    ("dn_read", 26),
     ("dn_write", 2),
     ("two_pc_commit", 2),
-    ("log_ship_batch", 470),
-    ("rcp_gather", 180),
-    ("rcp_distribute", 45),
+    ("log_ship_batch", 422),
+    ("rcp_gather", 168),
+    ("rcp_distribute", 42),
     ("skyline_probe", 33),
 ];

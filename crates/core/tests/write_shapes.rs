@@ -1,9 +1,11 @@
 //! What each write shape costs on a key owned in another city: a
 //! locking statement pays one `DnWrite` round trip per shard it locks
 //! on, and its reads-for-update and writes of a row it locked ride that
-//! lock. A point or range UPDATE/DELETE is one `DnRead` (the snapshot
-//! read that finds its rows) plus one `DnWrite` per shard; an INSERT is
-//! one `DnWrite`; a row the statement does not find is never locked.
+//! lock. A point UPDATE/DELETE/SELECT … FOR UPDATE is that one `DnWrite`
+//! alone: the lock request reads the newest version, with no snapshot
+//! read before it, and an absent key stays locked to commit. A range
+//! UPDATE/DELETE is one `DnRead` (the snapshot read that finds its rows)
+//! plus one `DnWrite` per shard; an INSERT is one `DnWrite`.
 //!
 //! Each shape runs as its own transaction from a CN in region 0, with
 //! nothing else in flight. The script pins the `DnRead` and `DnWrite`
@@ -11,11 +13,12 @@
 //! round trip — or any drift in the order or number of sends, which also
 //! shifts the topology's jitter stream — fails here. It also pins the
 //! rebalancer's load signal on the owning shard: `ShardLoad::ops` counts
-//! data-node routing calls, not messages, so a point UPDATE is 3 (its
-//! read, its lock and its write).
+//! data-node routing calls, not messages, so a point UPDATE is 2 (its
+//! lock and its write).
 
 use gdb_model::{Row, RowKey};
-use globaldb::{Cluster, ClusterConfig, Datum, Prepared, RpcKind, SimDuration};
+use globaldb::txn::history::Event;
+use globaldb::{Cluster, ClusterConfig, Datum, Prepared, RpcKind, SimDuration, SimTime};
 
 /// Rows per key group; every shape works on its own group.
 const ROWS: i64 = 6;
@@ -171,20 +174,21 @@ fn each_write_shape_costs_one_lock_round_trip_per_shard() {
     assert_eq!((cost.dn_read, cost.dn_write), (0, RT));
     costs.push(cost);
 
-    // SELECT … FOR UPDATE by key: the snapshot read, then the lock.
+    // SELECT … FOR UPDATE by key: the lock request reads the row.
     let (n, cost) = run(&mut c, remote, &[(&for_update, &[w(1), int(1)])]);
     assert_eq!(n, [1]);
-    assert_eq!((cost.dn_read, cost.dn_write), (RT, RT));
+    assert_eq!((cost.dn_read, cost.dn_write), (0, RT));
     costs.push(cost);
 
-    // UPDATE and DELETE by key: the write rides the statement's lock.
+    // UPDATE and DELETE by key: the lock request reads the row, and the
+    // write rides the statement's lock.
     let (n, cost) = run(&mut c, remote, &[(&update, &[w(2), int(1)])]);
     assert_eq!(n, [1]);
-    assert_eq!((cost.dn_read, cost.dn_write), (RT, RT));
+    assert_eq!((cost.dn_read, cost.dn_write), (0, RT));
     costs.push(cost);
     let (n, cost) = run(&mut c, remote, &[(&delete, &[w(3), int(1)])]);
     assert_eq!(n, [1]);
-    assert_eq!((cost.dn_read, cost.dn_write), (RT, RT));
+    assert_eq!((cost.dn_read, cost.dn_write), (0, RT));
     costs.push(cost);
 
     // A multi-row UPDATE by PK range on one shard: one range read, and
@@ -194,17 +198,17 @@ fn each_write_shape_costs_one_lock_round_trip_per_shard() {
     assert_eq!((cost.dn_read, cost.dn_write), (RT, RT));
     costs.push(cost);
 
-    // An UPDATE of a replicated table: read at the nearest shard, locked
-    // on every shard in one scatter.
+    // An UPDATE of a replicated table: locked on every shard in one
+    // scatter, the row read at the first.
     let (n, cost) = run(&mut c, remote, &[(&update_cfg, &[int(1)])]);
     assert_eq!(n, [1]);
-    assert_eq!((cost.dn_read, cost.dn_write), (RT, RT * shards));
+    assert_eq!((cost.dn_read, cost.dn_write), (0, RT * shards));
     costs.push(cost);
 
-    // An UPDATE of an absent key finds nothing and locks nothing.
+    // An UPDATE of an absent key finds nothing, and locks the key.
     let (n, cost) = run(&mut c, remote, &[(&update, &[w(5), int(ROWS + 9)])]);
     assert_eq!(n, [0]);
-    assert_eq!((cost.dn_read, cost.dn_write), (RT, 0));
+    assert_eq!((cost.dn_read, cost.dn_write), (0, RT));
     costs.push(cost);
 
     // SELECT … FOR UPDATE then UPDATE of the same row: each statement
@@ -216,7 +220,7 @@ fn each_write_shape_costs_one_lock_round_trip_per_shard() {
         &[(&for_update, &[w(6), int(1)]), (&update, &[w(6), int(1)])],
     );
     assert_eq!(n, [1, 1]);
-    assert_eq!((cost.dn_read, cost.dn_write), (2 * RT, 2 * RT));
+    assert_eq!((cost.dn_read, cost.dn_write), (0, 2 * RT));
     costs.push(cost);
 
     // The writes landed.
@@ -229,16 +233,16 @@ fn each_write_shape_costs_one_lock_round_trip_per_shard() {
     }
     assert_eq!(kv_value(&mut c, groups[6], 1), Some(102));
 
-    // In round trips to the remote primary, the INSERT's being one: the
-    // replicated UPDATE reads at the local shard and locks everywhere in
-    // one scatter, and the two-statement transaction pays two per
-    // statement.
+    // In round trips to the remote primary, the INSERT's being one: every
+    // point shape is its lock request alone, the range UPDATE is its read
+    // and one lock request, the replicated UPDATE locks everywhere in one
+    // scatter, and the two-statement transaction pays one per statement.
     let one = costs[0].latency_ns as f64;
     let round_trips: Vec<u64> = costs
         .iter()
         .map(|c| (c.latency_ns as f64 / one).round() as u64)
         .collect();
-    assert_eq!(round_trips, [1, 2, 2, 2, 2, 1, 1, 4]);
+    assert_eq!(round_trips, [1, 1, 1, 1, 2, 1, 1, 2]);
 
     // The rebalancer's load on the owning shard, in routing calls.
     let load: Vec<u64> = costs.iter().map(|c| c.load_ops).collect();
@@ -253,17 +257,83 @@ fn each_write_shape_costs_one_lock_round_trip_per_shard() {
 /// absent-key UPDATE, FOR UPDATE + UPDATE.
 const PINNED_LATENCIES_NS: [u64; 8] = [
     55_520_686,
-    111_195_722,
-    111_204_626,
-    110_942_527,
-    111_653_113,
-    55_914_215,
-    55_684_763,
-    221_448_089,
+    55_629_871,
+    55_353_111,
+    55_891_983,
+    110_949_820,
+    55_800_493,
+    55_782_748,
+    111_463_524,
 ];
 
 /// `ShardLoad::ops` on the owning shard, shape by shape as above: one
 /// per data-node access, a write that rides its statement's lock
-/// included. The range UPDATE is its read, one lock request and 4 × (read
-/// for update + write); the replicated UPDATE reads elsewhere.
-const PINNED_LOAD_OPS: [u64; 8] = [1, 2, 3, 3, 10, 2, 1, 5];
+/// included. A point UPDATE is its lock request and its write; the range
+/// UPDATE is its read, one lock request and 4 × (read for update +
+/// write).
+const PINNED_LOAD_OPS: [u64; 8] = [1, 1, 2, 2, 10, 2, 1, 3];
+
+/// An UPDATE of an absent key affects no row but locks the key on its
+/// owner until the transaction commits, as a point predicate lock would:
+/// a key deleted by an in-flight commit is waited out, never read as
+/// absent early. An INSERT of the key in the same transaction rides on.
+#[test]
+fn absent_key_update_locks_the_key_to_commit() {
+    let Fixture {
+        mut c,
+        groups,
+        remote,
+    } = fixture();
+    let kv = c.db.catalog().table_by_name("kv").unwrap().id;
+    let insert = c.prepare("INSERT INTO kv VALUES (?, ?, ?)").unwrap();
+    let update = c
+        .prepare("UPDATE kv SET v = v + 1 WHERE k_w = ? AND k_id = ?")
+        .unwrap();
+    let (w, id) = (groups[0], ROWS + 1);
+    let key = RowKey::new(vec![int(w), int(id)]);
+    c.db.record_history();
+
+    // The UPDATE alone, so that any lock on the key is its own.
+    let at = c.now() + SimDuration::from_secs(1);
+    let (updated, outcome) = c
+        .run_transaction(CN, at, false, false, |txn| {
+            Ok(txn.execute(&update, &[int(w), int(id)])?.count())
+        })
+        .unwrap();
+    assert_eq!(updated, 0);
+    // Its locking read saw no version, as this transaction.
+    let txn =
+        c.db.history()
+            .unwrap()
+            .events
+            .iter()
+            .find_map(|e| match e {
+                Event::Read {
+                    txn,
+                    table,
+                    key: k,
+                    seen: None,
+                    locked: true,
+                } if *table == kv && *k == key => Some(*txn),
+                _ => None,
+            })
+            .expect("the UPDATE read the absent key under its lock");
+    // The owner's lock on the key is the transaction's, released by its
+    // commit and not before.
+    let locks = &c.db.shards()[remote].storage.locks;
+    let last_held = SimTime::from_nanos(outcome.completed_at.as_nanos() - 1);
+    assert_eq!(locks.holder(kv, &key, last_held), Some(txn));
+    assert_eq!(locks.holder(kv, &key, outcome.completed_at), None);
+
+    // The UPDATE, then an INSERT of the key in the same transaction.
+    let (n, _) = run(
+        &mut c,
+        remote,
+        &[
+            (&update, &[int(w), int(id)]),
+            (&insert, &[int(w), int(id), int(7)]),
+        ],
+    );
+    assert_eq!(n, [0, 1]);
+    assert_eq!(kv_value(&mut c, w, id), Some(7));
+}

@@ -75,7 +75,9 @@ pub trait DataAccess {
 
     /// Lock the row for write and let `visit` see its *newest committed*
     /// version, if there is one (read-committed update semantics; the
-    /// lock is held to transaction end).
+    /// lock is held to transaction end). The executor hands a point
+    /// statement's key here unread, so the key is locked whether or not
+    /// a row is there, as a point predicate lock would be.
     fn read_for_update(
         &mut self,
         table: TableId,

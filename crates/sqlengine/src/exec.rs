@@ -58,12 +58,12 @@ pub fn execute(
             sets,
             access,
             residual,
-        } => exec_update(*table, sets, access, residual.as_ref(), params, da),
+        } => exec_write(*table, Some(sets), access, residual.as_ref(), params, da),
         BoundStatement::Delete {
             table,
             access,
             residual,
-        } => exec_delete(*table, access, residual.as_ref(), params, da),
+        } => exec_write(*table, None, access, residual.as_ref(), params, da),
         BoundStatement::Select(plan) => exec_select(plan, params, da),
     }
 }
@@ -136,11 +136,14 @@ fn fetch_outer(
 }
 
 /// Hand `each` the key of every row `access` fetches that `filter` admits,
-/// once the read is done, so that `each` may lock and write it. A point
-/// key is checked where its row lies and kept in no vector; the other
-/// paths collect the keys (each a shared handle, not a copy) and lock
-/// them in one request per data node before `each` runs, so its
-/// per-key locks ride the set's.
+/// so that `each` may lock and write it. A point key goes to `each` as
+/// evaluated, read by nothing first: the [`DataAccess::read_for_update`]
+/// in `each` is the statement's one request, and `filter` is left to
+/// `each`, which sees the newest version. The key stays locked even if it
+/// has no live row or its row fails `filter`, as a point predicate lock
+/// would. The other paths collect the keys (each a shared handle, not a
+/// copy) once the read is done and lock them in one request per data node
+/// before `each` runs, so its per-key locks ride the set's.
 fn for_each_key(
     table: TableId,
     access: &AccessPath,
@@ -150,19 +153,12 @@ fn for_each_key(
     each: &mut dyn FnMut(&mut dyn DataAccess, &RowKey) -> GdbResult<()>,
 ) -> GdbResult<()> {
     let empty = RowCtx::empty();
-    let admits = |row: &Row| holds(filter, params, &RowCtx::outer(row));
     if let AccessPath::PointLookup { key } = access {
-        let key = eval_key(key, params, &empty)?;
-        let mut found = false;
-        da.point_read(table, &key, &mut |row| {
-            found = admits(row)?;
-            Ok(())
-        })?;
-        return if found { each(da, &key) } else { Ok(()) };
+        return each(da, &eval_key(key, params, &empty)?);
     }
     let mut keys = Vec::new();
     fetch_outer(table, access, params, &empty, da, &mut |key, row| {
-        if admits(row)? {
+        if holds(filter, params, &RowCtx::outer(row))? {
             keys.push(key.clone());
         }
         Ok(())
@@ -181,9 +177,13 @@ fn eval_key(exprs: &[Expr], params: &[Datum], ctx: &RowCtx) -> GdbResult<RowKey>
     RowKey::try_from_fn(exprs.len(), |i| eval(&exprs[i], params, ctx))
 }
 
-fn exec_update(
+/// UPDATE (`sets`) or DELETE (`None`): lock each row and read its newest
+/// committed version where it lies (read-committed); where `residual`
+/// holds there, write the new image built from it — the one copy — or
+/// delete the row.
+fn exec_write(
     table: TableId,
-    sets: &[(usize, Expr)],
+    sets: Option<&[(usize, Expr)]>,
     access: &AccessPath,
     residual: Option<&Expr>,
     params: &[Datum],
@@ -191,48 +191,30 @@ fn exec_update(
 ) -> GdbResult<ExecOutput> {
     let mut affected = 0u64;
     for_each_key(table, access, None, params, da, &mut |da, key| {
-        // Lock the row and build its new image from the newest committed
-        // version where it lies (read-committed): the one copy is the new
-        // image itself.
-        let mut new_row = None;
+        // `Some(Some(row))` overwrites the row, `Some(None)` deletes it.
+        let mut write = None;
         da.read_for_update(table, key, &mut |current| {
             let ctx = RowCtx::outer(current);
             if holds(residual, params, &ctx)? {
-                let mut row = current.clone();
-                for (idx, e) in sets {
-                    row.0[*idx] = eval(e, params, &ctx)?;
-                }
-                new_row = Some(row);
+                write = Some(match sets {
+                    Some(sets) => {
+                        let mut row = current.clone();
+                        for (idx, e) in sets {
+                            row.0[*idx] = eval(e, params, &ctx)?;
+                        }
+                        Some(row)
+                    }
+                    None => None,
+                });
             }
             Ok(())
         })?;
-        if let Some(row) = new_row {
-            da.update(table, key, row)?;
-            affected += 1;
+        match write {
+            Some(Some(row)) => da.update(table, key, row)?,
+            Some(None) => da.delete(table, key)?,
+            None => return Ok(()),
         }
-        Ok(())
-    })?;
-    Ok(ExecOutput::Count(affected))
-}
-
-fn exec_delete(
-    table: TableId,
-    access: &AccessPath,
-    residual: Option<&Expr>,
-    params: &[Datum],
-    da: &mut dyn DataAccess,
-) -> GdbResult<ExecOutput> {
-    let mut affected = 0u64;
-    for_each_key(table, access, None, params, da, &mut |da, key| {
-        let mut matched = false;
-        da.read_for_update(table, key, &mut |current| {
-            matched = holds(residual, params, &RowCtx::outer(current))?;
-            Ok(())
-        })?;
-        if matched {
-            da.delete(table, key)?;
-            affected += 1;
-        }
+        affected += 1;
         Ok(())
     })?;
     Ok(ExecOutput::Count(affected))

@@ -16,9 +16,13 @@
 # The summary prints, per workload and end-to-end metric, the median of
 # each side, the spread of <rev>'s runs (the distance between their
 # quartiles), the ratio of the medians (change / rev), the pairs the
-# change won (a tie counts for neither) and `!` where the change is worse
-# by more than a third of the metric's bound; then the failed share of
-# each side.
+# change won (a tie counts for neither), the pairs whose two values are
+# identical and `!` where the change is worse by more than a third of
+# the metric's bound; then, per side, the failed share of operations and
+# the runs that were incorrect: a run that exited non-zero, whose last
+# line is not JSON or whose result is not `"correct": true`. The medians
+# are over the pairs where both runs are correct. The script exits 1 if
+# any run was incorrect.
 # Nothing under benchmark/ is changed.
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -49,12 +53,15 @@ seconds=$(python3 -c 'import json; print(json.load(open("BENCHMARK.json"))["run_
 
 rm -rf "$runs"
 mkdir -p "$runs"
-# one <side> <workload> <pair>: the driver's run, its last line kept.
+# one <side> <workload> <pair>: one benchmark run, its last line kept; a
+# run that fails gets a last line that is not JSON.
 one() {
-    local root=$here
+    local root=$here out=$runs/$1-$2-$3.json
     [ "$1" = rev ] && root=$there
-    (cd "$root" && "$work/target-$1/release/gdb-benchmark" --workload "$2" --seed "$3" \
-        --seconds "$seconds" --trace 0) | tail -n 1 >"$runs/$1-$2-$3.json"
+    if ! (cd "$root" && "$work/target-$1/release/gdb-benchmark" --workload "$2" --seed "$3" \
+        --seconds "$seconds" --trace 0) | tail -n 1 >"$out"; then
+        echo "run failed" >>"$out"
+    fi
 }
 for i in $(seq 1 "$pairs"); do
     for w in $workloads; do
@@ -76,7 +83,12 @@ runs, pairs, workloads = sys.argv[1], int(sys.argv[2]), sys.argv[3:]
 metrics = json.load(open("BENCHMARK.json"))["end_to_end"]
 
 def result(side, w, i):
-    return json.load(open(f"{runs}/{side}-{w}-{i}.json"))
+    """The run's result, or None if the run was incorrect."""
+    try:
+        r = json.load(open(f"{runs}/{side}-{w}-{i}.json"))
+    except ValueError:
+        return None
+    return r if isinstance(r, dict) and r.get("correct") is True else None
 
 def iqr(xs):
     if len(xs) < 2:
@@ -84,25 +96,37 @@ def iqr(xs):
     q = statistics.quantiles(xs, n=4)
     return q[2] - q[0]
 
+incorrect = 0
 for w in workloads:
     rev = [result("rev", w, i) for i in range(1, pairs + 1)]
     here = [result("here", w, i) for i in range(1, pairs + 1)]
-    print(f"\n{w} ({pairs} pairs)")
-    print(f"  {'metric':<24}{'rev':>12}{'rev IQR':>11}{'change':>12}{'ratio':>8}{'wins':>7}")
+    both = [(x, y) for x, y in zip(rev, here) if x and y]
+    print(f"\n{w} ({len(both)} of {pairs} pairs correct on both sides)")
+    print(f"  {'metric':<24}{'rev':>12}{'rev IQR':>11}{'change':>12}{'ratio':>8}{'wins':>7}{'same':>7}")
     for m in metrics:
         name, higher = m["name"], m["better"] == "higher"
-        if any(name not in r["metrics"] for r in rev + here):
+        if not both or any(name not in r["metrics"] for pair in both for r in pair):
             continue
-        a = [r["metrics"][name]["value"] for r in rev]
-        b = [r["metrics"][name]["value"] for r in here]
+        a = [x["metrics"][name]["value"] for x, _ in both]
+        b = [y["metrics"][name]["value"] for _, y in both]
         ma, mb = statistics.median(a), statistics.median(b)
         ratio = mb / ma if ma else float("nan")
         wins = sum((y > x) if higher else (y < x) for x, y in zip(a, b))
+        same = sum(x == y for x, y in zip(a, b))
         worse = ((ma - mb) if higher else (mb - ma)) / ma if ma else 0.0
         flag = " !" if worse > m["bound"] / 3 else ""
-        print(f"  {name:<24}{ma:>12.4g}{iqr(a):>11.3g}{mb:>12.4g}{ratio:>8.3f}{wins:>4}/{pairs}{flag}")
+        print(
+            f"  {name:<24}{ma:>12.4g}{iqr(a):>11.3g}{mb:>12.4g}{ratio:>8.3f}"
+            f"{wins:>4}/{len(both)}{same:>4}/{len(both)}{flag}"
+        )
     for side, rs in (("rev", rev), ("change", here)):
-        failed = sum(r["failed"] for r in rs)
-        attempted = sum(r["attempted"] for r in rs)
-        print(f"  failed share ({side}): {failed}/{attempted}")
+        ok = [r for r in rs if r]
+        failed = sum(r["failed"] for r in ok)
+        attempted = sum(r["attempted"] for r in ok)
+        bad = len(rs) - len(ok)
+        incorrect += bad
+        print(f"  failed share ({side}): {failed}/{attempted}, incorrect runs: {bad}/{pairs}")
+if incorrect:
+    print(f"\n{incorrect} incorrect run(s)")
+    sys.exit(1)
 EOF

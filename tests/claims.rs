@@ -69,8 +69,8 @@ fn fig1a_throughput_collapses_with_span() {
         .map(|(_, delay)| fig1a::point(&params, delay).1.tpmc())
         .collect();
     println!("fig1a tpmC same rack / same city / three cities: {tpmc:?}");
-    // Paper: "falls sharply" at each step. Measured: ×0.40 from rack to
-    // city, ×0.14 from city to three cities. Slack: each step must still
+    // Paper: "falls sharply" at each step. Measured: ×0.47 from rack to
+    // city, ×0.18 from city to three cities. Slack: each step must still
     // lose a quarter.
     for step in tpmc.windows(2) {
         assert!(step[1] < 0.75 * step[0], "no collapse with span: {tpmc:?}");
@@ -98,7 +98,7 @@ fn fig6a_globaldb_keeps_its_throughput_at_three_cities() {
         tput(&gdb_one),
         tput(&gdb_three)
     );
-    // Paper: the baseline keeps ~33 % at three cities. Measured: 18.6 %.
+    // Paper: the baseline keeps ~33 % at three cities. Measured: 17.9 %.
     // Slack: the paper's own figure is the ceiling.
     assert!(tput(&base_three) < tput(&base_one) / 3.0);
     // Paper: GlobalDB keeps 91 %. Measured: 100 %. Slack: 90 %.
@@ -152,7 +152,7 @@ fn fig6b_globaldb_is_flat_under_injected_delay() {
     // Paper: GlobalDB "achieves the same throughput regardless of network
     // delay". Measured: 100 %. Slack: 95 %.
     assert!(gclock_100 >= 0.95 * gclock_0);
-    // Paper: the baseline loses up to ~90 % at 100 ms. Measured: 98.8 %.
+    // Paper: the baseline loses up to ~90 % at 100 ms. Measured: 98.9 %.
     // Slack: a loss of at least 85 %.
     assert!(gtm_100 <= 0.15 * gtm_0);
 }
@@ -231,13 +231,13 @@ fn ablation_lz4_bounds_rcp_lag_on_a_thin_wan() {
     let (lz4_lag, ratio) = thin(None);
     println!("compression: RCP lag raw {raw_lag:.1} ms, LZ4 {lz4_lag:.1} ms, ratio {ratio:.2}");
     // Paper: compression cuts shipped bytes; EXPERIMENTS.md measures
-    // 2.17× at small scale. Measured: 2.14×. Slack: 1.5×.
+    // 2.17× at small scale. Measured: 2.16×. Slack: 1.5×.
     assert!(ratio >= 1.5, "compression ratio {ratio:.2}");
     // Paper: LZ4 keeps replicas fresh on a constrained link. Measured:
-    // 36.6 ms, under two RCP rounds. Slack: 100 ms.
+    // 36.7 ms, under two RCP rounds. Slack: 100 ms.
     assert!(lz4_lag <= 100.0, "LZ4 lag {lz4_lag:.1} ms");
     // Paper: raw shipping saturates the link (no number given).
-    // Measured: it lags 11.2× as far as LZ4. Slack: 5×.
+    // Measured: it lags 12.4× as far as LZ4. Slack: 5×.
     assert!(
         raw_lag >= 5.0 * lz4_lag,
         "raw {raw_lag:.1} ms vs LZ4 {lz4_lag:.1} ms"
@@ -264,13 +264,13 @@ fn ablation_nagle_off_speeds_up_sync_commits() {
     };
     let ((on_tpmc, on_ms), (off_tpmc, off_ms)) = (bbr(true), bbr(false));
     // Paper: Nagle off is part of GlobalDB's WAN tuning (no number
-    // given). Measured: NewOrder mean 38.0 → 28.1 ms (×0.74). Slack: it
+    // given). Measured: NewOrder mean 37.1 → 27.2 ms (×0.73). Slack: it
     // must still fall below ×0.85.
     assert!(
         off_ms < 0.85 * on_ms,
         "NewOrder {on_ms:.1} → {off_ms:.1} ms"
     );
-    // Measured: tpmC 4 500 → 5 940 (×1.32). Slack: above ×1.15.
+    // Measured: tpmC 4 500 → 6 180 (×1.37). Slack: above ×1.15.
     assert!(
         off_tpmc > 1.15 * on_tpmc,
         "tpmC {on_tpmc:.0} → {off_tpmc:.0}"
@@ -311,7 +311,7 @@ fn ablation_parallel_replay_keeps_the_rcp_fresh() {
     // Measured: 2 workers stay within two RCP rounds, 36.7 ms.
     // Slack: 100 ms.
     assert!(parallel <= 100.0, "parallel replay lag {parallel:.1} ms");
-    // Paper: no number for serial replay. Measured: 1 worker lags 14×
+    // Paper: no number for serial replay. Measured: 1 worker lags 16×
     // as far. Slack: 5×.
     assert!(serial >= 5.0 * parallel, "serial {serial:.1} ms");
 }
@@ -326,8 +326,8 @@ fn ablation_transition_never_drops_a_window() {
         *run.commits.iter().min().unwrap(),
         *run.commits.iter().max().unwrap(),
     );
-    // Paper: zero downtime. Measured: the worst window keeps 94 of the
-    // best window's 105 commits. Slack: half.
+    // Paper: zero downtime. Measured: the worst window keeps 143 of the
+    // best window's 157 commits. Slack: half.
     assert!(min > 0 && 2 * min >= max, "{:?}", run.commits);
     // Paper: the switch completes online in both directions. Measured:
     // GClock in windows 4–9, back to GTM from window 10. Slack: none.
@@ -363,7 +363,7 @@ fn ablation_rebalancer_converges_in_four_migrations() {
     // Zero downtime across every cutover, as for the paper's online
     // transition. Measured: ≥ 50 per window. Slack: any commit.
     assert!(commits.iter().all(|&c| c > 0), "{commits:?}");
-    // EXPERIMENTS.md: 7.58× at small scale. Measured: 3.83× the static
+    // EXPERIMENTS.md: 5.36× at small scale. Measured: 4.14× the static
     // placement. Slack: 2×.
     assert!(gain >= 2.0, "rebalancing gained {gain:.2}x");
 }
