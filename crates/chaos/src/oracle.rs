@@ -369,7 +369,7 @@ impl Oracle {
             let mut read_back = || {
                 let at = cluster.now();
                 cluster.run_transaction(0, at, false, true, |t| {
-                    t.point_read(table, &key, &mut |_| Ok(()))
+                    t.point_read(table, &key, &mut |_, _| Ok(()))
                 })
             };
             let mut read = read_back();

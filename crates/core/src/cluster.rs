@@ -89,6 +89,9 @@ pub struct GlobalDb {
     /// Scratch of [`GlobalDb::select_read_node`]: one shard's read
     /// candidates, reused so picking a read node allocates nothing.
     pub(crate) read_candidates: Vec<gdb_router::NodeMetrics>,
+    /// The collections of the last transaction, handed back cleared for
+    /// the next to fill ([`crate::txn::TxnScratch`]).
+    pub(crate) txn_scratch: crate::txn::TxnScratch,
     /// Per-CN flag: `true` while the CN's clock-sync daemon is cut off
     /// from its regional time device (fault injection). While blocked the
     /// clock keeps drifting and its error bound grows until sync resumes.
@@ -608,6 +611,7 @@ impl Cluster {
             routes: gdb_router::RouteTable::default(),
             last_skyline_pick: vec![None; cn_count * shard_count],
             read_candidates: Vec::new(),
+            txn_scratch: Default::default(),
             clock_sync_blocked: vec![false; cn_count],
             txn_seq: 0,
             history: None,

@@ -315,9 +315,17 @@ impl<'a> TxnHandle<'a> {
             self.record(|txn| Event::End { txn, ts, ack });
             self.release_locks(true);
         }
-        result
+        // The participant set moves into the outcome, read by nothing
+        // after the lock release.
+        let shards_written = std::mem::take(&mut self.shards_written);
+        result.map(|outcome| TxnOutcome {
+            shards_written,
+            ..outcome
+        })
     }
 
+    /// The commit, with an empty participant set in its outcome (the
+    /// caller moves the handle's in).
     fn try_commit(&mut self) -> GdbResult<TxnOutcome> {
         let exec_done = self.now;
 
@@ -327,13 +335,22 @@ impl<'a> TxnHandle<'a> {
             return Ok(self.outcome(None, Vec::new()));
         }
 
-        let write_shards = self.shards_written.clone();
-        let multi_shard = write_shards.len() > 1;
+        // The phases read the participant set while they change the
+        // handle; it is back in place before anything else reads it.
+        let write_shards = std::mem::take(&mut self.shards_written);
+        let ts = self.write_phases(&write_shards, exec_done);
+        self.shards_written = write_shards;
+        Ok(self.outcome(Some(ts?), Vec::new()))
+    }
 
-        let prepare = self.prepare_phase(&write_shards, multi_shard)?;
+    /// Prepare, stamp, wait and replicate the commit across
+    /// `write_shards`, recording the phases; returns the commit timestamp.
+    fn write_phases(&mut self, write_shards: &[usize], exec_done: SimTime) -> GdbResult<Timestamp> {
+        let multi_shard = write_shards.len() > 1;
+        let prepare = self.prepare_phase(write_shards, multi_shard)?;
         let stamp = self.db.commit_stamp(self.cn, &mut self.now)?;
         self.db.stats.commit_wait_total += stamp.wait_end.since(self.now);
-        let replicate = self.replicate_phase(&write_shards, multi_shard, &stamp)?;
+        let replicate = self.replicate_phase(write_shards, multi_shard, &stamp)?;
 
         self.record_phases(
             exec_done,
@@ -345,8 +362,7 @@ impl<'a> TxnHandle<'a> {
                 commit_branches: replicate.branches,
             }),
         );
-
-        Ok(self.outcome(Some(stamp.ts), write_shards))
+        Ok(stamp.ts)
     }
 
     /// Record the per-phase latency breakdown (and, when tracing is on,

@@ -8,7 +8,7 @@
 //! timestamp).
 
 use crate::cluster::GlobalDb;
-use gdb_model::{Row, RowKey, TableId, Timestamp, TxnId};
+use gdb_model::{Datum, Row, RowKey, TableId, Timestamp, TxnId};
 use gdb_simnet::SimTime;
 use gdb_storage::VisibleRow;
 
@@ -79,10 +79,12 @@ impl History {
     }
 }
 
-/// Record, if recording, that a read of `key` saw `vis`.
+/// Record, if recording, that a read of `key` saw `vis`. The event
+/// holds a copy of the key: a read borrows it, so only a recorded read
+/// allocates one.
 pub(crate) fn note_read(
     history: &mut Option<History>,
-    (txn, table, key): (TxnId, TableId, &RowKey),
+    (txn, table, key): (TxnId, TableId, &[Datum]),
     vis: Option<&VisibleRow>,
     locked: bool,
 ) {
@@ -91,7 +93,7 @@ pub(crate) fn note_read(
             ts: v.commit_ts,
             digest: digest(v.row),
         });
-        let key = key.clone();
+        let key = RowKey::from(key);
         h.push(Event::Read {
             txn,
             table,

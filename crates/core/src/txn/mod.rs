@@ -21,7 +21,7 @@ use crate::net::RpcKind;
 use crate::stats::TxnOutcome;
 use gdb_model::{Datum, GdbError, GdbResult, Row, RowKey, RowMap, TableId, Timestamp, TxnId};
 use gdb_simnet::{SimDuration, SimTime};
-use gdb_sqlengine::{execute, ExecOutput, Prepared};
+use gdb_sqlengine::{execute, ExecOutput, Prepared, Scratch};
 use gdb_txnmgr::BeginPlan;
 use gdb_wal::RedoPayload;
 use history::Event;
@@ -39,6 +39,19 @@ struct WriteOp {
     key: RowKey,
     /// `None` = delete.
     row: Option<Row>,
+}
+
+/// The collections a transaction fills, kept on [`GlobalDb`] from one
+/// transaction to the next so that each starts with the capacity the
+/// last one grew: [`TxnHandle::begin`] takes them, and the handle hands
+/// them back emptied when it drops, however it ended.
+#[derive(Default)]
+pub(crate) struct TxnScratch {
+    overlay: RowMap<usize>,
+    write_log: Vec<WriteOp>,
+    locked: Vec<(usize, TableId, RowKey)>,
+    shards_written: Vec<usize>,
+    exec: Scratch,
 }
 
 /// An open transaction bound to one computing node.
@@ -70,8 +83,10 @@ pub struct TxnHandle<'a> {
     /// Every staged write in order, each owning its image (`None` =
     /// deleted); the commit installs them from here.
     write_log: Vec<WriteOp>,
-    /// Every row lock this transaction holds, once each; commit and
-    /// abort set their release instants from here.
+    /// Every row lock this transaction holds, once each, with the row's
+    /// key: the one allocation of it the transaction makes, which its
+    /// writes of the row share. Commit and abort set the release instants
+    /// from here.
     locked: Vec<(usize, TableId, RowKey)>,
     /// Where the running statement's entries in `locked` begin: the locks
     /// it took, and those it found already held (moved in from before).
@@ -80,6 +95,8 @@ pub struct TxnHandle<'a> {
     /// Shards holding staged writes (and so a `PENDING_COMMIT` record),
     /// ascending: the 2PC participant set.
     shards_written: Vec<usize>,
+    /// What the running statement evaluates its keys into.
+    exec: Scratch,
     used_replica: bool,
     finished: bool,
     /// The commit timestamp, once a COMMIT / COMMIT_PREPARED record has
@@ -154,6 +171,13 @@ impl<'a> TxnHandle<'a> {
         }
 
         let txn = db.next_txn_id(cn);
+        let TxnScratch {
+            overlay,
+            write_log,
+            locked,
+            shards_written,
+            exec,
+        } = std::mem::take(&mut db.txn_scratch);
         let mut handle = TxnHandle {
             db,
             cn,
@@ -166,11 +190,12 @@ impl<'a> TxnHandle<'a> {
             ror,
             freshness_bound,
             single_shard_hint: single_shard,
-            overlay: RowMap::new(),
-            write_log: Vec::new(),
-            locked: Vec::new(),
+            overlay,
+            write_log,
+            locked,
             stmt_start: 0,
-            shards_written: Vec::new(),
+            shards_written,
+            exec,
             used_replica: false,
             finished: false,
             commit_appended: None,
@@ -238,7 +263,10 @@ impl<'a> TxnHandle<'a> {
             }
         }
         self.stmt_start = self.locked.len();
-        execute(&prepared.bound, params, self)
+        let mut exec = std::mem::take(&mut self.exec);
+        let out = execute(&prepared.bound, params, self, &mut exec);
+        self.exec = exec;
+        out
     }
 
     /// Downgrade an ROR transaction to primary reads (DDL gate or
@@ -255,7 +283,7 @@ impl<'a> TxnHandle<'a> {
     /// on abort; on commit, those on the shards it wrote nothing on (an
     /// absent key, a row only read for update).
     fn release_locks(&mut self, committed: bool) {
-        for (shard, table, key) in std::mem::take(&mut self.locked) {
+        for (shard, table, key) in self.locked.drain(..) {
             if !(committed && self.shards_written.contains(&shard)) {
                 let locks = &mut self.db.shards[shard].storage.locks;
                 locks.set_release(table, &key, self.txn, self.now);
@@ -303,10 +331,82 @@ impl<'a> TxnHandle<'a> {
     }
 }
 
+/// Hands the transaction's collections back to [`GlobalDb`], emptied.
+impl Drop for TxnHandle<'_> {
+    fn drop(&mut self) {
+        let mut scratch = TxnScratch {
+            overlay: std::mem::take(&mut self.overlay),
+            write_log: std::mem::take(&mut self.write_log),
+            locked: std::mem::take(&mut self.locked),
+            shards_written: std::mem::take(&mut self.shards_written),
+            exec: std::mem::take(&mut self.exec),
+        };
+        scratch.overlay.clear();
+        scratch.write_log.clear();
+        scratch.locked.clear();
+        scratch.shards_written.clear();
+        self.db.txn_scratch = scratch;
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::TxnHandle;
-    use crate::{Cluster, ClusterConfig, Datum, Prepared, Row, SimDuration};
+    use crate::{Cluster, ClusterConfig, Datum, GdbError, Prepared, Row, SimDuration};
+
+    /// A transaction's collections reach the next one emptied, however it
+    /// ended: after an abort, and after a statement that failed midway
+    /// (its range's lock set collected, a row locked), the next
+    /// transaction on that CN sees none of the writes, holds none of the
+    /// locks and stages no redo.
+    #[test]
+    fn the_next_transaction_starts_from_emptied_scratch() {
+        let mut c = Cluster::new(ClusterConfig::globaldb_three_city().with_seed(9));
+        c.ddl("CREATE TABLE t (k INT NOT NULL, v INT NOT NULL, PRIMARY KEY (k)) DISTRIBUTE BY HASH(k)")
+            .unwrap();
+        let table = c.db.catalog().table_by_name("t").unwrap().id;
+        let rows = (1..=4).map(|k| Row(vec![Datum::Int(k), Datum::Int(0)]));
+        c.bulk_load(table, rows.collect()).unwrap();
+        c.finish_load();
+        let bump = c.prepare("UPDATE t SET v = v + 1 WHERE k = ?").unwrap();
+        let null_all = c.prepare("UPDATE t SET v = NULL WHERE k >= ?").unwrap();
+        let read = c.prepare("SELECT k, v FROM t WHERE k >= ?").unwrap();
+        let one = [Datum::Int(1)];
+        let mut at = c.now() + SimDuration::from_millis(10);
+        for rolled_back in [true, false] {
+            let failed = c.run_transaction(0, at, false, false, |txn| {
+                if rolled_back {
+                    txn.execute(&bump, &one)?;
+                    return Err(GdbError::Execution("rolled back".into()));
+                }
+                txn.execute(&bump, &[Datum::Int(2)])?;
+                txn.execute(&null_all, &one).map(|_| ())
+            });
+            assert!(failed.is_err());
+            // Long after the failed transaction released its locks.
+            at += SimDuration::from_secs(1);
+            let (next, outcome) = c
+                .run_transaction(0, at, false, false, |txn| {
+                    assert!(txn.overlay.is_empty() && txn.write_log.is_empty());
+                    assert!(txn.locked.is_empty() && txn.shards_written.is_empty());
+                    let rows = txn.execute(&read, &one)?.rows();
+                    assert!(rows.iter().all(|r| r.0[1] == Datum::Int(0)), "{rows:?}");
+                    assert_eq!(rows.len(), 4);
+                    assert!(txn.locked.is_empty() && txn.write_log.is_empty());
+                    Ok(txn.txn)
+                })
+                .unwrap();
+            assert!(outcome.commit_ts.is_none() && outcome.shards_written.is_empty());
+            for shard in c.db.shards() {
+                assert!(shard.log.staged_txns().all(|t| t != next));
+                for k in 1..=4 {
+                    let holder = shard.storage.locks.holder(table, &[Datum::Int(k)], at);
+                    assert_eq!(holder, None, "k = {k}");
+                }
+            }
+            at += SimDuration::from_millis(10);
+        }
+    }
 
     /// A lock the transaction already holds — taken by an earlier
     /// statement, or twice within one — is remembered once, so commit

@@ -35,14 +35,14 @@ use gdb_wal::RedoPayload;
 use std::cmp::Ordering;
 use std::ops::Range;
 
-/// What a statement touches in one table.
+/// What a statement touches in one table, by borrowed datums.
 #[derive(Clone, Copy)]
 enum Touch<'k> {
     /// One tuple, by full primary key.
-    Key(&'k RowKey),
+    Key(&'k [Datum]),
     /// The inclusive primary-key range `[lo, hi]` (`None` = unbounded;
     /// `hi` covers every key it is a prefix of, [`RowKey::in_range`]).
-    Range(Option<&'k RowKey>, Option<&'k RowKey>),
+    Range(Option<&'k [Datum]>, Option<&'k [Datum]>),
     /// The tuples whose leading index columns equal the prefix values.
     IndexPrefix(IndexId, &'k [Datum]),
 }
@@ -73,11 +73,11 @@ impl<'a> TxnHandle<'a> {
         }
         // The leading values `touch` fixes, and the columns they belong to.
         let (cols, vals): (&[usize], &[Datum]) = match touch {
-            Touch::Key(key) => (&schema.primary_key, &key.0),
+            Touch::Key(key) => (&schema.primary_key, key),
             Touch::Range(Some(lo), Some(hi)) => {
                 let same = |(l, h): &(&Datum, &Datum)| l.key_cmp(h) == Ordering::Equal;
-                let common = lo.0.iter().zip(hi.0.iter()).take_while(same).count();
-                (&schema.primary_key, &lo.0[..common])
+                let common = lo.iter().zip(hi).take_while(same).count();
+                (&schema.primary_key, &lo[..common])
             }
             Touch::Range(..) => return Ok(all),
             Touch::IndexPrefix(index, prefix) => (&self.db.catalog.index(index)?.columns, prefix),
@@ -203,18 +203,18 @@ impl<'a> TxnHandle<'a> {
     // ---- Read paths -------------------------------------------------------
 
     /// Fetch one tuple from `target`, whose round trip is already paid,
-    /// and hand it to `f` where it lies in storage. A tuple blocked on
-    /// the replica pays an extra primary round trip; a primary version
-    /// whose commit is still in flight raises `wait` to its completion
-    /// instant (in-doubt wait).
+    /// and hand it to `f` with its key where it lies in storage. A tuple
+    /// blocked on the replica pays an extra primary round trip; a primary
+    /// version whose commit is still in flight raises `wait` to its
+    /// completion instant (in-doubt wait).
     fn fetch_key<R>(
         &mut self,
         shard: usize,
         target: ReadTarget,
         table: TableId,
-        key: &RowKey,
+        key: &[Datum],
         wait: &mut SimTime,
-        f: impl FnOnce(&Row) -> R,
+        f: impl FnOnce(&RowKey, &Row) -> R,
     ) -> GdbResult<Option<R>> {
         let snapshot = self.snapshot;
         if let ReadTarget::Replica(ri) = self.unblocked(shard, target, table, Touch::Key(key)) {
@@ -222,7 +222,7 @@ impl<'a> TxnHandle<'a> {
             let storage = &mut db.shards[shard].replicas[ri].applier.storage;
             let vis = storage.read(table, key, snapshot)?;
             note_read(&mut db.history, (self.txn, table, key), vis.as_ref(), false);
-            let out = vis.map(|v| f(v.row));
+            let out = vis.map(|v| f(v.key, v.row));
             self.used_replica = true;
             self.db.stats.reads_on_replica += 1;
             return Ok(out);
@@ -240,15 +240,15 @@ impl<'a> TxnHandle<'a> {
         note_read(&mut db.history, (self.txn, table, key), vis.as_ref(), false);
         Ok(vis.map(|v| {
             *wait = (*wait).max(v.commit_vtime);
-            f(v.row)
+            f(v.key, v.row)
         }))
     }
 
-    /// This transaction's own write to `key`, if it made one: the image
-    /// its latest write left (`None` = deleted).
-    fn own(&self, table: TableId, key: &RowKey) -> Option<Option<&Row>> {
+    /// This transaction's own latest write to `key`, if it made one: its
+    /// key and the image it left (`row`, `None` = deleted).
+    fn own(&self, table: TableId, key: &[Datum]) -> Option<&WriteOp> {
         let &at = self.overlay.get(table, key)?;
-        Some(self.write_log[at].row.as_ref())
+        Some(&self.write_log[at])
     }
 
     /// Range and index reads. Per touched shard, an unblocked replica is
@@ -369,9 +369,20 @@ impl<'a> TxnHandle<'a> {
     }
 
     /// True if the running statement has locked `key` of `table`.
-    fn stmt_holds(&self, table: TableId, key: &RowKey) -> bool {
+    fn stmt_holds(&self, table: TableId, key: &[Datum]) -> bool {
         let locked = &self.locked[self.stmt_start..];
-        locked.iter().any(|(_, t, k)| *t == table && k == key)
+        locked.iter().any(|(_, t, k)| *t == table && **k == *key)
+    }
+
+    /// The key of the row `key` of `table`: shared from the lock list if
+    /// the transaction has locked the row, else allocated — the one time
+    /// it is, for the lock about to be taken.
+    fn key_of(&self, table: TableId, key: &[Datum]) -> RowKey {
+        let held = self
+            .locked
+            .iter()
+            .find(|(_, t, k)| *t == table && **k == *key);
+        held.map_or_else(|| RowKey::from(key), |(_, _, k)| k.clone())
     }
 
     /// The shared front of every write: route to the owning shard(s),
@@ -393,7 +404,7 @@ impl<'a> TxnHandle<'a> {
             // Overlay first (a row this transaction deleted may be
             // reinserted), then committed state.
             let exists = match self.own(table, key) {
-                Some(own) => own.is_some(),
+                Some(own) => own.row.is_some(),
                 None => self.db.shards[shards.start]
                     .storage
                     .table(table)?
@@ -653,11 +664,11 @@ impl<'a> DataAccess for TxnHandle<'a> {
     fn point_read(
         &mut self,
         table: TableId,
-        key: &RowKey,
-        visit: &mut dyn FnMut(&Row) -> GdbResult<()>,
+        key: &[Datum],
+        visit: &mut dyn FnMut(&RowKey, &Row) -> GdbResult<()>,
     ) -> GdbResult<()> {
         if let Some(own) = self.own(table, key) {
-            return own.map_or(Ok(()), visit);
+            return own.row.as_ref().map_or(Ok(()), |row| visit(&own.key, row));
         }
         let shard = self.shards_for(table, Touch::Key(key), Access::Read)?.start;
         self.route_to_shard(shard, OP_MSG_BYTES)?;
@@ -672,18 +683,20 @@ impl<'a> DataAccess for TxnHandle<'a> {
     fn multi_point_read(
         &mut self,
         table: TableId,
-        keys: &[RowKey],
+        keys: &[Datum],
+        key_len: usize,
         visit: &mut dyn FnMut(usize, &Row) -> GdbResult<()>,
     ) -> GdbResult<()> {
         if keys.is_empty() {
             return Ok(());
         }
+        let keys = keys.chunks(key_len.max(1));
         // Group keys by shard: `reads` holds each touched shard once, in
         // first-use order (few per statement, so a position scan beats
         // hashing), paired below with its read target.
         let mut slot_of_key: Vec<usize> = Vec::with_capacity(keys.len());
         let mut reads: Vec<(usize, ReadTarget)> = Vec::new();
-        for key in keys {
+        for key in keys.clone() {
             let s = self.shards_for(table, Touch::Key(key), Access::Read)?.start;
             let slot = reads.iter().position(|&(u, _)| u == s).unwrap_or_else(|| {
                 reads.push((s, ReadTarget::Primary));
@@ -702,13 +715,14 @@ impl<'a> DataAccess for TxnHandle<'a> {
         self.charge_scatter(RpcKind::DnRead, reads.iter().copied(), bytes)?;
 
         let mut wait = self.now;
-        for (i, (key, &slot)) in keys.iter().zip(&slot_of_key).enumerate() {
+        for (i, (key, &slot)) in keys.zip(&slot_of_key).enumerate() {
             if let Some(own) = self.own(table, key) {
-                own.map_or(Ok(()), |row| visit(i, row))?;
+                own.row.as_ref().map_or(Ok(()), |row| visit(i, row))?;
                 continue;
             }
             let (s, target) = reads[slot];
-            let visited = self.fetch_key(s, target, table, key, &mut wait, |row| visit(i, row))?;
+            let visited =
+                self.fetch_key(s, target, table, key, &mut wait, |_, row| visit(i, row))?;
             visited.unwrap_or(Ok(()))?;
         }
         self.now = self.now.max(wait);
@@ -718,8 +732,8 @@ impl<'a> DataAccess for TxnHandle<'a> {
     fn range_read(
         &mut self,
         table: TableId,
-        lo: Option<&RowKey>,
-        hi: Option<&RowKey>,
+        lo: Option<&[Datum]>,
+        hi: Option<&[Datum]>,
         visit: &mut dyn FnMut(&RowKey, &Row) -> GdbResult<()>,
     ) -> GdbResult<()> {
         self.read_rows(table, Touch::Range(lo, hi), OP_MSG_BYTES * 4, visit)
@@ -768,16 +782,17 @@ impl<'a> DataAccess for TxnHandle<'a> {
     fn read_for_update(
         &mut self,
         table: TableId,
-        key: &RowKey,
+        key: &[Datum],
         visit: &mut dyn FnMut(&Row) -> GdbResult<()>,
     ) -> GdbResult<()> {
-        let shards = self.lock_row(table, key, false)?;
-        if let Some(own) = self.own(table, key) {
-            return own.map_or(Ok(()), visit);
+        let key = self.key_of(table, key);
+        let shards = self.lock_row(table, &key, false)?;
+        if let Some(own) = self.own(table, &key) {
+            return own.row.as_ref().map_or(Ok(()), visit);
         }
         let db = &mut *self.db;
-        let vis = db.shards[shards.start].storage.read_newest(table, key)?;
-        note_read(&mut db.history, (self.txn, table, key), vis.as_ref(), true);
+        let vis = db.shards[shards.start].storage.read_newest(table, &key)?;
+        note_read(&mut db.history, (self.txn, table, &key), vis.as_ref(), true);
         match vis {
             Some(v) => {
                 self.now = self.now.max(v.commit_vtime);
@@ -792,12 +807,14 @@ impl<'a> DataAccess for TxnHandle<'a> {
         self.write_row(table, &key, Some(row), true)
     }
 
-    fn update(&mut self, table: TableId, key: &RowKey, mut new_row: Row) -> GdbResult<()> {
+    fn update(&mut self, table: TableId, key: &[Datum], mut new_row: Row) -> GdbResult<()> {
         self.conform(table, &mut new_row)?;
-        self.write_row(table, key, Some(new_row), false)
+        let key = self.key_of(table, key);
+        self.write_row(table, &key, Some(new_row), false)
     }
 
-    fn delete(&mut self, table: TableId, key: &RowKey) -> GdbResult<()> {
-        self.write_row(table, key, None, false)
+    fn delete(&mut self, table: TableId, key: &[Datum]) -> GdbResult<()> {
+        let key = self.key_of(table, key);
+        self.write_row(table, &key, None, false)
     }
 }

@@ -1019,3 +1019,89 @@ fn own_writes_read_back_on_every_path_and_replicate() {
         }
     }
 }
+
+/// Index entries every node of `shard` has written: the primary's, then
+/// each replica's.
+fn index_writes(c: &Cluster, shard: usize) -> Vec<u64> {
+    let s = &c.db.shards()[shard];
+    let replicas = s.replicas.iter().map(|r| &r.applier.storage);
+    std::iter::once(&s.storage)
+        .chain(replicas)
+        .map(|st| st.index_writes)
+        .collect()
+}
+
+/// An index entry is written only where the indexed columns change: a
+/// Payment-shaped customer UPDATE (balance only) writes no entry of
+/// `cust_by_last` on the primary or on either replica, and the lookup
+/// still finds the row at its new version; a `c_last` change writes
+/// exactly one on each node, and the old name no longer finds the row.
+#[test]
+fn index_entries_are_written_only_where_indexed_columns_change() {
+    let mut c = Cluster::new(ClusterConfig::globaldb_three_city().with_seed(5));
+    c.ddl(
+        "CREATE TABLE customer (c_w_id INT NOT NULL, c_d_id INT NOT NULL, c_id INT NOT NULL, \
+         c_last TEXT, c_balance DECIMAL, PRIMARY KEY (c_w_id, c_d_id, c_id)) \
+         DISTRIBUTE BY HASH(c_w_id)",
+    )
+    .unwrap();
+    c.ddl("CREATE INDEX cust_by_last ON customer (c_w_id, c_d_id, c_last)")
+        .unwrap();
+    let schema = c.db.catalog().table_by_name("customer").unwrap().clone();
+    let rows = (1..=20)
+        .map(|id| {
+            let last = ["ABLE", "BAR", "CALLY"][id as usize % 3];
+            gdb_model::Row(vec![
+                Datum::Int(1),
+                Datum::Int(1),
+                Datum::Int(id),
+                Datum::Text(last.into()),
+                Datum::Decimal(0),
+            ])
+        })
+        .collect();
+    c.bulk_load(schema.id, rows).unwrap();
+    c.finish_load();
+    let key = gdb_model::RowKey::new(vec![Datum::Int(1), Datum::Int(1), Datum::Int(7)]);
+    let shard = schema.shard_of_pk(&key, c.db.shards().len() as u16).0 as usize;
+    let loaded = index_writes(&c, shard);
+    assert_eq!(loaded.len(), 3, "a primary and two replicas");
+
+    let pay = c
+        .prepare(
+            "UPDATE customer SET c_balance = c_balance - ? \
+             WHERE c_w_id = ? AND c_d_id = ? AND c_id = ?",
+        )
+        .unwrap();
+    let rename = c
+        .prepare("UPDATE customer SET c_last = ? WHERE c_w_id = ? AND c_d_id = ? AND c_id = ?")
+        .unwrap();
+    let by_last = c
+        .prepare(
+            "SELECT c_id, c_balance FROM customer \
+             WHERE c_w_id = ? AND c_d_id = ? AND c_last = ? ORDER BY c_id",
+        )
+        .unwrap();
+    let (one, seven) = (Datum::Int(1), Datum::Int(7));
+    let ids = |c: &mut Cluster, at: SimTime, last: &str| {
+        let params = [one.clone(), one.clone(), Datum::Text(last.into())];
+        let (out, _) = c.execute_prepared(0, at, &by_last, &params).unwrap();
+        out.rows()
+    };
+
+    let params = [Datum::Decimal(150), one.clone(), one.clone(), seven.clone()];
+    c.execute_prepared(0, t(100), &pay, &params).unwrap();
+    c.run_until(t(1_000));
+    assert_eq!(index_writes(&c, shard), loaded, "balance only");
+    let found = ids(&mut c, t(1_000), "BAR");
+    let row7 = gdb_model::Row(vec![seven.clone(), Datum::Decimal(-150)]);
+    assert!(found.contains(&row7), "{found:?}");
+
+    let params = [Datum::Text("DOE".into()), one.clone(), one.clone(), seven];
+    c.execute_prepared(0, t(1_100), &rename, &params).unwrap();
+    c.run_until(t(2_000));
+    let renamed: Vec<u64> = loaded.iter().map(|n| n + 1).collect();
+    assert_eq!(index_writes(&c, shard), renamed, "one new c_last");
+    assert_eq!(ids(&mut c, t(2_000), "DOE"), vec![row7.clone()]);
+    assert!(!ids(&mut c, t(2_000), "BAR").contains(&row7));
+}

@@ -145,6 +145,20 @@ impl Datum {
     }
 }
 
+/// The [`Datum::key_cmp`] order, so that a key's datums compare as a
+/// slice (`[Datum]`) exactly as the [`crate::RowKey`] holding them.
+impl Ord for Datum {
+    fn cmp(&self, other: &Self) -> Ordering {
+        self.key_cmp(other)
+    }
+}
+
+impl PartialOrd for Datum {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
 impl fmt::Display for Datum {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {

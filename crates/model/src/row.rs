@@ -2,8 +2,10 @@
 
 use crate::datum::Datum;
 use serde::{Deserialize, Serialize};
+use std::borrow::Borrow;
 use std::cmp::Ordering;
 use std::fmt;
+use std::ops::Deref;
 use std::sync::Arc;
 
 /// A row: a vector of datums in schema column order.
@@ -63,8 +65,35 @@ impl From<Vec<Datum>> for Row {
 /// allocation, and cloning a key bumps a reference count. Hot paths
 /// build keys with [`FromIterator`] over an iterator of known length
 /// (one allocation) or [`RowKey::try_from_fn`], never a `Vec` first.
+///
+/// A key is only allocated to be kept. A lookup borrows the datums as a
+/// `&[Datum]` — a key dereferences to one, and maps keyed by `RowKey`
+/// are probed by one ([`Borrow`]), since a key hashes, compares and
+/// orders exactly as its slice does.
 #[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub struct RowKey(pub Arc<[Datum]>);
+
+impl Deref for RowKey {
+    type Target = [Datum];
+
+    fn deref(&self) -> &[Datum] {
+        &self.0
+    }
+}
+
+impl Borrow<[Datum]> for RowKey {
+    fn borrow(&self) -> &[Datum] {
+        &self.0
+    }
+}
+
+/// A copy of borrowed datums, in one allocation: how a probed key
+/// becomes one that is kept.
+impl From<&[Datum]> for RowKey {
+    fn from(values: &[Datum]) -> Self {
+        RowKey(values.into())
+    }
+}
 
 impl RowKey {
     /// A key from an owned vector (a second allocation; off the hot path).
@@ -103,8 +132,8 @@ impl RowKey {
     /// True if this key sorts at or below the upper bound `hi` on `hi`'s
     /// own columns: a bound covers every key it is a prefix of, so
     /// `(1)` admits `(1, 'x')` whatever the later columns hold.
-    pub fn within_upper(&self, hi: &RowKey) -> bool {
-        for (a, b) in self.0.iter().zip(hi.0.iter()) {
+    pub fn within_upper(&self, hi: &[Datum]) -> bool {
+        for (a, b) in self.0.iter().zip(hi) {
             match a.key_cmp(b) {
                 Ordering::Equal => continue,
                 ord => return ord == Ordering::Less,
@@ -116,8 +145,8 @@ impl RowKey {
     /// True if this key lies in the inclusive range `[lo, hi]` (`None` =
     /// unbounded), the upper bound prefix-inclusive as in
     /// [`RowKey::within_upper`].
-    pub fn in_range(&self, lo: Option<&RowKey>, hi: Option<&RowKey>) -> bool {
-        lo.is_none_or(|l| self >= l) && hi.is_none_or(|h| self.within_upper(h))
+    pub fn in_range(&self, lo: Option<&[Datum]>, hi: Option<&[Datum]>) -> bool {
+        lo.is_none_or(|l| self[..] >= *l) && hi.is_none_or(|h| self.within_upper(h))
     }
 
     /// Combined stable hash of all key columns (for hash distribution).
@@ -149,15 +178,11 @@ impl PartialOrd for RowKey {
     }
 }
 
+/// Column by column in [`Datum::key_cmp`] order, a prefix first: the
+/// order of the slice of datums.
 impl Ord for RowKey {
     fn cmp(&self, other: &Self) -> Ordering {
-        for (a, b) in self.0.iter().zip(other.0.iter()) {
-            match a.key_cmp(b) {
-                Ordering::Equal => continue,
-                ord => return ord,
-            }
-        }
-        self.0.len().cmp(&other.0.len())
+        self.0[..].cmp(&other.0[..])
     }
 }
 
@@ -205,13 +230,14 @@ mod tests {
         let p = key(vec![Datum::Int(1)]);
         let high_text = key(vec![Datum::Int(1), Datum::Text("\u{10FFFF}z".into())]);
         assert!(high_text.within_upper(&p));
-        assert!(high_text.in_range(Some(&p), Some(&p)));
+        let bound = Some(&p[..]);
+        assert!(high_text.in_range(bound, bound));
         assert!(
             p.within_upper(&high_text),
             "a bound's own prefix is below it"
         );
         assert!(!key(vec![Datum::Int(2)]).within_upper(&p));
-        assert!(!key(vec![Datum::Int(0), Datum::Int(9)]).in_range(Some(&p), None));
+        assert!(!key(vec![Datum::Int(0), Datum::Int(9)]).in_range(bound, None));
         assert!(key(vec![Datum::Int(5)]).in_range(None, None));
     }
 

@@ -1,15 +1,17 @@
-//! `(table, row key) → V` map probed through a borrowed `&RowKey`.
+//! `(table, row key) → V` map probed through borrowed datums.
 //!
 //! A flat `HashMap<(TableId, RowKey), V>` forces every lookup to build
-//! an owned tuple, i.e. to clone the key's datum vector per probe. This
-//! map nests instead (table, then row key) over the fast hasher, so
-//! lookups borrow and the key is cloned only when an entry is first
-//! inserted. The lock table, the replica applier's pending-tuple locks
-//! and the transaction write overlay are all this shape.
+//! an owned tuple, i.e. a key, per probe. This map nests instead (table,
+//! then row key) over the fast hasher, so a lookup borrows the key's
+//! datums (`&[Datum]`, which a `&RowKey` dereferences to) and a key is
+//! shared into the map only when an entry is first inserted. The lock
+//! table, the replica applier's pending-tuple locks and the transaction
+//! write overlay are all this shape.
 //!
 //! Iteration order is unspecified; callers must not let it reach
 //! results (sort, or fold with an order-insensitive operation).
 
+use crate::datum::Datum;
 use crate::fxhash::FxHashMap;
 use crate::ids::TableId;
 use crate::row::RowKey;
@@ -32,20 +34,20 @@ impl<V> RowMap<V> {
         Self::default()
     }
 
-    pub fn get(&self, table: TableId, key: &RowKey) -> Option<&V> {
+    pub fn get(&self, table: TableId, key: &[Datum]) -> Option<&V> {
         self.tables.get(&table)?.get(key)
     }
 
-    pub fn get_mut(&mut self, table: TableId, key: &RowKey) -> Option<&mut V> {
+    pub fn get_mut(&mut self, table: TableId, key: &[Datum]) -> Option<&mut V> {
         self.tables.get_mut(&table)?.get_mut(key)
     }
 
-    pub fn contains_key(&self, table: TableId, key: &RowKey) -> bool {
+    pub fn contains_key(&self, table: TableId, key: &[Datum]) -> bool {
         self.get(table, key).is_some()
     }
 
-    /// Set the entry, returning the value it replaced. Clones `key` only
-    /// when the entry is new.
+    /// Set the entry, returning the value it replaced. Shares `key` (a
+    /// reference count) only when the entry is new.
     pub fn insert(&mut self, table: TableId, key: &RowKey, value: V) -> Option<V> {
         let rows = self.tables.entry(table).or_default();
         match rows.get_mut(key) {
@@ -57,7 +59,7 @@ impl<V> RowMap<V> {
         }
     }
 
-    pub fn remove(&mut self, table: TableId, key: &RowKey) -> Option<V> {
+    pub fn remove(&mut self, table: TableId, key: &[Datum]) -> Option<V> {
         self.tables.get_mut(&table)?.remove(key)
     }
 
@@ -87,8 +89,11 @@ impl<V> RowMap<V> {
         self.len() == 0
     }
 
+    /// Remove every entry, keeping the capacity of each table's map.
     pub fn clear(&mut self) {
-        self.tables.clear();
+        for rows in self.tables.values_mut() {
+            rows.clear();
+        }
     }
 }
 

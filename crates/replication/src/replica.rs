@@ -10,7 +10,8 @@
 //! `ABORT_PREPARED` replays.
 
 use gdb_model::{
-    FxHashMap, FxHashSet, GdbError, GdbResult, Row, RowKey, RowMap, TableId, Timestamp, TxnId,
+    Datum, FxHashMap, FxHashSet, GdbError, GdbResult, Row, RowKey, RowMap, TableId, Timestamp,
+    TxnId,
 };
 use gdb_simnet::SimTime;
 use gdb_storage::DataNodeStorage;
@@ -27,10 +28,13 @@ pub enum ReplicaReadResult {
     Blocked { by: TxnId },
 }
 
+/// A buffered write: (table, key, new row or tombstone).
+type Write = (TableId, RowKey, Option<Row>);
+
 #[derive(Debug, Default)]
 struct PendingTxn {
-    /// Buffered writes: (table, key, new row or tombstone).
-    writes: Vec<(TableId, RowKey, Option<Row>)>,
+    /// Buffered writes, in a vector taken from the applier's spares.
+    writes: Vec<Write>,
     /// Saw the PENDING_COMMIT marker.
     has_marker: bool,
     /// 2PC: prepared, awaiting the coordinator's outcome.
@@ -42,6 +46,9 @@ struct PendingTxn {
 pub struct ReplicaApplier {
     pub storage: DataNodeStorage,
     pending: FxHashMap<TxnId, PendingTxn>,
+    /// Emptied write vectors of finished transactions, their capacity
+    /// kept for the next ones to buffer into.
+    spare: Vec<Vec<Write>>,
     /// Tuple locks held by pending transactions.
     locked: RowMap<TxnId>,
     /// Next LSN expected (records must arrive in order; duplicates from
@@ -62,6 +69,7 @@ impl ReplicaApplier {
         ReplicaApplier {
             storage,
             pending: FxHashMap::default(),
+            spare: Vec::new(),
             locked: RowMap::new(),
             next_lsn: Lsn(0),
             max_commit_ts: Timestamp::ZERO,
@@ -84,6 +92,7 @@ impl ReplicaApplier {
         ReplicaApplier {
             storage,
             pending: FxHashMap::default(),
+            spare: Vec::new(),
             locked: RowMap::new(),
             next_lsn: from,
             max_commit_ts,
@@ -142,7 +151,7 @@ impl ReplicaApplier {
         }
         match rec.payload {
             RedoPayload::PendingCommit => {
-                self.pending.entry(rec.txn).or_default().has_marker = true;
+                self.pending_txn(rec.txn).has_marker = true;
             }
             RedoPayload::Insert { table, key, row } => {
                 self.buffer_write(rec.txn, table, key, Some(row));
@@ -158,7 +167,7 @@ impl ReplicaApplier {
                 self.buffer_write(rec.txn, table, key, None);
             }
             RedoPayload::Prepare => {
-                self.pending.entry(rec.txn).or_default().prepared = true;
+                self.pending_txn(rec.txn).prepared = true;
             }
             RedoPayload::Commit { commit_ts } | RedoPayload::CommitPrepared { commit_ts } => {
                 self.finish(rec.txn, Some(commit_ts), vtime)?;
@@ -212,13 +221,19 @@ impl ReplicaApplier {
         }
     }
 
+    /// The in-progress state of `txn`, begun with a spare write vector
+    /// if it is new.
+    fn pending_txn(&mut self, txn: TxnId) -> &mut PendingTxn {
+        let spare = &mut self.spare;
+        self.pending.entry(txn).or_insert_with(|| PendingTxn {
+            writes: spare.pop().unwrap_or_default(),
+            ..PendingTxn::default()
+        })
+    }
+
     fn buffer_write(&mut self, txn: TxnId, table: TableId, key: RowKey, row: Option<Row>) {
         self.locked.insert(table, &key, txn);
-        self.pending
-            .entry(txn)
-            .or_default()
-            .writes
-            .push((table, key, row));
+        self.pending_txn(txn).writes.push((table, key, row));
     }
 
     fn finish(
@@ -227,8 +242,28 @@ impl ReplicaApplier {
         commit_ts: Option<Timestamp>,
         vtime: SimTime,
     ) -> GdbResult<()> {
-        let state = self.pending.remove(&txn).unwrap_or_default();
-        for (table, key, row) in state.writes {
+        let mut writes = self.pending.remove(&txn).unwrap_or_default().writes;
+        let applied = self.apply_writes(txn, &mut writes, commit_ts, vtime);
+        if writes.capacity() > 0 {
+            self.spare.push(writes);
+        }
+        applied?;
+        if let Some(ts) = commit_ts {
+            self.advance_ts(ts);
+        }
+        Ok(())
+    }
+
+    /// Release `txn`'s tuple locks on `writes`, moving each write into
+    /// storage if it committed at `commit_ts`.
+    fn apply_writes(
+        &mut self,
+        txn: TxnId,
+        writes: &mut Vec<Write>,
+        commit_ts: Option<Timestamp>,
+        vtime: SimTime,
+    ) -> GdbResult<()> {
+        for (table, key, row) in writes.drain(..) {
             if self.locked.get(table, &key) == Some(&txn) {
                 self.locked.remove(table, &key);
             }
@@ -238,9 +273,6 @@ impl ReplicaApplier {
                     None => self.storage.apply_delete(table, &key, ts, vtime)?,
                 }
             }
-        }
-        if let Some(ts) = commit_ts {
-            self.advance_ts(ts);
         }
         Ok(())
     }
@@ -253,7 +285,7 @@ impl ReplicaApplier {
     pub fn read(
         &mut self,
         table: TableId,
-        key: &RowKey,
+        key: &[Datum],
         snapshot: Timestamp,
     ) -> GdbResult<ReplicaReadResult> {
         if let Some(&by) = self.locked.get(table, key) {
@@ -272,8 +304,8 @@ impl ReplicaApplier {
     pub fn is_range_blocked(
         &self,
         table: TableId,
-        lo: Option<&RowKey>,
-        hi: Option<&RowKey>,
+        lo: Option<&[Datum]>,
+        hi: Option<&[Datum]>,
     ) -> bool {
         self.locked.in_table(table).any(|(k, _)| k.in_range(lo, hi))
     }
@@ -284,7 +316,7 @@ impl ReplicaApplier {
     }
 
     /// True if an in-progress transaction holds this exact tuple.
-    pub fn is_key_locked(&self, table: TableId, key: &RowKey) -> bool {
+    pub fn is_key_locked(&self, table: TableId, key: &[Datum]) -> bool {
         self.locked.contains_key(table, key)
     }
 

@@ -22,27 +22,29 @@ pub trait DataAccess {
     /// The catalog to resolve schemas against.
     fn catalog(&self) -> &Catalog;
 
-    /// Snapshot point read: `visit` sees the row where it lies — the
-    /// stored version or the transaction's own write — if there is one,
-    /// and its error is the read's.
+    /// Snapshot point read of the key `key`: `visit` sees the row with
+    /// its key where it lies — the stored version or the transaction's
+    /// own write — if there is one, and its error is the read's.
     fn point_read(
         &mut self,
         table: TableId,
-        key: &RowKey,
-        visit: &mut dyn FnMut(&Row) -> GdbResult<()>,
+        key: &[Datum],
+        visit: &mut dyn FnMut(&RowKey, &Row) -> GdbResult<()>,
     ) -> GdbResult<()>;
 
     /// Batched snapshot point reads (join inner side): one round trip per
-    /// shard instead of one per key. `visit` sees the row of `keys[i]`,
-    /// with `i`, where it lies, in the order of `keys`. The default loops.
+    /// shard instead of one per key. `keys` holds the keys end to end,
+    /// `key_len` datums each; `visit` sees the row of the `i`-th, with
+    /// `i`, where it lies, in the order of `keys`. The default loops.
     fn multi_point_read(
         &mut self,
         table: TableId,
-        keys: &[RowKey],
+        keys: &[Datum],
+        key_len: usize,
         visit: &mut dyn FnMut(usize, &Row) -> GdbResult<()>,
     ) -> GdbResult<()> {
-        for (i, key) in keys.iter().enumerate() {
-            self.point_read(table, key, &mut |row| visit(i, row))?;
+        for (i, key) in keys.chunks(key_len.max(1)).enumerate() {
+            self.point_read(table, key, &mut |_, row| visit(i, row))?;
         }
         Ok(())
     }
@@ -53,8 +55,8 @@ pub trait DataAccess {
     fn range_read(
         &mut self,
         table: TableId,
-        lo: Option<&RowKey>,
-        hi: Option<&RowKey>,
+        lo: Option<&[Datum]>,
+        hi: Option<&[Datum]>,
         visit: &mut dyn FnMut(&RowKey, &Row) -> GdbResult<()>,
     ) -> GdbResult<()>;
 
@@ -81,7 +83,7 @@ pub trait DataAccess {
     fn read_for_update(
         &mut self,
         table: TableId,
-        key: &RowKey,
+        key: &[Datum],
         visit: &mut dyn FnMut(&Row) -> GdbResult<()>,
     ) -> GdbResult<()>;
 
@@ -90,10 +92,10 @@ pub trait DataAccess {
 
     /// Overwrite the row at `key` (the statement holds the lock via
     /// [`DataAccess::read_for_update`]).
-    fn update(&mut self, table: TableId, key: &RowKey, new_row: Row) -> GdbResult<()>;
+    fn update(&mut self, table: TableId, key: &[Datum], new_row: Row) -> GdbResult<()>;
 
     /// Delete the row at `key`.
-    fn delete(&mut self, table: TableId, key: &RowKey) -> GdbResult<()>;
+    fn delete(&mut self, table: TableId, key: &[Datum]) -> GdbResult<()>;
 
     /// Execute a DDL operation. The default rejects it: DDL does not run
     /// inside a transaction.
@@ -137,11 +139,11 @@ impl DataAccess for MemAccess {
     fn point_read(
         &mut self,
         table: TableId,
-        key: &RowKey,
-        visit: &mut dyn FnMut(&Row) -> GdbResult<()>,
+        key: &[Datum],
+        visit: &mut dyn FnMut(&RowKey, &Row) -> GdbResult<()>,
     ) -> GdbResult<()> {
         match self.storage.read(table, key, Timestamp::MAX)? {
-            Some(v) => visit(v.row),
+            Some(v) => visit(v.key, v.row),
             None => Ok(()),
         }
     }
@@ -149,8 +151,8 @@ impl DataAccess for MemAccess {
     fn range_read(
         &mut self,
         table: TableId,
-        lo: Option<&RowKey>,
-        hi: Option<&RowKey>,
+        lo: Option<&[Datum]>,
+        hi: Option<&[Datum]>,
         visit: &mut dyn FnMut(&RowKey, &Row) -> GdbResult<()>,
     ) -> GdbResult<()> {
         for v in self.storage.range(table, lo, hi, Timestamp::MAX)? {
@@ -177,7 +179,7 @@ impl DataAccess for MemAccess {
     fn read_for_update(
         &mut self,
         table: TableId,
-        key: &RowKey,
+        key: &[Datum],
         visit: &mut dyn FnMut(&Row) -> GdbResult<()>,
     ) -> GdbResult<()> {
         match self.storage.read_newest(table, key)? {
@@ -196,18 +198,20 @@ impl DataAccess for MemAccess {
         self.storage.insert(table, &key, row, ts, SimTime::ZERO)
     }
 
-    fn update(&mut self, table: TableId, key: &RowKey, new_row: Row) -> GdbResult<()> {
+    fn update(&mut self, table: TableId, key: &[Datum], new_row: Row) -> GdbResult<()> {
         let schema = self.storage.catalog().table(table)?;
         let mut new_row = new_row;
         schema.coerce_row(&mut new_row);
         schema.check_row(&new_row)?;
         let ts = self.tick();
-        self.storage.update(table, key, new_row, ts, SimTime::ZERO)
+        let key = RowKey::from(key);
+        self.storage.update(table, &key, new_row, ts, SimTime::ZERO)
     }
 
-    fn delete(&mut self, table: TableId, key: &RowKey) -> GdbResult<()> {
+    fn delete(&mut self, table: TableId, key: &[Datum]) -> GdbResult<()> {
         let ts = self.tick();
-        self.storage.delete(table, key, ts, SimTime::ZERO)
+        self.storage
+            .delete(table, &RowKey::from(key), ts, SimTime::ZERO)
     }
 
     fn apply_ddl(&mut self, ddl: &Ddl) -> GdbResult<()> {

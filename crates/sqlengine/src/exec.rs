@@ -7,6 +7,7 @@ use crate::plan::{AccessPath, AggSpec, BoundStatement, Expr, JoinPlan, Projectio
 use gdb_model::{Datum, GdbError, GdbResult, Row, RowKey, TableId};
 use std::cmp::Ordering;
 use std::collections::HashSet;
+use std::ops::Range;
 
 /// Result of executing a statement.
 #[derive(Debug, Clone, PartialEq)]
@@ -41,11 +42,29 @@ impl ExecOutput {
     }
 }
 
-/// Execute a bound statement with the given parameters.
+/// The buffers a statement evaluates its keys into, kept by the caller
+/// from one statement to the next so that their capacity is reused: a
+/// key a statement only probes with — a point read's, a join's inner
+/// keys, a range's bounds, an index prefix — is never allocated. Each
+/// buffer is cleared where it is filled.
+#[derive(Debug, Default)]
+pub struct Scratch {
+    /// A point key, a range's two bounds end to end, or an index prefix.
+    key: Vec<Datum>,
+    /// A join's inner keys, end to end.
+    probes: Vec<Datum>,
+    /// The keys of the rows a range or index statement locks (each a
+    /// shared handle on the stored key).
+    locking: Vec<RowKey>,
+}
+
+/// Execute a bound statement with the given parameters, evaluating its
+/// keys into `scratch`.
 pub fn execute(
     stmt: &BoundStatement,
     params: &[Datum],
     da: &mut dyn DataAccess,
+    scratch: &mut Scratch,
 ) -> GdbResult<ExecOutput> {
     match stmt {
         BoundStatement::Ddl(ddl) => {
@@ -58,13 +77,16 @@ pub fn execute(
             sets,
             access,
             residual,
-        } => exec_write(*table, Some(sets), access, residual.as_ref(), params, da),
+        } => {
+            let residual = residual.as_ref();
+            exec_write(*table, Some(sets), access, residual, params, da, scratch)
+        }
         BoundStatement::Delete {
             table,
             access,
             residual,
-        } => exec_write(*table, None, access, residual.as_ref(), params, da),
-        BoundStatement::Select(plan) => exec_select(plan, params, da),
+        } => exec_write(*table, None, access, residual.as_ref(), params, da, scratch),
+        BoundStatement::Select(plan) => exec_select(plan, params, da, scratch),
     }
 }
 
@@ -88,52 +110,73 @@ fn exec_insert(
     Ok(ExecOutput::Count(inserted))
 }
 
+/// Evaluate `exprs` over `ctx` onto the end of `buf`.
+fn eval_onto(
+    buf: &mut Vec<Datum>,
+    exprs: &[Expr],
+    params: &[Datum],
+    ctx: &RowCtx,
+) -> GdbResult<()> {
+    for e in exprs {
+        buf.push(eval(e, params, ctx)?);
+    }
+    Ok(())
+}
+
 /// Fetch the rows of an access path, handing each to `emit` with its key,
 /// in key order, where it lies (in storage, or in the transaction's own
 /// writes). `ctx` binds the columns the path's expressions may read (the
-/// outer row, for a join's inner side).
+/// outer row, for a join's inner side); the key, bounds or prefix they
+/// evaluate to go into `buf`.
 fn fetch_outer(
     table: TableId,
     access: &AccessPath,
     params: &[Datum],
     ctx: &RowCtx,
+    buf: &mut Vec<Datum>,
     da: &mut dyn DataAccess,
     emit: &mut dyn FnMut(&RowKey, &Row) -> GdbResult<()>,
 ) -> GdbResult<()> {
+    buf.clear();
     match access {
         AccessPath::PointLookup { key } => {
-            let rk = eval_key(key, params, ctx)?;
-            da.point_read(table, &rk, &mut |row| emit(&rk, row))
+            eval_onto(buf, key, params, ctx)?;
+            da.point_read(table, buf, emit)
         }
         AccessPath::PkRange { prefix, low, high } => {
             // The key prefix, then the bound on the next column if there is
-            // one. An upper bound covers every key it is a prefix of, so
-            // both ends of `a = 1` are `(1)`.
-            let bound = |last: Option<&Expr>| -> GdbResult<Option<RowKey>> {
+            // one, each bound where it lies in `buf`. An upper bound covers
+            // every key it is a prefix of, so both ends of `a = 1` are `(1)`.
+            let bound = |buf: &mut Vec<Datum>, last: Option<&Expr>| {
                 if prefix.is_empty() && last.is_none() {
                     return Ok(None);
                 }
-                let len = prefix.len() + usize::from(last.is_some());
-                let column = |i| prefix.get(i).or(last).expect("a bound has `len` columns");
-                RowKey::try_from_fn(len, |i| eval(column(i), params, ctx)).map(Some)
+                let start = buf.len();
+                eval_onto(buf, prefix, params, ctx)?;
+                if let Some(e) = last {
+                    buf.push(eval(e, params, ctx)?);
+                }
+                GdbResult::Ok(Some(start..buf.len()))
             };
-            let lo = bound(low.as_ref())?;
+            let lo = bound(buf, low.as_ref())?;
             let hi = match (low, high) {
                 (None, None) => lo.clone(),
-                _ => bound(high.as_ref())?,
+                _ => bound(buf, high.as_ref())?,
             };
-            da.range_read(table, lo.as_ref(), hi.as_ref(), emit)
+            let at = |bound: Option<Range<usize>>| bound.map(|r| &buf[r]);
+            da.range_read(table, at(lo), at(hi), emit)
         }
         AccessPath::IndexPrefix { index, prefix } => {
-            let prefix_vals = prefix
-                .iter()
-                .map(|e| eval(e, params, ctx))
-                .collect::<GdbResult<Vec<_>>>()?;
-            da.index_read(*index, &prefix_vals, emit)
+            eval_onto(buf, prefix, params, ctx)?;
+            da.index_read(*index, buf, emit)
         }
         AccessPath::FullScan => da.range_read(table, None, None, emit),
     }
 }
+
+/// What [`for_each_key`] hands each key to, with the data access to lock
+/// and write its row through.
+type EachKey<'e> = dyn FnMut(&mut dyn DataAccess, &[Datum]) -> GdbResult<()> + 'e;
 
 /// Hand `each` the key of every row `access` fetches that `filter` admits,
 /// so that `each` may lock and write it. A point key goes to `each` as
@@ -149,32 +192,32 @@ fn for_each_key(
     access: &AccessPath,
     filter: Option<&Expr>,
     params: &[Datum],
+    (buf, keys): (&mut Vec<Datum>, &mut Vec<RowKey>),
     da: &mut dyn DataAccess,
-    each: &mut dyn FnMut(&mut dyn DataAccess, &RowKey) -> GdbResult<()>,
+    each: &mut EachKey,
 ) -> GdbResult<()> {
     let empty = RowCtx::empty();
     if let AccessPath::PointLookup { key } = access {
-        return each(da, &eval_key(key, params, &empty)?);
+        buf.clear();
+        eval_onto(buf, key, params, &empty)?;
+        return each(da, buf);
     }
-    let mut keys = Vec::new();
-    fetch_outer(table, access, params, &empty, da, &mut |key, row| {
+    keys.clear();
+    fetch_outer(table, access, params, &empty, buf, da, &mut |key, row| {
         if holds(filter, params, &RowCtx::outer(row))? {
             keys.push(key.clone());
         }
         Ok(())
     })?;
-    da.lock_rows(table, &keys)?;
-    keys.iter().try_for_each(|key| each(da, key))
+    da.lock_rows(table, keys)?;
+    keys.iter().try_for_each(|key| each(da, key))?;
+    keys.clear();
+    Ok(())
 }
 
 /// True if `filter` is absent or holds over `ctx`.
 fn holds(filter: Option<&Expr>, params: &[Datum], ctx: &RowCtx) -> GdbResult<bool> {
     filter.map_or(Ok(true), |f| Ok(truthy(&eval(f, params, ctx)?)))
-}
-
-/// Evaluate key expressions straight into a key's one allocation.
-fn eval_key(exprs: &[Expr], params: &[Datum], ctx: &RowCtx) -> GdbResult<RowKey> {
-    RowKey::try_from_fn(exprs.len(), |i| eval(&exprs[i], params, ctx))
 }
 
 /// UPDATE (`sets`) or DELETE (`None`): lock each row and read its newest
@@ -188,9 +231,11 @@ fn exec_write(
     residual: Option<&Expr>,
     params: &[Datum],
     da: &mut dyn DataAccess,
+    scratch: &mut Scratch,
 ) -> GdbResult<ExecOutput> {
     let mut affected = 0u64;
-    for_each_key(table, access, None, params, da, &mut |da, key| {
+    let bufs = (&mut scratch.key, &mut scratch.locking);
+    for_each_key(table, access, None, params, bufs, da, &mut |da, key| {
         // `Some(Some(row))` overwrites the row, `Some(None)` deletes it.
         let mut write = None;
         da.read_for_update(table, key, &mut |current| {
@@ -224,14 +269,15 @@ fn exec_select(
     plan: &SelectPlan,
     params: &[Datum],
     da: &mut dyn DataAccess,
+    scratch: &mut Scratch,
 ) -> GdbResult<ExecOutput> {
     match &plan.projection {
         Projection::Columns(exprs)
             if plan.join.is_none() && plan.order_by.is_none() && !plan.for_update =>
         {
-            select_direct(plan, exprs, params, da)
+            select_direct(plan, exprs, params, da, &mut scratch.key)
         }
-        _ => select_staged(plan, params, da),
+        _ => select_staged(plan, params, da, scratch),
     }
 }
 
@@ -243,6 +289,7 @@ fn select_direct(
     exprs: &[Expr],
     params: &[Datum],
     da: &mut dyn DataAccess,
+    buf: &mut Vec<Datum>,
 ) -> GdbResult<ExecOutput> {
     let mut out = Vec::new();
     let emit = &mut |_: &RowKey, row: &Row| -> GdbResult<()> {
@@ -263,6 +310,7 @@ fn select_direct(
         &plan.outer_access,
         params,
         &empty_ctx,
+        buf,
         da,
         emit,
     )?;
@@ -278,26 +326,34 @@ fn select_staged(
     plan: &SelectPlan,
     params: &[Datum],
     da: &mut dyn DataAccess,
+    scratch: &mut Scratch,
 ) -> GdbResult<ExecOutput> {
+    let Scratch {
+        key: buf,
+        probes,
+        locking,
+    } = scratch;
     let mut sink = Sink::new(plan, params);
     let Some(jp) = &plan.join else {
-        outer_rows(plan, params, da, &mut |row| sink.push(&RowCtx::outer(row)))?;
+        outer_rows(plan, params, (buf, locking), da, &mut |row| {
+            sink.push(&RowCtx::outer(row))
+        })?;
         return Ok(ExecOutput::Rows(sink.finish()));
     };
     // A point-keyed inner side is read in one batch after the outer rows,
-    // by the keys they yield; the outer rows themselves are kept only if
-    // a later stage reads them. Any other inner side is fetched per
-    // outer row, which its access path reads.
+    // by the keys they yield (end to end in `probes`); the outer rows
+    // themselves are kept only if a later stage reads them. Any other
+    // inner side is fetched per outer row, which its access path reads.
     let inner_key = match &jp.access {
         AccessPath::PointLookup { key } => Some(key),
         _ => None,
     };
     let keep_outer = inner_key.is_none() || reads_outer_after_join(plan, jp);
     let mut outers = Vec::new();
-    let mut keys = Vec::new();
-    outer_rows(plan, params, da, &mut |row| {
+    probes.clear();
+    outer_rows(plan, params, (buf, locking), da, &mut |row| {
         if let Some(key) = inner_key {
-            keys.push(eval_key(key, params, &RowCtx::outer(row))?);
+            eval_onto(probes, key, params, &RowCtx::outer(row))?;
         }
         if keep_outer {
             outers.push(row.clone());
@@ -305,8 +361,8 @@ fn select_staged(
         Ok(())
     })?;
     let residual = jp.residual.as_ref();
-    if inner_key.is_some() {
-        da.multi_point_read(jp.table, &keys, &mut |i, inner| {
+    if let Some(key) = inner_key {
+        da.multi_point_read(jp.table, probes, key.len(), &mut |i, inner| {
             let ctx = RowCtx {
                 slots: [outers.get(i), Some(inner)],
             };
@@ -318,13 +374,21 @@ fn select_staged(
     } else {
         for outer in &outers {
             let ctx = RowCtx::outer(outer);
-            fetch_outer(jp.table, &jp.access, params, &ctx, da, &mut |_, inner| {
-                let ctx = RowCtx::joined(outer, inner);
-                if holds(residual, params, &ctx)? {
-                    sink.push(&ctx)?;
-                }
-                Ok(())
-            })?;
+            fetch_outer(
+                jp.table,
+                &jp.access,
+                params,
+                &ctx,
+                buf,
+                da,
+                &mut |_, inner| {
+                    let ctx = RowCtx::joined(outer, inner);
+                    if holds(residual, params, &ctx)? {
+                        sink.push(&ctx)?;
+                    }
+                    Ok(())
+                },
+            )?;
         }
     }
     Ok(ExecOutput::Rows(sink.finish()))
@@ -336,6 +400,7 @@ fn select_staged(
 fn outer_rows(
     plan: &SelectPlan,
     params: &[Datum],
+    (buf, keys): (&mut Vec<Datum>, &mut Vec<RowKey>),
     da: &mut dyn DataAccess,
     f: &mut dyn FnMut(&Row) -> GdbResult<()>,
 ) -> GdbResult<()> {
@@ -349,13 +414,19 @@ fn outer_rows(
     let access = &plan.outer_access;
     if !plan.for_update {
         let empty = RowCtx::empty();
-        return fetch_outer(table, access, params, &empty, da, &mut |_, row| {
+        return fetch_outer(table, access, params, &empty, buf, da, &mut |_, row| {
             admitted(row)
         });
     }
-    for_each_key(table, access, residual, params, da, &mut |da, key| {
-        da.read_for_update(table, key, &mut admitted)
-    })
+    for_each_key(
+        table,
+        access,
+        residual,
+        params,
+        (buf, keys),
+        da,
+        &mut |da, key| da.read_for_update(table, key, &mut admitted),
+    )
 }
 
 /// True if a stage after the join — its residual, ORDER BY or the
@@ -581,7 +652,7 @@ mod tests {
     /// Run one SQL statement end-to-end on a MemAccess.
     fn run(da: &mut MemAccess, sql: &str, params: &[Datum]) -> GdbResult<ExecOutput> {
         let prepared = prepare(sql, da.catalog())?;
-        execute(&prepared.bound, params, da)
+        execute(&prepared.bound, params, da, &mut Scratch::default())
     }
 
     fn setup() -> MemAccess {
@@ -745,7 +816,8 @@ mod tests {
             }
             other => panic!("{other:?}"),
         }
-        let out = execute(&prepared.bound, &[Datum::Text("east".into())], &mut da).unwrap();
+        let east = [Datum::Text("east".into())];
+        let out = execute(&prepared.bound, &east, &mut da, &mut Scratch::default()).unwrap();
         let rows = out.rows();
         let names: Vec<&str> = rows.iter().map(|r| r.0[0].as_text().unwrap()).collect();
         assert_eq!(names, vec!["alice", "carol"]);

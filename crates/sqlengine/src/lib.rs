@@ -28,7 +28,7 @@ pub mod plan;
 pub use access::DataAccess;
 pub use ast::Statement;
 pub use binder::bind_statement;
-pub use exec::{execute, ExecOutput};
+pub use exec::{execute, ExecOutput, Scratch};
 pub use parser::parse;
 pub use plan::BoundStatement;
 

@@ -8,7 +8,7 @@
 
 use gdb_model::{Datum, GdbResult, Row, RowKey};
 use gdb_sqlengine::access::{DataAccess, MemAccess};
-use gdb_sqlengine::{execute, prepare, ExecOutput};
+use gdb_sqlengine::{execute, prepare, ExecOutput, Scratch};
 use proptest::prelude::*;
 use std::collections::BTreeMap;
 
@@ -25,7 +25,7 @@ struct Data {
 
 fn run(da: &mut MemAccess, sql: &str, params: &[Datum]) -> GdbResult<ExecOutput> {
     let prepared = prepare(sql, da.catalog())?;
-    execute(&prepared.bound, params, da)
+    execute(&prepared.bound, params, da, &mut Scratch::default())
 }
 
 fn load(data: &Data) -> MemAccess {

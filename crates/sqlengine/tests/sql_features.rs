@@ -3,11 +3,11 @@
 
 use gdb_model::{Datum, GdbError, GdbResult, Row};
 use gdb_sqlengine::access::{DataAccess, MemAccess};
-use gdb_sqlengine::{execute, prepare, ExecOutput};
+use gdb_sqlengine::{execute, prepare, ExecOutput, Scratch};
 
 fn run(da: &mut MemAccess, sql: &str, params: &[Datum]) -> GdbResult<ExecOutput> {
     let p = prepare(sql, da.catalog())?;
-    execute(&p.bound, params, da)
+    execute(&p.bound, params, da, &mut Scratch::default())
 }
 
 fn setup() -> MemAccess {

@@ -9,7 +9,7 @@
 use gdb_model::{Datum, GdbResult};
 use gdb_sqlengine::access::{DataAccess, MemAccess};
 use gdb_sqlengine::lexer::lex;
-use gdb_sqlengine::{execute, parse, prepare};
+use gdb_sqlengine::{execute, parse, prepare, Scratch};
 use proptest::prelude::*;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
@@ -63,7 +63,8 @@ fn catalog() -> MemAccess {
     let mut da = MemAccess::new();
     for ddl in DDL {
         let p = prepare(ddl, da.catalog()).unwrap_or_else(|e| panic!("{ddl}: {e}"));
-        execute(&p.bound, &[], &mut da).unwrap_or_else(|e| panic!("{ddl}: {e}"));
+        execute(&p.bound, &[], &mut da, &mut Scratch::default())
+            .unwrap_or_else(|e| panic!("{ddl}: {e}"));
     }
     da
 }
@@ -84,7 +85,8 @@ fn loaded() -> MemAccess {
     let mut da = catalog();
     for sql in LOAD {
         let p = prepare(sql, da.catalog()).unwrap_or_else(|e| panic!("{sql}: {e}"));
-        execute(&p.bound, &[], &mut da).unwrap_or_else(|e| panic!("{sql}: {e}"));
+        execute(&p.bound, &[], &mut da, &mut Scratch::default())
+            .unwrap_or_else(|e| panic!("{sql}: {e}"));
     }
     da
 }
@@ -108,7 +110,9 @@ fn run(da: &mut MemAccess, sql: &str, params: &[Datum]) -> Result<(), String> {
     let Ok(p) = prepare(sql, da.catalog()) else {
         return Ok(());
     };
-    match catch_unwind(AssertUnwindSafe(|| execute(&p.bound, params, da))) {
+    match catch_unwind(AssertUnwindSafe(|| {
+        execute(&p.bound, params, da, &mut Scratch::default())
+    })) {
         Ok(_) => Ok(()),
         Err(_) => Err(format!("execute panicked on {sql:?} with {params:?}")),
     }
@@ -217,7 +221,7 @@ fn inverted_key_range_returns_no_rows() {
         "INSERT INTO t VALUES (1, 2), (1, 3), (1, 4)",
     ] {
         let p = prepare(sql, da.catalog()).unwrap();
-        execute(&p.bound, &[], &mut da).unwrap();
+        execute(&p.bound, &[], &mut da, &mut Scratch::default()).unwrap();
     }
     for sql in [
         "SELECT b FROM t WHERE a = 1 AND b BETWEEN 4 AND 2",
@@ -225,7 +229,9 @@ fn inverted_key_range_returns_no_rows() {
     ] {
         let p = prepare(sql, da.catalog()).unwrap();
         assert_eq!(
-            execute(&p.bound, &[], &mut da).unwrap().rows(),
+            execute(&p.bound, &[], &mut da, &mut Scratch::default())
+                .unwrap()
+                .rows(),
             vec![],
             "{sql}"
         );

@@ -4,6 +4,7 @@
 //! nodes keep a copy that DDL replay keeps current on replicas.
 
 use gdb_model::{Ddl, FxHashMap, GdbError, GdbResult, IndexId, TableId, TableSchema};
+use std::collections::BTreeMap;
 
 /// Metadata of one secondary index.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -17,12 +18,13 @@ pub struct IndexDef {
 }
 
 /// Table and index metadata. The by-name maps key on the name itself:
-/// a lookup hashes the string once.
+/// a lookup hashes the string once. Indexes are held in id order, so a
+/// table's are listed in that order without a sort.
 #[derive(Debug, Default, Clone)]
 pub struct Catalog {
     tables: FxHashMap<TableId, TableSchema>,
     by_name: FxHashMap<String, TableId>,
-    indexes: FxHashMap<IndexId, IndexDef>,
+    indexes: BTreeMap<IndexId, IndexDef>,
     index_by_name: FxHashMap<String, IndexId>,
     next_table: u32,
     next_index: u32,
@@ -161,15 +163,9 @@ impl Catalog {
         self.index(*id)
     }
 
-    /// All indexes on a table.
-    pub fn indexes_on(&self, table: TableId) -> Vec<&IndexDef> {
-        let mut v: Vec<&IndexDef> = self
-            .indexes
-            .values()
-            .filter(|ix| ix.table == table)
-            .collect();
-        v.sort_by_key(|ix| ix.id);
-        v
+    /// All indexes on a table, in id order.
+    pub fn indexes_on(&self, table: TableId) -> impl Iterator<Item = &IndexDef> {
+        self.indexes.values().filter(move |ix| ix.table == table)
     }
 }
 
@@ -218,7 +214,7 @@ mod tests {
         c.create_table(schema("t", 0)).unwrap();
         let ix = c.create_index(TableId(0), "t_val", vec![1]).unwrap();
         assert_eq!(c.index_by_name("t_val").unwrap().id, ix);
-        assert_eq!(c.indexes_on(TableId(0)).len(), 1);
+        assert_eq!(c.indexes_on(TableId(0)).count(), 1);
         // Out-of-range column rejected.
         assert!(c.create_index(TableId(0), "bad", vec![9]).is_err());
         // Duplicate name rejected.

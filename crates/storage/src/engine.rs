@@ -6,6 +6,17 @@
 //! indexed columns against the version visible at the reader's snapshot, so
 //! stale entries are filtered rather than eagerly removed (the standard
 //! MVCC recheck approach — old snapshots keep seeing old entries).
+//!
+//! Because entries are never removed, the head of every chain — its
+//! newest version, if live — already has its entry: a put wrote it, or
+//! [`DataNodeStorage::create_index`] backfilled it. So a put writes an
+//! entry only when the new image's indexed columns differ from the head
+//! it replaces, or there is no live head (a new key, or a tombstone).
+//! An update that leaves the indexed columns alone — most of them —
+//! touches no index, on a primary and on a replica replaying it alike.
+//!
+//! Reads, and every lookup but an install, take the key as borrowed
+//! datums (`&[Datum]`): a probe builds no key.
 
 use crate::catalog::Catalog;
 use crate::lock::LockTable;
@@ -15,6 +26,7 @@ use gdb_model::{
 };
 use gdb_simnet::SimTime;
 use std::collections::BTreeMap;
+use std::ops::Bound;
 
 /// Storage state of one data node (primary or replica).
 #[derive(Debug, Default, Clone)]
@@ -28,6 +40,8 @@ pub struct DataNodeStorage {
     pub reads: u64,
     /// Versions written (load metric).
     pub writes: u64,
+    /// Secondary-index entries written by puts (load metric).
+    pub index_writes: u64,
 }
 
 impl DataNodeStorage {
@@ -71,7 +85,7 @@ impl DataNodeStorage {
     }
 
     pub fn drop_table(&mut self, id: TableId) -> GdbResult<()> {
-        let dropped: Vec<IndexId> = self.catalog.indexes_on(id).iter().map(|ix| ix.id).collect();
+        let dropped: Vec<IndexId> = self.catalog.indexes_on(id).map(|ix| ix.id).collect();
         self.catalog.drop_table(id)?;
         self.tables.remove(&id);
         for ix in dropped {
@@ -112,20 +126,6 @@ impl DataNodeStorage {
         indexed.chain(pk.0.iter().cloned()).collect()
     }
 
-    /// The `(index, entry)` pairs a write to `(table, key, row)` must
-    /// install. Returns an empty (non-allocating) vec when the table has
-    /// no secondary indexes — the common case on the hot write path.
-    fn index_updates(&self, table: TableId, key: &RowKey, row: &Row) -> Vec<(IndexId, RowKey)> {
-        if self.indexes.is_empty() {
-            return Vec::new();
-        }
-        self.catalog
-            .indexes_on(table)
-            .iter()
-            .map(|ix| (ix.id, Self::index_entry(&ix.columns, row, key)))
-            .collect()
-    }
-
     // ---- DML (installs *committed* versions) -------------------------
 
     fn table_mut(&mut self, id: TableId) -> GdbResult<&mut Table> {
@@ -143,8 +143,9 @@ impl DataNodeStorage {
     /// Install an insert-or-update version without existence checks: the
     /// one write core behind commit, replica replay, bulk load and the
     /// validated [`insert`](Self::insert) / [`update`](Self::update). The
-    /// key is cloned only when it is new to the table or feeds a
-    /// secondary index.
+    /// key is shared only when it is new to the table or feeds a
+    /// secondary index entry, and an entry is written only where the
+    /// indexed columns change (the module doc).
     pub fn apply_put(
         &mut self,
         table: TableId,
@@ -154,16 +155,25 @@ impl DataNodeStorage {
         commit_vtime: SimTime,
     ) -> GdbResult<()> {
         self.writes += 1;
-        let index_updates = self.index_updates(table, key, &row);
-        self.table_mut(table)?
-            .install_version(key, Some(row), commit_ts, commit_vtime)?;
-        for (ix, entry) in index_updates {
-            self.indexes
-                .get_mut(&ix)
-                .expect("index storage consistent")
-                .insert(entry, key.clone());
+        let tbl = self
+            .tables
+            .get_mut(&table)
+            .ok_or_else(|| GdbError::Schema(format!("no storage for table {table}")))?;
+        let mut indexes = self.catalog.indexes_on(table).peekable();
+        if indexes.peek().is_some() {
+            let head = tbl.read_newest(key).map(|v| v.row);
+            for ix in indexes {
+                let same = |&c: &usize| head.is_some_and(|h| h.0[c].key_cmp(&row.0[c]).is_eq());
+                if !ix.columns.iter().all(same) {
+                    self.index_writes += 1;
+                    let entry = Self::index_entry(&ix.columns, &row, key);
+                    let map = self.indexes.get_mut(&ix.id);
+                    map.expect("index storage consistent")
+                        .insert(entry, key.clone());
+                }
+            }
         }
-        Ok(())
+        tbl.install_version(key, Some(row), commit_ts, commit_vtime)
     }
 
     /// Tombstone without existence check (see [`apply_put`](Self::apply_put)).
@@ -229,7 +239,7 @@ impl DataNodeStorage {
     pub fn read(
         &mut self,
         table: TableId,
-        key: &RowKey,
+        key: &[Datum],
         snapshot: Timestamp,
     ) -> GdbResult<Option<VisibleRow<'_>>> {
         self.reads += 1;
@@ -240,7 +250,7 @@ impl DataNodeStorage {
     pub fn read_newest(
         &mut self,
         table: TableId,
-        key: &RowKey,
+        key: &[Datum],
     ) -> GdbResult<Option<VisibleRow<'_>>> {
         self.reads += 1;
         Ok(self.table(table)?.read_newest(key))
@@ -250,8 +260,8 @@ impl DataNodeStorage {
     pub fn range<'a>(
         &'a mut self,
         table: TableId,
-        lo: Option<&RowKey>,
-        hi: Option<&'a RowKey>,
+        lo: Option<&[Datum]>,
+        hi: Option<&'a [Datum]>,
         snapshot: Timestamp,
     ) -> GdbResult<impl Iterator<Item = VisibleRow<'a>>> {
         self.reads += 1;
@@ -290,9 +300,8 @@ impl DataNodeStorage {
             .get(&def.table)
             .ok_or_else(|| GdbError::Schema(format!("no storage for table {}", def.table)))?;
         let same = |a: &Datum, b: &Datum| a.key_cmp(b) == std::cmp::Ordering::Equal;
-        let from: RowKey = prefix.iter().cloned().collect();
         let mut rows = map
-            .range(from..)
+            .range::<[Datum], _>((Bound::Included(prefix), Bound::Unbounded))
             // Stop once the entry no longer starts with the prefix.
             .take_while(|(entry, _)| {
                 entry.0.len() >= prefix.len() && entry.0.iter().zip(prefix).all(|(a, b)| same(a, b))
@@ -511,6 +520,43 @@ mod tests {
         // over by key, for a full prefix and for an empty one alike.
         assert_eq!(keys(&mut s, &[]), vec![1, 2, 3, 4]);
         assert_eq!(keys(&mut s, &[Datum::Text("a".into())]), vec![2, 4]);
+    }
+
+    /// A put writes an index entry only where the indexed columns change
+    /// from the live head, or there is none (a new key, a tombstone).
+    #[test]
+    fn index_entries_are_written_only_on_change() {
+        let mut s = setup();
+        let t = TableId(0);
+        let ix = s.create_index(t, "by_name", vec![1]).unwrap();
+        let k = RowKey::single(1i64);
+        let put = |s: &mut DataNodeStorage, name: &str, qty: i64, ts: u64| {
+            s.apply_put(t, &k, row(1, name, qty), Timestamp(ts), SimTime::ZERO)
+                .unwrap();
+            s.index_writes
+        };
+        assert_eq!(put(&mut s, "a", 1, 10), 1, "a new key");
+        assert_eq!(put(&mut s, "a", 2, 20), 1, "only qty changed");
+        assert_eq!(put(&mut s, "b", 2, 30), 2, "the name changed");
+        assert_eq!(put(&mut s, "a", 3, 40), 3, "the name changed back");
+        s.apply_delete(t, &k, Timestamp(50), SimTime::ZERO).unwrap();
+        assert_eq!(put(&mut s, "a", 4, 60), 4, "over a tombstone");
+        assert_eq!(
+            hits(&mut s, ix, &[Datum::Text("a".into())], Timestamp(60)),
+            1
+        );
+        assert_eq!(
+            hits(&mut s, ix, &[Datum::Text("a".into())], Timestamp(50)),
+            0
+        );
+        assert_eq!(
+            hits(&mut s, ix, &[Datum::Text("b".into())], Timestamp(30)),
+            1
+        );
+        assert_eq!(
+            hits(&mut s, ix, &[Datum::Text("b".into())], Timestamp(40)),
+            0
+        );
     }
 
     #[test]

@@ -7,7 +7,7 @@
 //! observes the release time and adds the wait to its own latency — exactly
 //! the blocking a real lock manager would produce.
 
-use gdb_model::{RowKey, RowMap, TableId, TxnId};
+use gdb_model::{Datum, RowKey, RowMap, TableId, TxnId};
 use gdb_simnet::SimTime;
 
 /// Result of a lock attempt.
@@ -30,9 +30,9 @@ struct LockState {
 
 /// The per-data-node lock table.
 ///
-/// Keyed by a [`RowMap`]: the hot acquire path probes through a
-/// borrowed `&RowKey` and clones the key only when inserting a lock on
-/// a row it has never seen.
+/// Keyed by a [`RowMap`]: every path probes through borrowed datums,
+/// and the acquire path shares the holder's key only when inserting a
+/// lock on a row it has never seen.
 #[derive(Debug, Default, Clone)]
 pub struct LockTable {
     locks: RowMap<LockState>,
@@ -90,7 +90,7 @@ impl LockTable {
     /// Set the exact release time of one lock held by `txn` (the commit
     /// path pins each lock to the transaction's per-shard commit-apply
     /// instant).
-    pub fn set_release(&mut self, table: TableId, key: &RowKey, txn: TxnId, at: SimTime) {
+    pub fn set_release(&mut self, table: TableId, key: &[Datum], txn: TxnId, at: SimTime) {
         if let Some(s) = self.locks.get_mut(table, key) {
             if s.holder == txn {
                 s.release_at = at;
@@ -104,7 +104,7 @@ impl LockTable {
     }
 
     /// Current holder of a lock, if unexpired.
-    pub fn holder(&self, table: TableId, key: &RowKey, now: SimTime) -> Option<TxnId> {
+    pub fn holder(&self, table: TableId, key: &[Datum], now: SimTime) -> Option<TxnId> {
         self.locks
             .get(table, key)
             .filter(|s| s.release_at > now)

@@ -18,6 +18,7 @@
 
 use gdb_model::{Datum, FxHashMap, GdbError, GdbResult, Row, RowKey, Timestamp};
 use gdb_simnet::SimTime;
+use std::borrow::Borrow;
 use std::cmp::Ordering;
 use std::collections::btree_map::{BTreeMap, Entry};
 use std::ops::Bound;
@@ -245,22 +246,90 @@ struct Slot {
 }
 
 impl Slot {
-    /// `key`'s slot naming chain head `head`; the head takes no part in
-    /// the order, so a lookup passes any.
+    /// `key`'s slot naming chain head `head`.
     fn new(key: &RowKey, head: u32) -> Slot {
         Slot {
-            prefix: key_prefix(&key.0),
+            prefix: key_prefix(key),
             head,
             key: key.clone(),
         }
     }
 }
 
+/// What the key B-tree orders by — `(prefix, key)` — of a slot or of a
+/// borrowed probe, so that a lookup by `&[Datum]` builds no key: the
+/// tree is searched by `&dyn Ordered`, which every [`Slot`] lends.
+trait Ordered {
+    fn prefix(&self) -> u32;
+    fn key(&self) -> &[Datum];
+}
+
+impl Ordered for Slot {
+    fn prefix(&self) -> u32 {
+        self.prefix
+    }
+
+    fn key(&self) -> &[Datum] {
+        &self.key
+    }
+}
+
+/// A lookup's borrowed key with its prefix.
+struct Probe<'k> {
+    prefix: u32,
+    key: &'k [Datum],
+}
+
+impl<'k> Probe<'k> {
+    fn new(key: &'k [Datum]) -> Self {
+        Probe {
+            prefix: key_prefix(key),
+            key,
+        }
+    }
+}
+
+impl Ordered for Probe<'_> {
+    fn prefix(&self) -> u32 {
+        self.prefix
+    }
+
+    fn key(&self) -> &[Datum] {
+        self.key
+    }
+}
+
+impl Ord for dyn Ordered + '_ {
+    fn cmp(&self, other: &Self) -> Ordering {
+        self.prefix()
+            .cmp(&other.prefix())
+            .then_with(|| self.key().cmp(other.key()))
+    }
+}
+
+impl PartialOrd for dyn Ordered + '_ {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl PartialEq for dyn Ordered + '_ {
+    fn eq(&self, other: &Self) -> bool {
+        self.cmp(other) == Ordering::Equal
+    }
+}
+
+impl Eq for dyn Ordered + '_ {}
+
+impl<'a> Borrow<dyn Ordered + 'a> for Slot {
+    fn borrow(&self) -> &(dyn Ordered + 'a) {
+        self
+    }
+}
+
 impl Ord for Slot {
     fn cmp(&self, other: &Self) -> Ordering {
-        self.prefix
-            .cmp(&other.prefix)
-            .then_with(|| self.key.cmp(&other.key))
+        (self as &dyn Ordered).cmp(other)
     }
 }
 
@@ -371,12 +440,13 @@ impl Table {
     }
 
     /// The slot of `key`, if the table holds it.
-    fn slot(&self, key: &RowKey) -> Option<&Slot> {
-        Some(self.rows.get_key_value(&Slot::new(key, NIL))?.0)
+    fn slot(&self, key: &[Datum]) -> Option<&Slot> {
+        let probe: &dyn Ordered = &Probe::new(key);
+        Some(self.rows.get_key_value(probe)?.0)
     }
 
     /// Point read at a snapshot. Tombstones read as `None`.
-    pub fn read(&self, key: &RowKey, snapshot: Timestamp) -> Option<VisibleRow<'_>> {
+    pub fn read(&self, key: &[Datum], snapshot: Timestamp) -> Option<VisibleRow<'_>> {
         let slot = self.slot(key)?;
         let v = self.arena.visible_at(slot.head, snapshot)?;
         v.row.as_ref().map(|row| VisibleRow {
@@ -389,7 +459,7 @@ impl Table {
 
     /// The newest committed row regardless of snapshot (read-committed
     /// update path, used after acquiring the row lock).
-    pub fn read_newest(&self, key: &RowKey) -> Option<VisibleRow<'_>> {
+    pub fn read_newest(&self, key: &[Datum]) -> Option<VisibleRow<'_>> {
         let slot = self.slot(key)?;
         let v = &self.arena.nodes[slot.head as usize].version;
         v.row.as_ref().map(|row| VisibleRow {
@@ -401,7 +471,7 @@ impl Table {
     }
 
     /// True if the key has a live (non-tombstone) newest version.
-    pub fn exists_newest(&self, key: &RowKey) -> bool {
+    pub fn exists_newest(&self, key: &[Datum]) -> bool {
         self.read_newest(key).is_some()
     }
 
@@ -411,13 +481,16 @@ impl Table {
     /// An empty range (`lo` above `hi`) has no rows.
     pub fn range<'t>(
         &'t self,
-        lo: Option<&RowKey>,
-        hi: Option<&'t RowKey>,
+        lo: Option<&[Datum]>,
+        hi: Option<&'t [Datum]>,
         snapshot: Timestamp,
     ) -> impl Iterator<Item = VisibleRow<'t>> {
-        let from = lo.map_or(Bound::Unbounded, |k| Bound::Included(Slot::new(k, NIL)));
+        let probe = lo.map(Probe::new);
+        let from = probe
+            .as_ref()
+            .map_or(Bound::Unbounded, |p| Bound::Included(p as &dyn Ordered));
         self.rows
-            .range((from, Bound::Unbounded))
+            .range::<dyn Ordered, _>((from, Bound::Unbounded))
             .take_while(move |(slot, ())| hi.is_none_or(|h| slot.key.within_upper(h)))
             .filter_map(move |(slot, ())| {
                 let v = self.arena.visible_at(slot.head, snapshot)?;

@@ -4,7 +4,7 @@
 //! produce identical results — rows, counts, and error kinds.
 
 use gaussdb_global::sqlengine::access::MemAccess;
-use gaussdb_global::sqlengine::{execute, prepare, DataAccess};
+use gaussdb_global::sqlengine::{execute, prepare, DataAccess, Scratch};
 use gaussdb_global::{Cluster, ClusterConfig, Datum, RoutingPolicy, SimDuration, SimTime};
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
@@ -105,16 +105,20 @@ fn kind(e: &gaussdb_global::GdbError) -> &'static str {
 fn run_differential(ops: &[Op], seed: u64) {
     // Reference: single-node in-memory engine.
     let mut reference = MemAccess::new();
+    // One scratch for every reference statement, as a transaction's.
+    let mut scratch = Scratch::default();
     execute(
         &prepare(DDL, reference.catalog()).unwrap().bound,
         &[],
         &mut reference,
+        &mut scratch,
     )
     .unwrap();
     execute(
         &prepare(IDX, reference.catalog()).unwrap().bound,
         &[],
         &mut reference,
+        &mut scratch,
     )
     .unwrap();
 
@@ -133,7 +137,7 @@ fn run_differential(ops: &[Op], seed: u64) {
 
         let expected = {
             let prepared = prepare(&sql, reference.catalog()).unwrap();
-            match execute(&prepared.bound, &params, &mut reference) {
+            match execute(&prepared.bound, &params, &mut reference, &mut scratch) {
                 Ok(out) => match out {
                     gaussdb_global::ExecOutput::Rows(rows) => {
                         Outcome::Rows(rows.into_iter().map(|r| r.0).collect())
