@@ -263,6 +263,22 @@ fn replica_reads_at_the_rcp_see_writes_staged_behind_a_drain_start() {
     assert!(report.trace.iter().any(|l| l.contains("remove-node")));
 }
 
+/// A host drain's moves rebuild the RCP calculators, and a rebuilt one
+/// publishes zero until its new replica set has reported. A CN
+/// restarted in that window kept its pre-crash RCP, below versions a
+/// vacuum at the old horizon had reclaimed: a replica read at that
+/// snapshot found no version of a district row written long before. A
+/// restarted CN now adopts at least the highest vacuum horizon.
+#[test]
+fn a_cn_restarted_after_an_rcp_rebuild_reads_above_the_vacuum_horizon() {
+    let text = include_str!("../../../scenarios/restart-cn-after-rcp-rebuild.toml");
+    let report = run(&load(text).expect("a valid scenario"));
+    assert_clean(&report);
+    for step in ["remove-node", "restart-cn"] {
+        assert!(report.trace.iter().any(|l| l.contains(step)), "{step}");
+    }
+}
+
 /// The canned plans on one region under async replication: an ack takes
 /// microseconds there, so it lands within the clocks' error bound of the
 /// next transaction's start. Before the commit wait lasted until the

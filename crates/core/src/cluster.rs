@@ -69,6 +69,9 @@ pub struct GlobalDb {
     pub(crate) ddl: DdlTracker,
     /// Per-region RCP calculators (collector-CN state).
     pub(crate) rcp: Vec<RcpCalculator>,
+    /// The highest horizon a vacuum has run at: a snapshot below it may
+    /// miss versions that vacuum reclaimed.
+    pub(crate) vacuumed_to: Timestamp,
     /// Per-region collector elections.
     pub(crate) collectors: Vec<CollectorElection>,
     pub(crate) gtm_rate: GtmRate,
@@ -603,6 +606,7 @@ impl Cluster {
             catalog: Catalog::new(),
             ddl: DdlTracker::new(),
             rcp,
+            vacuumed_to: Timestamp::ZERO,
             collectors,
             gtm_rate: GtmRate::default(),
             stats: ClusterStats::default(),

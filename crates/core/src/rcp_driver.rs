@@ -209,6 +209,7 @@ impl GlobalDb {
             return 0;
         }
         let h = horizon.prev();
+        self.vacuumed_to = self.vacuumed_to.max(h);
         self.shards
             .iter_mut()
             .map(|s| {

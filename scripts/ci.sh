@@ -85,6 +85,12 @@ stage_nemesis_smoke() {
         timeout 300 cargo run --release -q -p gdb-chaos --bin nemesis -- \
             --seed "$seed" --duration 2s --elastic | tail -n 1
     done
+    # All three families at once: a CN restarted just after a drain's
+    # moves rebuilt the RCP calculators (scenarios/restart-cn-after-rcp-
+    # rebuild.toml replays it).
+    echo "==> overlap + migrations + elastic nemesis (seed 7)"
+    timeout 300 cargo run --release -q -p gdb-chaos --bin nemesis -- \
+        --seed 7 --duration 2s --overlap --migrations --elastic | tail -n 1
     # Online migrations under faults: snapshot, catch-up fed by the
     # shard's flush, batched cutover, aborts.
     echo "==> migration nemesis (3 seeds)"
