@@ -93,13 +93,13 @@ impl GlobalDb {
     /// Restart a crashed CN: it rejoins with a freshly synced clock and
     /// its region's published RCP, as its live peers did at the last
     /// distribution (its own may be below the vacuum horizon by now) —
-    /// and at least the highest horizon a vacuum ran at. A membership change
-    /// rebuilds the region's calculator, which publishes nothing until
-    /// its new replica set has reported, and a CN restarted then would
-    /// keep its own RCP, below versions that vacuum reclaimed. Every
-    /// replica holds what the horizon covers: its region had published
-    /// at least the horizon when the vacuum ran, and a follower built
-    /// since is a snapshot of its primary.
+    /// and at least the highest horizon a vacuum ran at. A membership
+    /// change rebuilds the region's calculator, which publishes nothing
+    /// until its new replica set has reported, and a CN restarted then
+    /// would keep its own RCP, below versions that vacuum reclaimed.
+    /// Every replica holds what the horizon covers: its region had
+    /// published at least the horizon when the vacuum ran, and a
+    /// follower built since is a snapshot of its primary.
     pub fn restart_cn(&mut self, cn: usize, now: SimTime) {
         let node = self.cns[cn].node;
         self.restore_node(node);

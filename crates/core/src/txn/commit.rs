@@ -315,8 +315,7 @@ impl<'a> TxnHandle<'a> {
             self.record(|txn| Event::End { txn, ts, ack });
             self.release_locks(true);
         }
-        // The participant set moves into the outcome, read by nothing
-        // after the lock release.
+        // Nothing reads the participant set after the lock release.
         let shards_written = std::mem::take(&mut self.shards_written);
         result.map(|outcome| TxnOutcome {
             shards_written,
@@ -324,15 +323,13 @@ impl<'a> TxnHandle<'a> {
         })
     }
 
-    /// The commit, with an empty participant set in its outcome (the
-    /// caller moves the handle's in).
     fn try_commit(&mut self) -> GdbResult<TxnOutcome> {
         let exec_done = self.now;
 
         if self.shards_written.is_empty() {
             // Pure read: nothing to make durable.
             self.record_phases(exec_done, None);
-            return Ok(self.outcome(None, Vec::new()));
+            return Ok(self.outcome(None));
         }
 
         // The phases read the participant set while they change the
@@ -340,7 +337,7 @@ impl<'a> TxnHandle<'a> {
         let write_shards = std::mem::take(&mut self.shards_written);
         let ts = self.write_phases(&write_shards, exec_done);
         self.shards_written = write_shards;
-        Ok(self.outcome(Some(ts?), Vec::new()))
+        Ok(self.outcome(Some(ts?)))
     }
 
     /// Prepare, stamp, wait and replicate the commit across

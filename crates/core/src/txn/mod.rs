@@ -298,8 +298,6 @@ impl<'a> TxnHandle<'a> {
                 .log
                 .append(self.now, self.txn, RedoPayload::Abort);
         }
-        self.overlay.clear();
-        self.write_log.clear();
         self.finished = true;
         let (ts, ack) = (None, None);
         self.record(|txn| Event::End { txn, ts, ack });
@@ -312,19 +310,20 @@ impl<'a> TxnHandle<'a> {
         self.abort_inner();
         TxnOutcome {
             aborted: true,
-            ..self.outcome(None, Vec::new())
+            ..self.outcome(None)
         }
     }
 
     /// The outcome as of now, committed at `commit_ts` (`None`: a pure
-    /// read) on `shards_written`.
-    fn outcome(&self, commit_ts: Option<Timestamp>, shards_written: Vec<usize>) -> TxnOutcome {
+    /// read), with no participant set: [`TxnHandle::commit`] moves the
+    /// handle's in once nothing else reads it.
+    fn outcome(&self, commit_ts: Option<Timestamp>) -> TxnOutcome {
         TxnOutcome {
             commit_ts,
             snapshot: self.snapshot,
             completed_at: self.now,
             latency: self.now.since(self.started_at),
-            shards_written,
+            shards_written: Vec::new(),
             used_replica: self.used_replica,
             aborted: false,
         }
