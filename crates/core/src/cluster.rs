@@ -23,7 +23,6 @@ use crate::event::{CoreEvent, CoreSim};
 use crate::net::MessagePlane;
 use crate::rcp_driver::{rcp_group, GtmRate};
 use crate::repl_driver::Shard;
-use crate::ror::RorService;
 use crate::shardlog::ShardLog;
 use crate::stats::{ClusterStats, TxnOutcome};
 use crate::transition::TransitionTrace;
@@ -230,19 +229,9 @@ impl GlobalDb {
         self.routing_epoch
     }
 
-    /// The earliest-started in-flight migration, if any.
-    pub fn migration(&self) -> Option<&crate::migrate::Migration> {
-        self.migrations.first()
-    }
-
     /// All in-flight migrations, in start order.
     pub fn migrations(&self) -> &[crate::migrate::Migration] {
         &self.migrations
-    }
-
-    /// Shards with a migration in flight, in start order.
-    pub fn migrating_shards(&self) -> Vec<usize> {
-        self.migrations.iter().map(|m| m.shard).collect()
     }
 
     /// Hosts currently draining toward retirement.
@@ -744,58 +733,12 @@ impl Cluster {
         crate::migrate::start_plan(&mut self.db, &mut self.sim, specs)
     }
 
-    /// The shard of the earliest-started in-flight migration, if any.
-    pub fn migration_in_flight(&self) -> Option<usize> {
-        self.db.migrations.first().map(|m| m.shard)
-    }
-
     /// Metrics snapshot with the time-derived per-replica freshness
     /// gauges refreshed at the engine's current virtual time.
     pub fn metrics_snapshot(&mut self) -> MetricsReport {
         let now = self.sim.now();
         self.db.sync_replica_lag_metrics(now);
         self.db.metrics_snapshot()
-    }
-
-    /// Crash a shard's primary data node (paper §IV: replicas keep serving
-    /// read-only queries until the primary recovers or a replica is
-    /// promoted). Writes to the shard fail until promotion.
-    ///
-    /// Thin shim over the fault-injection API ([`GlobalDb::crash_primary`]).
-    pub fn fail_primary(&mut self, shard_idx: usize) {
-        self.db.crash_primary(shard_idx);
-    }
-
-    /// Promote one of a shard's replicas to primary (paper §IV).
-    ///
-    /// Durability follows the replication mode exactly:
-    /// * under synchronous quorum replication every acknowledged commit
-    ///   was already durable on the replicas, so the outstanding redo is
-    ///   force-delivered to the chosen replica before the switch — no
-    ///   acknowledged commit is lost;
-    /// * under asynchronous replication the replica only has what reached
-    ///   it — the unreplicated tail of acknowledged commits is lost, the
-    ///   trade-off the paper accepts for WAN performance.
-    ///
-    /// The remaining replicas full-resync from the new primary and the
-    /// shard starts a fresh redo stream.
-    pub fn promote_replica(&mut self, shard_idx: usize, replica_idx: usize) -> GdbResult<()> {
-        let now = self.sim.now();
-        self.db.promote_replica_at(shard_idx, replica_idx, now)
-    }
-
-    /// Re-admit a recovered node as a replica of `shard` (paper §IV: a
-    /// failed primary "recovers" — here it returns in the replica role).
-    /// The node full-resyncs from the current primary snapshot and then
-    /// follows the redo stream from the current sealed head.
-    pub fn rejoin_as_replica(&mut self, shard_idx: usize, node: NetNodeId) -> GdbResult<()> {
-        let now = self.sim.now();
-        self.db.rejoin_as_replica_at(shard_idx, node, now)
-    }
-
-    /// Access the ROR service view (for diagnostics / tests).
-    pub fn ror_service(&mut self) -> RorService<'_> {
-        RorService { db: &mut self.db }
     }
 }
 

@@ -147,8 +147,19 @@ impl GlobalDb {
     }
 
     /// Promote one of a shard's replicas to primary at virtual time `now`
-    /// (see [`crate::Cluster::promote_replica`] for the durability
-    /// semantics).
+    /// (paper §IV).
+    ///
+    /// Durability follows the replication mode exactly:
+    /// * under synchronous quorum replication every acknowledged commit
+    ///   was already durable on the replicas, so the outstanding redo is
+    ///   force-delivered to the chosen replica before the switch — no
+    ///   acknowledged commit is lost;
+    /// * under asynchronous replication the replica only has what reached
+    ///   it — the unreplicated tail of acknowledged commits is lost, the
+    ///   trade-off the paper accepts for WAN performance.
+    ///
+    /// The remaining replicas full-resync from the new primary and the
+    /// shard starts a fresh redo stream.
     pub fn promote_replica_at(
         &mut self,
         shard_idx: usize,
@@ -192,11 +203,14 @@ impl GlobalDb {
         Ok(())
     }
 
-    /// Re-admit a recovered node as a replica of `shard` at `now` (see
-    /// [`crate::Cluster::rejoin_as_replica`]). Fails, changing nothing,
-    /// when the node already hosts the shard — a crashed primary nobody
-    /// replaced is restarted, not rejoined: as its own replica it would
-    /// ship to, and serve replica reads as, itself — or was retired.
+    /// Re-admit a recovered node as a replica of `shard` at `now` (paper
+    /// §IV: a failed primary "recovers" — here it returns in the replica
+    /// role). The node full-resyncs from the current primary snapshot and
+    /// then follows the redo stream from the current sealed head. Fails,
+    /// changing nothing, when the node already hosts the shard — a
+    /// crashed primary nobody replaced is restarted, not rejoined: as its
+    /// own replica it would ship to, and serve replica reads as, itself —
+    /// or was retired.
     pub fn rejoin_as_replica_at(
         &mut self,
         shard_idx: usize,

@@ -432,15 +432,13 @@ pub(crate) fn ship_sealed(
 mod tests {
     use super::*;
     use gdb_model::{ColumnDef, DataType, Datum, Row, RowKey, SchemaBuilder, TableId, TxnId};
+    use gdb_replication::MAX_BATCH_RECORDS;
     use gdb_wal::{Lsn, RedoPayload};
     use rand::rngs::SmallRng;
     use rand::{Rng, SeedableRng};
     use std::ops::Range;
 
     const TABLE: TableId = TableId(1);
-    /// Below the largest windows the stream seals, so some batches that
-    /// start at a window's first record stop short of its end.
-    const MAX_BATCH: usize = 40;
 
     fn follower(node: u32, codec: Codec) -> Replica {
         let mut storage = DataNodeStorage::new();
@@ -455,7 +453,7 @@ mod tests {
             node: NetNodeId(node),
             region: RegionId(0),
             applier: ReplicaApplier::new(storage),
-            channel: ShippingChannel::new(codec).with_max_batch(MAX_BATCH),
+            channel: ShippingChannel::new(codec),
             busy_until: SimTime::ZERO,
             stream_free: SimTime::ZERO,
             last_arrival: SimTime::ZERO,
@@ -469,36 +467,40 @@ mod tests {
     fn stage(log: &mut ShardLog, rng: &mut SmallRng, now: SimTime, txn: &mut u64) {
         for _ in 0..rng.gen_range(0..12) {
             *txn += 1;
-            let (id, at) = (
-                TxnId(*txn),
-                now + SimDuration::from_micros(rng.gen_range(0..15)),
-            );
-            if rng.gen_bool(0.5) {
-                log.append(at, id, RedoPayload::PendingCommit);
-            }
-            for w in 0..rng.gen_range(1..=4) {
-                // A key per write: staged apply instants reorder commits,
-                // which same-key row locks would otherwise have to order.
-                let k = (*txn * 4 + w) as i64;
-                let note = Datum::from(format!("note-{}", rng.gen_range(0..1000)));
-                let (key, row) = (RowKey::single(k), Row(vec![Datum::Int(k), note]));
-                log.append(
-                    at,
-                    id,
-                    RedoPayload::Insert {
-                        table: TABLE,
-                        key,
-                        row,
-                    },
-                );
-            }
-            let commit_ts = Timestamp(*txn);
-            log.append(at, id, RedoPayload::Commit { commit_ts });
+            let at = now + SimDuration::from_micros(rng.gen_range(0..15));
+            // A key per write: staged apply instants reorder commits,
+            // which same-key row locks would otherwise have to order.
+            let keys = (0..rng.gen_range(1..=4)).map(|w| (*txn * 4 + w) as i64);
+            stage_txn(log, rng, at, *txn, keys.collect());
         }
         if rng.gen_bool(0.2) {
             let commit_ts = Timestamp(*txn);
             log.append(now, TxnId(0), RedoPayload::Heartbeat { commit_ts });
         }
+    }
+
+    /// Stage one transaction writing `keys`, half the time behind a
+    /// PENDING_COMMIT.
+    fn stage_txn(log: &mut ShardLog, rng: &mut SmallRng, at: SimTime, txn: u64, keys: Vec<i64>) {
+        let id = TxnId(txn);
+        if rng.gen_bool(0.5) {
+            log.append(at, id, RedoPayload::PendingCommit);
+        }
+        for k in keys {
+            let note = Datum::from(format!("note-{}", rng.gen_range(0..1000)));
+            let (key, row) = (RowKey::single(k), Row(vec![Datum::Int(k), note]));
+            log.append(
+                at,
+                id,
+                RedoPayload::Insert {
+                    table: TABLE,
+                    key,
+                    row,
+                },
+            );
+        }
+        let commit_ts = Timestamp(txn);
+        log.append(at, id, RedoPayload::Commit { commit_ts });
     }
 
     /// The records and durable bytes of the last seal.
@@ -545,6 +547,14 @@ mod tests {
         for flush in 1..=300u64 {
             let now = SimTime::from_micros(10 * flush);
             stage(&mut log, &mut rng, now, &mut txn);
+            if flush % 100 == 50 {
+                // A window longer than a batch: batches that start at its
+                // first record stop short of its end. Negative keys stay
+                // clear of the small transactions' keys.
+                txn += 1;
+                let keys = (0..=MAX_BATCH_RECORDS as i64).map(|w| -(w + 1) - txn as i64 * 8192);
+                stage_txn(&mut log, &mut rng, now, txn, keys.collect());
+            }
             if rng.gen_bool(0.1) {
                 seal(&mut log, now, true, &mut window);
                 stage(&mut log, &mut rng, now, &mut txn);

@@ -21,28 +21,11 @@ pub enum ReadTarget {
     Replica(usize),
 }
 
-/// Diagnostic view over the ROR machinery.
-pub struct RorService<'a> {
-    pub db: &'a mut GlobalDb,
-}
-
-impl<'a> RorService<'a> {
-    /// The skyline a CN would compute for one shard right now.
-    pub fn skyline(
-        &mut self,
-        cn: usize,
-        shard: usize,
-        snapshot: Timestamp,
-        now: SimTime,
-    ) -> Skyline {
-        self.db.shard_candidates(cn, shard, snapshot, now)
-    }
-}
-
 impl GlobalDb {
-    /// The skyline over a shard's read candidates: the primary plus every
-    /// replica that has applied at least up to `snapshot`.
-    pub(crate) fn shard_candidates(
+    /// The skyline a CN would compute for one shard at `now`, over its
+    /// read candidates: the primary plus every replica that has applied
+    /// at least up to `snapshot`.
+    pub fn shard_candidates(
         &mut self,
         cn: usize,
         shard: usize,

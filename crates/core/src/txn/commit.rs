@@ -11,9 +11,9 @@
 //!    commit record to each shard, install versions, release locks, and
 //!    collect the per-shard acks.
 //!
-//! Each phase returns a state struct carrying its timing boundaries; the
-//! per-shard 2PC branches are kept so observability can record them as
-//! child spans of the prepare / replication-ack phases.
+//! Each phase leaves its end instant on the handle's clock. With the
+//! tracer on, each per-shard 2PC branch is recorded as its ack is
+//! computed, a child span of the open prepare / replication-ack span.
 
 use super::history::Event;
 use super::{gtm_rtt, TxnHandle, OP_MSG_BYTES};
@@ -22,25 +22,11 @@ use crate::net::RpcKind;
 use crate::repl_driver::{Replica, Shard};
 use crate::stats::TxnOutcome;
 use gdb_model::{Datum, GdbError, GdbResult, Timestamp};
-use gdb_obs::SpanKind;
+use gdb_obs::{SpanId, SpanKind};
 use gdb_replication::{quorum_wait, ReplicationMode};
 use gdb_simnet::{NetNodeId, SimDuration, SimTime};
 use gdb_txnmgr::CommitPlan;
 use gdb_wal::RedoPayload;
-
-/// One shard's branch of a 2PC round: out-message through ack.
-#[derive(Debug, Clone, Copy)]
-struct BranchAck {
-    shard: usize,
-    acked: SimTime,
-}
-
-/// Outcome of the 2PC prepare round. Empty (`prepare_done` = phase start,
-/// no branches) for single-shard commits, which skip the round.
-struct PrepareOutcome {
-    prepare_done: SimTime,
-    branches: Vec<BranchAck>,
-}
 
 /// A commit timestamp from [`GlobalDb::commit_stamp`].
 pub(crate) struct CommitStamp {
@@ -85,25 +71,6 @@ impl GlobalDb {
             wait_end: *now + wait,
         })
     }
-}
-
-/// Outcome of the commit-record fan-out after the commit point.
-struct ReplicateOutcome {
-    /// When the commit wait ended (versions may not become visible, nor
-    /// locks release, before this instant).
-    wait_end: SimTime,
-    /// When the last shard ack returned: the client-visible commit time.
-    ack: SimTime,
-    branches: Vec<BranchAck>,
-}
-
-/// The full set of write-phase boundaries, passed to phase recording.
-struct WritePhases {
-    prepare_done: SimTime,
-    wait_end: SimTime,
-    ack: SimTime,
-    prepare_branches: Vec<BranchAck>,
-    commit_branches: Vec<BranchAck>,
 }
 
 impl<'a> TxnHandle<'a> {
@@ -191,20 +158,19 @@ impl<'a> TxnHandle<'a> {
 
     /// Phase 1 — the 2PC prepare round (multi-shard only): writes + PREPARE
     /// must be durable (and quorum-replicated in sync modes) on every shard
-    /// before the commit point.
+    /// before the commit point. Moves the clock to the last ack; each
+    /// shard's branch is a child of the open `span`.
     fn prepare_phase(
         &mut self,
         write_shards: &[usize],
         multi_shard: bool,
-    ) -> GdbResult<PrepareOutcome> {
-        let start = self.now;
-        let mut out = PrepareOutcome {
-            prepare_done: start,
-            branches: Vec::new(),
-        };
+        span: Option<SpanId>,
+    ) -> GdbResult<()> {
         if !multi_shard {
-            return Ok(out);
+            return Ok(());
         }
+        let start = self.now;
+        let mut prepare_done = start;
         let cn_node = self.db.cns[self.cn].node;
         for &s in write_shards {
             let bytes = self.redo_bytes(s);
@@ -215,31 +181,31 @@ impl<'a> TxnHandle<'a> {
             let q = self.sync_quorum_wait(s, bytes)?;
             let back = self.send(RpcKind::TwoPcPrepare, primary, cn_node, OP_MSG_BYTES)?;
             let acked = arrive + q + back;
-            out.prepare_done = out.prepare_done.max(acked);
-            out.branches.push(BranchAck { shard: s, acked });
+            prepare_done = prepare_done.max(acked);
+            let t = &mut self.db.obs.tracer;
+            t.record_child(span, SpanKind::TwoPcBranch, s as u64, start, acked);
         }
-        self.now = out.prepare_done;
-        Ok(out)
+        self.now = prepare_done;
+        Ok(())
     }
 
     /// Phases 3+4 — commit wait, then the commit-record fan-out: ship the
     /// commit record to each shard; versions install and locks release at
     /// each shard's apply instant — but never before the commit wait ends
     /// (Spanner-style: releasing a hot-row lock early would let the next
-    /// writer obtain a *smaller* timestamp than this commit's).
+    /// writer obtain a *smaller* timestamp than this commit's). Moves the
+    /// clock to the last ack, the client-visible commit time; each shard's
+    /// branch is a child of the open `span`.
     fn replicate_phase(
         &mut self,
         write_shards: &[usize],
         multi_shard: bool,
         stamp: &CommitStamp,
-    ) -> GdbResult<ReplicateOutcome> {
+        span: Option<SpanId>,
+    ) -> GdbResult<()> {
         let (commit_ts, wait_end) = (stamp.ts, stamp.wait_end);
         let cn_node = self.db.cns[self.cn].node;
-        let mut out = ReplicateOutcome {
-            wait_end,
-            ack: wait_end,
-            branches: Vec::new(),
-        };
+        let mut ack = wait_end;
         for &s in write_shards {
             let bytes = if multi_shard {
                 OP_MSG_BYTES // writes shipped during prepare
@@ -269,8 +235,9 @@ impl<'a> TxnHandle<'a> {
             self.db.shards[s].log.append(apply_at, self.txn, payload);
             let back = self.send(RpcKind::TwoPcCommit, primary, cn_node, OP_MSG_BYTES)?;
             let acked = (apply_at + q + back).max(wait_end);
-            out.ack = out.ack.max(acked);
-            out.branches.push(BranchAck { shard: s, acked });
+            ack = ack.max(acked);
+            let t = &mut self.db.obs.tracer;
+            t.record_child(span, SpanKind::TwoPcBranch, s as u64, wait_end, acked);
 
             // Install the versions on the primary at the apply instant
             // (each staged row moves into storage: one entry per shard).
@@ -291,8 +258,8 @@ impl<'a> TxnHandle<'a> {
                 }
             }
         }
-        self.now = out.ack;
-        Ok(out)
+        self.now = ack;
+        Ok(())
     }
 
     /// Commit the transaction; consumes the handle's buffered writes.
@@ -325,9 +292,15 @@ impl<'a> TxnHandle<'a> {
 
     fn try_commit(&mut self) -> GdbResult<TxnOutcome> {
         let exec_done = self.now;
+        let (label, t) = (self.txn.0, &mut self.db.obs.tracer);
+        let root = t.begin(SpanKind::Txn, label, self.started_at);
+        let (started, begun) = (self.started_at, self.begin_done);
+        t.record_child(root, SpanKind::SnapshotAcquire, label, started, begun);
+        t.record_child(root, SpanKind::Execute, label, begun, exec_done);
 
         if self.shards_written.is_empty() {
             // Pure read: nothing to make durable.
+            self.db.obs.tracer.end(root, exec_done);
             self.record_phases(exec_done, None);
             return Ok(self.outcome(None));
         }
@@ -335,97 +308,80 @@ impl<'a> TxnHandle<'a> {
         // The phases read the participant set while they change the
         // handle; it is back in place before anything else reads it.
         let write_shards = std::mem::take(&mut self.shards_written);
-        let ts = self.write_phases(&write_shards, exec_done);
+        let ts = self.write_phases(&write_shards, exec_done, root);
         self.shards_written = write_shards;
         Ok(self.outcome(Some(ts?)))
     }
 
     /// Prepare, stamp, wait and replicate the commit across
-    /// `write_shards`, recording the phases; returns the commit timestamp.
-    fn write_phases(&mut self, write_shards: &[usize], exec_done: SimTime) -> GdbResult<Timestamp> {
-        let multi_shard = write_shards.len() > 1;
-        let prepare = self.prepare_phase(write_shards, multi_shard)?;
-        let stamp = self.db.commit_stamp(self.cn, &mut self.now)?;
-        self.db.stats.commit_wait_total += stamp.wait_end.since(self.now);
-        let replicate = self.replicate_phase(write_shards, multi_shard, &stamp)?;
+    /// `write_shards` under the open `root` span, recording the phases;
+    /// returns the commit timestamp. The parallel 2PC branches are
+    /// children of the `prepare` / `replication_ack` spans: each starts at
+    /// the phase start and ends at its shard's ack, so together they cover
+    /// the parent exactly (the phase ends when its slowest branch does).
+    /// A phase that fails closes its span and `root` at the failure: the
+    /// clock, or the phase's start if the clock has not reached it.
+    fn write_phases(
+        &mut self,
+        write_shards: &[usize],
+        exec_done: SimTime,
+        root: Option<SpanId>,
+    ) -> GdbResult<Timestamp> {
+        let (multi_shard, label) = (write_shards.len() > 1, self.txn.0);
+        let t = &mut self.db.obs.tracer;
+        let prepare = t.record_child(root, SpanKind::Prepare, label, exec_done, exec_done);
+        let prepared = self.prepare_phase(write_shards, multi_shard, prepare);
+        self.close_phase(root, prepare, self.now, prepared)?;
+        let prepare_done = self.now;
 
-        self.record_phases(
-            exec_done,
-            Some(WritePhases {
-                prepare_done: prepare.prepare_done,
-                wait_end: replicate.wait_end,
-                ack: replicate.ack,
-                prepare_branches: prepare.branches,
-                commit_branches: replicate.branches,
-            }),
-        );
+        let stamp = self.db.commit_stamp(self.cn, &mut self.now);
+        let stamp = self.close_phase(root, None, self.now, stamp)?;
+        let wait_end = stamp.wait_end;
+        self.db.stats.commit_wait_total += wait_end.since(self.now);
+        let t = &mut self.db.obs.tracer;
+        t.record_child(root, SpanKind::CommitWait, label, prepare_done, wait_end);
+        let repl = t.record_child(root, SpanKind::ReplicationAck, label, wait_end, wait_end);
+        let replicated = self.replicate_phase(write_shards, multi_shard, &stamp, repl);
+        self.close_phase(root, repl, self.now.max(wait_end), replicated)?;
+
+        self.db.obs.tracer.end(root, self.now);
+        self.record_phases(exec_done, Some([prepare_done, wait_end, self.now]));
         Ok(stamp.ts)
     }
 
-    /// Record the per-phase latency breakdown (and, when tracing is on,
-    /// the transaction's span tree). The phases tile the transaction:
-    /// begin → snapshot acquire → execute, then for writes prepare →
-    /// commit-wait → replication-ack. The commit-wait phase deliberately
+    /// Close a phase's open `span` at `end` and pass on the phase's
+    /// `result`; a failed phase closes the transaction's `root` there too.
+    fn close_phase<T>(
+        &mut self,
+        root: Option<SpanId>,
+        span: Option<SpanId>,
+        end: SimTime,
+        result: GdbResult<T>,
+    ) -> GdbResult<T> {
+        let t = &mut self.db.obs.tracer;
+        t.end(span, end);
+        if result.is_err() {
+            t.end(root, end);
+        }
+        result
+    }
+
+    /// Record the per-phase latency breakdown of a committed transaction.
+    /// The phases tile the transaction: begin → snapshot acquire →
+    /// execute, then for writes prepare → commit-wait → replication-ack,
+    /// whose ends `write` holds. The commit-wait phase deliberately
     /// includes the commit-timestamp acquisition (a GTM round trip in
     /// centralized mode, the clock-uncertainty wait in GClock mode) —
     /// that sum is exactly the per-commit cost Fig. 6a contrasts.
-    ///
-    /// The parallel 2PC branches become children of the `prepare` /
-    /// `replication_ack` spans: each branch starts at the phase start and
-    /// ends at its shard's ack, so together they cover the parent exactly
-    /// (the phase ends when its slowest branch does).
-    fn record_phases(&mut self, exec_done: SimTime, write: Option<WritePhases>) {
+    fn record_phases(&mut self, exec_done: SimTime, write: Option<[SimTime; 3]>) {
         let tm = self.db.hot.txn;
         let m = &mut self.db.obs.metrics;
         m.record(tm.phase_snapshot_us, self.begin_done.since(self.started_at));
         m.record(tm.phase_execute_us, exec_done.since(self.begin_done));
-        if let Some(w) = &write {
-            m.record(tm.phase_prepare_us, w.prepare_done.since(exec_done));
-            m.record(tm.phase_commit_wait_us, w.wait_end.since(w.prepare_done));
-            m.record(tm.phase_replication_ack_us, w.ack.since(w.wait_end));
-        }
-        let t = &mut self.db.obs.tracer;
-        if t.is_enabled() {
-            let label = self.txn.0;
-            let root = t.record(SpanKind::Txn, label, self.started_at, self.now);
-            t.record_child(
-                root,
-                SpanKind::SnapshotAcquire,
-                label,
-                self.started_at,
-                self.begin_done,
-            );
-            t.record_child(root, SpanKind::Execute, label, self.begin_done, exec_done);
-            if let Some(w) = &write {
-                let prepare =
-                    t.record_child(root, SpanKind::Prepare, label, exec_done, w.prepare_done);
-                for b in &w.prepare_branches {
-                    t.record_child(
-                        prepare,
-                        SpanKind::TwoPcBranch,
-                        b.shard as u64,
-                        exec_done,
-                        b.acked,
-                    );
-                }
-                t.record_child(
-                    root,
-                    SpanKind::CommitWait,
-                    label,
-                    w.prepare_done,
-                    w.wait_end,
-                );
-                let repl = t.record_child(root, SpanKind::ReplicationAck, label, w.wait_end, w.ack);
-                for b in &w.commit_branches {
-                    t.record_child(
-                        repl,
-                        SpanKind::TwoPcBranch,
-                        b.shard as u64,
-                        w.wait_end,
-                        b.acked,
-                    );
-                }
-            }
+        if let Some([prepare_done, wait_end, ack]) = write {
+            m.record(tm.phase_prepare_us, prepare_done.since(exec_done));
+            m.record(tm.phase_commit_wait_us, wait_end.since(prepare_done));
+            m.record(tm.phase_replication_ack_us, ack.since(wait_end));
         }
     }
 }

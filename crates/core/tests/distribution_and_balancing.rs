@@ -128,9 +128,8 @@ fn busy_replica_is_swapped_out_by_the_skyline() {
     let o2 = read(&mut c, t(320));
     // The read is still served (availability), with the overloaded node's
     // load visible in the selection.
-    let svc_now = c.now();
-    let mut svc = c.ror_service();
-    let sky = svc.skyline(1, shard, o2.snapshot, svc_now);
+    let now = c.now();
+    let sky = c.db.shard_candidates(1, shard, o2.snapshot, now);
     assert!(!sky.is_empty());
     let picked = sky.select(None).unwrap();
     // The picked node is not the overloaded one.

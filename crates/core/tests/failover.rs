@@ -74,7 +74,7 @@ fn reads_survive_primary_failure_writes_fail_until_promotion() {
     .unwrap();
     c.run_until(t(500));
 
-    c.fail_primary(s.shard);
+    c.db.crash_primary(s.shard);
 
     // Read-only queries keep working via ROR.
     let sel = c.prepare("SELECT v FROM kv WHERE k = ?").unwrap();
@@ -97,7 +97,7 @@ fn reads_survive_primary_failure_writes_fail_until_promotion() {
     assert!(res.is_err(), "writes must fail while the primary is down");
 
     // Promote a replica: writes recover, committed state intact.
-    c.promote_replica(s.shard, 0).unwrap();
+    c.db.promote_replica_at(s.shard, 0, c.now()).unwrap();
     let (_, o) = c
         .execute_sql(
             s.cn,
@@ -137,8 +137,8 @@ fn sync_quorum_promotion_loses_nothing() {
         .unwrap();
     assert!(o.commit_ts.is_some());
     c.run_until(o.completed_at);
-    c.fail_primary(s.shard);
-    c.promote_replica(s.shard, 0).unwrap();
+    c.db.crash_primary(s.shard);
+    c.db.promote_replica_at(s.shard, 0, c.now()).unwrap();
 
     // The acknowledged commit survives on the promoted primary: it was
     // quorum-durable. (A replica read at the RCP may predate it.)
@@ -170,8 +170,8 @@ fn async_promotion_may_lose_the_unreplicated_tail() {
         )
         .unwrap();
     assert!(o.commit_ts.is_some(), "async commit acknowledged");
-    c.fail_primary(s.shard);
-    c.promote_replica(s.shard, 0).unwrap();
+    c.db.crash_primary(s.shard);
+    c.db.promote_replica_at(s.shard, 0, c.now()).unwrap();
 
     // The tail never shipped: the acknowledged value is gone (the paper's
     // async durability trade-off), and the row is back at its loaded state.
@@ -195,8 +195,8 @@ fn cluster_keeps_running_after_promotion() {
     let mut s = setup(ClusterConfig::globaldb_one_region());
     let c = &mut s.cluster;
     c.run_until(t(100));
-    c.fail_primary(s.shard);
-    c.promote_replica(s.shard, 1).unwrap();
+    c.db.crash_primary(s.shard);
+    c.db.promote_replica_at(s.shard, 1, c.now()).unwrap();
 
     // Sustained writes across ALL shards after the promotion.
     let upd = c.prepare("UPDATE kv SET v = v + 1 WHERE k = ?").unwrap();
@@ -235,12 +235,13 @@ fn failed_primary_rejoins_as_replica_and_catches_up() {
     let c = &mut s.cluster;
     c.run_until(t(100));
     let old_primary = c.db.shards()[s.shard].primary;
-    c.fail_primary(s.shard);
-    c.promote_replica(s.shard, 0).unwrap();
+    c.db.crash_primary(s.shard);
+    c.db.promote_replica_at(s.shard, 0, c.now()).unwrap();
     let replicas_before = c.db.shards()[s.shard].replicas.len();
 
     // The recovered node rejoins in the replica role.
-    c.rejoin_as_replica(s.shard, old_primary).unwrap();
+    c.db.rejoin_as_replica_at(s.shard, old_primary, c.now())
+        .unwrap();
     assert_eq!(c.db.shards()[s.shard].replicas.len(), replicas_before + 1);
 
     // New writes flow to it through the fresh redo stream.
@@ -297,7 +298,7 @@ fn a_node_already_hosting_the_shard_cannot_rejoin_it() {
     let c = &mut s.cluster;
     c.run_until(t(100));
     let primary = c.db.shards()[s.shard].primary;
-    c.fail_primary(s.shard);
+    c.db.crash_primary(s.shard);
     c.run_until(t(200));
     let replicas = |c: &Cluster| -> Vec<u32> {
         c.db.shards()[s.shard]
@@ -311,14 +312,17 @@ fn a_node_already_hosting_the_shard_cannot_rejoin_it() {
     // Nobody was promoted: the crashed node still *is* the primary, and
     // as its own replica it would ship to — and serve replica reads as —
     // itself. The refusal changes nothing, including the node's health.
-    let err = c.rejoin_as_replica(s.shard, primary).unwrap_err();
+    let now = c.now();
+    let err =
+        c.db.rejoin_as_replica_at(s.shard, primary, now)
+            .unwrap_err();
     assert!(err.to_string().contains("already hosts shard 0"), "{err}");
     assert_eq!(replicas(c), before);
     assert_eq!(c.db.shards()[s.shard].primary, primary);
     assert!(c.db.topo().is_node_down(primary));
     // Same for a node that already is a replica of the shard.
     let replica = c.db.shards()[s.shard].replicas[0].node;
-    assert!(c.rejoin_as_replica(s.shard, replica).is_err());
+    assert!(c.db.rejoin_as_replica_at(s.shard, replica, now).is_err());
     assert_eq!(replicas(c), before);
 
     // The way back for an unreplaced primary is a restart.

@@ -18,8 +18,10 @@
 //!   frames ([`wire`]) over real sockets, Nagle disabled; a scatter's
 //!   legs are in flight at once, one write per silo each way.
 //!
-//! The split follows the silo / message-router / membership layout of
-//! actor-style cluster runtimes:
+//! The split follows the silo / membership layout of actor-style
+//! cluster runtimes. A silo hosts every node of one host; it sleeps a
+//! frame's injected delay, tallies it and acks it. The transaction,
+//! replication and consistency state stays in the driver's `GlobalDb`:
 //!
 //! ```text
 //!              Cluster (driver thread, virtual time)
@@ -30,8 +32,7 @@
 //!                 ▼                              │ measured delay
 //!   ┌─────────┐  ┌─────────┐  ┌─────────┐       │
 //!   │ silo 0  │  │ silo 1  │  │ silo 2  │  (thread per host:
-//!   │ router  │  │ router  │  │ router  │   GTM / CN / DN roles)
-//!   └─────────┘  └─────────┘  └─────────┘
+//!   └─────────┘  └─────────┘  └─────────┘   tally + ack)
 //! ```
 //!
 //! Virtual time still orders the run — the driver charges each message
@@ -45,7 +46,6 @@
 pub mod fault;
 pub mod harness;
 pub mod membership;
-pub mod router;
 pub mod silo;
 pub mod transport;
 pub mod wire;
@@ -53,6 +53,5 @@ pub mod wire;
 pub use fault::FaultController;
 pub use harness::{Backend, RealCluster, RealnetReport, SiloReport};
 pub use membership::{SiloSpec, StaticMembership};
-pub use router::MessageRouter;
 pub use silo::{SiloState, SiloStats, NKINDS};
 pub use transport::{TcpTransport, ThreadTransport};

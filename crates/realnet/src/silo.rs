@@ -1,5 +1,5 @@
 //! The per-silo event loop: decode a frame, apply injected delay,
-//! route, ack.
+//! tally, ack.
 //!
 //! One [`SiloState`] per silo, shared (`Arc<Mutex>`) between the loop
 //! threads that serve it and the harness that reads its tallies at
@@ -7,9 +7,8 @@
 //! loop and each TCP connection handler both feed [`handle_frame`].
 
 use crate::membership::SiloSpec;
-use crate::router::MessageRouter;
-use crate::wire::{self, Frame};
-use gdb_simclock::{TimeSource, WallClock};
+use crate::wire::{self, Ack, Frame};
+use gdb_simclock::WallClock;
 use gdb_simnet::SimTime;
 use globaldb::ALL_RPC_KINDS;
 use std::sync::{Arc, Mutex};
@@ -49,7 +48,6 @@ impl Default for SiloStats {
 #[derive(Debug)]
 pub struct SiloState {
     pub spec: SiloSpec,
-    pub router: MessageRouter,
     pub stats: SiloStats,
     clock: WallClock,
 }
@@ -61,13 +59,8 @@ impl SiloState {
     /// Build a silo hosting every node of `spec`, stamping received
     /// frames with `clock` (all silos of a cluster share one origin).
     pub fn new(spec: SiloSpec, clock: WallClock) -> SharedSilo {
-        let mut router = MessageRouter::default();
-        for &(node, kind) in &spec.nodes {
-            router.host(node, kind);
-        }
         Arc::new(Mutex::new(SiloState {
             spec,
-            router,
             stats: SiloStats::default(),
             clock,
         }))
@@ -75,7 +68,8 @@ impl SiloState {
 }
 
 /// Handle one request-direction frame body: decode, physically sleep any
-/// fault-injected delay, route, and return the encoded ack. `None`
+/// fault-injected delay, tally, and return the encoded ack: `ok` iff the
+/// destination is one of this silo's nodes, `value` the echoed `seq`. `None`
 /// means the shutdown sentinel (or an undecodable frame) — the serving
 /// loop should exit (resp. drop the connection).
 pub fn handle_frame(silo: &SharedSilo, body: &[u8]) -> Option<Vec<u8>> {
@@ -109,7 +103,11 @@ pub fn handle_frame_into(
     s.stats.bytes += req.declared;
     s.stats.per_kind[req.kind.index()] += 1;
     s.stats.last_recv = s.clock.now();
-    let ack = s.router.route(&req);
+    let ack = Ack {
+        seq: req.seq,
+        ok: s.spec.nodes.iter().any(|&(node, _)| node == req.to),
+        value: req.seq,
+    };
     wire::append_ack(&ack, acks);
     true
 }
@@ -165,12 +163,29 @@ mod tests {
         let ack = decode_ack(&body_of(&ack_bytes)).unwrap();
         assert!(ack.ok);
         assert_eq!(ack.seq, 5);
-        assert_eq!(ack.value, 1, "first GTM tick");
+        assert_eq!(ack.value, 5, "the ack echoes the sequence number");
         let s = silo.lock().unwrap();
         assert_eq!(s.stats.msgs, 1);
         assert_eq!(s.stats.bytes, 128);
         assert_eq!(s.stats.per_kind[RpcKind::GtmBeginTs.index()], 1);
         assert!(s.stats.last_recv > SimTime::ZERO);
+    }
+
+    #[test]
+    fn misrouted_frames_are_rejected() {
+        let silo = test_silo();
+        let req = Request {
+            kind: RpcKind::DnRead,
+            from: NetNodeId(9),
+            to: NetNodeId(9),
+            seq: 3,
+            declared: 0,
+            delay_ns: 0,
+        };
+        let ack_bytes = handle_frame(&silo, &body_of(&encode_request(&req))).unwrap();
+        let ack = decode_ack(&body_of(&ack_bytes)).unwrap();
+        assert!(!ack.ok, "unhosted destination must be rejected");
+        assert_eq!(ack.seq, 3);
     }
 
     #[test]

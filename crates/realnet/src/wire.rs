@@ -10,8 +10,8 @@
 //!   cost model accounts), the fault-injected extra delay the receiving
 //!   silo must physically sleep, and a capped filler payload so big
 //!   logical messages do not actually ship megabytes over loopback;
-//! * ack — sequence echo, status, and the role handler's reply value
-//!   (a GTM timestamp, a DN applied-bytes cursor).
+//! * ack — sequence echo, status (whether the silo hosts the
+//!   destination), and a reply value.
 
 use gdb_simnet::NetNodeId;
 use globaldb::RpcKind;
@@ -51,8 +51,8 @@ pub struct Request {
 pub struct Ack {
     pub seq: u64,
     pub ok: bool,
-    /// Role handler's reply (GTM counter value, DN applied-bytes cursor,
-    /// or a seq echo for plain reads).
+    /// Reply value; silos echo `seq`, since the transaction state they
+    /// would answer from lives in the driver.
     pub value: u64,
 }
 

@@ -261,7 +261,7 @@ impl RebalanceController {
         // landed (charge hysteresis so it doesn't bounce right back) or
         // aborted (clear its penalty — the aborted move must not
         // suppress a re-proposal).
-        let migrating: BTreeSet<usize> = db.migrating_shards().into_iter().collect();
+        let migrating: BTreeSet<usize> = db.migrations().iter().map(|m| m.shard).collect();
         let finished: Vec<usize> = self
             .in_flight
             .keys()
@@ -357,7 +357,7 @@ pub fn drain_host(
         max_batch: view.shards.len().max(1) * 3,
         ..CostPolicy::default()
     };
-    let busy: BTreeSet<usize> = db.migrating_shards().into_iter().collect();
+    let busy: BTreeSet<usize> = db.migrations().iter().map(|m| m.shard).collect();
     let slot = HostSlot { region, host };
     let proposals: Vec<CostProposal> = model
         .propose_batch(&view, &policy, &Hysteresis::new(), &busy)

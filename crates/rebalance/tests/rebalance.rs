@@ -97,7 +97,7 @@ fn skewed_load_triggers_migration_and_improves_spread() {
         "accepted moves strictly reduce cost"
     );
     assert_ne!(proposal.to.host, source_host, "must leave the hot host");
-    assert!(c.migration_in_flight().is_some());
+    assert!(!c.db.migrations().is_empty());
     // A second tick while the plan is in flight must not start another.
     assert!(controller.tick(&mut c).is_empty());
 
@@ -136,7 +136,7 @@ fn skewed_load_triggers_migration_and_improves_spread() {
         Some(0),
         "migration must complete"
     );
-    assert!(c.migration_in_flight().is_none());
+    assert!(c.db.migrations().is_empty());
     assert_eq!(c.db.routing_epoch(), 1);
     assert_eq!(c.db.shards()[0].owner_epoch, 1);
     assert_eq!(
@@ -182,7 +182,7 @@ fn target_crash_mid_migration_aborts_and_leaves_source_owner() {
     let source_host = c.db.topo().node_host(source);
     let to_host = (source_host + 1) % 3;
     c.start_migration(0, RegionId(0), to_host).unwrap();
-    let target = c.db.migration().unwrap().target.node;
+    let target = c.db.migrations()[0].target.node;
 
     // Write the shard every millisecond until the snapshot lands, so the
     // target has sealed redo to catch up on, then kill the target
@@ -198,11 +198,11 @@ fn target_crash_mid_migration_aborts_and_leaves_source_owner() {
                 .map(|_| ())
         })
         .unwrap();
-        if c.db.migration().map(|m| m.phase) != Some(MigrationPhase::Snapshot) {
+        if c.db.migrations().first().map(|m| m.phase) != Some(MigrationPhase::Snapshot) {
             break;
         }
     }
-    assert!(c.migration_in_flight().is_some(), "must still be migrating");
+    assert!(!c.db.migrations().is_empty(), "must still be migrating");
     c.db.topo_mut().set_node_down(target, true);
     c.run_until(at + gdb_simnet::SimDuration::from_secs(1));
 
@@ -215,7 +215,7 @@ fn target_crash_mid_migration_aborts_and_leaves_source_owner() {
         reason.contains("target"),
         "abort reason names the target: {reason}"
     );
-    assert!(c.migration_in_flight().is_none());
+    assert!(c.db.migrations().is_empty());
     // Ownership and routing are exactly as before the migration.
     assert_eq!(c.db.shards()[0].primary, source);
     assert_eq!(c.db.shards()[0].owner_epoch, 0);

@@ -15,6 +15,9 @@ use gdb_compress::{Codec, MatchTable};
 use gdb_wal::{EncodeScratch, LogBatch, Lsn, RedoBuffer};
 use std::ops::Range;
 
+/// Max records per drained batch.
+pub const MAX_BATCH_RECORDS: usize = 4096;
+
 /// Statistics for one channel.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ChannelStats {
@@ -61,8 +64,6 @@ pub struct ShippingChannel {
     /// Next LSN to ship.
     next_lsn: Lsn,
     codec: Codec,
-    /// Max records per drained batch.
-    max_batch_records: usize,
     scratch: EncodeScratch,
     raw_buf: Vec<u8>,
     wire_buf: Vec<u8>,
@@ -75,18 +76,12 @@ impl ShippingChannel {
         ShippingChannel {
             next_lsn: Lsn(0),
             codec,
-            max_batch_records: 4096,
             scratch: EncodeScratch::default(),
             raw_buf: Vec::new(),
             wire_buf: Vec::new(),
             match_table: MatchTable::default(),
             stats: ChannelStats::default(),
         }
-    }
-
-    pub fn with_max_batch(mut self, records: usize) -> Self {
-        self.max_batch_records = records.max(1);
-        self
     }
 
     pub fn next_lsn(&self) -> Lsn {
@@ -119,7 +114,7 @@ impl ShippingChannel {
         segment: &[u8],
         window: &mut SealedWindow,
     ) -> Option<WireBatch> {
-        let batch = buffer.batch_from(self.next_lsn, self.max_batch_records);
+        let batch = buffer.batch_from(self.next_lsn, MAX_BATCH_RECORDS);
         if batch.is_empty() {
             return None;
         }
@@ -211,16 +206,17 @@ mod tests {
 
     #[test]
     fn drains_in_order_without_gaps() {
-        let buf = filled_buffer(10);
-        let mut ch = ShippingChannel::new(Codec::None).with_max_batch(7);
+        const MAX: usize = MAX_BATCH_RECORDS;
+        let buf = filled_buffer(MAX as u64 + 3);
+        let mut ch = ShippingChannel::new(Codec::None);
         let b1 = ch.drain(&buf).unwrap();
         assert_eq!(b1.batch.first_lsn, Lsn(0));
-        assert_eq!(b1.batch.len(), 7);
+        assert_eq!(b1.batch.len(), MAX);
         let b2 = ch.drain(&buf).unwrap();
-        assert_eq!(b2.batch.first_lsn, Lsn(7));
-        assert_eq!(b2.batch.len(), 7, "capped at max batch");
+        assert_eq!(b2.batch.first_lsn, Lsn(MAX as u64));
+        assert_eq!(b2.batch.len(), MAX, "capped at max batch");
         let b3 = ch.drain(&buf).unwrap();
-        assert_eq!(b3.batch.first_lsn, Lsn(14));
+        assert_eq!(b3.batch.first_lsn, Lsn(2 * MAX as u64));
         assert_eq!(b3.batch.len(), 6, "remainder");
         assert!(ch.drain(&buf).is_none(), "caught up");
         assert_eq!(ch.backlog(&buf), 0);

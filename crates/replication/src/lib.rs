@@ -11,10 +11,10 @@
 //!   pending records, optionally LZ4-compresses them (paper §V-A), and
 //!   reports wire sizes for the network cost model.
 //! * [`ReplicaApplier`] — the replica-side applier: buffers each
-//!   transaction's writes until its COMMIT/ABORT record replays, honours
-//!   `PENDING_COMMIT` tuple locks (readers of a locked tuple block until
-//!   the outcome replays — the paper's §IV-A safeguard against
-//!   out-of-timestamp-order commit records), handles 2PC prepared
+//!   transaction's writes until its COMMIT/ABORT record replays, keeps
+//!   `PENDING_COMMIT` tuple locks (a reader of a locked tuple must not
+//!   read it here until the outcome replays — the paper's §IV-A safeguard
+//!   against out-of-timestamp-order commit records), handles 2PC prepared
 //!   transactions, applies DDL, and tracks the max applied commit
 //!   timestamp that feeds the RCP calculation.
 //! * [`ReplayCostModel`] — parallel-replay timing (the paper replays redo
@@ -26,7 +26,7 @@ pub mod mode;
 pub mod replay;
 pub mod replica;
 
-pub use channel::{SealedWindow, ShippingChannel};
+pub use channel::{SealedWindow, ShippingChannel, MAX_BATCH_RECORDS};
 pub use mode::{quorum_wait, ReplicationMode};
 pub use replay::ReplayCostModel;
-pub use replica::{ReplicaApplier, ReplicaReadResult};
+pub use replica::ReplicaApplier;

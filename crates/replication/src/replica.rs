@@ -16,17 +16,6 @@ use gdb_model::{
 use gdb_simnet::SimTime;
 use gdb_storage::DataNodeStorage;
 use gdb_wal::{Lsn, RedoPayload, RedoRecord};
-use std::collections::HashSet;
-
-/// Result of a replica point read.
-#[derive(Debug, Clone, PartialEq)]
-pub enum ReplicaReadResult {
-    /// The visible row (or none) at the snapshot.
-    Row(Option<(Row, Timestamp)>),
-    /// The tuple is locked by an in-progress (pending/prepared)
-    /// transaction; the reader must wait for more replay.
-    Blocked { by: TxnId },
-}
 
 /// A buffered write: (table, key, new row or tombstone).
 type Write = (TableId, RowKey, Option<Row>);
@@ -281,22 +270,6 @@ impl ReplicaApplier {
         self.max_commit_ts = self.max_commit_ts.max(ts);
     }
 
-    /// Point read honouring PENDING_COMMIT locks.
-    pub fn read(
-        &mut self,
-        table: TableId,
-        key: &[Datum],
-        snapshot: Timestamp,
-    ) -> GdbResult<ReplicaReadResult> {
-        if let Some(&by) = self.locked.get(table, key) {
-            return Ok(ReplicaReadResult::Blocked { by });
-        }
-        let vis = self.storage.read(table, key, snapshot)?;
-        Ok(ReplicaReadResult::Row(
-            vis.map(|v| (v.row.clone(), v.commit_ts)),
-        ))
-    }
-
     /// True if any in-progress transaction holds a lock on this table
     /// within `[lo, hi]` — range scans block conservatively. The bounds
     /// are read as the range read reads them ([`RowKey::in_range`]), so a
@@ -308,11 +281,6 @@ impl ReplicaApplier {
         hi: Option<&[Datum]>,
     ) -> bool {
         self.locked.in_table(table).any(|(k, _)| k.in_range(lo, hi))
-    }
-
-    /// Keys currently locked (testing / diagnostics).
-    pub fn locked_keys(&self) -> HashSet<(TableId, RowKey)> {
-        self.locked.iter().map(|(t, k, _)| (t, k.clone())).collect()
     }
 
     /// True if an in-progress transaction holds this exact tuple.
@@ -358,6 +326,18 @@ mod tests {
         RowKey::single(id)
     }
 
+    /// The row and commit timestamp visible at `snapshot` in the
+    /// replica's storage: what a reader gets once `is_key_locked` has
+    /// let it through.
+    fn visible(
+        a: &mut ReplicaApplier,
+        key: &RowKey,
+        snapshot: Timestamp,
+    ) -> Option<(Row, Timestamp)> {
+        let vis = a.storage.read(TableId(0), key, snapshot).unwrap();
+        vis.map(|v| (v.row.clone(), v.commit_ts))
+    }
+
     /// Writes are invisible until the commit record replays.
     #[test]
     fn writes_buffer_until_commit() {
@@ -377,10 +357,7 @@ mod tests {
         a.apply_batch(&batch.records, SimTime::ZERO).unwrap();
 
         // Blocked: the tuple is locked by the in-progress transaction.
-        assert_eq!(
-            a.read(TableId(0), &k(1), Timestamp(100)).unwrap(),
-            ReplicaReadResult::Blocked { by: txn }
-        );
+        assert!(a.is_key_locked(TableId(0), &k(1)));
         assert_eq!(a.max_commit_ts(), Timestamp::ZERO);
 
         buf.append(
@@ -393,18 +370,13 @@ mod tests {
         a.apply_batch(&batch2.records, SimTime::from_millis(5))
             .unwrap();
         assert_eq!(a.max_commit_ts(), Timestamp(50));
-        match a.read(TableId(0), &k(1), Timestamp(50)).unwrap() {
-            ReplicaReadResult::Row(Some((r, ts))) => {
-                assert_eq!(r, row(1, "x"));
-                assert_eq!(ts, Timestamp(50));
-            }
-            other => panic!("{other:?}"),
-        }
-        // Below the commit ts the row is invisible but not blocked.
+        assert!(!a.is_key_locked(TableId(0), &k(1)));
         assert_eq!(
-            a.read(TableId(0), &k(1), Timestamp(49)).unwrap(),
-            ReplicaReadResult::Row(None)
+            visible(&mut a, &k(1), Timestamp(50)),
+            Some((row(1, "x"), Timestamp(50)))
         );
+        // Below the commit ts the row is invisible but not blocked.
+        assert_eq!(visible(&mut a, &k(1), Timestamp(49)), None);
     }
 
     /// A follower resumed from a snapshot that already holds txn 1's
@@ -443,11 +415,9 @@ mod tests {
         a.apply_batch(&batch.records, SimTime::ZERO).unwrap();
         assert_eq!(a.max_commit_ts(), Timestamp(50));
         for (key, ts) in [(k(1), 50), (k(2), 40)] {
-            let read = a.read(TableId(0), &key, Timestamp(60)).unwrap();
-            assert!(
-                matches!(read, ReplicaReadResult::Row(Some((_, t))) if t == Timestamp(ts)),
-                "{read:?}"
-            );
+            assert!(!a.is_key_locked(TableId(0), &key));
+            let read = visible(&mut a, &key, Timestamp(60));
+            assert_eq!(read.map(|(_, t)| t), Some(Timestamp(ts)));
         }
         assert_eq!(a.storage.total_keys(), 2);
     }
@@ -467,11 +437,11 @@ mod tests {
         buf.append(TxnId(1), RedoPayload::Abort);
         a.apply_batch(&buf.batch_from(Lsn(0), 10).records, SimTime::ZERO)
             .unwrap();
-        assert_eq!(
-            a.read(TableId(0), &k(1), Timestamp(100)).unwrap(),
-            ReplicaReadResult::Row(None)
+        assert!(
+            !a.is_range_blocked(TableId(0), None, None),
+            "no key stays locked"
         );
-        assert!(a.locked_keys().is_empty());
+        assert_eq!(visible(&mut a, &k(1), Timestamp(100)), None);
         assert_eq!(a.pending_txns(), 0);
     }
 
@@ -492,10 +462,7 @@ mod tests {
         buf.append(txn, RedoPayload::Prepare);
         a.apply_batch(&buf.batch_from(Lsn(0), 10).records, SimTime::ZERO)
             .unwrap();
-        assert!(matches!(
-            a.read(TableId(0), &k(2), Timestamp(100)).unwrap(),
-            ReplicaReadResult::Blocked { .. }
-        ));
+        assert!(a.is_key_locked(TableId(0), &k(2)));
         buf.append(
             txn,
             RedoPayload::CommitPrepared {
@@ -504,10 +471,8 @@ mod tests {
         );
         a.apply_batch(&buf.batch_from(a.applied_lsn(), 10).records, SimTime::ZERO)
             .unwrap();
-        assert!(matches!(
-            a.read(TableId(0), &k(2), Timestamp(30)).unwrap(),
-            ReplicaReadResult::Row(Some(_))
-        ));
+        assert!(!a.is_key_locked(TableId(0), &k(2)));
+        assert!(visible(&mut a, &k(2), Timestamp(30)).is_some());
         assert_eq!(a.max_commit_ts(), Timestamp(30));
     }
 
@@ -548,10 +513,7 @@ mod tests {
             .unwrap();
         assert_eq!(a.max_commit_ts(), Timestamp(10));
         // Reading T1's key at snapshot 10: blocked, NOT silently missing.
-        assert!(matches!(
-            a.read(TableId(0), &k(1), Timestamp(10)).unwrap(),
-            ReplicaReadResult::Blocked { .. }
-        ));
+        assert!(a.is_key_locked(TableId(0), &k(1)));
         // T1's commit arrives; now visible with ts 9 <= 10.
         buf.append(
             t1,
@@ -561,10 +523,9 @@ mod tests {
         );
         a.apply_batch(&buf.batch_from(a.applied_lsn(), 10).records, SimTime::ZERO)
             .unwrap();
-        assert!(matches!(
-            a.read(TableId(0), &k(1), Timestamp(10)).unwrap(),
-            ReplicaReadResult::Row(Some(_))
-        ));
+        assert!(!a.is_key_locked(TableId(0), &k(1)));
+        let read = visible(&mut a, &k(1), Timestamp(10));
+        assert_eq!(read.map(|(_, t)| t), Some(Timestamp(9)));
     }
 
     #[test]

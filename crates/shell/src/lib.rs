@@ -15,11 +15,14 @@
 //! transcript — the golden test in `tests/golden.rs` pins that.
 //!
 //! Commands: `status`, `nodes`, `shards`, `lag`, `sql <stmt>`,
-//! `use cn <n>`, `run <dur>`, `migrate <shard> <region> <host>`,
-//! `drain <region> <host>`, `join <region> <host>`, `heal`,
-//! `fault <kind> [k=v ...]`, `plan run <name>`, `metrics [prefix]`,
+//! `use cn <n>`, `run <dur>`, `heal`, `fault <kind> [k=v ...]`,
+//! `plan run <name>`, `metrics [prefix]`,
 //! `trace on [cap]` / `trace export <path>`, `bench tpcc [--json <path>]`,
-//! `scenario run|check <file>`, `help`.
+//! `scenario run|check <file>`, `help`. Operator actions are fault kinds,
+//! parsed and applied as in scenario files and chaos plans: `fault
+//! start-migration shard= to-region= to-host=` moves a shard online,
+//! `fault remove-node region= host=` drains a host (elastic scale-in) and
+//! `fault add-node region= host=` provisions a spare data node.
 
 use gdb_chaos::fault::ChaosState;
 use gdb_chaos::plan::canned;
@@ -123,9 +126,6 @@ impl Shell {
             "sql" => self.sql(rest),
             "use" => self.use_cn(rest),
             "run" => self.advance(rest),
-            "migrate" => self.migrate(rest),
-            "drain" => self.drain(rest),
-            "join" => self.join(rest),
             "heal" => self.heal(),
             "fault" => self.fault(rest),
             "plan" => self.plan(rest),
@@ -183,7 +183,7 @@ impl Shell {
             c.db.topo().node_count(),
             c.db.stats().committed,
             c.db.stats().aborted,
-            c.db.migrating_shards().len(),
+            c.db.migrations().len(),
         )
     }
 
@@ -221,7 +221,7 @@ impl Shell {
         let db = &self.real.cluster.db;
         let topo = db.topo();
         let mut out = Vec::new();
-        let migrating = db.migrating_shards();
+        let migrating = db.migrations();
         let render = |s: usize, shard: &globaldb::Shard| -> String {
             let reps: Vec<String> = shard
                 .replicas
@@ -235,7 +235,7 @@ impl Shell {
                 topo.node_host(shard.primary),
                 shard.owner_epoch,
                 reps.join(", "),
-                if migrating.contains(&s) {
+                if migrating.iter().any(|m| m.shard == s) {
                     " MIGRATING"
                 } else {
                     ""
@@ -379,64 +379,6 @@ impl Shell {
         let to = c.now() + d;
         c.run_until(to);
         format!("advanced to t={}", fmt_time(c.now()))
-    }
-
-    fn migrate(&mut self, rest: &str) -> String {
-        let args: Vec<&str> = rest.split_whitespace().collect();
-        let parsed = match args.as_slice() {
-            [s, r, h] => match (s.parse(), r.parse(), h.parse()) {
-                (Ok(s), Ok(r), Ok(h)) => Some((s, r, h)),
-                _ => None,
-            },
-            _ => None,
-        };
-        let Some((shard, region, host)) = parsed else {
-            return self.fail("usage: migrate <shard> <region> <host>".into());
-        };
-        let _: u16 = host;
-        match self
-            .real
-            .cluster
-            .start_migration(shard, RegionId(region), host)
-        {
-            Ok(()) => format!("migration of s{shard} to r{}h{host} started", region),
-            Err(e) => self.fail(format!("migrate: {e:?}")),
-        }
-    }
-
-    fn drain(&mut self, rest: &str) -> String {
-        let args: Vec<&str> = rest.split_whitespace().collect();
-        let parsed = match args.as_slice() {
-            [r, h] => match (r.parse(), h.parse()) {
-                (Ok(r), Ok(h)) => Some((r, h)),
-                _ => None,
-            },
-            _ => None,
-        };
-        let Some((region, host)) = parsed else {
-            return self.fail("usage: drain <region> <host>".into());
-        };
-        let c = &mut self.real.cluster;
-        let Cluster { db, sim, .. } = c;
-        match gdb_rebalance::drain_host(db, sim, RegionId(region), host) {
-            Ok(n) => format!("draining r{region}h{host}: {n} moves started"),
-            Err(e) => self.fail(format!("drain: {e:?}")),
-        }
-    }
-
-    fn join(&mut self, rest: &str) -> String {
-        let args: Vec<&str> = rest.split_whitespace().collect();
-        let parsed = match args.as_slice() {
-            [r, h] => match (r.parse::<usize>(), h.parse::<u16>()) {
-                (Ok(r), Ok(h)) => Some((r, h)),
-                _ => None,
-            },
-            _ => None,
-        };
-        let Some((region, host)) = parsed else {
-            return self.fail("usage: join <region> <host>".into());
-        };
-        self.apply_fault(gdb_chaos::Fault::AddNode { region, host })
     }
 
     fn heal(&mut self) -> String {
@@ -687,10 +629,11 @@ commands:
                                   snapshot, commit ts, latency)
   use cn <n>                      route statements through CN n
   run <dur>                       advance virtual time (e.g. run 500ms)
-  migrate <shard> <region> <host> start an online shard migration
-  drain <region> <host>           drain a host (elastic scale-in)
-  join <region> <host>            provision a spare data node (scale-out)
-  fault <kind> [k=v ...]          inject one fault (kinds: see DESIGN.md)
+  fault <kind> [k=v ...]          inject one fault or operator action (kinds:
+                                  see DESIGN.md), e.g. start-migration
+                                  shard= to-region= to-host= (online move),
+                                  remove-node region= host= (drain a host),
+                                  add-node region= host= (spare data node)
   heal                            restore every outstanding fault
   plan run <name>                 run a canned fault plan from now
   metrics [prefix]                dump the metrics registry

@@ -28,7 +28,7 @@ sql SELECT v FROM kv WHERE k = 1
 metrics replication.ship
 use cn 1
 sql UPDATE kv SET v = 21 WHERE k = 2
-migrate 0 1 1
+fault start-migration shard=0 to-region=1 to-host=1
 shards
 run 2s
 shards
@@ -157,16 +157,18 @@ fn out_of_range_fault_targets_are_skipped() {
     assert!(shell.exec("status").contains("cn"));
 }
 
-/// `migrate` to a region the cluster does not have is an error line; it
-/// used to panic in `Topology::add_node`.
+/// A migration to a region the cluster does not have is refused with a
+/// skip line naming the region; it used to panic in `Topology::add_node`.
 #[test]
 fn migrate_to_an_unknown_region_is_an_error() {
     let mut shell = Shell::launch(7, Backend::Sim);
-    let out = shell.exec("migrate 0 9 1");
-    assert!(out.starts_with("error: migrate:"), "{out}");
-    assert!(out.contains("no region 9"), "{out}");
+    let out = shell.exec("fault start-migration shard=0 to-region=9 to-host=1");
+    assert_eq!(out, "skip start-migration shard=0: no region 9");
     // Nothing was started: the same shard can still move.
-    assert!(shell.exec("migrate 0 0 1").contains("started"));
+    assert!(shell.exec("status").contains("migrations in flight: 0"));
+    assert!(shell
+        .exec("fault start-migration shard=0 to-region=0 to-host=1")
+        .starts_with("fault start-migration shard=0"));
 }
 
 #[test]

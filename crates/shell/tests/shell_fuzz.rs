@@ -47,14 +47,27 @@ const VERBS: &[(&str, &[&str])] = &[
     ),
     ("use", &["cn", "cn 0", "cn 1", "cn 5", "cn 6"]),
     ("run", &["0ms", "1ms", "10ms", "50ms", "49999us", "1", "0"]),
-    (
-        "migrate",
-        &["0 1 1", "0 2 0", "5 0 0", "0 9 0", "0 1 65535"],
-    ),
-    ("drain", &["0 0", "1 1", "2 0", "9 9"]),
-    ("join", &["0 0", "1 7", "2 3", "9 0"]),
     ("heal", &[]),
     ("fault", &[]),
+    // The operator actions' shapes, beside the kinds `fault_args` draws.
+    (
+        "fault",
+        &[
+            "start-migration shard=0 to-region=1 to-host=1",
+            "start-migration shard=0 to-region=2 to-host=0",
+            "start-migration shard=5 to-region=0 to-host=0",
+            "start-migration shard=0 to-region=9 to-host=0",
+            "start-migration shard=0 to-region=1 to-host=65535",
+            "remove-node region=0 host=0",
+            "remove-node region=1 host=1",
+            "remove-node region=2 host=0",
+            "remove-node region=9 host=9",
+            "add-node region=0 host=0",
+            "add-node region=1 host=7",
+            "add-node region=2 host=3",
+            "add-node region=9 host=0",
+        ],
+    ),
     ("plan", &["run", "run nope", "list"]),
     ("metrics", &["", "replication", "txnmgr.", "zzz"]),
     (
@@ -158,8 +171,9 @@ fn line(dir: &str, (verb, arg, extra, kind, values, edits, file): &Recipe) -> St
     if name == "trace" || name == "bench" {
         return format!("{name} {arg}");
     }
+    let generated = name == "fault" && arg.is_empty();
     let mut words = vec![name.to_string(), arg];
-    if name == "fault" {
+    if generated {
         words.push(fault_args(*kind, values));
     }
     words.extend(extra.iter().map(|&w| WORDS[w % WORDS.len()].to_string()));

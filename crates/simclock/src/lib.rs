@@ -21,4 +21,4 @@ pub mod wall;
 
 pub use drift::DriftClock;
 pub use gclock::{GClock, GClockConfig};
-pub use wall::{TimeSource, WallClock};
+pub use wall::WallClock;

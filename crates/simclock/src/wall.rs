@@ -2,9 +2,8 @@
 //!
 //! Everything in this workspace tells time in [`SimTime`] nanoseconds.
 //! The simulated engine *assigns* those instants; a real-cluster backend
-//! (`gdb-realnet`) must instead *measure* them. [`TimeSource`] is the
-//! narrow seam both sides share, and [`WallClock`] is the real
-//! implementation: a monotonic clock anchored at an origin, reporting
+//! (`gdb-realnet`) must instead *measure* them. [`WallClock`] does: a
+//! monotonic clock anchored at an origin, reporting
 //! elapsed real nanoseconds as `SimTime` so measured delays slot into
 //! the same histograms, RCP math, and bench artifacts as simulated ones.
 //!
@@ -14,13 +13,6 @@
 
 use gdb_simnet::{SimDuration, SimTime};
 use std::time::Instant;
-
-/// A source of the current instant. Object-safe so silo event loops can
-/// hold either the real clock or a test stub behind one pointer.
-pub trait TimeSource: Send {
-    /// The current instant, in nanoseconds since this source's origin.
-    fn now(&self) -> SimTime;
-}
 
 /// Monotonic real time, anchored when constructed; copies share the
 /// anchor, so their readings are comparable.
@@ -37,6 +29,11 @@ impl WallClock {
         }
     }
 
+    /// The current instant, in nanoseconds since this clock's origin.
+    pub fn now(&self) -> SimTime {
+        SimTime::from_nanos(self.origin.elapsed().as_nanos() as u64)
+    }
+
     /// Real time elapsed since `earlier` (saturating at zero).
     pub fn since(&self, earlier: SimTime) -> SimDuration {
         self.now().since(earlier)
@@ -46,12 +43,6 @@ impl WallClock {
 impl Default for WallClock {
     fn default() -> Self {
         Self::new()
-    }
-}
-
-impl TimeSource for WallClock {
-    fn now(&self) -> SimTime {
-        SimTime::from_nanos(self.origin.elapsed().as_nanos() as u64)
     }
 }
 
@@ -71,14 +62,5 @@ mod tests {
             "2ms sleep measured as {}",
             b.since(a)
         );
-    }
-
-    #[test]
-    fn time_source_is_object_safe_and_send() {
-        fn assert_send<T: Send>() {}
-        assert_send::<WallClock>();
-        assert_send::<Box<dyn TimeSource>>();
-        let boxed: Box<dyn TimeSource> = Box::new(WallClock::new());
-        let _ = boxed.now();
     }
 }

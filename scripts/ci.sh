@@ -27,8 +27,11 @@
 #                  elastic seeds 51..53 and migration seeds 51..53 (the
 #                  CI "nemesis" job)
 #   shell          gdb-shell tests, the ignored thread-backend one
-#                  included, + committed scenario replays (the CI "shell"
-#                  job; the only stage that replays them)
+#                  included, + every committed scenario file replayed
+#                  through gdb-shell (the CI "shell" job; tier-1
+#                  crates/chaos/tests/nemesis.rs replays one of them,
+#                  restart-cn-after-rcp-rebuild.toml, and vt-diff replays
+#                  them all)
 #   benchmark      benchmark/ builds against the current crates, its
 #                  tests pass, and `all --quick` exits 0
 #   realnet        real-backend tests, the ignored wall-clock-bound
@@ -102,8 +105,8 @@ stage_nemesis_smoke() {
 
 # Operator-console gate: the shell's unit + golden-transcript tests
 # (byte-identical replay, thread-backend agreement — the one test
-# `cargo test` skips), then both committed scenario files replayed end to
-# end. Scenario runs are virtual-time chaos runs and cannot wedge, but
+# `cargo test` skips), then every committed scenario file (scenarios/*.toml)
+# replayed end to end. Scenario runs are virtual-time chaos runs and cannot wedge, but
 # the thread-backend test joins real threads — hence the hard timeouts.
 stage_shell() {
     echo "==> gdb-shell tests (golden transcript + thread backend)"

@@ -6,8 +6,8 @@
 use gdb_workloads::driver::{run_workload, RunConfig, Workload};
 use gdb_workloads::tpcc::{TpccMix, TpccScale, TpccWorkload};
 use globaldb::{
-    Cluster, ClusterConfig, MetricsReport, SimDuration, SimTime, SpanKind, TmMode,
-    TransitionDirection,
+    Cluster, ClusterConfig, Datum, MetricsReport, ReplicationMode, Row, SimDuration, SimTime,
+    SpanKind, TmMode, TransitionDirection,
 };
 
 /// Run a short TPC-C burst and return the trace render + metrics
@@ -152,6 +152,59 @@ fn two_pc_branch_spans_cover_their_phase() {
         prepare_checked > 0,
         "no multi-shard prepare branches recorded (TPC-C new-order should cross shards)"
     );
+}
+
+/// A commit that fails mid-phase closes the spans it opened at the
+/// failure: its phases lie inside the root, and the root ends with the
+/// failing phase.
+#[test]
+fn a_failed_commit_closes_its_spans_at_the_failure() {
+    let mut config = ClusterConfig::globaldb_three_city();
+    config.replication = ReplicationMode::SyncRemoteQuorum { quorum: 2 };
+    let mut c = Cluster::new(config);
+    c.ddl("CREATE TABLE kv (k INT NOT NULL, v INT, PRIMARY KEY (k)) DISTRIBUTE BY HASH(k)")
+        .unwrap();
+    let table = c.db.catalog().table_by_name("kv").unwrap().id;
+    c.bulk_load(table, vec![Row(vec![Datum::Int(1), Datum::Int(0)])])
+        .unwrap();
+    c.finish_load();
+    for shard in 0..c.db.shards().len() {
+        for replica in 0..c.db.shards()[shard].replicas.len() {
+            c.db.crash_replica(shard, replica);
+        }
+    }
+    c.db.obs_mut().tracer.enable(64);
+    let at = c.now();
+    let res = c.execute_sql(0, at, "UPDATE kv SET v = 1 WHERE k = 1", &[]);
+    assert!(res.is_err(), "a write without a reachable quorum must fail");
+
+    let tracer = &c.db.obs().tracer;
+    let txn = tracer
+        .spans()
+        .iter()
+        .find(|s| s.is_root() && s.kind == SpanKind::Txn)
+        .expect("the failed commit records its root span");
+    let kids = tracer.children(txn.id);
+    let kinds: Vec<SpanKind> = kids.iter().map(|s| s.kind).collect();
+    assert_eq!(
+        kinds,
+        [
+            SpanKind::SnapshotAcquire,
+            SpanKind::Execute,
+            SpanKind::Prepare,
+            SpanKind::CommitWait,
+            SpanKind::ReplicationAck,
+        ]
+    );
+    // The quorum wait failed before the shard's ack: no branch.
+    assert!(tracer.children(kids[4].id).is_empty());
+    assert_eq!(
+        txn.end, kids[4].end,
+        "the root closes with the failing phase"
+    );
+    for kid in &kids {
+        assert!(txn.start <= kid.start && kid.start <= kid.end && kid.end <= txn.end);
+    }
 }
 
 #[test]
