@@ -367,7 +367,7 @@ fn collector_crash_mid_rcp_round_abandons_then_fails_over() {
 
     // Phase 1 gathers on the collector, which then dies mid-round.
     let now = cluster.sim.now();
-    let collector = db.rcp_collect(0, now).expect("region 0 has a collector");
+    let collector = db.rcp_collect(0).expect("region 0 has a collector");
     db.crash_cn(collector);
     db.rcp_finish(0, collector, now);
 
@@ -386,7 +386,7 @@ fn collector_crash_mid_rcp_round_abandons_then_fails_over() {
 
     // The next round elects a fresh collector and completes.
     let failovers_before = db.stats().collector_failovers;
-    let new_collector = db.rcp_collect(0, now).expect("a standby CN takes over");
+    let new_collector = db.rcp_collect(0).expect("a standby CN takes over");
     assert_ne!(new_collector, collector, "dead collector re-elected");
     db.rcp_finish(0, new_collector, now);
     assert!(db.stats().collector_failovers > failovers_before);
@@ -422,7 +422,10 @@ fn read_back_through_a_cn_that_missed_a_cutover_is_clean() {
     assert!(cluster.db.shards()[SHARD].storage.total_keys() > 0);
 
     cluster.db.crash_cn(0);
-    let from = cluster.db.shards()[SHARD].region;
+    let from = cluster
+        .db
+        .topo()
+        .node_region(cluster.db.shards()[SHARD].primary);
     let to_region = *cluster.db.regions().iter().find(|&&r| r != from).unwrap();
     cluster.start_migration(SHARD, to_region, 1).unwrap();
     let now = cluster.now();

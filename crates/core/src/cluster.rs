@@ -25,7 +25,6 @@ use crate::rcp_driver::{rcp_group, GtmRate};
 use crate::repl_driver::Shard;
 use crate::shardlog::ShardLog;
 use crate::stats::{ClusterStats, TxnOutcome};
-use crate::transition::TransitionTrace;
 use crate::txn::TxnHandle;
 use gdb_consistency::{CollectorElection, DdlTracker, RcpCalculator};
 use gdb_model::{GdbResult, Timestamp, TxnId};
@@ -103,8 +102,8 @@ pub struct GlobalDb {
     pub(crate) history: Option<crate::txn::history::History>,
     /// Set when an online transition completes (observed by tests/benches).
     pub(crate) last_transition_completed: Option<gdb_txnmgr::TransitionDirection>,
-    /// Phase boundaries of the in-flight DUAL transition (span source).
-    pub(crate) transition_trace: Option<TransitionTrace>,
+    /// The open spans of the in-flight DUAL transition.
+    pub(crate) transition_spans: gdb_obs::OpenPhases,
     /// Current cluster routing epoch: bumped atomically at every batched
     /// migration-plan cutover that moves at least one primary.
     pub(crate) routing_epoch: u64,
@@ -118,8 +117,6 @@ pub struct GlobalDb {
     /// Hosts being drained for retirement (elastic scale-in), as
     /// `(region, host)` slots.
     pub(crate) draining: Vec<(RegionId, u16)>,
-    /// Slot of the last host whose data nodes were retired.
-    pub(crate) last_host_retired: Option<(RegionId, u16)>,
     /// Every host slot ever decommissioned — excluded from placement.
     pub(crate) retired_hosts: Vec<(RegionId, u16)>,
     /// Per-shard live load counters (hot-shard detection input).
@@ -239,11 +236,6 @@ impl GlobalDb {
         &self.draining
     }
 
-    /// Slot of the last host whose data nodes were retired.
-    pub fn last_host_retired(&self) -> Option<(RegionId, u16)> {
-        self.last_host_retired
-    }
-
     /// Host slots decommissioned by a drain: the rebalancer must never
     /// place anything on them again.
     pub fn retired_hosts(&self) -> &[(RegionId, u16)] {
@@ -353,42 +345,6 @@ impl GlobalDb {
     // changes when it flips, so tests can toggle it live.
     pub fn set_routing(&mut self, routing: RoutingPolicy) {
         self.config.routing = routing;
-    }
-
-    /// Run a closed transaction at virtual time `at` directly against the
-    /// world state — the entry point for logic running *inside* a
-    /// scheduled event (fault-plan probes), where the [`Cluster`] wrapper
-    /// (which would re-enter the scheduler) is not available.
-    pub fn run_transaction_at<R>(
-        &mut self,
-        cn: usize,
-        at: SimTime,
-        read_only: bool,
-        single_shard: bool,
-        f: impl FnOnce(&mut TxnHandle) -> GdbResult<R>,
-    ) -> GdbResult<(R, TxnOutcome)> {
-        let mut handle = TxnHandle::begin(self, cn, at, read_only, single_shard)?;
-        match f(&mut handle) {
-            Ok(value) => match handle.commit() {
-                Ok(outcome) => {
-                    self.stats.record_txn(&outcome);
-                    self.obs
-                        .metrics
-                        .record(self.hot.txn.latency_us, outcome.latency);
-                    Ok((value, outcome))
-                }
-                Err(e) => {
-                    // Commit-time failure: the handle already rolled back.
-                    self.stats.aborted += 1;
-                    Err(e)
-                }
-            },
-            Err(e) => {
-                let outcome = handle.abort();
-                self.stats.record_txn(&outcome);
-                Err(e)
-            }
-        }
     }
 
     /// Mirror externally maintained totals (cluster stats, topology
@@ -553,7 +509,6 @@ impl Cluster {
             .map(|sp| {
                 let mut shard = Shard {
                     primary: sp.primary,
-                    region: sp.primary_region,
                     storage: DataNodeStorage::new(),
                     log: ShardLog::new(),
                     replicas: Vec::new(),
@@ -609,13 +564,12 @@ impl Cluster {
             txn_seq: 0,
             history: None,
             last_transition_completed: None,
-            transition_trace: None,
+            transition_spans: gdb_obs::OpenPhases::default(),
             routing_epoch: 0,
             migrations: Vec::new(),
             migration_seq: 0,
             plan_seq: 0,
             draining: Vec::new(),
-            last_host_retired: None,
             retired_hosts: Vec::new(),
             shard_load: vec![
                 crate::migrate::ShardLoad {
@@ -701,8 +655,29 @@ impl Cluster {
     ) -> GdbResult<(R, TxnOutcome)> {
         let at = at.max(self.sim.now());
         self.sim.run_until(&mut self.db, at);
-        self.db
-            .run_transaction_at(cn, at, read_only, single_shard, f)
+        let db = &mut self.db;
+        let mut handle = TxnHandle::begin(db, cn, at, read_only, single_shard)?;
+        match f(&mut handle) {
+            Ok(value) => match handle.commit() {
+                Ok(outcome) => {
+                    db.stats.record_txn(&outcome);
+                    db.obs
+                        .metrics
+                        .record(db.hot.txn.latency_us, outcome.latency);
+                    Ok((value, outcome))
+                }
+                Err(e) => {
+                    // Commit-time failure: the handle already rolled back.
+                    db.stats.aborted += 1;
+                    Err(e)
+                }
+            },
+            Err(e) => {
+                let outcome = handle.abort();
+                db.stats.record_txn(&outcome);
+                Err(e)
+            }
+        }
     }
 
     /// Kick off an online TM-mode transition (Figs. 2–3). The cluster

@@ -251,11 +251,7 @@ impl ClusterConfig {
                     rregion,
                 ));
             }
-            shard_placement.push(ShardPlacement {
-                primary,
-                primary_region: region,
-                replicas,
-            });
+            shard_placement.push(ShardPlacement { primary, replicas });
         }
 
         (
@@ -274,7 +270,6 @@ impl ClusterConfig {
 #[derive(Debug, Clone)]
 pub struct ShardPlacement {
     pub primary: gdb_simnet::NetNodeId,
-    pub primary_region: gdb_simnet::RegionId,
     pub replicas: Vec<(gdb_simnet::NetNodeId, gdb_simnet::RegionId)>,
 }
 
@@ -301,15 +296,13 @@ mod tests {
         assert_eq!(placement.shards.len(), 6);
         for sp in &placement.shards {
             assert_eq!(sp.replicas.len(), 2);
+            let primary_region = topo.node_region(sp.primary);
             for (node, region) in &sp.replicas {
-                assert_ne!(
-                    *region, sp.primary_region,
-                    "replica must be in another region"
-                );
+                assert_ne!(*region, primary_region, "replica must be in another region");
                 assert_eq!(topo.node_region(*node), *region);
             }
             // The three regions covered by primary + replicas are distinct.
-            let mut rs = vec![sp.primary_region];
+            let mut rs = vec![primary_region];
             rs.extend(sp.replicas.iter().map(|(_, r)| *r));
             rs.sort();
             rs.dedup();

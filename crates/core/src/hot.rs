@@ -7,8 +7,9 @@
 //! subsystem owns its handle struct next to its metric names, so the
 //! "names live with the subsystem" rule from DESIGN.md carries over to
 //! handles. Registration alone never changes a metrics snapshot — slots
-//! surface only once touched — which keeps committed baselines
-//! bit-identical.
+//! surface only once touched — so moving a record site onto a handle
+//! leaves every snapshot byte-identical, which `scripts/vt_diff.sh`
+//! compares.
 //!
 //! Not everything moves off the string path: snapshot-time mirrors
 //! (`sync_derived_metrics`, `MessagePlane::mirror_metrics`) and labelled

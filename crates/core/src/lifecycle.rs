@@ -312,7 +312,6 @@ impl GlobalDb {
                     }
                 }
                 self.draining.remove(i);
-                self.last_host_retired = Some((region, host));
                 if !self.retired_hosts.contains(&(region, host)) {
                     self.retired_hosts.push((region, host));
                 }

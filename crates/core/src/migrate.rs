@@ -47,20 +47,26 @@
 //! emptied and can be retired ([`GlobalDb::maybe_retire_drained`] —
 //! elastic scale-in).
 //!
-//! The whole run is spanned: a `Migration` root whose
-//! `MigrationSnapshot` / `MigrationCatchup` / `MigrationCutover`
-//! children tile it exactly (aborts tile up to the abort instant).
+//! The whole run is spanned where its phases change: a `Migration` root
+//! opens with its `MigrationSnapshot` phase at the start, the snapshot's
+//! arrival opens `MigrationCatchup`, the cutover barrier opens
+//! `MigrationCutover`, and the cutover or an abort closes the phase and
+//! the root. The phases tile the root exactly (aborts up to the abort
+//! instant); an unfinished migration leaves its root and current phase
+//! open.
 
 use crate::cluster::GlobalDb;
 use crate::event::CoreSim;
 use crate::net::RpcKind;
 use crate::repl_driver::{ship_sealed, Replica, Ship};
 use gdb_model::{GdbError, GdbResult};
-use gdb_obs::SpanKind;
+use gdb_obs::{OpenPhases, SpanKind};
 use gdb_simnet::{NetNodeId, NodeKind, RegionId, SimTime};
 
-/// Metric names owned by the migration executor (consumed by
-/// `gdb-rebalance`'s hot-shard detector via the metrics registry).
+/// Metric names owned by the migration executor, mirrored into the
+/// metrics registry at snapshot time for reports and dashboards.
+/// `gdb-rebalance`'s hot-shard detector reads [`GlobalDb::shard_load`]
+/// directly, not these names.
 pub mod metrics {
     /// Migrations started (snapshot phase entered).
     pub const MIGRATIONS_STARTED: &str = "rebalance.migrations_started";
@@ -142,11 +148,8 @@ pub struct Migration {
     /// The batched plan this member belongs to.
     pub plan: u64,
     pub phase: MigrationPhase,
-    pub started: SimTime,
-    /// Set when the snapshot arrived and catch-up began.
-    pub snapshot_end: Option<SimTime>,
-    /// Set when the backlog drained and the barrier began.
-    pub catchup_end: Option<SimTime>,
+    /// The open `Migration` root span and its current phase.
+    pub(crate) spans: OpenPhases,
     /// Guard for scheduled events: ticks for a finished/aborted
     /// migration carry a stale sequence number and are dropped.
     pub(crate) seq: u64,
@@ -273,6 +276,12 @@ fn start_member(db: &mut GlobalDb, sim: &mut CoreSim, plan: u64, spec: Migration
 
     db.migration_seq += 1;
     let seq = db.migration_seq;
+    let spans = db.obs.tracer.begin_phases(
+        SpanKind::Migration,
+        SpanKind::MigrationSnapshot,
+        shard_idx as u64,
+        now,
+    );
     db.migrations.push(Migration {
         shard: shard_idx,
         source,
@@ -280,9 +289,7 @@ fn start_member(db: &mut GlobalDb, sim: &mut CoreSim, plan: u64, spec: Migration
         kind: spec.kind,
         plan,
         phase: MigrationPhase::Snapshot,
-        started: now,
-        snapshot_end: None,
-        catchup_end: None,
+        spans,
         seq,
     });
     db.stats.migrations_started += 1;
@@ -344,7 +351,9 @@ pub(crate) fn migration_tick(db: &mut GlobalDb, sim: &mut CoreSim, seq: u64) {
         MigrationPhase::Snapshot => {
             let m = &mut db.migrations[idx];
             m.phase = MigrationPhase::Catchup;
-            m.snapshot_end = Some(now);
+            db.obs
+                .tracer
+                .next_phase(&mut m.spans, SpanKind::MigrationCatchup, now);
         }
         MigrationPhase::Barrier => {
             let m = &mut db.migrations[idx];
@@ -410,7 +419,9 @@ fn begin_barrier(
     };
     let m = &mut db.migrations[idx];
     m.phase = MigrationPhase::Barrier;
-    m.catchup_end = Some(now);
+    db.obs
+        .tracer
+        .next_phase(&mut m.spans, SpanKind::MigrationCutover, now);
     sim.schedule_at(from.max(now) + rtt, move |w: &mut GlobalDb, sim| {
         migration_tick(w, sim, seq);
     });
@@ -485,7 +496,7 @@ fn cutover_plan(db: &mut GlobalDb, sim: &mut CoreSim, plan: u64, now: SimTime) {
         let mut m = db.migrations.remove(idx);
         db.stats.migrations_completed += 1;
         db.last_migration_completed = Some(shard_idx);
-        record_migration_spans(db, &m, now);
+        db.obs.tracer.end_phases(m.spans, now);
         completed_any = true;
 
         let replaced = match m.kind {
@@ -556,7 +567,7 @@ fn cutover_plan(db: &mut GlobalDb, sim: &mut CoreSim, plan: u64, now: SimTime) {
 fn record_abort(db: &mut GlobalDb, m: &Migration, now: SimTime, reason: &str) {
     db.stats.migrations_aborted += 1;
     db.last_migration_aborted = Some((m.shard, reason.to_string()));
-    record_migration_spans(db, m, now);
+    db.obs.tracer.end_phases(m.spans, now);
     db.topo.retire_node(m.target.node);
 }
 
@@ -569,34 +580,4 @@ fn abort_member(db: &mut GlobalDb, sim: &mut CoreSim, m: Migration, now: SimTime
     record_abort(db, &m, now, reason);
     maybe_cutover_plan(db, sim, plan, now);
     db.maybe_retire_drained();
-}
-
-/// Record the migration's span tree: a `Migration` root whose phase
-/// children tile `[started, completed]` exactly (aborts tile up to the
-/// abort instant).
-fn record_migration_spans(db: &mut GlobalDb, m: &Migration, completed: SimTime) {
-    let label = m.shard as u64;
-    let tracer = &mut db.obs.tracer;
-    let root = tracer.record(SpanKind::Migration, label, m.started, completed);
-    let snap_end = m.snapshot_end.unwrap_or(completed).min(completed);
-    tracer.record_child(
-        root,
-        SpanKind::MigrationSnapshot,
-        label,
-        m.started,
-        snap_end,
-    );
-    if m.snapshot_end.is_some() {
-        let catch_end = m.catchup_end.unwrap_or(completed).min(completed);
-        tracer.record_child(root, SpanKind::MigrationCatchup, label, snap_end, catch_end);
-        if m.catchup_end.is_some() {
-            tracer.record_child(
-                root,
-                SpanKind::MigrationCutover,
-                label,
-                catch_end,
-                completed,
-            );
-        }
-    }
 }

@@ -20,8 +20,7 @@
 //! trips have one primitive, [`MessagePlane::scatter`] (of which
 //! [`MessagePlane::rtt`] and [`MessagePlane::ship_rtt`] are the
 //! one-target cases); on the sim transport it delivers its legs in
-//! there/back order and stops at the first undeliverable one, mirroring
-//! the short-circuit structure of the `Topology` methods it replaces.
+//! there/back order and stops at the first undeliverable one.
 //! Accounting-only paths ([`MessagePlane::account`],
 //! [`MessagePlane::charge_bytes`]) never touch the RNG.
 
@@ -439,8 +438,7 @@ impl MessagePlane {
         )
     }
 
-    /// Small request/response round trip (both legs 128 control bytes),
-    /// mirroring [`Topology::rtt`].
+    /// Small request/response round trip (both legs 128 control bytes).
     pub fn rtt(
         &mut self,
         topo: &mut Topology,
@@ -452,8 +450,7 @@ impl MessagePlane {
     }
 
     /// Ship `bytes` to `to` with a small acknowledgment back (the
-    /// durability wait of synchronous replication), mirroring
-    /// [`Topology::ship_rtt`].
+    /// durability wait of synchronous replication).
     pub fn ship_rtt(
         &mut self,
         topo: &mut Topology,
@@ -536,7 +533,8 @@ mod tests {
     #[test]
     fn charge_matches_topology_cost_and_counts() {
         // Same seed, same call sequence: plane-mediated costs must be
-        // bit-identical to direct topology calls.
+        // bit-identical to direct topology calls, a round trip being the
+        // request leg then the 128-byte reply leg.
         let (mut t1, a, d) = city_pair(7);
         let (mut t2, a2, d2) = city_pair(7);
         let mut plane = MessagePlane::new(RegionId(0));
@@ -545,10 +543,14 @@ mod tests {
             plane.rtt(&mut t1, RpcKind::GtmBeginTs, a, d),
             plane.ship_rtt(&mut t1, RpcKind::SyncQuorumShip, a, d, 4096),
         );
+        let round_trip = |t: &mut Topology, bytes| {
+            let there = t.one_way(a2, d2, bytes)?;
+            Some(there + t.one_way(d2, a2, 128)?)
+        };
         let direct = (
             t2.one_way(a2, d2, 256),
-            t2.rtt(a2, d2),
-            t2.ship_rtt(a2, d2, 4096),
+            round_trip(&mut t2, 128),
+            round_trip(&mut t2, 4096),
         );
         assert_eq!(via_plane, direct);
         assert_eq!(plane.msgs(RpcKind::DnRead), 1);

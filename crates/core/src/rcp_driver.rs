@@ -51,7 +51,7 @@ impl GlobalDb {
     /// The collector election refreshes from node health first: if the
     /// current collector CN died, the next alive CN in the region takes
     /// over (a collector failover).
-    pub fn rcp_collect(&mut self, region_idx: usize, _now: SimTime) -> Option<usize> {
+    pub fn rcp_collect(&mut self, region_idx: usize) -> Option<usize> {
         let region = self.regions[region_idx];
         let region_cns: Vec<usize> = (0..self.cns.len())
             .filter(|&i| self.cns[i].region == region)
@@ -248,7 +248,7 @@ pub(crate) fn rcp_event(w: &mut GlobalDb, sim: &mut CoreSim, region: usize) {
     // round. The round's span (and latency) covers collect through
     // finish; the span id rides in the finish event.
     let start = sim.now();
-    if let Some(collector_cn) = w.rcp_collect(region, start) {
+    if let Some(collector_cn) = w.rcp_collect(region) {
         let span = w.obs.tracer.begin(SpanKind::RcpRound, region as u64, start);
         let gather = w.rcp_gather_delay(region, collector_cn);
         let finish = CoreEvent::RcpFinish {

@@ -80,7 +80,6 @@ impl Replica {
 /// One shard: primary data node plus replicas.
 pub struct Shard {
     pub primary: NetNodeId,
-    pub region: RegionId,
     pub storage: DataNodeStorage,
     pub log: ShardLog,
     pub replicas: Vec<Replica>,
@@ -313,7 +312,6 @@ impl GlobalDb {
         let codec = self.config.codec;
         let shard = &mut self.shards[shard_idx];
         shard.primary = follower.node;
-        shard.region = follower.region;
         // The old primary's row locks outlive it: commits already on the
         // durable log can carry apply instants — and commit timestamps —
         // *later* than the takeover instant (the cursor execution stages

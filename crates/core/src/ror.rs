@@ -121,11 +121,8 @@ impl GlobalDb {
             Some(i) => ReadTarget::Replica(i - 1),
             // Nothing satisfies the bound (the primary is normally a
             // zero-staleness candidate, so this means it is down too):
-            // fall back to the primary path and count it.
-            None => {
-                self.stats.ror_rejected_freshness += 1;
-                ReadTarget::Primary
-            }
+            // fall back to the primary path.
+            None => ReadTarget::Primary,
         };
         self.read_candidates = candidates;
         self.note_skyline_pick(cn, shard, target, now);

@@ -32,7 +32,6 @@ pub struct ClusterStats {
     pub reads_on_replica: u64,
     pub reads_on_primary: u64,
     pub replica_blocked_fallbacks: u64,
-    pub ror_rejected_freshness: u64,
     pub lock_waits: u64,
     pub commit_wait_total: SimDuration,
     pub heartbeats_sent: u64,

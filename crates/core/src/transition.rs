@@ -7,43 +7,33 @@
 //! arms the DUAL hold timer on the event queue. The cluster accepts
 //! transactions throughout — that is the entire point of DUAL mode.
 //!
-//! While a transition is in flight the phase boundaries are captured in a
-//! [`TransitionTrace`]: when the transition completes, a `Transition` span
-//! is recorded whose children (`TransitionDualAcks`, `TransitionHold`,
-//! `TransitionFinalAcks`) tile it exactly — the observability contract
-//! tested in `tests/observability.rs`.
+//! The transition is spanned where its phases change: a `Transition`
+//! root opens with its `TransitionDualAcks` phase at the start, the hold
+//! timer opens `TransitionHold` (GTM→GClock only), the final-mode fan-out
+//! opens `TransitionFinalAcks`, and completion closes the phase and the
+//! root. The phases tile the root exactly — the observability contract
+//! tested in `tests/observability.rs` — and an unfinished transition
+//! leaves its root and current phase open.
 
 use crate::cluster::GlobalDb;
 use crate::event::CoreSim;
 use crate::net::RpcKind;
 use gdb_obs::SpanKind;
-use gdb_simnet::SimTime;
 use gdb_txnmgr::{handle_cn_msg, TmMsg, TransitionDirection, TransitionEvent};
-
-/// Phase boundaries of the in-flight transition, filled in as the
-/// orchestrator's events are enacted. Pure bookkeeping — no RNG, no
-/// scheduling — so it is identical whether tracing is enabled or not.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct TransitionTrace {
-    pub(crate) direction: TransitionDirection,
-    pub(crate) started: SimTime,
-    /// When the last DUAL ack arrived (the hold timer / final switch
-    /// fan-out starts here).
-    pub(crate) dual_acks_end: Option<SimTime>,
-    /// When the hold wait elapsed (GTM→GClock only; the GClock→GTM
-    /// direction has no hold phase).
-    pub(crate) hold_end: Option<SimTime>,
-}
 
 /// Start a transition at the current virtual time.
 pub fn start_transition(db: &mut GlobalDb, sim: &mut CoreSim, direction: TransitionDirection) {
     db.last_transition_completed = None;
-    db.transition_trace = Some(TransitionTrace {
-        direction,
-        started: sim.now(),
-        dual_acks_end: None,
-        hold_end: None,
-    });
+    let label = match direction {
+        TransitionDirection::ToGClock => 0,
+        TransitionDirection::ToGtm => 1,
+    };
+    db.transition_spans = db.obs.tracer.begin_phases(
+        SpanKind::Transition,
+        SpanKind::TransitionDualAcks,
+        label,
+        sim.now(),
+    );
     let events = {
         let GlobalDb {
             orchestrator, gtm, ..
@@ -60,17 +50,13 @@ fn enact(db: &mut GlobalDb, sim: &mut CoreSim, events: Vec<TransitionEvent>) {
     for ev in events {
         match ev {
             TransitionEvent::SendToCn { cn, msg } => {
-                // The final-mode fan-out marks the end of the previous
-                // phase: DUAL acks (GClock→GTM, no hold) or the hold wait
-                // (GTM→GClock). N same-instant sends collapse to one mark.
-                if matches!(msg, TmMsg::SwitchToGClock | TmMsg::SwitchToGtm) {
-                    if let Some(trace) = db.transition_trace.as_mut() {
-                        if trace.dual_acks_end.is_none() {
-                            trace.dual_acks_end = Some(now);
-                        } else if trace.hold_end.is_none() && trace.dual_acks_end != Some(now) {
-                            trace.hold_end = Some(now);
-                        }
-                    }
+                // The final-mode fan-out goes to every CN at one instant,
+                // CN 0 first: that send ends the DUAL acks (GClock→GTM) or
+                // the hold wait (GTM→GClock).
+                if cn == 0 && matches!(msg, TmMsg::SwitchToGClock | TmMsg::SwitchToGtm) {
+                    let spans = &mut db.transition_spans;
+                    let tracer = &mut db.obs.tracer;
+                    tracer.next_phase(spans, SpanKind::TransitionFinalAcks, now);
                 }
                 let to = db.cns[cn].node;
                 let delay = db
@@ -90,10 +76,11 @@ fn enact(db: &mut GlobalDb, sim: &mut CoreSim, events: Vec<TransitionEvent>) {
                 });
             }
             TransitionEvent::StartHoldTimer { duration } => {
-                if let Some(trace) = db.transition_trace.as_mut() {
-                    if trace.dual_acks_end.is_none() {
-                        trace.dual_acks_end = Some(now);
-                    }
+                // A zero hold (no clock error bound) has no phase of its own.
+                if !duration.is_zero() {
+                    let spans = &mut db.transition_spans;
+                    let tracer = &mut db.obs.tracer;
+                    tracer.next_phase(spans, SpanKind::TransitionHold, now);
                 }
                 sim.schedule_after(duration, |w: &mut GlobalDb, sim| {
                     let events = {
@@ -107,46 +94,11 @@ fn enact(db: &mut GlobalDb, sim: &mut CoreSim, events: Vec<TransitionEvent>) {
             }
             TransitionEvent::Completed { direction } => {
                 db.last_transition_completed = Some(direction);
-                if let Some(trace) = db.transition_trace.take() {
-                    record_transition_spans(db, &trace, now);
-                }
+                let spans = std::mem::take(&mut db.transition_spans);
+                db.obs.tracer.end_phases(spans, now);
             }
         }
     }
-}
-
-/// Record the transition's span tree: a root `Transition` span whose
-/// children tile `[started, completed]` exactly.
-fn record_transition_spans(db: &mut GlobalDb, trace: &TransitionTrace, completed: SimTime) {
-    let label = match trace.direction {
-        TransitionDirection::ToGClock => 0,
-        TransitionDirection::ToGtm => 1,
-    };
-    let tracer = &mut db.obs.tracer;
-    let root = tracer.record(SpanKind::Transition, label, trace.started, completed);
-    let dual_end = trace.dual_acks_end.unwrap_or(completed).min(completed);
-    tracer.record_child(
-        root,
-        SpanKind::TransitionDualAcks,
-        label,
-        trace.started,
-        dual_end,
-    );
-    let final_start = match trace.hold_end {
-        Some(h) => {
-            let h = h.min(completed);
-            tracer.record_child(root, SpanKind::TransitionHold, label, dual_end, h);
-            h
-        }
-        None => dual_end,
-    };
-    tracer.record_child(
-        root,
-        SpanKind::TransitionFinalAcks,
-        label,
-        final_start,
-        completed,
-    );
 }
 
 fn deliver_to_cn(db: &mut GlobalDb, sim: &mut CoreSim, cn: usize, msg: TmMsg) {

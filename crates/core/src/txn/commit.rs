@@ -98,11 +98,9 @@ impl<'a> TxnHandle<'a> {
     fn sync_quorum_wait(&mut self, shard: usize, bytes: u64) -> GdbResult<SimDuration> {
         let db = &mut *self.db;
         let Shard {
-            primary,
-            region,
-            replicas,
-            ..
+            primary, replicas, ..
         } = &db.shards[shard];
+        let region = db.topo.node_region(*primary);
         // Ship to each chosen replica, in replica-vector order, and
         // collect the acknowledgment delays (`None` = unreachable).
         let mut acks = |chosen: &dyn Fn(&Replica) -> bool| -> Vec<Option<SimDuration>> {
@@ -122,8 +120,8 @@ impl<'a> TxnHandle<'a> {
             ReplicationMode::SyncLocalQuorum => {
                 // All same-region replicas; if none exist (geo placement),
                 // the nearest replica stands in.
-                let delays = if replicas.iter().any(|r| r.region == *region) {
-                    acks(&|r| r.region == *region)
+                let delays = if replicas.iter().any(|r| r.region == region) {
+                    acks(&|r| r.region == region)
                 } else {
                     vec![acks(&|_| true).into_iter().flatten().min()]
                 };
@@ -134,7 +132,7 @@ impl<'a> TxnHandle<'a> {
             }
             ReplicationMode::SyncRemoteQuorum { quorum } => {
                 let single_region = db.regions.len() == 1;
-                let delays = acks(&|r| r.region != *region || single_region);
+                let delays = acks(&|r| r.region != region || single_region);
                 quorum_wait(&delays, quorum).ok_or_else(|| {
                     GdbError::NodeUnavailable("sync remote quorum unreachable".into())
                 })

@@ -183,7 +183,10 @@ fn unreachable_replica_leaves_no_phantom_batches() {
     let cut_off = |db: &globaldb::GlobalDb| -> usize {
         db.shards()
             .iter()
-            .flat_map(|s| s.replicas.iter().map(move |r| (s.region, r.region)))
+            .flat_map(|s| {
+                let home = db.topo().node_region(s.primary);
+                s.replicas.iter().map(move |r| (home, r.region))
+            })
             .filter(|&(p, r)| {
                 (p == regions[1] && r == regions[2]) || (p == regions[2] && r == regions[1])
             })

@@ -443,7 +443,7 @@ fn drain_leaves_no_data_node_behind() {
         assert!(c.db.topo().is_node_retired(*moved_off.last().unwrap()));
         assert_eq!(orphaned_data_nodes(&c), vec![]);
     }
-    assert_eq!(c.db.last_host_retired(), None, "replicas still on the host");
+    assert_eq!(c.db.retired_hosts(), &[], "replicas still on the host");
     for (shard, node) in replicas {
         moved_off.push(node);
         c.start_plan(vec![MigrationSpec {
@@ -455,7 +455,7 @@ fn drain_leaves_no_data_node_behind() {
         .unwrap();
         c.run_until(c.now() + SimDuration::from_secs(2));
     }
-    assert_eq!(c.db.last_host_retired(), Some((region, host)));
+    assert_eq!(c.db.retired_hosts(), &[(region, host)]);
     assert!(c.db.draining_hosts().is_empty());
     for node in moved_off {
         assert!(c.db.topo().is_node_retired(node), "n{}", node.0);

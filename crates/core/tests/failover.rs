@@ -48,7 +48,10 @@ fn setup(config: ClusterConfig) -> Setup {
                 == shard
         })
         .expect("some id on shard 0");
-    let region = cluster.db.shards()[shard].region;
+    let region = cluster
+        .db
+        .topo()
+        .node_region(cluster.db.shards()[shard].primary);
     let cn = (0..cluster.db.cns().len())
         .find(|&i| cluster.db.cns()[i].region == region)
         .unwrap_or(0);

@@ -248,7 +248,6 @@ fn assert_took_over(
 ) {
     let shard = &r.c.db.shards()[SHARD];
     assert_eq!(shard.primary, new_primary);
-    assert_eq!(shard.region, r.c.db.topo().node_region(new_primary));
     assert_eq!(shard.log.sealed_head(), Lsn(0));
     assert_eq!(shard.log.staged_len(), 0);
     assert!(locks.0 > 0, "the writer left lock entries to carry");

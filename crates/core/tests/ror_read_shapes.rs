@@ -74,10 +74,11 @@ fn fixture() -> Fixture {
     let (local_w, remote_w, quiet_w) = (pick(0), pick(1), pick(2));
     let remote_shard = shard_of(remote_w);
     let reader_region = c.db.cns()[READER].region;
-    assert_eq!(c.db.shards()[shard_of(local_w)].region, reader_region);
-    assert_ne!(c.db.shards()[remote_shard].region, reader_region);
+    let home = |s: usize| c.db.topo().node_region(c.db.shards()[s].primary);
+    assert_eq!(home(shard_of(local_w)), reader_region);
+    assert_ne!(home(remote_shard), reader_region);
     assert_ne!(
-        c.db.shards()[remote_shard].region,
+        home(remote_shard),
         c.db.cns()[WRITER].region,
         "the writer is cross-region to the shard it writes"
     );

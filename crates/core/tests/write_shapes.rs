@@ -57,7 +57,7 @@ fn fixture() -> Fixture {
     let cn_region = c.db.cns()[CN].region;
     let remote = (0..64)
         .map(shard_of)
-        .find(|&s| c.db.shards()[s].region != cn_region)
+        .find(|&s| c.db.topo().node_region(c.db.shards()[s].primary) != cn_region)
         .unwrap();
     let groups: Vec<i64> = (0..256).filter(|&w| shard_of(w) == remote).collect();
     assert!(groups.len() >= 8, "enough groups on the remote shard");

@@ -19,8 +19,6 @@ pub enum GdbError {
     WriteConflict(String),
     /// The addressed node is down or unreachable.
     NodeUnavailable(String),
-    /// No replica can satisfy the requested freshness bound.
-    FreshnessUnsatisfiable(String),
     /// The request carried a stale routing epoch (shard ownership moved
     /// under it); the client must refresh its route table and retry.
     StaleRoute(String),
@@ -42,7 +40,6 @@ impl fmt::Display for GdbError {
             GdbError::TxnAborted(m) => write!(f, "transaction aborted: {m}"),
             GdbError::WriteConflict(m) => write!(f, "write conflict: {m}"),
             GdbError::NodeUnavailable(m) => write!(f, "node unavailable: {m}"),
-            GdbError::FreshnessUnsatisfiable(m) => write!(f, "freshness unsatisfiable: {m}"),
             GdbError::StaleRoute(m) => write!(f, "stale routing epoch: {m}"),
             GdbError::DuplicateKey(m) => write!(f, "duplicate key: {m}"),
             GdbError::NotFound(m) => write!(f, "not found: {m}"),

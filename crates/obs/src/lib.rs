@@ -33,7 +33,7 @@ pub use metrics::{
     CounterId, HistId, HistSummary, Metric, MetricName, MetricsRegistry, MetricsReport,
 };
 pub use report::{to_chrome_trace, BenchArtifact, BenchSeries, NetStats};
-pub use span::{Span, SpanId, SpanKind, Tracer};
+pub use span::{OpenPhases, Span, SpanId, SpanKind, Tracer};
 
 use serde::{Deserialize, Serialize};
 

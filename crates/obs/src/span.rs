@@ -6,7 +6,9 @@
 //! event, so all boundaries are known at commit) and records the finished
 //! span in one call. Long-lived system activities (an RCP round awaiting
 //! its finish phase) open a span with [`Tracer::begin`] and close it with
-//! [`Tracer::end`] when the completion event fires.
+//! [`Tracer::end`] when the completion event fires; one with phases (a
+//! mode transition, a shard migration) keeps its root and current phase
+//! open as [`OpenPhases`] and moves on with [`Tracer::next_phase`].
 //!
 //! The tracer is **off by default** — a disabled tracer is two branch
 //! instructions per record — and capacity-bounded when enabled: once
@@ -113,6 +115,16 @@ impl Span {
     }
 }
 
+/// The open spans of a long-lived activity whose phases follow one
+/// another: its root and its current phase, both with end == start until
+/// closed. Each phase change closes the current phase and opens the next
+/// at the same instant, so the closed phases tile the root from its start.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct OpenPhases {
+    root: Option<SpanId>,
+    phase: Option<SpanId>,
+}
+
 /// Bounded retrospective span recorder.
 #[derive(Debug, Default, Serialize, Deserialize)]
 pub struct Tracer {
@@ -212,6 +224,34 @@ impl Tracer {
         }
     }
 
+    /// Open root `kind` and its first phase `first` at `at`.
+    pub fn begin_phases(
+        &mut self,
+        kind: SpanKind,
+        first: SpanKind,
+        label: u64,
+        at: SimTime,
+    ) -> OpenPhases {
+        let root = self.begin(kind, label, at);
+        let phase = self.record_child(root, first, label, at, at);
+        OpenPhases { root, phase }
+    }
+
+    /// Close `open`'s current phase at `at` and open `next`, under the
+    /// same root and with its label, in its place.
+    pub fn next_phase(&mut self, open: &mut OpenPhases, next: SpanKind, at: SimTime) {
+        self.end(open.phase, at);
+        let label = open.root.and_then(|r| self.spans.get(r as usize));
+        let label = label.map_or(0, |s| s.label);
+        open.phase = self.record_child(open.root, next, label, at, at);
+    }
+
+    /// Close `open`'s current phase and its root at `at`.
+    pub fn end_phases(&mut self, open: OpenPhases, at: SimTime) {
+        self.end(open.phase, at);
+        self.end(open.root, at);
+    }
+
     /// Direct children of `parent`, in recording order.
     pub fn children(&self, parent: SpanId) -> Vec<&Span> {
         self.spans.iter().filter(|s| s.parent == parent).collect()
@@ -291,6 +331,22 @@ mod tests {
             tr.spans()[0].end.since(tr.spans()[0].start),
             SimDuration::from_millis(6)
         );
+    }
+
+    #[test]
+    fn phases_stay_open_then_tile_their_root() {
+        let mut tr = Tracer::default();
+        tr.enable(8);
+        let mut open = tr.begin_phases(SpanKind::Migration, SpanKind::MigrationSnapshot, 5, t(1));
+        tr.next_phase(&mut open, SpanKind::MigrationCatchup, t(3));
+        // Unfinished: the root and the current phase are open, the
+        // earlier phase is closed.
+        let render = "0 - migration 5 1000000 1000000\n\
+                      1 0 migration_snapshot 5 1000000 3000000\n\
+                      2 0 migration_catchup 5 3000000 3000000\n";
+        assert_eq!(tr.render(), render);
+        tr.end_phases(open, t(4));
+        assert_eq!((tr.spans()[0].end, tr.spans()[2].end), (t(4), t(4)));
     }
 
     #[test]

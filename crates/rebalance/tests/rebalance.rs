@@ -270,7 +270,6 @@ fn drain_host_empties_and_retires_it() {
         "host 2 must empty"
     );
     assert!(c.db.draining_hosts().is_empty());
-    assert_eq!(c.db.last_host_retired(), Some((RegionId(0), 2)));
     assert_eq!(c.db.retired_hosts(), &[(RegionId(0), 2)]);
     // One batched plan, one routing-epoch bump (it moved >= 1 primary).
     assert_eq!(c.db.routing_epoch(), epoch_before + 1);

@@ -198,8 +198,6 @@ impl Shell {
                 NodeKind::DataNodePrimary => "dn-primary",
                 NodeKind::DataNodeReplica => "dn-replica",
                 NodeKind::GtmServer => "gtm",
-                NodeKind::TimeDevice => "time-device",
-                NodeKind::Client => "client",
             };
             let health = if topo.is_node_retired(n) {
                 "retired"

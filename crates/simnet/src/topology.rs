@@ -39,8 +39,6 @@ pub enum NodeKind {
     DataNodePrimary,
     DataNodeReplica,
     GtmServer,
-    TimeDevice,
-    Client,
 }
 
 /// Congestion-control model for a link (paper §V-A tunes TCP BBR).
@@ -162,7 +160,9 @@ pub struct Topology {
     down_nodes: HashSet<NetNodeId>,
     retired_nodes: HashSet<NetNodeId>,
     partitions: HashSet<(RegionId, RegionId)>,
-    cross_region_stats: BTreeMap<(RegionId, RegionId), LinkStats>,
+    /// Traffic between nodes in different regions.
+    cross_region: LinkStats,
+    /// All traffic, every link (loopback included).
     total_stats: LinkStats,
     rng: SmallRng,
 }
@@ -180,7 +180,7 @@ impl Topology {
             down_nodes: HashSet::new(),
             retired_nodes: HashSet::new(),
             partitions: HashSet::new(),
-            cross_region_stats: BTreeMap::new(),
+            cross_region: LinkStats::default(),
             total_stats: LinkStats::default(),
             rng: SmallRng::seed_from_u64(seed),
         }
@@ -330,36 +330,39 @@ impl Topology {
         if self.is_partitioned(fi.region, ti.region) {
             return None;
         }
-        if fi.region == ti.region && fi.host == ti.host {
+        let d = if fi.region == ti.region && fi.host == ti.host {
             // Loopback between co-located processes; tc does not delay it.
-            self.total_stats.messages += 1;
-            self.total_stats.bytes += bytes;
-            return Some(self.same_host);
-        }
-        let link = self.link(fi.region, ti.region);
-        let mut d = link.one_way_latency;
-        if !link.jitter.is_zero() {
-            d += SimDuration::from_nanos(self.rng.gen_range(0..=link.jitter.as_nanos()));
-        }
-        d += self.injected_inter_host;
-        let bw = link.effective_bandwidth().max(1);
-        d += SimDuration::from_secs_f64(bytes as f64 / bw as f64);
-        if link.nagle && !bytes.is_multiple_of(MSS_BYTES) {
-            // The trailing sub-MSS segment sits in the sender buffer until
-            // the previous segment is acked (Nagle + delayed-ack pattern).
-            d += link.nagle_delay;
-        }
-        if fi.region != ti.region {
-            let s = self
-                .cross_region_stats
-                .entry(Self::norm(fi.region, ti.region))
-                .or_default();
-            s.messages += 1;
-            s.bytes += bytes;
-        }
-        self.total_stats.messages += 1;
-        self.total_stats.bytes += bytes;
+            self.same_host
+        } else {
+            let link = self.link(fi.region, ti.region);
+            let mut d = link.one_way_latency;
+            if !link.jitter.is_zero() {
+                d += SimDuration::from_nanos(self.rng.gen_range(0..=link.jitter.as_nanos()));
+            }
+            d += self.injected_inter_host;
+            let bw = link.effective_bandwidth().max(1);
+            d += SimDuration::from_secs_f64(bytes as f64 / bw as f64);
+            if link.nagle && !bytes.is_multiple_of(MSS_BYTES) {
+                // The trailing sub-MSS segment sits in the sender buffer
+                // until the previous segment is acked (Nagle + delayed-ack
+                // pattern).
+                d += link.nagle_delay;
+            }
+            d
+        };
+        self.count(from, to, 1, bytes);
         Some(d)
+    }
+
+    /// Add `messages` and `bytes` to the traffic counters of the link
+    /// from `from` to `to`.
+    fn count(&mut self, from: NetNodeId, to: NetNodeId, messages: u64, bytes: u64) {
+        self.total_stats.messages += messages;
+        self.total_stats.bytes += bytes;
+        if self.node_region(from) != self.node_region(to) {
+            self.cross_region.messages += messages;
+            self.cross_region.bytes += bytes;
+        }
     }
 
     /// Whether a message from `from` to `to` is currently deliverable
@@ -385,20 +388,9 @@ impl Topology {
     /// simulating it. Self-sends are not counted, matching `one_way`'s
     /// `from == to` short-circuit.
     pub fn record_delivery(&mut self, from: NetNodeId, to: NetNodeId, bytes: u64) {
-        if from == to {
-            return;
+        if from != to {
+            self.count(from, to, 1, bytes);
         }
-        let (fi, ti) = (&self.nodes[from.0 as usize], &self.nodes[to.0 as usize]);
-        if fi.region != ti.region {
-            let s = self
-                .cross_region_stats
-                .entry(Self::norm(fi.region, ti.region))
-                .or_default();
-            s.messages += 1;
-            s.bytes += bytes;
-        }
-        self.total_stats.messages += 1;
-        self.total_stats.bytes += bytes;
     }
 
     /// Account traffic whose delivery cost was modelled elsewhere (the
@@ -406,30 +398,7 @@ impl Topology {
     /// propagation probe with a minimal payload): adds the bytes to the
     /// link counters without charging any delay or message.
     pub fn charge_bytes(&mut self, from: NetNodeId, to: NetNodeId, bytes: u64) {
-        let (fi, ti) = (&self.nodes[from.0 as usize], &self.nodes[to.0 as usize]);
-        if fi.region != ti.region {
-            let s = self
-                .cross_region_stats
-                .entry(Self::norm(fi.region, ti.region))
-                .or_default();
-            s.bytes += bytes;
-        }
-        self.total_stats.bytes += bytes;
-    }
-
-    /// Round-trip cost of a small request/response pair.
-    pub fn rtt(&mut self, a: NetNodeId, b: NetNodeId) -> Option<SimDuration> {
-        let there = self.one_way(a, b, 128)?;
-        let back = self.one_way(b, a, 128)?;
-        Some(there + back)
-    }
-
-    /// Round trip shipping `bytes` to `b` with a small acknowledgment back
-    /// (the sync-replication durability wait).
-    pub fn ship_rtt(&mut self, a: NetNodeId, b: NetNodeId, bytes: u64) -> Option<SimDuration> {
-        let there = self.one_way(a, b, bytes)?;
-        let back = self.one_way(b, a, 128)?;
-        Some(there + back)
+        self.count(from, to, 0, bytes);
     }
 
     /// The *expected* (jitter-free, load-free) RTT between two nodes; used
@@ -443,11 +412,6 @@ impl Topology {
         link.one_way_latency * 2 + self.injected_inter_host * 2
     }
 
-    /// Traffic shipped across each region pair so far.
-    pub fn cross_region_stats(&self) -> &BTreeMap<(RegionId, RegionId), LinkStats> {
-        &self.cross_region_stats
-    }
-
     /// All delivered traffic, every link (loopback included).
     pub fn total_stats(&self) -> LinkStats {
         self.total_stats
@@ -455,12 +419,7 @@ impl Topology {
 
     /// Cross-region traffic summed over all region pairs.
     pub fn cross_region_totals(&self) -> LinkStats {
-        let mut t = LinkStats::default();
-        for s in self.cross_region_stats.values() {
-            t.messages += s.messages;
-            t.bytes += s.bytes;
-        }
-        t
+        self.cross_region
     }
 }
 
@@ -678,13 +637,13 @@ mod tests {
 
     #[test]
     fn cross_region_traffic_is_counted() {
-        let (mut t, n1, _, _, n4) = two_region_topo();
+        let (mut t, n1, _, n3, n4) = two_region_topo();
         t.one_way(n1, n4, 1000).unwrap();
         t.one_way(n4, n1, 500).unwrap();
-        let stats: Vec<_> = t.cross_region_stats().values().collect();
-        assert_eq!(stats.len(), 1);
-        assert_eq!(stats[0].messages, 2);
-        assert_eq!(stats[0].bytes, 1500);
+        t.one_way(n1, n3, 300).unwrap(); // intra-region: not counted
+        let stats = t.cross_region_totals();
+        assert_eq!(stats.messages, 2);
+        assert_eq!(stats.bytes, 1500);
     }
 
     #[test]

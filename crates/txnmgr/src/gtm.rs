@@ -18,10 +18,6 @@ pub struct GtmServer {
     /// Largest clock error bound reported during the current/most recent
     /// transition (sizes DUAL-mode waits; Fig. 2).
     max_err_seen: SimDuration,
-    /// Statistics: timestamps issued per kind.
-    pub begins_served: u64,
-    pub gtm_commits_served: u64,
-    pub dual_commits_served: u64,
 }
 
 impl GtmServer {
@@ -30,9 +26,6 @@ impl GtmServer {
             mode: TmMode::Gtm,
             counter: 0,
             max_err_seen: SimDuration::ZERO,
-            begins_served: 0,
-            gtm_commits_served: 0,
-            dual_commits_served: 0,
         }
     }
 
@@ -66,8 +59,7 @@ impl GtmServer {
     }
 
     /// Serve a begin-snapshot request (GTM or DUAL mode CNs).
-    pub fn begin_snapshot(&mut self) -> Timestamp {
-        self.begins_served += 1;
+    pub fn begin_snapshot(&self) -> Timestamp {
         Timestamp(self.counter)
     }
 
@@ -79,12 +71,10 @@ impl GtmServer {
         match self.mode {
             TmMode::Gtm => {
                 self.counter += 1;
-                self.gtm_commits_served += 1;
                 Ok((Timestamp(self.counter), SimDuration::ZERO))
             }
             TmMode::Dual => {
                 self.counter += 1;
-                self.gtm_commits_served += 1;
                 Ok((Timestamp(self.counter), self.max_err_seen * 2))
             }
             TmMode::GClock => Err(GdbError::TxnAborted(
@@ -99,7 +89,6 @@ impl GtmServer {
     pub fn commit_dual(&mut self, gclock_ts: Timestamp) -> Timestamp {
         let ts = self.counter.max(gclock_ts.0) + 1;
         self.counter = ts;
-        self.dual_commits_served += 1;
         Timestamp(ts)
     }
 

@@ -62,7 +62,7 @@ enum Phase {
 }
 
 /// GTM-server-side orchestration state.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct TransitionOrchestrator {
     cn_count: usize,
     direction: Option<TransitionDirection>,

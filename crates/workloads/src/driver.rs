@@ -24,9 +24,6 @@ pub enum KeyDistribution {
     /// and mapped to key `r`, so key 1 is the hottest. `theta` in
     /// `(0, 1)`; 0.99 is the YCSB default.
     Zipfian { theta: f64 },
-    /// Sysbench's hot-spot shape: the first `hot_fraction` of the
-    /// keyspace receives `hot_prob` of all accesses.
-    Hotspot { hot_fraction: f64, hot_prob: f64 },
 }
 
 /// A key sampler with the Zipfian normalization constants precomputed
@@ -76,7 +73,7 @@ impl KeySampler {
         let n = n.max(1);
         let (alpha, eta, zetan) = match dist {
             KeyDistribution::Zipfian { theta } => zipf_constants(n, theta),
-            _ => (0.0, 0.0, 0.0),
+            KeyDistribution::Uniform => (0.0, 0.0, 0.0),
         };
         KeySampler {
             dist,
@@ -104,17 +101,6 @@ impl KeySampler {
                 } else {
                     let r = 1.0 + self.n as f64 * (self.eta * u - self.eta + 1.0).powf(self.alpha);
                     (r as i64).clamp(1, self.n)
-                }
-            }
-            KeyDistribution::Hotspot {
-                hot_fraction,
-                hot_prob,
-            } => {
-                let hot = ((self.n as f64 * hot_fraction) as i64).clamp(1, self.n);
-                if hot < self.n && !rng.gen_bool(hot_prob.clamp(0.0, 1.0)) {
-                    rng.gen_range(hot + 1..=self.n)
-                } else {
-                    rng.gen_range(1..=hot)
                 }
             }
         }
@@ -271,29 +257,5 @@ mod tests {
         for _ in 0..5_000 {
             assert_eq!(first.sample(&mut a), cached.sample(&mut b));
         }
-    }
-
-    #[test]
-    fn hotspot_honors_the_configured_mass() {
-        let sampler = KeySampler::new(
-            KeyDistribution::Hotspot {
-                hot_fraction: 0.1,
-                hot_prob: 0.9,
-            },
-            1_000,
-        );
-        let mut rng = SmallRng::seed_from_u64(11);
-        let mut hot = 0;
-        for _ in 0..10_000 {
-            let k = sampler.sample(&mut rng);
-            assert!((1..=1_000).contains(&k));
-            if k <= 100 {
-                hot += 1;
-            }
-        }
-        assert!(
-            (8_500..=9_500).contains(&hot),
-            "hot set took {hot}/10000 draws, expected ~9000"
-        );
     }
 }

@@ -43,9 +43,10 @@
 #                  with the `gdb-bench` runner, c8f4e5a or later) beside
 #                  the working tree and diff every deterministic output
 #                  (scripts/vt_diff.sh: all twelve `gdb-bench` experiments
-#                  at tiny scale, nemesis seeds and plans, the scenario
-#                  replays and the shell golden script) — run it for any
-#                  change that claims virtual time is untouched
+#                  at tiny scale, fig6a's Chrome trace, nemesis seeds and
+#                  plans, the scenario replays and the shell golden
+#                  script) — run it for any change that claims virtual
+#                  time or the span trees are untouched
 set -euo pipefail
 cd "$(dirname "$0")/.."
 

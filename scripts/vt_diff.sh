@@ -17,6 +17,8 @@
 #     (every metric in the registry) of the six that record one; the six
 #     ablations without an artifact diff stdout only. <rev> must have the
 #     `gdb-bench` runner (c8f4e5a or later);
+#   * fig6a once more with `--trace`: its stdout and the Chrome trace of
+#     its span tree, so a change to span recording shows here too;
 #   * nemesis seed 1, stdout and the --json artifact;
 #   * nemesis seeds 1-5, plain and --overlap --migrations --elastic;
 #     seeds 51-53 --elastic and --migrations;
@@ -65,6 +67,8 @@ surface() {
             "$bin/gdb-bench" "$exp" --scale tiny --secs 2 --terminals 8 "${json[@]}" \
                 >"$exp.out" 2>&1
         done
+        "$bin/gdb-bench" fig6a --scale tiny --secs 2 --terminals 8 --trace fig6a-trace.json \
+            >fig6a-traced.out 2>&1
         "$bin/nemesis" --seed 1 --duration 2s --json nemesis.json \
             >nemesis-json.out 2>&1 || true
         for seed in 1 2 3 4 5; do

@@ -94,7 +94,6 @@ fn kind(e: &gaussdb_global::GdbError) -> &'static str {
         TxnAborted(_) => "aborted",
         WriteConflict(_) => "conflict",
         NodeUnavailable(_) => "unavailable",
-        FreshnessUnsatisfiable(_) => "freshness",
         DuplicateKey(_) => "duplicate",
         NotFound(_) => "notfound",
         StaleRoute(_) => "stale_route",

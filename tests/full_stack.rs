@@ -226,7 +226,7 @@ fn partition_behaviour_by_replication_mode() {
     c.db.topo_mut().partition(regions[0], regions[1]);
     c.db.topo_mut().partition(regions[0], regions[2]);
     // A write to a shard homed in region 0, from the region-0 CN.
-    let shard0_region = c.db.shards()[0].region;
+    let shard0_region = c.db.topo().node_region(c.db.shards()[0].primary);
     let cn0 = (0..3)
         .find(|&i| c.db.cns()[i].region == shard0_region)
         .unwrap();

@@ -6,7 +6,7 @@
 use gdb_workloads::driver::{run_workload, RunConfig, Workload};
 use gdb_workloads::tpcc::{TpccMix, TpccScale, TpccWorkload};
 use globaldb::{
-    Cluster, ClusterConfig, Datum, MetricsReport, ReplicationMode, Row, SimDuration, SimTime,
+    Cluster, ClusterConfig, Datum, MetricsReport, ReplicationMode, Row, SimDuration, SimTime, Span,
     SpanKind, TmMode, TransitionDirection,
 };
 
@@ -265,6 +265,99 @@ fn transition_spans_tile_the_protocol_phases() {
     // direction switches as soon as the DUAL acks are in.
     assert_eq!(tracer.children(transitions[0].id).len(), 3);
     assert_eq!(tracer.children(transitions[1].id).len(), 2);
+}
+
+/// The root span of `kind` and its phase children, checked to tile the
+/// root from its start in order: every phase but the last is closed and
+/// ends where the next begins. Returns the root, the phase kinds, and
+/// the last phase (the open one, while the activity runs).
+fn phase_tree(tracer: &globaldb::Tracer, kind: SpanKind) -> (Span, Vec<SpanKind>, Span) {
+    let roots: Vec<_> = tracer.spans().iter().filter(|s| s.kind == kind).collect();
+    assert_eq!(roots.len(), 1, "one {kind:?} root");
+    let root = roots[0].clone();
+    assert!(root.is_root());
+    let kids = tracer.children(root.id);
+    assert_eq!(kids[0].start, root.start, "the first phase starts the root");
+    for pair in kids.windows(2) {
+        assert!(pair[0].end > pair[0].start, "{:?} is closed", pair[0].kind);
+        assert_eq!(pair[0].end, pair[1].start, "phase gap under {kind:?}");
+    }
+    let kinds = kids.iter().map(|s| s.kind).collect();
+    (root, kinds, (*kids.last().unwrap()).clone())
+}
+
+#[test]
+fn unfinished_transition_and_migration_leave_root_and_phase_open() {
+    // A GTM → GClock transition and a primary move, started together and
+    // stopped with the transition in its hold wait and the move in
+    // catch-up.
+    let mut cfg = ClusterConfig::globaldb_one_region();
+    cfg.tm_mode = TmMode::Gtm;
+    let mut c = Cluster::new(cfg);
+    c.db.obs_mut().tracer.enable(10_000);
+    let start = SimTime::from_millis(100);
+    c.run_until(start);
+    c.start_transition(TransitionDirection::ToGClock);
+    let region = c.db.regions()[0];
+    c.start_migration(0, region, 1).unwrap();
+    c.run_until(start + SimDuration::from_micros(350));
+
+    let tracer = &c.db.obs().tracer;
+    let mut open = Vec::new();
+    for (kind, phases) in [
+        (
+            SpanKind::Transition,
+            [SpanKind::TransitionDualAcks, SpanKind::TransitionHold],
+        ),
+        (
+            SpanKind::Migration,
+            [SpanKind::MigrationSnapshot, SpanKind::MigrationCatchup],
+        ),
+    ] {
+        let (root, kinds, phase) = phase_tree(tracer, kind);
+        assert_eq!((root.start, root.end), (start, start), "{kind:?} is open");
+        assert_eq!(kinds, phases);
+        assert_eq!(phase.parent, root.id);
+        assert_eq!(phase.end, phase.start, "{:?} is open", phase.kind);
+        open.push((root.id, phase.id));
+    }
+
+    c.run_until(SimTime::from_millis(200));
+    assert_eq!(
+        c.db.last_transition_completed(),
+        Some(TransitionDirection::ToGClock)
+    );
+    assert_eq!(c.db.last_migration_completed(), Some(0));
+    let tracer = &c.db.obs().tracer;
+    for ((kind, phases), (root_id, phase_id)) in [
+        (
+            SpanKind::Transition,
+            [
+                SpanKind::TransitionDualAcks,
+                SpanKind::TransitionHold,
+                SpanKind::TransitionFinalAcks,
+            ],
+        ),
+        (
+            SpanKind::Migration,
+            [
+                SpanKind::MigrationSnapshot,
+                SpanKind::MigrationCatchup,
+                SpanKind::MigrationCutover,
+            ],
+        ),
+    ]
+    .into_iter()
+    .zip(open)
+    {
+        let (root, kinds, last) = phase_tree(tracer, kind);
+        assert_eq!(root.id, root_id, "the open root is the one closed");
+        assert!(tracer.children(root_id).iter().any(|s| s.id == phase_id));
+        assert_eq!(kinds, phases);
+        assert!(root.end > root.start);
+        assert!(last.end > last.start, "{:?} is closed", last.kind);
+        assert_eq!(last.end, root.end, "the phases tile {kind:?} exactly");
+    }
 }
 
 #[test]
